@@ -25,6 +25,9 @@
 //! * Stability: every autotuner key that settles in isolation also settles
 //!   in the mix, and no campaign ever evicts a pack plan (the per-type
 //!   LRU never thrashes from interleaved jobs).
+//! * (d) Host cost: wall-clock per job of a shared campaign at 1024 jobs
+//!   is at most twice that at 256 — building and retiring a tenant must
+//!   not cost more the more tenants the fabric has already seen.
 //!
 //! Regenerate with:
 //! `cargo run --release -p bench --bin job_mix`
@@ -319,6 +322,62 @@ fn qos_shift_guard() -> QosShift {
     }
 }
 
+/// Guard (d): host milliseconds per job of a shared-placement campaign
+/// (tracing off), at 256 and at 1024 jobs of the same arrival process.
+struct HostScale {
+    wall_ms_per_job_256: f64,
+    wall_ms_per_job_1024: f64,
+    ratio_1024_over_256: f64,
+}
+
+bench::impl_to_json!(HostScale {
+    wall_ms_per_job_256,
+    wall_ms_per_job_1024,
+    ratio_1024_over_256,
+});
+
+fn host_scale_guard(seed: u64) -> HostScale {
+    // Fastest of `runs`: the host's speed drifts, the work does not.
+    let ms_per_job = |jobs: usize, runs: usize| {
+        let mut plans = generate(&MixParams {
+            seed,
+            jobs,
+            mean_interarrival_us: 400.0,
+        });
+        for p in &mut plans {
+            p.qos.share_nodes = true;
+        }
+        (0..runs)
+            .map(|_| {
+                // A recorder takes one fabric's registrations, so one per run.
+                let params = ClusterParams {
+                    phys_nodes: 8,
+                    placement: Placement::Shared,
+                    recorder: Some(Recorder::off()),
+                    ..ClusterParams::default()
+                };
+                let t = std::time::Instant::now();
+                let out = run_mix(&params, &plans);
+                assert_eq!(out.jobs.len(), jobs);
+                t.elapsed().as_secs_f64() * 1e3 / jobs as f64
+            })
+            .fold(f64::INFINITY, f64::min)
+    };
+    let wall_ms_per_job_256 = ms_per_job(256, 3);
+    let wall_ms_per_job_1024 = ms_per_job(1024, 2);
+    let ratio = wall_ms_per_job_1024 / wall_ms_per_job_256;
+    assert!(
+        ratio <= 2.0,
+        "host cost per job grows with the job count: {wall_ms_per_job_256:.3} ms at 256 jobs, \
+         {wall_ms_per_job_1024:.3} ms at 1024 ({ratio:.2}x, limit 2x)"
+    );
+    HostScale {
+        wall_ms_per_job_256,
+        wall_ms_per_job_1024,
+        ratio_1024_over_256: ratio,
+    }
+}
+
 fn main() {
     let args = HarnessArgs::parse();
     let smoke = args.extra.get("smoke").is_some_and(|v| v != "false");
@@ -336,6 +395,11 @@ fn main() {
     println!(
         "QoS shift guard OK: 4:1 weights -> {:.3}x service ratio ({:.3}x at 1:1)",
         qos.weighted_ratio, qos.equal_ratio
+    );
+    let host = host_scale_guard(seed);
+    println!(
+        "host scale guard OK: {:.3} ms/job at 256 jobs, {:.3} ms/job at 1024 ({:.2}x)",
+        host.wall_ms_per_job_256, host.wall_ms_per_job_1024, host.ratio_1024_over_256
     );
 
     let plans = generate(&MixParams {
@@ -458,6 +522,7 @@ fn main() {
                 ("equal_ratio".to_string(), qos.equal_ratio.to_json()),
             ]),
         ),
+        ("host_scale".to_string(), host.to_json()),
         (
             "guards".to_string(),
             Json::Obj(vec![
@@ -467,6 +532,7 @@ fn main() {
                 ("sole_tenant_bit_identical".to_string(), Json::Bool(true)),
                 ("tuner_settled_stable".to_string(), Json::Bool(true)),
                 ("plan_cache_no_evictions".to_string(), Json::Bool(true)),
+                ("host_ms_per_job_ratio_le_2".to_string(), Json::Bool(true)),
             ]),
         ),
     ]);

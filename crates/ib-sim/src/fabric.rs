@@ -108,6 +108,9 @@ impl SgEntry {
 
 struct Mr {
     buf: HostBuf,
+    /// The job whose endpoint registered the region; its registrations are
+    /// released with its binding (see [`Fabric::unbind_job`]).
+    job: usize,
 }
 
 /// Registration refused: granting it would exceed the node's pin limit.
@@ -146,6 +149,10 @@ struct NodeHw {
     /// of a multi-job fabric (see [`Fabric::multi_job`]); a single-job
     /// fabric never reads it.
     job_tx_free: Vec<SimTime>,
+    /// Jobs currently bound to this node, in bind order (maintained by
+    /// [`Fabric::try_bind_job`] / [`Fabric::unbind_job`]). Arbitration and
+    /// the overlap check walk this instead of every declared job.
+    tenants: Vec<usize>,
     /// Registered memory regions (keyed for remote access).
     mrs: HashMap<MrKey, Mr>,
     /// Bytes currently pinned through this node's HCA (for the fault
@@ -164,6 +171,7 @@ impl NodeHw {
         NodeHw {
             tx_free: SimTime::ZERO,
             job_tx_free: vec![SimTime::ZERO; njobs],
+            tenants: Vec::new(),
             mrs: HashMap::new(),
             pinned_bytes: 0,
             tx_last: None,
@@ -365,11 +373,13 @@ impl Fabric {
             base: 0,
             qos: JobQos::default(),
             label: String::new(),
-            binding: Mutex::new(Some(Arc::new((0..num_phys).collect()))),
+            binding: Mutex::new(None),
             counters: CallCounters::new(),
             topo,
         };
-        Self::build(num_phys, vec![job], model, shm, faults)
+        let fabric = Self::build(num_phys, vec![job], model, shm, faults);
+        fabric.bind_job(0, &(0..num_phys).collect::<Vec<_>>());
+        fabric
     }
 
     /// Create a fabric shared by several concurrent jobs on `phys_nodes`
@@ -640,22 +650,16 @@ impl Fabric {
         if js.binding.lock().is_some() {
             return Err(BindError::AlreadyBound { job });
         }
-        for (k, other) in jobs.iter().enumerate() {
-            if k == job {
-                continue;
-            }
-            let ob = other.binding.lock();
-            if let Some(b) = ob.as_ref() {
-                if let Some(&shared) = b.iter().find(|n| nodes.contains(n)) {
-                    if !(js.qos.share_nodes && other.qos.share_nodes) {
-                        return Err(BindError::NodeOverlap {
-                            job,
-                            other: k,
-                            node: shared,
-                        });
-                    }
+        let mut hw = self.inner.nodes.lock();
+        for &node in nodes {
+            for &other in &hw[node].tenants {
+                if !(js.qos.share_nodes && jobs[other].qos.share_nodes) {
+                    return Err(BindError::NodeOverlap { job, other, node });
                 }
             }
+        }
+        for &node in nodes {
+            hw[node].tenants.push(job);
         }
         *js.binding.lock() = Some(Arc::new(nodes.to_vec()));
         Ok(())
@@ -670,9 +674,32 @@ impl Fabric {
     }
 
     /// Release job `job`'s node binding (the job has drained; its nodes
-    /// are free for the next arrival). The job's endpoints must be idle.
+    /// are free for the next arrival). The job's endpoints must be idle:
+    /// every memory region they registered on those nodes is deregistered
+    /// here and its bytes leave the nodes' pin accounts, so a finished
+    /// tenant neither holds its buffers alive nor eats into a later
+    /// tenant's pin limit. A no-op for an unbound job.
     pub fn unbind_job(&self, job: usize) {
-        *self.inner.jobs[job].binding.lock() = None;
+        let Some(nodes) = self.inner.jobs[job].binding.lock().take() else {
+            return;
+        };
+        let mut table = self.inner.nodes.lock();
+        for &node in nodes.iter() {
+            let hw = &mut table[node];
+            hw.tenants.retain(|&t| t != job);
+            debug_assert!(
+                !sim_core::in_sim() || hw.job_tx_free[job] <= sim_core::now(),
+                "unbind_job({job}) while its sends still occupy node {node}'s HCA"
+            );
+            let released: usize = hw
+                .mrs
+                .values()
+                .filter(|mr| mr.job == job)
+                .map(|mr| mr.buf.len())
+                .sum();
+            hw.mrs.retain(|_, mr| mr.job != job);
+            hw.pinned_bytes -= released;
+        }
     }
 
     /// The network cost model.
@@ -922,8 +949,8 @@ impl Nic {
                 1.0
             } else {
                 let mut wsum = q.hca_weight as u64;
-                for (j, t) in hw.job_tx_free.iter().enumerate() {
-                    if j != self.job && *t > now {
+                for &j in &hw.tenants {
+                    if j != self.job && hw.job_tx_free[j] > now {
                         wsum += jobs[j].qos.hca_weight as u64;
                     }
                 }
@@ -1216,7 +1243,13 @@ impl Nic {
         let key = MrKey(self.fabric.inner.next_key.fetch_add(1, Ordering::Relaxed));
         let mut nodes = self.fabric.inner.nodes.lock();
         nodes[node].pinned_bytes += buf.len();
-        nodes[node].mrs.insert(key, Mr { buf: buf.clone() });
+        nodes[node].mrs.insert(
+            key,
+            Mr {
+                buf: buf.clone(),
+                job: self.job,
+            },
+        );
         key
     }
 
@@ -2047,6 +2080,80 @@ mod tests {
         );
         f.bind_job(0, &[0, 1]);
         assert_eq!(f.try_bind_job(1, &[0, 1]), Ok(()));
+    }
+
+    #[test]
+    fn unbind_removes_the_job_from_its_nodes_tenant_lists() {
+        let f = Fabric::multi_job(
+            4,
+            vec![two_node_spec(0), two_node_spec(1), two_node_spec(2)],
+            NetModel::qdr(),
+            ShmModel::westmere(),
+            None,
+        );
+        f.bind_job(0, &[0, 1]);
+        f.bind_job(1, &[2, 3]);
+        f.unbind_job(0);
+        // Unbinding an unbound job stays a no-op.
+        f.unbind_job(0);
+        // Job 0 left no stale tenancy behind on nodes 0 and 1...
+        assert_eq!(f.try_bind_job(2, &[0, 1]), Ok(()));
+        // ...and the overlap check sees exactly the current tenants.
+        assert_eq!(
+            f.try_bind_job(0, &[3, 1]),
+            Err(BindError::NodeOverlap {
+                job: 0,
+                other: 1,
+                node: 3
+            })
+        );
+    }
+
+    #[test]
+    fn unbind_releases_the_jobs_registrations_and_pins() {
+        let sharing = |id: usize| {
+            let mut s = JobSpec::labeled(id, Topology::one_per_node(1));
+            s.qos.share_nodes = true;
+            s
+        };
+        let f = Fabric::multi_job(
+            1,
+            vec![sharing(0), sharing(1), sharing(2)],
+            NetModel::qdr(),
+            ShmModel::westmere(),
+            Some(FaultSpec {
+                pin_limit_bytes: Some(200),
+                ..FaultSpec::seeded(6)
+            }),
+        );
+        in_sim(move || {
+            // Tenants 0 and 1 share node 0; each pins a pool and a user
+            // buffer.
+            f.bind_job(0, &[0]);
+            f.bind_job(1, &[0]);
+            let (first, second) = (f.job_nic(0, 0), f.job_nic(1, 0));
+            first.register(&HostBuf::alloc(64));
+            first.try_register(&HostBuf::alloc(64)).expect("128 <= 200");
+            let kept = second
+                .try_register(&HostBuf::alloc(64))
+                .expect("192 <= 200");
+            assert_eq!(second.pinned_bytes(), 192);
+            second
+                .try_register(&HostBuf::alloc(64))
+                .expect_err("256 > 200 while tenant 0 is still there");
+            // Tenant 0 finishes: its 128 bytes leave the node's pin account,
+            // tenant 1's registration is untouched.
+            f.unbind_job(0);
+            assert_eq!(second.pinned_bytes(), 64);
+            // A later tenant gets the room, not a spurious RegError.
+            f.bind_job(2, &[0]);
+            let third = f.job_nic(2, 0);
+            third
+                .try_register(&HostBuf::alloc(128))
+                .expect("192 <= 200");
+            second.deregister(kept);
+            assert_eq!(third.pinned_bytes(), 128);
+        });
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Stackful coroutine carriers for the event-driven kernel.
 //!
 //! In [`ExecMode::Event`](crate::ExecMode::Event) every simulated process
-//! runs as a *fiber*: a heap-allocated stack plus a saved register context,
+//! runs as a *fiber*: an `mmap`'d stack plus a saved register context,
 //! multiplexed onto the single kernel OS thread. The kernel switches into a
 //! fiber exactly where it used to grant a condvar, and the fiber switches
 //! back exactly where it used to park — the scheduling decisions, and hence
@@ -15,6 +15,15 @@
 //! suspending stack and swaps `rsp`; it is x86_64-only (the only target this
 //! workspace builds for). On other architectures the kernel silently falls
 //! back to thread carriers.
+//!
+//! # Stacks
+//!
+//! A fiber's stack is an anonymous private no-reserve mapping with one
+//! `PROT_NONE` guard page below it ([`Stack`]). The host commits a page only
+//! when the fiber first runs that deep, so a spawned-but-parked rank costs
+//! one touched page rather than its whole budget, nothing is zero-filled at
+//! spawn, and running off the end of the stack faults on the guard page
+//! (SIGSEGV, deterministically) instead of scribbling over the heap.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::ptr;
@@ -82,6 +91,108 @@ unsafe fn sim_core_fiber_switch(_from: *mut FiberCtx, _to: *const FiberCtx) {
     unreachable!("fiber carriers are x86_64-only; ExecMode::Event falls back to threads");
 }
 
+/// The slice of the POSIX memory-mapping interface fiber stacks need,
+/// declared here so the workspace keeps zero dependencies. Constants are the
+/// Linux x86_64 values — the same gate as the switch asm above.
+#[cfg(target_arch = "x86_64")]
+mod sys {
+    use std::ffi::c_void;
+
+    pub const PROT_NONE: i32 = 0;
+    pub const PROT_READ: i32 = 1;
+    pub const PROT_WRITE: i32 = 2;
+    pub const MAP_PRIVATE: i32 = 0x02;
+    pub const MAP_ANONYMOUS: i32 = 0x20;
+    pub const MAP_NORESERVE: i32 = 0x4000;
+    pub const MAP_FAILED: *mut c_void = !0 as *mut c_void;
+    /// The x86_64 base page size.
+    pub const PAGE: usize = 4096;
+
+    extern "C" {
+        pub fn mmap(
+            addr: *mut c_void,
+            len: usize,
+            prot: i32,
+            flags: i32,
+            fd: i32,
+            off: i64,
+        ) -> *mut c_void;
+        pub fn mprotect(addr: *mut c_void, len: usize, prot: i32) -> i32;
+        pub fn munmap(addr: *mut c_void, len: usize) -> i32;
+    }
+}
+
+/// An owned fiber stack: `[guard page | usable bytes]`, low to high. The
+/// stack grows down from the top of the usable part, so overflowing it
+/// lands on the guard page and faults.
+struct Stack {
+    /// Start of the mapping, i.e. of the guard page.
+    base: *mut u8,
+    /// Whole mapping: guard page plus usable bytes.
+    len: usize,
+}
+
+#[cfg(target_arch = "x86_64")]
+impl Stack {
+    /// Map a stack with at least `usable` writable bytes (rounded up to whole
+    /// pages). Panics if the host refuses the mapping.
+    fn new(usable: usize) -> Stack {
+        let len = usable.next_multiple_of(sys::PAGE) + sys::PAGE;
+        // SAFETY: a fresh anonymous mapping at a kernel-chosen address
+        // aliases nothing; the result is checked before use.
+        let base = unsafe {
+            sys::mmap(
+                ptr::null_mut(),
+                len,
+                sys::PROT_READ | sys::PROT_WRITE,
+                sys::MAP_PRIVATE | sys::MAP_ANONYMOUS | sys::MAP_NORESERVE,
+                -1,
+                0,
+            )
+        };
+        assert!(
+            base != sys::MAP_FAILED,
+            "mmap of a {len}-byte fiber stack failed: {}",
+            std::io::Error::last_os_error()
+        );
+        // SAFETY: the first page of the mapping above.
+        let rc = unsafe { sys::mprotect(base, sys::PAGE, sys::PROT_NONE) };
+        assert!(
+            rc == 0,
+            "mprotect of a fiber-stack guard page failed: {}",
+            std::io::Error::last_os_error()
+        );
+        Stack {
+            base: base.cast(),
+            len,
+        }
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+impl Drop for Stack {
+    fn drop(&mut self) {
+        // SAFETY: exactly the mapping `new` created; the owning fiber is
+        // finished or was never started, so no live frame is on it. A
+        // failure only leaks address space, and Drop must not panic.
+        unsafe { sys::munmap(self.base.cast(), self.len) };
+    }
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+impl Stack {
+    fn new(_usable: usize) -> Stack {
+        unreachable!("fiber carriers are x86_64-only; ExecMode::Event falls back to threads");
+    }
+}
+
+impl Stack {
+    /// One past the highest usable byte (page-aligned, hence 16-aligned).
+    fn top(&self) -> *mut u8 {
+        self.base.wrapping_add(self.len)
+    }
+}
+
 /// True when this build can run fiber carriers.
 pub(crate) fn supported() -> bool {
     cfg!(target_arch = "x86_64")
@@ -114,8 +225,8 @@ pub(crate) struct FiberData {
 /// threads is therefore sound (same contract as a parked OS thread's stack).
 pub(crate) struct Fiber {
     data: Box<FiberData>,
-    /// Owned stack memory; kept alive as long as the fiber may run.
-    _stack: Box<[u8]>,
+    /// Owned stack mapping; kept alive as long as the fiber may run.
+    _stack: Stack,
     /// The kernel has switched into this fiber at least once.
     pub(crate) started: bool,
     /// The body has returned (or unwound); the fiber must never be resumed.
@@ -159,20 +270,19 @@ impl Fiber {
     /// byte stack when first switched into.
     pub(crate) fn new(stack_size: usize, body: Box<dyn FnOnce() + Send>) -> Fiber {
         assert!(supported(), "fiber carriers are x86_64-only");
-        let mut stack = vec![0u8; stack_size.max(16 * 1024)].into_boxed_slice();
+        let stack = Stack::new(stack_size.max(16 * 1024));
         let mut data = Box::new(FiberData {
             body: Some(body),
             ctx: FiberCtx::null(),
         });
+        // SAFETY: the eight slots written lie in the top 64 bytes of the
+        // stack's usable (writable, >= 16 KiB) part, and its top is
+        // page-aligned, so every `u64` store is aligned and in bounds.
         unsafe {
-            let base = stack.as_mut_ptr();
-            let top = base.add(stack.len());
-            // 16-byte align the logical stack top.
-            let top16 = top.sub(top as usize % 16);
             // Layout (high to low): fake return slot, trampoline return
             // address, then the six callee-saved register slots the restore
             // sequence pops (rbp, rbx, r12=arg, r13=entry, r14, r15).
-            let slots = top16 as *mut u64;
+            let slots = stack.top() as *mut u64;
             *slots.sub(1) = 0; // fake caller return address
             *slots.sub(2) = sim_core_fiber_start as *const () as u64;
             *slots.sub(3) = 0; // rbp

@@ -1,18 +1,30 @@
-//! The simulation kernel: a deterministic cooperative scheduler over OS
-//! threads plus a timer wheel for virtual-time events.
+//! The simulation kernel: a deterministic cooperative scheduler over
+//! stackful fibers plus a binary heap of virtual-time timers.
 //!
 //! # Execution model
 //!
-//! Every simulated process is a real OS thread, but **exactly one process
-//! runs at any moment**. A process runs until it yields (sleeps, parks, or
+//! Every simulated process is a coroutine, and **exactly one process runs
+//! at any moment**. A process runs until it yields (sleeps, parks, or
 //! finishes); the kernel then either grants the CPU to the next runnable
 //! process or, when none is runnable, advances virtual time to the next timer
 //! and fires it. All scheduling decisions are ordered by `(virtual time,
 //! admission sequence)`, so a simulation is *fully deterministic*: the same
 //! program produces the same event order and the same final clock on every
-//! run. Threads are used purely as coroutine carriers so that simulated
-//! programs (MPI ranks, progress engines) can be written as ordinary blocking
-//! Rust code.
+//! run. Coroutines exist purely so that simulated programs (MPI ranks,
+//! progress engines) can be written as ordinary blocking Rust code.
+//!
+//! By default ([`ExecMode::Event`]) a process is a fiber (see
+//! `fiber.rs`): its own lazily committed, guard-paged stack, switched into
+//! and out of on the thread that called [`Sim::run`], so a world of a
+//! thousand ranks is one OS thread. [`ExecMode::Threads`] carries each
+//! process on an OS thread handed the virtual CPU through a condvar
+//! instead; it makes the identical decisions and is kept as the
+//! cross-check (and the fallback where fibers are unsupported).
+//!
+//! Runnable processes wait in a min-heap keyed by admission sequence;
+//! timers wait in a min-heap keyed by `(deadline, admission sequence)`
+//! whose entries point at a slab of actions, so a cancelled timer drops its
+//! action at once and leaves a generation-stamped tombstone behind.
 //!
 //! # Blocking and waking
 //!

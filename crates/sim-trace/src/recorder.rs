@@ -1,7 +1,6 @@
 //! The recording layer: [`Recorder`], [`Lane`] handles and the event ring.
 
-use std::collections::BTreeMap;
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -100,10 +99,15 @@ pub struct Event {
 
 struct State {
     lanes: Vec<LaneMeta>,
+    /// `scope -> name -> LaneId` index over `lanes`. The `Vec` stays the
+    /// source of truth for ids and export order; this only finds them.
+    lane_index: HashMap<String, HashMap<String, LaneId>>,
     ring: VecDeque<Event>,
     cap: usize,
     dropped: u64,
     counters: Vec<(String, CallCounters)>,
+    /// `prefix -> position in counters`.
+    counter_index: HashMap<String, usize>,
 }
 
 struct Inner {
@@ -145,10 +149,12 @@ impl Recorder {
                 enabled: AtomicBool::new(true),
                 state: Mutex::new(State {
                     lanes: Vec::new(),
+                    lane_index: HashMap::new(),
                     ring: VecDeque::new(),
                     cap,
                     dropped: 0,
                     counters: Vec::new(),
+                    counter_index: HashMap::new(),
                 }),
             }),
         }
@@ -168,23 +174,27 @@ impl Recorder {
 
     /// Register (or look up) the lane `scope/name`. Idempotent: the same
     /// pair always maps to the same [`LaneId`] (the first registration's
-    /// `kind` wins). Registration is rare (per resource, not per event), so
-    /// it does a linear scan instead of keeping an index.
+    /// `kind` wins), and ids are dense in first-registration order. A
+    /// lookup costs two hash probes however many lanes exist: a multi-tenant
+    /// fabric registers ~10 lanes per short-lived engine into a table of
+    /// tens of thousands, disabled recorder or not.
     pub fn lane(&self, scope: &str, name: &str, kind: LaneKind) -> Lane {
         let mut st = self.inner.state.lock();
-        let id = match st
-            .lanes
-            .iter()
-            .position(|l| l.scope == scope && l.name == name)
-        {
-            Some(i) => i as LaneId,
+        let hit = st.lane_index.get(scope).and_then(|names| names.get(name));
+        let id = match hit.copied() {
+            Some(id) => id,
             None => {
+                let id = LaneId::try_from(st.lanes.len()).expect("more than u32::MAX lanes");
                 st.lanes.push(LaneMeta {
                     scope: scope.to_string(),
                     name: name.to_string(),
                     kind,
                 });
-                (st.lanes.len() - 1) as LaneId
+                st.lane_index
+                    .entry(scope.to_string())
+                    .or_default()
+                    .insert(name.to_string(), id);
+                id
             }
         };
         Lane {
@@ -241,15 +251,17 @@ impl Recorder {
     /// registrations instead (e.g. a `job{k}.` scope prefix).
     pub fn register_counters(&self, prefix: &str, counters: &CallCounters) {
         let mut st = self.inner.state.lock();
-        if let Some((_, existing)) = st.counters.iter().find(|(p, _)| p == prefix) {
+        if let Some(&i) = st.counter_index.get(prefix) {
             assert!(
-                existing.same_counters(counters),
+                st.counters[i].1.same_counters(counters),
                 "metrics-registry collision: prefix '{prefix}' is already \
                  registered with a different counter set; give each job its \
                  own namespace (e.g. 'job{{k}}.{prefix}')"
             );
             return;
         }
+        let slot = st.counters.len();
+        st.counter_index.insert(prefix.to_string(), slot);
         st.counters.push((prefix.to_string(), counters.clone()));
     }
 
@@ -413,10 +425,107 @@ mod tests {
         b.record("retry.rts");
         r.register_counters("gpu0", &a);
         r.register_counters("gpu0", &a); // idempotent
+        r.clone().register_counters("gpu0", &a.clone()); // ... for clones of both
         r.register_counters("rank1", &b);
         let m = r.metrics();
         assert_eq!(m.get("gpu0.cudaMemcpy"), Some(&2));
         assert_eq!(m.get("rank1.retry.rts"), Some(&1));
         assert_eq!(m.len(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "metrics-registry collision: prefix 'rank0'")]
+    fn a_different_counter_set_under_a_taken_prefix_panics() {
+        let r = Recorder::off();
+        r.register_counters("rank0", &CallCounters::new());
+        r.register_counters("rank1", &CallCounters::new());
+        r.register_counters("rank0", &CallCounters::new());
+    }
+
+    /// The pre-index semantics, kept as the oracle: scan every lane
+    /// registered so far, first match wins, else append.
+    fn linear_lane(table: &mut Vec<LaneMeta>, scope: &str, name: &str, kind: LaneKind) -> LaneId {
+        if let Some(i) = table
+            .iter()
+            .position(|l| l.scope == scope && l.name == name)
+        {
+            return i as LaneId;
+        }
+        table.push(LaneMeta {
+            scope: scope.to_string(),
+            name: name.to_string(),
+            kind,
+        });
+        (table.len() - 1) as LaneId
+    }
+
+    #[test]
+    fn interning_matches_the_linear_scan_it_replaced() {
+        const KINDS: [LaneKind; 3] = [LaneKind::Stage, LaneKind::Hca, LaneKind::Gauge];
+        let rec = Recorder::off();
+        let clone = rec.clone();
+        let mut oracle = Vec::new();
+        // A seeded walk over a small key space, so most registrations are
+        // repeats — some under a different kind — from either handle. Scope
+        // and name are drawn so that ("a", "bc") and ("ab", "c") both occur.
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for step in 0..4000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let scope = ["a", "ab", "rank0", "job1.rank0", ""][(x % 5) as usize];
+            let name = format!(
+                "{}{}",
+                ["bc", "c", "pack", ""][(x >> 8) as usize % 4],
+                x >> 16 & 7
+            );
+            let kind = KINDS[(x >> 24) as usize % 3];
+            let handle = if step % 2 == 0 { &rec } else { &clone };
+            let got = handle.lane(scope, &name, kind).id();
+            let want = linear_lane(&mut oracle, scope, &name, kind);
+            assert_eq!(got, want, "step {step}: {scope}/{name}");
+        }
+        let lanes = rec.lanes();
+        assert_eq!(lanes.len(), oracle.len());
+        assert!(lanes.len() > 100, "key space too small: {}", lanes.len());
+        for (id, (got, want)) in lanes.iter().zip(&oracle).enumerate() {
+            // Dense ids in first-registration order, first kind kept.
+            assert_eq!(
+                (&got.scope, &got.name),
+                (&want.scope, &want.name),
+                "id {id}"
+            );
+            assert_eq!(
+                got.kind, want.kind,
+                "id {id}: first registration's kind must win"
+            );
+        }
+    }
+
+    #[test]
+    fn registration_cost_does_not_grow_with_the_table() {
+        const N: usize = 100_000;
+        let rec = Recorder::off();
+        let counters = CallCounters::new();
+        let t = std::time::Instant::now();
+        for i in 0..N {
+            let scope = format!("job{}.rank{}", i / 10, i % 10);
+            assert_eq!(rec.lane(&scope, "proto", LaneKind::Proto).id() as usize, i);
+            rec.register_counters(&scope, &counters);
+        }
+        // Looking every one of them up again is as cheap as adding it was.
+        for i in (0..N).rev() {
+            let scope = format!("job{}.rank{}", i / 10, i % 10);
+            assert_eq!(rec.lane(&scope, "proto", LaneKind::Stage).id() as usize, i);
+            rec.register_counters(&scope, &counters);
+        }
+        let took = t.elapsed();
+        assert_eq!(rec.lanes().len(), N);
+        // A fraction of a second even unoptimised; a scan per registration
+        // is 2·10^10 string compares here (minutes).
+        assert!(
+            took < std::time::Duration::from_secs(10),
+            "400k registrations took {took:?}"
+        );
     }
 }
