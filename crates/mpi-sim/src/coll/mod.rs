@@ -38,7 +38,7 @@ use sim_core::san;
 use crate::comm::Comm;
 use crate::datatype::Datatype;
 use crate::engine::{Engine, SrcSel, TagSel};
-use crate::proto::{CollAlgo, ReqId};
+use crate::proto::{CollAlgo, ReqId, SeededBug};
 
 /// Tag window reserved per collective. Hierarchical algorithms index phase
 /// tags by node id (strides of [`hier::MAX_NODES`]) and pipelined
@@ -541,7 +541,8 @@ impl Comm {
                 rank as i64,
             );
             san::invariant_checkpoint("finalize");
-            (eng.is_faulty(), eng.cfg.bug_finalize_quiesce)
+            let bug = eng.cfg.seeded_bug == Some(SeededBug::FinalizeQuiesce);
+            (eng.is_faulty(), bug)
         };
         if !faulty {
             return;

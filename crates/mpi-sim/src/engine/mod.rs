@@ -1,0 +1,1113 @@
+//! Per-rank protocol engine: matching, request state machines and the
+//! progress loop.
+//!
+//! Each rank runs as one simulation process; MPI progress happens inside
+//! MPI calls (single-threaded MPI, like the paper's MVAPICH2 build). The
+//! engine drains the NIC mailbox, advances rendezvous state machines by
+//! polling staging sources/sinks and RDMA completions, and blocks — in
+//! virtual time — until either a packet arrives or the earliest known
+//! hardware completion instant passes.
+//!
+//! This module owns what every message shares — posting, matching, the
+//! eager path, the RTS (sent, retransmitted, matched), the packet
+//! dispatcher and the progress loop. What happens between a matched RTS
+//! and completion belongs to one of three self-contained rendezvous
+//! units, each an `impl Engine` block over its own send/receive records:
+//!
+//! * [`staged`] — the windowed vbuf pipeline (CTS / FIN / CREDIT / FIN-NACK);
+//! * [`rput`] — the one-shot RDMA write into the receiver's registered
+//!   user buffer, with two payload kinds: *direct* (contiguous) and
+//!   *offload* (NIC scatter/gather);
+//! * [`device`] — the D2D path between ranks sharing a GPU.
+//!
+//! A new scheme is a new file here, a packet arm in `handle_packet`, a
+//! phase in [`SendPhase`]/[`RecvPhase`] and a row in `match_rts`.
+//!
+//! # Fault recovery
+//!
+//! On a fabric built with [`ib_sim::FaultSpec`], control packets can be
+//! dropped or delayed, RDMA writes can fail with an error CQE, and user
+//! buffer registration can hit a pin limit. The units layer a
+//! retry/recovery protocol over their state machines, built from the one
+//! [`reliability`] module (retry timer, bounded replay memory, the
+//! stale-packet rule):
+//!
+//! * lost **RTS**: the sender retransmits on timeout (exponential backoff);
+//! * lost **CTS** (any kind): a duplicate RTS makes the receiver re-send
+//!   its response (same granted window — grants are never duplicated);
+//! * lost **FIN**: the staged sender defers each FIN to its chunk's
+//!   successful CQE and retransmits the FINs of busy (uncredited) slots on
+//!   stall; the receiver additionally nacks the first missing chunk; an
+//!   rput receiver re-offers its CTS and the finished sender re-FINs;
+//! * lost **CREDIT**: a retransmitted FIN for an already-credited chunk
+//!   makes the receiver re-send that credit; credits are sequenced by
+//!   chunk index so duplicates can never free a slot twice;
+//! * failed **RDMA write**: re-issued from the still-held staging buffer
+//!   (staged) or the user buffer (rput), bounded by the retry budget;
+//! * failed **registration**: the rput degrades to the staged path, on
+//!   either side.
+//!
+//! Every timer, duplicate-tolerance path and retransmit is gated on the
+//! fabric actually injecting faults: with faults disabled the engine is
+//! bit-identical — in timing and in bytes — to one built without any of
+//! this machinery, and protocol violations stay hard panics.
+
+mod device;
+mod reliability;
+mod rput;
+mod staged;
+
+use std::collections::{HashMap, VecDeque};
+use std::sync::Arc;
+
+use gpu_sim::Loc;
+use hostmem::{HostBuf, HostPtr};
+use ib_sim::{MrKey, Nic};
+use sim_core::{instrument, san};
+use sim_core::{CallCounters, Completion, SimDur, SimTime};
+
+use self::reliability::{violation, BoundedMap, RetryTimer};
+use self::rput::{RegCache, RputRecv, RputSend};
+use self::staged::{StagedRecv, StagedSend};
+use crate::datatype::Datatype;
+use crate::flat::Layout;
+use crate::invariants;
+use crate::plan::{Canonical, Plan, WireDescriptor};
+use crate::proto::{ConfigError, Envelope, MpiConfig, MpiError, MpiPacket, ReqId, RputKind, Rts};
+use crate::scheme::{DataScheme, SchemeSelector};
+use crate::staging::{BufferStager, HostRecvSink, HostSendSource, RecvSink, SendSource};
+use crate::tuner::{ChunkTuner, LayoutClass};
+
+/// Source selector for receives.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub struct SrcSel(pub(crate) Option<usize>);
+
+/// Tag selector for receives.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub struct TagSel(pub(crate) Option<u32>);
+
+/// Match any source rank (MPI_ANY_SOURCE).
+pub const ANY_SOURCE: SrcSel = SrcSel(None);
+/// Match any tag (MPI_ANY_TAG).
+pub const ANY_TAG: TagSel = TagSel(None);
+
+impl From<usize> for SrcSel {
+    fn from(r: usize) -> Self {
+        SrcSel(Some(r))
+    }
+}
+
+impl From<u32> for TagSel {
+    fn from(t: u32) -> Self {
+        TagSel(Some(t))
+    }
+}
+
+/// Completion information of a receive (MPI_Status).
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub struct RecvStatus {
+    /// Actual source rank.
+    pub src: usize,
+    /// Actual tag.
+    pub tag: u32,
+    /// Received payload bytes (type-packed size).
+    pub bytes: usize,
+}
+
+/// A nonblocking operation handle.
+#[derive(Debug)]
+pub struct Request {
+    pub(crate) id: ReqId,
+}
+
+/// Record a protocol event on the rank-local counters, the process-global
+/// counters (fault campaigns read the global ones; tests needing isolation
+/// read the per-rank ones through `Comm::counters`) and the rank's protocol
+/// trace lane.
+fn note(counters: &CallCounters, trace: &ProtoTrace, name: &'static str) {
+    counters.record(name);
+    instrument::global().record(name);
+    trace.proto.instant_now(name);
+}
+
+/// Trace lanes of one rank's protocol engine. Always present; every lane
+/// no-ops behind one atomic load when the recorder is disabled, so the
+/// engine never branches on the tracing mode.
+pub(crate) struct ProtoTrace {
+    /// Protocol instants: rendezvous transitions, retries, duplicates,
+    /// fallbacks.
+    proto: sim_trace::Lane,
+    /// Per-chunk RDMA-write stage spans (the wire stage of the pipeline,
+    /// between d2h and h2d).
+    rdma: sim_trace::Lane,
+    /// Send-side vbuf pool occupancy.
+    send_pool: sim_trace::Lane,
+    /// Recv-side (grantable) vbuf pool occupancy.
+    recv_pool: sim_trace::Lane,
+    /// Chunk size chosen by the adaptive tuner, per staged transfer.
+    chunk_size: sim_trace::Lane,
+}
+
+impl ProtoTrace {
+    fn new(rec: &sim_trace::Recorder, scope: &str) -> Self {
+        use sim_trace::LaneKind::{Gauge, Proto, Stage};
+        ProtoTrace {
+            proto: rec.lane(scope, "proto", Proto),
+            rdma: rec.lane(scope, "rdma", Stage),
+            send_pool: rec.lane(scope, "send_pool", Gauge),
+            recv_pool: rec.lane(scope, "recv_pool", Gauge),
+            chunk_size: rec.lane(scope, "chunk_size", Gauge),
+        }
+    }
+}
+
+pub(crate) struct Vbuf {
+    pub buf: HostBuf,
+    pub key: MrKey,
+}
+
+enum SendPhase {
+    WaitCts {
+        timer: Option<RetryTimer>,
+    },
+    Rput(RputSend),
+    Staged(StagedSend),
+    /// Device path (co-located ranks sharing one GPU): the FIN-dev is out,
+    /// announcing the packed tbuf; waiting for the receiver's credit. The
+    /// pack completion is kept only as a wake-up hint — ordering travels
+    /// inside the FIN-dev itself. No retry timer: intra-node control is
+    /// reliable even on fault-injecting fabrics.
+    DevWaitCredit {
+        pack: Completion,
+    },
+    Done,
+    Failed(MpiError),
+}
+
+struct SendState {
+    dst: usize,
+    total: usize,
+    /// Envelope of the original RTS (for retransmission).
+    env: Envelope,
+    /// Device-GPU advert carried on the RTS (and its retransmissions):
+    /// `Some` only toward a co-located peer when the source is device
+    /// memory.
+    dev_gpu: Option<u32>,
+    source: Box<dyn SendSource>,
+    /// Start of the user buffer when it is host-contiguous (direct kind).
+    direct_ptr: Option<HostPtr>,
+    /// Base pointer + lowered gather descriptor when the offload scheme is
+    /// enabled and this layout admits a bounded wire descriptor.
+    offload: Option<(HostPtr, WireDescriptor)>,
+    /// Registration for the rput path failed: the transfer falls back to
+    /// staged, and RTS retransmits stop advertising either rput kind.
+    rput_failed: bool,
+    phase: SendPhase,
+}
+
+impl SendState {
+    /// The RTS of this send, as first sent and as retransmitted.
+    fn rts(&self, send_req: ReqId) -> Rts {
+        let offload = self.offload.as_ref().filter(|_| !self.rput_failed);
+        Rts {
+            env: self.env,
+            total: self.total,
+            send_req,
+            direct_capable: self.direct_ptr.is_some() && !self.rput_failed,
+            dev_gpu: self.dev_gpu,
+            offload_entries: offload.map(|(_, d)| d.entries().len() as u32),
+        }
+    }
+}
+
+/// What a completed send must remember to answer retransmits (faulty
+/// fabrics only).
+#[derive(Copy, Clone)]
+enum SendRecord {
+    Staged {
+        dst: usize,
+        peer_recv_req: ReqId,
+        chunk_size: usize,
+        nchunks: usize,
+        nslots: usize,
+        total: usize,
+    },
+    Rput {
+        dst: usize,
+    },
+}
+
+enum RecvPhase {
+    Unmatched,
+    WaitRput(RputRecv),
+    Staged(StagedRecv, Envelope),
+    /// Device path: CTS-dev sent, waiting for the sender's FIN-dev naming
+    /// its packed device tbuf. No timer — intra-node control is reliable.
+    DevWait {
+        rts: Rts,
+    },
+    /// Device path: scattering from the sender's tbuf on the shared GPU;
+    /// the credit goes out when the unpack completion lands.
+    DevAbsorb {
+        comp: Completion,
+        rts: Rts,
+    },
+    Done(RecvStatus),
+    Failed(MpiError),
+}
+
+struct RecvState {
+    src_sel: SrcSel,
+    tag_sel: TagSel,
+    ctx: u16,
+    capacity: usize,
+    sink: Box<dyn RecvSink>,
+    /// Start of the user buffer when it is host-contiguous (direct kind).
+    direct_ptr: Option<HostPtr>,
+    /// Base pointer + lowered scatter descriptor when the offload scheme
+    /// is enabled and this layout admits a bounded wire descriptor.
+    offload: Option<(HostPtr, WireDescriptor)>,
+    /// Layout bucket of the receive datatype (autotuner key component).
+    layout_class: LayoutClass,
+    phase: RecvPhase,
+}
+
+enum Unexpected {
+    Eager { env: Envelope, data: Vec<u8> },
+    Rts(Rts),
+}
+
+impl Unexpected {
+    fn env(&self) -> &Envelope {
+        match self {
+            Unexpected::Eager { env, .. } | Unexpected::Rts(Rts { env, .. }) => env,
+        }
+    }
+}
+
+fn env_matches(env: &Envelope, ctx: u16, src: SrcSel, tag: TagSel) -> bool {
+    env.ctx == ctx && src.0.is_none_or(|s| s == env.src) && tag.0.is_none_or(|t| t == env.tag)
+}
+
+/// A message larger than the receive it matched: report and panic.
+fn truncated(bytes: usize, capacity: usize) -> ! {
+    violation(format_args!(
+        "message truncated: {bytes} bytes into a {capacity}-byte receive"
+    ))
+}
+
+/// How many completed transfers each rank remembers for replay tolerance.
+const REPLAY_MEMORY: usize = 1024;
+
+pub(crate) struct Engine {
+    pub rank: usize,
+    pub size: usize,
+    pub nic: Nic,
+    /// Job scope prefix (from [`Nic::scope_prefix`]): `""` on a dedicated
+    /// fabric, `"job{k}."` for a tenant of a shared one. Prepended to
+    /// every trace scope, sanitizer pool/gauge scope and metrics prefix
+    /// this engine emits, so concurrent jobs never collide in one
+    /// process-wide registry.
+    pub prefix: String,
+    pub cfg: MpiConfig,
+    pub counters: CallCounters,
+    /// The data-path scheme layer: per-peer transports, colocation, eager
+    /// thresholds and rendezvous scheme resolution, owned in one place.
+    /// The protocol state machines ask it what to do and never look inside.
+    scheme: SchemeSelector,
+    stagers: Arc<Vec<Box<dyn BufferStager>>>,
+    /// True when the fabric injects faults; every retry timer and
+    /// duplicate-tolerance path is gated on this.
+    faulty: bool,
+    next_req: ReqId,
+    sends: HashMap<ReqId, SendState>,
+    recvs: HashMap<ReqId, RecvState>,
+    posted: Vec<ReqId>,
+    unexpected: VecDeque<Unexpected>,
+    /// Registered staging buffers for *outgoing* chunks. Kept separate from
+    /// `recv_pool`: if grants and local staging shared one pool, two ranks
+    /// could grant each other every buffer and deadlock with nothing left
+    /// to stage their own sends (a classic buffer-management deadlock).
+    send_pool: Vec<Vbuf>,
+    /// Registered staging buffers granted to remote senders via CTS.
+    recv_pool: Vec<Vbuf>,
+    /// Sanitizer pool handles (None when the sanitizer is off).
+    send_pool_id: Option<san::PoolId>,
+    recv_pool_id: Option<san::PoolId>,
+    /// Sanitizer accounting for device tbufs held across a D2D rendezvous
+    /// (taken at CTS-dev staging, returned at CREDIT-dev receipt).
+    dev_tbuf_id: Option<san::PoolId>,
+    /// True once the configured one-shot [`crate::proto::SeededBug`] has
+    /// happened.
+    seeded_bug_fired: bool,
+    /// Next free communicator context id (0/1 belong to the world comm).
+    next_ctx: u16,
+    /// Bounded registration cache for rendezvous user buffers.
+    reg_cache: RegCache,
+    /// Online block-size search (drives `ChunkPolicy::Adaptive`).
+    tuner: ChunkTuner,
+    /// Live matched RTSes, (src, send_req) -> recv_req: a duplicate RTS
+    /// re-sends the response instead of matching twice (faulty only).
+    matched_rts: HashMap<(usize, ReqId), ReqId>,
+    /// RTSes whose transfer completed; late duplicates are ignored.
+    done_rts: BoundedMap<(usize, ReqId), ()>,
+    /// Completed sends, kept to answer FinNack / CtsDirect retransmits.
+    completed_sends: BoundedMap<ReqId, SendRecord>,
+    /// Completed staged receives, recv_req -> (src, peer_send_req), kept to
+    /// re-credit on duplicate FINs after the receive was reaped.
+    completed_recvs: BoundedMap<ReqId, (usize, ReqId)>,
+    /// This rank's trace lanes (no-ops when the recorder is disabled).
+    trace: ProtoTrace,
+    /// Last (send_pool, recv_pool) occupancy sampled onto the gauge lanes;
+    /// samples are only emitted on change.
+    last_pools: (usize, usize),
+}
+
+impl Engine {
+    /// Build a rank engine wired to a trace recorder: protocol events,
+    /// per-chunk RDMA stage spans and vbuf-pool gauges land on
+    /// `rank{rank}/*` lanes, and the rank's counters join the recorder's
+    /// unified metrics registry. Pass `Recorder::off()` for an untraced
+    /// engine — emission then no-ops behind one atomic load.
+    pub fn new_traced(
+        nic: Nic,
+        rank: usize,
+        size: usize,
+        cfg: MpiConfig,
+        stagers: Arc<Vec<Box<dyn BufferStager>>>,
+        rec: &sim_trace::Recorder,
+    ) -> Engine {
+        cfg.validate();
+        // Pre-allocate and register the vbuf pools (done once at MPI_Init).
+        // Slots are sized to the largest chunk any policy may pick, so the
+        // adaptive tuner can grow the block without reallocating. The pools
+        // use the infallible register: like MVAPICH2's vbuf pool at
+        // MPI_Init, they are exempt from the (fault-injected) pin limit.
+        let mk_pool = |n: usize| -> Vec<Vbuf> {
+            (0..n)
+                .map(|_| {
+                    let buf = HostBuf::alloc(cfg.max_chunk());
+                    let key = nic.register(&buf);
+                    Vbuf { buf, key }
+                })
+                .collect()
+        };
+        let send_pool = mk_pool(cfg.pool_vbufs / 2);
+        let recv_pool = mk_pool(cfg.pool_vbufs - cfg.pool_vbufs / 2);
+        // Scope everything the engine names after the job: on a dedicated
+        // fabric the prefix is empty and these are the classic
+        // `rank{r}.*` names; tenants of a shared fabric get
+        // `job{k}.rank{r}.*`, so two worlds in one process never collide
+        // in the sanitizer or the metrics registry.
+        let prefix = nic.scope_prefix().to_string();
+        let scope = format!("{prefix}rank{rank}");
+        let send_pool_id = san::pool_register(format!("{scope}.send_pool"));
+        let recv_pool_id = san::pool_register(format!("{scope}.recv_pool"));
+        let dev_tbuf_id = san::pool_register(format!("{scope}.dev_tbuf"));
+        invariants::register_all();
+        let tuner = ChunkTuner::new(&cfg);
+        let faulty = nic.faults_enabled();
+        let reg_cache = RegCache::new(cfg.reg_cache_entries);
+        let counters = CallCounters::new();
+        rec.register_counters(&scope, &counters);
+        let trace = ProtoTrace::new(rec, &scope);
+        let scheme = SchemeSelector::new(&nic, rank, size, &cfg);
+        Engine {
+            rank,
+            size,
+            nic,
+            prefix,
+            cfg,
+            counters,
+            scheme,
+            stagers,
+            faulty,
+            next_req: 1,
+            sends: HashMap::new(),
+            recvs: HashMap::new(),
+            posted: Vec::new(),
+            unexpected: VecDeque::new(),
+            send_pool,
+            recv_pool,
+            send_pool_id,
+            recv_pool_id,
+            dev_tbuf_id,
+            seeded_bug_fired: false,
+            next_ctx: 2,
+            reg_cache,
+            tuner,
+            matched_rts: HashMap::new(),
+            done_rts: BoundedMap::new(REPLAY_MEMORY),
+            completed_sends: BoundedMap::new(REPLAY_MEMORY),
+            completed_recvs: BoundedMap::new(REPLAY_MEMORY),
+            trace,
+            // Sentinel: the first progress pass samples the baseline.
+            last_pools: (usize::MAX, usize::MAX),
+        }
+    }
+
+    /// The next free communicator context id (used by `Comm::split` to
+    /// agree on new contexts).
+    pub fn peek_next_ctx(&self) -> u16 {
+        self.next_ctx
+    }
+
+    /// Advance the context allocator past an agreed block.
+    pub fn advance_ctx(&mut self, to: u16) {
+        self.next_ctx = self.next_ctx.max(to);
+    }
+
+    /// Number of live registration-cache entries (tests).
+    pub fn reg_cache_len(&self) -> usize {
+        self.reg_cache.len()
+    }
+
+    fn alloc_req(&mut self) -> ReqId {
+        let id = self.next_req;
+        self.next_req += 1;
+        id
+    }
+
+    fn mpi_call_cost(&self) {
+        sim_core::sleep(SimDur::from_nanos(self.cfg.cpu.mpi_call_ns));
+    }
+
+    fn make_source(&self, buf: &Loc, count: usize, dt: &Datatype) -> Box<dyn SendSource> {
+        for s in self.stagers.iter() {
+            if let Some(src) = s.source(buf, count, dt) {
+                return src;
+            }
+        }
+        match buf {
+            Loc::Host(p) => Box::new(HostSendSource::new(
+                p.clone(),
+                count,
+                dt,
+                self.cfg.cpu.clone(),
+            )),
+            Loc::Device(_) => panic!(
+                "send buffer resides in device memory but this MPI build has \
+                 no GPU datatype support (use mv2-gpu-nc)"
+            ),
+        }
+    }
+
+    fn make_sink(&self, buf: &Loc, count: usize, dt: &Datatype) -> Box<dyn RecvSink> {
+        for s in self.stagers.iter() {
+            if let Some(sink) = s.sink(buf, count, dt) {
+                return sink;
+            }
+        }
+        match buf {
+            Loc::Host(p) => Box::new(HostRecvSink::new(
+                p.clone(),
+                count,
+                dt,
+                self.cfg.cpu.clone(),
+            )),
+            Loc::Device(_) => panic!(
+                "receive buffer resides in device memory but this MPI build \
+                 has no GPU datatype support (use mv2-gpu-nc)"
+            ),
+        }
+    }
+
+    /// If (buf, count, dtype) is a contiguous host region, its start.
+    fn contiguous_host_ptr(buf: &Loc, count: usize, dt: &Datatype) -> Option<HostPtr> {
+        let Loc::Host(p) = buf else { return None };
+        match dt.flat().layout(count) {
+            Layout::Contiguous { offset, .. } => {
+                let abs = p.offset() as isize + offset;
+                assert!(abs >= 0, "contiguous layout starts before the buffer");
+                Some(p.buf().ptr(abs as usize))
+            }
+            _ => None,
+        }
+    }
+
+    fn check_host_bounds(buf: &Loc, count: usize, dt: &Datatype) {
+        if let Loc::Host(p) = buf {
+            let (lo, hi) = dt.flat().byte_range(count);
+            let lo_abs = p.offset() as isize + lo;
+            let hi_abs = p.offset() as isize + hi;
+            assert!(
+                lo_abs >= 0 && hi_abs as usize <= p.buf().len(),
+                "datatype footprint [{lo_abs}, {hi_abs}) exceeds host buffer of {} bytes",
+                p.buf().len()
+            );
+        }
+    }
+
+    // --- posting ---------------------------------------------------------------
+
+    /// Lower `plan` to a wire descriptor over the host buffer `buf`, when
+    /// it has one within the HCA's entry budget.
+    fn lower(&self, buf: &Loc, plan: &Plan) -> Option<(HostPtr, WireDescriptor)> {
+        let Loc::Host(p) = buf else { return None };
+        WireDescriptor::lower(plan, self.cfg.offload_entry_budget).map(|d| (p.clone(), d))
+    }
+
+    pub fn isend(
+        &mut self,
+        buf: Loc,
+        count: usize,
+        dt: &Datatype,
+        dst: usize,
+        tag: u32,
+        ctx: u16,
+    ) -> ReqId {
+        assert!(dst < self.size, "isend to nonexistent rank {dst}");
+        self.mpi_call_cost();
+        // Every MPI call gives the progress engine a chance to run (as in
+        // any real single-threaded MPI library).
+        self.progress();
+        Self::check_host_bounds(&buf, count, dt);
+        let source = self.make_source(&buf, count, dt);
+        let id = self.alloc_req();
+        let mut st = SendState {
+            dst,
+            total: source.total_bytes(),
+            env: Envelope {
+                ctx,
+                src: self.rank,
+                tag,
+            },
+            dev_gpu: None,
+            source,
+            direct_ptr: None,
+            offload: None,
+            rput_failed: false,
+            phase: SendPhase::Done,
+        };
+        if st.total <= self.scheme.send_eager_limit(dst) {
+            let (env, data) = (st.env, st.source.pack_eager());
+            let wire = data.len() + 64;
+            self.nic
+                .send(dst, wire, Box::new(MpiPacket::Eager { env, data }));
+        } else {
+            st.direct_ptr = Self::contiguous_host_ptr(&buf, count, dt);
+            // Advertise the device path only toward a co-located peer: a
+            // remote receiver can never read this GPU's memory directly.
+            if self.scheme.colocated(dst) {
+                st.dev_gpu = st.source.device_gpu();
+            }
+            st.phase = match self.lower_send(&buf, count, dt, dst) {
+                Ok(offload) => {
+                    st.offload = offload;
+                    self.trace.proto.instant_now("rts");
+                    self.nic
+                        .send_ctrl(dst, Box::new(MpiPacket::Rts(st.rts(id))));
+                    SendPhase::WaitCts {
+                        timer: self.retry_timer(),
+                    }
+                }
+                // Forced offload on a layout the HCA cannot walk: surface
+                // the typed rejection through wait_result before any wire
+                // traffic, instead of a deep-engine panic later.
+                Err(err) => {
+                    note(&self.counters, &self.trace, "mpi.error");
+                    SendPhase::Failed(MpiError::Rejected { err })
+                }
+            };
+        }
+        self.sends.insert(id, st);
+        id
+    }
+
+    /// Sender-side offload lowering: the layout as a bounded gather
+    /// descriptor the HCA can walk. Only attempted when the scheme layer
+    /// enables it and the peer sits behind the RDMA transport — the
+    /// default configuration takes zero plan lookups here.
+    fn lower_send(
+        &self,
+        buf: &Loc,
+        count: usize,
+        dt: &Datatype,
+        dst: usize,
+    ) -> Result<Option<(HostPtr, WireDescriptor)>, ConfigError> {
+        let host = matches!(buf, Loc::Host(_));
+        if !(host && self.scheme.offload_enabled() && self.scheme.offload_peer(dst)) {
+            return Ok(None);
+        }
+        let plan = dt.flat().plan(count);
+        self.cfg.try_validate_scheme(&Canonical::of(&plan))?;
+        Ok(self.lower(buf, &plan))
+    }
+
+    pub fn irecv(
+        &mut self,
+        buf: Loc,
+        count: usize,
+        dt: &Datatype,
+        src: SrcSel,
+        tag: TagSel,
+        ctx: u16,
+    ) -> ReqId {
+        self.mpi_call_cost();
+        self.progress();
+        Self::check_host_bounds(&buf, count, dt);
+        let sink = self.make_sink(&buf, count, dt);
+        // Cheap after the sink pulled the plan into the cache.
+        let plan = dt.flat().plan(count);
+        let id = self.alloc_req();
+        self.recvs.insert(
+            id,
+            RecvState {
+                src_sel: src,
+                tag_sel: tag,
+                ctx,
+                capacity: sink.total_bytes(),
+                sink,
+                direct_ptr: Self::contiguous_host_ptr(&buf, count, dt),
+                // Offload: a receiver whose layout has no bounded scatter
+                // descriptor (or whose sink is not host memory) simply
+                // never grants the offload kind — forced offload then
+                // falls back to the staged pipeline at resolution.
+                offload: (self.scheme.offload_enabled())
+                    .then(|| self.lower(&buf, &plan))
+                    .flatten(),
+                layout_class: LayoutClass::of(plan.layout()),
+                phase: RecvPhase::Unmatched,
+            },
+        );
+        // Try the unexpected queue first (FIFO), then stay posted.
+        let queued = self
+            .unexpected
+            .iter()
+            .position(|u| env_matches(u.env(), ctx, src, tag));
+        match queued.and_then(|pos| self.unexpected.remove(pos)) {
+            Some(Unexpected::Eager { env, data }) => self.deliver_eager(id, env, data),
+            Some(Unexpected::Rts(rts)) => self.match_rts(id, rts),
+            None => self.posted.push(id),
+        }
+        id
+    }
+
+    // --- matching ----------------------------------------------------------------
+
+    fn find_posted(&mut self, env: &Envelope) -> Option<ReqId> {
+        let pos = self.posted.iter().position(|id| {
+            let r = &self.recvs[id];
+            matches!(r.phase, RecvPhase::Unmatched) && env_matches(env, r.ctx, r.src_sel, r.tag_sel)
+        })?;
+        Some(self.posted.remove(pos))
+    }
+
+    fn on_eager(&mut self, src: usize, env: Envelope, data: Vec<u8>) {
+        let limit = self.scheme.eager_limit(src);
+        if data.len() > limit {
+            san::report_protocol(format!(
+                "eager payload of {} bytes exceeds the eager limit of {limit} bytes",
+                data.len(),
+            ));
+        }
+        if let Some(recv_id) = self.find_posted(&env) {
+            self.deliver_eager(recv_id, env, data);
+        } else {
+            self.unexpected.push_back(Unexpected::Eager { env, data });
+        }
+    }
+
+    fn deliver_eager(&mut self, recv_id: ReqId, env: Envelope, data: Vec<u8>) {
+        let st = self.recvs.get_mut(&recv_id).expect("recv state missing");
+        if data.len() > st.capacity {
+            truncated(data.len(), st.capacity);
+        }
+        st.sink.unpack_eager(&data);
+        st.phase = RecvPhase::Done(RecvStatus {
+            src: env.src,
+            tag: env.tag,
+            bytes: data.len(),
+        });
+    }
+
+    fn on_rts(&mut self, rts: Rts) {
+        if self.faulty {
+            // Retransmit tolerance: an RTS we have already seen must not
+            // match (or enqueue) twice.
+            let key = (rts.env.src, rts.send_req);
+            let live = self.matched_rts.get(&key).copied();
+            let queued =
+                |u: &Unexpected| matches!(u, Unexpected::Rts(q) if (q.env.src, q.send_req) == key);
+            if live.is_some() || self.done_rts.contains(&key) || self.unexpected.iter().any(queued)
+            {
+                note(&self.counters, &self.trace, "dup.rts");
+                if let Some(recv_id) = live {
+                    self.resend_response(recv_id, &rts);
+                }
+                return;
+            }
+        }
+        if let Some(recv_id) = self.find_posted(&rts.env) {
+            self.match_rts(recv_id, rts);
+        } else {
+            self.unexpected.push_back(Unexpected::Rts(rts));
+        }
+    }
+
+    /// A duplicate RTS arrived for an already-matched receive: the response
+    /// (a CTS of some kind) was evidently lost — the receive's unit re-sends
+    /// it from the live state. A receive that already finished needs none.
+    fn resend_response(&mut self, recv_id: ReqId, dup: &Rts) {
+        match self.recvs.get(&recv_id).map(|st| &st.phase) {
+            Some(RecvPhase::WaitRput(_)) => self.rput_resend_cts(recv_id, dup),
+            Some(RecvPhase::Staged(..)) => self.staged_resend_cts(recv_id),
+            _ => {}
+        }
+    }
+
+    /// Pair a receive with the RTS it matched and engage the rendezvous
+    /// unit the scheme layer picks. Feasibility of each scheme comes from
+    /// what the RTS advertised and what this receive posted; the policy
+    /// choice among the feasible ones belongs to the scheme layer. A unit
+    /// that cannot engage after all (a registration hit the pin limit)
+    /// leaves the transfer to the staged pipeline.
+    fn match_rts(&mut self, recv_id: ReqId, rts: Rts) {
+        let st = &self.recvs[&recv_id];
+        if rts.total > st.capacity {
+            truncated(rts.total, st.capacity);
+        }
+        let device_ok = rts
+            .dev_gpu
+            .is_some_and(|gpu| st.sink.device_gpu() == Some(gpu));
+        let direct_ok = rts.direct_capable && st.direct_ptr.is_some();
+        let budget = self.cfg.offload_entry_budget;
+        let offload_ok = self.scheme.offload_peer(rts.env.src)
+            && (rts.offload_entries.zip(st.offload.as_ref()))
+                .is_some_and(|(n, (_, d))| n as usize + d.entries().len() <= budget);
+        if self.faulty {
+            self.matched_rts
+                .insert((rts.env.src, rts.send_req), recv_id);
+        }
+        let engaged = match self
+            .scheme
+            .resolve(device_ok, direct_ok, offload_ok, rts.total)
+        {
+            DataScheme::DeviceD2D => {
+                self.dev_grant(recv_id, rts);
+                true
+            }
+            DataScheme::Direct => self.rput_grant(recv_id, rts, RputKind::Direct),
+            DataScheme::NicOffload => self.rput_grant(recv_id, rts, RputKind::Offload),
+            DataScheme::Staged | DataScheme::ShmEager => false,
+        };
+        if !engaged {
+            self.start_staged_recv(recv_id, &rts);
+        }
+    }
+
+    /// A receive delivered all of `rts`'s bytes.
+    fn complete_recv(&mut self, id: ReqId, rts: &Rts) {
+        let st = self.recvs.get_mut(&id).expect("recv state missing");
+        st.phase = RecvPhase::Done(RecvStatus {
+            src: rts.env.src,
+            tag: rts.env.tag,
+            bytes: rts.total,
+        });
+        self.retire_rts(rts.env.src, rts.send_req);
+    }
+
+    // --- packet dispatch -----------------------------------------------------------
+
+    fn handle_packet(&mut self, src: usize, pkt: MpiPacket) {
+        sim_core::sleep(SimDur::from_nanos(self.cfg.cpu.handle_pkt_ns));
+        match pkt {
+            MpiPacket::Eager { env, data } => self.on_eager(src, env, data),
+            MpiPacket::Rts(rts) => self.on_rts(rts),
+            MpiPacket::Cts {
+                send_req,
+                recv_req,
+                chunk_size,
+                slots,
+            } => self.staged_on_cts(send_req, recv_req, chunk_size, slots),
+            MpiPacket::Fin {
+                recv_req,
+                chunk_idx,
+                slot,
+                bytes,
+            } => self.staged_on_fin(recv_req, chunk_idx, slot, bytes),
+            MpiPacket::Credit {
+                send_req,
+                slot,
+                chunk_idx,
+            } => self.staged_on_credit(send_req, slot, chunk_idx),
+            MpiPacket::FinNack {
+                send_req,
+                next_needed,
+            } => self.staged_on_fin_nack(send_req, next_needed),
+            MpiPacket::CtsRput {
+                send_req,
+                recv_req,
+                key,
+                total,
+                place,
+            } => self.rput_on_cts(send_req, recv_req, key, total, place),
+            MpiPacket::FinRput { kind, recv_req } => self.rput_on_fin(kind, recv_req),
+            MpiPacket::RputAbort { kind, recv_req } => self.rput_on_abort(kind, recv_req),
+            MpiPacket::CtsDev { send_req, recv_req } => self.dev_on_cts(send_req, recv_req),
+            MpiPacket::FinDev {
+                recv_req,
+                ptr,
+                total,
+                ready,
+            } => self.dev_on_fin(recv_req, ptr, total, ready),
+            MpiPacket::CreditDev { send_req } => self.dev_on_credit(send_req),
+        }
+    }
+
+    // --- progress -------------------------------------------------------------------
+
+    /// One full progress pass: drain packets, advance all state machines.
+    pub fn progress(&mut self) {
+        // Drain the NIC mailbox.
+        while let Some(pkt) = self.nic.mailbox().try_recv() {
+            let src = pkt.src;
+            let payload = pkt
+                .payload
+                .downcast::<MpiPacket>()
+                .expect("non-MPI packet in MPI mailbox");
+            self.handle_packet(src, *payload);
+        }
+        // Advance sends. Sorted: HashMap iteration order differs between
+        // processes (per-instance hash seeds), and replay determinism
+        // requires the advance order to be a pure function of request ids.
+        let mut send_ids: Vec<ReqId> = self.sends.keys().copied().collect();
+        send_ids.sort_unstable();
+        for id in send_ids {
+            self.advance_send(id);
+        }
+        // Advance receives (sorted, as above).
+        let mut recv_ids: Vec<ReqId> = self.recvs.keys().copied().collect();
+        recv_ids.sort_unstable();
+        for id in recv_ids {
+            self.advance_recv(id);
+        }
+        // Sample the vbuf-pool gauges, on change only.
+        let cur = (self.send_pool.len(), self.recv_pool.len());
+        if cur != self.last_pools {
+            self.last_pools = cur;
+            self.trace.send_pool.gauge_now(cur.0 as i64);
+            self.trace.recv_pool.gauge_now(cur.1 as i64);
+        }
+    }
+
+    fn advance_send(&mut self, id: ReqId) {
+        match self.sends.get(&id).map(|st| &st.phase) {
+            Some(SendPhase::WaitCts { timer: Some(_) }) => self.retransmit_rts(id),
+            Some(SendPhase::Rput(_)) => self.rput_advance_send(id),
+            Some(SendPhase::Staged(_)) => self.staged_advance_send(id),
+            // Nothing to drive: an unarmed RTS wait, a device send whose
+            // credit arrives through the mailbox, or a terminal state.
+            _ => {}
+        }
+    }
+
+    /// RTS watchdog (armed on faulty fabrics only): no CTS of any kind
+    /// within the window — retransmit the RTS.
+    fn retransmit_rts(&mut self, id: ReqId) {
+        let st = self.sends.get_mut(&id).expect("send state missing");
+        let SendPhase::WaitCts { timer: Some(t) } = &mut st.phase else {
+            return;
+        };
+        match t.fire(&self.cfg.retry, "rts", st.dst) {
+            Ok(false) => {}
+            Ok(true) => {
+                note(&self.counters, &self.trace, "retry.rts");
+                self.nic
+                    .send_ctrl(st.dst, Box::new(MpiPacket::Rts(st.rts(id))));
+            }
+            Err(e) => self.fail_send(id, e),
+        }
+    }
+
+    fn advance_recv(&mut self, id: ReqId) {
+        match self.recvs.get(&id).map(|st| &st.phase) {
+            Some(RecvPhase::WaitRput(_)) => self.rput_watchdog(id),
+            Some(RecvPhase::DevAbsorb { .. }) => self.dev_advance_recv(id),
+            Some(RecvPhase::Staged(..)) => self.staged_advance_recv(id),
+            _ => {}
+        }
+    }
+
+    /// Surface a typed failure on a send: release its resources and park it
+    /// in the Failed phase for the caller to reap.
+    fn fail_send(&mut self, id: ReqId, e: MpiError) {
+        note(&self.counters, &self.trace, "mpi.error");
+        let Some(st) = self.sends.get_mut(&id) else {
+            return;
+        };
+        match std::mem::replace(&mut st.phase, SendPhase::Failed(e)) {
+            SendPhase::Staged(ss) => {
+                let held = ss.local.into_iter().map(|(_, vbuf)| vbuf);
+                for vbuf in held.chain(ss.inflight.into_iter().map(|c| c.vbuf)) {
+                    san::pool_put(self.send_pool_id);
+                    self.send_pool.push(vbuf);
+                }
+            }
+            SendPhase::Rput(r) => self.reg_cache.release(r.buf_id()),
+            _ => {}
+        }
+    }
+
+    /// Surface a typed failure on a receive: release its resources and park
+    /// it in the Failed phase for the caller to reap.
+    fn fail_recv(&mut self, id: ReqId, e: MpiError) {
+        note(&self.counters, &self.trace, "mpi.error");
+        let Some(st) = self.recvs.get_mut(&id) else {
+            return;
+        };
+        match std::mem::replace(&mut st.phase, RecvPhase::Failed(e)) {
+            RecvPhase::Staged(mut sr, _) => {
+                for _ in 0..sr.slots.len() {
+                    san::pool_put(self.recv_pool_id);
+                }
+                self.recv_pool.append(&mut sr.slots);
+                self.retire_rts(sr.src, sr.peer_send_req);
+                self.grant_deferred_cts();
+            }
+            RecvPhase::WaitRput(w) => {
+                self.reg_cache.release(w.buf_id);
+                self.retire_rts(w.rts.env.src, w.rts.send_req);
+            }
+            _ => {}
+        }
+    }
+
+    // --- completion queries --------------------------------------------------------
+
+    pub fn send_done(&self, id: ReqId) -> bool {
+        matches!(
+            self.sends[&id].phase,
+            SendPhase::Done | SendPhase::Failed(_)
+        )
+    }
+
+    /// Whether this engine sits on a fault-injecting fabric.
+    pub fn is_faulty(&self) -> bool {
+        self.faulty
+    }
+
+    /// The physical node hosting world rank `rank` (hierarchical
+    /// collectives group peers by this).
+    pub(crate) fn node_of(&self, rank: usize) -> usize {
+        self.nic.node_of(rank)
+    }
+
+    /// Number of unreaped requests (sends + receives) this rank holds —
+    /// zero once the application has waited on everything it posted.
+    pub fn live_requests(&self) -> usize {
+        self.sends.len() + self.recvs.len()
+    }
+
+    /// The typed error a failed send ended with, if any.
+    pub fn send_error(&self, id: ReqId) -> Option<MpiError> {
+        match &self.sends[&id].phase {
+            SendPhase::Failed(e) => Some(e.clone()),
+            _ => None,
+        }
+    }
+
+    pub fn recv_done(&self, id: ReqId) -> Option<RecvStatus> {
+        match self.recvs[&id].phase {
+            RecvPhase::Done(status) => Some(status),
+            _ => None,
+        }
+    }
+
+    /// Whether the receive has reached a terminal state (success or typed
+    /// failure).
+    pub fn recv_finished(&self, id: ReqId) -> bool {
+        matches!(
+            self.recvs[&id].phase,
+            RecvPhase::Done(_) | RecvPhase::Failed(_)
+        )
+    }
+
+    /// The typed error a failed receive ended with, if any.
+    pub fn recv_error(&self, id: ReqId) -> Option<MpiError> {
+        match &self.recvs[&id].phase {
+            RecvPhase::Failed(e) => Some(e.clone()),
+            _ => None,
+        }
+    }
+
+    pub fn is_send(&self, id: ReqId) -> bool {
+        self.sends.contains_key(&id)
+    }
+
+    pub fn reap_send(&mut self, id: ReqId) {
+        self.sends.remove(&id);
+    }
+
+    pub fn reap_recv(&mut self, id: ReqId) {
+        self.recvs.remove(&id);
+    }
+
+    /// Scan the unexpected queue for a message matching `(src, tag)` on
+    /// the world context; returns its envelope info without consuming it.
+    pub fn probe_unexpected(&self, src: SrcSel, tag: TagSel, ctx: u16) -> Option<RecvStatus> {
+        self.unexpected.iter().find_map(|u| {
+            let env = u.env();
+            if !env_matches(env, ctx, src, tag) {
+                return None;
+            }
+            let bytes = match u {
+                Unexpected::Eager { data, .. } => data.len(),
+                Unexpected::Rts(rts) => rts.total,
+            };
+            Some(RecvStatus {
+                src: env.src,
+                tag: env.tag,
+                bytes,
+            })
+        })
+    }
+
+    /// Earliest *future* instant at which polling could make progress.
+    pub fn next_event(&self) -> Option<SimTime> {
+        let now = sim_core::now();
+        let mut best: Option<SimTime> = None;
+        let mut consider = |t: Option<SimTime>| {
+            if let Some(t) = t {
+                if t > now {
+                    best = Some(match best {
+                        None => t,
+                        Some(b) => b.min(t),
+                    });
+                }
+            }
+        };
+        let deadline = |t: &Option<RetryTimer>| t.as_ref().map(|t| t.deadline);
+        for s in self.sends.values() {
+            consider(s.source.next_event());
+            match &s.phase {
+                SendPhase::WaitCts { timer } => consider(deadline(timer)),
+                SendPhase::Rput(r) => consider(r.rdma.done_at()),
+                SendPhase::DevWaitCredit { pack } => consider(pack.done_at()),
+                SendPhase::Staged(ss) => {
+                    for c in &ss.inflight {
+                        consider(c.comp.done_at());
+                    }
+                    consider(deadline(&ss.timer));
+                }
+                _ => {}
+            }
+        }
+        for r in self.recvs.values() {
+            consider(r.sink.next_event());
+            match &r.phase {
+                RecvPhase::WaitRput(w) => consider(deadline(&w.timer)),
+                RecvPhase::DevAbsorb { comp, .. } => consider(comp.done_at()),
+                RecvPhase::Staged(sr, _) => consider(deadline(&sr.timer)),
+                _ => {}
+            }
+        }
+        best
+    }
+
+    /// Block (in virtual time) until a packet arrives or the next known
+    /// event instant passes.
+    pub fn idle_block(&self) {
+        self.nic.mailbox().wait_nonempty_until(self.next_event());
+    }
+}

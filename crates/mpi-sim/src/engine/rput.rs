@@ -1,0 +1,534 @@
+//! The one-shot RDMA rendezvous ("rput"): RTS → CTS carrying the
+//! receiver's registered user buffer → **one** RDMA post → FIN.
+//!
+//! ```text
+//!   sender                                   receiver
+//!     │ ── RTS (direct_capable, offload_entries) ──▶ │  match, register user buffer
+//!     │ ◀── CTS-rput {key, total, place} ─────────── │  WaitRput (watchdog re-sends the CTS)
+//!     │  register user buffer, post()                │
+//!     │ ══ one RDMA write / scatter-gather walk ═══▶ │
+//!     │ ── FIN-rput ───────────────────────────────▶ │  Done
+//! ```
+//!
+//! The two payload kinds ([`RputKind`]) share every line of this file but
+//! [`RputWrite::post`]: *direct* places `total` contiguous bytes at an
+//! offset of the receiver's region with a plain write; *offload* hands the
+//! HCA a gather list over the local buffer and the receiver's scatter list
+//! (from the CTS) and lets it walk both. Which strings an event is
+//! recorded under — counter, trace instant, `RetriesExhausted::op`,
+//! sanitizer text — is the kind's row of [`Names`].
+//!
+//! Recovery (fault-injecting fabrics only), once for both kinds:
+//!
+//! | lost / failed          | who notices                  | action                                    |
+//! |------------------------|------------------------------|-------------------------------------------|
+//! | CTS-rput               | sender's RTS timer → dup RTS; receiver's watchdog | re-send the same CTS (`retry.cts_*`) |
+//! | FIN-rput               | receiver's watchdog → CTS at a finished sender    | re-send the FIN (`retry.fin_*`)      |
+//! | RDMA post (error CQE)  | sender polls the CQE         | re-post from the user buffer (`retry.rdma_direct` / `retry.offload_sg`) |
+//! | registration, receiver | `rput_grant`                 | grant a staged window instead (`fallback.*_to_staged`) |
+//! | registration, sender   | `rput_on_cts`                | RPUT-ABORT (`fallback.*_abort`); receiver falls back to staged |
+//! | RPUT-ABORT             | dup RTS no longer advertises the kind; a repeated CTS | receiver falls back; sender repeats the abort (`retry.*_abort`) |
+
+use std::collections::HashMap;
+
+use hostmem::{HostBuf, HostPtr};
+use ib_sim::{MrKey, Nic, SgEntry};
+use sim_core::{CallCounters, Completion};
+
+use super::reliability::RetryTimer;
+use super::{note, Engine, ProtoTrace, RecvPhase, SendPhase, SendRecord};
+use crate::proto::{MpiError, MpiPacket, ReqId, RputKind, RputPlace, Rts};
+use crate::transport::Transport;
+
+/// The observable strings of one payload kind.
+struct Names {
+    /// The kind as sanitizer messages spell it.
+    label: &'static str,
+    /// Trace instant of the first CTS, and the `op` of an exhausted CTS
+    /// watchdog.
+    cts: &'static str,
+    retry_cts: &'static str,
+    retry_fin: &'static str,
+    dup_fin: &'static str,
+    /// `op` of an exhausted RDMA re-post budget.
+    rdma: &'static str,
+    retry_rdma: &'static str,
+    /// Sender could not register: first abort, and its repetition.
+    abort: &'static str,
+    retry_abort: &'static str,
+    dup_abort: &'static str,
+    /// Receiver gave the rput up for a staged window.
+    to_staged: &'static str,
+}
+
+impl RputKind {
+    fn names(self) -> &'static Names {
+        match self {
+            RputKind::Direct => &Names {
+                label: "direct",
+                cts: "cts_direct",
+                retry_cts: "retry.cts_direct",
+                retry_fin: "retry.fin_direct",
+                dup_fin: "dup.fin_direct",
+                rdma: "rdma_direct",
+                retry_rdma: "retry.rdma_direct",
+                abort: "fallback.direct_abort",
+                retry_abort: "retry.direct_abort",
+                dup_abort: "dup.direct_abort",
+                to_staged: "fallback.direct_to_staged",
+            },
+            RputKind::Offload => &Names {
+                label: "offload",
+                cts: "cts_offload",
+                retry_cts: "retry.cts_offload",
+                retry_fin: "retry.fin_offload",
+                dup_fin: "dup.fin_offload",
+                rdma: "offload_sg",
+                retry_rdma: "retry.offload_sg",
+                abort: "fallback.offload_abort",
+                retry_abort: "retry.offload_abort",
+                dup_abort: "dup.offload_abort",
+                to_staged: "fallback.offload_to_staged",
+            },
+        }
+    }
+}
+
+/// Everything one post needs, kept so a failed post can be repeated.
+struct RputWrite {
+    /// The receiver's registered region and where the bytes land in it.
+    peer_key: MrKey,
+    place: RputPlace,
+    /// Base of the local user buffer (the start of the contiguous run for
+    /// the direct kind).
+    ptr: HostPtr,
+    /// Local gather list (offload kind; empty for direct).
+    gather: Vec<SgEntry>,
+}
+
+impl RputWrite {
+    /// Post the transfer — the only place a one-shot write is issued, for
+    /// the first attempt and for every re-post after an error CQE.
+    fn post(&self, t: &dyn Transport, total: usize) -> Completion {
+        match &self.place {
+            RputPlace::Direct { offset } => t.write(self.peer_key, *offset, &self.ptr, total),
+            RputPlace::Offload { scatter } => {
+                t.write_sg(self.peer_key, &self.ptr, &self.gather, scatter)
+            }
+        }
+    }
+}
+
+/// Sender side: the post is in flight. The user-buffer registration is
+/// held (and released) through the reg cache, keyed by the buffer id.
+pub(super) struct RputSend {
+    wr: RputWrite,
+    pub(super) rdma: Completion,
+    recv_req: ReqId,
+    /// On a reliable fabric the FIN departs right behind the write (same
+    /// engine, ordered); under faults it waits for the CQE so a failed
+    /// write is never announced.
+    fin_sent: bool,
+    attempts: u32,
+}
+
+impl RputSend {
+    pub(super) fn buf_id(&self) -> u64 {
+        self.wr.ptr.buf().id()
+    }
+}
+
+/// Receiver side: the CTS is out; waiting for the sender's FIN (or an
+/// abort back to the staged path).
+pub(super) struct RputRecv {
+    pub(super) rts: Rts,
+    my_key: MrKey,
+    /// What the CTS granted (kept to re-send the very same CTS).
+    place: RputPlace,
+    /// The registered user buffer, for the reg-cache release.
+    pub(super) buf_id: u64,
+    pub(super) timer: Option<RetryTimer>,
+}
+
+impl RputRecv {
+    fn cts(&self, recv_req: ReqId) -> Box<MpiPacket> {
+        Box::new(MpiPacket::CtsRput {
+            send_req: self.rts.send_req,
+            recv_req,
+            key: self.my_key,
+            total: self.rts.total,
+            place: self.place.clone(),
+        })
+    }
+}
+
+impl Engine {
+    /// Receiver: engage the rput path for a just-matched RTS — register
+    /// the user buffer (through the cache) and hand its key over. Returns
+    /// false when registration hits a fault-injected pin limit; the caller
+    /// then grants a staged window instead.
+    pub(super) fn rput_grant(&mut self, recv_id: ReqId, rts: Rts, kind: RputKind) -> bool {
+        let n = kind.names();
+        let st = &self.recvs[&recv_id];
+        let (buf, place) = match kind {
+            RputKind::Direct => {
+                let ptr = st.direct_ptr.as_ref().expect("direct without a ptr");
+                let offset = ptr.offset();
+                (ptr.buf().clone(), RputPlace::Direct { offset })
+            }
+            RputKind::Offload => {
+                let (ptr, desc) = st.offload.as_ref().expect("offload without a descriptor");
+                // The received message may be shorter than the posted
+                // receive: clip the scatter walk to its packed prefix.
+                let scatter = desc.prefix(rts.total).to_sg(ptr.offset());
+                (ptr.buf().clone(), RputPlace::Offload { scatter })
+            }
+        };
+        let Ok(my_key) = self
+            .reg_cache
+            .acquire(&self.nic, &self.counters, &self.trace, &buf)
+        else {
+            note(&self.counters, &self.trace, n.to_staged);
+            return false;
+        };
+        let w = RputRecv {
+            rts,
+            my_key,
+            place,
+            buf_id: buf.id(),
+            timer: self.retry_timer(),
+        };
+        self.trace.proto.instant_now(n.cts);
+        self.nic.send_ctrl(rts.env.src, w.cts(recv_id));
+        self.recvs
+            .get_mut(&recv_id)
+            .expect("recv state missing")
+            .phase = RecvPhase::WaitRput(w);
+        true
+    }
+
+    /// Receiver: a duplicate RTS arrived while waiting for the FIN, so the
+    /// CTS was evidently lost. Re-send it — unless the sender stopped
+    /// advertising this kind (its registration failed and its abort was
+    /// lost too), in which case fall back to staged ourselves.
+    pub(super) fn rput_resend_cts(&mut self, recv_id: ReqId, dup: &Rts) {
+        let Some(RecvPhase::WaitRput(w)) = self.recvs.get(&recv_id).map(|st| &st.phase) else {
+            return;
+        };
+        let kind = w.place.kind();
+        let still_offered = match kind {
+            RputKind::Direct => dup.direct_capable,
+            RputKind::Offload => dup.offload_entries.is_some(),
+        };
+        if still_offered {
+            note(&self.counters, &self.trace, kind.names().retry_cts);
+            self.nic.send_ctrl(w.rts.env.src, w.cts(recv_id));
+        } else {
+            self.rput_to_staged(recv_id);
+        }
+    }
+
+    /// Receiver: the rput is abandoned (the sender could not register) —
+    /// release our registration and grant a staged window instead.
+    fn rput_to_staged(&mut self, recv_id: ReqId) {
+        let Some(RecvPhase::WaitRput(w)) = self.recvs.get(&recv_id).map(|st| &st.phase) else {
+            return;
+        };
+        let (rts, n) = (w.rts, w.place.kind().names());
+        self.reg_cache.release(w.buf_id);
+        note(&self.counters, &self.trace, n.to_staged);
+        self.start_staged_recv(recv_id, &rts);
+    }
+
+    /// Sender: the receiver's buffer is registered and waiting. Register
+    /// ours and post — or abort the rput when registration fails.
+    pub(super) fn rput_on_cts(
+        &mut self,
+        send_req: ReqId,
+        recv_req: ReqId,
+        key: MrKey,
+        total: usize,
+        place: RputPlace,
+    ) {
+        let kind = place.kind();
+        let (n, l) = (kind.names(), kind.names().label);
+        let fin = || Box::new(MpiPacket::FinRput { kind, recv_req });
+        let Some(st) = self.sends.get_mut(&send_req) else {
+            self.stale(
+                "dup.cts",
+                format_args!(
+                    "{l} CTS for unknown send request #{send_req} (never posted or already reaped)"
+                ),
+            );
+            // If the send finished and was reaped, the receiver must have
+            // missed the FIN — re-announce.
+            if let Some(&SendRecord::Rput { dst }) = self.completed_sends.get(&send_req) {
+                note(&self.counters, &self.trace, n.retry_fin);
+                self.nic.send_ctrl(dst, fin());
+            }
+            return;
+        };
+        match &st.phase {
+            SendPhase::WaitCts { .. } => {}
+            SendPhase::Done if self.faulty => {
+                // Completed but not yet reaped: re-announce.
+                note(&self.counters, &self.trace, "dup.cts");
+                note(&self.counters, &self.trace, n.retry_fin);
+                self.nic.send_ctrl(st.dst, fin());
+                return;
+            }
+            _ => {
+                return self.stale(
+                    "dup.cts",
+                    format_args!(
+                        "{l} CTS for send request #{send_req} that is not awaiting CTS \
+                         (duplicate or out-of-order CTS)"
+                    ),
+                )
+            }
+        }
+        assert_eq!(total, st.total, "{l} CTS grants a different size");
+        // A registration that failed before is not retried: the abort was
+        // evidently lost, repeat it.
+        if !st.rput_failed {
+            let (ptr, gather) = match kind {
+                RputKind::Direct => (
+                    st.direct_ptr
+                        .clone()
+                        .expect("direct CTS for a non-contiguous send"),
+                    Vec::new(),
+                ),
+                RputKind::Offload => {
+                    let (ptr, desc) = st.offload.as_ref().expect("offload CTS never advertised");
+                    (ptr.clone(), desc.to_sg(ptr.offset()))
+                }
+            };
+            if self
+                .reg_cache
+                .acquire(&self.nic, &self.counters, &self.trace, ptr.buf())
+                .is_ok()
+            {
+                let wr = RputWrite {
+                    peer_key: key,
+                    place,
+                    ptr,
+                    gather,
+                };
+                let rdma = wr.post(self.scheme.transport(st.dst), total);
+                let fin_sent = !self.faulty;
+                if fin_sent {
+                    self.nic.send_ctrl(st.dst, fin());
+                }
+                st.phase = SendPhase::Rput(RputSend {
+                    wr,
+                    rdma,
+                    recv_req,
+                    fin_sent,
+                    attempts: 1,
+                });
+                return;
+            }
+        }
+        // Pin limit: abandon the rput; the receiver falls back to granting
+        // a staged window, and RTS retransmits stop advertising the kind.
+        let name = if st.rput_failed {
+            n.retry_abort
+        } else {
+            n.abort
+        };
+        note(&self.counters, &self.trace, name);
+        st.rput_failed = true;
+        if let SendPhase::WaitCts { timer: Some(t) } = &mut st.phase {
+            t.feed();
+        }
+        self.nic
+            .send_ctrl(st.dst, Box::new(MpiPacket::RputAbort { kind, recv_req }));
+    }
+
+    /// Receiver: the sender's post has completed — the bytes are in place.
+    pub(super) fn rput_on_fin(&mut self, kind: RputKind, recv_req: ReqId) {
+        let (n, l) = (kind.names(), kind.names().label);
+        let Some(st) = self.recvs.get(&recv_req) else {
+            return self.stale(
+                n.dup_fin,
+                format_args!("FIN-{l} for unknown receive request #{recv_req}"),
+            );
+        };
+        let (rts, buf_id) = match &st.phase {
+            RecvPhase::WaitRput(w) if w.place.kind() == kind => (w.rts, w.buf_id),
+            _ => {
+                return self.stale(
+                    n.dup_fin,
+                    format_args!(
+                        "FIN-{l} for receive request #{recv_req} that is not in the {l} \
+                         rendezvous phase (protocol state machine violation)"
+                    ),
+                )
+            }
+        };
+        self.complete_recv(recv_req, &rts);
+        // The registration stays cached but becomes evictable.
+        self.reg_cache.release(buf_id);
+    }
+
+    /// Receiver: the sender abandoned the rput.
+    pub(super) fn rput_on_abort(&mut self, kind: RputKind, recv_req: ReqId) {
+        let waiting = self.recvs.get(&recv_req).is_some_and(
+            |st| matches!(&st.phase, RecvPhase::WaitRput(w) if w.place.kind() == kind),
+        );
+        if waiting {
+            self.rput_to_staged(recv_req);
+        } else {
+            // Already fell back (duplicate abort) or finished.
+            note(&self.counters, &self.trace, kind.names().dup_abort);
+        }
+    }
+
+    /// Sender: poll the post's CQE — re-post on an error, announce and
+    /// complete on success.
+    pub(super) fn rput_advance_send(&mut self, id: ReqId) {
+        let st = self.sends.get_mut(&id).expect("send state missing");
+        let SendPhase::Rput(r) = &mut st.phase else {
+            return;
+        };
+        if !r.rdma.poll() {
+            return;
+        }
+        let kind = r.wr.place.kind();
+        let n = kind.names();
+        let t = self.scheme.transport(st.dst);
+        if r.rdma.is_error() {
+            // (A failed descriptor fetch surfaces as an error CQE too.)
+            if r.attempts > self.cfg.retry.max_retries {
+                let e = MpiError::RetriesExhausted {
+                    op: n.rdma,
+                    peer: st.dst,
+                    attempts: r.attempts,
+                };
+                return self.fail_send(id, e);
+            }
+            r.attempts += 1;
+            note(&self.counters, &self.trace, n.retry_rdma);
+            r.rdma = r.wr.post(t, st.total);
+            return;
+        }
+        let lane = match kind {
+            RputKind::Direct => t.name(),
+            RputKind::Offload => "offload",
+        };
+        self.trace.rdma.comp_span(lane, None, &r.rdma);
+        if !r.fin_sent {
+            let recv_req = r.recv_req;
+            self.nic
+                .send_ctrl(st.dst, Box::new(MpiPacket::FinRput { kind, recv_req }));
+        }
+        self.reg_cache.release(r.buf_id());
+        if self.faulty {
+            self.completed_sends
+                .insert(id, SendRecord::Rput { dst: st.dst });
+        }
+        st.phase = SendPhase::Done;
+    }
+
+    /// Receiver watchdog (faulty fabrics only): the CTS or the FIN was
+    /// lost — re-offer our buffer; a completed sender re-FINs.
+    pub(super) fn rput_watchdog(&mut self, id: ReqId) {
+        let Some(RecvPhase::WaitRput(w)) = self.recvs.get_mut(&id).map(|st| &mut st.phase) else {
+            return;
+        };
+        let Some(t) = &mut w.timer else { return };
+        let (n, peer) = (w.place.kind().names(), w.rts.env.src);
+        match t.fire(&self.cfg.retry, n.cts, peer) {
+            Ok(false) => {}
+            Ok(true) => {
+                note(&self.counters, &self.trace, n.retry_cts);
+                self.nic.send_ctrl(peer, w.cts(id));
+            }
+            Err(e) => self.fail_recv(id, e),
+        }
+    }
+}
+
+/// Bounded registration cache for rendezvous user buffers (MVAPICH2's
+/// reg-cache): repeated rendezvous on the same buffer skip the
+/// registration cost. Unlike an unbounded cache, entries are evicted LRU
+/// (and deregistered) once `cap` is exceeded, so dropped user buffers do
+/// not stay pinned forever. Entries backing an in-flight transfer are
+/// never evicted.
+struct RegEntry {
+    key: MrKey,
+    last_used: u64,
+    in_use: u32,
+}
+
+pub(super) struct RegCache {
+    cap: usize,
+    tick: u64,
+    entries: HashMap<u64, RegEntry>,
+}
+
+impl RegCache {
+    pub(super) fn new(cap: usize) -> Self {
+        RegCache {
+            cap,
+            tick: 0,
+            entries: HashMap::new(),
+        }
+    }
+
+    /// Look up (or register) `buf` and mark it in use by a transfer. Fails
+    /// only when the fabric's fault layer enforces a pin limit.
+    fn acquire(
+        &mut self,
+        nic: &Nic,
+        counters: &CallCounters,
+        trace: &ProtoTrace,
+        buf: &HostBuf,
+    ) -> Result<MrKey, ib_sim::RegError> {
+        self.tick += 1;
+        if let Some(e) = self.entries.get_mut(&buf.id()) {
+            e.last_used = self.tick;
+            e.in_use += 1;
+            note(counters, trace, "reg_cache.hit");
+            return Ok(e.key);
+        }
+        note(counters, trace, "reg_cache.miss");
+        // Make room: evict idle entries, least recently used first. If every
+        // entry backs an in-flight transfer the cache overflows temporarily.
+        while self.entries.len() >= self.cap {
+            let victim = self
+                .entries
+                .iter()
+                .filter(|(_, e)| e.in_use == 0)
+                .min_by_key(|(_, e)| e.last_used)
+                .map(|(&id, _)| id);
+            let Some(id) = victim else { break };
+            let e = self.entries.remove(&id).expect("victim just found");
+            nic.deregister(e.key);
+            note(counters, trace, "reg_cache.evict");
+        }
+        let key = nic.try_register(buf)?;
+        self.entries.insert(
+            buf.id(),
+            RegEntry {
+                key,
+                last_used: self.tick,
+                in_use: 1,
+            },
+        );
+        Ok(key)
+    }
+
+    /// The transfer that acquired `buf_id` finished: the entry stays cached
+    /// but becomes evictable.
+    pub(super) fn release(&mut self, buf_id: u64) {
+        if let Some(e) = self.entries.get_mut(&buf_id) {
+            e.in_use = e.in_use.saturating_sub(1);
+        }
+    }
+
+    /// Number of live (registered) entries.
+    pub(super) fn len(&self) -> usize {
+        self.entries.len()
+    }
+}

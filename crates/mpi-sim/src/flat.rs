@@ -81,7 +81,6 @@ fn push_merged(out: &mut Vec<Segment>, seg: Segment) {
 }
 
 fn walk(dt: &Datatype, base: isize, out: &mut Vec<Segment>) {
-    let ext = dt.extent();
     match &dt.inner.kind {
         DtKind::Primitive { .. } => push_merged(
             out,
@@ -153,7 +152,6 @@ fn walk(dt: &Datatype, base: isize, out: &mut Vec<Segment>) {
         }
         DtKind::Resized { child, .. } => walk(child, base, out),
     }
-    let _ = ext;
 }
 
 impl FlatType {

@@ -10,12 +10,12 @@
 //!   strided layouts ([`flat::Layout::Strided2D`]);
 //! * **point-to-point** with tag/source matching (wildcards, non-overtaking
 //!   order, unexpected-message queue), blocking and nonblocking calls;
-//! * four data protocols: **eager**, **rendezvous direct** (R-PUT over
-//!   RDMA into a registered contiguous user buffer), **rendezvous
+//! * three data protocols: **eager**, **rendezvous rput** (one RDMA post
+//!   into the receiver's registered user buffer — a plain R-PUT when both
+//!   sides are contiguous, a scatter/gather descriptor walk by the HCA
+//!   when both layouts canonicalize, see [`scheme`]) and **rendezvous
 //!   staged** (chunked through registered vbufs with RTS / CTS / per-chunk
-//!   RDMA write + FIN / CREDIT flow control) and **rendezvous offload**
-//!   (the HCA walks a scatter/gather descriptor over both layouts — see
-//!   [`scheme`]);
+//!   RDMA write + FIN / CREDIT flow control);
 //! * a pluggable **staging layer** ([`BufferStager`]) so GPU-resident
 //!   buffers can be packed/unpacked by the device instead of the CPU;
 //! * `MPI_Barrier` (dissemination).
@@ -61,6 +61,8 @@ pub use engine::{RecvStatus, Request, SrcSel, TagSel, ANY_SOURCE, ANY_TAG};
 pub use ib_sim::{FaultSpec, Topology};
 pub use pack::CpuModel;
 pub use plan::{Canonical, Plan, PlanCacheStats, WireDescriptor, WireEntry};
+#[doc(hidden)]
+pub use proto::SeededBug;
 pub use proto::{
     packet_kind, ChunkPolicy, CollAlgo, CollConfig, ConfigError, MpiConfig, MpiError, RetryConfig,
 };

@@ -35,6 +35,7 @@ pub struct Plan {
     /// `prefix[i]` = packed bytes before segment `i`; last entry = total.
     prefix: Vec<usize>,
     layout: Layout,
+    canonical: Canonical,
 }
 
 impl Plan {
@@ -48,10 +49,12 @@ impl Plan {
             prefix.push(acc);
         }
         let layout = FlatType::classify(&segments);
+        let canonical = Canonical::classify(&layout, &segments);
         Plan {
             segments,
             prefix,
             layout,
+            canonical,
         }
     }
 
@@ -116,8 +119,8 @@ impl Plan {
 /// TEMPI-style canonical form of a plan: the observation (PAPERS.md) that
 /// almost every derived datatype seen in practice collapses into at most
 /// two stride levels, so one small descriptor can drive an entire
-/// transfer. [`Canonical::of`] recovers the form from the expanded segment
-/// list — including two-level patterns the single-level [`Layout`]
+/// transfer. [`Plan::from_segments`] recovers the form from the expanded
+/// segment list — including two-level patterns the single-level [`Layout`]
 /// classifier files under [`Layout::Irregular`] (e.g. `count > 1` of a
 /// resized column type, or the rows-within-planes of a 3-D subarray).
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -162,10 +165,17 @@ pub enum Canonical {
 }
 
 impl Canonical {
-    /// Classify a plan. Cheap for plans the [`Layout`] classifier already
-    /// solved; a single `O(segments)` scan for the two-level recovery.
+    /// The canonical form of a plan: computed once, when the plan is
+    /// built, and read from it here.
     pub fn of(plan: &Plan) -> Canonical {
-        match *plan.layout() {
+        plan.canonical
+    }
+
+    /// Classify a segment list. Cheap for lists the [`Layout`] classifier
+    /// already solved; a single `O(segments)` scan for the two-level
+    /// recovery.
+    fn classify(layout: &Layout, segments: &[Segment]) -> Canonical {
+        match *layout {
             Layout::Contiguous { offset, len } => Canonical::Contig { offset, len },
             Layout::Strided2D {
                 first,
@@ -178,7 +188,7 @@ impl Canonical {
                 stride: pitch,
                 count: height,
             },
-            Layout::Irregular => two_level(plan.segments()),
+            Layout::Irregular => two_level(segments),
         }
     }
 }
@@ -275,7 +285,7 @@ impl WireDescriptor {
         if total == 0 {
             return None;
         }
-        let entries = match Canonical::of(plan) {
+        let entries = match plan.canonical {
             Canonical::Contig { offset, len } => vec![WireEntry {
                 offset,
                 len,

@@ -1,17 +1,17 @@
 //! Wire protocol: packet formats and protocol configuration.
 //!
-//! Four data paths, selected per message (see [`crate::scheme`]):
+//! Three data paths, selected per message (see [`crate::scheme`]):
 //!
 //! * **Eager** — `total <= eager_limit`: the packed payload rides the
 //!   envelope. Completes locally at send time (buffered semantics).
-//! * **Rendezvous direct (R-PUT)** — both sides contiguous in host memory:
-//!   RTS → CTS carrying the receiver's registered user-buffer key → one
-//!   RDMA write → FIN.
-//! * **Rendezvous offload** — both sides host-resident and canonicalizable
-//!   (see [`crate::plan::Canonical`]): RTS advertising the sender's
-//!   descriptor entry count → CTS carrying the receiver's registered
-//!   user-buffer key and scatter descriptor → one scatter/gather RDMA post
-//!   walked by the NIC → FIN. No CPU pack/unpack on either side.
+//! * **Rendezvous rput** — one RDMA post into the receiver's registered
+//!   user buffer: RTS → CTS carrying the buffer's key and where the bytes
+//!   land → one post → FIN. Two payload kinds ([`RputKind`]): *direct*
+//!   (both sides contiguous host memory; a plain write at an offset) and
+//!   *offload* (both sides host-resident and canonicalizable, see
+//!   [`crate::plan::Canonical`]; the RTS advertises the sender's entry
+//!   count, the CTS carries the scatter descriptor, the NIC walks both —
+//!   no CPU pack/unpack on either side).
 //! * **Rendezvous staged** — everything else (device-resident or deep
 //!   struct layouts): RTS → CTS granting a window of registered staging
 //!   buffers (vbufs) → per chunk: stage (pack) / RDMA write / FIN / absorb
@@ -44,30 +44,71 @@ pub(crate) struct SlotDesc {
     pub len: usize,
 }
 
+/// Request To Send: the body of the rendezvous-opening packet. It travels
+/// as [`MpiPacket::Rts`], waits in the unexpected queue and is what a
+/// receive is matched against, so it is one value instead of six loose
+/// arguments.
+#[derive(Copy, Clone, Debug)]
+pub(crate) struct Rts {
+    pub env: Envelope,
+    pub total: usize,
+    pub send_req: ReqId,
+    /// Sender's buffer is contiguous host memory, so a direct R-PUT is
+    /// possible if the receiver's is too.
+    pub direct_capable: bool,
+    /// Set when the send buffer is device memory on a GPU the receiver
+    /// might share (the sender is co-located with the receiver): the id
+    /// of that GPU. A receiver sinking into the same GPU answers with
+    /// [`MpiPacket::CtsDev`] and the transfer stays on the device.
+    pub dev_gpu: Option<u32>,
+    /// Set when the sender's layout lowers to a bounded scatter/gather
+    /// descriptor and its scheme selection allows NIC offload: the
+    /// gather entry count (the receiver checks the combined count
+    /// against its HCA budget). `None` = the sender cannot (or will
+    /// not) drive this transfer through the offload engine.
+    pub offload_entries: Option<u32>,
+}
+
+/// The two payload kinds of the one-shot RDMA ("rput") rendezvous. The
+/// protocol is the same — RTS → CTS carrying the receiver's registered
+/// user buffer → one RDMA post → FIN, with an abort back to the staged
+/// path — and only the post differs: a plain write, or a scatter/gather
+/// walk by the HCA.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub(crate) enum RputKind {
+    /// Both sides contiguous host memory: one RDMA write.
+    Direct,
+    /// Both sides lower to bounded wire descriptors: one scatter/gather
+    /// post walked by the NIC, no CPU pack/unpack.
+    Offload,
+}
+
+/// Where a one-shot RDMA write lands in the receiver's registered region:
+/// the kind-specific payload of [`MpiPacket::CtsRput`].
+#[derive(Clone, Debug)]
+pub(crate) enum RputPlace {
+    /// Contiguous: the message starts at this byte offset of the region.
+    Direct { offset: usize },
+    /// The scatter descriptor (MR-absolute, already clipped to the message
+    /// size) the sender's HCA should walk to place the bytes.
+    Offload { scatter: Vec<SgEntry> },
+}
+
+impl RputPlace {
+    pub(crate) fn kind(&self) -> RputKind {
+        match self {
+            RputPlace::Direct { .. } => RputKind::Direct,
+            RputPlace::Offload { .. } => RputKind::Offload,
+        }
+    }
+}
+
 /// Everything that travels between ranks.
 pub(crate) enum MpiPacket {
     /// Small message: envelope + packed payload.
     Eager { env: Envelope, data: Vec<u8> },
     /// Request To Send (rendezvous start).
-    Rts {
-        env: Envelope,
-        total: usize,
-        send_req: ReqId,
-        /// Sender's buffer is contiguous host memory, so a direct R-PUT is
-        /// possible if the receiver's is too.
-        direct_capable: bool,
-        /// Set when the send buffer is device memory on a GPU the receiver
-        /// might share (the sender is co-located with the receiver): the id
-        /// of that GPU. A receiver sinking into the same GPU answers with
-        /// [`MpiPacket::CtsDev`] and the transfer stays on the device.
-        dev_gpu: Option<u32>,
-        /// Set when the sender's layout lowers to a bounded scatter/gather
-        /// descriptor and its scheme selection allows NIC offload: the
-        /// gather entry count (the receiver checks the combined count
-        /// against its HCA budget). `None` = the sender cannot (or will
-        /// not) drive this transfer through the offload engine.
-        offload_entries: Option<u32>,
-    },
+    Rts(Rts),
     /// Clear To Send, staged path: a window of vbuf slots.
     Cts {
         send_req: ReqId,
@@ -75,14 +116,14 @@ pub(crate) enum MpiPacket {
         chunk_size: usize,
         slots: Vec<SlotDesc>,
     },
-    /// Clear To Send, direct path: the receiver's registered user buffer.
-    CtsDirect {
+    /// Clear To Send, rput path: the receiver's registered user buffer and
+    /// where in it the `total` message bytes go.
+    CtsRput {
         send_req: ReqId,
         recv_req: ReqId,
         key: MrKey,
-        /// Byte offset of the receive start within the registered region.
-        offset: usize,
-        len: usize,
+        total: usize,
+        place: RputPlace,
     },
     /// Staged path: chunk `chunk_idx` has been RDMA-written into `slot`.
     Fin {
@@ -91,8 +132,8 @@ pub(crate) enum MpiPacket {
         slot: usize,
         bytes: usize,
     },
-    /// Direct path: the single RDMA write has completed.
-    FinDirect { recv_req: ReqId },
+    /// Rput path: the single RDMA post has completed.
+    FinRput { kind: RputKind, recv_req: ReqId },
     /// Staged path: the receiver has absorbed the chunk in `slot`; the
     /// sender may write the next chunk into it. `chunk_idx` sequences the
     /// credit: it names the chunk being credited, so a duplicate (the slot
@@ -107,26 +148,10 @@ pub(crate) enum MpiPacket {
     /// `next_needed` within its retry window — the sender must re-announce
     /// (and, for lost data, re-write) everything from that chunk on.
     FinNack { send_req: ReqId, next_needed: usize },
-    /// Direct path, fault recovery: the sender could not register its user
-    /// buffer (pin limit), so it abandons the R-PUT; the receiver must fall
-    /// back to granting a staged window.
-    DirectAbort { recv_req: ReqId, send_req: ReqId },
-    /// Clear To Send, offload path: the receiver's registered user buffer
-    /// plus the scatter descriptor (MR-absolute, already clipped to the
-    /// message size) the sender's HCA should walk to place the bytes.
-    CtsOffload {
-        send_req: ReqId,
-        recv_req: ReqId,
-        key: MrKey,
-        scatter: Vec<SgEntry>,
-        total: usize,
-    },
-    /// Offload path: the single scatter/gather post has completed.
-    FinOffload { recv_req: ReqId },
-    /// Offload path, fault recovery: the sender could not register its user
-    /// buffer (pin limit), so it abandons the offload post; the receiver
+    /// Rput path, fault recovery: the sender could not register its user
+    /// buffer (pin limit), so it abandons the one-shot post; the receiver
     /// must fall back to granting a staged window.
-    OffloadAbort { recv_req: ReqId, send_req: ReqId },
+    RputAbort { kind: RputKind, recv_req: ReqId },
     /// Device path (co-located ranks sharing one GPU): the receiver sinks
     /// into the same GPU the sender advertised in `Rts::dev_gpu` — skip
     /// host staging entirely; the sender should pack into a device tbuf
@@ -150,22 +175,27 @@ pub(crate) enum MpiPacket {
 /// Classify an opaque control payload as one of this crate's packet kinds
 /// (`"Rts"`, `"Cts"`, `"Fin"`, ...), or `None` if it is not an MPI packet.
 /// This lets delivery schedulers (model checkers) label their decision
-/// points without the wire format itself becoming public API.
+/// points without the wire format itself becoming public API. The rput
+/// packets keep one label per payload kind (`"CtsDirect"`/`"CtsOffload"`,
+/// ...), so schedules and counterexamples name the data path.
 pub fn packet_kind(payload: &(dyn std::any::Any + Send)) -> Option<&'static str> {
+    use RputKind::{Direct, Offload};
     let p = payload.downcast_ref::<MpiPacket>()?;
     Some(match p {
         MpiPacket::Eager { .. } => "Eager",
-        MpiPacket::Rts { .. } => "Rts",
+        MpiPacket::Rts(_) => "Rts",
         MpiPacket::Cts { .. } => "Cts",
-        MpiPacket::CtsDirect { .. } => "CtsDirect",
+        MpiPacket::CtsRput { place, .. } => match place.kind() {
+            Direct => "CtsDirect",
+            Offload => "CtsOffload",
+        },
         MpiPacket::Fin { .. } => "Fin",
-        MpiPacket::FinDirect { .. } => "FinDirect",
+        MpiPacket::FinRput { kind: Direct, .. } => "FinDirect",
+        MpiPacket::FinRput { kind: Offload, .. } => "FinOffload",
         MpiPacket::Credit { .. } => "Credit",
         MpiPacket::FinNack { .. } => "FinNack",
-        MpiPacket::DirectAbort { .. } => "DirectAbort",
-        MpiPacket::CtsOffload { .. } => "CtsOffload",
-        MpiPacket::FinOffload { .. } => "FinOffload",
-        MpiPacket::OffloadAbort { .. } => "OffloadAbort",
+        MpiPacket::RputAbort { kind: Direct, .. } => "DirectAbort",
+        MpiPacket::RputAbort { kind: Offload, .. } => "OffloadAbort",
         MpiPacket::CtsDev { .. } => "CtsDev",
         MpiPacket::FinDev { .. } => "FinDev",
         MpiPacket::CreditDev { .. } => "CreditDev",
@@ -477,6 +507,34 @@ impl std::fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
+/// A deliberately planted bug, one per checker that must find it
+/// (`tests/sanitizer.rs`, `simcheck::scenarios`). They are mutually
+/// exclusive by construction: [`MpiConfig::seeded_bug`] holds at most one.
+#[doc(hidden)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub enum SeededBug {
+    /// The sender drops the first send-pool vbuf that finishes its RDMA
+    /// write instead of returning it to the pool, so the sanitizer's pool
+    /// reconciliation has a leak to find.
+    LeakVbuf,
+    /// The receiver of a D2D device transfer swallows its first
+    /// `CreditDev`, stranding the sender's packed tbuf — the credit leak
+    /// the sanitizer's device-pool accounting must flag.
+    DropDevCredit,
+    /// The sender applies twice the configured shm eager limit toward
+    /// co-located peers, shipping oversized eager payloads the
+    /// receiver-side protocol linter must reject.
+    ShmEagerOversize,
+    /// Finalize skips its dissemination barrier, so a rank whose transfers
+    /// completed exits immediately and stops answering peers' retransmits
+    /// — PR 3's finalize-quiesce liveness bug (model-checker validation).
+    FinalizeQuiesce,
+    /// A staged receive whose CTS was deferred on a drained vbuf pool is
+    /// never re-examined when vbufs return — PR 3's deferred-CTS
+    /// starvation bug (model-checker validation).
+    DeferredCts,
+}
+
 /// Tunables of the simulated MPI library.
 #[derive(Clone, Debug)]
 pub struct MpiConfig {
@@ -500,29 +558,9 @@ pub struct MpiConfig {
     /// buffers. The least-recently-used entry is evicted (and deregistered)
     /// when a new buffer would exceed this.
     pub reg_cache_entries: usize,
-    /// Fault injection (tests only): drop the first send-pool vbuf that
-    /// finishes its RDMA write instead of returning it to the pool, so the
-    /// sanitizer's pool reconciliation has a leak to find.
-    pub fault_leak_vbuf: bool,
-    /// Fault injection (tests only): the receiver of a D2D device transfer
-    /// swallows its first `CreditDev` instead of sending it, stranding the
-    /// sender's packed tbuf — the credit-leak the sanitizer's device-pool
-    /// accounting must flag.
-    pub fault_drop_dev_credit: bool,
-    /// Fault injection (tests only): the sender applies twice the
-    /// configured shm eager limit toward co-located peers, shipping
-    /// oversized eager payloads the receiver-side protocol linter must
-    /// reject.
-    pub fault_shm_eager_oversize: bool,
-    /// Bug reintroduction (model-checker validation): skip the finalize
-    /// dissemination barrier, so a rank whose transfers completed exits
-    /// immediately and stops answering peers' retransmits — PR 3's
-    /// finalize-quiesce liveness bug.
-    pub bug_finalize_quiesce: bool,
-    /// Bug reintroduction (model-checker validation): a staged receive
-    /// whose CTS was deferred on a drained vbuf pool is never re-examined
-    /// when vbufs return — PR 3's deferred-CTS starvation bug.
-    pub bug_deferred_cts: bool,
+    /// At most one deliberately planted bug (tests of the checkers only).
+    #[doc(hidden)]
+    pub seeded_bug: Option<SeededBug>,
     /// Processes per node: ranks `[k*ppn, (k+1)*ppn)` share node `k` (its
     /// HCA, shm channel and GPU). Must evenly divide the world size. The
     /// default, 1, is the classic one-rank-per-node layout and is
@@ -559,11 +597,7 @@ impl Default for MpiConfig {
             cpu: crate::pack::CpuModel::westmere(),
             retry: RetryConfig::default(),
             reg_cache_entries: 1024,
-            fault_leak_vbuf: false,
-            fault_drop_dev_credit: false,
-            fault_shm_eager_oversize: false,
-            bug_finalize_quiesce: false,
-            bug_deferred_cts: false,
+            seeded_bug: None,
             ppn: 1,
             shm_eager_limit: 32 << 10,
             coll: CollConfig::default(),

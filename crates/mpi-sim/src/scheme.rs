@@ -30,7 +30,7 @@
 
 use ib_sim::Nic;
 
-use crate::proto::MpiConfig;
+use crate::proto::{MpiConfig, SeededBug};
 use crate::transport::{RdmaTransport, ShmTransport, Transport};
 
 /// The library's transfer schemes.
@@ -122,7 +122,7 @@ impl SchemeSelector {
             sel: cfg.scheme,
             eager_limit: cfg.eager_limit,
             shm_eager_limit: cfg.shm_eager_limit,
-            fault_shm_eager_oversize: cfg.fault_shm_eager_oversize,
+            fault_shm_eager_oversize: cfg.seeded_bug == Some(SeededBug::ShmEagerOversize),
             offload_min_bytes: cfg.offload_min_bytes,
         }
     }

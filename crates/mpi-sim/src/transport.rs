@@ -1,7 +1,7 @@
 //! The transport layer: how chunk bytes move between two endpoints.
 //!
 //! The rendezvous *protocol* (RTS/CTS matching, windows, credits, retries)
-//! lives in `engine.rs` and is transport-agnostic; everything that actually
+//! lives in `engine/` and is transport-agnostic; everything that actually
 //! places bytes into a peer's registered region goes through a [`Transport`]
 //! chosen per peer by the [`SchemeSelector`](crate::scheme::SchemeSelector)
 //! from the fabric's [`Topology`](ib_sim::Topology):

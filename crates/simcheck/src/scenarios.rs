@@ -12,7 +12,7 @@
 use hostmem::HostBuf;
 use mpi_sim::{
     ChunkPolicy, CollAlgo, DataScheme, Datatype, FaultSpec, MpiConfig, MpiWorld, SchemeSel,
-    Topology,
+    SeededBug, Topology,
 };
 use mv2_gpu_nc::baselines::{fill_vector, verify_vector, VectorXfer};
 use mv2_gpu_nc::GpuCluster;
@@ -101,7 +101,7 @@ pub fn direct_2rank(bug_finalize_quiesce: bool) -> Scenario {
             let checker = CheckScheduler::new(schedule.clone());
             let world = MpiWorld::new(2)
                 .with_config(MpiConfig {
-                    bug_finalize_quiesce,
+                    seeded_bug: bug_finalize_quiesce.then_some(SeededBug::FinalizeQuiesce),
                     ..MpiConfig::default()
                 })
                 .with_faults(FaultSpec::seeded(ARM_SEED))
@@ -247,7 +247,7 @@ pub fn deferred_cts(bug_deferred_cts: bool) -> Scenario {
                     policy: ChunkPolicy::Fixed,
                     pool_vbufs: 4,
                     window_slots: 2,
-                    bug_deferred_cts,
+                    seeded_bug: bug_deferred_cts.then_some(SeededBug::DeferredCts),
                     ..MpiConfig::default()
                 })
                 .with_faults(FaultSpec::seeded(ARM_SEED))

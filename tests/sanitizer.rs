@@ -7,7 +7,7 @@
 //! workloads under `Collect` and requires zero reports: the instrumented
 //! library itself must be clean.
 
-use gpu_nc_repro::mpi_sim::MpiConfig;
+use gpu_nc_repro::mpi_sim::{MpiConfig, SeededBug};
 use gpu_nc_repro::mv2_gpu_nc::baselines::{fill_vector, recv_mv2, send_mv2, VectorXfer};
 use gpu_nc_repro::mv2_gpu_nc::GpuCluster;
 use gpu_sim::Gpu;
@@ -84,12 +84,12 @@ fn missed_wait_race_panics_in_panic_mode() {
     missed_wait_workload(SanitizerMode::Panic, false);
 }
 
-/// Seeded bug #2: `MpiConfig::fault_leak_vbuf` makes the sender's engine
+/// Seeded bug #2: `SeededBug::LeakVbuf` makes the sender's engine
 /// drop the first reaped send vbuf instead of returning it to the pool.
 /// Pool accounting is reconciled at `Sim::run` exit.
 fn staged_transfer_reports(fault: bool) -> Vec<Report> {
     let cfg = MpiConfig {
-        fault_leak_vbuf: fault,
+        seeded_bug: fault.then_some(SeededBug::LeakVbuf),
         ..MpiConfig::default()
     };
     let (_end, reports) = GpuCluster::new(2)
@@ -135,7 +135,7 @@ fn staged_transfer_without_fault_is_clean() {
     assert!(staged_transfer_reports(false).is_empty());
 }
 
-/// Seeded bug #2b: `MpiConfig::fault_drop_dev_credit` makes the receiver
+/// Seeded bug #2b: `SeededBug::DropDevCredit` makes the receiver
 /// of a D2D device transfer swallow its first CREDIT-dev instead of
 /// sending it, stranding the sender's packed device tbuf. The sender's
 /// `dev_tbuf` pool accounting must flag the leak at exit. The sender polls
@@ -143,7 +143,7 @@ fn staged_transfer_without_fault_is_clean() {
 /// will never come — so the job still reaches exit reconciliation.
 fn d2d_transfer_reports(fault: bool) -> Vec<Report> {
     let cfg = MpiConfig {
-        fault_drop_dev_credit: fault,
+        seeded_bug: fault.then_some(SeededBug::DropDevCredit),
         ..MpiConfig::default()
     };
     let (_end, reports) = GpuCluster::new(2)
@@ -196,14 +196,14 @@ fn d2d_transfer_without_fault_is_clean() {
     assert!(d2d_transfer_reports(false).is_empty());
 }
 
-/// Seeded bug #2c: `MpiConfig::fault_shm_eager_oversize` makes the sender
+/// Seeded bug #2c: `SeededBug::ShmEagerOversize` makes the sender
 /// apply twice the configured shm eager limit toward co-located peers, so
 /// a payload between the real limit and twice the limit ships eagerly.
 /// The receiver-side protocol linter must flag the oversized payload.
 fn shm_eager_reports(fault: bool) -> Vec<Report> {
     use gpu_nc_repro::mpi_sim::{Datatype, MpiWorld};
     let cfg = MpiConfig {
-        fault_shm_eager_oversize: fault,
+        seeded_bug: fault.then_some(SeededBug::ShmEagerOversize),
         ..MpiConfig::default()
     };
     let n = 40 << 10; // between shm_eager_limit (32 KiB) and 2x
@@ -243,6 +243,13 @@ fn oversized_shm_eager_is_reported() {
         "linter names the oversized payload: {}",
         protocol[0].message
     );
+    for r in &protocol {
+        assert!(
+            !r.message.contains("  "),
+            "report text lost a line continuation: {:?}",
+            r.message
+        );
+    }
 }
 
 #[test]

@@ -6,11 +6,14 @@
 //! pipeline without perturbing a single event; and forcing offload onto
 //! such a layout surfaces a typed rejection instead of a deep-engine panic.
 
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use gpu_nc_repro::ib_sim::FaultSpec;
+use gpu_nc_repro::ib_sim::{CtrlAction, CtrlPoint, DeliveryScheduler, FaultSpec};
 use gpu_nc_repro::mpi_sim::{
-    ConfigError, DataScheme, Datatype, MpiConfig, MpiError, MpiWorld, SchemeSel,
+    packet_kind, ChunkPolicy, ConfigError, DataScheme, Datatype, MpiConfig, MpiError, MpiWorld,
+    SchemeSel,
 };
 use gpu_nc_repro::simcheck::{explore, scenarios, silence_expected_panics, Schedule};
 use hostmem::HostBuf;
@@ -260,4 +263,200 @@ fn offload_scenario_fifo_run_is_clean_and_deterministic() {
         !a.log.is_empty(),
         "the offload rendezvous recorded no decision points"
     );
+}
+
+/// Drops the first wire control packet labelled `kind` and delivers every
+/// other packet FIFO: one loss at a chosen protocol step, deterministically.
+struct DropFirst {
+    kind: &'static str,
+    armed: AtomicBool,
+}
+
+impl DeliveryScheduler for DropFirst {
+    fn on_ctrl(&self, p: &CtrlPoint<'_>) -> CtrlAction {
+        let hit = !p.shm && packet_kind(p.payload) == Some(self.kind);
+        if hit && self.armed.swap(false, Ordering::SeqCst) {
+            CtrlAction::Drop
+        } else {
+            CtrlAction::Deliver
+        }
+    }
+}
+
+/// One payload kind of the rput rendezvous: the layout and scheme policy
+/// that select it, and the kind-specific names its recovery is recorded
+/// under.
+struct RputKind {
+    zoo: Zoo,
+    scheme: SchemeSel,
+    cts: &'static str,
+    fin: &'static str,
+    retry_cts: &'static str,
+    retry_fin: &'static str,
+    abort: &'static str,
+    to_staged: &'static str,
+    retry_write: &'static str,
+}
+
+/// One row of the fault matrix: what is injected and which of the kind's
+/// counters the recovery must leave behind.
+struct FaultCase {
+    name: &'static str,
+    spec: FaultSpec,
+    /// Control packet label whose first instance is dropped.
+    drop: Option<&'static str>,
+    /// Extra bytes in the sender's buffer (the receiver's is the layout's
+    /// size), so a pin limit can refuse the sender's registration alone.
+    sender_pad: usize,
+    messages: u32,
+    expect: Vec<&'static str>,
+}
+
+/// Run `c.messages` rank-0 → rank-1 transfers of `k`'s layout under
+/// `c`'s faults; returns every received buffer and both ranks' own
+/// counters (summed), read behind a barrier so recovery has settled.
+fn rput_run(k: &RputKind, c: &FaultCase) -> (Vec<Vec<u8>>, BTreeMap<&'static str, u64>) {
+    type Out = (Vec<Vec<u8>>, BTreeMap<&'static str, u64>);
+    let out: Arc<Mutex<Out>> = Arc::new(Mutex::new((Vec::new(), BTreeMap::new())));
+    let sink = Arc::clone(&out);
+    let cfg = MpiConfig {
+        scheme: k.scheme,
+        policy: ChunkPolicy::Fixed,
+        pool_vbufs: 4,
+        window_slots: 2,
+        ..MpiConfig::default()
+    };
+    let mut world = MpiWorld::new(2)
+        .with_config(cfg)
+        .with_faults(c.spec.clone());
+    if let Some(kind) = c.drop {
+        world = world.with_scheduler(Arc::new(DropFirst {
+            kind,
+            armed: AtomicBool::new(true),
+        }));
+    }
+    let (zoo, sender_pad, messages) = (k.zoo, c.sender_pad, c.messages);
+    world.run(move |comm| {
+        let (t, count, bufsize, payload) = zoo_type(zoo);
+        t.commit();
+        for tag in 0..messages {
+            if comm.rank() == 0 {
+                let fill = |i| ((i + tag as usize) % 251) as u8;
+                let buf = HostBuf::from_vec((0..bufsize + sender_pad).map(fill).collect());
+                comm.send(buf.base(), count, &t, 1, tag);
+            } else {
+                let buf = HostBuf::alloc(bufsize);
+                let st = comm.recv(buf.base(), count, &t, 0, tag);
+                assert_eq!(st.bytes, payload);
+                sink.lock().0.push(buf.read(0, bufsize));
+            }
+        }
+        comm.barrier();
+        for (name, n) in comm.counters().snapshot() {
+            *sink.lock().1.entry(name).or_insert(0) += n;
+        }
+    });
+    let got = std::mem::take(&mut *out.lock());
+    got
+}
+
+#[test]
+fn rput_fault_matrix_recovers_identically_for_both_kinds() {
+    // The same four faults against both payload kinds of the one-shot RDMA
+    // rendezvous: the recovery is one piece of code, so each must deliver
+    // the clean run's bytes and leave the kind's own counters behind.
+    let kinds = [
+        RputKind {
+            zoo: Zoo::Contig,
+            scheme: SchemeSel::default(),
+            cts: "CtsDirect",
+            fin: "FinDirect",
+            retry_cts: "retry.cts_direct",
+            retry_fin: "retry.fin_direct",
+            abort: "fallback.direct_abort",
+            to_staged: "fallback.direct_to_staged",
+            retry_write: "retry.rdma_direct",
+        },
+        RputKind {
+            zoo: Zoo::Strided2d,
+            scheme: SchemeSel::Force(DataScheme::NicOffload),
+            cts: "CtsOffload",
+            fin: "FinOffload",
+            retry_cts: "retry.cts_offload",
+            retry_fin: "retry.fin_offload",
+            abort: "fallback.offload_abort",
+            to_staged: "fallback.offload_to_staged",
+            retry_write: "retry.offload_sg",
+        },
+    ];
+    for k in &kinds {
+        let quiet = FaultSpec::seeded(3); // timers armed, nothing injected
+        let case = |name, spec, drop, sender_pad, messages, expect: &[&'static str]| FaultCase {
+            name,
+            spec,
+            drop,
+            sender_pad,
+            messages,
+            expect: expect.to_vec(),
+        };
+        let (clean, idle) = rput_run(k, &case("clean", quiet.clone(), None, 0, 8, &[]));
+        let recovered = idle.iter().any(|(name, n)| {
+            *n > 0
+                && ["retry.", "dup.", "fallback."]
+                    .iter()
+                    .any(|p| name.starts_with(p))
+        });
+        assert!(!recovered, "{:?}: clean run recovered: {idle:?}", k.zoo);
+        // Vbuf pools pin 4 x 64 KiB per rank; the limit then admits the
+        // receiver's user buffer but not the sender's padded one.
+        let pin = FaultSpec {
+            pin_limit_bytes: Some((256 << 10) + zoo_type(k.zoo).2 + (64 << 10)),
+            ..quiet.clone()
+        };
+        let cqe = FaultSpec {
+            rdma_error: 0.4,
+            desc_fetch_error: 0.4,
+            ..quiet.clone()
+        };
+        let cases = [
+            case("lost CTS", quiet.clone(), Some(k.cts), 0, 1, &[k.retry_cts]),
+            case(
+                "lost FIN",
+                quiet,
+                Some(k.fin),
+                0,
+                1,
+                &[k.retry_cts, k.retry_fin],
+            ),
+            case(
+                "sender pin limit",
+                pin,
+                None,
+                1 << 20,
+                1,
+                &[k.abort, k.to_staged],
+            ),
+            case("error CQE", cqe, None, 0, 8, &[k.retry_write]),
+        ];
+        for c in &cases {
+            let (bytes, counters) = rput_run(k, c);
+            assert_eq!(bytes.len(), c.messages as usize);
+            for (i, b) in bytes.iter().enumerate() {
+                assert!(
+                    b == &clean[i],
+                    "{:?}/{}: message {i} corrupted",
+                    k.zoo,
+                    c.name
+                );
+            }
+            for name in &c.expect {
+                assert!(
+                    counters.get(name).copied().unwrap_or(0) > 0,
+                    "{:?}/{}: no {name} recorded: {counters:?}",
+                    k.zoo,
+                    c.name
+                );
+            }
+        }
+    }
 }
