@@ -53,7 +53,7 @@ bench::impl_to_json!(Row {
 });
 
 fn main() {
-    let args = HarnessArgs::parse();
+    let args = HarnessArgs::parse(&[]);
     let total = 4 << 20;
     let cost = CostModel::tesla_c2050();
     let rows: Vec<Row> = (12..=20)

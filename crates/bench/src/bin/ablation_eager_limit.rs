@@ -90,7 +90,7 @@ bench::impl_to_json!(Row {
 });
 
 fn main() {
-    let args = HarnessArgs::parse();
+    let args = HarnessArgs::parse(&[]);
     // Force each path by setting the threshold above / below the size.
     let rows: Vec<Row> = (4..=14)
         .map(|p| {

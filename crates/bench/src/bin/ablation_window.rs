@@ -81,7 +81,7 @@ bench::impl_to_json!(Row {
 });
 
 fn main() {
-    let args = HarnessArgs::parse();
+    let args = HarnessArgs::parse(&[]);
     let total = 4 << 20;
     let rows: Vec<Row> = [1usize, 2, 3, 4, 6, 8, 12, 16]
         .into_iter()

@@ -185,7 +185,7 @@ fn find<'a>(rows: &'a [Row], coll: &str, ranks: usize, ppn: usize, algo: &str) -
 }
 
 fn main() {
-    let args = HarnessArgs::parse();
+    let args = HarnessArgs::parse(&["smoke", "out"]);
     let smoke = args.extra.contains_key("smoke");
     let rank_counts: &[usize] = if smoke { &[64] } else { &[64, 128, 256] };
     let ppns: &[usize] = &[1, 4, 8];

@@ -20,7 +20,7 @@ use mv2_gpu_nc::FaultSpec;
 use sim_core::SanitizerMode;
 
 fn main() {
-    let args = HarnessArgs::parse();
+    let args = HarnessArgs::parse(&["seed", "drop", "rdma-err", "out"]);
     let get = |key: &str, default: f64| -> f64 {
         args.extra
             .get(key)

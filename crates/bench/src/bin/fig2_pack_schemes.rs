@@ -28,7 +28,7 @@ bench::impl_to_json!(Row {
 });
 
 fn main() {
-    let args = HarnessArgs::parse();
+    let args = HarnessArgs::parse(&[]);
     let results: Arc<Mutex<Vec<Row>>> = Arc::new(Mutex::new(Vec::new()));
     let out = Arc::clone(&results);
     let sim = Sim::new();

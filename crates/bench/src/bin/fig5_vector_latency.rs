@@ -99,7 +99,7 @@ bench::impl_to_json!(Row {
 });
 
 fn main() {
-    let args = HarnessArgs::parse();
+    let args = HarnessArgs::parse(&[]);
     let rows: Vec<Row> = paper_sizes()
         .into_iter()
         .map(|total| {

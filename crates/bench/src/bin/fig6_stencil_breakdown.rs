@@ -20,7 +20,7 @@ struct Entry {
 bench::impl_to_json!(Entry { component, micros });
 
 fn main() {
-    let args = HarnessArgs::parse();
+    let args = HarnessArgs::parse(&[]);
     let p = StencilParams {
         py: 2,
         px: 4,

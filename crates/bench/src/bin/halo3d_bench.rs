@@ -25,7 +25,7 @@ bench::impl_to_json!(Row {
 });
 
 fn main() {
-    let args = HarnessArgs::parse();
+    let args = HarnessArgs::parse(&[]);
     let s = args.scale.max(1);
     // 8 ranks, 256^3 cells per rank at scale 1.
     let n = 256 / s;

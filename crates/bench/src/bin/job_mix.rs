@@ -379,7 +379,7 @@ fn host_scale_guard(seed: u64) -> HostScale {
 }
 
 fn main() {
-    let args = HarnessArgs::parse();
+    let args = HarnessArgs::parse(&["smoke", "seed", "out"]);
     let smoke = args.extra.get("smoke").is_some_and(|v| v != "false");
     let phys_nodes = 8;
     let (njobs, gap_us) = if smoke { (6, 300.0) } else { (16, 400.0) };

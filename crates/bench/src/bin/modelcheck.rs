@@ -54,7 +54,7 @@ fn verdict_json(v: &Verdict, expect_bug: bool, wall_ms: f64) -> Json {
 
 fn main() {
     silence_expected_panics();
-    let args = HarnessArgs::parse();
+    let args = HarnessArgs::parse(&["smoke", "out"]);
     let smoke = args.extra.contains_key("smoke");
 
     let shrink = |mut s: simcheck::Scenario| -> simcheck::Scenario {

@@ -148,7 +148,7 @@ bench::impl_to_json!(Row {
 });
 
 fn main() {
-    let args = HarnessArgs::parse();
+    let args = HarnessArgs::parse(&["out"]);
     let iters = (args.iters as u32).max(3);
     let sizes = [16usize << 10, 64 << 10, 256 << 10, 1 << 20, 4 << 20];
     let layouts = [Zoo::Contig, Zoo::Strided1d, Zoo::Strided2d, Zoo::Irregular];

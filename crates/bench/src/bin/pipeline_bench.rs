@@ -85,7 +85,7 @@ bench::impl_to_json!(Row {
 });
 
 fn main() {
-    let args = HarnessArgs::parse();
+    let args = HarnessArgs::parse(&["out"]);
     let iters = args.iters as u32;
     let fixed_cfg = MpiConfig {
         policy: ChunkPolicy::Fixed,

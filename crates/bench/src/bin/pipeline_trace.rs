@@ -23,7 +23,7 @@ bench::impl_to_json!(Event {
 });
 
 fn main() {
-    let args = HarnessArgs::parse();
+    let args = HarnessArgs::parse(&[]);
     let total = 512 << 10; // 8 chunks at the default 64 KB block size
     let rec = Recorder::new();
     GpuCluster::new(2).recorder(rec.clone()).run(move |env| {

@@ -62,7 +62,7 @@ fn fabric_bytes(rec: &Recorder, nodes: usize) -> (u64, u64) {
 }
 
 fn main() {
-    let args = HarnessArgs::parse();
+    let args = HarnessArgs::parse(&["out"]);
     let s = args.scale.max(1);
     // 16 ranks in a 2x2x4 grid: k is split four ways, so the worst-layout
     // k-faces connect rank r to r±1 — exactly the pairs a blocked layout

@@ -55,7 +55,7 @@ fn loop_calls(variant: Variant) -> BTreeMap<String, u64> {
 }
 
 fn main() {
-    let args = HarnessArgs::parse();
+    let args = HarnessArgs::parse(&[]);
     let calls_def = loop_calls(Variant::Def);
     let calls_mv2 = loop_calls(Variant::Mv2);
     let loc_def = lines_of_code(Variant::Def);

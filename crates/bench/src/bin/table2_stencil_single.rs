@@ -13,7 +13,7 @@ use bench::stencil_tables::{print_report, run_tables};
 use bench::{emit_json, ExperimentRecord, HarnessArgs};
 
 fn main() {
-    let args = HarnessArgs::parse();
+    let args = HarnessArgs::parse(&[]);
     let rows = run_tables::<f32>(&args);
     if args.json {
         emit_json(&ExperimentRecord {

@@ -163,7 +163,7 @@ fn run_vector(total: usize) -> Recorder {
 }
 
 fn main() {
-    let args = HarnessArgs::parse();
+    let args = HarnessArgs::parse(&["out", "chrome"]);
 
     // The paper's 512 KB vector transfer (Figure 3: 8 chunks, 64 KB blocks).
     let vec_rec = run_vector(512 << 10);

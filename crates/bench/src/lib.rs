@@ -223,34 +223,49 @@ impl Default for HarnessArgs {
 }
 
 impl HarnessArgs {
-    /// Parse `std::env::args()`: `--json`, `--scale N`, `--iters N`,
-    /// `--key value`.
-    pub fn parse() -> Self {
+    /// Parse `std::env::args()`: `--json`, `--scale N`, `--iters N`, and
+    /// `--key value` for each key in `extras` — the extras this binary
+    /// reads. Anything else (a typo such as `--ouy`, a flag without its
+    /// value) prints the accepted list and exits with status 2 instead of
+    /// being silently dropped.
+    pub fn parse(extras: &[&str]) -> Self {
+        Self::parse_from(std::env::args().skip(1), extras).unwrap_or_else(|err| {
+            eprintln!("{err}");
+            std::process::exit(2);
+        })
+    }
+
+    fn parse_from(mut args: impl Iterator<Item = String>, extras: &[&str]) -> Result<Self, String> {
         let mut out = HarnessArgs::default();
-        let mut args = std::env::args().skip(1);
-        while let Some(a) = args.next() {
-            match a.as_str() {
-                "--json" => out.json = true,
-                "--scale" => {
-                    out.scale = args
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--scale needs a positive integer");
-                }
-                "--iters" => {
-                    out.iters = args
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--iters needs a positive integer");
-                }
-                other => {
-                    let key = other.trim_start_matches("--").to_string();
-                    let val = args.next().unwrap_or_default();
-                    out.extra.insert(key, val);
+        let usage = || {
+            let extras: String = extras.iter().map(|k| format!(" --{k} VALUE")).collect();
+            format!("accepted flags: --json --scale N --iters N{extras}")
+        };
+        while let Some(flag) = args.next() {
+            if flag == "--json" {
+                out.json = true;
+                continue;
+            }
+            let key = flag.strip_prefix("--").unwrap_or("");
+            if !(matches!(key, "scale" | "iters") || extras.contains(&key)) {
+                return Err(format!("unknown flag `{flag}`; {}", usage()));
+            }
+            let val = args
+                .next()
+                .ok_or_else(|| format!("`{flag}` needs a value; {}", usage()))?;
+            let positive = || {
+                val.parse::<usize>()
+                    .map_err(|_| format!("`{flag}` needs a positive integer; {}", usage()))
+            };
+            match key {
+                "scale" => out.scale = positive()?,
+                "iters" => out.iters = positive()?,
+                _ => {
+                    out.extra.insert(key.to_string(), val);
                 }
             }
         }
-        out
+        Ok(out)
     }
 }
 
@@ -345,6 +360,49 @@ mod tests {
             text.contains("\"us\": 2.0"),
             "whole floats keep a decimal: {text}"
         );
+    }
+
+    fn parse(args: &[&str], extras: &[&str]) -> Result<HarnessArgs, String> {
+        HarnessArgs::parse_from(args.iter().map(|a| a.to_string()), extras)
+    }
+
+    #[test]
+    fn args_accept_the_builtins_and_declared_extras() {
+        let a = parse(
+            &[
+                "--iters",
+                "4",
+                "--json",
+                "--out",
+                "/tmp/x.json",
+                "--smoke",
+                "true",
+            ],
+            &["out", "smoke"],
+        )
+        .unwrap();
+        assert!(a.json);
+        assert_eq!((a.iters, a.scale), (4, 1));
+        assert_eq!(a.extra["out"], "/tmp/x.json");
+        assert_eq!(a.extra["smoke"], "true");
+    }
+
+    #[test]
+    fn args_reject_undeclared_flags_and_missing_values() {
+        // The typo that used to overwrite the committed baseline.
+        let err = parse(&["--ouy", "/tmp/x.json"], &["out"]).unwrap_err();
+        assert!(err.contains("unknown flag `--ouy`"), "{err}");
+        assert!(
+            err.contains("--out VALUE"),
+            "lists the accepted flags: {err}"
+        );
+        // Declared by another binary, not this one.
+        assert!(parse(&["--out", "x"], &[]).is_err());
+        assert!(parse(&["stray"], &["out"]).is_err());
+        let err = parse(&["--out"], &["out"]).unwrap_err();
+        assert!(err.contains("needs a value"), "{err}");
+        assert!(parse(&["--iters"], &[]).is_err());
+        assert!(parse(&["--scale", "big"], &[]).is_err());
     }
 
     #[test]

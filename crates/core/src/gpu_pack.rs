@@ -1,4 +1,4 @@
-//! GPU-offloaded datatype packing: turn flattened datatype segments into
+//! GPU-offloaded datatype packing: turn runs of a flattened datatype into
 //! device-internal copy operations.
 //!
 //! This is the paper's first contribution (§IV-A): instead of moving each
@@ -6,95 +6,24 @@
 //! memory — ideally with a single strided `cudaMemcpy2D` — and then crosses
 //! PCIe as one contiguous block.
 //!
-//! [`SegmentMap`] slices a flattened layout into arbitrary packed-byte
-//! ranges (pipeline chunks); [`enqueue_gather`] / [`enqueue_scatter`] emit
-//! the cheapest device operation sequence for a range:
+//! A pipeline chunk is a packed-byte range of the message's shared
+//! [`mpi_sim::Plan`]; [`mpi_sim::Plan::pieces`] maps it to the runs of the
+//! user buffer it covers. [`enqueue_gather`] / [`enqueue_scatter`] read the
+//! shape of that run list off the workspace's one classifier
+//! ([`Canonical::classify`]) and emit the cheapest device operation
+//! sequence for it:
 //!
-//! * one contiguous `memcpy` when the range is a single run,
-//! * one strided 2-D copy when the runs are uniform (optionally with
+//! * one contiguous `memcpy` for [`Canonical::Contig`],
+//! * one strided 2-D copy for [`Canonical::Strided1D`] (optionally around
 //!   trimmed head/tail runs from chunk boundaries),
-//! * a generic gather/scatter pack kernel for irregular layouts
-//!   (indexed/struct types — beyond what the paper evaluated, but what its
-//!   production descendants do).
-
-use std::sync::Arc;
+//! * a generic gather/scatter pack kernel for everything else
+//!   (indexed/struct types and two-level shapes — beyond what the paper
+//!   evaluated, but what its production descendants do).
 
 use gpu_sim::{Copy2d, DevPtr, Gpu, Loc, Stream};
 use mpi_sim::flat::Segment;
-use mpi_sim::Plan;
+use mpi_sim::Canonical;
 use sim_core::Completion;
-
-/// A flattened layout with prefix sums for O(log n) chunk slicing.
-///
-/// Since the plan cache landed this is a thin view over a shared
-/// [`Plan`] — building one from a committed datatype's cached plan
-/// (`SegmentMap::from_plan(dt.plan(count))`) allocates nothing.
-pub struct SegmentMap {
-    plan: Arc<Plan>,
-}
-
-/// One run of bytes in the user buffer: (byte offset relative to the buffer
-/// address, length).
-pub type Piece = mpi_sim::plan::Piece;
-
-impl SegmentMap {
-    /// Build from expanded segments (see `FlatType::expanded`).
-    pub fn new(segs: Vec<Segment>) -> Self {
-        Self::from_plan(Arc::new(Plan::from_segments(segs)))
-    }
-
-    /// Wrap a (usually cached) communication plan.
-    pub fn from_plan(plan: Arc<Plan>) -> Self {
-        SegmentMap { plan }
-    }
-
-    /// The underlying plan.
-    pub fn plan(&self) -> &Arc<Plan> {
-        &self.plan
-    }
-
-    /// Total packed bytes.
-    pub fn total(&self) -> usize {
-        self.plan.total()
-    }
-
-    /// Number of segments.
-    pub fn num_segments(&self) -> usize {
-        self.plan.num_segments()
-    }
-
-    /// The user-buffer runs covering packed-byte range `[off, off+len)`.
-    pub fn pieces(&self, off: usize, len: usize) -> Vec<Piece> {
-        self.plan.pieces(off, len)
-    }
-}
-
-/// If `pieces` form `height` equal-width runs at a constant pitch, return
-/// `(first_offset, pitch, width, height)`.
-fn uniform(pieces: &[Piece]) -> Option<(isize, usize, usize, usize)> {
-    match pieces {
-        [] => None,
-        &[(off, len)] => Some((off, len, len, 1)),
-        &[(o0, w0), (o1, w1), ref rest @ ..] => {
-            if w1 != w0 || o1 <= o0 {
-                return None;
-            }
-            let pitch = (o1 - o0) as usize;
-            let mut prev = o1;
-            for &(o, w) in rest {
-                if w != w0 || o - prev != pitch as isize {
-                    return None;
-                }
-                prev = o;
-            }
-            Some((o0, pitch, w0, pieces.len()))
-        }
-    }
-}
-
-fn dev_at(base: DevPtr, rel: isize) -> DevPtr {
-    base.add_signed(rel)
-}
 
 /// Enqueue the device ops that pack `pieces` of the user buffer at `user`
 /// into contiguous device memory at `dst`. Returns the completion of the
@@ -103,7 +32,7 @@ pub fn enqueue_gather(
     gpu: &Gpu,
     stream: &Stream,
     user: DevPtr,
-    pieces: &[Piece],
+    pieces: &[Segment],
     dst: DevPtr,
 ) -> Completion {
     enqueue_strided(gpu, stream, user, pieces, dst, true)
@@ -115,7 +44,7 @@ pub fn enqueue_scatter(
     gpu: &Gpu,
     stream: &Stream,
     user: DevPtr,
-    pieces: &[Piece],
+    pieces: &[Segment],
     src: DevPtr,
 ) -> Completion {
     enqueue_strided(gpu, stream, user, pieces, src, false)
@@ -125,114 +54,101 @@ fn enqueue_strided(
     gpu: &Gpu,
     stream: &Stream,
     user: DevPtr,
-    pieces: &[Piece],
+    pieces: &[Segment],
     contig: DevPtr,
     gather: bool,
 ) -> Completion {
     assert!(!pieces.is_empty(), "empty piece list");
-    let total: usize = pieces.iter().map(|&(_, l)| l).sum();
+    let total: usize = pieces.iter().map(|p| p.len).sum();
 
-    let copy2d = |first: isize, pitch: usize, width: usize, height: usize, cbase: DevPtr| {
-        let strided = Loc::Device(dev_at(user, first));
-        let contig_loc = Loc::Device(cbase);
-        let p = if gather {
-            Copy2d {
-                dst: contig_loc,
-                dpitch: width,
-                src: strided,
-                spitch: pitch,
-                width,
-                height,
-            }
+    // One run of the user buffer <-> `cbase`.
+    let copy1d = |run: isize, len: usize, cbase: DevPtr| {
+        let run = user.add_signed(run);
+        let (dst, src) = if gather { (cbase, run) } else { (run, cbase) };
+        gpu.memcpy_async(dst, src, len, stream)
+    };
+    // `count` blocks of the user buffer, `stride` apart <-> `cbase`.
+    let copy2d = |first: isize, block: usize, stride: usize, count: usize, cbase: DevPtr| {
+        let (strided, packed) = (Loc::Device(user.add_signed(first)), Loc::Device(cbase));
+        let ((dst, dpitch), (src, spitch)) = if gather {
+            ((packed, block), (strided, stride))
         } else {
-            Copy2d {
-                dst: strided,
-                dpitch: pitch,
-                src: contig_loc,
-                spitch: width,
-                width,
-                height,
-            }
+            ((strided, stride), (packed, block))
         };
-        gpu.memcpy_2d_async(p, stream)
+        gpu.memcpy_2d_async(
+            Copy2d {
+                dst,
+                dpitch,
+                src,
+                spitch,
+                width: block,
+                height: count,
+            },
+            stream,
+        )
     };
 
-    // Whole range uniform: one strided copy (or a plain memcpy for a single
-    // run).
-    if let Some((first, pitch, width, height)) = uniform(pieces) {
-        if height == 1 || pitch == width {
-            let (d, s) = if gather {
-                (contig, dev_at(user, first))
-            } else {
-                (dev_at(user, first), contig)
-            };
-            return gpu.memcpy_async(d, s, total, stream);
-        }
-        return copy2d(first, pitch, width, height, contig);
+    match Canonical::classify(pieces) {
+        Canonical::Contig { offset, .. } => return copy1d(offset, total, contig),
+        // Unmerged back-to-back blocks are still one plain copy.
+        Canonical::Strided1D {
+            first,
+            block,
+            stride,
+            ..
+        } if stride == block => return copy1d(first, total, contig),
+        Canonical::Strided1D {
+            first,
+            block,
+            stride,
+            count,
+        } => return copy2d(first, block, stride, count, contig),
+        Canonical::Strided2D { .. } | Canonical::Irregular => {}
     }
 
     // Chunk boundaries often clip the first/last run of an otherwise
-    // uniform pattern: peel them off and 2-D-copy the middle.
-    if pieces.len() >= 3 {
-        if let Some((first, pitch, width, height)) = uniform(&pieces[1..pieces.len() - 1]) {
-            let head = pieces[0];
-            let tail = pieces[pieces.len() - 1];
-            if height >= 2 && head.1 <= width && tail.1 <= width {
-                let mut coff = contig;
-                let (hd, hs) = if gather {
-                    (coff, dev_at(user, head.0))
-                } else {
-                    (dev_at(user, head.0), coff)
-                };
-                gpu.memcpy_async(hd, hs, head.1, stream);
-                coff = coff.add(head.1);
-                copy2d(first, pitch, width, height, coff);
-                coff = coff.add(width * height);
-                let (td, ts) = if gather {
-                    (coff, dev_at(user, tail.0))
-                } else {
-                    (dev_at(user, tail.0), coff)
-                };
-                return gpu.memcpy_async(td, ts, tail.1, stream);
+    // single-level pattern: peel them off and 2-D-copy the middle.
+    if let [head, middle @ .., tail] = pieces {
+        if let Canonical::Strided1D {
+            first,
+            block,
+            stride,
+            count,
+        } = Canonical::classify(middle)
+        {
+            if head.len <= block && tail.len <= block {
+                copy1d(head.offset, head.len, contig);
+                let mid = contig.add(head.len);
+                copy2d(first, block, stride, count, mid);
+                return copy1d(tail.offset, tail.len, mid.add(block * count));
             }
         }
     }
 
-    // Irregular: one generic gather/scatter kernel.
+    // Everything else: one generic gather/scatter kernel.
     let cost = gpu.cost_model().pack_kernel(total as u64, pieces.len());
-    let pieces: Vec<Piece> = pieces.to_vec();
-    let user_c = user;
-    let contig_c = contig;
-    gpu.launch_kernel(
-        if gather {
-            "pack_gather"
-        } else {
-            "unpack_scatter"
-        },
-        cost,
-        stream,
-        move |g| {
-            let mut coff = contig_c;
-            for (rel, len) in pieces {
-                let u = dev_at(user_c, rel);
-                if gather {
-                    let bytes = g.read_bytes(u, len);
-                    g.write_bytes(coff, &bytes);
-                } else {
-                    let bytes = g.read_bytes(coff, len);
-                    g.write_bytes(u, &bytes);
-                }
-                coff = coff.add(len);
-            }
-        },
-    )
+    let name = if gather {
+        "pack_gather"
+    } else {
+        "unpack_scatter"
+    };
+    gpu.launch_kernel(name, cost, stream, |g| {
+        let mut coff = contig;
+        for p in pieces {
+            let run = user.add_signed(p.offset);
+            let (dst, src) = if gather { (coff, run) } else { (run, coff) };
+            g.write_bytes(dst, &g.read_bytes(src, p.len));
+            coff = coff.add(p.len);
+        }
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpi_sim::Datatype;
+    use mpi_sim::{Datatype, Plan};
     use sim_core::Sim;
+    use std::sync::Arc;
 
     fn in_sim(f: impl FnOnce() + Send + 'static) {
         let sim = Sim::new();
@@ -240,19 +156,25 @@ mod tests {
         sim.run();
     }
 
-    fn map_of(dt: &Datatype, count: usize) -> SegmentMap {
+    fn plan_of(dt: &Datatype, count: usize) -> Arc<Plan> {
         dt.commit();
-        SegmentMap::new(dt.flat().expanded(count))
+        dt.plan(count)
+    }
+
+    fn segs(runs: &[(isize, usize)]) -> Vec<Segment> {
+        runs.iter()
+            .map(|&(offset, len)| Segment { offset, len })
+            .collect()
     }
 
     #[test]
     fn pieces_slices_ranges() {
         let dt = Datatype::vector(4, 1, 4, &Datatype::float());
-        let m = map_of(&dt, 1); // runs of 4 at 0,16,32,48
+        let m = plan_of(&dt, 1); // runs of 4 at 0,16,32,48
         assert_eq!(m.total(), 16);
-        assert_eq!(m.pieces(0, 16), vec![(0, 4), (16, 4), (32, 4), (48, 4)]);
-        assert_eq!(m.pieces(2, 4), vec![(2, 2), (16, 2)]);
-        assert_eq!(m.pieces(6, 6), vec![(18, 2), (32, 4)]);
+        assert_eq!(m.pieces(0, 16), segs(&[(0, 4), (16, 4), (32, 4), (48, 4)]));
+        assert_eq!(m.pieces(2, 4), segs(&[(2, 2), (16, 2)]));
+        assert_eq!(m.pieces(6, 6), segs(&[(18, 2), (32, 4)]));
         assert!(m.pieces(16, 0).is_empty());
     }
 
@@ -260,17 +182,26 @@ mod tests {
     #[should_panic(expected = "exceeds packed size")]
     fn pieces_out_of_range_panics() {
         let dt = Datatype::float();
-        let m = map_of(&dt, 1);
+        let m = plan_of(&dt, 1);
         let _ = m.pieces(0, 5);
     }
 
     #[test]
-    fn uniform_detection() {
-        assert_eq!(uniform(&[(0, 4), (16, 4), (32, 4)]), Some((0, 16, 4, 3)));
-        assert_eq!(uniform(&[(8, 4)]), Some((8, 4, 4, 1)));
-        assert_eq!(uniform(&[(0, 4), (16, 8)]), None);
-        assert_eq!(uniform(&[(0, 4), (16, 4), (30, 4)]), None);
-        assert_eq!(uniform(&[]), None);
+    fn chunk_shape_detection() {
+        let shape = |runs: &[(isize, usize)]| Canonical::classify(&segs(runs));
+        assert_eq!(
+            shape(&[(0, 4), (16, 4), (32, 4)]),
+            Canonical::Strided1D {
+                first: 0,
+                block: 4,
+                stride: 16,
+                count: 3
+            }
+        );
+        assert_eq!(shape(&[(8, 4)]), Canonical::Contig { offset: 8, len: 4 });
+        assert_eq!(shape(&[(0, 4), (16, 8)]), Canonical::Irregular);
+        assert_eq!(shape(&[(0, 4), (16, 4), (30, 4)]), Canonical::Irregular);
+        assert_eq!(shape(&[]), Canonical::Contig { offset: 0, len: 0 });
     }
 
     #[test]
@@ -282,7 +213,7 @@ mod tests {
             gpu.write_bytes(user, &(0..=255).collect::<Vec<u8>>());
             let s = gpu.create_stream();
             let dt = Datatype::vector(8, 1, 8, &Datatype::float());
-            let m = map_of(&dt, 1);
+            let m = plan_of(&dt, 1);
             let before = gpu.counters().get("cudaMemcpy2DAsync");
             let c = enqueue_gather(&gpu, &s, user, &m.pieces(0, 32), tbuf);
             c.wait();
@@ -306,8 +237,8 @@ mod tests {
             );
             let s = gpu.create_stream();
             let dt = Datatype::vector(32, 1, 8, &Datatype::float());
-            let m = map_of(&dt, 1); // 32 runs of 4 bytes
-                                    // A range that starts and ends mid-run.
+            let m = plan_of(&dt, 1); // 32 runs of 4 bytes
+                                     // A range that starts and ends mid-run.
             let pieces = m.pieces(2, 100);
             let c = enqueue_gather(&gpu, &s, user, &pieces, tbuf);
             c.wait();
@@ -328,7 +259,7 @@ mod tests {
             gpu.write_bytes(user, &(0..=255).collect::<Vec<u8>>());
             let s = gpu.create_stream();
             let dt = Datatype::indexed(&[(1, 0), (2, 9), (1, 30), (3, 40)], &Datatype::int());
-            let m = map_of(&dt, 1);
+            let m = plan_of(&dt, 1);
             let before = gpu.counters().get("kernelLaunch");
             let c = enqueue_gather(&gpu, &s, user, &m.pieces(0, m.total()), tbuf);
             c.wait();
@@ -337,6 +268,33 @@ mod tests {
             for (bl, disp) in [(1usize, 0usize), (2, 9), (1, 30), (3, 40)] {
                 expect.extend(gpu.read_bytes(user.add(disp * 4), bl * 4));
             }
+            assert_eq!(gpu.read_bytes(tbuf, m.total()), expect);
+        });
+    }
+
+    #[test]
+    fn two_level_layout_uses_pack_kernel() {
+        in_sim(|| {
+            let gpu = Gpu::tesla_c2050(0);
+            let user = gpu.malloc(256);
+            let tbuf = gpu.malloc(64);
+            gpu.write_bytes(user, &(0..=255).collect::<Vec<u8>>());
+            let s = gpu.create_stream();
+            // Three columns of four rows: `Strided2D`, which no single
+            // `cudaMemcpy2D` covers.
+            let col = Datatype::vector(4, 1, 8, &Datatype::float());
+            let m = plan_of(&Datatype::resized(&col, 0, 4), 3);
+            assert!(matches!(Canonical::of(&m), Canonical::Strided2D { .. }));
+            let (k, c2d) = ("kernelLaunch", "cudaMemcpy2DAsync");
+            let before = (gpu.counters().get(k), gpu.counters().get(c2d));
+            enqueue_gather(&gpu, &s, user, &m.pieces(0, m.total()), tbuf).wait();
+            let after = (gpu.counters().get(k), gpu.counters().get(c2d));
+            assert_eq!(after, (before.0 + 1, before.1));
+            let expect: Vec<u8> = (0..3)
+                .flat_map(|c| {
+                    (0..4).flat_map(move |r| (0..4).map(move |b| (c * 4 + r * 32 + b) as u8))
+                })
+                .collect();
             assert_eq!(gpu.read_bytes(tbuf, m.total()), expect);
         });
     }
@@ -351,7 +309,7 @@ mod tests {
             gpu.write_bytes(a, &(0..512).map(|i| (i % 241) as u8).collect::<Vec<_>>());
             let s = gpu.create_stream();
             let dt = Datatype::vector(16, 2, 8, &Datatype::float());
-            let m = map_of(&dt, 1); // 16 runs of 8 bytes, pitch 32
+            let m = plan_of(&dt, 1); // 16 runs of 8 bytes, pitch 32
             let pieces = m.pieces(0, m.total());
             enqueue_gather(&gpu, &s, a, &pieces, tbuf).wait();
             enqueue_scatter(&gpu, &s, b, &pieces, tbuf).wait();
@@ -374,7 +332,7 @@ mod tests {
             gpu.write_bytes(user, &(0..128).collect::<Vec<u8>>());
             let s = gpu.create_stream();
             let dt = Datatype::contiguous(32, &Datatype::float());
-            let m = map_of(&dt, 1);
+            let m = plan_of(&dt, 1);
             let before2d = gpu.counters().get("cudaMemcpy2DAsync");
             enqueue_gather(&gpu, &s, user, &m.pieces(0, 128), tbuf).wait();
             assert_eq!(gpu.counters().get("cudaMemcpy2DAsync"), before2d);

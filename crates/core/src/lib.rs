@@ -48,7 +48,6 @@ mod stager;
 pub mod timeline;
 
 pub use cluster::{GpuCluster, GpuRankEnv, WakeTraceSink};
-pub use gpu_pack::SegmentMap;
 pub use ib_sim::{FaultSpec, ShmModel, Topology};
 pub use pools::{Tbuf, TbufPool};
 pub use sim_trace::Recorder;

@@ -20,13 +20,12 @@ use std::sync::Arc;
 
 use gpu_sim::{DevPtr, Gpu, Loc, Stream};
 use hostmem::{HostBuf, HostPtr};
-use mpi_sim::flat::Layout;
 use mpi_sim::staging::{BufferStager, RecvSink, SendSource};
-use mpi_sim::Datatype;
+use mpi_sim::{Canonical, Datatype, Plan};
 use sim_core::{Completion, SimTime};
 use sim_trace::{Lane, LaneKind, Recorder};
 
-use crate::gpu_pack::{enqueue_gather, enqueue_scatter, SegmentMap};
+use crate::gpu_pack::{enqueue_gather, enqueue_scatter};
 use crate::pools::{Tbuf, TbufPool};
 
 /// The per-rank pipeline stage lanes (Figure 3's four GPU-side stages; the
@@ -50,13 +49,13 @@ impl StageLanes {
     }
 }
 
-fn classify(dtype: &Datatype, count: usize, base: DevPtr) -> (SegmentMap, Option<DevPtr>) {
-    let plan = dtype.plan(count);
-    let contiguous = match *plan.layout() {
-        Layout::Contiguous { offset, .. } => Some(base.add_signed(offset)),
+/// Where the message starts when `plan` is one contiguous run of the
+/// buffer at `base` (such buffers skip the tbuf).
+fn contiguous(plan: &Plan, base: DevPtr) -> Option<DevPtr> {
+    match Canonical::of(plan) {
+        Canonical::Contig { offset, .. } => Some(base.add_signed(offset)),
         _ => None,
-    };
-    (SegmentMap::from_plan(plan), contiguous)
+    }
 }
 
 /// Sender half of the GPU pipeline (plugs into the rendezvous engine).
@@ -64,7 +63,7 @@ pub struct GpuSendSource {
     gpu: Gpu,
     pool: Arc<TbufPool>,
     user: DevPtr,
-    map: SegmentMap,
+    plan: Arc<Plan>,
     total: usize,
     contiguous: Option<DevPtr>,
     tbuf: Option<Tbuf>,
@@ -85,17 +84,17 @@ impl GpuSendSource {
         dtype: &Datatype,
         lanes: StageLanes,
     ) -> Self {
-        let (map, contiguous) = classify(dtype, count, user);
-        let total = map.total();
+        let plan = dtype.plan(count);
+        let total = plan.total();
         let pack_stream = gpu.create_stream();
         let d2h_stream = gpu.create_stream();
         GpuSendSource {
             gpu,
             pool,
             user,
-            map,
+            contiguous: contiguous(&plan, user),
+            plan,
             total,
-            contiguous,
             tbuf: None,
             pack_stream,
             d2h_stream,
@@ -133,7 +132,7 @@ impl SendSource for GpuSendSource {
         for i in 0..nchunks {
             let off = i * chunk_size;
             let len = chunk_size.min(self.total - off);
-            let pieces = self.map.pieces(off, len);
+            let pieces = self.plan.pieces(off, len);
             let comp = enqueue_gather(
                 &self.gpu,
                 &self.pack_stream,
@@ -196,7 +195,7 @@ impl SendSource for GpuSendSource {
             return Some((cptr, Completion::ready()));
         }
         let tbuf = self.ensure_tbuf();
-        let pieces = self.map.pieces(0, self.total);
+        let pieces = self.plan.pieces(0, self.total);
         let comp = enqueue_gather(&self.gpu, &self.pack_stream, self.user, &pieces, tbuf);
         self.lanes.pack.comp_span("pack", None, &comp);
         Some((tbuf, comp))
@@ -215,7 +214,7 @@ impl SendSource for GpuSendSource {
             }
             None => {
                 let tbuf = self.ensure_tbuf();
-                let pieces = self.map.pieces(0, self.total);
+                let pieces = self.plan.pieces(0, self.total);
                 let pack = enqueue_gather(&self.gpu, &self.pack_stream, self.user, &pieces, tbuf);
                 self.d2h_stream.wait_event(&pack);
                 self.gpu
@@ -240,7 +239,7 @@ pub struct GpuRecvSink {
     gpu: Gpu,
     pool: Arc<TbufPool>,
     user: DevPtr,
-    map: SegmentMap,
+    plan: Arc<Plan>,
     capacity: usize,
     contiguous: Option<DevPtr>,
     tbuf: Option<Tbuf>,
@@ -263,17 +262,17 @@ impl GpuRecvSink {
         dtype: &Datatype,
         lanes: StageLanes,
     ) -> Self {
-        let (map, contiguous) = classify(dtype, count, user);
-        let capacity = map.total();
+        let plan = dtype.plan(count);
+        let capacity = plan.total();
         let h2d_stream = gpu.create_stream();
         let unpack_stream = gpu.create_stream();
         GpuRecvSink {
             gpu,
             pool,
             user,
-            map,
+            contiguous: contiguous(&plan, user),
+            plan,
             capacity,
-            contiguous,
             tbuf: None,
             h2d_stream,
             unpack_stream,
@@ -325,7 +324,7 @@ impl RecvSink for GpuRecvSink {
                 self.lanes.h2d.comp_span("h2d", Some(idx), &h2d);
                 // Unpack after this chunk's H2D (stream-wait dependency).
                 self.unpack_stream.wait_event(&h2d);
-                let pieces = self.map.pieces(off, len);
+                let pieces = self.plan.pieces(off, len);
                 let up = enqueue_scatter(
                     &self.gpu,
                     &self.unpack_stream,
@@ -397,7 +396,7 @@ impl RecvSink for GpuRecvSink {
         let comp = match self.contiguous {
             Some(cptr) => self.gpu.memcpy_async(cptr, src, total, &self.unpack_stream),
             None => {
-                let pieces = self.map.pieces(0, total);
+                let pieces = self.plan.pieces(0, total);
                 enqueue_scatter(&self.gpu, &self.unpack_stream, self.user, &pieces, src)
             }
         };
@@ -436,7 +435,7 @@ impl RecvSink for GpuRecvSink {
                     &self.h2d_stream,
                 );
                 self.unpack_stream.wait_event(&h2d);
-                let pieces = self.map.pieces(0, data.len());
+                let pieces = self.plan.pieces(0, data.len());
                 enqueue_scatter(&self.gpu, &self.unpack_stream, self.user, &pieces, tbuf.ptr)
                     .wait();
                 self.pool.put(tbuf);

@@ -9,8 +9,7 @@
 //! critical paths see [`sim_trace::analysis`].
 
 use sim_core::SimTime;
-use sim_trace::analysis::{stage_spans, SpanRec};
-use sim_trace::Recorder;
+use sim_trace::analysis::SpanRec;
 
 /// The five pipeline stages in dependence order (Figure 3).
 pub const STAGE_ORDER: [&str; 5] = ["pack", "d2h", "rdma", "h2d", "unpack"];
@@ -42,11 +41,6 @@ pub struct PipelineStats {
     /// wall span. A perfectly serialized pipeline gives ~1.0; full overlap
     /// approaches the number of active stages.
     pub overlap: f64,
-}
-
-/// Analyze the stage spans recorded by `rec`.
-pub fn analyze(rec: &Recorder) -> PipelineStats {
-    analyze_spans(&stage_spans(rec))
 }
 
 /// Analyze an explicit stage-span list (spans on lanes not named in
@@ -113,6 +107,8 @@ mod tests {
     use super::*;
     use crate::baselines::{fill_vector, recv_mv2, send_mv2, VectorXfer};
     use crate::GpuCluster;
+    use sim_trace::analysis::stage_spans;
+    use sim_trace::Recorder;
 
     fn traced_transfer(total: usize) -> Vec<SpanRec> {
         let rec = Recorder::new();

@@ -70,13 +70,12 @@ use self::reliability::{violation, BoundedMap, RetryTimer};
 use self::rput::{RegCache, RputRecv, RputSend};
 use self::staged::{StagedRecv, StagedSend};
 use crate::datatype::Datatype;
-use crate::flat::Layout;
 use crate::invariants;
 use crate::plan::{Canonical, Plan, WireDescriptor};
 use crate::proto::{ConfigError, Envelope, MpiConfig, MpiError, MpiPacket, ReqId, RputKind, Rts};
 use crate::scheme::{DataScheme, SchemeSelector};
 use crate::staging::{BufferStager, HostRecvSink, HostSendSource, RecvSink, SendSource};
-use crate::tuner::{ChunkTuner, LayoutClass};
+use crate::tuner::ChunkTuner;
 
 /// Source selector for receives.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -267,8 +266,8 @@ struct RecvState {
     /// Base pointer + lowered scatter descriptor when the offload scheme
     /// is enabled and this layout admits a bounded wire descriptor.
     offload: Option<(HostPtr, WireDescriptor)>,
-    /// Layout bucket of the receive datatype (autotuner key component).
-    layout_class: LayoutClass,
+    /// Shape of the receive layout (the autotuner keys on its bucket).
+    shape: Canonical,
     phase: RecvPhase,
 }
 
@@ -515,8 +514,8 @@ impl Engine {
     /// If (buf, count, dtype) is a contiguous host region, its start.
     fn contiguous_host_ptr(buf: &Loc, count: usize, dt: &Datatype) -> Option<HostPtr> {
         let Loc::Host(p) = buf else { return None };
-        match dt.flat().layout(count) {
-            Layout::Contiguous { offset, .. } => {
+        match Canonical::of(&dt.plan(count)) {
+            Canonical::Contig { offset, .. } => {
                 let abs = p.offset() as isize + offset;
                 assert!(abs >= 0, "contiguous layout starts before the buffer");
                 Some(p.buf().ptr(abs as usize))
@@ -666,7 +665,7 @@ impl Engine {
                 offload: (self.scheme.offload_enabled())
                     .then(|| self.lower(&buf, &plan))
                     .flatten(),
-                layout_class: LayoutClass::of(plan.layout()),
+                shape: Canonical::of(&plan),
                 phase: RecvPhase::Unmatched,
             },
         );

@@ -21,7 +21,7 @@ use super::{note, Engine, ProtoTrace, RecvPhase, RecvStatus, SendPhase, SendReco
 use crate::invariants;
 use crate::proto::{ChunkPolicy, MpiError, MpiPacket, ReqId, Rts, SeededBug, SlotDesc};
 use crate::transport::Transport;
-use crate::tuner::{settled_counter, TuneKey};
+use crate::tuner::TuneKey;
 
 struct SlotState {
     desc: SlotDesc,
@@ -190,7 +190,7 @@ impl Engine {
         let (chunk_size, tune_key) = match self.cfg.policy {
             ChunkPolicy::Fixed => (self.cfg.chunk_size, None),
             ChunkPolicy::Adaptive { .. } => {
-                let key = TuneKey::new(total, st.layout_class);
+                let key = TuneKey::new(total, &st.shape);
                 (self.tuner.choose(key), Some(key))
             }
         };
@@ -686,8 +686,7 @@ impl Engine {
             if let Some(key) = sr.tune_key {
                 let latency = sim_core::now() - sr.started;
                 if let Some(block) = self.tuner.observe(key, sr.chunk_size, latency) {
-                    let settled = settled_counter(key.layout(), block);
-                    note(&self.counters, &self.trace, settled);
+                    note(&self.counters, &self.trace, key.settled_counter(block));
                 }
             }
             // Return granted vbufs to the pool.

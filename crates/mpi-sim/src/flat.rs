@@ -1,19 +1,12 @@
 //! Flattened datatype layouts.
 //!
 //! `MPI_Type_commit` turns the datatype tree into a normalized list of
-//! `(offset, len)` byte segments in *typemap order* (which is pack order),
-//! merging segments that are adjacent both in traversal order and in
-//! memory. On top of the segment list, [`FlatType::layout`] classifies the
-//! pattern:
-//!
-//! * [`Layout::Contiguous`] — one segment: the fast path everywhere.
-//! * [`Layout::Strided2D`] — equal-length segments at a constant pitch:
-//!   exactly the patterns a single `cudaMemcpy2D` can pack/unpack. This
-//!   classification is the hook the paper's GPU datatype offload relies on
-//!   (a vector of N rows becomes one strided device copy instead of N
-//!   separate transactions).
-//! * [`Layout::Irregular`] — everything else (indexed/struct soups): packed
-//!   segment-by-segment (on the CPU) or with a gather kernel (on the GPU).
+//! `(offset, len)` byte runs ([`Segment`]s) in *typemap order* (which is
+//! pack order), merging runs that are adjacent both in traversal order and
+//! in memory. A [`FlatType`] holds one element's runs; replicating them
+//! over a count and describing the resulting *shape* — contiguous, strided
+//! or irregular — is the job of [`crate::plan`], whose cached [`Plan`]s
+//! hang off the committed type here.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -29,31 +22,6 @@ pub struct Segment {
     pub offset: isize,
     /// Run length in bytes.
     pub len: usize,
-}
-
-/// Classified layout of a (type, count) pair.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub enum Layout {
-    /// A single contiguous run.
-    Contiguous {
-        /// Offset of the run.
-        offset: isize,
-        /// Total bytes.
-        len: usize,
-    },
-    /// `height` runs of `width` bytes, starting `pitch` bytes apart.
-    Strided2D {
-        /// Offset of the first run.
-        first: isize,
-        /// Bytes between run starts (> width, or it would be contiguous).
-        pitch: usize,
-        /// Run width in bytes.
-        width: usize,
-        /// Number of runs.
-        height: usize,
-    },
-    /// No exploitable regularity.
-    Irregular,
 }
 
 /// The committed (flattened) form of a datatype: one element's segments,
@@ -213,14 +181,9 @@ impl FlatType {
         out
     }
 
-    /// Classify the layout of `count` elements.
-    pub fn layout(&self, count: usize) -> Layout {
-        self.plan(count).layout().clone()
-    }
-
     /// The cached communication plan for `count` elements: expanded
-    /// segments, prefix sums and layout classification, built at most once
-    /// per cached count and shared via `Arc`.
+    /// segments, prefix sums and shape, built at most once per cached count
+    /// and shared via `Arc`.
     pub fn plan(&self, count: usize) -> Arc<Plan> {
         self.plans.get_or_build(count, || Plan::build(self, count))
     }
@@ -234,37 +197,6 @@ impl FlatType {
     /// actually built rather than served from cache).
     pub fn expand_count(&self) -> u64 {
         self.expand_calls.load(Ordering::Relaxed)
-    }
-
-    /// Classify an explicit segment list.
-    pub fn classify(segs: &[Segment]) -> Layout {
-        match segs {
-            [] => Layout::Contiguous { offset: 0, len: 0 },
-            [s] => Layout::Contiguous {
-                offset: s.offset,
-                len: s.len,
-            },
-            [first, second, rest @ ..] => {
-                let width = first.len;
-                if second.len != width || second.offset <= first.offset {
-                    return Layout::Irregular;
-                }
-                let pitch = (second.offset - first.offset) as usize;
-                let mut prev = second.offset;
-                for s in rest {
-                    if s.len != width || s.offset - prev != pitch as isize {
-                        return Layout::Irregular;
-                    }
-                    prev = s.offset;
-                }
-                Layout::Strided2D {
-                    first: first.offset,
-                    pitch,
-                    width,
-                    height: segs.len(),
-                }
-            }
-        }
     }
 
     /// Smallest and one-past-largest byte offsets touched by `count`
@@ -291,16 +223,30 @@ impl FlatType {
 mod tests {
     use super::*;
     use crate::datatype::SubarrayOrder;
+    use crate::plan::Canonical;
 
     fn flat(dt: &Datatype) -> FlatType {
         FlatType::build(dt)
+    }
+
+    fn shape(f: &FlatType, count: usize) -> Canonical {
+        Canonical::of(&f.plan(count))
+    }
+
+    fn strided(first: isize, block: usize, stride: usize, count: usize) -> Canonical {
+        Canonical::Strided1D {
+            first,
+            block,
+            stride,
+            count,
+        }
     }
 
     #[test]
     fn primitive_is_one_segment() {
         let f = flat(&Datatype::float());
         assert_eq!(f.segments(), &[Segment { offset: 0, len: 4 }]);
-        assert_eq!(f.layout(1), Layout::Contiguous { offset: 0, len: 4 });
+        assert_eq!(shape(&f, 1), Canonical::Contig { offset: 0, len: 4 });
     }
 
     #[test]
@@ -315,15 +261,7 @@ mod tests {
         // 4 blocks of 1 float, stride 3 floats.
         let f = flat(&Datatype::vector(4, 1, 3, &Datatype::float()));
         assert_eq!(f.segments().len(), 4);
-        assert_eq!(
-            f.layout(1),
-            Layout::Strided2D {
-                first: 0,
-                pitch: 12,
-                width: 4,
-                height: 4
-            }
-        );
+        assert_eq!(shape(&f, 1), strided(0, 4, 12, 4));
     }
 
     #[test]
@@ -339,7 +277,7 @@ mod tests {
         // stride == blocklen: no holes.
         let f = flat(&Datatype::vector(4, 2, 2, &Datatype::int()));
         assert_eq!(f.segments().len(), 1);
-        assert_eq!(f.layout(1), Layout::Contiguous { offset: 0, len: 32 });
+        assert_eq!(shape(&f, 1), Canonical::Contig { offset: 0, len: 32 });
     }
 
     #[test]
@@ -352,20 +290,22 @@ mod tests {
         let col = Datatype::resized(&col, 0, 4); // extent = one float
         col.commit();
         let f = col.flat();
-        // Two columns side by side is NOT a single 2D pattern (offsets
+        // Two columns side by side is NOT a single stride level (offsets
         // 0,24,48,72 then 4,28,52,76 — the sequence restarts), so count=2
-        // must classify as Irregular.
-        assert_eq!(f.layout(2), Layout::Irregular);
-        // A single column is perfectly strided.
+        // must not classify as `Strided1D`: it is two groups of four.
         assert_eq!(
-            f.layout(1),
-            Layout::Strided2D {
+            shape(&f, 2),
+            Canonical::Strided2D {
                 first: 0,
-                pitch: 24,
-                width: 4,
-                height: 4
+                block: 4,
+                stride: 24,
+                count: 4,
+                outer_stride: 4,
+                outer_count: 2
             }
         );
+        // A single column is perfectly strided.
+        assert_eq!(shape(&f, 1), strided(0, 4, 24, 4));
     }
 
     #[test]
@@ -385,15 +325,7 @@ mod tests {
         let elem = Datatype::resized(&elem, 0, 96);
         elem.commit();
         let f = elem.flat();
-        assert_eq!(
-            f.layout(3),
-            Layout::Strided2D {
-                first: 0,
-                pitch: 24,
-                width: 4,
-                height: 12
-            }
-        );
+        assert_eq!(shape(&f, 3), strided(0, 4, 24, 12));
     }
 
     #[test]
@@ -402,7 +334,7 @@ mod tests {
             &[(1, 0), (2, 3), (1, 9)],
             &Datatype::int(),
         ));
-        assert_eq!(f.layout(1), Layout::Irregular);
+        assert_eq!(shape(&f, 1), Canonical::Irregular);
         assert_eq!(f.total_bytes(1), 16);
     }
 
@@ -431,15 +363,7 @@ mod tests {
         );
         t.commit();
         let f = t.flat();
-        assert_eq!(
-            f.layout(1),
-            Layout::Strided2D {
-                first: (2 * 10 + 5) * 4,
-                pitch: 40,
-                width: 16,
-                height: 3
-            }
-        );
+        assert_eq!(shape(&f, 1), strided((2 * 10 + 5) * 4, 16, 40, 3));
     }
 
     #[test]
@@ -462,7 +386,7 @@ mod tests {
     }
 
     #[test]
-    fn classify_rejects_descending_offsets() {
+    fn descending_offsets_are_irregular() {
         let segs = [
             Segment {
                 offset: 100,
@@ -471,13 +395,13 @@ mod tests {
             Segment { offset: 0, len: 4 },
             Segment { offset: 50, len: 4 },
         ];
-        assert_eq!(FlatType::classify(&segs), Layout::Irregular);
+        assert_eq!(Canonical::classify(&segs), Canonical::Irregular);
     }
 
     #[test]
     fn empty_type_flattens_to_nothing() {
         let f = flat(&Datatype::vector(0, 1, 1, &Datatype::float()));
         assert!(f.segments().is_empty());
-        assert_eq!(f.layout(5), Layout::Contiguous { offset: 0, len: 0 });
+        assert_eq!(shape(&f, 5), Canonical::Contig { offset: 0, len: 0 });
     }
 }

@@ -6,8 +6,9 @@
 //!
 //! * the full **derived datatype engine** (contiguous, vector, hvector,
 //!   indexed, hindexed, struct, subarray, resized) with MPI 2.2
-//!   size/extent rules, plus flattening that recognizes `cudaMemcpy2D`-able
-//!   strided layouts ([`flat::Layout::Strided2D`]);
+//!   size/extent rules, plus flattening into one layout IR — a cached
+//!   [`Plan`] whose [`Canonical`] shape recognizes `cudaMemcpy2D`-able
+//!   strided layouts ([`Canonical::Strided1D`]);
 //! * **point-to-point** with tag/source matching (wildcards, non-overtaking
 //!   order, unexpected-message queue), blocking and nonblocking calls;
 //! * three data protocols: **eager**, **rendezvous rput** (one RDMA post

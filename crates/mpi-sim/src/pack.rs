@@ -4,56 +4,102 @@
 //! to/from a contiguous representation in chunk-sized pieces — O(total)
 //! overall even when a message is packed in many chunks, which matters for
 //! the pipelined rendezvous path. Cursors run over a shared [`Plan`]
-//! (usually a plan-cache hit, so creating one allocates nothing), and
-//! `Strided2D` plans are coalesced into pitched bulk copies instead of
-//! per-segment dispatch.
+//! (usually a plan-cache hit, so creating one allocates nothing). Both are
+//! one stepping loop plus a copy direction; whole rows of a
+//! [`Canonical::Strided1D`] plan are coalesced into pitched bulk copies
+//! instead of per-segment dispatch.
 
+use std::ops::Range;
 use std::sync::Arc;
 
-use hostmem::HostPtr;
+use hostmem::{HostBuf, HostPtr};
 
-use crate::flat::{Layout, Segment};
-use crate::plan::Plan;
+use crate::flat::Segment;
+use crate::plan::{Canonical, Plan};
+
+/// A position in the packed stream of `plan`, laid over the buffer at
+/// `base`: everything a cursor is except its copy direction.
+struct Cursor {
+    base: HostPtr,
+    plan: Arc<Plan>,
+    seg_idx: usize,
+    seg_off: usize,
+    done: usize,
+}
 
 /// Streaming packer: reads a non-contiguous layout (`plan` relative to
 /// `base`) and produces the packed byte stream incrementally.
-pub struct PackCursor {
-    base: HostPtr,
-    plan: Arc<Plan>,
-    seg_idx: usize,
-    seg_off: usize,
-    produced: usize,
-}
+pub struct PackCursor(Cursor);
 
 /// Streaming unpacker: consumes a packed byte stream and scatters it into a
 /// non-contiguous layout.
-pub struct UnpackCursor {
-    base: HostPtr,
-    plan: Arc<Plan>,
-    seg_idx: usize,
-    seg_off: usize,
-    consumed: usize,
-}
+pub struct UnpackCursor(Cursor);
 
-/// Whole rows of a strided plan remaining at `seg_idx` that fit in `room`
-/// bytes; the cursors hand those to one pitched copy when there are at
-/// least two (a lone row gains nothing over the generic path).
-fn strided_run(
-    plan: &Plan,
-    seg_idx: usize,
-    seg_off: usize,
-    room: usize,
-) -> Option<(usize, usize, usize)> {
-    if seg_off != 0 {
-        return None;
-    }
-    if let Layout::Strided2D { pitch, width, .. } = *plan.layout() {
-        let rows = (room / width).min(plan.num_segments() - seg_idx);
-        if rows >= 2 {
-            return Some((pitch, width, rows));
+impl Cursor {
+    fn new(base: HostPtr, plan: Arc<Plan>) -> Self {
+        Cursor {
+            base,
+            plan,
+            seg_idx: 0,
+            seg_off: 0,
+            done: 0,
         }
     }
-    None
+
+    fn finished(&self) -> bool {
+        self.seg_idx >= self.plan.num_segments()
+    }
+
+    /// Advance `len` bytes through the packed stream. Each step hands
+    /// `copy(buf, at, pitch, width, rows, range)` one pitched run of the
+    /// buffer — `rows` rows of `width` bytes starting `pitch` apart, the
+    /// first at absolute offset `at` — and the `range` of the caller's
+    /// contiguous slice it maps to. Panics if fewer than `len` bytes remain.
+    fn step(
+        &mut self,
+        len: usize,
+        mut copy: impl FnMut(&HostBuf, usize, usize, usize, usize, Range<usize>),
+    ) {
+        let mut pos = 0;
+        while pos < len {
+            let seg = *self
+                .plan
+                .segments()
+                .get(self.seg_idx)
+                .expect("cursor stepped past the end of the datatype");
+            let room = len - pos;
+            // Whole rows of a single-level strided plan go as one pitched
+            // copy when at least two fit (a lone row gains nothing);
+            // anything else is one, possibly clipped, segment.
+            let whole_rows = match Canonical::of(&self.plan) {
+                Canonical::Strided1D { block, stride, .. } if self.seg_off == 0 => {
+                    let rows = (room / block).min(self.plan.num_segments() - self.seg_idx);
+                    (rows >= 2).then_some((stride, block, rows))
+                }
+                _ => None,
+            };
+            let (pitch, width, rows) = whole_rows.unwrap_or_else(|| {
+                let take = (seg.len - self.seg_off).min(room);
+                (take, take, 1)
+            });
+            let at = abs_offset(&self.base, &seg, self.seg_off);
+            copy(
+                self.base.buf(),
+                at,
+                pitch,
+                width,
+                rows,
+                pos..pos + rows * width,
+            );
+            pos += rows * width;
+            self.seg_off += width;
+            if self.seg_off == seg.len {
+                self.seg_idx += rows;
+                self.seg_off = 0;
+            }
+        }
+        self.done += len;
+    }
 }
 
 fn abs_offset(base: &HostPtr, seg: &Segment, within: usize) -> usize {
@@ -75,69 +121,31 @@ impl PackCursor {
 
     /// Create a packer over a shared plan of the buffer at `base`.
     pub fn from_plan(base: HostPtr, plan: Arc<Plan>) -> Self {
-        PackCursor {
-            base,
-            plan,
-            seg_idx: 0,
-            seg_off: 0,
-            produced: 0,
-        }
+        PackCursor(Cursor::new(base, plan))
     }
 
     /// Total bytes produced so far.
     pub fn produced(&self) -> usize {
-        self.produced
+        self.0.done
     }
 
     /// True when every segment has been packed.
     pub fn finished(&self) -> bool {
-        self.seg_idx >= self.plan.num_segments()
+        self.0.finished()
     }
 
     /// Pack the next `out.len()` bytes of the stream into `out`. Panics if
     /// fewer bytes remain.
     pub fn pack_into(&mut self, out: &mut [u8]) {
-        let mut pos = 0;
-        while pos < out.len() {
-            if let Some((pitch, width, rows)) =
-                strided_run(&self.plan, self.seg_idx, self.seg_off, out.len() - pos)
-            {
-                let seg = self.plan.segments()[self.seg_idx];
-                let src = abs_offset(&self.base, &seg, 0);
-                self.base.buf().read_strided(
-                    src,
-                    pitch,
-                    width,
-                    rows,
-                    &mut out[pos..pos + rows * width],
-                );
-                pos += rows * width;
-                self.seg_idx += rows;
-                continue;
-            }
-            let seg = *self
-                .plan
-                .segments()
-                .get(self.seg_idx)
-                .expect("PackCursor: packed past the end of the datatype");
-            let avail = seg.len - self.seg_off;
-            let take = avail.min(out.len() - pos);
-            let src = abs_offset(&self.base, &seg, self.seg_off);
-            self.base.buf().read_into(src, &mut out[pos..pos + take]);
-            pos += take;
-            self.seg_off += take;
-            if self.seg_off == seg.len {
-                self.seg_idx += 1;
-                self.seg_off = 0;
-            }
-        }
-        self.produced += out.len();
+        self.0
+            .step(out.len(), |buf, at, pitch, width, rows, range| {
+                buf.read_strided(at, pitch, width, rows, &mut out[range])
+            });
     }
 
     /// Pack the entire remaining stream.
     pub fn pack_all(&mut self) -> Vec<u8> {
-        let remaining = self.plan.total() - self.plan.packed_offset(self.seg_idx) - self.seg_off;
-        let mut out = vec![0u8; remaining];
+        let mut out = vec![0u8; self.0.plan.total() - self.0.done];
         self.pack_into(&mut out);
         out
     }
@@ -151,63 +159,26 @@ impl UnpackCursor {
 
     /// Create an unpacker over a shared plan of the buffer at `base`.
     pub fn from_plan(base: HostPtr, plan: Arc<Plan>) -> Self {
-        UnpackCursor {
-            base,
-            plan,
-            seg_idx: 0,
-            seg_off: 0,
-            consumed: 0,
-        }
+        UnpackCursor(Cursor::new(base, plan))
     }
 
     /// Total bytes consumed so far.
     pub fn consumed(&self) -> usize {
-        self.consumed
+        self.0.done
     }
 
     /// True when every segment has been filled.
     pub fn finished(&self) -> bool {
-        self.seg_idx >= self.plan.num_segments()
+        self.0.finished()
     }
 
     /// Scatter the next `data.len()` bytes of the packed stream. Panics if
     /// that exceeds the layout's remaining capacity.
     pub fn unpack_from(&mut self, data: &[u8]) {
-        let mut pos = 0;
-        while pos < data.len() {
-            if let Some((pitch, width, rows)) =
-                strided_run(&self.plan, self.seg_idx, self.seg_off, data.len() - pos)
-            {
-                let seg = self.plan.segments()[self.seg_idx];
-                let dst = abs_offset(&self.base, &seg, 0);
-                self.base.buf().write_strided(
-                    dst,
-                    pitch,
-                    width,
-                    rows,
-                    &data[pos..pos + rows * width],
-                );
-                pos += rows * width;
-                self.seg_idx += rows;
-                continue;
-            }
-            let seg = *self
-                .plan
-                .segments()
-                .get(self.seg_idx)
-                .expect("UnpackCursor: unpacked past the end of the datatype");
-            let avail = seg.len - self.seg_off;
-            let take = avail.min(data.len() - pos);
-            let dst = abs_offset(&self.base, &seg, self.seg_off);
-            self.base.buf().write(dst, &data[pos..pos + take]);
-            pos += take;
-            self.seg_off += take;
-            if self.seg_off == seg.len {
-                self.seg_idx += 1;
-                self.seg_off = 0;
-            }
-        }
-        self.consumed += data.len();
+        self.0
+            .step(data.len(), |buf, at, pitch, width, rows, range| {
+                buf.write_strided(at, pitch, width, rows, &data[range])
+            });
     }
 }
 

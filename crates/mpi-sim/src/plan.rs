@@ -1,13 +1,21 @@
-//! Committed communication plans.
+//! Committed communication plans: the one layout IR.
 //!
 //! A [`Plan`] is everything the library needs to move one `(datatype,
-//! count)` message: the expanded segment list, its prefix sums (packed-byte
-//! offsets) and its [`Layout`] classification. Building one costs an
-//! allocation plus a walk over every segment, which is exactly the
-//! datatype-processing overhead the paper (and TEMPI after it) identifies
-//! as the tax on derived-datatype communication — so committed types carry
-//! a small LRU [`PlanCache`] keyed by `count`, and the steady-state send
-//! path clones an `Arc<Plan>` instead of re-expanding.
+//! count)` message: the expanded run list, its prefix sums (packed-byte
+//! offsets) and its shape, a [`Canonical`]. The shape is computed once, by
+//! [`Canonical::classify`] when the plan is built — the only code in the
+//! workspace that inspects a run list for regularity — and every consumer
+//! reads it from the plan: the CPU cursors' pitched copies
+//! ([`crate::pack`]), the engine's contiguous fast path, the GPU stager's
+//! `memcpy` / `memcpy_2d` / gather-kernel choice (`mv2-gpu-nc`), the NIC
+//! offload lowering ([`WireDescriptor::lower`]) and the autotuner's bucket.
+//!
+//! Building a plan costs an allocation plus a walk over every run, which
+//! is exactly the datatype-processing overhead the paper (and TEMPI after
+//! it) identifies as the tax on derived-datatype communication — so
+//! committed types carry a small LRU [`PlanCache`] keyed by `count`, and
+//! the steady-state send path clones an `Arc<Plan>` instead of
+//! re-expanding.
 //!
 //! Cache traffic is observable two ways: per-type via
 //! [`crate::Datatype::plan_cache_stats`], and process-wide through
@@ -20,21 +28,16 @@ use std::sync::Arc;
 
 use sim_core::lock::Mutex;
 
-use crate::flat::{FlatType, Layout, Segment};
-
-/// A piece of a packed-byte range mapped back to buffer space:
-/// `(buffer offset, length)`.
-pub type Piece = (isize, usize);
+use crate::flat::{FlatType, Segment};
 
 /// The immutable, shareable expansion of `count` elements of a committed
 /// datatype: segments in pack order, packed-offset prefix sums, and the
-/// classified layout.
+/// shape.
 #[derive(Debug)]
 pub struct Plan {
     segments: Vec<Segment>,
     /// `prefix[i]` = packed bytes before segment `i`; last entry = total.
     prefix: Vec<usize>,
-    layout: Layout,
     canonical: Canonical,
 }
 
@@ -48,12 +51,10 @@ impl Plan {
             acc += s.len;
             prefix.push(acc);
         }
-        let layout = FlatType::classify(&segments);
-        let canonical = Canonical::classify(&layout, &segments);
+        let canonical = Canonical::classify(&segments);
         Plan {
             segments,
             prefix,
-            layout,
             canonical,
         }
     }
@@ -83,14 +84,11 @@ impl Plan {
         self.prefix[i]
     }
 
-    /// The classified layout.
-    pub fn layout(&self) -> &Layout {
-        &self.layout
-    }
-
-    /// Map the packed-byte range `[off, off+len)` to buffer-space pieces.
-    /// Panics if the range exceeds the packed size.
-    pub fn pieces(&self, off: usize, len: usize) -> Vec<Piece> {
+    /// Map the packed-byte range `[off, off+len)` back to buffer space: the
+    /// runs of the user buffer that cover it, in pack order (a pipeline
+    /// chunk's share of the layout). Panics if the range exceeds the
+    /// packed size.
+    pub fn pieces(&self, off: usize, len: usize) -> Vec<Segment> {
         assert!(
             off + len <= self.total(),
             "range [{off}, +{len}) exceeds packed size {}",
@@ -108,7 +106,10 @@ impl Plan {
             let seg = &self.segments[i];
             let within = cur - self.prefix[i];
             let take = (seg.len - within).min(end - cur);
-            out.push((seg.offset + within as isize, take));
+            out.push(Segment {
+                offset: seg.offset + within as isize,
+                len: take,
+            });
             cur += take;
             i += 1;
         }
@@ -116,24 +117,26 @@ impl Plan {
     }
 }
 
-/// TEMPI-style canonical form of a plan: the observation (PAPERS.md) that
+/// The shape of a run list, TEMPI-style: the observation (PAPERS.md) that
 /// almost every derived datatype seen in practice collapses into at most
-/// two stride levels, so one small descriptor can drive an entire
-/// transfer. [`Plan::from_segments`] recovers the form from the expanded
-/// segment list — including two-level patterns the single-level [`Layout`]
-/// classifier files under [`Layout::Irregular`] (e.g. `count > 1` of a
-/// resized column type, or the rows-within-planes of a 3-D subarray).
+/// two stride levels, so one small descriptor can drive every consumer of
+/// a transfer. Two-level patterns are recovered from the expanded list
+/// itself (e.g. `count > 1` of a resized column type, or the
+/// rows-within-planes of a 3-D subarray).
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum Canonical {
-    /// One contiguous run at `offset`.
+    /// One contiguous run at `offset` (zero-length for an empty list).
     Contig {
         /// Byte offset of the run, relative to the buffer pointer.
         offset: isize,
         /// Run length, bytes.
         len: usize,
     },
-    /// A single stride level: `count` blocks of `block` bytes, `stride`
-    /// bytes apart (an `MPI_Type_vector`).
+    /// A single stride level: `count >= 2` blocks of `block` bytes,
+    /// `stride` bytes apart (an `MPI_Type_vector`) — exactly the patterns a
+    /// single `cudaMemcpy2D` can pack or unpack, which is the hook the
+    /// paper's GPU datatype offload relies on (a vector of N rows becomes
+    /// one strided device copy instead of N separate transactions).
     Strided1D {
         /// Offset of the first block, relative to the buffer pointer.
         first: isize,
@@ -160,86 +163,72 @@ pub enum Canonical {
         /// Number of groups.
         outer_count: usize,
     },
-    /// No bounded strided description exists (deep struct soup).
+    /// No bounded strided description exists (indexed/struct soup): packed
+    /// run by run on the CPU, with a gather kernel on the GPU.
     Irregular,
 }
 
 impl Canonical {
-    /// The canonical form of a plan: computed once, when the plan is
-    /// built, and read from it here.
+    /// The shape of a plan: computed once, when the plan is built, and
+    /// read from it here.
     pub fn of(plan: &Plan) -> Canonical {
         plan.canonical
     }
 
-    /// Classify a segment list. Cheap for lists the [`Layout`] classifier
-    /// already solved; a single `O(segments)` scan for the two-level
-    /// recovery.
-    fn classify(layout: &Layout, segments: &[Segment]) -> Canonical {
-        match *layout {
-            Layout::Contiguous { offset, len } => Canonical::Contig { offset, len },
-            Layout::Strided2D {
-                first,
-                pitch,
-                width,
-                height,
-            } => Canonical::Strided1D {
-                first,
-                block: width,
-                stride: pitch,
-                count: height,
-            },
-            Layout::Irregular => two_level(segments),
-        }
-    }
-}
-
-/// Try to describe an `Irregular` segment list as two stride levels:
-/// equal-width blocks forming `g` groups of `r`, constant inner pitch,
-/// constant outer pitch. Group extents may interleave (a resized column
-/// type restarts below the previous column) — DMA order is the descriptor
-/// walk, not address order, so that's fine.
-fn two_level(segs: &[Segment]) -> Canonical {
-    let n = segs.len();
-    if n < 4 {
-        return Canonical::Irregular;
-    }
-    let w = segs[0].len;
-    if w == 0 || segs.iter().any(|s| s.len != w) {
-        return Canonical::Irregular;
-    }
-    let p = segs[1].offset - segs[0].offset;
-    if p <= 0 {
-        return Canonical::Irregular;
-    }
-    // Inner run length: the first break in the pitch-`p` arithmetic.
-    let r = (1..n)
-        .find(|&i| segs[i].offset - segs[i - 1].offset != p)
-        .unwrap_or(n);
-    if r < 2 || r == n || !n.is_multiple_of(r) {
-        return Canonical::Irregular;
-    }
-    let big = segs[r].offset - segs[0].offset;
-    if big <= 0 {
-        return Canonical::Irregular;
-    }
-    let g = n / r;
-    for k in 0..g {
-        if segs[k * r].offset - segs[0].offset != big * k as isize {
+    /// Classify a run list (in pack order) with one scan. Equal-width
+    /// blocks at a constant positive pitch are a single level for as long
+    /// as the pitch holds; at its first break the blocks seen so far become
+    /// group 0 and the scan goes on to recover two levels — the rest of the
+    /// list must repeat that group at a constant positive outer pitch.
+    /// Group extents may interleave (a resized column type restarts below
+    /// the previous column): a consumer walks the description, not address
+    /// order, so that is fine.
+    pub fn classify(segs: &[Segment]) -> Canonical {
+        let (s0, s1) = match *segs {
+            [] => return Canonical::Contig { offset: 0, len: 0 },
+            [s] => {
+                return Canonical::Contig {
+                    offset: s.offset,
+                    len: s.len,
+                }
+            }
+            [s0, s1, ..] => (s0, s1),
+        };
+        let n = segs.len();
+        let (first, block, pitch) = (s0.offset, s0.len, s1.offset - s0.offset);
+        if block == 0 || pitch <= 0 {
             return Canonical::Irregular;
         }
-        for i in 1..r {
-            if segs[k * r + i].offset - segs[k * r + i - 1].offset != p {
-                return Canonical::Irregular;
-            }
+        let stride = pitch as usize;
+        let in_pitch = |w: &[Segment]| w[1].len == block && w[1].offset - w[0].offset == pitch;
+        let Some(inner) = segs.windows(2).position(|w| !in_pitch(w)).map(|k| k + 1) else {
+            return Canonical::Strided1D {
+                first,
+                block,
+                stride,
+                count: n,
+            };
+        };
+        let outer = segs[inner].offset - first;
+        let groups = || segs.chunks_exact(inner);
+        let tiled = n.is_multiple_of(inner)
+            && outer > 0
+            && groups().zip(groups().skip(1)).all(|(prev, group)| {
+                group[0].len == block
+                    && group[0].offset - prev[0].offset == outer
+                    && group.windows(2).all(in_pitch)
+            });
+        if !tiled {
+            return Canonical::Irregular;
         }
-    }
-    Canonical::Strided2D {
-        first: segs[0].offset,
-        block: w,
-        stride: p as usize,
-        count: r,
-        outer_stride: big as usize,
-        outer_count: g,
+        Canonical::Strided2D {
+            first,
+            block,
+            stride,
+            count: inner,
+            outer_stride: outer as usize,
+            outer_count: n / inner,
+        }
     }
 }
 
@@ -495,10 +484,10 @@ mod tests {
     #[test]
     fn pieces_split_and_clip_segments() {
         let p = Plan::from_segments(vec![seg(0, 4), seg(12, 4), seg(24, 8)]);
-        assert_eq!(p.pieces(0, 16), vec![(0, 4), (12, 4), (24, 8)]);
-        assert_eq!(p.pieces(2, 4), vec![(2, 2), (12, 2)]);
-        assert_eq!(p.pieces(10, 6), vec![(26, 6)]);
-        assert_eq!(p.pieces(16, 0), Vec::<Piece>::new());
+        assert_eq!(p.pieces(0, 16), vec![seg(0, 4), seg(12, 4), seg(24, 8)]);
+        assert_eq!(p.pieces(2, 4), vec![seg(2, 2), seg(12, 2)]);
+        assert_eq!(p.pieces(10, 6), vec![seg(26, 6)]);
+        assert_eq!(p.pieces(16, 0), Vec::<Segment>::new());
     }
 
     #[test]
@@ -514,8 +503,8 @@ mod tests {
         assert_eq!(p.total(), 0);
         assert!(p.pieces(0, 0).is_empty());
         assert_eq!(
-            p.layout(),
-            &Layout::Contiguous { offset: 0, len: 0 },
+            Canonical::of(&p),
+            Canonical::Contig { offset: 0, len: 0 },
             "empty expansion classifies as a zero-length run"
         );
     }
@@ -566,13 +555,12 @@ mod tests {
 
     #[test]
     fn canonical_recovers_two_levels_from_irregular() {
-        // Two planes of three rows: inner pitch 16, outer pitch 100 — the
-        // single-level classifier calls this Irregular.
+        // Two planes of three rows: inner pitch 16, outer pitch 100 — no
+        // single stride level describes it.
         let segs: Vec<Segment> = (0..2)
             .flat_map(|pl| (0..3).map(move |r| seg(pl * 100 + r * 16, 8)))
             .collect();
         let p = Plan::from_segments(segs);
-        assert_eq!(p.layout(), &Layout::Irregular);
         assert_eq!(
             Canonical::of(&p),
             Canonical::Strided2D {

@@ -3,7 +3,7 @@
 //! The paper finds the 64 KB staging block by an offline sweep (§V-B): too
 //! small and per-chunk overheads dominate, too large and the pipeline
 //! stages stop overlapping. The tuner redoes that sweep online, per
-//! receiver and per `(message size class, layout class)` key: every staged
+//! receiver and per `(message size class, layout bucket)` key: every staged
 //! transfer is timed RTS-to-completion, and a deterministic local search
 //! over a power-of-two ladder walks from `MpiConfig::chunk_size` toward
 //! the latency minimum, settling once both neighbors of the best rung have
@@ -15,72 +15,61 @@ use std::collections::HashMap;
 
 use sim_core::SimDur;
 
-use crate::flat::Layout;
+use crate::plan::Canonical;
 use crate::proto::{ChunkPolicy, MpiConfig};
 
-/// Coarse layout bucket: patterns in the same bucket pipeline alike.
-#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
-pub(crate) enum LayoutClass {
-    Contiguous,
-    Strided,
-    Irregular,
-}
-
-impl LayoutClass {
-    pub(crate) fn of(layout: &Layout) -> Self {
-        match layout {
-            Layout::Contiguous { .. } => LayoutClass::Contiguous,
-            Layout::Strided2D { .. } => LayoutClass::Strided,
-            Layout::Irregular => LayoutClass::Irregular,
-        }
-    }
-}
-
-/// Static counter name for a settled search, `tuner.settled.<layout>.<kb>k`
-/// — counters require `&'static str`, so the power-of-two ladder is spelled
-/// out and anything off it falls into `.other`.
-pub(crate) fn settled_counter(layout: LayoutClass, block: usize) -> &'static str {
-    macro_rules! per_block {
-        ($layout:literal) => {
-            match block {
-                0x1000 => concat!("tuner.settled.", $layout, ".4k"),
-                0x2000 => concat!("tuner.settled.", $layout, ".8k"),
-                0x4000 => concat!("tuner.settled.", $layout, ".16k"),
-                0x8000 => concat!("tuner.settled.", $layout, ".32k"),
-                0x10000 => concat!("tuner.settled.", $layout, ".64k"),
-                0x20000 => concat!("tuner.settled.", $layout, ".128k"),
-                0x40000 => concat!("tuner.settled.", $layout, ".256k"),
-                0x80000 => concat!("tuner.settled.", $layout, ".512k"),
-                0x100000 => concat!("tuner.settled.", $layout, ".1024k"),
-                _ => concat!("tuner.settled.", $layout, ".other"),
-            }
-        };
-    }
-    match layout {
-        LayoutClass::Contiguous => per_block!("contiguous"),
-        LayoutClass::Strided => per_block!("strided"),
-        LayoutClass::Irregular => per_block!("irregular"),
-    }
-}
-
 /// Tuning key: transfers of the same power-of-two size class and layout
-/// class share one search state.
+/// bucket share one search state.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
 pub(crate) struct TuneKey {
     size_class: u32,
-    layout: LayoutClass,
+    /// Coarse layout bucket, by its counter name: shapes in the same
+    /// bucket pipeline alike.
+    bucket: &'static str,
 }
 
 impl TuneKey {
-    pub(crate) fn new(total: usize, layout: LayoutClass) -> Self {
+    /// The key of a `total`-byte transfer into a receive layout of `shape`.
+    /// A two-level `Strided2D` stays with the irregular shapes: the staged
+    /// pipeline packs it the same way (run by run on the CPU, one gather
+    /// kernel per chunk on the GPU).
+    pub(crate) fn new(total: usize, shape: &Canonical) -> Self {
         TuneKey {
             size_class: usize::BITS - total.max(1).leading_zeros(),
-            layout,
+            bucket: match shape {
+                Canonical::Contig { .. } => "contiguous",
+                Canonical::Strided1D { .. } => "strided",
+                Canonical::Strided2D { .. } | Canonical::Irregular => "irregular",
+            },
         }
     }
 
-    pub(crate) fn layout(&self) -> LayoutClass {
-        self.layout
+    /// Static counter name for a search of this key that settled on
+    /// `block`, `tuner.settled.<bucket>.<kb>k` — counters require
+    /// `&'static str`, so the power-of-two ladder is spelled out and
+    /// anything off it falls into `.other`.
+    pub(crate) fn settled_counter(&self, block: usize) -> &'static str {
+        macro_rules! per_block {
+            ($bucket:literal) => {
+                match block {
+                    0x1000 => concat!("tuner.settled.", $bucket, ".4k"),
+                    0x2000 => concat!("tuner.settled.", $bucket, ".8k"),
+                    0x4000 => concat!("tuner.settled.", $bucket, ".16k"),
+                    0x8000 => concat!("tuner.settled.", $bucket, ".32k"),
+                    0x10000 => concat!("tuner.settled.", $bucket, ".64k"),
+                    0x20000 => concat!("tuner.settled.", $bucket, ".128k"),
+                    0x40000 => concat!("tuner.settled.", $bucket, ".256k"),
+                    0x80000 => concat!("tuner.settled.", $bucket, ".512k"),
+                    0x100000 => concat!("tuner.settled.", $bucket, ".1024k"),
+                    _ => concat!("tuner.settled.", $bucket, ".other"),
+                }
+            };
+        }
+        match self.bucket {
+            "contiguous" => per_block!("contiguous"),
+            "strided" => per_block!("strided"),
+            _ => per_block!("irregular"),
+        }
     }
 }
 
@@ -191,8 +180,25 @@ mod tests {
         MpiConfig::default()
     }
 
+    const CONTIG: Canonical = Canonical::Contig { offset: 0, len: 64 };
+    const STRIDED: Canonical = Canonical::Strided1D {
+        first: 0,
+        block: 4,
+        stride: 16,
+        count: 8,
+    };
+    /// Two planes of four rows: a two-level shape.
+    const PLANES: Canonical = Canonical::Strided2D {
+        first: 0,
+        block: 4,
+        stride: 16,
+        count: 4,
+        outer_stride: 100,
+        outer_count: 2,
+    };
+
     fn key() -> TuneKey {
-        TuneKey::new(4 << 20, LayoutClass::Strided)
+        TuneKey::new(4 << 20, &STRIDED)
     }
 
     #[test]
@@ -258,23 +264,31 @@ mod tests {
 
     #[test]
     fn settled_counter_names_are_static_and_distinct() {
-        let a = settled_counter(LayoutClass::Strided, 64 << 10);
-        let b = settled_counter(LayoutClass::Contiguous, 64 << 10);
-        let c = settled_counter(LayoutClass::Strided, 128 << 10);
-        assert_eq!(a, "tuner.settled.strided.64k");
-        assert_eq!(b, "tuner.settled.contiguous.64k");
-        assert_eq!(c, "tuner.settled.strided.128k");
+        let settled =
+            |shape: &Canonical, block| TuneKey::new(4 << 20, shape).settled_counter(block);
+        assert_eq!(settled(&STRIDED, 64 << 10), "tuner.settled.strided.64k");
+        assert_eq!(settled(&CONTIG, 64 << 10), "tuner.settled.contiguous.64k");
+        assert_eq!(settled(&STRIDED, 128 << 10), "tuner.settled.strided.128k");
         assert_eq!(
-            settled_counter(LayoutClass::Irregular, 12345),
+            settled(&Canonical::Irregular, 12345),
             "tuner.settled.irregular.other"
         );
     }
 
     #[test]
+    fn two_level_shapes_share_the_irregular_bucket() {
+        assert_eq!(
+            TuneKey::new(4 << 20, &PLANES),
+            TuneKey::new(4 << 20, &Canonical::Irregular)
+        );
+        assert_ne!(TuneKey::new(4 << 20, &PLANES), key());
+    }
+
+    #[test]
     fn keys_are_tuned_independently() {
         let mut t = ChunkTuner::new(&adaptive_cfg());
-        let k1 = TuneKey::new(4 << 20, LayoutClass::Strided);
-        let k2 = TuneKey::new(64 << 10, LayoutClass::Contiguous);
+        let k1 = TuneKey::new(4 << 20, &STRIDED);
+        let k2 = TuneKey::new(64 << 10, &CONTIG);
         assert_ne!(k1, k2);
         let b1 = t.choose(k1);
         t.observe(k1, b1, SimDur::from_nanos(1_000));

@@ -53,6 +53,13 @@ cargo run --release -q -p bench --bin trace_report -- \
 [[ -s /tmp/trace_report_smoke.json ]] || { echo "empty trace report"; exit 1; }
 [[ -s /tmp/trace_smoke.chrome.json ]] || { echo "empty chrome trace"; exit 1; }
 
+echo "==> pipeline trace smoke (Figure 3 timeline vs the committed results/pipeline_trace.json)"
+# Every field is virtual time, so any difference is drift: either the
+# pipeline changed (regenerate the file and say why) or something broke.
+cargo run --release -q -p bench --bin pipeline_trace -- --json \
+    | diff - results/pipeline_trace.json > /dev/null \
+    || { echo "results/pipeline_trace.json is stale"; exit 1; }
+
 echo "==> rank scale smoke (event/thread carrier wake-trace cross-check)"
 # The bin asserts an 8-rank halo3d run produces bit-identical scheduling
 # grants, virtual times and checksums under the event-driven kernel and
@@ -87,5 +94,11 @@ echo "==> job mix smoke (multi-job QoS + sole-tenant identity + host-cost shape 
 cargo run --release -q -p bench --bin job_mix -- \
     --smoke true --out /tmp/BENCH_jobmix_smoke.json > /dev/null
 [[ -s /tmp/BENCH_jobmix_smoke.json ]] || { echo "empty job mix report"; exit 1; }
+
+echo "==> perfbench smoke (benchmark/ compiles against the workspace; unit tests + every workload)"
+# benchmark/ is its own package outside the workspace, pinned to this
+# tree's public API: a break of that surface fails here, not in the
+# benchmark pipeline.
+benchmark/smoke.sh > /dev/null
 
 echo "CI OK"

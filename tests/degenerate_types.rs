@@ -5,9 +5,8 @@
 //! streams, and unpacking must land every byte at the same offsets.
 
 use gpu_nc_repro::mpi_sim::pack::{PackCursor, UnpackCursor};
-use gpu_nc_repro::mpi_sim::Datatype;
+use gpu_nc_repro::mpi_sim::{Datatype, Plan};
 use gpu_nc_repro::mv2_gpu_nc::gpu_pack::{enqueue_gather, enqueue_scatter};
-use gpu_nc_repro::mv2_gpu_nc::SegmentMap;
 use gpu_sim::Gpu;
 use hostmem::HostBuf;
 use sim_core::Sim;
@@ -51,7 +50,7 @@ fn check_pack_unpack(dt: &Datatype, count: usize) {
         let user = gpu.malloc(span.max(1));
         gpu.write_bytes(user, &pattern2);
         let userp = user.add(base_off);
-        let m = SegmentMap::new(segs2.clone());
+        let m = Plan::from_segments(segs2.clone());
         assert_eq!(m.total(), total);
 
         let gpu_packed = if total == 0 {

@@ -5,7 +5,10 @@
 //! Each test runs a fixed number of cases drawn from a seeded [`XorShift64`]
 //! stream, so failures are fully reproducible.
 
-use gpu_nc_repro::mpi_sim::{Datatype, MpiConfig, MpiWorld};
+use gpu_nc_repro::mpi_sim::flat::Segment;
+use gpu_nc_repro::mpi_sim::{
+    Canonical, Datatype, MpiConfig, MpiWorld, Plan, SubarrayOrder, WireDescriptor,
+};
 use gpu_nc_repro::mv2_gpu_nc::GpuCluster;
 use hostmem::HostBuf;
 use xorshift::XorShift64;
@@ -312,13 +315,11 @@ fn tiny_windows_never_deadlock() {
     }
 }
 
-/// A cached plan is byte-identical to a fresh expansion — segments, prefix
-/// sums, layout classification and packed-range mapping — including after
-/// the LRU has evicted and re-inserted the count.
+/// A cached plan is identical to a fresh expansion — segments, prefix sums
+/// and shape — including after the LRU has evicted and re-inserted the
+/// count.
 #[test]
 fn cached_plan_matches_fresh_expansion() {
-    use gpu_nc_repro::mv2_gpu_nc::SegmentMap;
-
     let mut rng = XorShift64::new(0x5EED_0005);
     let mut evictions = 0u64;
     for _ in 0..12 {
@@ -331,22 +332,15 @@ fn cached_plan_matches_fresh_expansion() {
         for _ in 0..lookups {
             let count = rng.gen_range(1, 24);
             let plan = dt.plan(count);
-            let fresh = dt.flat().expanded(count);
-            assert_eq!(plan.segments(), &fresh[..], "segment list diverged");
+            let fresh = Plan::from_segments(dt.flat().expanded(count));
+            assert_eq!(plan.segments(), fresh.segments(), "segment list diverged");
             assert_eq!(
-                plan.layout(),
-                &gpu_nc_repro::mpi_sim::flat::FlatType::classify(&fresh),
-                "layout diverged"
+                Canonical::of(&plan),
+                Canonical::of(&fresh),
+                "shape diverged"
             );
-            let map = SegmentMap::new(fresh);
-            assert_eq!(plan.total(), map.total());
-            assert_eq!(plan.num_segments(), map.num_segments());
-            for _ in 0..4 {
-                let total = plan.total();
-                let off = rng.gen_range(0, total + 1);
-                let len = rng.gen_range(0, total - off + 1);
-                assert_eq!(plan.pieces(off, len), map.pieces(off, len));
-            }
+            assert_eq!(plan.total(), fresh.total());
+            assert_eq!(plan.num_segments(), fresh.num_segments());
         }
         let s = dt.plan_cache_stats();
         assert_eq!(
@@ -357,4 +351,247 @@ fn cached_plan_matches_fresh_expansion() {
         evictions += s.evictions;
     }
     assert!(evictions > 0, "count churn past capacity must evict");
+}
+
+fn seg(offset: isize, len: usize) -> Segment {
+    Segment { offset, len }
+}
+
+/// The run list a non-`Irregular` shape stands for, in pack order.
+fn expand(shape: Canonical) -> Vec<Segment> {
+    let blocks = |first: isize, block, stride: usize, count| {
+        (0..count).map(move |i| seg(first + (i * stride) as isize, block))
+    };
+    match shape {
+        Canonical::Contig { len: 0, .. } => Vec::new(),
+        Canonical::Contig { offset, len } => vec![seg(offset, len)],
+        Canonical::Strided1D {
+            first,
+            block,
+            stride,
+            count,
+        } => blocks(first, block, stride, count).collect(),
+        Canonical::Strided2D {
+            first,
+            block,
+            stride,
+            count,
+            outer_stride,
+            outer_count,
+        } => (0..outer_count)
+            .flat_map(|g| blocks(first + (g * outer_stride) as isize, block, stride, count))
+            .collect(),
+        Canonical::Irregular => panic!("an irregular shape stands for no run list"),
+    }
+}
+
+/// The three things every consumer of a non-`Irregular` shape relies on:
+/// the shape *is* the run list, the lowered descriptor clipped at any byte
+/// is the packed-range mapping, and lowering needs exactly one entry per
+/// group. Returns the shape so callers can count coverage.
+fn check_shape(plan: &Plan, rng: &mut XorShift64) -> Canonical {
+    let shape = Canonical::of(plan);
+    let groups = match shape {
+        Canonical::Irregular => {
+            assert!(WireDescriptor::lower(plan, usize::MAX).is_none());
+            return shape;
+        }
+        Canonical::Strided2D { outer_count, .. } => outer_count,
+        _ => 1,
+    };
+    assert_eq!(
+        expand(shape),
+        plan.segments(),
+        "{shape:?} is not the run list"
+    );
+
+    let total = plan.total();
+    if total == 0 {
+        assert!(
+            WireDescriptor::lower(plan, 256).is_none(),
+            "nothing to move"
+        );
+        return shape;
+    }
+    assert!(
+        WireDescriptor::lower(plan, groups - 1).is_none(),
+        "{shape:?} fits no fewer than {groups} entries"
+    );
+    let desc = WireDescriptor::lower(plan, groups).expect("one entry per group");
+    assert_eq!((desc.entries().len(), desc.total()), (groups, total));
+
+    // Clip at every segment boundary and one byte either side of it, plus
+    // seeded random offsets.
+    let mut cuts: Vec<usize> = (0..=plan.num_segments())
+        .map(|i| plan.packed_offset(i))
+        .flat_map(|b| [b.saturating_sub(1), b, (b + 1).min(total)])
+        .collect();
+    cuts.extend((0..8).map(|_| rng.gen_range(0, total + 1)));
+    for b in cuts {
+        let clipped = desc.prefix(b);
+        assert_eq!(clipped.total(), b);
+        assert!(
+            clipped.entries().len() <= groups + 1,
+            "at most one tail entry"
+        );
+        let walked: Vec<Segment> = clipped
+            .entries()
+            .iter()
+            .flat_map(|e| (0..e.count).map(move |i| seg(e.offset + (i * e.stride) as isize, e.len)))
+            .collect();
+        assert_eq!(walked, plan.pieces(0, b), "prefix({b}) of {shape:?}");
+    }
+    shape
+}
+
+/// `Canonical` carries every consumer of a layout, so what it claims about
+/// a run list must be exactly that run list: generated datatype trees at
+/// counts 1..=4, plus hand-built shapes aimed at the two-level recovery,
+/// `WireDescriptor::prefix`'s mid-block split and the 256-entry budget.
+#[test]
+fn canonical_shape_is_the_run_list() {
+    let mut rng = XorShift64::new(0x5EED_0006);
+    // [contig, one level, two levels, irregular] seen among generated trees.
+    let mut seen = [0usize; 4];
+    for _ in 0..200 {
+        let dt = type_spec(&mut rng).dt.build();
+        dt.commit();
+        for count in 1..=4 {
+            let slot = match check_shape(&dt.plan(count), &mut rng) {
+                Canonical::Contig { .. } => 0,
+                Canonical::Strided1D { .. } => 1,
+                Canonical::Strided2D { .. } => 2,
+                Canonical::Irregular => 3,
+            };
+            seen[slot] += 1;
+        }
+    }
+    assert!(
+        seen.iter().all(|&n| n > 0),
+        "the generator must reach every shape: {seen:?}"
+    );
+
+    let shape_of =
+        |rng: &mut XorShift64, segs: Vec<Segment>| check_shape(&Plan::from_segments(segs), rng);
+    // Two planes of three rows, and the smallest two-level list there is.
+    let planes: Vec<Segment> = (0..2)
+        .flat_map(|p| (0..3).map(move |r| seg(p * 100 + r * 16, 8)))
+        .collect();
+    assert_eq!(
+        shape_of(&mut rng, planes.clone()),
+        Canonical::Strided2D {
+            first: 0,
+            block: 8,
+            stride: 16,
+            count: 3,
+            outer_stride: 100,
+            outer_count: 2
+        }
+    );
+    assert!(matches!(
+        shape_of(
+            &mut rng,
+            vec![seg(0, 4), seg(8, 4), seg(100, 4), seg(108, 4)]
+        ),
+        Canonical::Strided2D {
+            count: 2,
+            outer_count: 2,
+            ..
+        }
+    ));
+    // Near misses are soup: a late outer pitch, a late inner pitch, one odd
+    // width, groups that do not tile, a group restarting below the first,
+    // a second break that would regroup the list, and a constant pitch
+    // that is not positive.
+    let bent = |i: usize, by: isize, grow: usize| {
+        let mut s = planes.clone();
+        s[i] = seg(s[i].offset + by, s[i].len + grow);
+        s
+    };
+    let mut three_planes = planes.clone();
+    three_planes.extend((0..3).map(|r| seg(210 + r * 16, 8)));
+    for soup in [
+        three_planes,
+        bent(5, 2, 0),
+        bent(4, 0, 1),
+        planes[..5].to_vec(),
+        vec![seg(50, 4), seg(58, 4), seg(0, 4), seg(8, 4)],
+        [0, 8, 100, 150, 158, 166].map(|o| seg(o, 4)).to_vec(),
+        vec![seg(100, 4), seg(50, 4), seg(0, 4)],
+        vec![seg(0, 4), seg(0, 4), seg(0, 4)],
+    ] {
+        assert_eq!(shape_of(&mut rng, soup), Canonical::Irregular);
+    }
+
+    // A 3-D subarray: rows within planes.
+    let sub = Datatype::subarray(
+        &[4, 6, 8],
+        &[3, 2, 5],
+        &[1, 2, 3],
+        SubarrayOrder::C,
+        &Datatype::float(),
+    );
+    sub.commit();
+    assert!(matches!(
+        check_shape(&sub.plan(1), &mut rng),
+        Canonical::Strided2D {
+            block: 20,
+            count: 2,
+            outer_count: 3,
+            ..
+        }
+    ));
+    // The halo column: a strided vector resized to one element, so `count`
+    // columns interleave — one level alone, two levels together.
+    let col = Datatype::resized(&Datatype::vector(4, 1, 300, &Datatype::float()), 0, 4);
+    col.commit();
+    assert!(matches!(
+        check_shape(&col.plan(1), &mut rng),
+        Canonical::Strided1D { count: 4, .. }
+    ));
+    for count in 2..=4 {
+        assert_eq!(
+            check_shape(&col.plan(count), &mut rng),
+            Canonical::Strided2D {
+                first: 0,
+                block: 4,
+                stride: 1200,
+                count: 4,
+                outer_stride: 4,
+                outer_count: count
+            }
+        );
+    }
+    // A row type resized to its full extent continues its own pitch.
+    let rows = Datatype::resized(&Datatype::hvector(4, 1, 24, &Datatype::float()), 0, 96);
+    rows.commit();
+    assert!(matches!(
+        check_shape(&rows.plan(3), &mut rng),
+        Canonical::Strided1D {
+            count: 12,
+            stride: 24,
+            ..
+        }
+    ));
+
+    // The HCA's entry budget: 256 groups lower, 257 do not.
+    assert!(matches!(
+        check_shape(&col.plan(256), &mut rng),
+        Canonical::Strided2D {
+            outer_count: 256,
+            ..
+        }
+    ));
+    assert_eq!(
+        WireDescriptor::lower(&col.plan(256), 256).map(|d| d.entries().len()),
+        Some(256)
+    );
+    assert!(matches!(
+        Canonical::of(&col.plan(257)),
+        Canonical::Strided2D {
+            outer_count: 257,
+            ..
+        }
+    ));
+    assert!(WireDescriptor::lower(&col.plan(257), 256).is_none());
 }
