@@ -15,9 +15,8 @@
 //! Knobs: `--seed N`, `--drop P`, `--rdma-err P` (probabilities in [0,1]).
 
 use bench::{print_table, HarnessArgs, Json, ToJson};
-use halo3d::{run_halo3d_campaign, Halo3dParams, Variant};
-use mv2_gpu_nc::FaultSpec;
-use sim_core::SanitizerMode;
+use halo3d::{run_halo3d, run_halo3d_on, Halo3dParams, Variant};
+use mv2_gpu_nc::{FaultSpec, GpuCluster};
 
 fn main() {
     let args = HarnessArgs::parse(&["seed", "drop", "rdma-err", "out"]);
@@ -49,11 +48,11 @@ fn main() {
         local: (16, 32, 40),
         iters: 4,
     };
-    let (clean, _) = run_halo3d_campaign::<f64>(p, Variant::Mv2, true, SanitizerMode::Off, None);
+    let clean = run_halo3d::<f64>(p, Variant::Mv2, true);
     let g = sim_core::instrument::global();
     let base = g.snapshot();
-    let (faulty, _) =
-        run_halo3d_campaign::<f64>(p, Variant::Mv2, true, SanitizerMode::Off, Some(spec));
+    let cluster = GpuCluster::new(p.nranks()).faults(spec);
+    let (faulty, _) = run_halo3d_on::<f64>(cluster, p, Variant::Mv2, true);
     let delta = g.delta(&base);
 
     let mut mismatched = Vec::new();

@@ -1,7 +1,7 @@
 //! Multi-job shared-cluster campaign: per-job slowdown distributions under
 //! an open-loop Poisson arrival stream, the tail under 2x overload, the
-//! HCA QoS weight shift between co-located tenants, the sole-tenant
-//! bit-identity guard, and plan-cache / autotuner stability.
+//! HCA QoS weight shift between co-located tenants, and plan-cache /
+//! autotuner stability.
 //!
 //! Three campaigns run over the same seeded 5-kind job mix
 //! ([`cluster_sim::generate`]):
@@ -19,13 +19,10 @@
 //! * (b) QoS shift: two identical OSU jobs pinned to the same two nodes
 //!   finish in weight order, and the 4:1 service-time ratio measurably
 //!   exceeds the 1:1 control's.
-//! * (c) Sole-tenant identity: one job through the fabric's multi-tenant
-//!   arbitration path (forced by a phantom tenant) is bit-identical —
-//!   timings *and* trace stream — to the dedicated fast path.
 //! * Stability: every autotuner key that settles in isolation also settles
 //!   in the mix, and no campaign ever evicts a pack plan (the per-type
 //!   LRU never thrashes from interleaved jobs).
-//! * (d) Host cost: wall-clock per job of a shared campaign at 1024 jobs
+//! * (c) Host cost: wall-clock per job of a shared campaign at 1024 jobs
 //!   is at most twice that at 256 — building and retiring a tenant must
 //!   not cost more the more tenants the fabric has already seen.
 //!
@@ -215,43 +212,6 @@ fn run_campaign(
     }
 }
 
-/// Guard (c): one job at 100% share through the multi-tenant arbitration
-/// path (a phantom tenant forces it) is bit-identical to the dedicated
-/// fast path — same per-job timings, same makespan, same trace stream.
-fn identity_guard() {
-    let job = SizedJob {
-        kind: JobKind::Gradient,
-        scale: 2,
-    };
-    let run = |phantoms: usize| {
-        let rec = Recorder::new();
-        let params = ClusterParams {
-            phys_nodes: job.ranks(),
-            phantom_tenants: phantoms,
-            recorder: Some(rec.clone()),
-            ..ClusterParams::default()
-        };
-        let out = run_mix(
-            &params,
-            &[JobPlan {
-                job,
-                arrive_ns: 0,
-                qos: JobQos::default(),
-            }],
-        );
-        (
-            out.jobs[0].clone(),
-            out.makespan_ns,
-            format!("{:?}", rec.events()),
-        )
-    };
-    let (job_a, end_a, trace_a) = run(0);
-    let (job_b, end_b, trace_b) = run(1);
-    assert_eq!(job_a, job_b, "identity guard: per-job timings diverged");
-    assert_eq!(end_a, end_b, "identity guard: makespan diverged");
-    assert_eq!(trace_a, trace_b, "identity guard: trace streams diverged");
-}
-
 /// Guard (b): weighted HCA arbitration measurably shifts slowdown between
 /// two identical tenants on the same nodes, against a 1:1 control.
 struct QosShift {
@@ -322,7 +282,7 @@ fn qos_shift_guard() -> QosShift {
     }
 }
 
-/// Guard (d): host milliseconds per job of a shared-placement campaign
+/// Guard (c): host milliseconds per job of a shared-placement campaign
 /// (tracing off), at 256 and at 1024 jobs of the same arrival process.
 struct HostScale {
     wall_ms_per_job_256: f64,
@@ -389,8 +349,6 @@ fn main() {
         .and_then(|v| v.parse().ok())
         .unwrap_or(20211);
 
-    identity_guard();
-    println!("identity guard OK: sole tenant bit-identical across fabric paths");
     let qos = qos_shift_guard();
     println!(
         "QoS shift guard OK: 4:1 weights -> {:.3}x service ratio ({:.3}x at 1:1)",
@@ -529,7 +487,6 @@ fn main() {
                 ("overload_p99_finite".to_string(), Json::Bool(true)),
                 ("overload_p99_ge_baseline".to_string(), Json::Bool(true)),
                 ("qos_shift_measurable".to_string(), Json::Bool(true)),
-                ("sole_tenant_bit_identical".to_string(), Json::Bool(true)),
                 ("tuner_settled_stable".to_string(), Json::Bool(true)),
                 ("plan_cache_no_evictions".to_string(), Json::Bool(true)),
                 ("host_ms_per_job_ratio_le_2".to_string(), Json::Bool(true)),

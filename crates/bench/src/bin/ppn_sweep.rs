@@ -10,9 +10,9 @@
 //! (`--out PATH` overrides the default `results/BENCH_ppn.json`).
 
 use bench::{print_table, HarnessArgs, Json, ToJson};
-use halo3d::{run_halo3d_mapped, run_halo3d_topo, Halo3dParams, Variant};
+use halo3d::{run_halo3d_on, Halo3dParams, Variant};
 use ib_sim::Topology;
-use sim_core::SanitizerMode;
+use mv2_gpu_nc::GpuCluster;
 use sim_trace::Recorder;
 
 struct Row {
@@ -79,27 +79,13 @@ fn main() {
         .map(|ppn| {
             let nodes = n / ppn;
             let rec = Recorder::new();
-            let (blocked, _) = run_halo3d_topo::<f32>(
-                p,
-                Variant::Mv2,
-                false,
-                SanitizerMode::Off,
-                None,
-                Some(rec.clone()),
-                ppn,
-            );
+            let cluster = GpuCluster::new(n).ppn(ppn).recorder(rec.clone());
+            let (blocked, _) = run_halo3d_on::<f32>(cluster, p, Variant::Mv2, false);
             let (hca_tx_bytes, shm_bytes) = fabric_bytes(&rec, nodes);
             // Same node count and GPU sharing, but co-located ranks never
             // neighbour each other, so every halo crosses the wire.
-            let (remote, _) = run_halo3d_mapped::<f32>(
-                p,
-                Variant::Mv2,
-                false,
-                SanitizerMode::Off,
-                None,
-                None,
-                all_remote(&p, ppn),
-            );
+            let cluster = GpuCluster::new(n).topology(all_remote(&p, ppn));
+            let (remote, _) = run_halo3d_on::<f32>(cluster, p, Variant::Mv2, false);
             assert_eq!(
                 blocked.checksum(),
                 remote.checksum(),

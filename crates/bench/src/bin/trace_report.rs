@@ -12,14 +12,13 @@
 //! override).
 
 use bench::{emit_json, print_table, ExperimentRecord, HarnessArgs, Json, ToJson};
-use halo3d::{run_halo3d_traced, Halo3dParams};
+use halo3d::{run_halo3d_on, Halo3dParams};
 use mv2_gpu_nc::baselines::{fill_vector, recv_mv2, send_mv2, VectorXfer};
 use mv2_gpu_nc::timeline::STAGE_ORDER;
 use mv2_gpu_nc::{GpuCluster, Recorder};
-use sim_core::SanitizerMode;
 use sim_trace::analysis::{lane_utilization, overlap_factor, spans, stage_spans, window};
 use sim_trace::LaneKind;
-use stencil2d::{run_stencil_traced, RunOptions, StencilParams};
+use stencil2d::{run_stencil_on, RunOptions, StencilParams};
 
 struct LaneRow {
     scope: String,
@@ -170,35 +169,26 @@ fn main() {
 
     // halo3d: a 2x2 j/i-split whose faces are all above the eager limit.
     let halo_rec = Recorder::new();
-    run_halo3d_traced::<f64>(
-        Halo3dParams {
-            grid: (2, 2, 1),
-            local: (24, 32, 48),
-            iters: 3,
-        },
-        halo3d::Variant::Mv2,
-        false,
-        SanitizerMode::Off,
-        None,
-        Some(halo_rec.clone()),
-    );
+    let halo = Halo3dParams {
+        grid: (2, 2, 1),
+        local: (24, 32, 48),
+        iters: 3,
+    };
+    let cluster = GpuCluster::new(halo.nranks()).recorder(halo_rec.clone());
+    run_halo3d_on::<f64>(cluster, halo, halo3d::Variant::Mv2, false);
 
     // stencil2d: staged east/west column halos, eager north/south rows.
     let sten_rec = Recorder::new();
-    run_stencil_traced::<f32>(
-        StencilParams {
-            py: 2,
-            px: 2,
-            rows: 4096,
-            cols: 256,
-            iters: 2,
-        },
-        stencil2d::Variant::Mv2,
-        RunOptions::default(),
-        SanitizerMode::Off,
-        None,
-        Some(sten_rec.clone()),
-    );
+    let sten = StencilParams {
+        py: 2,
+        px: 2,
+        rows: 4096,
+        cols: 256,
+        iters: 2,
+    };
+    let cluster = GpuCluster::new(sten.nranks()).recorder(sten_rec.clone());
+    let opts = RunOptions::default();
+    run_stencil_on::<f32>(cluster, sten, stencil2d::Variant::Mv2, opts);
 
     let workloads = [
         Workload {

@@ -2,6 +2,12 @@
 //! hosting every planned job, a scheduler fiber that places arrivals onto
 //! physical nodes, and one fiber per rank gated on its job's placement.
 //!
+//! A multi-tenant campaign is a different *description* of a job than
+//! `mpi_sim::MpiWorld` (many topologies, QoS, arrival instants, a
+//! scheduler), not a different bring-up: per-node GPUs come from
+//! [`mv2_gpu_nc::node_gpu`] and every tenant rank is seated by
+//! [`GpuRankEnv::new`], the same two functions `GpuCluster` launches with.
+//!
 //! Determinism doctrine: the whole campaign — arrival instants, placement
 //! decisions, QoS arbitration, every rank's protocol schedule — is a pure
 //! function of the plan and the fabric seed. The same plan replays bit-
@@ -13,10 +19,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use gpu_sim::{CostModel, Gpu};
-use ib_sim::{Fabric, FaultSpec, JobSpec, NetModel, ShmModel, Topology};
-use mpi_sim::staging::BufferStager;
-use mpi_sim::{Comm, MpiConfig};
-use mv2_gpu_nc::{GpuRankEnv, GpuStager};
+use ib_sim::{Fabric, FaultSpec, JobSpec, NetModel, ShmModel};
+use mpi_sim::{MpiConfig, Seat};
+use mv2_gpu_nc::{node_gpu, GpuRankEnv};
 use sim_core::lock::Mutex;
 use sim_core::{now, sleep, ExecMode, Mailbox, Sim, SimDur, SimTime};
 use sim_trace::{LaneKind, Recorder};
@@ -51,10 +56,6 @@ pub struct ClusterParams {
     pub exec: Option<ExecMode>,
     /// Seeded fabric fault injection for resilience campaigns.
     pub faults: Option<FaultSpec>,
-    /// Extra declared-but-never-run tenants. A phantom tenant forces the
-    /// fabric onto the multi-job arbitration path without adding traffic —
-    /// the bit-identity guard runs the same job with 0 and 1 phantoms.
-    pub phantom_tenants: usize,
     /// Trace recorder; `None` builds a fresh enabled recorder.
     pub recorder: Option<Recorder>,
 }
@@ -67,7 +68,6 @@ impl Default for ClusterParams {
             mpi: MpiConfig::default(),
             exec: None,
             faults: None,
-            phantom_tenants: 0,
             recorder: None,
         }
     }
@@ -136,7 +136,7 @@ pub fn run_mix(params: &ClusterParams, plans: &[JobPlan]) -> ClusterOutcome {
         }
     }
     let njobs = plans.len();
-    let mut specs: Vec<JobSpec> = plans
+    let specs: Vec<JobSpec> = plans
         .iter()
         .enumerate()
         .map(|(j, p)| JobSpec {
@@ -145,9 +145,6 @@ pub fn run_mix(params: &ClusterParams, plans: &[JobPlan]) -> ClusterOutcome {
             label: format!("job{j}."),
         })
         .collect();
-    for k in 0..params.phantom_tenants {
-        specs.push(JobSpec::labeled(njobs + k, Topology::one_per_node(1)));
-    }
     for (j, p) in plans.iter().enumerate() {
         assert!(
             p.job.ranks() <= params.phys_nodes,
@@ -176,10 +173,10 @@ pub fn run_mix(params: &ClusterParams, plans: &[JobPlan]) -> ClusterOutcome {
     // queue-wait counters (how long each tenant's work sat behind the
     // other's on the copy/compute engines) go into the registry separately
     // from the per-GPU span lanes.
+    let cost = CostModel::tesla_c2050();
     let gpus: Vec<Gpu> = (0..params.phys_nodes)
         .map(|node| {
-            let gpu = Gpu::new(node as u32, CostModel::tesla_c2050(), 3 << 30);
-            gpu.attach_recorder(&rec);
+            let gpu = node_gpu(node, &cost, 3 << 30, &rec);
             rec.register_counters(&format!("gpu{node}.queue"), gpu.queue_waits());
             gpu
         })
@@ -218,21 +215,17 @@ pub fn run_mix(params: &ClusterParams, plans: &[JobPlan]) -> ClusterOutcome {
             let mut cfg = params.mpi.clone();
             sim.spawn(format!("job{j}.rank{r}"), move || {
                 gate.recv();
-                let nic = fabric.job_nic(j, r);
-                let gpu = gpus[nic.physical_node()].clone();
-                let scope = format!("{}rank{r}", nic.scope_prefix());
-                let stager = GpuStager::with_scope(gpu.clone(), &scope, &rec);
-                let stagers: Arc<Vec<Box<dyn BufferStager>>> =
-                    Arc::new(vec![Box::new(stager) as Box<dyn BufferStager>]);
                 // The vbuf pool is partitioned by the job's advisory share
                 // (never below the pipeline's minimum working set).
                 cfg.pool_vbufs = ((cfg.pool_vbufs as f64 * qos.vbuf_share).round() as usize).max(4);
-                let comm = Comm::create_traced(nic, r, ranks, cfg, stagers, &rec);
-                let env = GpuRankEnv {
-                    comm,
-                    gpu,
+                let seat = Seat {
+                    nic: fabric.job_nic(j, r),
+                    rank: r,
+                    size: ranks,
+                    cfg,
                     recorder: rec,
                 };
+                let env = GpuRankEnv::new(seat, &gpus);
                 job.run(&env);
                 env.comm.finalize();
                 if remaining.fetch_sub(1, Ordering::SeqCst) == 1 {

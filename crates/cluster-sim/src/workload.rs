@@ -5,21 +5,20 @@
 //!
 //! Every body runs against a [`GpuRankEnv`] exactly like a dedicated
 //! [`mv2_gpu_nc::GpuCluster`] job would, so the same code serves dedicated
-//! baseline runs and tenant runs on a shared fabric. Bodies verify their
-//! own numerics where that is cheap (the transpose is bit-exact against
-//! the serial reference, the gradient loop matches the serial training
-//! loop bit for bit), so a mixed campaign doubles as a correctness check
-//! of the staging pipeline under contention.
+//! baseline runs and tenant runs on a shared fabric — the bodies *are* the
+//! applications' own per-rank code (`halo3d::Halo3dRank`,
+//! `stencil2d::StencilRank`, `coll_apps::{transpose_rank, gradient_rank}`),
+//! not copies of it. Bodies verify their own numerics where that is cheap
+//! (the transpose is bit-exact against the serial reference, the gradient
+//! loop matches the serial training loop bit for bit), so a mixed campaign
+//! doubles as a correctness check of the staging pipeline under contention.
 
+use coll_apps::{gradient_rank, serial_gradient, serial_transpose, transpose_rank, Mem};
 use hostmem::{bytes_to_scalars, scalars_to_bytes, HostBuf};
 use ib_sim::Topology;
-use mpi_sim::{Datatype, ReduceOp};
+use mpi_sim::Datatype;
 use mv2_gpu_nc::baselines::{fill_vector, verify_vector, VectorXfer};
 use mv2_gpu_nc::GpuRankEnv;
-
-use coll_apps::gradient::{local_grad, serial_gradient};
-use coll_apps::transpose::{element, serial_transpose};
-use gpu_sim::Loc;
 
 /// The application families: five mix tenants plus the host-bandwidth
 /// QoS probe.
@@ -152,99 +151,30 @@ fn run_stencil(env: &GpuRankEnv, scale: usize) {
     rank.free();
 }
 
-/// Distributed N x N transpose over `alltoallv` of strided-column tiles on
-/// device buffers, bit-exact against [`serial_transpose`]. N = 16 * scale.
+/// Distributed N x N transpose on device buffers
+/// ([`coll_apps::transpose_rank`]), bit-exact against
+/// [`serial_transpose`]. N = 16 * scale.
 fn run_transpose(env: &GpuRankEnv, scale: usize) {
-    let comm = &env.comm;
-    let (me, np) = (comm.rank(), comm.size());
     let n = 16 * scale;
-    let b = n / np;
-    let row_bytes = n * 8;
-
-    let mine: Vec<f64> = (0..b)
-        .flat_map(|r| (0..n).map(move |k| element(n, me * b + r, k)))
-        .collect();
-    let send_host = HostBuf::from_vec(scalars_to_bytes(&mine));
-    let recv_host = HostBuf::alloc(b * row_bytes);
-    let d_send = env.gpu.malloc(b * row_bytes);
-    let d_recv = env.gpu.malloc(b * row_bytes);
-    env.gpu.memcpy(d_send, send_host.base(), b * row_bytes);
-
-    let f64t = Datatype::double();
-    f64t.commit();
-    let col = Datatype::hvector(b, 1, row_bytes as isize, &f64t);
-    let tile_cols: Vec<(usize, isize)> = (0..b).map(|c| (1, (c * 8) as isize)).collect();
-    let stile = Datatype::hindexed(&tile_cols, &col);
-    stile.commit();
-    let rtile = Datatype::hvector(b, b, row_bytes as isize, &f64t);
-    rtile.commit();
-
-    let counts = vec![1usize; np];
-    let displs: Vec<usize> = (0..np).map(|j| j * b * 8).collect();
-    comm.barrier();
-    comm.alltoallv(
-        Loc::Device(d_send),
-        &counts,
-        &displs,
-        &stile,
-        Loc::Device(d_recv),
-        &counts,
-        &displs,
-        &rtile,
-    );
-
-    env.gpu.memcpy(recv_host.base(), d_recv, b * row_bytes);
-    env.gpu.free(d_send);
-    env.gpu.free(d_recv);
-    let block = bytes_to_scalars::<f64>(&recv_host.read(0, b * row_bytes));
-    let want = serial_transpose(n);
+    let (me, b) = (env.comm.rank(), n / env.comm.size());
+    let block = transpose_rank(env, n, Mem::Device);
     assert_eq!(
         block.as_slice(),
-        &want[me * b * n..(me + 1) * b * n],
+        &serial_transpose(n)[me * b * n..(me + 1) * b * n],
         "transpose rank {me} corrupted under contention (n = {n})"
     );
 }
 
 /// Two training steps of a `512 * scale`-parameter gradient allreduce on
-/// device buffers, bit-exact against [`serial_gradient`].
+/// device buffers ([`coll_apps::gradient_rank`]), bit-exact against
+/// [`serial_gradient`].
 fn run_gradient(env: &GpuRankEnv, scale: usize) {
-    let comm = &env.comm;
-    let me = comm.rank();
     let (params, steps) = (512 * scale, 2);
-    let bytes = params * 4;
-    let f32t = Datatype::float();
-    f32t.commit();
-
-    let grad_host = HostBuf::alloc(bytes);
-    let sum_host = HostBuf::alloc(bytes);
-    let d_grad = env.gpu.malloc(bytes);
-    let d_sum = env.gpu.malloc(bytes);
-
-    let mut w = vec![0f32; params];
-    comm.barrier();
-    for step in 0..steps {
-        let grad: Vec<f32> = (0..params).map(|k| local_grad(me, step, k)).collect();
-        grad_host.write(0, &scalars_to_bytes(&grad));
-        env.gpu.memcpy(d_grad, grad_host.base(), bytes);
-        comm.allreduce(
-            Loc::Device(d_grad),
-            Loc::Device(d_sum),
-            params,
-            &f32t,
-            ReduceOp::Sum,
-        );
-        env.gpu.memcpy(sum_host.base(), d_sum, bytes);
-        let summed = bytes_to_scalars::<f32>(&sum_host.read(0, bytes));
-        for (wk, g) in w.iter_mut().zip(&summed) {
-            *wk -= 0.125 * g;
-        }
-    }
-    env.gpu.free(d_grad);
-    env.gpu.free(d_sum);
     assert_eq!(
-        w,
-        serial_gradient(params, steps, comm.size()),
-        "gradient rank {me} diverged under contention ({params} params)"
+        gradient_rank(env, params, steps, Mem::Device),
+        serial_gradient(params, steps, env.comm.size()),
+        "gradient rank {} diverged under contention ({params} params)",
+        env.comm.rank()
     );
 }
 

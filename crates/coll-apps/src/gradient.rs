@@ -12,13 +12,10 @@
 //! distributed weights must match [`serial_gradient`] bit for bit on
 //! every rank, every placement, every algorithm family.
 
-use std::sync::Arc;
-
 use gpu_sim::Loc;
 use hostmem::{bytes_to_scalars, scalars_to_bytes, HostBuf};
-use mpi_sim::{CollAlgo, Datatype, MpiConfig, ReduceOp};
-use mv2_gpu_nc::GpuCluster;
-use sim_core::lock::Mutex;
+use mpi_sim::{CollAlgo, Datatype, ReduceOp};
+use mv2_gpu_nc::GpuRankEnv;
 use sim_core::SimTime;
 
 use crate::Mem;
@@ -69,73 +66,64 @@ pub fn serial_gradient(params: usize, steps: usize, ranks: usize) -> Vec<f32> {
     w
 }
 
-/// Per-rank results collected out of the simulation: `(rank, data)`.
-type RankResults = Vec<(usize, Vec<f32>)>;
+/// One rank's training loop over `env.comm`: `steps` steps on a model of
+/// `params` weights, each summing every rank's [`local_grad`] with one
+/// `allreduce` (out of host or device memory per `mem`). Returns this
+/// rank's final weights.
+pub fn gradient_rank(env: &GpuRankEnv, params: usize, steps: usize, mem: Mem) -> Vec<f32> {
+    let comm = &env.comm;
+    let me = comm.rank();
+    let bytes = params * 4;
+    let f32t = Datatype::float();
+    f32t.commit();
+
+    let grad_host = HostBuf::alloc(bytes);
+    let sum_host = HostBuf::alloc(bytes);
+    let dev = match mem {
+        Mem::Host => None,
+        Mem::Device => Some((env.gpu.malloc(bytes), env.gpu.malloc(bytes))),
+    };
+    let (send_loc, recv_loc) = match dev {
+        None => (Loc::Host(grad_host.base()), Loc::Host(sum_host.base())),
+        Some((g, s)) => (Loc::Device(g), Loc::Device(s)),
+    };
+
+    let mut w = vec![0f32; params];
+    comm.barrier();
+    for step in 0..steps {
+        let grad: Vec<f32> = (0..params).map(|k| local_grad(me, step, k)).collect();
+        grad_host.write(0, &scalars_to_bytes(&grad));
+        if let Some((g, _)) = dev {
+            env.gpu.memcpy(g, grad_host.base(), bytes);
+        }
+        comm.allreduce(
+            send_loc.clone(),
+            recv_loc.clone(),
+            params,
+            &f32t,
+            ReduceOp::Sum,
+        );
+        if let Some((_, s)) = dev {
+            env.gpu.memcpy(sum_host.base(), s, bytes);
+        }
+        let summed = bytes_to_scalars::<f32>(&sum_host.read(0, bytes));
+        for (wk, g) in w.iter_mut().zip(&summed) {
+            *wk -= 0.125 * g;
+        }
+    }
+    if let Some((g, s)) = dev {
+        env.gpu.free(g);
+        env.gpu.free(s);
+    }
+    w
+}
 
 /// Run the distributed training loop.
 pub fn run_gradient(p: GradParams) -> GradOutcome {
-    let results: Arc<Mutex<RankResults>> = Arc::new(Mutex::new(Vec::new()));
-    let sink = Arc::clone(&results);
-    let mut cfg = MpiConfig {
-        ppn: p.ppn,
-        ..MpiConfig::default()
-    };
-    cfg.coll.algo = p.algo;
-    let wall = GpuCluster::new(p.ranks).mpi_config(cfg).run(move |env| {
-        let comm = &env.comm;
-        let me = comm.rank();
-        let bytes = p.params * 4;
-        let f32t = Datatype::float();
-        f32t.commit();
-
-        let grad_host = HostBuf::alloc(bytes);
-        let sum_host = HostBuf::alloc(bytes);
-        let dev = match p.mem {
-            Mem::Host => None,
-            Mem::Device => Some((env.gpu.malloc(bytes), env.gpu.malloc(bytes))),
-        };
-        let (send_loc, recv_loc) = match dev {
-            None => (Loc::Host(grad_host.base()), Loc::Host(sum_host.base())),
-            Some((g, s)) => (Loc::Device(g), Loc::Device(s)),
-        };
-
-        let mut w = vec![0f32; p.params];
-        comm.barrier();
-        for step in 0..p.steps {
-            let grad: Vec<f32> = (0..p.params).map(|k| local_grad(me, step, k)).collect();
-            grad_host.write(0, &scalars_to_bytes(&grad));
-            if let Some((g, _)) = dev {
-                env.gpu.memcpy(g, grad_host.base(), bytes);
-            }
-            comm.allreduce(
-                send_loc.clone(),
-                recv_loc.clone(),
-                p.params,
-                &f32t,
-                ReduceOp::Sum,
-            );
-            if let Some((_, s)) = dev {
-                env.gpu.memcpy(sum_host.base(), s, bytes);
-            }
-            let summed = bytes_to_scalars::<f32>(&sum_host.read(0, bytes));
-            for (wk, g) in w.iter_mut().zip(&summed) {
-                *wk -= 0.125 * g;
-            }
-        }
-        if let Some((g, s)) = dev {
-            env.gpu.free(g);
-            env.gpu.free(s);
-        }
-        sink.lock().push((me, w));
+    let (wall, weights) = crate::run_ranks(p.ranks, p.ppn, p.algo, move |env| {
+        gradient_rank(env, p.params, p.steps, p.mem)
     });
-    let mut got = Arc::try_unwrap(results)
-        .map(|m| m.into_inner())
-        .unwrap_or_else(|a| a.lock().clone());
-    got.sort_by_key(|(r, _)| *r);
-    GradOutcome {
-        wall,
-        weights: got.into_iter().map(|(_, v)| v).collect(),
-    }
+    GradOutcome { wall, weights }
 }
 
 #[cfg(test)]

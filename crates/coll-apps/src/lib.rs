@@ -21,8 +21,17 @@
 pub mod gradient;
 pub mod transpose;
 
-pub use gradient::{run_gradient, serial_gradient, GradOutcome, GradParams};
-pub use transpose::{run_transpose, serial_transpose, TransposeOutcome, TransposeParams};
+use std::sync::Arc;
+
+use mpi_sim::{CollAlgo, MpiConfig};
+use mv2_gpu_nc::{GpuCluster, GpuRankEnv};
+use sim_core::lock::Mutex;
+use sim_core::SimTime;
+
+pub use gradient::{gradient_rank, run_gradient, serial_gradient, GradOutcome, GradParams};
+pub use transpose::{
+    run_transpose, serial_transpose, transpose_rank, TransposeOutcome, TransposeParams,
+};
 
 /// Where a workload keeps its working set.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
@@ -32,4 +41,29 @@ pub enum Mem {
     /// Device (GPU) buffers — the collective stack packs/unpacks through
     /// the staging pipeline.
     Device,
+}
+
+/// Launch `body` on a default cluster of `ranks` ranks, `ppn` per node
+/// (blocked), with collective family `algo`; returns the virtual completion
+/// time and every rank's result in rank order.
+fn run_ranks<T: Send + 'static>(
+    ranks: usize,
+    ppn: usize,
+    algo: CollAlgo,
+    body: impl Fn(&GpuRankEnv) -> T + Send + Sync + 'static,
+) -> (SimTime, Vec<T>) {
+    let mut cfg = MpiConfig {
+        ppn,
+        ..MpiConfig::default()
+    };
+    cfg.coll.algo = algo;
+    let results = Arc::new(Mutex::new(Vec::new()));
+    let sink = Arc::clone(&results);
+    let wall = GpuCluster::new(ranks).mpi_config(cfg).run(move |env| {
+        let out = body(env);
+        sink.lock().push((env.comm.rank(), out));
+    });
+    let mut got = std::mem::take(&mut *results.lock());
+    got.sort_by_key(|(r, _)| *r);
+    (wall, got.into_iter().map(|(_, v)| v).collect())
 }

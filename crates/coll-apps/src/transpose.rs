@@ -15,13 +15,10 @@
 //! Pure data movement: the result must be **bit-exact** against
 //! [`serial_transpose`].
 
-use std::sync::Arc;
-
 use gpu_sim::Loc;
 use hostmem::{bytes_to_scalars, scalars_to_bytes, HostBuf};
-use mpi_sim::{CollAlgo, Datatype, MpiConfig};
-use mv2_gpu_nc::GpuCluster;
-use sim_core::lock::Mutex;
+use mpi_sim::{CollAlgo, Datatype};
+use mv2_gpu_nc::GpuRankEnv;
 use sim_core::SimTime;
 
 use crate::Mem;
@@ -68,8 +65,72 @@ pub fn serial_transpose(n: usize) -> Vec<f64> {
     out
 }
 
-/// Per-rank results collected out of the simulation: `(rank, data)`.
-type RankResults = Vec<(usize, Vec<f64>)>;
+/// One rank's share of the distributed transpose of the `n`×`n` test matrix
+/// ([`element`]) over `env.comm`: build this rank's row block of A, ship
+/// the strided-column tiles with one `alltoallv` (out of host or device
+/// memory per `mem`), and return this rank's row block of Aᵀ (rows
+/// `[me·b, (me+1)·b)`, row-major). `n` must be a multiple of the
+/// communicator size.
+pub fn transpose_rank(env: &GpuRankEnv, n: usize, mem: Mem) -> Vec<f64> {
+    let comm = &env.comm;
+    let (me, np) = (comm.rank(), comm.size());
+    let b = n / np; // rows per rank
+    let row_bytes = n * 8;
+
+    // My row block of A, row-major b x n.
+    let mine: Vec<f64> = (0..b)
+        .flat_map(|r| (0..n).map(move |k| element(n, me * b + r, k)))
+        .collect();
+    let send_host = HostBuf::from_vec(scalars_to_bytes(&mine));
+    let recv_host = HostBuf::alloc(b * row_bytes);
+
+    let (send_loc, recv_loc, dev) = match mem {
+        Mem::Host => (
+            Loc::Host(send_host.base()),
+            Loc::Host(recv_host.base()),
+            None,
+        ),
+        Mem::Device => {
+            let d_send = env.gpu.malloc(b * row_bytes);
+            let d_recv = env.gpu.malloc(b * row_bytes);
+            env.gpu.memcpy(d_send, send_host.base(), b * row_bytes);
+            (
+                Loc::Device(d_send),
+                Loc::Device(d_recv),
+                Some((d_send, d_recv)),
+            )
+        }
+    };
+
+    let f64t = Datatype::double();
+    f64t.commit();
+    // One strided column of the destination tile: b elements, one per
+    // local row, n*8 bytes apart.
+    let col = Datatype::hvector(b, 1, row_bytes as isize, &f64t);
+    // The whole tile for one destination, column-major: columns c =
+    // 0..b, each starting 8 bytes after the previous.
+    let tile_cols: Vec<(usize, isize)> = (0..b).map(|c| (1, (c * 8) as isize)).collect();
+    let stile = Datatype::hindexed(&tile_cols, &col);
+    stile.commit();
+    // The packed stream (column-major tile) lands as b row fragments
+    // of b contiguous elements, one per destination row.
+    let rtile = Datatype::hvector(b, b, row_bytes as isize, &f64t);
+    rtile.commit();
+
+    let counts = vec![1usize; np];
+    let displs: Vec<usize> = (0..np).map(|j| j * b * 8).collect();
+    comm.barrier();
+    comm.alltoallv(
+        send_loc, &counts, &displs, &stile, recv_loc, &counts, &displs, &rtile,
+    );
+
+    if let Some((d_send, d_recv)) = dev {
+        env.gpu.memcpy(recv_host.base(), d_recv, b * row_bytes);
+        env.gpu.free(d_send);
+        env.gpu.free(d_recv);
+    }
+    bytes_to_scalars::<f64>(&recv_host.read(0, b * row_bytes))
+}
 
 /// Run the distributed transpose; `blocks` concatenated in rank order is
 /// row-major Aᵀ.
@@ -80,82 +141,10 @@ pub fn run_transpose(p: TransposeParams) -> TransposeOutcome {
         p.n,
         p.ranks
     );
-    let results: Arc<Mutex<RankResults>> = Arc::new(Mutex::new(Vec::new()));
-    let sink = Arc::clone(&results);
-    let mut cfg = MpiConfig {
-        ppn: p.ppn,
-        ..MpiConfig::default()
-    };
-    cfg.coll.algo = p.algo;
-    let wall = GpuCluster::new(p.ranks).mpi_config(cfg).run(move |env| {
-        let comm = &env.comm;
-        let (me, np, n) = (comm.rank(), comm.size(), p.n);
-        let b = n / np; // rows per rank
-        let row_bytes = n * 8;
-
-        // My row block of A, row-major b x n.
-        let mine: Vec<f64> = (0..b)
-            .flat_map(|r| (0..n).map(move |k| element(n, me * b + r, k)))
-            .collect();
-        let send_host = HostBuf::from_vec(scalars_to_bytes(&mine));
-        let recv_host = HostBuf::alloc(b * row_bytes);
-
-        let (send_loc, recv_loc, dev) = match p.mem {
-            Mem::Host => (
-                Loc::Host(send_host.base()),
-                Loc::Host(recv_host.base()),
-                None,
-            ),
-            Mem::Device => {
-                let d_send = env.gpu.malloc(b * row_bytes);
-                let d_recv = env.gpu.malloc(b * row_bytes);
-                env.gpu.memcpy(d_send, send_host.base(), b * row_bytes);
-                (
-                    Loc::Device(d_send),
-                    Loc::Device(d_recv),
-                    Some((d_send, d_recv)),
-                )
-            }
-        };
-
-        let f64t = Datatype::double();
-        f64t.commit();
-        // One strided column of the destination tile: b elements, one per
-        // local row, n*8 bytes apart.
-        let col = Datatype::hvector(b, 1, row_bytes as isize, &f64t);
-        // The whole tile for one destination, column-major: columns c =
-        // 0..b, each starting 8 bytes after the previous.
-        let tile_cols: Vec<(usize, isize)> = (0..b).map(|c| (1, (c * 8) as isize)).collect();
-        let stile = Datatype::hindexed(&tile_cols, &col);
-        stile.commit();
-        // The packed stream (column-major tile) lands as b row fragments
-        // of b contiguous elements, one per destination row.
-        let rtile = Datatype::hvector(b, b, row_bytes as isize, &f64t);
-        rtile.commit();
-
-        let counts = vec![1usize; np];
-        let displs: Vec<usize> = (0..np).map(|j| j * b * 8).collect();
-        comm.barrier();
-        comm.alltoallv(
-            send_loc, &counts, &displs, &stile, recv_loc, &counts, &displs, &rtile,
-        );
-
-        if let Some((d_send, d_recv)) = dev {
-            env.gpu.memcpy(recv_host.base(), d_recv, b * row_bytes);
-            env.gpu.free(d_send);
-            env.gpu.free(d_recv);
-        }
-        let block = bytes_to_scalars::<f64>(&recv_host.read(0, b * row_bytes));
-        sink.lock().push((me, block));
+    let (wall, blocks) = crate::run_ranks(p.ranks, p.ppn, p.algo, move |env| {
+        transpose_rank(env, p.n, p.mem)
     });
-    let mut got = Arc::try_unwrap(results)
-        .map(|m| m.into_inner())
-        .unwrap_or_else(|a| a.lock().clone());
-    got.sort_by_key(|(r, _)| *r);
-    TransposeOutcome {
-        wall,
-        blocks: got.into_iter().map(|(_, v)| v).collect(),
-    }
+    TransposeOutcome { wall, blocks }
 }
 
 #[cfg(test)]

@@ -1,20 +1,24 @@
-//! GPU cluster launcher: one GPU per *node*, one or more MPI ranks per
-//! node (set by [`GpuCluster::ppn`] or an explicit topology), with
-//! MV2-GPU-NC staging installed. Co-located ranks share their node's GPU
-//! and HCA and talk over the intra-node shared-memory channel.
+//! GPU cluster launcher: an [`MpiWorld`] plus one GPU per *node*, with
+//! MV2-GPU-NC staging installed on every rank. Co-located ranks (set by
+//! [`GpuCluster::ppn`] or an explicit topology) share their node's GPU and
+//! HCA and talk over the intra-node shared-memory channel.
+//!
+//! The world is built by [`MpiWorld::launch`] — the one launch path. This
+//! module supplies its two caller-side pieces: the set-up builds the
+//! per-node GPUs ([`node_gpu`]), the per-rank main seats the rank on its
+//! node's GPU ([`GpuRankEnv::new`]). `cluster_sim::run_mix` brings its
+//! tenants' ranks up through the same two functions.
 
 use std::sync::Arc;
 
 use gpu_sim::{CostModel, Gpu};
-use ib_sim::{DeliveryScheduler, Fabric, FaultSpec, NetModel, ShmModel, Topology};
+use ib_sim::{DeliveryScheduler, FaultSpec, NetModel, ShmModel, Topology};
 use mpi_sim::staging::BufferStager;
-use mpi_sim::{ChunkPolicy, Comm, MpiConfig};
-use sim_core::{ExecMode, Report, SanitizerMode, Sim, SimTime, WakeEvent};
+use mpi_sim::{Comm, MpiConfig, MpiWorld, Seat};
+use sim_core::{ExecMode, Report, SanitizerMode, SimTime};
 use sim_trace::Recorder;
 
-/// Shared sink for a run's scheduling-grant trace (see
-/// [`GpuCluster::wake_trace`]).
-pub type WakeTraceSink = Arc<std::sync::Mutex<Vec<WakeEvent>>>;
+pub use mpi_sim::WakeTraceSink;
 
 use crate::stager::GpuStager;
 
@@ -29,104 +33,111 @@ pub struct GpuRankEnv {
     pub recorder: Recorder,
 }
 
+impl GpuRankEnv {
+    /// Bring one GPU-aware rank up on `seat`: pick its node's device out of
+    /// `node_gpus` (indexed by physical node), install a [`GpuStager`] on
+    /// it and create the communicator. Stage spans go on the same
+    /// `{job scope}rank{r}` lanes as the rank's protocol engine. Must run
+    /// inside the rank's simulation process, once its job is bound.
+    pub fn new(seat: Seat, node_gpus: &[Gpu]) -> GpuRankEnv {
+        let Seat {
+            nic,
+            rank,
+            size,
+            cfg,
+            recorder,
+        } = seat;
+        let gpu = node_gpus[nic.physical_node()].clone();
+        let scope = format!("{}rank{rank}", nic.scope_prefix());
+        let stager = GpuStager::with_scope(gpu.clone(), &scope, &recorder);
+        let stagers: Arc<Vec<Box<dyn BufferStager>>> = Arc::new(vec![Box::new(stager)]);
+        GpuRankEnv {
+            comm: Comm::create_traced(nic, rank, size, cfg, stagers, &recorder),
+            gpu,
+            recorder,
+        }
+    }
+}
+
+/// Node `node`'s GPU, tracing onto `rec`. One physical GPU per *node* (the
+/// paper's testbed): co-located ranks share the device, its copy engines
+/// and its PCIe links. Pure construction, safe outside simulation context.
+pub fn node_gpu(node: usize, cost: &CostModel, mem: usize, rec: &Recorder) -> Gpu {
+    let gpu = Gpu::new(node as u32, cost.clone(), mem);
+    gpu.attach_recorder(rec);
+    gpu
+}
+
 /// A simulated GPU cluster (the paper's testbed: one process per node, one
 /// GPU per process).
 pub struct GpuCluster {
-    n: usize,
-    mpi: MpiConfig,
-    net: NetModel,
-    shm: ShmModel,
-    topo: Option<Topology>,
+    world: MpiWorld,
     gpu_cost: CostModel,
     gpu_mem: usize,
-    sanitizer: SanitizerMode,
-    fault_spec: Option<FaultSpec>,
-    recorder: Option<Recorder>,
-    scheduler: Option<Arc<dyn DeliveryScheduler>>,
-    exec: Option<ExecMode>,
-    wake_sink: Option<WakeTraceSink>,
 }
 
 impl GpuCluster {
     /// `n` ranks with calibrated defaults (Tesla C2050 + QDR InfiniBand),
-    /// one rank per node.
+    /// one rank per node, tracing into a fresh enabled recorder.
     pub fn new(n: usize) -> Self {
         GpuCluster {
-            n,
-            mpi: MpiConfig::default(),
-            net: NetModel::qdr(),
-            shm: ShmModel::westmere(),
-            topo: None,
+            world: MpiWorld::new(n).with_recorder(Recorder::new()),
             gpu_cost: CostModel::tesla_c2050(),
             gpu_mem: 3 << 30,
-            sanitizer: SanitizerMode::Off,
-            fault_spec: None,
-            recorder: None,
-            scheduler: None,
-            exec: None,
-            wake_sink: None,
         }
     }
 
-    /// Select the process carrier explicitly (see [`ExecMode`]): fibers on
-    /// one kernel thread (`Event`, the default) or one OS thread per rank
-    /// (`Threads`). Virtual-time results are identical either way.
-    pub fn exec(mut self, mode: ExecMode) -> Self {
-        self.exec = Some(mode);
+    fn on_world(mut self, f: impl FnOnce(MpiWorld) -> MpiWorld) -> Self {
+        self.world = f(self.world);
         self
     }
 
-    /// Record every scheduling grant of the run into `sink` (see
-    /// [`sim_core::WakeEvent`]). The trace is carrier-independent — runs
-    /// under [`ExecMode::Event`] and [`ExecMode::Threads`] must produce
-    /// identical traces, which the scale sweep's smoke mode asserts.
-    pub fn wake_trace(mut self, sink: WakeTraceSink) -> Self {
-        self.wake_sink = Some(sink);
-        self
+    /// Select the process carrier; see [`MpiWorld::with_exec`].
+    pub fn exec(self, mode: ExecMode) -> Self {
+        self.on_world(|w| w.with_exec(mode))
+    }
+
+    /// Record every scheduling grant of the run into `sink`; see
+    /// [`MpiWorld::with_wake_trace`]. A wake-traced run also observes GPU
+    /// completions through the component layer, so the monitor wakes are
+    /// cross-checked across carriers like everything else.
+    pub fn wake_trace(self, sink: WakeTraceSink) -> Self {
+        self.on_world(|w| w.with_wake_trace(sink))
     }
 
     /// Place `ppn` consecutive ranks per node (blocked mapping). The ranks
     /// of a node share its GPU, its HCA and its PCIe links; they exchange
     /// messages over shared memory instead of the wire. `ppn` must evenly
     /// divide the rank count; checked at job launch.
-    pub fn ppn(mut self, ppn: usize) -> Self {
-        self.mpi.ppn = ppn;
-        self
+    pub fn ppn(self, ppn: usize) -> Self {
+        self.on_world(|w| w.with_ppn(ppn))
     }
 
     /// Use an explicit rank→node map instead of the blocked `ppn` layout.
     /// Overrides [`ppn`](GpuCluster::ppn).
-    pub fn topology(mut self, topo: Topology) -> Self {
-        self.topo = Some(topo);
-        self
+    pub fn topology(self, topo: Topology) -> Self {
+        self.on_world(|w| w.with_topology(topo))
     }
 
     /// Override the intra-node shared-memory channel cost model.
-    pub fn shm(mut self, shm: ShmModel) -> Self {
-        self.shm = shm;
-        self
+    pub fn shm(self, shm: ShmModel) -> Self {
+        self.on_world(|w| w.with_shm(shm))
     }
 
-    /// Set the pipeline block size (the paper's `MV2_CUDA_BLOCK_SIZE`).
-    ///
-    /// Pins the chunk policy to [`ChunkPolicy::Fixed`] so ablations sweep
-    /// exactly the requested block size instead of the adaptive default.
-    pub fn block_size(mut self, bytes: usize) -> Self {
-        self.mpi.chunk_size = bytes;
-        self.mpi.policy = ChunkPolicy::Fixed;
-        self
+    /// Set the pipeline block size (the paper's `MV2_CUDA_BLOCK_SIZE`),
+    /// pinning the chunk policy; see [`MpiWorld::with_block_size`].
+    pub fn block_size(self, bytes: usize) -> Self {
+        self.on_world(|w| w.with_block_size(bytes))
     }
 
     /// Override the MPI configuration.
-    pub fn mpi_config(mut self, cfg: MpiConfig) -> Self {
-        self.mpi = cfg;
-        self
+    pub fn mpi_config(self, cfg: MpiConfig) -> Self {
+        self.on_world(|w| w.with_config(cfg))
     }
 
     /// Override the network model.
-    pub fn net(mut self, net: NetModel) -> Self {
-        self.net = net;
-        self
+    pub fn net(self, net: NetModel) -> Self {
+        self.on_world(|w| w.with_net(net))
     }
 
     /// Override the GPU cost model.
@@ -142,35 +153,27 @@ impl GpuCluster {
     }
 
     /// Run the job under the simulation sanitizer (see [`sim_core::san`]).
-    pub fn sanitizer(mut self, mode: SanitizerMode) -> Self {
-        self.sanitizer = mode;
-        self
+    pub fn sanitizer(self, mode: SanitizerMode) -> Self {
+        self.on_world(|w| w.with_sanitizer(mode))
     }
 
-    /// Run the job on a fault-injecting fabric (see [`FaultSpec`]): seeded
-    /// deterministic control-packet loss/delay, RDMA error CQEs and
-    /// registration pin limits. The MPI layer retries and recovers; the
-    /// application must observe byte-identical results.
-    pub fn faults(mut self, spec: FaultSpec) -> Self {
-        self.fault_spec = Some(spec);
-        self
+    /// Run the job on a fault-injecting fabric; see
+    /// [`MpiWorld::with_faults`]. The application must observe
+    /// byte-identical results.
+    pub fn faults(self, spec: FaultSpec) -> Self {
+        self.on_world(|w| w.with_faults(spec))
     }
 
-    /// Hand control-packet delivery ordering to `s` (see
-    /// [`DeliveryScheduler`]) — the hook model checkers drive to explore
-    /// interleavings. Without this the fabric's FIFO order applies.
-    pub fn scheduler(mut self, s: Arc<dyn DeliveryScheduler>) -> Self {
-        self.scheduler = Some(s);
-        self
+    /// Hand control-packet delivery ordering to `s`; see
+    /// [`MpiWorld::with_scheduler`].
+    pub fn scheduler(self, s: Arc<dyn DeliveryScheduler>) -> Self {
+        self.on_world(|w| w.with_scheduler(s))
     }
 
-    /// Record spans/counters into `rec` instead of a fresh recorder. Pass
-    /// [`Recorder::off`] to disable tracing entirely, or a clone of an
-    /// enabled recorder to inspect lanes after the run (via
-    /// [`sim_trace::chrome_trace`] or [`sim_trace::analysis`]).
-    pub fn recorder(mut self, rec: Recorder) -> Self {
-        self.recorder = Some(rec);
-        self
+    /// Record spans/counters into `rec` instead of a fresh recorder; see
+    /// [`MpiWorld::with_recorder`].
+    pub fn recorder(self, rec: Recorder) -> Self {
+        self.on_world(|w| w.with_recorder(rec))
     }
 
     /// Run `f` on every rank; returns the virtual completion time.
@@ -195,104 +198,36 @@ impl GpuCluster {
     }
 
     /// Like [`run_with_reports`](GpuCluster::run_with_reports), but a panic
-    /// anywhere in the job (protocol violation, sanitizer in `Panic` mode,
-    /// deadlock, `MPI_Wait` failure) is caught and returned as `Err` with
-    /// its message — together with every report collected up to that point.
-    /// This is how a model checker observes a schedule's verdict without
-    /// tearing down its own process.
+    /// anywhere in the job is caught and returned as `Err` with its message
+    /// and the reports collected so far; see
+    /// [`MpiWorld::try_run_with_reports`].
     pub fn try_run_with_reports<F>(self, f: F) -> (Result<SimTime, String>, Vec<Report>)
     where
         F: Fn(&GpuRankEnv) + Send + Sync + 'static,
     {
-        let sim = Sim::new();
-        if let Some(mode) = self.exec {
-            sim.set_exec_mode(mode);
-        }
-        if self.wake_sink.is_some() {
-            sim.record_wake_trace();
-        }
-        sim.set_sanitizer(self.sanitizer);
-        if let Err(e) = self.mpi.try_validate_topology(self.n) {
-            panic!("MpiConfig: {e}");
-        }
-        let topo = self
-            .topo
-            .clone()
-            .unwrap_or_else(|| Topology::uniform(self.n / self.mpi.ppn, self.mpi.ppn));
-        assert_eq!(
-            topo.num_ranks(),
-            self.n,
-            "topology places {} endpoint(s) but the job has {} rank(s)",
-            topo.num_ranks(),
-            self.n
-        );
-        let fabric = Fabric::with_topology(
-            topo.clone(),
-            self.net.clone(),
-            self.shm.clone(),
-            self.fault_spec.clone(),
-        );
-        if let Some(s) = self.scheduler.clone() {
-            fabric.set_delivery_scheduler(s);
-        }
-        fabric.attach_event_pump(&sim);
-        let f = Arc::new(f);
-        let rec = self.recorder.clone().unwrap_or_default();
-        fabric.attach_recorder(&rec);
-        // One physical GPU per *node* (the paper's testbed): co-located
-        // ranks share the device, its copy engines and its PCIe links.
-        // `Gpu::new` is pure construction, safe outside simulation context.
-        let gpus: Vec<Gpu> = (0..topo.num_nodes())
-            .map(|node| {
-                let gpu = Gpu::new(node as u32, self.gpu_cost.clone(), self.gpu_mem);
-                gpu.attach_recorder(&rec);
-                if self.wake_sink.is_some() {
-                    // Cross-check runs also observe GPU completions through
-                    // the component layer; the monitor wakes must replay
-                    // identically across carriers like everything else.
-                    gpu.attach_event_monitor(&sim);
-                }
-                gpu
-            })
-            .collect();
-        for rank in 0..self.n {
-            let fabric = fabric.clone();
-            let cfg = self.mpi.clone();
-            let f = Arc::clone(&f);
-            let n = self.n;
-            let gpu = gpus[topo.node_of(rank)].clone();
-            let rec = rec.clone();
-            sim.spawn(format!("rank{rank}"), move || {
-                let stager = GpuStager::new(gpu.clone(), rank, &rec);
-                let stagers: Arc<Vec<Box<dyn BufferStager>>> =
-                    Arc::new(vec![Box::new(stager) as Box<dyn BufferStager>]);
-                let comm = Comm::create_traced(fabric.nic(rank), rank, n, cfg, stagers, &rec);
-                let env = GpuRankEnv {
-                    comm,
-                    gpu,
-                    recorder: rec,
-                };
+        let GpuCluster {
+            world,
+            gpu_cost,
+            gpu_mem,
+        } = self;
+        world.launch(
+            move |sim, topo, rec| -> Vec<Gpu> {
+                let monitored = sim.records_wake_trace();
+                (0..topo.num_nodes())
+                    .map(|node| {
+                        let gpu = node_gpu(node, &gpu_cost, gpu_mem, rec);
+                        if monitored {
+                            gpu.attach_event_monitor(sim);
+                        }
+                        gpu
+                    })
+                    .collect()
+            },
+            move |gpus, seat| {
+                let env = GpuRankEnv::new(seat, gpus);
                 f(&env);
                 env.comm.finalize();
-            });
-        }
-        let end = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sim.run()))
-            .map_err(panic_message);
-        if let Some(sink) = &self.wake_sink {
-            *sink.lock().unwrap() = sim.wake_trace();
-        }
-        (end, sim.sanitizer_reports())
-    }
-}
-
-/// Render a caught panic payload as its message (panics carry `String` or
-/// `&'static str`; anything else gets a placeholder).
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    match payload.downcast::<String>() {
-        Ok(s) => *s,
-        Err(payload) => match payload.downcast::<&'static str>() {
-            Ok(s) => (*s).to_string(),
-            Err(_) => "<non-string panic payload>".to_string(),
-        },
+            },
+        )
     }
 }

@@ -47,7 +47,7 @@ pub mod schemes;
 mod stager;
 pub mod timeline;
 
-pub use cluster::{GpuCluster, GpuRankEnv, WakeTraceSink};
+pub use cluster::{node_gpu, GpuCluster, GpuRankEnv, WakeTraceSink};
 pub use ib_sim::{FaultSpec, ShmModel, Topology};
 pub use pools::{Tbuf, TbufPool};
 pub use sim_trace::Recorder;

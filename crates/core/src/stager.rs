@@ -461,15 +461,10 @@ pub struct GpuStager {
 }
 
 impl GpuStager {
-    /// A stager for `rank`'s device, recording stage spans into `rec`
-    /// (pass [`Recorder::off`] for an untraced stager).
-    pub fn new(gpu: Gpu, rank: usize, rec: &Recorder) -> Self {
-        Self::with_scope(gpu, &format!("rank{rank}"), rec)
-    }
-
-    /// Like [`GpuStager::new`], but with an explicit lane scope — e.g.
-    /// `job2.rank0` — so each tenant of a shared fabric keeps its stage
-    /// spans in its own namespace.
+    /// A stager for `gpu`, recording stage spans into `rec` (pass
+    /// [`Recorder::off`] for an untraced stager) on the lanes of `scope` —
+    /// `rank3`, or `job2.rank0` so each tenant of a shared fabric keeps its
+    /// stage spans in its own namespace.
     pub fn with_scope(gpu: Gpu, scope: &str, rec: &Recorder) -> Self {
         let pool = Arc::new(TbufPool::new(gpu.clone()));
         let lanes = StageLanes::new(rec, scope);

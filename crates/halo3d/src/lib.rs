@@ -23,9 +23,9 @@ mod rank;
 
 use std::sync::Arc;
 
-use mv2_gpu_nc::{FaultSpec, GpuCluster, Recorder, Topology};
+use mv2_gpu_nc::GpuCluster;
 use sim_core::lock::Mutex;
-use sim_core::{Report, SanitizerMode, SimDur};
+use sim_core::{Report, SimDur};
 use stencil2d::Real;
 
 pub use params::{initial_value, Axis, Halo3dParams, Side, Variant};
@@ -60,103 +60,31 @@ impl Halo3dOutcome {
     }
 }
 
-/// Run one configuration; `collect` returns interiors for verification.
+/// Run one configuration on the default cluster (one rank per node);
+/// `collect` returns interiors for verification.
 pub fn run_halo3d<T: Real>(p: Halo3dParams, variant: Variant, collect: bool) -> Halo3dOutcome {
-    run_halo3d_reports::<T>(p, variant, collect, SanitizerMode::Off).0
+    run_halo3d_on::<T>(GpuCluster::new(p.nranks()), p, variant, collect).0
 }
 
-/// Like [`run_halo3d`], but runs under the given sanitizer mode and returns
-/// the reports it collected (empty when the sanitizer is off).
-pub fn run_halo3d_reports<T: Real>(
+/// Like [`run_halo3d`], on a cluster the caller configured — placement
+/// (`ppn`, `topology`), sanitizer, faults, recorder, carrier: every
+/// [`GpuCluster`] knob — also returning the sanitizer reports the run
+/// collected (empty when the sanitizer is off). `cluster` must have
+/// `p.nranks()` ranks.
+///
+/// Rank coordinates are i-major with k fastest, so blocked `ppn` placement
+/// puts k-face neighbours — the pathological single-element-row faces — on
+/// the same node, where they exchange halos over shared memory (or stay on
+/// the GPU entirely) instead of the HCA; a round-robin `topology` sends
+/// every halo over the wire while still sharing GPUs.
+pub fn run_halo3d_on<T: Real>(
+    cluster: GpuCluster,
     p: Halo3dParams,
     variant: Variant,
     collect: bool,
-    sanitizer: SanitizerMode,
-) -> (Halo3dOutcome, Vec<Report>) {
-    run_halo3d_campaign::<T>(p, variant, collect, sanitizer, None)
-}
-
-/// Like [`run_halo3d_reports`], optionally on a fault-injecting fabric
-/// (fault campaigns: the solver must produce byte-identical fields while
-/// the MPI layer drops, delays and retries underneath it).
-pub fn run_halo3d_campaign<T: Real>(
-    p: Halo3dParams,
-    variant: Variant,
-    collect: bool,
-    sanitizer: SanitizerMode,
-    faults: Option<FaultSpec>,
-) -> (Halo3dOutcome, Vec<Report>) {
-    run_halo3d_traced::<T>(p, variant, collect, sanitizer, faults, None)
-}
-
-/// Like [`run_halo3d_campaign`], recording spans and counters into the
-/// given [`Recorder`] (for `trace_report` and Perfetto export).
-pub fn run_halo3d_traced<T: Real>(
-    p: Halo3dParams,
-    variant: Variant,
-    collect: bool,
-    sanitizer: SanitizerMode,
-    faults: Option<FaultSpec>,
-    recorder: Option<Recorder>,
-) -> (Halo3dOutcome, Vec<Report>) {
-    run_halo3d_topo::<T>(p, variant, collect, sanitizer, faults, recorder, 1)
-}
-
-/// Like [`run_halo3d_traced`], placing `ppn` consecutive ranks on each node
-/// (blocked mapping). Because rank coordinates are i-major with k fastest,
-/// blocked placement puts k-face neighbours — the pathological
-/// single-element-row faces — on the same node, where they exchange halos
-/// over shared memory (or stay on the GPU entirely) instead of the HCA.
-#[allow(clippy::too_many_arguments)]
-pub fn run_halo3d_topo<T: Real>(
-    p: Halo3dParams,
-    variant: Variant,
-    collect: bool,
-    sanitizer: SanitizerMode,
-    faults: Option<FaultSpec>,
-    recorder: Option<Recorder>,
-    ppn: usize,
-) -> (Halo3dOutcome, Vec<Report>) {
-    let cluster = GpuCluster::new(p.nranks()).ppn(ppn);
-    run_halo3d_on::<T>(cluster, p, variant, collect, sanitizer, faults, recorder)
-}
-
-/// Like [`run_halo3d_topo`], but with an arbitrary rank→node map (e.g. a
-/// round-robin placement that sends every halo over the wire while still
-/// sharing GPUs — the control for the blocked-placement benchmark).
-#[allow(clippy::too_many_arguments)]
-pub fn run_halo3d_mapped<T: Real>(
-    p: Halo3dParams,
-    variant: Variant,
-    collect: bool,
-    sanitizer: SanitizerMode,
-    faults: Option<FaultSpec>,
-    recorder: Option<Recorder>,
-    topo: Topology,
-) -> (Halo3dOutcome, Vec<Report>) {
-    let cluster = GpuCluster::new(p.nranks()).topology(topo);
-    run_halo3d_on::<T>(cluster, p, variant, collect, sanitizer, faults, recorder)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_halo3d_on<T: Real>(
-    mut cluster: GpuCluster,
-    p: Halo3dParams,
-    variant: Variant,
-    collect: bool,
-    sanitizer: SanitizerMode,
-    faults: Option<FaultSpec>,
-    recorder: Option<Recorder>,
 ) -> (Halo3dOutcome, Vec<Report>) {
     let reports: Arc<Mutex<Vec<Rank3dReport>>> = Arc::new(Mutex::new(Vec::new()));
     let sink = Arc::clone(&reports);
-    cluster = cluster.sanitizer(sanitizer);
-    if let Some(spec) = faults {
-        cluster = cluster.faults(spec);
-    }
-    if let Some(rec) = recorder {
-        cluster = cluster.recorder(rec);
-    }
     let (_, san) = cluster.run_with_reports(move |env| {
         let mut rk = Halo3dRank::<T>::new(env, p);
         env.comm.barrier();
@@ -252,8 +180,8 @@ mod tests {
     }
 
     fn against_reference_ppn<T: Real>(params: Halo3dParams, variant: Variant, ppn: usize) {
-        let out =
-            run_halo3d_topo::<T>(params, variant, true, SanitizerMode::Off, None, None, ppn).0;
+        let cluster = GpuCluster::new(params.nranks()).ppn(ppn);
+        let out = run_halo3d_on::<T>(cluster, params, variant, true).0;
         let global = reference_run::<T>(
             (
                 params.grid.0 * params.local.0,
@@ -349,16 +277,8 @@ mod tests {
         let params = p((2, 2, 4), (3, 4, 5), 2);
         let base = run_halo3d::<f32>(params, Variant::Mv2, true);
         for ppn in [2, 4] {
-            let out = run_halo3d_topo::<f32>(
-                params,
-                Variant::Mv2,
-                true,
-                SanitizerMode::Off,
-                None,
-                None,
-                ppn,
-            )
-            .0;
+            let cluster = GpuCluster::new(params.nranks()).ppn(ppn);
+            let out = run_halo3d_on::<f32>(cluster, params, Variant::Mv2, true).0;
             for (a, b) in base.ranks.iter().zip(&out.ranks) {
                 assert_eq!(a.interior, b.interior, "ppn {ppn} rank {}", a.rank);
             }

@@ -146,8 +146,8 @@ struct NodeHw {
     tx_free: SimTime,
     /// Per-job horizon on this node's transmit engine: when job `j`'s last
     /// operation leaves the engine. Drives the weighted-share arbitration
-    /// of a multi-job fabric (see [`Fabric::multi_job`]); a single-job
-    /// fabric never reads it.
+    /// (see [`Fabric::multi_job`]); on a single-job fabric entry 0 always
+    /// equals `tx_free`.
     job_tx_free: Vec<SimTime>,
     /// Jobs currently bound to this node, in bind order (maintained by
     /// [`Fabric::try_bind_job`] / [`Fabric::unbind_job`]). Arbitration and
@@ -397,8 +397,8 @@ impl Fabric {
     /// `w_j / Σ w_k` over the jobs currently backlogged on that engine
     /// (`JobQos::hca_weight`); an optional `JobQos::rate_cap` ceiling
     /// applies in both states. A sole tenant therefore always runs at full
-    /// rate through the identical arithmetic path as a single-job fabric —
-    /// bit-identical virtual times, whatever its weight.
+    /// rate, whatever its weight — a single-job fabric
+    /// ([`Fabric::with_topology`]) is this model with one tenant.
     ///
     /// The shm copy engine stays a plain per-node FIFO: intra-node copies
     /// contend by ordering, not by weighted shares (kernel-assisted copies
@@ -928,50 +928,40 @@ impl Nic {
         let node = self.phys_node();
         let now = sim_core::now();
         let mut nodes = self.fabric.inner.nodes.lock();
-        let (start, tx_done) = if jobs.len() == 1 && jobs[0].qos.rate_cap.is_none() {
-            // Single uncapped tenant: the original engine timeline,
-            // arithmetic-for-arithmetic.
-            let start = now.max(nodes[node].tx_free);
-            let tx_done = start + m.serialize_time(bytes) + extra;
-            nodes[node].tx_free = tx_done;
-            (start, tx_done)
+        // Weighted-share arbitration (see `Fabric::multi_job`): an idle
+        // engine serves at full rate; a backlogged one splits bandwidth by
+        // `hca_weight` among the jobs with work queued on it. `share == 1.0`
+        // keeps the exact integer duration and a sole tenant's horizon *is*
+        // the engine's, so a sole tenant — the classic single-job fabric —
+        // sees the plain FIFO engine timeline whatever its weight.
+        let q = &jobs[self.job].qos;
+        let hw = &mut nodes[node];
+        let start = now.max(hw.job_tx_free[self.job]);
+        let mut share = if hw.tx_free <= now {
+            1.0
         } else {
-            // Weighted-share arbitration (see `Fabric::multi_job`): an
-            // idle engine serves at full rate; a backlogged one splits
-            // bandwidth by `hca_weight` among the jobs with work queued on
-            // it. `share == 1.0` keeps the exact integer duration, so a
-            // sole active tenant's times match the single-job path bit for
-            // bit regardless of its weight.
-            let q = &jobs[self.job].qos;
-            let hw = &mut nodes[node];
-            let start = now.max(hw.job_tx_free[self.job]);
-            let mut share = if hw.tx_free <= now {
-                1.0
-            } else {
-                let mut wsum = q.hca_weight as u64;
-                for &j in &hw.tenants {
-                    if j != self.job && hw.job_tx_free[j] > now {
-                        wsum += jobs[j].qos.hca_weight as u64;
-                    }
+            let mut wsum = q.hca_weight as u64;
+            for &j in &hw.tenants {
+                if j != self.job && hw.job_tx_free[j] > now {
+                    wsum += jobs[j].qos.hca_weight as u64;
                 }
-                q.hca_weight as f64 / wsum as f64
-            };
-            if let Some(cap) = q.rate_cap {
-                share = share.min(cap);
             }
-            let ser = m.serialize_time(bytes) + extra;
-            let dur = if share >= 1.0 {
-                ser
-            } else {
-                SimDur::from_nanos((ser.as_nanos() as f64 / share).round() as u64)
-            };
-            let tx_done = start + dur;
-            hw.job_tx_free[self.job] = tx_done;
-            hw.tx_free = hw.tx_free.max(tx_done);
-            (start, tx_done)
+            q.hca_weight as f64 / wsum as f64
         };
+        if let Some(cap) = q.rate_cap {
+            share = share.min(cap);
+        }
+        let ser = m.serialize_time(bytes) + extra;
+        let dur = if share >= 1.0 {
+            ser
+        } else {
+            SimDur::from_nanos((ser.as_nanos() as f64 / share).round() as u64)
+        };
+        let tx_done = start + dur;
+        hw.job_tx_free[self.job] = tx_done;
+        hw.tx_free = hw.tx_free.max(tx_done);
         if op.is_some() {
-            nodes[node].tx_last = op;
+            hw.tx_last = op;
         }
         drop(nodes);
         self.fabric.inner.counters[node].add("hca.tx_bytes", bytes as u64);
@@ -1296,7 +1286,8 @@ impl Nic {
         let Some(mr) = nodes[dst_node].mrs.get(&key) else {
             drop(nodes);
             san::report_protocol(format!(
-                "{what} to unknown MrKey {key:?} on node {dst_node}                      (unregistered or deregistered target region)"
+                "{what} to unknown MrKey {key:?} on node {dst_node} \
+                 (unregistered or deregistered target region)"
             ));
             panic!("{what} to unknown MrKey {key:?} on node {dst_node}");
         };
@@ -1692,6 +1683,34 @@ mod tests {
             fabric.nic(0).register(&src);
             fabric.nic(0).rdma_write(1, key, 0, &src.base(), 16);
         });
+    }
+
+    #[test]
+    fn unknown_mr_key_report_is_single_spaced() {
+        // The protection fault is reported to the sanitizer before it
+        // panics; the report text must not carry a lost line continuation.
+        let sim = Sim::new();
+        sim.set_sanitizer(sim_core::SanitizerMode::Collect);
+        let fabric = Fabric::new(2, NetModel::qdr());
+        let nic1 = fabric.nic(1);
+        let key = nic1.register(&HostBuf::alloc(64));
+        nic1.deregister(key);
+        sim.spawn("p", move || {
+            let src = HostBuf::alloc(16);
+            fabric.nic(0).register(&src);
+            fabric.nic(0).rdma_write(1, key, 0, &src.base(), 16);
+        });
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sim.run()))
+            .expect_err("a write to a deregistered region must fault");
+        let reports = sim.sanitizer_reports();
+        let r = reports
+            .iter()
+            .find(|r| r.message.contains("unknown MrKey"))
+            .unwrap_or_else(|| panic!("no unknown-MrKey report in {reports:?}"));
+        assert!(!r.message.contains("  "), "mangled report: {:?}", r.message);
+        assert!(r
+            .message
+            .ends_with("(unregistered or deregistered target region)"));
     }
 
     #[test]
@@ -2198,8 +2217,8 @@ mod tests {
         let ded = Fabric::new(2, NetModel::qdr());
         let dedicated = train_times(ded.nic(0), ded.nic(1));
         // Same train on a 2-tenant fabric whose second job stays silent
-        // (and unbound): the arbitration path must reproduce the dedicated
-        // timeline exactly, whatever the active job's weight.
+        // (and unbound): a sole tenant's weight does not matter — weight 7
+        // here, the default 1 on the dedicated fabric, one timeline.
         let mut spec = two_node_spec(0);
         spec.qos.hca_weight = 7;
         let shared = Fabric::multi_job(

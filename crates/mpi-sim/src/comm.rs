@@ -89,21 +89,11 @@ impl Comm {
 
     /// Create the world communicator for `rank` of `size` on `nic`.
     /// `stagers` are tried (in order) before the built-in host staging —
-    /// this is where GPU-aware datatype support plugs in.
-    pub fn create(
-        nic: Nic,
-        rank: usize,
-        size: usize,
-        cfg: MpiConfig,
-        stagers: Arc<Vec<Box<dyn BufferStager>>>,
-    ) -> Comm {
-        Self::create_traced(nic, rank, size, cfg, stagers, &sim_trace::Recorder::off())
-    }
-
-    /// Like [`Comm::create`], but wired to a trace recorder: the engine's
+    /// this is where GPU-aware datatype support plugs in. The engine's
     /// protocol events, RDMA stage spans and vbuf-pool gauges are recorded
-    /// on `rank{rank}/*` lanes and its counters join the recorder's
-    /// metrics registry. Recording never changes virtual time.
+    /// on `rank{rank}/*` lanes of `rec` and its counters join the
+    /// recorder's metrics registry (pass [`sim_trace::Recorder::off`] for
+    /// an untraced communicator). Recording never changes virtual time.
     pub fn create_traced(
         nic: Nic,
         rank: usize,

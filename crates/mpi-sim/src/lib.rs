@@ -69,4 +69,4 @@ pub use proto::{
 };
 pub use scheme::{DataScheme, SchemeSel};
 pub use staging::{BufferStager, RecvSink, SendSource};
-pub use world::MpiWorld;
+pub use world::{MpiWorld, Seat, WakeTraceSink};

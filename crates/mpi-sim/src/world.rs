@@ -1,13 +1,50 @@
-//! Job launcher: spawn `n` ranks as simulation processes, each with a
-//! [`Comm`], and run the whole job to completion in virtual time.
+//! The job launcher — the one place a description of a simulated job
+//! becomes a running one.
+//!
+//! [`MpiWorld`] is the description: rank count, placement, network and
+//! shm models, MPI configuration, carrier, sanitizer, faults, recorder,
+//! delivery scheduler and wake-trace sink. [`MpiWorld::launch`] is the only
+//! code that acts on it: it creates the [`Sim`], builds the fabric, attaches
+//! pump, recorder and scheduler, spawns one `rank{r}` process per rank and
+//! turns a panic anywhere in the job into `Err(message)` plus the sanitizer
+//! reports. A caller supplies two pieces: a once-per-world *set-up* (where
+//! per-node hardware is built, before any rank exists) and a per-rank
+//! *main* that receives the set-up's result and the rank's [`Seat`].
+//! Host-only MPI ([`MpiWorld::try_run_with_reports`]) is `launch` with an
+//! empty set-up; `mv2_gpu_nc::GpuCluster` is `launch` with one GPU per node.
+//!
+//! Registration order is observable (trace lane ids are dense in
+//! first-registration order, components tick in admission order) and fixed
+//! here: fabric pump, fabric lanes, whatever the set-up registers, then the
+//! ranks in rank order.
 
 use std::sync::Arc;
 
-use ib_sim::{DeliveryScheduler, Fabric, FaultSpec, NetModel, ShmModel, Topology};
-use sim_core::{ExecMode, Report, SanitizerMode, Sim, SimTime};
+use ib_sim::{DeliveryScheduler, Fabric, FaultSpec, NetModel, Nic, ShmModel, Topology};
+use sim_core::{ExecMode, Report, SanitizerMode, Sim, SimTime, WakeEvent};
+use sim_trace::Recorder;
 
 use crate::comm::Comm;
-use crate::proto::MpiConfig;
+use crate::proto::{ChunkPolicy, MpiConfig};
+
+/// Shared sink for a run's scheduling-grant trace (see
+/// [`MpiWorld::with_wake_trace`]).
+pub type WakeTraceSink = Arc<std::sync::Mutex<Vec<WakeEvent>>>;
+
+/// One rank's seat in a launched job: what [`MpiWorld::launch`] hands the
+/// per-rank main to build its communicator from.
+pub struct Seat {
+    /// The rank's fabric endpoint.
+    pub nic: Nic,
+    /// This rank.
+    pub rank: usize,
+    /// Ranks in the job.
+    pub size: usize,
+    /// The job's MPI configuration.
+    pub cfg: MpiConfig,
+    /// The job's trace recorder (shared across ranks and all sim layers).
+    pub recorder: Recorder,
+}
 
 /// A simulated MPI job on a cluster of nodes. By default each rank gets
 /// its own node (ppn = 1); [`with_ppn`](MpiWorld::with_ppn) or
@@ -21,13 +58,15 @@ pub struct MpiWorld {
     cfg: MpiConfig,
     sanitizer: SanitizerMode,
     faults: Option<FaultSpec>,
-    recorder: Option<sim_trace::Recorder>,
+    recorder: Recorder,
     scheduler: Option<Arc<dyn DeliveryScheduler>>,
     exec: Option<ExecMode>,
+    wake_sink: Option<WakeTraceSink>,
 }
 
 impl MpiWorld {
-    /// A job of `n` ranks with default (QDR, MVAPICH2-like) settings.
+    /// A job of `n` ranks with default (QDR, MVAPICH2-like) settings and
+    /// tracing off.
     pub fn new(n: usize) -> Self {
         MpiWorld {
             n,
@@ -37,9 +76,10 @@ impl MpiWorld {
             cfg: MpiConfig::default(),
             sanitizer: SanitizerMode::Off,
             faults: None,
-            recorder: None,
+            recorder: Recorder::off(),
             scheduler: None,
             exec: None,
+            wake_sink: None,
         }
     }
 
@@ -48,6 +88,15 @@ impl MpiWorld {
     /// (`Threads`). Virtual-time results are identical either way.
     pub fn with_exec(mut self, mode: ExecMode) -> Self {
         self.exec = Some(mode);
+        self
+    }
+
+    /// Record every scheduling grant of the run into `sink` (see
+    /// [`sim_core::WakeEvent`]). The trace is carrier-independent — runs
+    /// under [`ExecMode::Event`] and [`ExecMode::Threads`] must produce
+    /// identical traces, which the scale sweep's smoke mode asserts.
+    pub fn with_wake_trace(mut self, sink: WakeTraceSink) -> Self {
+        self.wake_sink = Some(sink);
         self
     }
 
@@ -75,14 +124,27 @@ impl MpiWorld {
 
     /// Record the job onto `rec`: every rank's protocol engine and every
     /// HCA transmit engine emit trace events (see the `sim-trace` crate).
-    pub fn with_recorder(mut self, rec: sim_trace::Recorder) -> Self {
-        self.recorder = Some(rec);
+    /// Pass [`Recorder::off`] to disable tracing entirely, or a clone of an
+    /// enabled recorder to inspect lanes after the run (via
+    /// [`sim_trace::chrome_trace`] or [`sim_trace::analysis`]).
+    pub fn with_recorder(mut self, rec: Recorder) -> Self {
+        self.recorder = rec;
         self
     }
 
     /// Override the MPI configuration.
     pub fn with_config(mut self, cfg: MpiConfig) -> Self {
         self.cfg = cfg;
+        self
+    }
+
+    /// Set the pipeline block size (the paper's `MV2_CUDA_BLOCK_SIZE`).
+    ///
+    /// Pins the chunk policy to [`ChunkPolicy::Fixed`] so ablations sweep
+    /// exactly the requested block size instead of the adaptive default.
+    pub fn with_block_size(mut self, bytes: usize) -> Self {
+        self.cfg.chunk_size = bytes;
+        self.cfg.policy = ChunkPolicy::Fixed;
         self
     }
 
@@ -148,66 +210,96 @@ impl MpiWorld {
     where
         F: Fn(Comm) + Send + Sync + 'static,
     {
+        self.launch(
+            |_, _, _| (),
+            move |(), s: Seat| {
+                let no_stagers = Arc::new(Vec::new());
+                let comm =
+                    Comm::create_traced(s.nic, s.rank, s.size, s.cfg, no_stagers, &s.recorder);
+                f(comm.clone());
+                comm.finalize();
+            },
+        )
+    }
+
+    /// Build the world this value describes and run `main` on every rank
+    /// (see the module docs). `setup` runs once, before any rank is
+    /// spawned, with the [`Sim`], the resolved [`Topology`] and the
+    /// recorder; every rank's `main` gets a reference to its result.
+    /// Returns like [`try_run_with_reports`](MpiWorld::try_run_with_reports).
+    pub fn launch<S, M>(
+        self,
+        setup: impl FnOnce(&Sim, &Topology, &Recorder) -> S,
+        main: M,
+    ) -> (Result<SimTime, String>, Vec<Report>)
+    where
+        S: Send + Sync + 'static,
+        M: Fn(&S, Seat) + Send + Sync + 'static,
+    {
+        let MpiWorld {
+            n,
+            net,
+            shm,
+            topo,
+            cfg,
+            sanitizer,
+            faults,
+            recorder: rec,
+            scheduler,
+            exec,
+            wake_sink,
+        } = self;
         let sim = Sim::new();
-        if let Some(mode) = self.exec {
+        if let Some(mode) = exec {
             sim.set_exec_mode(mode);
         }
-        sim.set_sanitizer(self.sanitizer);
-        if let Err(e) = self.cfg.try_validate_topology(self.n) {
+        if wake_sink.is_some() {
+            sim.record_wake_trace();
+        }
+        sim.set_sanitizer(sanitizer);
+        if let Err(e) = cfg.try_validate_topology(n) {
             panic!("MpiConfig: {e}");
         }
-        let topo = self
-            .topo
-            .clone()
-            .unwrap_or_else(|| Topology::uniform(self.n / self.cfg.ppn, self.cfg.ppn));
+        let topo = topo.unwrap_or_else(|| Topology::uniform(n / cfg.ppn, cfg.ppn));
         assert_eq!(
             topo.num_ranks(),
-            self.n,
-            "topology places {} endpoint(s) but the job has {} rank(s)",
+            n,
+            "topology places {} endpoint(s) but the job has {n} rank(s)",
             topo.num_ranks(),
-            self.n
         );
-        let fabric = Fabric::with_topology(
-            topo,
-            self.net.clone(),
-            self.shm.clone(),
-            self.faults.clone(),
-        );
+        let fabric = Fabric::with_topology(topo.clone(), net, shm, faults);
         // Fabric delivery rides the event-driven pump: pending-heap entries
         // drained by a stackless tick instead of one boxed closure per
         // packet. Exact-wake discipline — virtual times are unchanged.
         fabric.attach_event_pump(&sim);
-        let rec = self
-            .recorder
-            .clone()
-            .unwrap_or_else(sim_trace::Recorder::off);
         fabric.attach_recorder(&rec);
-        if let Some(s) = self.scheduler.clone() {
+        if let Some(s) = scheduler {
             fabric.set_delivery_scheduler(s);
         }
-        let f = Arc::new(f);
-        for rank in 0..self.n {
-            let fabric = fabric.clone();
-            let cfg = self.cfg.clone();
-            let f = Arc::clone(&f);
-            let rec = rec.clone();
-            let n = self.n;
-            sim.spawn(format!("rank{rank}"), move || {
-                let comm =
-                    Comm::create_traced(fabric.nic(rank), rank, n, cfg, Arc::new(Vec::new()), &rec);
-                f(comm.clone());
-                comm.finalize();
-            });
+        let shared = Arc::new((setup(&sim, &topo, &rec), main));
+        for rank in 0..n {
+            let seat = Seat {
+                nic: fabric.nic(rank),
+                rank,
+                size: n,
+                cfg: cfg.clone(),
+                recorder: rec.clone(),
+            };
+            let shared = Arc::clone(&shared);
+            sim.spawn(format!("rank{rank}"), move || (shared.1)(&shared.0, seat));
         }
         let end = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sim.run()))
             .map_err(panic_message);
+        if let Some(sink) = wake_sink {
+            *sink.lock().expect("wake-trace sink poisoned") = sim.wake_trace();
+        }
         (end, sim.sanitizer_reports())
     }
 }
 
 /// Render a caught panic payload as its message (panics carry `String` or
 /// `&'static str`; anything else gets a placeholder).
-pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     match payload.downcast::<String>() {
         Ok(s) => *s,
         Err(payload) => match payload.downcast::<&'static str>() {

@@ -472,6 +472,13 @@ impl Sim {
         self.kernel.state.lock().wake_trace = Some(Vec::new());
     }
 
+    /// Whether [`record_wake_trace`](Sim::record_wake_trace) was called —
+    /// layers that add observation-only components to a cross-checked run
+    /// (the GPU completion monitor) key on this.
+    pub fn records_wake_trace(&self) -> bool {
+        self.kernel.state.lock().wake_trace.is_some()
+    }
+
     /// The grants recorded since [`record_wake_trace`](Sim::record_wake_trace)
     /// (empty if recording was never enabled).
     pub fn wake_trace(&self) -> Vec<WakeEvent> {

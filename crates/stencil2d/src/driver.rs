@@ -4,9 +4,9 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use mv2_gpu_nc::{FaultSpec, GpuCluster, Recorder};
+use mv2_gpu_nc::GpuCluster;
 use sim_core::lock::Mutex;
-use sim_core::{Report, SanitizerMode, SimDur};
+use sim_core::{Report, SimDur};
 
 use crate::params::{StencilParams, Variant};
 use crate::rank::{Breakdown, StencilRank};
@@ -54,74 +54,30 @@ pub struct RunOptions {
     pub collect_interiors: bool,
 }
 
-/// Run one configuration end to end.
+/// Run one configuration end to end on the default cluster (one rank per
+/// node).
 pub fn run_stencil<T: Real>(
     p: StencilParams,
     variant: Variant,
     opts: RunOptions,
 ) -> StencilOutcome {
-    run_stencil_reports::<T>(p, variant, opts, SanitizerMode::Off).0
+    run_stencil_on::<T>(GpuCluster::new(p.nranks()), p, variant, opts).0
 }
 
-/// Like [`run_stencil`], but runs under the given sanitizer mode and returns
-/// the reports it collected (empty when the sanitizer is off).
-pub fn run_stencil_reports<T: Real>(
+/// Like [`run_stencil`], on a cluster the caller configured — placement
+/// (`ppn`: co-located ranks share the node's GPU and HCA and exchange halos
+/// over the intra-node shared-memory channel), sanitizer, faults, recorder,
+/// carrier: every [`GpuCluster`] knob — also returning the sanitizer
+/// reports the run collected (empty when the sanitizer is off). `cluster`
+/// must have `p.nranks()` ranks.
+pub fn run_stencil_on<T: Real>(
+    cluster: GpuCluster,
     p: StencilParams,
     variant: Variant,
     opts: RunOptions,
-    sanitizer: SanitizerMode,
-) -> (StencilOutcome, Vec<Report>) {
-    run_stencil_campaign::<T>(p, variant, opts, sanitizer, None)
-}
-
-/// Like [`run_stencil_reports`], optionally on a fault-injecting fabric
-/// (fault campaigns: the stencil must produce byte-identical fields while
-/// the MPI layer drops, delays and retries underneath it).
-pub fn run_stencil_campaign<T: Real>(
-    p: StencilParams,
-    variant: Variant,
-    opts: RunOptions,
-    sanitizer: SanitizerMode,
-    faults: Option<FaultSpec>,
-) -> (StencilOutcome, Vec<Report>) {
-    run_stencil_traced::<T>(p, variant, opts, sanitizer, faults, None)
-}
-
-/// Like [`run_stencil_campaign`], recording spans and counters into the
-/// given [`Recorder`] (for `trace_report` and Perfetto export).
-pub fn run_stencil_traced<T: Real>(
-    p: StencilParams,
-    variant: Variant,
-    opts: RunOptions,
-    sanitizer: SanitizerMode,
-    faults: Option<FaultSpec>,
-    recorder: Option<Recorder>,
-) -> (StencilOutcome, Vec<Report>) {
-    run_stencil_topo::<T>(p, variant, opts, sanitizer, faults, recorder, 1)
-}
-
-/// Like [`run_stencil_traced`], placing `ppn` consecutive ranks on each
-/// node (blocked mapping). Co-located ranks share the node's GPU and HCA
-/// and exchange halos over the intra-node shared-memory channel.
-#[allow(clippy::too_many_arguments)]
-pub fn run_stencil_topo<T: Real>(
-    p: StencilParams,
-    variant: Variant,
-    opts: RunOptions,
-    sanitizer: SanitizerMode,
-    faults: Option<FaultSpec>,
-    recorder: Option<Recorder>,
-    ppn: usize,
 ) -> (StencilOutcome, Vec<Report>) {
     let reports: Arc<Mutex<Vec<RankReport>>> = Arc::new(Mutex::new(Vec::new()));
     let collector = Arc::clone(&reports);
-    let mut cluster = GpuCluster::new(p.nranks()).sanitizer(sanitizer).ppn(ppn);
-    if let Some(spec) = faults {
-        cluster = cluster.faults(spec);
-    }
-    if let Some(rec) = recorder {
-        cluster = cluster.recorder(rec);
-    }
     let (_, san) = cluster.run_with_reports(move |env| {
         let mut rk = StencilRank::<T>::new(env, p);
         rk.timed = opts.timed_breakdown;

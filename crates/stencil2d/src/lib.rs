@@ -27,10 +27,7 @@ mod rank;
 mod real;
 mod reference;
 
-pub use driver::{
-    run_stencil, run_stencil_campaign, run_stencil_reports, run_stencil_topo, run_stencil_traced,
-    RankReport, RunOptions, StencilOutcome,
-};
+pub use driver::{run_stencil, run_stencil_on, RankReport, RunOptions, StencilOutcome};
 pub use loc::{lines_of_code, listing};
 pub use params::{initial_value, Dir, StencilParams, Variant};
 pub use rank::{Breakdown, DirTimes, StencilRank};
@@ -92,17 +89,8 @@ mod tests {
     }
 
     fn check_against_reference_ppn<T: Real>(p: StencilParams, variant: Variant, ppn: usize) {
-        use sim_core::SanitizerMode;
-        let out = run_stencil_topo::<T>(
-            p,
-            variant,
-            opts_collect(),
-            SanitizerMode::Off,
-            None,
-            None,
-            ppn,
-        )
-        .0;
+        let cluster = mv2_gpu_nc::GpuCluster::new(p.nranks()).ppn(ppn);
+        let out = run_stencil_on::<T>(cluster, p, variant, opts_collect()).0;
         let global = reference_run::<T>(p.py * p.rows, p.px * p.cols, p.iters);
         let gcols = p.px * p.cols;
         for r in &out.ranks {

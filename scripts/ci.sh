@@ -85,12 +85,11 @@ cargo run --release -q -p bench --bin offload_sweep -- \
     --iters 4 --out /tmp/BENCH_offload_smoke.json > /dev/null
 [[ -s /tmp/BENCH_offload_smoke.json ]] || { echo "empty offload sweep report"; exit 1; }
 
-echo "==> job mix smoke (multi-job QoS + sole-tenant identity + host-cost shape guards)"
-# The bin asserts the sole-tenant bit-identity guard (dedicated fast path
-# vs multi-tenant arbitration at 100% share), the 4:1 HCA weight shift
-# against a 1:1 control, the overload tail ordering, plan-cache /
-# autotuner stability across three campaigns of a seeded 6-job mix, and
-# that host time per job at 1024 jobs is at most 2x that at 256.
+echo "==> job mix smoke (multi-job QoS + host-cost shape guards)"
+# The bin asserts the 4:1 HCA weight shift against a 1:1 control, the
+# overload tail ordering, plan-cache / autotuner stability across three
+# campaigns of a seeded 6-job mix, and that host time per job at 1024
+# jobs is at most 2x that at 256.
 cargo run --release -q -p bench --bin job_mix -- \
     --smoke true --out /tmp/BENCH_jobmix_smoke.json > /dev/null
 [[ -s /tmp/BENCH_jobmix_smoke.json ]] || { echo "empty job mix report"; exit 1; }

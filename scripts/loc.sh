@@ -1,0 +1,15 @@
+#!/usr/bin/env bash
+# Code size by the rule CHANGES.md quotes: per .rs file, the lines before the
+# first `#[cfg(test)]` that are neither blank nor `//` comments (doc comments
+# count as comments). Prints one row per file and a total.
+# Usage: scripts/loc.sh [files or directories...]   (default: crates/*/src)
+set -euo pipefail
+[[ $# -gt 0 ]] || { cd "$(dirname "$0")/.."; set -- crates/*/src; }
+find "$@" -name '*.rs' | sort | xargs awk '
+    FNR == 1 { in_tests = 0; files[++nfiles] = FILENAME }
+    /^[[:space:]]*#\[cfg\(test\)\]/ { in_tests = 1 }
+    !in_tests && !/^[[:space:]]*($|\/\/)/ { n[FILENAME]++; total++ }
+    END {
+        for (i = 1; i <= nfiles; i++) printf "%6d %s\n", n[files[i]], files[i]
+        printf "%6d total\n", total
+    }'

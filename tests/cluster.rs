@@ -1,6 +1,6 @@
-//! Campaign-level guards for the shared-cluster runner: sole-tenant
-//! bit-identity, QoS contention shift, carrier determinism under faults,
-//! and an end-to-end mixed campaign.
+//! Campaign-level guards for the shared-cluster runner: QoS contention
+//! shift, carrier determinism under faults, and an end-to-end mixed
+//! campaign.
 
 use cluster_sim::{
     generate, run_mix, ClusterParams, JobKind, JobPlan, MixParams, Placement, SizedJob,
@@ -19,47 +19,6 @@ fn shared_qos(weight: u32) -> JobQos {
         share_nodes: true,
         ..JobQos::default()
     }
-}
-
-/// Satellite guard: a single job at 100% share on a shared (multi-tenant)
-/// fabric is bit-identical — virtual times *and* trace stream — to the
-/// same job on a fabric whose sole tenant takes the dedicated fast path.
-#[test]
-fn single_job_at_full_share_is_bit_identical_to_dedicated() {
-    let job = SizedJob {
-        kind: JobKind::Gradient,
-        scale: 2,
-    };
-    let run = |phantoms: usize| {
-        let rec = Recorder::new();
-        let params = ClusterParams {
-            phys_nodes: job.ranks(),
-            phantom_tenants: phantoms,
-            recorder: Some(rec.clone()),
-            ..ClusterParams::default()
-        };
-        let out = run_mix(
-            &params,
-            &[JobPlan {
-                job,
-                arrive_ns: 0,
-                qos: JobQos::default(),
-            }],
-        );
-        (
-            out.jobs[0].clone(),
-            out.makespan_ns,
-            format!("{:?}", rec.events()),
-        )
-    };
-    // 0 phantoms: the fabric's single-tenant path (the literal dedicated
-    // arithmetic). 1 phantom: same job through the weighted-share
-    // arbitration path at 100% share.
-    let (job_a, end_a, trace_a) = run(0);
-    let (job_b, end_b, trace_b) = run(1);
-    assert_eq!(job_a, job_b, "per-job timings diverged");
-    assert_eq!(end_a, end_b, "makespan diverged");
-    assert_eq!(trace_a, trace_b, "trace streams diverged");
 }
 
 /// Cluster-level QoS guard: two identical host-bandwidth streams

@@ -10,11 +10,12 @@
 
 use std::sync::Arc;
 
-use gpu_nc_repro::halo3d::{run_halo3d_campaign, Halo3dParams, Variant as HaloVariant};
+use gpu_nc_repro::halo3d::{run_halo3d, run_halo3d_on, Halo3dParams, Variant as HaloVariant};
 use gpu_nc_repro::ib_sim::FaultSpec;
 use gpu_nc_repro::mpi_sim::{ChunkPolicy, Datatype, MpiConfig, MpiError, MpiWorld, RetryConfig};
+use gpu_nc_repro::mv2_gpu_nc::GpuCluster;
 use gpu_nc_repro::stencil2d::{
-    run_stencil_campaign, RunOptions, StencilParams, Variant as StencilVariant,
+    run_stencil, run_stencil_on, RunOptions, StencilParams, Variant as StencilVariant,
 };
 use hostmem::HostBuf;
 use sim_core::lock::Mutex;
@@ -40,16 +41,10 @@ fn halo3d_campaign_is_byte_identical_under_faults() {
         local: (16, 32, 40),
         iters: 3,
     };
-    let (clean, _) =
-        run_halo3d_campaign::<f64>(p, HaloVariant::Mv2, true, SanitizerMode::Off, None);
+    let clean = run_halo3d::<f64>(p, HaloVariant::Mv2, true);
     let before = instrument::global().snapshot();
-    let (faulty, _) = run_halo3d_campaign::<f64>(
-        p,
-        HaloVariant::Mv2,
-        true,
-        SanitizerMode::Off,
-        Some(drop_and_error_spec(42)),
-    );
+    let cluster = GpuCluster::new(p.nranks()).faults(drop_and_error_spec(42));
+    let (faulty, _) = run_halo3d_on::<f64>(cluster, p, HaloVariant::Mv2, true);
     let delta = instrument::global().delta(&before);
     assert_eq!(clean.ranks.len(), faulty.ranks.len());
     for (c, f) in clean.ranks.iter().zip(&faulty.ranks) {
@@ -89,15 +84,9 @@ fn stencil2d_campaign_is_byte_identical_under_faults() {
         timed_breakdown: false,
         collect_interiors: true,
     };
-    let (clean, _) =
-        run_stencil_campaign::<f32>(p, StencilVariant::Mv2, opts, SanitizerMode::Off, None);
-    let (faulty, _) = run_stencil_campaign::<f32>(
-        p,
-        StencilVariant::Mv2,
-        opts,
-        SanitizerMode::Off,
-        Some(drop_and_error_spec(7)),
-    );
+    let clean = run_stencil::<f32>(p, StencilVariant::Mv2, opts);
+    let cluster = GpuCluster::new(p.nranks()).faults(drop_and_error_spec(7));
+    let (faulty, _) = run_stencil_on::<f32>(cluster, p, StencilVariant::Mv2, opts);
     for (c, f) in clean.ranks.iter().zip(&faulty.ranks) {
         assert_eq!(
             c.interior, f.interior,
@@ -116,13 +105,10 @@ fn fault_campaign_is_clean_under_collect_sanitizer() {
         local: (6, 5, 4),
         iters: 2,
     };
-    let (_, reports) = run_halo3d_campaign::<f64>(
-        p,
-        HaloVariant::Mv2,
-        false,
-        SanitizerMode::Collect,
-        Some(drop_and_error_spec(1234)),
-    );
+    let cluster = GpuCluster::new(p.nranks())
+        .sanitizer(SanitizerMode::Collect)
+        .faults(drop_and_error_spec(1234));
+    let (_, reports) = run_halo3d_on::<f64>(cluster, p, HaloVariant::Mv2, false);
     assert!(
         reports.is_empty(),
         "retransmission/recovery must be sanitizer-clean, got: {reports:?}"

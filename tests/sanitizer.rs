@@ -368,17 +368,14 @@ fn pack_schemes_clean_under_sanitizer() {
 /// fixed policy never produces.
 #[test]
 fn halo3d_adaptive_clean_under_sanitizer() {
-    use gpu_nc_repro::halo3d::{run_halo3d_reports, Halo3dParams, Variant};
-    let (_out, reports) = run_halo3d_reports::<f32>(
-        Halo3dParams {
-            grid: (2, 1, 1),
-            local: (32, 64, 64), // 16 KiB i-faces: staged rendezvous
-            iters: 2,
-        },
-        Variant::Mv2,
-        false,
-        SanitizerMode::Collect,
-    );
+    use gpu_nc_repro::halo3d::{run_halo3d_on, Halo3dParams, Variant};
+    let p = Halo3dParams {
+        grid: (2, 1, 1),
+        local: (32, 64, 64), // 16 KiB i-faces: staged rendezvous
+        iters: 2,
+    };
+    let cluster = GpuCluster::new(p.nranks()).sanitizer(SanitizerMode::Collect);
+    let (_out, reports) = run_halo3d_on::<f32>(cluster, p, Variant::Mv2, false);
     assert!(
         reports.is_empty(),
         "halo3d must be sanitizer-clean under the adaptive policy: {reports:?}"
@@ -387,19 +384,16 @@ fn halo3d_adaptive_clean_under_sanitizer() {
 
 #[test]
 fn stencil2d_adaptive_clean_under_sanitizer() {
-    use gpu_nc_repro::stencil2d::{run_stencil_reports, RunOptions, StencilParams, Variant};
-    let (_out, reports) = run_stencil_reports::<f64>(
-        StencilParams {
-            py: 1,
-            px: 2,
-            rows: 1200, // 9.6 KiB column halo: staged rendezvous
-            cols: 16,
-            iters: 2,
-        },
-        Variant::Mv2,
-        RunOptions::default(),
-        SanitizerMode::Collect,
-    );
+    use gpu_nc_repro::stencil2d::{run_stencil_on, RunOptions, StencilParams, Variant};
+    let p = StencilParams {
+        py: 1,
+        px: 2,
+        rows: 1200, // 9.6 KiB column halo: staged rendezvous
+        cols: 16,
+        iters: 2,
+    };
+    let cluster = GpuCluster::new(p.nranks()).sanitizer(SanitizerMode::Collect);
+    let (_out, reports) = run_stencil_on::<f64>(cluster, p, Variant::Mv2, RunOptions::default());
     assert!(
         reports.is_empty(),
         "stencil2d must be sanitizer-clean under the adaptive policy: {reports:?}"

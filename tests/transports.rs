@@ -6,7 +6,7 @@
 
 use std::sync::Arc;
 
-use gpu_nc_repro::halo3d::{run_halo3d_topo, Halo3dParams, Variant};
+use gpu_nc_repro::halo3d::{run_halo3d_on, Halo3dParams, Variant};
 use gpu_nc_repro::mpi_sim::{Datatype, SubarrayOrder};
 use gpu_nc_repro::mv2_gpu_nc::GpuCluster;
 use gpu_nc_repro::sim_trace::Recorder;
@@ -122,15 +122,10 @@ fn halo3d_under_sanitizer_is_clean_at_ppn_2() {
         local: (4, 5, 6),
         iters: 2,
     };
-    let (out, san) = run_halo3d_topo::<f64>(
-        params,
-        Variant::Mv2,
-        false,
-        SanitizerMode::Collect,
-        None,
-        None,
-        2,
-    );
+    let cluster = GpuCluster::new(params.nranks())
+        .ppn(2)
+        .sanitizer(SanitizerMode::Collect);
+    let (out, san) = run_halo3d_on::<f64>(cluster, params, Variant::Mv2, false);
     assert_eq!(out.ranks.len(), 4);
     assert!(
         san.is_empty(),
