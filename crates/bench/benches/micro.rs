@@ -37,7 +37,7 @@ fn bench_flatten() {
         bench(&format!("datatype_flatten/{rows}"), 20, || {
             let dt = Datatype::vector(rows, 1, 4, &Datatype::float());
             dt.commit();
-            dt.flat().segments().len()
+            dt.flat().runs().len()
         });
     }
 }
@@ -46,7 +46,7 @@ fn bench_expand() {
     let dt = Datatype::vector(1 << 16, 1, 4, &Datatype::float());
     dt.commit();
     let flat = dt.flat();
-    bench("expand_64k_segments", 20, || flat.expanded(1).len());
+    bench("materialise_64k_rows", 20, || flat.expanded(1).len());
 }
 
 fn bench_cpu_pack() {

@@ -7,22 +7,20 @@
 //! PCIe as one contiguous block.
 //!
 //! A pipeline chunk is a packed-byte range of the message's shared
-//! [`mpi_sim::Plan`]; [`mpi_sim::Plan::pieces`] maps it to the runs of the
-//! user buffer it covers. [`enqueue_gather`] / [`enqueue_scatter`] read the
-//! shape of that run list off the workspace's one classifier
-//! ([`Canonical::classify`]) and emit the cheapest device operation
-//! sequence for it:
+//! [`mpi_sim::Plan`]; [`mpi_sim::Plan::pieces`] clips the plan's run list
+//! to it. [`enqueue_gather`] / [`enqueue_scatter`] pick the cheapest device
+//! operation sequence off that short list — never looking at a row:
 //!
-//! * one contiguous `memcpy` for [`Canonical::Contig`],
-//! * one strided 2-D copy for [`Canonical::Strided1D`] (optionally around
-//!   trimmed head/tail runs from chunk boundaries),
+//! * one contiguous `memcpy` for a single row,
+//! * one strided 2-D copy for a single run (optionally around a first and
+//!   last row that chunk boundaries trimmed),
 //! * a generic gather/scatter pack kernel for everything else
 //!   (indexed/struct types and two-level shapes — beyond what the paper
-//!   evaluated, but what its production descendants do).
+//!   evaluated, but what its production descendants do), charged by bytes
+//!   and rows and executed as one in-arena pitched copy per run.
 
 use gpu_sim::{Copy2d, DevPtr, Gpu, Loc, Stream};
-use mpi_sim::flat::Segment;
-use mpi_sim::Canonical;
+use mpi_sim::flat::{push_run, Run};
 use sim_core::Completion;
 
 /// Enqueue the device ops that pack `pieces` of the user buffer at `user`
@@ -32,7 +30,7 @@ pub fn enqueue_gather(
     gpu: &Gpu,
     stream: &Stream,
     user: DevPtr,
-    pieces: &[Segment],
+    pieces: &[Run],
     dst: DevPtr,
 ) -> Completion {
     enqueue_strided(gpu, stream, user, pieces, dst, true)
@@ -44,89 +42,83 @@ pub fn enqueue_scatter(
     gpu: &Gpu,
     stream: &Stream,
     user: DevPtr,
-    pieces: &[Segment],
+    pieces: &[Run],
     src: DevPtr,
 ) -> Completion {
     enqueue_strided(gpu, stream, user, pieces, src, false)
+}
+
+/// `pieces` (two or more runs in normal form) as first row, middle, last
+/// row — when every row between the first and the last is one progression
+/// of at least two rows, no narrower than either end. Chunk boundaries
+/// often clip the ends of an otherwise single-level pattern this way.
+fn peel(pieces: &[Run]) -> Option<(Run, Run, Run)> {
+    let (first, last) = (pieces.first()?, pieces.last()?);
+    let mut middle = Vec::new();
+    push_run(&mut middle, first.slice(1, first.count - 1));
+    for r in &pieces[1..pieces.len() - 1] {
+        push_run(&mut middle, *r);
+    }
+    push_run(&mut middle, last.slice(0, last.count - 1));
+    let (head, tail) = (first.slice(0, 1), last.slice(last.count - 1, 1));
+    match middle[..] {
+        [m] if m.count >= 2 && head.len <= m.len && tail.len <= m.len => Some((head, m, tail)),
+        _ => None,
+    }
 }
 
 fn enqueue_strided(
     gpu: &Gpu,
     stream: &Stream,
     user: DevPtr,
-    pieces: &[Segment],
+    pieces: &[Run],
     contig: DevPtr,
     gather: bool,
 ) -> Completion {
     assert!(!pieces.is_empty(), "empty piece list");
-    let total: usize = pieces.iter().map(|p| p.len).sum();
+    let total: usize = pieces.iter().map(Run::bytes).sum();
 
-    // One run of the user buffer <-> `cbase`.
-    let copy1d = |run: isize, len: usize, cbase: DevPtr| {
-        let run = user.add_signed(run);
-        let (dst, src) = if gather { (cbase, run) } else { (run, cbase) };
-        gpu.memcpy_async(dst, src, len, stream)
-    };
-    // `count` blocks of the user buffer, `stride` apart <-> `cbase`.
-    let copy2d = |first: isize, block: usize, stride: usize, count: usize, cbase: DevPtr| {
-        let (strided, packed) = (Loc::Device(user.add_signed(first)), Loc::Device(cbase));
+    // The rows of `run` in the user buffer <-> packed at `cbase`.
+    let params = |run: &Run, cbase: DevPtr| {
+        let (strided, packed) = (Loc::Device(user.add_signed(run.offset)), Loc::Device(cbase));
         let ((dst, dpitch), (src, spitch)) = if gather {
-            ((packed, block), (strided, stride))
+            ((packed, run.len), (strided, run.stride))
         } else {
-            ((strided, stride), (packed, block))
+            ((strided, run.stride), (packed, run.len))
         };
-        gpu.memcpy_2d_async(
-            Copy2d {
-                dst,
-                dpitch,
-                src,
-                spitch,
-                width: block,
-                height: count,
-            },
-            stream,
-        )
+        Copy2d {
+            dst,
+            dpitch,
+            src,
+            spitch,
+            width: run.len,
+            height: run.count,
+        }
+    };
+    // One row (or unmerged back-to-back rows) is a plain copy, any other
+    // run one 2-D copy.
+    let copy = |run: &Run, cbase: DevPtr| {
+        let p = params(run, cbase);
+        if run.count == 1 || run.stride == run.len {
+            gpu.memcpy_async(p.dst, p.src, run.bytes(), stream)
+        } else {
+            gpu.memcpy_2d_async(p, stream)
+        }
     };
 
-    match Canonical::classify(pieces) {
-        Canonical::Contig { offset, .. } => return copy1d(offset, total, contig),
-        // Unmerged back-to-back blocks are still one plain copy.
-        Canonical::Strided1D {
-            first,
-            block,
-            stride,
-            ..
-        } if stride == block => return copy1d(first, total, contig),
-        Canonical::Strided1D {
-            first,
-            block,
-            stride,
-            count,
-        } => return copy2d(first, block, stride, count, contig),
-        Canonical::Strided2D { .. } | Canonical::Irregular => {}
+    if let [run] = pieces {
+        return copy(run, contig);
     }
-
-    // Chunk boundaries often clip the first/last run of an otherwise
-    // single-level pattern: peel them off and 2-D-copy the middle.
-    if let [head, middle @ .., tail] = pieces {
-        if let Canonical::Strided1D {
-            first,
-            block,
-            stride,
-            count,
-        } = Canonical::classify(middle)
-        {
-            if head.len <= block && tail.len <= block {
-                copy1d(head.offset, head.len, contig);
-                let mid = contig.add(head.len);
-                copy2d(first, block, stride, count, mid);
-                return copy1d(tail.offset, tail.len, mid.add(block * count));
-            }
-        }
+    if let Some((head, middle, tail)) = peel(pieces) {
+        copy(&head, contig);
+        let mid = contig.add(head.len);
+        gpu.memcpy_2d_async(params(&middle, mid), stream);
+        return copy(&tail, mid.add(middle.bytes()));
     }
 
     // Everything else: one generic gather/scatter kernel.
-    let cost = gpu.cost_model().pack_kernel(total as u64, pieces.len());
+    let rows = pieces.iter().map(|r| r.count).sum();
+    let cost = gpu.cost_model().pack_kernel(total as u64, rows);
     let name = if gather {
         "pack_gather"
     } else {
@@ -134,11 +126,9 @@ fn enqueue_strided(
     };
     gpu.launch_kernel(name, cost, stream, |g| {
         let mut coff = contig;
-        for p in pieces {
-            let run = user.add_signed(p.offset);
-            let (dst, src) = if gather { (coff, run) } else { (run, coff) };
-            g.write_bytes(dst, &g.read_bytes(src, p.len));
-            coff = coff.add(p.len);
+        for run in pieces {
+            g.copy_2d_untimed(&params(run, coff));
+            coff = coff.add(run.bytes());
         }
     })
 }
@@ -146,7 +136,8 @@ fn enqueue_strided(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpi_sim::{Datatype, Plan};
+    use mpi_sim::flat::{rows, Segment};
+    use mpi_sim::{Canonical, Datatype, Plan};
     use sim_core::Sim;
     use std::sync::Arc;
 
@@ -170,12 +161,44 @@ mod tests {
     #[test]
     fn pieces_slices_ranges() {
         let dt = Datatype::vector(4, 1, 4, &Datatype::float());
-        let m = plan_of(&dt, 1); // runs of 4 at 0,16,32,48
+        let m = plan_of(&dt, 1); // rows of 4 at 0,16,32,48
         assert_eq!(m.total(), 16);
-        assert_eq!(m.pieces(0, 16), segs(&[(0, 4), (16, 4), (32, 4), (48, 4)]));
-        assert_eq!(m.pieces(2, 4), segs(&[(2, 2), (16, 2)]));
-        assert_eq!(m.pieces(6, 6), segs(&[(18, 2), (32, 4)]));
+        let all = segs(&[(0, 4), (16, 4), (32, 4), (48, 4)]);
+        assert_eq!(rows(&m.pieces(0, 16)), all);
+        assert_eq!(rows(&m.pieces(2, 4)), segs(&[(2, 2), (16, 2)]));
+        assert_eq!(rows(&m.pieces(6, 6)), segs(&[(18, 2), (32, 4)]));
         assert!(m.pieces(16, 0).is_empty());
+    }
+
+    #[test]
+    fn peel_needs_a_two_row_middle_no_narrower_than_the_ends() {
+        let m = plan_of(&Datatype::vector(32, 1, 8, &Datatype::float()), 1);
+        let run = |offset, len, stride, count| Run {
+            offset,
+            len,
+            stride,
+            count,
+        };
+        // Clipped at both ends, and an unclipped first row with a clipped
+        // last one: the first row is peeled off either way.
+        assert_eq!(
+            peel(&m.pieces(2, 100)),
+            Some((run(2, 2, 2, 1), run(32, 4, 32, 24), run(800, 2, 2, 1)))
+        );
+        assert_eq!(
+            peel(&m.pieces(0, 14)),
+            Some((run(0, 4, 32, 1), run(32, 4, 32, 2), run(96, 2, 2, 1)))
+        );
+        // One whole row between the clipped ends is not a 2-D copy.
+        assert_eq!(peel(&m.pieces(2, 8)), None);
+        // Ends wider than the middle's rows, or two progressions between.
+        let soup = Plan::from_segments(segs(&[(0, 8), (16, 4), (32, 4), (48, 4), (64, 2)]));
+        assert_eq!(peel(soup.runs()), None);
+        let planes = plan_of(
+            &Datatype::resized(&Datatype::vector(4, 1, 8, &Datatype::float()), 0, 4),
+            3,
+        );
+        assert_eq!(peel(planes.runs()), None);
     }
 
     #[test]

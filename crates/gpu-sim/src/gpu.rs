@@ -3,12 +3,15 @@
 //!
 //! # Fidelity notes
 //!
-//! * **Bytes move eagerly, time settles later.** Enqueuing a copy performs
-//!   the byte movement immediately and returns a [`Completion`] for the
-//!   modeled finish instant. Because enqueue order equals program order and
-//!   simulated code only observes data after waiting/polling completions,
-//!   this is indistinguishable from deferred copying for race-free programs
-//!   (racy programs are undefined behaviour on real CUDA too).
+//! * **Bytes move eagerly, once, row to row; time settles later.**
+//!   Enqueuing a copy performs the byte movement immediately — each row
+//!   goes straight from its source to its destination, both extents
+//!   validated once per operation, nothing staged in between — and returns
+//!   a [`Completion`] for the modeled finish instant. Because enqueue order
+//!   equals program order and simulated code only observes data after
+//!   waiting/polling completions, this is indistinguishable from deferred
+//!   copying for race-free programs (racy programs are undefined behaviour
+//!   on real CUDA too).
 //! * **Engines.** Fermi exposes two PCIe copy engines (H2D and D2H) that
 //!   run concurrently with the compute engine; strided device-internal
 //!   copies get their own queue (they execute as small DMA/kernel programs).
@@ -114,6 +117,31 @@ impl Copy2d {
             (true, true) => Shape2D::Contiguous,
             (false, false) => Shape2D::BothStrided,
             _ => Shape2D::OneStrided,
+        }
+    }
+}
+
+/// Copy rows of `w` bytes from `src`, `spitch` apart, to `dst`, `dpitch`
+/// apart. Each slice spans exactly its side's extent (so its last chunk is
+/// one row wide). The row widths a scalar or a small vector element has get
+/// a fixed-size copy — a load and a store, not a `memcpy` call.
+fn copy_rows(dst: &mut [u8], dpitch: usize, src: &[u8], spitch: usize, w: usize) {
+    fn fixed<const W: usize>(dst: &mut [u8], dpitch: usize, src: &[u8], spitch: usize) {
+        for (d, s) in dst.chunks_mut(dpitch).zip(src.chunks(spitch)) {
+            d[..W].copy_from_slice(&s[..W]);
+        }
+    }
+    if dpitch == w && spitch == w {
+        return dst.copy_from_slice(src);
+    }
+    match w {
+        4 => fixed::<4>(dst, dpitch, src, spitch),
+        8 => fixed::<8>(dst, dpitch, src, spitch),
+        16 => fixed::<16>(dst, dpitch, src, spitch),
+        _ => {
+            for (d, s) in dst.chunks_mut(dpitch).zip(src.chunks(spitch)) {
+                d[..w].copy_from_slice(&s[..w]);
+            }
         }
     }
 }
@@ -558,61 +586,67 @@ impl Gpu {
 
     // --- data plane ----------------------------------------------------------
 
-    /// Move bytes for a 2-D copy right now (no virtual time involved).
+    /// Move bytes for a 2-D copy right now (no virtual time involved): both
+    /// extents are validated before the first byte moves, then every row is
+    /// copied once, source to destination. Overlapping source and
+    /// destination rows are undefined, as on the device.
     fn do_copy2d_bytes(&self, p: &Copy2d) {
         p.validate();
-        if p.width == 0 || p.height == 0 {
+        let (w, h) = (p.width, p.height);
+        if w == 0 || h == 0 {
             return;
         }
         // The declared ranges were checked when the op was registered; the
         // eager byte movement below must not re-trigger process-level checks.
         let _san = san::suppress();
-        let total = p.width * p.height;
-        let mut tmp = vec![0u8; total];
-        // Gather source rows into tmp.
-        match &p.src {
-            Loc::Host(hp) => {
-                let base = hp.offset();
-                hp.buf().with_slice(|s| {
-                    for r in 0..p.height {
-                        let off = base + r * p.spitch;
-                        tmp[r * p.width..(r + 1) * p.width].copy_from_slice(&s[off..off + p.width]);
-                    }
-                });
-            }
-            Loc::Device(dp) => {
+        let (sext, dext) = ((h - 1) * p.spitch + w, (h - 1) * p.dpitch + w);
+        // Lock the device and check one side's extent against its allocation.
+        let device = |ptr: &DevPtr, extent| {
+            self.check_owned(*ptr);
+            let mem = self.inner.mem.lock();
+            mem.check_access(ptr.offset, extent);
+            mem
+        };
+        match (&p.src, &p.dst) {
+            (Loc::Device(sp), Loc::Device(dp)) => {
                 self.check_owned(*dp);
-                let mem = self.inner.mem.lock();
-                let extent = (p.height - 1) * p.spitch + p.width;
-                mem.check_access(dp.offset, extent);
-                for r in 0..p.height {
-                    let off = dp.offset + r * p.spitch;
-                    tmp[r * p.width..(r + 1) * p.width]
-                        .copy_from_slice(&mem.arena[off..off + p.width]);
+                let mut mem = device(sp, sext);
+                mem.check_access(dp.offset, dext);
+                let (s0, d0) = (sp.offset, dp.offset);
+                let arena = &mut mem.arena[..];
+                if s0 + sext <= d0 {
+                    let (lo, hi) = arena.split_at_mut(d0);
+                    copy_rows(&mut hi[..dext], p.dpitch, &lo[s0..s0 + sext], p.spitch, w);
+                } else if d0 + dext <= s0 {
+                    let (lo, hi) = arena.split_at_mut(s0);
+                    copy_rows(&mut lo[d0..d0 + dext], p.dpitch, &hi[..sext], p.spitch, w);
+                } else {
+                    // Interleaved extents (rows of one allocation): no
+                    // disjoint borrow exists, so row by row in place.
+                    for r in 0..h {
+                        let s = s0 + r * p.spitch;
+                        arena.copy_within(s..s + w, d0 + r * p.dpitch);
+                    }
                 }
             }
-        }
-        // Scatter tmp into destination rows.
-        match &p.dst {
-            Loc::Host(hp) => {
-                let base = hp.offset();
-                hp.buf().with_slice(|s| {
-                    for r in 0..p.height {
-                        let off = base + r * p.dpitch;
-                        s[off..off + p.width].copy_from_slice(&tmp[r * p.width..(r + 1) * p.width]);
-                    }
-                });
-            }
-            Loc::Device(dp) => {
-                self.check_owned(*dp);
-                let mut mem = self.inner.mem.lock();
-                let extent = (p.height - 1) * p.dpitch + p.width;
-                mem.check_access(dp.offset, extent);
-                for r in 0..p.height {
-                    let off = dp.offset + r * p.dpitch;
-                    mem.arena[off..off + p.width]
-                        .copy_from_slice(&tmp[r * p.width..(r + 1) * p.width]);
-                }
+            (Loc::Host(hp), Loc::Device(dp)) => hp.buf().with_slice(|host| {
+                let src = &host[hp.offset()..][..sext];
+                let mut mem = device(dp, dext);
+                copy_rows(
+                    &mut mem.arena[dp.offset..][..dext],
+                    p.dpitch,
+                    src,
+                    p.spitch,
+                    w,
+                );
+            }),
+            (Loc::Device(sp), Loc::Host(hp)) => hp.buf().with_slice(|host| {
+                let mem = device(sp, sext);
+                let dst = &mut host[hp.offset()..][..dext];
+                copy_rows(dst, p.dpitch, &mem.arena[sp.offset..][..sext], p.spitch, w);
+            }),
+            (Loc::Host(_), Loc::Host(_)) => {
+                panic!("Copy2d: host-to-host copies do not involve the GPU")
             }
         }
     }
@@ -789,6 +823,14 @@ impl Gpu {
     /// Read a slice of scalars directly from device memory.
     pub fn read_scalars<T: Scalar>(&self, ptr: DevPtr, count: usize) -> Vec<T> {
         hostmem::bytes_to_scalars(&self.read_bytes(ptr, count * T::SIZE))
+    }
+
+    /// Move the bytes of a pitched copy right now, with no call counted and
+    /// no virtual time — what a kernel *body* (see
+    /// [`launch_kernel`](Gpu::launch_kernel)) uses to move rows inside
+    /// device memory. Extents are validated like any device access.
+    pub fn copy_2d_untimed(&self, p: &Copy2d) {
+        self.do_copy2d_bytes(p);
     }
 
     /// Run `f` with mutable access to the raw device arena (kernel bodies).

@@ -302,6 +302,129 @@ mod tests {
         });
     }
 
+    /// Row-by-row reference for a pitched copy between two byte images.
+    /// Each side is `(image, first row, pitch)`.
+    fn copy_rows_ref(
+        dst: (&mut [u8], usize, usize),
+        src: (&[u8], usize, usize),
+        w: usize,
+        h: usize,
+    ) {
+        let ((dst, d0, dp), (src, s0, sp)) = (dst, src);
+        for r in 0..h {
+            dst[d0 + r * dp..][..w].copy_from_slice(&src[s0 + r * sp..][..w]);
+        }
+    }
+
+    #[test]
+    fn pitched_copies_move_exactly_their_rows() {
+        // Every width class (fixed-size 4/8/16 and the generic loop), both
+        // pitches different, one row and several, each direction — and D2D
+        // both between allocations and between interleaved rows of one.
+        const SPAN: usize = 1024;
+        let image = |seed: u8| -> Vec<u8> {
+            (0..SPAN)
+                .map(|i| (i as u8).wrapping_mul(37) ^ seed)
+                .collect()
+        };
+        let gpu = Gpu::new(0, CostModel::tesla_c2050(), 1 << 16);
+        let (a, b) = (gpu.malloc(SPAN), gpu.malloc(SPAN));
+        for w in [1usize, 3, 4, 8, 16, 17] {
+            for h in [1usize, 5] {
+                let (sp, dp, s0, d0) = (w + 23, w + 5, 7, 3);
+                let (src_img, dst_img) = (image(1), image(2));
+                let mut want = dst_img.clone();
+                copy_rows_ref((&mut want, d0, dp), (&src_img, s0, sp), w, h);
+                let params = |dst: Loc, src: Loc| Copy2d {
+                    dst,
+                    dpitch: dp,
+                    src,
+                    spitch: sp,
+                    width: w,
+                    height: h,
+                };
+
+                let hsrc = HostBuf::from_vec(src_img.clone());
+                gpu.write_bytes(b, &dst_img);
+                gpu.copy_2d_untimed(&params(Loc::Device(b.add(d0)), Loc::Host(hsrc.ptr(s0))));
+                assert_eq!(gpu.read_bytes(b, SPAN), want, "H2D {w}x{h}");
+
+                let hdst = HostBuf::from_vec(dst_img.clone());
+                gpu.write_bytes(a, &src_img);
+                gpu.copy_2d_untimed(&params(Loc::Host(hdst.ptr(d0)), Loc::Device(a.add(s0))));
+                assert_eq!(hdst.read(0, SPAN), want, "D2H {w}x{h}");
+
+                for (from, to) in [(a, b), (b, a)] {
+                    gpu.write_bytes(from, &src_img);
+                    gpu.write_bytes(to, &dst_img);
+                    gpu.copy_2d_untimed(&params(
+                        Loc::Device(to.add(d0)),
+                        Loc::Device(from.add(s0)),
+                    ));
+                    assert_eq!(gpu.read_bytes(to, SPAN), want, "D2D {w}x{h}");
+                    assert_eq!(gpu.read_bytes(from, SPAN), src_img, "D2D source {w}x{h}");
+                }
+
+                // Rows of one allocation, extents interleaved: source rows
+                // at pitch 2w+8 from 0, destination rows w+4 further on.
+                let (pitch, off) = (2 * w + 8, w + 4);
+                let mut want = src_img.clone();
+                copy_rows_ref((&mut want, off, pitch), (&src_img, 0, pitch), w, h);
+                gpu.write_bytes(a, &src_img);
+                gpu.copy_2d_untimed(&Copy2d {
+                    dst: Loc::Device(a.add(off)),
+                    dpitch: pitch,
+                    src: Loc::Device(a),
+                    spitch: pitch,
+                    width: w,
+                    height: h,
+                });
+                assert_eq!(gpu.read_bytes(a, SPAN), want, "in-place D2D {w}x{h}");
+            }
+        }
+    }
+
+    #[test]
+    fn empty_and_out_of_bounds_pitched_copies() {
+        let gpu = Gpu::new(0, CostModel::tesla_c2050(), 1 << 16);
+        let (a, b) = (gpu.malloc(256), gpu.malloc(256));
+        gpu.write_bytes(a, &[7u8; 256]);
+        gpu.write_bytes(b, &[9u8; 256]);
+        let copy = |dst: DevPtr, src: DevPtr, width, height| {
+            let p = Copy2d {
+                dst: Loc::Device(dst),
+                dpitch: 64,
+                src: Loc::Device(src),
+                spitch: 64,
+                width,
+                height,
+            };
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| gpu.copy_2d_untimed(&p)))
+        };
+        // Nothing to move is nothing checked, wherever the pointers aim.
+        assert!(copy(b.add(250), a.add(250), 0, 9).is_ok());
+        assert!(copy(b.add(250), a.add(250), 9, 0).is_ok());
+        // Five rows at pitch 64 span 4*64+8 = 264 bytes: past the source's
+        // 256, then past the destination's. Either way the device faults
+        // before a byte has moved.
+        let fault = |r: std::thread::Result<()>| {
+            let msg = *r
+                .expect_err("must fault")
+                .downcast::<String>()
+                .expect("a message");
+            assert!(msg.contains("outside any live allocation"), "{msg}");
+            assert_eq!(
+                gpu.read_bytes(b, 256),
+                [9u8; 256],
+                "bytes moved before the fault"
+            );
+        };
+        let roomy = gpu.malloc(512);
+        fault(copy(roomy, a, 8, 5)); // source extent leaves `a`
+        fault(copy(b, roomy, 8, 5)); // destination extent leaves `b`
+        assert!(copy(b, roomy, 8, 4).is_ok());
+    }
+
     #[test]
     #[should_panic(expected = "belongs to gpu")]
     fn cross_gpu_pointer_rejected() {

@@ -142,6 +142,22 @@ fn bounds_over<I: Iterator<Item = (usize, isize)>>(
     out
 }
 
+/// (lb, ub) of `count` blocks `stride_bytes` apart. Block bounds move
+/// linearly with the block index, so the first and the last block decide
+/// both — O(1), not a walk over `count`.
+fn strided_bounds(
+    child: &Datatype,
+    count: usize,
+    blocklen: usize,
+    stride_bytes: isize,
+) -> (isize, isize) {
+    let ends = [0, count.saturating_sub(1)];
+    let placements = ends[..count.min(2)]
+        .iter()
+        .map(|&i| (blocklen, i as isize * stride_bytes));
+    bounds_over(child, placements).unwrap_or((0, 0))
+}
+
 impl Datatype {
     // --- primitives ---------------------------------------------------------
 
@@ -200,12 +216,7 @@ impl Datatype {
     /// `MPI_Type_vector(count, blocklen, stride, child)`: `count` blocks of
     /// `blocklen` elements, block starts `stride` child-extents apart.
     pub fn vector(count: usize, blocklen: usize, stride: isize, child: &Datatype) -> Datatype {
-        let ext = child.extent();
-        let (lb, ub) = bounds_over(
-            child,
-            (0..count).map(|i| (blocklen, i as isize * stride * ext)),
-        )
-        .unwrap_or((0, 0));
+        let (lb, ub) = strided_bounds(child, count, blocklen, stride * child.extent());
         new_dt(
             DtKind::Vector {
                 count,
@@ -227,11 +238,7 @@ impl Datatype {
         stride_bytes: isize,
         child: &Datatype,
     ) -> Datatype {
-        let (lb, ub) = bounds_over(
-            child,
-            (0..count).map(|i| (blocklen, i as isize * stride_bytes)),
-        )
-        .unwrap_or((0, 0));
+        let (lb, ub) = strided_bounds(child, count, blocklen, stride_bytes);
         new_dt(
             DtKind::Hvector {
                 count,
@@ -463,8 +470,8 @@ impl Datatype {
         c.unpack_from(data);
     }
 
-    /// The cached communication plan for `count` elements (expanded
-    /// segments, prefix sums, layout). Requires a committed type.
+    /// The cached communication plan for `count` elements (run list,
+    /// prefix sums, shape). Requires a committed type.
     pub fn plan(&self, count: usize) -> Arc<crate::plan::Plan> {
         self.flat().plan(count)
     }
@@ -487,6 +494,23 @@ impl Datatype {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn strided_bounds_match_a_walk_over_every_block() {
+        let child = Datatype::resized(&Datatype::double(), -4, 20);
+        for count in 0..5 {
+            for blocklen in 0..3 {
+                for stride in [-48, -8, 0, 8, 48] {
+                    let walk = (0..count).map(|i| (blocklen, i as isize * stride));
+                    assert_eq!(
+                        strided_bounds(&child, count, blocklen, stride),
+                        bounds_over(&child, walk).unwrap_or((0, 0)),
+                        "count {count} blocklen {blocklen} stride {stride}"
+                    );
+                }
+            }
+        }
+    }
 
     #[test]
     fn primitive_sizes() {
@@ -616,7 +640,7 @@ mod tests {
         assert_eq!(a.ub(), b.ub());
         a.commit();
         b.commit();
-        assert_eq!(a.flat().segments(), b.flat().segments());
+        assert_eq!(a.flat().runs(), b.flat().runs());
     }
 
     #[test]

@@ -1,12 +1,34 @@
-//! Flattened datatype layouts.
+//! Flattened datatype layouts: the run list.
 //!
-//! `MPI_Type_commit` turns the datatype tree into a normalized list of
-//! `(offset, len)` byte runs ([`Segment`]s) in *typemap order* (which is
-//! pack order), merging runs that are adjacent both in traversal order and
-//! in memory. A [`FlatType`] holds one element's runs; replicating them
-//! over a count and describing the resulting *shape* — contiguous, strided
-//! or irregular — is the job of [`crate::plan`], whose cached [`Plan`]s
-//! hang off the committed type here.
+//! A layout is a short list of strided [`Run`]s `(offset, len, stride,
+//! count)` in *typemap order* (which is pack order). `MPI_Type_commit`
+//! builds it compositionally from the datatype tree — a vector of a million
+//! floats is one run, built in O(tree) — and every later stage (count
+//! replication, chunk slicing, shape, CPU and GPU packing, NIC lowering)
+//! walks runs, never rows.
+//!
+//! # Normal form
+//!
+//! Walking a list row by row gives the typemap's byte runs; the list itself
+//! is the *greedy* grouping of those rows, scanning in pack order:
+//!
+//! * adjacent bytes merge — a row that starts where the previous one ends
+//!   extends it, and a dense run (`stride == len`) is one row;
+//! * a row of the same width extends the run before it when it continues
+//!   that run's arithmetic progression (a lone row pairs with any later
+//!   row of its width at a positive distance);
+//! * a one-row run carries `stride == len`.
+//!
+//! So a row list has exactly one run list, a single progression is exactly
+//! one run, and [`crate::plan::Canonical`] can be read off the list without
+//! looking at a row. [`push_run`] maintains the last two rules,
+//! `push_flat` the first on top of them.
+//!
+//! A [`FlatType`] holds one element's runs; replicating them over a count
+//! is [`crate::plan::Plan::build`], whose cached plans hang off the
+//! committed type here. [`Segment`] and [`FlatType::expanded`] are the
+//! row-level view, kept for tests and diagnostics: no communication path
+//! materialises rows.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -14,8 +36,8 @@ use std::sync::Arc;
 use crate::datatype::{Datatype, DtKind};
 use crate::plan::{Plan, PlanCache, PlanCacheStats};
 
-/// One contiguous run of bytes at a (possibly negative) offset from the
-/// buffer address.
+/// One contiguous run of bytes — a *row* — at a (possibly negative) offset
+/// from the buffer address.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub struct Segment {
     /// Byte offset relative to the operation's buffer address.
@@ -24,111 +46,230 @@ pub struct Segment {
     pub len: usize,
 }
 
-/// The committed (flattened) form of a datatype: one element's segments,
-/// plus an LRU cache of per-count communication [`Plan`]s.
+/// One strided run of a layout: `count` rows of `len` bytes, the first at
+/// `offset` from the buffer address, successive rows `stride` bytes apart.
+/// What a `cudaMemcpy2D`, a pitched host copy or one HCA scatter/gather
+/// entry moves.
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+pub struct Run {
+    /// Byte offset of the first row, relative to the buffer address.
+    pub offset: isize,
+    /// Bytes per row.
+    pub len: usize,
+    /// Distance between consecutive row starts, bytes (`len` for one row).
+    pub stride: usize,
+    /// Number of rows.
+    pub count: usize,
+}
+
+impl Run {
+    /// A single row.
+    pub fn row_at(offset: isize, len: usize) -> Run {
+        Run {
+            offset,
+            len,
+            stride: len,
+            count: 1,
+        }
+    }
+
+    /// Payload bytes this run moves.
+    pub fn bytes(&self) -> usize {
+        self.len * self.count
+    }
+
+    /// Row `i` of the run.
+    pub fn row(&self, i: usize) -> Segment {
+        Segment {
+            offset: self.offset + (i * self.stride) as isize,
+            len: self.len,
+        }
+    }
+
+    /// The rows of the run, in pack order.
+    pub fn rows(self) -> impl Iterator<Item = Segment> {
+        (0..self.count).map(move |i| self.row(i))
+    }
+
+    /// `n` rows of the run starting at row `first` (possibly none).
+    pub fn slice(&self, first: usize, n: usize) -> Run {
+        Run {
+            offset: self.row(first).offset,
+            count: n,
+            ..*self
+        }
+    }
+}
+
+/// A run list walked row by row: the row-level view of a layout, for tests
+/// and diagnostics. O(rows).
+pub fn rows(runs: &[Run]) -> Vec<Segment> {
+    runs.iter().flat_map(|r| r.rows()).collect()
+}
+
+/// Append `run` to a run list, keeping it in normal form for rows that are
+/// already byte-merged (or deliberately left unmerged, as in an explicit
+/// segment list): the leading rows of `run` that continue the last run's
+/// progression are absorbed into it, the rest start a new run. O(1).
+pub fn push_run(out: &mut Vec<Run>, run: Run) {
+    if run.len == 0 || run.count == 0 {
+        return;
+    }
+    let run = match run.count {
+        1 => Run::row_at(run.offset, run.len),
+        _ => run,
+    };
+    if let Some(last) = out.last_mut().filter(|l| l.len == run.len) {
+        let delta = run.offset - last.offset;
+        // The stride at which the first row of `run` continues `last`: a
+        // lone row pairs at any positive distance, a progression only at
+        // its own.
+        let stride = match last.count {
+            1 if delta > 0 => Some(delta as usize),
+            n if n > 1 && delta == (n * last.stride) as isize => Some(last.stride),
+            _ => None,
+        };
+        if let Some(stride) = stride {
+            let absorbed = if run.count == 1 || run.stride == stride {
+                run.count
+            } else {
+                1
+            };
+            last.stride = stride;
+            last.count += absorbed;
+            // What is left (nothing, or a run at another stride) cannot
+            // pair again: this recursion is one level deep.
+            return push_run(out, run.slice(absorbed, run.count - absorbed));
+        }
+    }
+    out.push(run);
+}
+
+/// [`push_run`] for a layout being flattened (commit, count replication):
+/// adjacent bytes merge first. A dense run is one row, and a run whose
+/// first row starts where the list's last row ends extends that row.
+fn push_flat(out: &mut Vec<Run>, run: Run) {
+    if run.len == 0 || run.count == 0 {
+        return;
+    }
+    let run = if run.count > 1 && run.stride == run.len {
+        Run::row_at(run.offset, run.bytes())
+    } else {
+        run
+    };
+    if let Some(last) = out.last().copied() {
+        let tail = last.row(last.count - 1);
+        if tail.offset + tail.len as isize == run.offset {
+            // Take the last row back, widen it, and let the greedy scan see
+            // the widened row and the rest of `run` afresh.
+            out.pop();
+            push_run(out, last.slice(0, last.count - 1));
+            push_run(out, Run::row_at(tail.offset, tail.len + run.len));
+            return push_run(out, run.slice(1, run.count - 1));
+        }
+    }
+    push_run(out, run);
+}
+
+/// Append `n` copies of `child` to `out`, copy `i` displaced by `base + i *
+/// pitch`: the one step every datatype constructor (and count replication)
+/// is made of.
+pub(crate) fn replicate(out: &mut Vec<Run>, child: &[Run], n: usize, pitch: isize, base: isize) {
+    // Copies of a single run that continue its progression are still one
+    // run — O(1) whatever `n` is.
+    if let ([r], true) = (child, pitch > 0) {
+        let pitch = pitch as usize;
+        if r.count == 1 || pitch == r.count * r.stride {
+            let stride = if r.count == 1 { pitch } else { r.stride };
+            return push_flat(
+                out,
+                Run {
+                    offset: r.offset + base,
+                    len: r.len,
+                    stride,
+                    count: r.count * n,
+                },
+            );
+        }
+    }
+    for i in 0..n {
+        let shift = base + i as isize * pitch;
+        for r in child {
+            push_flat(
+                out,
+                Run {
+                    offset: r.offset + shift,
+                    ..*r
+                },
+            );
+        }
+    }
+}
+
+/// One element of `dt` as a run list in normal form, built bottom-up: each
+/// node replicates its child's *list*, so the cost follows the tree and the
+/// length of the result, not the number of rows.
+fn flatten(dt: &Datatype) -> Vec<Run> {
+    let mut out = Vec::new();
+    // `count` blocks `pitch` apart, each `blocklen` children back to back.
+    let blocks = |out: &mut Vec<Run>, child: &Datatype, count, blocklen, pitch| {
+        let mut block = Vec::new();
+        replicate(&mut block, &flatten(child), blocklen, child.extent(), 0);
+        replicate(out, &block, count, pitch, 0);
+    };
+    match &dt.inner.kind {
+        DtKind::Primitive { .. } => out.push(Run::row_at(0, dt.size())),
+        DtKind::Contiguous { count, child } => blocks(&mut out, child, 1, *count, 0),
+        DtKind::Vector {
+            count,
+            blocklen,
+            stride,
+            child,
+        } => blocks(&mut out, child, *count, *blocklen, stride * child.extent()),
+        DtKind::Hvector {
+            count,
+            blocklen,
+            stride_bytes,
+            child,
+        } => blocks(&mut out, child, *count, *blocklen, *stride_bytes),
+        DtKind::Indexed { blocks, child } => {
+            let (runs, cext) = (flatten(child), child.extent());
+            for &(blocklen, disp) in blocks {
+                replicate(&mut out, &runs, blocklen, cext, disp * cext);
+            }
+        }
+        DtKind::Hindexed { blocks, child } => {
+            let (runs, cext) = (flatten(child), child.extent());
+            for &(blocklen, disp) in blocks {
+                replicate(&mut out, &runs, blocklen, cext, disp);
+            }
+        }
+        DtKind::Struct { fields } => {
+            for (blocklen, disp, child) in fields {
+                replicate(&mut out, &flatten(child), *blocklen, child.extent(), *disp);
+            }
+        }
+        DtKind::Resized { child, .. } => return flatten(child),
+    }
+    out
+}
+
+/// The committed (flattened) form of a datatype: one element's runs, plus
+/// an LRU cache of per-count communication [`Plan`]s.
 #[derive(Debug)]
 pub struct FlatType {
-    segments: Vec<Segment>,
+    runs: Vec<Run>,
     size: usize,
     extent: isize,
     plans: PlanCache,
     expand_calls: AtomicU64,
 }
 
-fn push_merged(out: &mut Vec<Segment>, seg: Segment) {
-    if seg.len == 0 {
-        return;
-    }
-    if let Some(last) = out.last_mut() {
-        if last.offset + last.len as isize == seg.offset {
-            last.len += seg.len;
-            return;
-        }
-    }
-    out.push(seg);
-}
-
-fn walk(dt: &Datatype, base: isize, out: &mut Vec<Segment>) {
-    match &dt.inner.kind {
-        DtKind::Primitive { .. } => push_merged(
-            out,
-            Segment {
-                offset: base,
-                len: dt.size(),
-            },
-        ),
-        DtKind::Contiguous { count, child } => {
-            let cext = child.extent();
-            for i in 0..*count {
-                walk(child, base + i as isize * cext, out);
-            }
-        }
-        DtKind::Vector {
-            count,
-            blocklen,
-            stride,
-            child,
-        } => {
-            let cext = child.extent();
-            for i in 0..*count {
-                let block = base + i as isize * stride * cext;
-                for j in 0..*blocklen {
-                    walk(child, block + j as isize * cext, out);
-                }
-            }
-        }
-        DtKind::Hvector {
-            count,
-            blocklen,
-            stride_bytes,
-            child,
-        } => {
-            let cext = child.extent();
-            for i in 0..*count {
-                let block = base + i as isize * stride_bytes;
-                for j in 0..*blocklen {
-                    walk(child, block + j as isize * cext, out);
-                }
-            }
-        }
-        DtKind::Indexed { blocks, child } => {
-            let cext = child.extent();
-            for &(blocklen, disp) in blocks {
-                let block = base + disp * cext;
-                for j in 0..blocklen {
-                    walk(child, block + j as isize * cext, out);
-                }
-            }
-        }
-        DtKind::Hindexed { blocks, child } => {
-            let cext = child.extent();
-            for &(blocklen, disp) in blocks {
-                let block = base + disp;
-                for j in 0..blocklen {
-                    walk(child, block + j as isize * cext, out);
-                }
-            }
-        }
-        DtKind::Struct { fields } => {
-            for (blocklen, disp, child) in fields {
-                let cext = child.extent();
-                let block = base + disp;
-                for j in 0..*blocklen {
-                    walk(child, block + j as isize * cext, out);
-                }
-            }
-        }
-        DtKind::Resized { child, .. } => walk(child, base, out),
-    }
-}
-
 impl FlatType {
     /// Flatten one element of `dt`.
     pub fn build(dt: &Datatype) -> FlatType {
-        let mut segments = Vec::new();
-        walk(dt, 0, &mut segments);
         FlatType {
-            segments,
+            runs: flatten(dt),
             size: dt.size(),
             extent: dt.extent(),
             plans: PlanCache::default(),
@@ -136,9 +277,9 @@ impl FlatType {
         }
     }
 
-    /// One element's segments, in pack order.
-    pub fn segments(&self) -> &[Segment] {
-        &self.segments
+    /// One element's runs, in pack order and normal form.
+    pub fn runs(&self) -> &[Run] {
+        &self.runs
     }
 
     /// Data bytes per element.
@@ -156,34 +297,26 @@ impl FlatType {
         self.size * count
     }
 
-    /// Segments for `count` elements (element `i` shifted by `i * extent`),
-    /// merged across element boundaries where contiguous.
-    ///
-    /// This is the expensive expansion [`FlatType::plan`] memoizes; the
-    /// communication paths go through the cache and only reach here on a
-    /// cache miss (counted — see [`FlatType::expand_count`]).
-    pub fn expanded(&self, count: usize) -> Vec<Segment> {
-        self.expand_calls.fetch_add(1, Ordering::Relaxed);
-        sim_core::instrument::global().record("flat_expand");
-        let mut out = Vec::with_capacity(self.segments.len() * count);
-        for i in 0..count {
-            let shift = i as isize * self.extent;
-            for s in &self.segments {
-                push_merged(
-                    &mut out,
-                    Segment {
-                        offset: s.offset + shift,
-                        len: s.len,
-                    },
-                );
-            }
-        }
+    /// Runs for `count` elements (element `i` shifted by `i * extent`),
+    /// merged across element boundaries.
+    pub(crate) fn replicated(&self, count: usize) -> Vec<Run> {
+        let mut out = Vec::new();
+        replicate(&mut out, &self.runs, count, self.extent, 0);
         out
     }
 
-    /// The cached communication plan for `count` elements: expanded
-    /// segments, prefix sums and shape, built at most once per cached count
-    /// and shared via `Arc`.
+    /// The rows of `count` elements, materialised one [`Segment`] each: the
+    /// row-level view for tests and diagnostics. O(rows) — no communication
+    /// path calls it, and every call is counted (see
+    /// [`FlatType::expand_count`] and the process-wide `flat_expand` key).
+    pub fn expanded(&self, count: usize) -> Vec<Segment> {
+        self.expand_calls.fetch_add(1, Ordering::Relaxed);
+        sim_core::instrument::global().record("flat_expand");
+        rows(&self.replicated(count))
+    }
+
+    /// The cached communication plan for `count` elements, built at most
+    /// once per cached count and shared via `Arc`.
     pub fn plan(&self, count: usize) -> Arc<Plan> {
         self.plans.get_or_build(count, || Plan::build(self, count))
     }
@@ -193,8 +326,7 @@ impl FlatType {
         self.plans.stats()
     }
 
-    /// How many times [`FlatType::expanded`] ran (i.e. how often a plan was
-    /// actually built rather than served from cache).
+    /// How many times [`FlatType::expanded`] materialised this type's rows.
     pub fn expand_count(&self) -> u64 {
         self.expand_calls.load(Ordering::Relaxed)
     }
@@ -206,16 +338,14 @@ impl FlatType {
         if self.size == 0 || count == 0 {
             return (0, 0);
         }
-        let mut lo = isize::MAX;
-        let mut hi = isize::MIN;
-        for s in &self.segments {
-            lo = lo.min(s.offset);
-            hi = hi.max(s.offset + s.len as isize);
-        }
+        let lo = self.runs.iter().map(|r| r.offset).min().unwrap_or(0);
+        let hi = self.runs.iter().map(|r| {
+            let last = r.row(r.count - 1);
+            last.offset + last.len as isize
+        });
+        let hi = hi.max().unwrap_or(0);
         let last_shift = (count as isize - 1) * self.extent;
-        let (lo0, hi0) = (lo, hi);
-        let (lo1, hi1) = (lo + last_shift, hi + last_shift);
-        (lo0.min(lo1), hi0.max(hi1))
+        (lo.min(lo + last_shift), hi.max(hi + last_shift))
     }
 }
 
@@ -233,6 +363,15 @@ mod tests {
         Canonical::of(&f.plan(count))
     }
 
+    fn run(offset: isize, len: usize, stride: usize, count: usize) -> Run {
+        Run {
+            offset,
+            len,
+            stride,
+            count,
+        }
+    }
+
     fn strided(first: isize, block: usize, stride: usize, count: usize) -> Canonical {
         Canonical::Strided1D {
             first,
@@ -243,40 +382,49 @@ mod tests {
     }
 
     #[test]
-    fn primitive_is_one_segment() {
+    fn primitive_is_one_row() {
         let f = flat(&Datatype::float());
-        assert_eq!(f.segments(), &[Segment { offset: 0, len: 4 }]);
+        assert_eq!(f.runs(), &[run(0, 4, 4, 1)]);
+        assert_eq!(f.expanded(1), vec![Segment { offset: 0, len: 4 }]);
         assert_eq!(shape(&f, 1), Canonical::Contig { offset: 0, len: 4 });
     }
 
     #[test]
     fn contiguous_merges_into_one_run() {
         let f = flat(&Datatype::contiguous(16, &Datatype::double()));
-        assert_eq!(f.segments().len(), 1);
-        assert_eq!(f.segments()[0].len, 128);
+        assert_eq!(f.runs(), &[run(0, 128, 128, 1)]);
     }
 
     #[test]
-    fn vector_flattens_to_strided_runs() {
+    fn vector_flattens_to_one_strided_run() {
         // 4 blocks of 1 float, stride 3 floats.
         let f = flat(&Datatype::vector(4, 1, 3, &Datatype::float()));
-        assert_eq!(f.segments().len(), 4);
+        assert_eq!(f.runs(), &[run(0, 4, 12, 4)]);
         assert_eq!(shape(&f, 1), strided(0, 4, 12, 4));
+        // A million rows cost what four do.
+        let f = flat(&Datatype::hvector(
+            1 << 20,
+            1,
+            16,
+            &Datatype::contiguous(4, &Datatype::byte()),
+        ));
+        assert_eq!(f.runs(), &[run(0, 4, 16, 1 << 20)]);
+        assert_eq!(f.plan(1).runs().len(), 1);
+        assert_eq!(f.plan(1).num_segments(), 1 << 20);
     }
 
     #[test]
     fn vector_blocks_merge_within_block() {
         // blocklen 2 floats per block -> 8-byte runs.
         let f = flat(&Datatype::vector(3, 2, 5, &Datatype::float()));
-        assert_eq!(f.segments().len(), 3);
-        assert!(f.segments().iter().all(|s| s.len == 8));
+        assert_eq!(f.runs(), &[run(0, 8, 20, 3)]);
     }
 
     #[test]
     fn dense_vector_is_contiguous() {
         // stride == blocklen: no holes.
         let f = flat(&Datatype::vector(4, 2, 2, &Datatype::int()));
-        assert_eq!(f.segments().len(), 1);
+        assert_eq!(f.runs().len(), 1);
         assert_eq!(shape(&f, 1), Canonical::Contig { offset: 0, len: 32 });
     }
 
@@ -304,6 +452,7 @@ mod tests {
                 outer_count: 2
             }
         );
+        assert_eq!(f.plan(2).runs(), &[run(0, 4, 24, 4), run(4, 4, 24, 4)]);
         // A single column is perfectly strided.
         assert_eq!(shape(&f, 1), strided(0, 4, 24, 4));
     }
@@ -326,6 +475,7 @@ mod tests {
         elem.commit();
         let f = elem.flat();
         assert_eq!(shape(&f, 3), strided(0, 4, 24, 12));
+        assert_eq!(f.plan(3).runs(), &[run(0, 4, 24, 12)]);
     }
 
     #[test]
@@ -344,8 +494,8 @@ mod tests {
         let f = flat(&t);
         // Pack order follows the typemap (field order), not address order.
         assert_eq!(
-            f.segments(),
-            &[
+            f.expanded(1),
+            vec![
                 Segment { offset: 16, len: 8 },
                 Segment { offset: 0, len: 8 },
             ]
@@ -367,6 +517,28 @@ mod tests {
     }
 
     #[test]
+    fn adjacent_bytes_merge_across_runs_and_elements() {
+        // A strided pair whose last row the next field extends: rows
+        // (0,4) (8,4) then (12,4) are (0,4) (8,8).
+        let pair = Datatype::vector(2, 1, 2, &Datatype::float());
+        let t = Datatype::create_struct(&[(1, 0, pair), (1, 12, Datatype::float())]);
+        let f = flat(&t);
+        assert_eq!(f.runs(), &[run(0, 4, 4, 1), run(8, 8, 8, 1)]);
+        // ... and across an element boundary: the element's last row ends
+        // where the next element's first row starts.
+        let col = Datatype::resized(&Datatype::vector(2, 1, 3, &Datatype::float()), 0, 16);
+        let f = flat(&col); // rows (0,4) (12,4), extent 16
+        assert_eq!(
+            f.expanded(3),
+            [(0, 4), (12, 8), (28, 8), (44, 4)].map(|(offset, len)| Segment { offset, len })
+        );
+        assert_eq!(
+            f.plan(3).runs(),
+            &[run(0, 4, 4, 1), run(12, 8, 16, 2), run(44, 4, 4, 1)]
+        );
+    }
+
+    #[test]
     fn byte_range_covers_all_elements() {
         let t = Datatype::vector(2, 1, 4, &Datatype::float());
         t.commit();
@@ -381,7 +553,7 @@ mod tests {
     fn negative_offsets_survive_flattening() {
         let t = Datatype::hindexed(&[(1, -8), (1, 4)], &Datatype::int());
         let f = flat(&t);
-        assert_eq!(f.segments()[0].offset, -8);
+        assert_eq!(f.runs()[0].offset, -8);
         assert_eq!(f.byte_range(1).0, -8);
     }
 
@@ -401,7 +573,7 @@ mod tests {
     #[test]
     fn empty_type_flattens_to_nothing() {
         let f = flat(&Datatype::vector(0, 1, 1, &Datatype::float()));
-        assert!(f.segments().is_empty());
+        assert!(f.runs().is_empty());
         assert_eq!(shape(&f, 5), Canonical::Contig { offset: 0, len: 0 });
     }
 }

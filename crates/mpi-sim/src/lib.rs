@@ -6,9 +6,10 @@
 //!
 //! * the full **derived datatype engine** (contiguous, vector, hvector,
 //!   indexed, hindexed, struct, subarray, resized) with MPI 2.2
-//!   size/extent rules, plus flattening into one layout IR — a cached
-//!   [`Plan`] whose [`Canonical`] shape recognizes `cudaMemcpy2D`-able
-//!   strided layouts ([`Canonical::Strided1D`]);
+//!   size/extent rules, plus flattening into one layout IR — a short list
+//!   of strided [`Run`]s, cached per count as a [`Plan`] whose
+//!   [`Canonical`] shape recognizes `cudaMemcpy2D`-able strided layouts
+//!   ([`Canonical::Strided1D`]);
 //! * **point-to-point** with tag/source matching (wildcards, non-overtaking
 //!   order, unexpected-message queue), blocking and nonblocking calls;
 //! * three data protocols: **eager**, **rendezvous rput** (one RDMA post
@@ -59,9 +60,10 @@ pub use coll::ReduceOp;
 pub use comm::Comm;
 pub use datatype::{Datatype, SubarrayOrder};
 pub use engine::{RecvStatus, Request, SrcSel, TagSel, ANY_SOURCE, ANY_TAG};
+pub use flat::Run;
 pub use ib_sim::{FaultSpec, Topology};
 pub use pack::CpuModel;
-pub use plan::{Canonical, Plan, PlanCacheStats, WireDescriptor, WireEntry};
+pub use plan::{Canonical, Plan, PlanCacheStats, WireDescriptor};
 #[doc(hidden)]
 pub use proto::SeededBug;
 pub use proto::{

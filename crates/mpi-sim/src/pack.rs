@@ -4,10 +4,10 @@
 //! to/from a contiguous representation in chunk-sized pieces — O(total)
 //! overall even when a message is packed in many chunks, which matters for
 //! the pipelined rendezvous path. Cursors run over a shared [`Plan`]
-//! (usually a plan-cache hit, so creating one allocates nothing). Both are
-//! one stepping loop plus a copy direction; whole rows of a
-//! [`Canonical::Strided1D`] plan are coalesced into pitched bulk copies
-//! instead of per-segment dispatch.
+//! (usually a plan-cache hit, so creating one allocates nothing) and walk
+//! its runs, not its rows: both are one stepping loop plus a copy
+//! direction, and the whole rows of *every* run a chunk covers go as one
+//! pitched bulk copy instead of per-row dispatch.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -15,15 +15,17 @@ use std::sync::Arc;
 use hostmem::{HostBuf, HostPtr};
 
 use crate::flat::Segment;
-use crate::plan::{Canonical, Plan};
+use crate::plan::Plan;
 
 /// A position in the packed stream of `plan`, laid over the buffer at
 /// `base`: everything a cursor is except its copy direction.
 struct Cursor {
     base: HostPtr,
     plan: Arc<Plan>,
-    seg_idx: usize,
-    seg_off: usize,
+    /// Current run, row within it, byte within that row.
+    run: usize,
+    row: usize,
+    off: usize,
     done: usize,
 }
 
@@ -40,14 +42,15 @@ impl Cursor {
         Cursor {
             base,
             plan,
-            seg_idx: 0,
-            seg_off: 0,
+            run: 0,
+            row: 0,
+            off: 0,
             done: 0,
         }
     }
 
     fn finished(&self) -> bool {
-        self.seg_idx >= self.plan.num_segments()
+        self.run >= self.plan.runs().len()
     }
 
     /// Advance `len` bytes through the packed stream. Each step hands
@@ -62,27 +65,26 @@ impl Cursor {
     ) {
         let mut pos = 0;
         while pos < len {
-            let seg = *self
+            let run = *self
                 .plan
-                .segments()
-                .get(self.seg_idx)
+                .runs()
+                .get(self.run)
                 .expect("cursor stepped past the end of the datatype");
             let room = len - pos;
-            // Whole rows of a single-level strided plan go as one pitched
-            // copy when at least two fit (a lone row gains nothing);
-            // anything else is one, possibly clipped, segment.
-            let whole_rows = match Canonical::of(&self.plan) {
-                Canonical::Strided1D { block, stride, .. } if self.seg_off == 0 => {
-                    let rows = (room / block).min(self.plan.num_segments() - self.seg_idx);
-                    (rows >= 2).then_some((stride, block, rows))
-                }
-                _ => None,
+            // Whole rows of the run go as one pitched copy when at least
+            // two fit (a lone row gains nothing); anything else is one,
+            // possibly clipped, row.
+            let whole = match self.off {
+                0 => (room / run.len).min(run.count - self.row),
+                _ => 0,
             };
-            let (pitch, width, rows) = whole_rows.unwrap_or_else(|| {
-                let take = (seg.len - self.seg_off).min(room);
+            let (pitch, width, rows) = if whole >= 2 {
+                (run.stride, run.len, whole)
+            } else {
+                let take = (run.len - self.off).min(room);
                 (take, take, 1)
-            });
-            let at = abs_offset(&self.base, &seg, self.seg_off);
+            };
+            let at = abs_offset(&self.base, &run.row(self.row), self.off);
             copy(
                 self.base.buf(),
                 at,
@@ -92,10 +94,14 @@ impl Cursor {
                 pos..pos + rows * width,
             );
             pos += rows * width;
-            self.seg_off += width;
-            if self.seg_off == seg.len {
-                self.seg_idx += rows;
-                self.seg_off = 0;
+            self.off += width;
+            if self.off == run.len {
+                self.row += rows;
+                self.off = 0;
+            }
+            if self.row == run.count {
+                self.run += 1;
+                self.row = 0;
             }
         }
         self.done += len;
@@ -129,7 +135,7 @@ impl PackCursor {
         self.0.done
     }
 
-    /// True when every segment has been packed.
+    /// True when every row has been packed.
     pub fn finished(&self) -> bool {
         self.0.finished()
     }
@@ -167,7 +173,7 @@ impl UnpackCursor {
         self.0.done
     }
 
-    /// True when every segment has been filled.
+    /// True when every row has been filled.
     pub fn finished(&self) -> bool {
         self.0.finished()
     }
@@ -303,33 +309,38 @@ mod tests {
 
     #[test]
     fn strided_fast_path_matches_generic() {
-        // 6 rows of 3 bytes at pitch 8 — a Strided2D plan, so whole-row
-        // spans go through the pitched bulk copy. Chunk boundaries that
-        // split a row force the generic path mid-stream; results must be
-        // identical either way.
+        // 6 rows of 3 bytes at pitch 8 as one run, then as two planes of
+        // three (two runs): whole-row spans of each run go through the
+        // pitched bulk copy, chunk boundaries that split a row force the
+        // single-row path mid-stream, and a chunk may end one run and start
+        // the next. The bytes must be the rows', however they were cut.
         let src = HostBuf::from_vec((0u8..64).collect());
-        let s = segs(&[(1, 3), (9, 3), (17, 3), (25, 3), (33, 3), (41, 3)]);
-        let expect = PackCursor::new(src.base(), s.clone()).pack_all();
-        assert_eq!(expect.len(), 18);
-        for chunks in [vec![18], vec![4, 4, 4, 6], vec![1, 16, 1], vec![7, 11]] {
-            let mut p = PackCursor::new(src.base(), s.clone());
-            let mut got = Vec::new();
-            for c in chunks {
-                let mut tmp = vec![0u8; c];
-                p.pack_into(&mut tmp);
-                got.extend_from_slice(&tmp);
-            }
-            assert_eq!(got, expect);
-            assert!(p.finished());
+        for offsets in [[1, 9, 17, 25, 33, 41], [1, 9, 17, 34, 42, 50]] {
+            let s = segs(&offsets.map(|o| (o, 3)));
+            let expect: Vec<u8> = offsets
+                .iter()
+                .flat_map(|&o| src.read(o as usize, 3))
+                .collect();
+            for chunks in [vec![18], vec![4, 4, 4, 6], vec![1, 16, 1], vec![7, 11]] {
+                let mut p = PackCursor::new(src.base(), s.clone());
+                let mut got = Vec::new();
+                for c in chunks {
+                    let mut tmp = vec![0u8; c];
+                    p.pack_into(&mut tmp);
+                    got.extend_from_slice(&tmp);
+                }
+                assert_eq!(got, expect);
+                assert!(p.finished());
 
-            let dst = HostBuf::alloc(64);
-            let mut u = UnpackCursor::new(dst.base(), s.clone());
-            u.unpack_from(&got[..5]);
-            u.unpack_from(&got[5..]);
-            assert!(u.finished());
-            for seg in &s {
-                let o = seg.offset as usize;
-                assert_eq!(dst.read(o, seg.len), src.read(o, seg.len));
+                let dst = HostBuf::alloc(64);
+                let mut u = UnpackCursor::new(dst.base(), s.clone());
+                u.unpack_from(&got[..5]);
+                u.unpack_from(&got[5..]);
+                assert!(u.finished());
+                for seg in &s {
+                    let o = seg.offset as usize;
+                    assert_eq!(dst.read(o, seg.len), src.read(o, seg.len));
+                }
             }
         }
     }

@@ -1,26 +1,35 @@
-//! Committed communication plans: the one layout IR.
+//! Committed communication plans: the one layout IR, per message.
 //!
 //! A [`Plan`] is everything the library needs to move one `(datatype,
-//! count)` message: the expanded run list, its prefix sums (packed-byte
-//! offsets) and its shape, a [`Canonical`]. The shape is computed once, by
-//! [`Canonical::classify`] when the plan is built — the only code in the
-//! workspace that inspects a run list for regularity — and every consumer
-//! reads it from the plan: the CPU cursors' pitched copies
+//! count)` message: the run list ([`crate::flat`]) of `count` elements, the
+//! packed-byte offset of every run, the logical row count the cost models
+//! are fed, and the list's shape, a [`Canonical`]. All of it is O(runs) to
+//! build and to slice — a vector of a million rows is one run — and every
+//! consumer walks the runs: the CPU cursors' pitched copies
 //! ([`crate::pack`]), the engine's contiguous fast path, the GPU stager's
 //! `memcpy` / `memcpy_2d` / gather-kernel choice (`mv2-gpu-nc`), the NIC
 //! offload lowering ([`WireDescriptor::lower`]) and the autotuner's bucket.
 //!
-//! Building a plan costs an allocation plus a walk over every run, which
-//! is exactly the datatype-processing overhead the paper (and TEMPI after
-//! it) identifies as the tax on derived-datatype communication — so
-//! committed types carry a small LRU [`PlanCache`] keyed by `count`, and
-//! the steady-state send path clones an `Arc<Plan>` instead of
-//! re-expanding.
+//! The run list *is* the layout; the other two descriptions are views of
+//! it. [`Canonical`] is its summary (read off the list by
+//! [`Canonical::of`]), [`WireDescriptor`] its budgeted view (the same runs,
+//! when they fit the HCA's entry budget), and [`Plan::pieces`] /
+//! [`WireDescriptor::prefix`] one clip function over it.
+//!
+//! Building a plan is cheap but not free, and the paper (and TEMPI after
+//! it) identifies datatype processing as the tax on derived-datatype
+//! communication — so committed types carry a small LRU [`PlanCache`] keyed
+//! by `count`, and the steady-state send path clones an `Arc<Plan>`.
 //!
 //! Cache traffic is observable two ways: per-type via
 //! [`crate::Datatype::plan_cache_stats`], and process-wide through
 //! `sim_core::instrument::global()` under the keys `plan_cache_hit`,
 //! `plan_cache_miss` and `plan_cache_evict`.
+//!
+//! The row-level functions here — [`Plan::from_segments`],
+//! [`Plan::segments`], [`Canonical::classify`] — are the explicit-list
+//! constructor, the diagnostic materialiser and the test oracle; nothing on
+//! a communication path calls them.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -28,101 +37,133 @@ use std::sync::Arc;
 
 use sim_core::lock::Mutex;
 
-use crate::flat::{FlatType, Segment};
+use crate::flat::{push_run, rows, FlatType, Run, Segment};
 
-/// The immutable, shareable expansion of `count` elements of a committed
-/// datatype: segments in pack order, packed-offset prefix sums, and the
+/// The immutable, shareable layout of `count` elements of a committed
+/// datatype: runs in pack order, packed-offset prefix sums, row count and
 /// shape.
 #[derive(Debug)]
 pub struct Plan {
-    segments: Vec<Segment>,
-    /// `prefix[i]` = packed bytes before segment `i`; last entry = total.
+    runs: Vec<Run>,
+    /// `prefix[i]` = packed bytes before run `i`; last entry = total.
     prefix: Vec<usize>,
+    rows: usize,
     canonical: Canonical,
 }
 
 impl Plan {
-    /// Build a plan from an explicit segment list (already in pack order).
-    pub fn from_segments(segments: Vec<Segment>) -> Self {
-        let mut prefix = Vec::with_capacity(segments.len() + 1);
-        let mut acc = 0usize;
+    /// A plan over a run list in normal form (see [`crate::flat`]).
+    fn from_runs(runs: Vec<Run>) -> Self {
+        let mut prefix = Vec::with_capacity(runs.len() + 1);
+        let (mut acc, mut rows) = (0usize, 0usize);
         prefix.push(0);
-        for s in &segments {
-            acc += s.len;
+        for r in &runs {
+            acc += r.bytes();
+            rows += r.count;
             prefix.push(acc);
         }
-        let canonical = Canonical::classify(&segments);
         Plan {
-            segments,
+            canonical: Canonical::of_runs(&runs),
+            runs,
             prefix,
-            canonical,
+            rows,
         }
     }
 
-    /// Expand and classify `count` elements of `flat`.
+    /// Build a plan from an explicit row list (already in pack order; rows
+    /// are grouped into runs but adjacent rows are *not* merged).
+    pub fn from_segments(segments: Vec<Segment>) -> Self {
+        let mut runs = Vec::new();
+        for s in segments {
+            push_run(&mut runs, Run::row_at(s.offset, s.len));
+        }
+        Plan::from_runs(runs)
+    }
+
+    /// The plan of `count` elements of `flat`.
     pub fn build(flat: &FlatType, count: usize) -> Self {
-        Plan::from_segments(flat.expanded(count))
+        Plan::from_runs(flat.replicated(count))
     }
 
-    /// Segments in pack order.
-    pub fn segments(&self) -> &[Segment] {
-        &self.segments
+    /// Runs in pack order.
+    pub fn runs(&self) -> &[Run] {
+        &self.runs
     }
 
-    /// Number of segments.
+    /// The rows, materialised one [`Segment`] each (tests, diagnostics).
+    pub fn segments(&self) -> Vec<Segment> {
+        rows(&self.runs)
+    }
+
+    /// Number of rows (contiguous byte runs) — what the pack cost models
+    /// charge per-row overhead for.
     pub fn num_segments(&self) -> usize {
-        self.segments.len()
+        self.rows
     }
 
     /// Total packed bytes.
     pub fn total(&self) -> usize {
-        *self.prefix.last().unwrap()
-    }
-
-    /// Packed bytes before segment `i` (valid for `i <= num_segments()`).
-    pub fn packed_offset(&self, i: usize) -> usize {
-        self.prefix[i]
+        self.prefix[self.runs.len()]
     }
 
     /// Map the packed-byte range `[off, off+len)` back to buffer space: the
-    /// runs of the user buffer that cover it, in pack order (a pipeline
-    /// chunk's share of the layout). Panics if the range exceeds the
-    /// packed size.
-    pub fn pieces(&self, off: usize, len: usize) -> Vec<Segment> {
+    /// runs of the user buffer that cover it, in pack order and normal form
+    /// (a pipeline chunk's share of the layout). Panics if the range
+    /// exceeds the packed size.
+    pub fn pieces(&self, off: usize, len: usize) -> Vec<Run> {
         assert!(
             off + len <= self.total(),
             "range [{off}, +{len}) exceeds packed size {}",
             self.total()
         );
-        let mut out = Vec::new();
         if len == 0 {
-            return out;
+            return Vec::new();
         }
-        // Index of the segment containing packed offset `off`.
-        let mut i = self.prefix.partition_point(|&p| p <= off) - 1;
-        let mut cur = off;
-        let end = off + len;
-        while cur < end {
-            let seg = &self.segments[i];
-            let within = cur - self.prefix[i];
-            let take = (seg.len - within).min(end - cur);
-            out.push(Segment {
-                offset: seg.offset + within as isize,
-                len: take,
-            });
-            cur += take;
-            i += 1;
-        }
-        out
+        // Index of the run containing packed offset `off`.
+        let i = self.prefix.partition_point(|&p| p <= off) - 1;
+        clip(&self.runs[i..], off - self.prefix[i], len)
     }
+}
+
+/// The part of `runs` that carries packed bytes `[skip, skip + len)`,
+/// counted from the start of `runs[0]` (`skip` lies inside it): a clipped
+/// first row, whole rows, a clipped last row, regrouped into normal form.
+/// O(runs touched); arithmetic, not iteration, inside a run.
+fn clip(runs: &[Run], mut skip: usize, mut len: usize) -> Vec<Run> {
+    let mut out = Vec::new();
+    for r in runs {
+        if len == 0 {
+            break;
+        }
+        let (mut row, within) = (skip / r.len, skip % r.len);
+        skip = 0;
+        if within > 0 {
+            let take = (r.len - within).min(len);
+            push_run(
+                &mut out,
+                Run::row_at(r.row(row).offset + within as isize, take),
+            );
+            len -= take;
+            row += 1;
+        }
+        let whole = (len / r.len).min(r.count - row);
+        push_run(&mut out, r.slice(row, whole));
+        len -= whole * r.len;
+        if whole < r.count - row && len > 0 {
+            push_run(&mut out, Run::row_at(r.row(row + whole).offset, len));
+            len = 0;
+        }
+    }
+    assert_eq!(len, 0, "clip past the end of the run list");
+    out
 }
 
 /// The shape of a run list, TEMPI-style: the observation (PAPERS.md) that
 /// almost every derived datatype seen in practice collapses into at most
 /// two stride levels, so one small descriptor can drive every consumer of
-/// a transfer. Two-level patterns are recovered from the expanded list
-/// itself (e.g. `count > 1` of a resized column type, or the
-/// rows-within-planes of a 3-D subarray).
+/// a transfer. Two-level patterns are equal runs at a constant pitch (e.g.
+/// `count > 1` of a resized column type, or the rows-within-planes of a
+/// 3-D subarray).
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum Canonical {
     /// One contiguous run at `offset` (zero-length for an empty list).
@@ -175,7 +216,53 @@ impl Canonical {
         plan.canonical
     }
 
-    /// Classify a run list (in pack order) with one scan. Equal-width
+    /// Read the shape off a run list in normal form, where a single
+    /// progression is a single run: one run is `Contig` or `Strided1D`,
+    /// equal multi-row runs at a constant positive pitch are `Strided2D`
+    /// (their extents may interleave — a resized column type restarts below
+    /// the previous column; a consumer walks the description, not address
+    /// order), anything else is `Irregular`. O(runs).
+    fn of_runs(runs: &[Run]) -> Canonical {
+        let (r0, r1) = match *runs {
+            [] => return Canonical::Contig { offset: 0, len: 0 },
+            [r] if r.count == 1 => {
+                return Canonical::Contig {
+                    offset: r.offset,
+                    len: r.len,
+                }
+            }
+            [r] => {
+                return Canonical::Strided1D {
+                    first: r.offset,
+                    block: r.len,
+                    stride: r.stride,
+                    count: r.count,
+                }
+            }
+            [r0, r1, ..] => (r0, r1),
+        };
+        let outer = r1.offset - r0.offset;
+        let tiled = r0.count >= 2
+            && outer > 0
+            && runs.windows(2).all(|w| {
+                (w[1].len, w[1].stride, w[1].count) == (r0.len, r0.stride, r0.count)
+                    && w[1].offset - w[0].offset == outer
+            });
+        if !tiled {
+            return Canonical::Irregular;
+        }
+        Canonical::Strided2D {
+            first: r0.offset,
+            block: r0.len,
+            stride: r0.stride,
+            count: r0.count,
+            outer_stride: outer as usize,
+            outer_count: runs.len(),
+        }
+    }
+
+    /// The row-level oracle for the shape: classify a *row* list (in pack
+    /// order) with one scan, with no reference to runs. Equal-width
     /// blocks at a constant positive pitch are a single level for as long
     /// as the pitch holds; at its first break the blocks seen so far become
     /// group 0 and the scan goes on to recover two levels — the rest of the
@@ -232,91 +319,34 @@ impl Canonical {
     }
 }
 
-/// One strided run of a [`WireDescriptor`], relative to the message's
-/// buffer pointer (the engine rebases it into MR-absolute
-/// [`ib_sim::SgEntry`]s once the buffer is registered).
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub struct WireEntry {
-    /// Byte offset of the first block, relative to the buffer pointer.
-    pub offset: isize,
-    /// Bytes per block.
-    pub len: usize,
-    /// Distance between consecutive block starts, bytes.
-    pub stride: usize,
-    /// Number of blocks in the run.
-    pub count: usize,
-}
-
-impl WireEntry {
-    /// Payload bytes this run moves.
-    pub fn bytes(&self) -> usize {
-        self.len * self.count
-    }
-}
-
-/// A bounded scatter/gather descriptor lowered from a [`Canonical`] plan:
-/// the entry list a NIC offload engine walks instead of the CPU packing.
-/// Entries are in pack order — walking them block by block yields exactly
-/// the packed byte stream of the plan.
+/// The budgeted view of a plan's run list: the scatter/gather entry list a
+/// NIC offload engine walks instead of the CPU packing, when the layout has
+/// a bounded strided description. Entries are the plan's runs, relative to
+/// the message's buffer pointer (the engine rebases them into MR-absolute
+/// [`ib_sim::SgEntry`]s once the buffer is registered) — walking them row
+/// by row yields exactly the packed byte stream of the plan.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct WireDescriptor {
-    entries: Vec<WireEntry>,
+    entries: Vec<Run>,
     total: usize,
 }
 
 impl WireDescriptor {
-    /// Lower a plan into a descriptor of at most `budget` entries: one
-    /// entry for `Contig`/`Strided1D`, one per group for `Strided2D`.
-    /// `None` if the plan is `Irregular`, empty, or needs more entries
-    /// than the HCA budget — callers fall back to the staged pipeline.
+    /// The plan's runs as a descriptor of at most `budget` entries: one for
+    /// `Contig`/`Strided1D`, one per group for `Strided2D`. `None` if the
+    /// plan is `Irregular`, empty, or needs more entries than the HCA
+    /// budget — callers fall back to the staged pipeline.
     pub fn lower(plan: &Plan, budget: usize) -> Option<WireDescriptor> {
-        let total = plan.total();
-        if total == 0 {
-            return None;
-        }
-        let entries = match plan.canonical {
-            Canonical::Contig { offset, len } => vec![WireEntry {
-                offset,
-                len,
-                stride: len,
-                count: 1,
-            }],
-            Canonical::Strided1D {
-                first,
-                block,
-                stride,
-                count,
-            } => vec![WireEntry {
-                offset: first,
-                len: block,
-                stride,
-                count,
-            }],
-            Canonical::Strided2D {
-                first,
-                block,
-                stride,
-                count,
-                outer_stride,
-                outer_count,
-            } => (0..outer_count)
-                .map(|k| WireEntry {
-                    offset: first + (k * outer_stride) as isize,
-                    len: block,
-                    stride,
-                    count,
-                })
-                .collect(),
-            Canonical::Irregular => return None,
-        };
-        if entries.len() > budget {
-            return None;
-        }
-        Some(WireDescriptor { entries, total })
+        let fits =
+            plan.total() > 0 && plan.canonical != Canonical::Irregular && plan.runs.len() <= budget;
+        fits.then(|| WireDescriptor {
+            entries: plan.runs.clone(),
+            total: plan.total(),
+        })
     }
 
     /// The entry list, in pack order.
-    pub fn entries(&self) -> &[WireEntry] {
+    pub fn entries(&self) -> &[Run] {
         &self.entries
     }
 
@@ -327,42 +357,16 @@ impl WireDescriptor {
 
     /// Clip to the first `bytes` of the packed stream — the receive-side
     /// descriptor when the posted buffer is larger than the message.
-    /// Splitting mid-block may add one tail entry. Panics if `bytes`
-    /// exceeds the descriptor's total.
+    /// Splitting mid-row may add one tail entry. Panics if `bytes` exceeds
+    /// the descriptor's total.
     pub fn prefix(&self, bytes: usize) -> WireDescriptor {
         assert!(
             bytes <= self.total,
             "prefix({bytes}) exceeds descriptor total {}",
             self.total
         );
-        let mut entries = Vec::new();
-        let mut rem = bytes;
-        for e in &self.entries {
-            if rem == 0 {
-                break;
-            }
-            if rem >= e.bytes() {
-                entries.push(*e);
-                rem -= e.bytes();
-                continue;
-            }
-            let k = rem / e.len;
-            if k > 0 {
-                entries.push(WireEntry { count: k, ..*e });
-            }
-            let tail = rem % e.len;
-            if tail > 0 {
-                entries.push(WireEntry {
-                    offset: e.offset + (k * e.stride) as isize,
-                    len: tail,
-                    stride: tail,
-                    count: 1,
-                });
-            }
-            rem = 0;
-        }
         WireDescriptor {
-            entries,
+            entries: clip(&self.entries, 0, bytes),
             total: bytes,
         }
     }
@@ -471,23 +475,55 @@ mod tests {
         Segment { offset, len }
     }
 
-    #[test]
-    fn prefix_and_total() {
-        let p = Plan::from_segments(vec![seg(0, 4), seg(12, 4), seg(24, 8)]);
-        assert_eq!(p.total(), 16);
-        assert_eq!(p.packed_offset(0), 0);
-        assert_eq!(p.packed_offset(2), 8);
-        assert_eq!(p.packed_offset(3), 16);
-        assert_eq!(p.num_segments(), 3);
+    fn run(offset: isize, len: usize, stride: usize, count: usize) -> Run {
+        Run {
+            offset,
+            len,
+            stride,
+            count,
+        }
     }
 
     #[test]
-    fn pieces_split_and_clip_segments() {
+    fn rows_group_into_maximal_runs() {
         let p = Plan::from_segments(vec![seg(0, 4), seg(12, 4), seg(24, 8)]);
-        assert_eq!(p.pieces(0, 16), vec![seg(0, 4), seg(12, 4), seg(24, 8)]);
-        assert_eq!(p.pieces(2, 4), vec![seg(2, 2), seg(12, 2)]);
-        assert_eq!(p.pieces(10, 6), vec![seg(26, 6)]);
-        assert_eq!(p.pieces(16, 0), Vec::<Segment>::new());
+        assert_eq!(p.runs(), &[run(0, 4, 12, 2), run(24, 8, 8, 1)]);
+        assert_eq!(p.total(), 16);
+        assert_eq!(p.num_segments(), 3);
+        assert_eq!(p.segments(), vec![seg(0, 4), seg(12, 4), seg(24, 8)]);
+        // Two pushed progressions that continue one another are one run; a
+        // lone row pairs with the next row of its width, whatever follows.
+        let mut runs = Vec::new();
+        push_run(&mut runs, run(0, 4, 16, 3));
+        push_run(&mut runs, run(48, 4, 16, 2));
+        assert_eq!(runs, [run(0, 4, 16, 5)]);
+        push_run(&mut runs, run(80, 4, 7, 3));
+        assert_eq!(runs, [run(0, 4, 16, 6), run(87, 4, 7, 2)]);
+        let p = Plan::from_segments(vec![seg(0, 4), seg(100, 4), seg(110, 4), seg(120, 4)]);
+        assert_eq!(p.runs(), &[run(0, 4, 100, 2), run(110, 4, 10, 2)]);
+        // Explicit lists keep adjacent rows apart (a dense run).
+        let p = Plan::from_segments(vec![seg(0, 4), seg(4, 4), seg(8, 4)]);
+        assert_eq!(p.runs(), &[run(0, 4, 4, 3)]);
+    }
+
+    #[test]
+    fn pieces_split_and_clip_runs() {
+        let p = Plan::from_segments(vec![seg(0, 4), seg(12, 4), seg(24, 8)]);
+        assert_eq!(p.pieces(0, 16), p.runs());
+        assert_eq!(rows(&p.pieces(2, 4)), vec![seg(2, 2), seg(12, 2)]);
+        assert_eq!(p.pieces(2, 4), [run(2, 2, 10, 2)], "clipped rows regroup");
+        assert_eq!(p.pieces(10, 6), [run(26, 6, 6, 1)]);
+        assert!(p.pieces(16, 0).is_empty());
+        // Inside one long run the cut is arithmetic: head, whole rows, tail.
+        let v = Plan::from_runs(vec![run(8, 4, 16, 1 << 20)]);
+        assert_eq!(
+            v.pieces(4 * 1000 + 1, 4 * 50),
+            [
+                run(8 + 16 * 1000 + 1, 3, 3, 1),
+                run(8 + 16 * 1001, 4, 16, 49),
+                run(8 + 16 * 1050, 1, 1, 1)
+            ]
+        );
     }
 
     #[test]
@@ -617,13 +653,7 @@ mod tests {
         assert_eq!(d.entries().len(), 2);
         assert_eq!(d.total(), p.total());
         // Walking entry blocks in order reproduces the segment list.
-        let mut walked = Vec::new();
-        for e in d.entries() {
-            for b in 0..e.count {
-                walked.push(seg(e.offset + (b * e.stride) as isize, e.len));
-            }
-        }
-        assert_eq!(walked, segs);
+        assert_eq!(rows(d.entries()), segs);
         // Entry budget rejection.
         assert!(WireDescriptor::lower(&p, 1).is_none());
     }
@@ -634,35 +664,11 @@ mod tests {
         let d = WireDescriptor::lower(&p, 8).unwrap();
         // Whole blocks only.
         let head = d.prefix(8);
-        assert_eq!(
-            head.entries(),
-            &[WireEntry {
-                offset: 0,
-                len: 4,
-                stride: 16,
-                count: 2
-            }]
-        );
+        assert_eq!(head.entries(), &[run(0, 4, 16, 2)]);
         // Mid-block split adds a tail entry.
         let head = d.prefix(6);
         assert_eq!(head.total(), 6);
-        assert_eq!(
-            head.entries(),
-            &[
-                WireEntry {
-                    offset: 0,
-                    len: 4,
-                    stride: 16,
-                    count: 1
-                },
-                WireEntry {
-                    offset: 16,
-                    len: 2,
-                    stride: 2,
-                    count: 1
-                }
-            ]
-        );
+        assert_eq!(head.entries(), &[run(0, 4, 4, 1), run(16, 2, 2, 1)]);
         assert_eq!(d.prefix(0).entries().len(), 0);
     }
 

@@ -30,9 +30,17 @@
 //! Ticks always run while no process holds the virtual CPU (timer actions
 //! only fire between grants), so a component may freely lock shared state
 //! that processes also touch.
+//!
+//! # Ownership
+//!
+//! The kernel's registry owns every component (through its [`Waker`]), and
+//! un-fired wake timers in the kernel's heap own clones of the waker; the
+//! waker refers back to the kernel weakly and upgrades per call, so a
+//! component — and everything its state holds — is dropped with the
+//! simulation. A wake after that is a no-op.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 use crate::kernel::{Kernel, TimerId};
 use crate::lock::Mutex;
@@ -50,7 +58,9 @@ pub trait Component: Send {
 
 pub(crate) struct WakerInner {
     name: String,
-    kernel: Arc<Kernel>,
+    /// Weak: the kernel's registry owns this waker, and un-fired wake timers
+    /// in the kernel's heap own clones of it.
+    kernel: Weak<Kernel>,
     comp: Mutex<Box<dyn Component>>,
     /// Earliest armed coalescable wake, with the timer to cancel on re-arm.
     armed: Mutex<Option<(SimTime, TimerId)>>,
@@ -80,11 +90,11 @@ pub struct ComponentStats {
 
 /// Register a component with the kernel's registry; called by
 /// [`Sim::add_component`](crate::Sim::add_component).
-pub(crate) fn register(kernel: Arc<Kernel>, name: String, comp: Box<dyn Component>) -> Waker {
+pub(crate) fn register(kernel: &Arc<Kernel>, name: String, comp: Box<dyn Component>) -> Waker {
     let w = Waker {
         inner: Arc::new(WakerInner {
             name,
-            kernel: Arc::clone(&kernel),
+            kernel: Arc::downgrade(kernel),
             comp: Mutex::new(comp),
             armed: Mutex::new(None),
             ticks: AtomicU64::new(0),
@@ -110,8 +120,13 @@ pub(crate) fn stats(kernel: &Kernel) -> Vec<ComponentStats> {
 }
 
 impl Waker {
-    /// Run one tick now (kernel thread, inside a timer action).
-    fn fire(&self, now: SimTime) {
+    /// Run one tick now (kernel thread, inside a timer action — so the
+    /// kernel is alive).
+    fn fire(&self) {
+        let Some(kernel) = self.inner.kernel.upgrade() else {
+            return;
+        };
+        let now = kernel.current_time();
         *self.inner.armed.lock() = None;
         self.inner.ticks.fetch_add(1, Ordering::Relaxed);
         let next = self.inner.comp.lock().tick(now);
@@ -120,20 +135,14 @@ impl Waker {
         }
     }
 
-    fn arm(&self, t: SimTime) -> TimerId {
-        let w = self.clone();
-        let kernel = Arc::clone(&self.inner.kernel);
-        self.inner.kernel.schedule_cancellable_at(t, move || {
-            let now = kernel.current_time();
-            w.fire(now);
-        })
-    }
-
     /// Coalescing wake: ensure a tick runs no later than `t`. Absorbed when
     /// already armed for an instant `<= t`; re-arms (cancelling the later
     /// timer) otherwise. The timer-heap footprint is at most one live entry
-    /// per component.
+    /// per component. Like every wake, a no-op once the simulation is gone.
     pub fn wake_at(&self, t: SimTime) {
+        let Some(kernel) = self.inner.kernel.upgrade() else {
+            return;
+        };
         let mut armed = self.inner.armed.lock();
         match &*armed {
             Some((at, _)) if *at <= t => {
@@ -141,9 +150,10 @@ impl Waker {
             }
             other => {
                 if let Some((_, id)) = other {
-                    self.inner.kernel.cancel_timer(id);
+                    kernel.cancel_timer(id);
                 }
-                let id = self.arm(t);
+                let w = self.clone();
+                let id = kernel.schedule_cancellable_at(t, move || w.fire());
                 *armed = Some((t, id));
             }
         }
@@ -153,7 +163,9 @@ impl Waker {
     /// simulation context, including timer actions (where
     /// [`now`](crate::now) is unavailable).
     pub fn wake_now(&self) {
-        self.wake_at(self.inner.kernel.current_time());
+        if let Some(kernel) = self.inner.kernel.upgrade() {
+            self.wake_at(kernel.current_time());
+        }
     }
 
     /// Exact wake: always admit one fresh timer at `t`, never coalesce.
@@ -162,12 +174,10 @@ impl Waker {
     /// closure-based path with committed virtual-time results is converted
     /// to a component.
     pub fn wake_exact_at(&self, t: SimTime) {
-        let w = self.clone();
-        let kernel = Arc::clone(&self.inner.kernel);
-        self.inner.kernel.schedule_at(t, move || {
-            let now = kernel.current_time();
-            w.fire(now);
-        });
+        if let Some(kernel) = self.inner.kernel.upgrade() {
+            let w = self.clone();
+            kernel.schedule_at(t, move || w.fire());
+        }
     }
 
     /// Registration name.

@@ -34,6 +34,19 @@
 //! and timer actions only fire while no process is running, the classic
 //! check-then-park race cannot occur: nothing can deliver a wakeup between a
 //! process's check and its park.
+//!
+//! # Lifetime
+//!
+//! The kernel is owned by the [`Sim`] handles to it and, while a process
+//! runs, by that process's running context (`Ctx`; a thread carrier's OS
+//! thread holds one for as long as it lives). Everything the kernel itself
+//! ends up owning refers back to it weakly: [`ProcHandle`]s sit in waiter
+//! lists inside registered components and in timer actions that may never
+//! fire (`run` returns at `live == 0` with the heap non-empty), component
+//! wakers sit in the registry and in wake timers, and a fiber's body sits
+//! in the process table. So dropping the last `Sim` after `run` frees the
+//! whole world — processes, timers, components and whatever their state
+//! holds.
 
 use std::any::Any;
 use std::cell::RefCell;
@@ -41,7 +54,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::thread;
 
 use crate::fiber::{self, Fiber};
@@ -372,10 +385,13 @@ impl Default for Sim {
 }
 
 /// A handle to a spawned process, usable from other processes (or timer
-/// actions) to wake it.
+/// actions) to wake it. It does not keep the simulation alive: handles end
+/// up parked in waiter lists and un-fired timers that the kernel itself
+/// owns, so a strong reference here would be a cycle (see the module docs,
+/// "Lifetime").
 #[derive(Clone)]
 pub struct ProcHandle {
-    kernel: Arc<Kernel>,
+    kernel: Weak<Kernel>,
     pid: ProcId,
 }
 
@@ -385,11 +401,11 @@ impl ProcHandle {
         self.pid
     }
 
-    /// Wake the process if it is parked; otherwise a no-op.
+    /// Wake the process if it is parked; otherwise (or once the simulation
+    /// is gone) a no-op.
     pub fn unpark(&self) {
-        let mut st = self.kernel.state.lock();
-        if matches!(st.procs[self.pid.0].status, Status::Parked { .. }) {
-            st.make_runnable(self.pid);
+        if let Some(kernel) = self.kernel.upgrade() {
+            kernel.unpark(self.pid);
         }
     }
 }
@@ -430,7 +446,7 @@ impl Sim {
         name: impl Into<String>,
         comp: impl crate::component::Component + 'static,
     ) -> crate::component::Waker {
-        crate::component::register(Arc::clone(&self.kernel), name.into(), Box::new(comp))
+        crate::component::register(&self.kernel, name.into(), Box::new(comp))
     }
 
     /// Snapshot per-component wake statistics (registration order).
@@ -527,29 +543,22 @@ impl Sim {
             st.runnable.push(Reverse((seq, pid.0)));
             st.live += 1;
         }
-        let tkernel = Arc::clone(&kernel);
         match exec {
             ExecMode::Event => {
                 // Fiber carrier: the body runs on its own stack, switched in
                 // by the run loop (which also manages CTX). The first switch
-                // is the first grant, so no grant wait is needed here.
+                // is the first grant, so no grant wait is needed here. The
+                // body lives in the kernel's own process table, so it reaches
+                // the kernel through CTX instead of owning a reference.
                 let body = move || {
                     let result = catch_unwind(AssertUnwindSafe(f));
-                    let mut st = tkernel.state.lock();
-                    st.procs[pid.0].status = Status::Done;
-                    st.live -= 1;
-                    if let Err(payload) = result {
-                        if !st.aborted {
-                            st.panic = Some(payload);
-                        }
-                        // If aborted, the panic is the kernel's own shutdown
-                        // signal; swallow it.
-                    }
+                    with_ctx(|c| c.kernel.finish(pid, result));
                 };
                 let fb = Box::new(Fiber::new(stack_bytes(), Box::new(body)));
                 kernel.state.lock().procs[pid.0].fiber = Some(fb);
             }
             ExecMode::Threads => {
+                let tkernel = Arc::clone(&kernel);
                 thread::Builder::new()
                     .name(format!("sim:{name}"))
                     .stack_size(stack_bytes().max(512 * 1024))
@@ -563,25 +572,19 @@ impl Sim {
                         // Wait for the first grant before touching user code.
                         tkernel.wait_for_grant(pid);
                         let result = catch_unwind(AssertUnwindSafe(f));
-                        let mut st = tkernel.state.lock();
-                        st.procs[pid.0].status = Status::Done;
-                        st.live -= 1;
-                        if let Err(payload) = result {
-                            if !st.aborted {
-                                st.panic = Some(payload);
-                            }
-                            // If aborted, the panic is the kernel's own
-                            // shutdown signal; swallow it.
-                        }
+                        tkernel.finish(pid, result);
                         tkernel.kernel_cv.notify_one();
-                        // Drop the context so the Arc<Kernel> cycle breaks
-                        // promptly.
+                        // Drop the context so this thread's reference to the
+                        // kernel goes promptly.
                         CTX.with(|c| *c.borrow_mut() = None);
                     })
                     .expect("failed to spawn simulation process thread");
             }
         }
-        ProcHandle { kernel, pid }
+        ProcHandle {
+            kernel: Arc::downgrade(&kernel),
+            pid,
+        }
     }
 
     /// Schedule `action` to run on the kernel thread at virtual time `at`
@@ -745,6 +748,19 @@ impl Sim {
 }
 
 impl Kernel {
+    /// A process body returned or panicked: retire it. A panic raised while
+    /// the kernel is aborting is its own shutdown signal and is swallowed.
+    fn finish(&self, pid: ProcId, result: thread::Result<()>) {
+        let mut st = self.state.lock();
+        st.procs[pid.0].status = Status::Done;
+        st.live -= 1;
+        if let Err(payload) = result {
+            if !st.aborted {
+                st.panic = Some(payload);
+            }
+        }
+    }
+
     fn wait_for_grant(&self, pid: ProcId) {
         let mut st = self.state.lock();
         let cv = Arc::clone(&st.procs[pid.0].cv);
@@ -859,8 +875,7 @@ impl Kernel {
         true
     }
 
-    #[allow(dead_code)]
-    pub(crate) fn unpark(&self, pid: ProcId) {
+    fn unpark(&self, pid: ProcId) {
         let mut st = self.state.lock();
         if matches!(st.procs[pid.0].status, Status::Parked { .. }) {
             st.make_runnable(pid);
@@ -885,7 +900,7 @@ pub fn current_pid() -> ProcId {
 /// A [`ProcHandle`] for the calling process.
 pub fn current_handle() -> ProcHandle {
     with_ctx(|c| ProcHandle {
-        kernel: Arc::clone(&c.kernel),
+        kernel: Arc::downgrade(&c.kernel),
         pid: c.pid,
     })
 }
@@ -911,7 +926,7 @@ pub fn sleep_until(t: SimTime) {
             return;
         }
         let h = ProcHandle {
-            kernel: Arc::clone(&c.kernel),
+            kernel: Arc::downgrade(&c.kernel),
             pid,
         };
         c.kernel.schedule_at(t, move || h.unpark());
@@ -1158,6 +1173,44 @@ mod tests {
             assert_eq!(now(), SimTime::from_nanos(20_000), "sleep cut short");
         });
         sim.run();
+    }
+
+    #[test]
+    fn finished_sim_frees_its_kernel() {
+        // Everything a finished world used to leak through: a component
+        // whose state holds a mailbox (kernel → registry → component →
+        // mailbox → waiter handles), a wait that ended by its deadline and
+        // left its handle in the waiter list, and a deadline timer still
+        // un-fired when `run` returns at `live == 0`.
+        use crate::component::Component;
+        use crate::mailbox::Mailbox;
+        struct Holder(#[allow(dead_code)] Mailbox<u32>);
+        impl Component for Holder {
+            fn tick(&mut self, _now: SimTime) -> Option<SimTime> {
+                None
+            }
+        }
+        let sim = Sim::new();
+        let mb: Mailbox<u32> = Mailbox::new();
+        let waker = sim.add_component("holder", Holder(mb.clone()));
+        let proc = sim.spawn("p", move || {
+            waker.wake_exact_at(now() + SimDur::from_millis(5));
+            // Ended by a delivery: its 1 ms deadline timer outlives the run.
+            mb.send_at(now() + SimDur::from_micros(1), 1);
+            assert!(mb.wait_nonempty_until(Some(now() + SimDur::from_millis(1))));
+            assert_eq!(mb.try_recv(), Some(1));
+            // Ended by its deadline: the handle stays in the waiter list.
+            assert!(!mb.wait_nonempty_until(Some(now() + SimDur::from_micros(1))));
+        });
+        sim.run();
+        assert_eq!(sim.timers_live(), 2, "the wake and the stale deadline");
+        let kernel = Arc::downgrade(&sim.kernel);
+        drop(sim);
+        proc.unpark(); // a handle that outlives its simulation is inert
+        assert!(
+            kernel.upgrade().is_none(),
+            "a finished Sim must free its kernel"
+        );
     }
 
     #[test]

@@ -34,6 +34,20 @@ struct MbState<T> {
     component: Option<Waker>,
 }
 
+impl<T> MbState<T> {
+    /// Queue the calling process for the next delivery's unpark, once: a
+    /// wait that ended by its deadline (or a stale unpark) leaves its handle
+    /// behind, and only a delivery drains the list. A second unpark of a
+    /// process the first one made runnable would be a no-op, so skipping the
+    /// duplicate changes no wake.
+    fn enqueue_caller(&mut self) {
+        let me = kernel::current_handle();
+        if !self.waiters.iter().any(|w| w.id() == me.id()) {
+            self.waiters.push(me);
+        }
+    }
+}
+
 /// An unbounded multi-producer multi-consumer queue in virtual time.
 ///
 /// Cloning is shallow; all clones refer to the same queue.
@@ -143,7 +157,7 @@ impl<T> Mailbox<T> {
                     san::clear_blocked();
                     return Self::take(m, tok);
                 }
-                st.waiters.push(kernel::current_handle());
+                st.enqueue_caller();
             }
             san::note_blocked(|| "mailbox recv".to_string());
             kernel::park("mailbox recv");
@@ -163,7 +177,7 @@ impl<T> Mailbox<T> {
             if !st.ready.is_empty() {
                 return true;
             }
-            st.waiters.push(kernel::current_handle());
+            st.enqueue_caller();
         }
         // The deadline timer deliberately outlives the wait: if a message
         // arrives first, the entry stays in the heap and fires a spurious
@@ -322,6 +336,36 @@ mod tests {
             });
         }
         sim.run();
+    }
+
+    #[test]
+    fn timed_out_waits_leave_one_waiter() {
+        let sim = Sim::new();
+        let mb: Mailbox<u32> = Mailbox::new();
+        let wakes = Arc::new(Mutex::new(0u32));
+        {
+            let (mb, wakes) = (mb.clone(), Arc::clone(&wakes));
+            sim.spawn("poller", move || {
+                for _ in 0..10_000 {
+                    assert!(!mb.wait_nonempty_until(Some(now() + SimDur::from_nanos(10))));
+                }
+                assert_eq!(mb.inner.lock().waiters.len(), 1);
+                // One delivery, one wake: the park returns exactly once.
+                crate::kernel::park("awaiting the delivery");
+                *wakes.lock() += 1;
+                assert_eq!(mb.try_recv(), Some(5));
+                assert!(mb.inner.lock().waiters.is_empty());
+                // Nothing else is coming: a second park must time out.
+                assert!(!mb.wait_nonempty_until(Some(now() + SimDur::from_micros(1))));
+            });
+        }
+        sim.spawn("producer", move || {
+            sleep(SimDur::from_millis(1));
+            mb.send(5);
+            sleep(SimDur::from_millis(1));
+        });
+        sim.run();
+        assert_eq!(*wakes.lock(), 1);
     }
 
     #[test]

@@ -100,4 +100,21 @@ echo "==> perfbench smoke (benchmark/ compiles against the workspace; unit tests
 # benchmark pipeline.
 benchmark/smoke.sh > /dev/null
 
+echo "==> perfbench RSS vs reps (a finished world must be freed)"
+# peak_rss_mb must not depend on how many reps a run makes: the driver
+# measures for a fixed --seconds window, so a leak per rep turns any
+# speed-up into more reps and reads as a memory regression (PR 16 was
+# refused for exactly that: jobmix_1024 leaked ~3.3 MB per rep, 87 MB at
+# 3 reps against ~107 MB at 9).
+rss() {
+    cargo run --release --offline -q --manifest-path benchmark/Cargo.toml -- \
+        --workload jobmix_1024 --reps "$1" --trace 0 \
+        | tail -n 1 | sed 's/.*"peak_rss_mb":{"value":\([0-9.]*\).*/\1/'
+}
+awk -v a="$(rss 3)" -v b="$(rss 9)" 'BEGIN {
+    d = (b - a) / a; if (d < 0) d = -d
+    printf "    peak_rss_mb: %s at 3 reps, %s at 9\n", a, b
+    exit !(a > 0 && d <= 0.05)
+}' || { echo "jobmix_1024 peak_rss_mb depends on the rep count"; exit 1; }
+
 echo "CI OK"

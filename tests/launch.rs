@@ -10,11 +10,11 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use gpu_nc_repro::ib_sim::{CtrlAction, CtrlPoint, DeliveryScheduler, FaultSpec, Topology};
-use gpu_nc_repro::mpi_sim::{Comm, Datatype, MpiWorld, ReduceOp};
+use gpu_nc_repro::mpi_sim::{Comm, Datatype, MpiWorld, ReduceOp, Seat};
 use gpu_nc_repro::mv2_gpu_nc::GpuCluster;
 use hostmem::{bytes_to_scalars, scalars_to_bytes, HostBuf};
 use sim_core::lock::Mutex;
-use sim_core::{ExecMode, Report, SanitizerMode, SimTime};
+use sim_core::{Component, ExecMode, Report, SanitizerMode, SimTime};
 use sim_trace::Recorder;
 
 const RANKS: usize = 4;
@@ -22,10 +22,9 @@ const RANKS: usize = 4;
 type Counters = BTreeMap<&'static str, u64>;
 type Sink = Arc<Mutex<Vec<(usize, Counters)>>>;
 
-/// Eager + rendezvous ping-pong between rank pairs `(2k, 2k+1)`, a
-/// barrier and an allreduce, all on host buffers (so `MpiWorld`'s host-only
-/// communicator can run it). Leaves the rank's call counters in `sink`.
-fn program(comm: &Comm, sink: &Sink) {
+/// Eager + rendezvous ping-pong between rank pairs `(2k, 2k+1)`, then a
+/// barrier, all on host buffers.
+fn ping_pong(comm: &Comm) {
     let byte = Datatype::byte();
     byte.commit();
     let (me, peer) = (comm.rank(), comm.rank() ^ 1);
@@ -42,6 +41,13 @@ fn program(comm: &Comm, sink: &Sink) {
         assert_eq!(pong.read(0, len), vec![peer as u8 + 1; len]);
     }
     comm.barrier();
+}
+
+/// [`ping_pong`] and an allreduce (host buffers, so `MpiWorld`'s host-only
+/// communicator can run it). Leaves the rank's call counters in `sink`.
+fn program(comm: &Comm, sink: &Sink) {
+    ping_pong(comm);
+    let me = comm.rank();
     let int = Datatype::int();
     int.commit();
     let mine = HostBuf::from_vec(scalars_to_bytes(&[me as i32 + 1]));
@@ -227,4 +233,36 @@ fn a_panicking_rank_reports_the_same_message_from_both_launchers() {
     let message = world.expect_err("the world must report the panic");
     assert!(message.contains("rank 1 gives up"), "{message}");
     assert_eq!(Err(message), cluster);
+}
+
+/// A finished world is freed, not leaked: whatever `setup` hung on the
+/// kernel is dropped with it once `launch` returns. (It used to survive —
+/// process handles parked in mailbox waiter lists and un-fired timers kept
+/// the kernel alive from inside — so a benchmark's peak RSS grew with its
+/// rep count.) `GpuCluster` and `run_mix` launch through the same kernel.
+#[test]
+fn a_finished_world_is_freed() {
+    struct Holder(#[allow(dead_code)] Arc<()>);
+    impl Component for Holder {
+        fn tick(&mut self, _now: SimTime) -> Option<SimTime> {
+            None
+        }
+    }
+    let sentinel = Arc::new(());
+    let held = Arc::clone(&sentinel);
+    let (ran, _) = MpiWorld::new(2).launch(
+        move |sim, _, _| drop(sim.add_component("sentinel", Holder(held))),
+        |(), s: Seat| {
+            let no_stagers = Arc::new(Vec::new());
+            let comm = Comm::create_traced(s.nic, s.rank, s.size, s.cfg, no_stagers, &s.recorder);
+            ping_pong(&comm);
+            comm.finalize();
+        },
+    );
+    ran.expect("the world runs to completion");
+    assert_eq!(
+        Arc::strong_count(&sentinel),
+        1,
+        "the kernel outlived launch"
+    );
 }
