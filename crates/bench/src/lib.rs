@@ -1,498 +1,402 @@
-//! Shared harness utilities for the figure/table regeneration binaries.
+//! The experiment driver: every table and figure of the paper, and every
+//! regression ledger under `results/`, is one row of [`EXPERIMENTS`] and one
+//! function that returns its [`Doc`].
 //!
-//! Every binary prints a human-readable table (the same rows/series the
-//! paper reports) and, with `--json`, a machine-readable record used to
-//! update `EXPERIMENTS.md`.
+//! `bench <name> [flags]` (the one binary, `main.rs`) prints the text
+//! rendering, or the JSON record with `--json`, and writes the record only
+//! where `--out PATH` says. An experiment with a committed file runs, by
+//! default, at the parameters that file was generated at, so regenerating
+//! is `bench <name> --out results/<file>` and policing is
+//! [`Experiment::check`] — called by `tests/baselines.rs` under tier-1 and
+//! by `bench check <name>` from `scripts/ci.sh`. Guards (`assert!`s in the
+//! experiment functions, [`Doc::failures`]) run on every invocation.
 
-use std::collections::BTreeMap;
+pub mod args;
+pub mod doc;
+pub mod exp;
+pub mod json;
+pub mod measure;
 
-pub use json::{Json, ToJson};
+use sim_trace::json::JsonValue;
 
-/// Minimal JSON tree + pretty printer, so the harness binaries can emit
-/// machine-readable records without an external serialization crate.
-pub mod json {
-    use std::fmt;
+pub use args::{Args, Flag};
+pub use doc::Doc;
+use exp::{coll, halo, job_mix, modelcheck, offload, pipeline, rank_scale, stencil, trace, vector};
 
-    /// A JSON value.
-    pub enum Json {
-        Bool(bool),
-        /// Integers are kept exact rather than routed through `f64`.
-        Int(i64),
-        Num(f64),
-        Str(String),
-        Arr(Vec<Json>),
-        /// Insertion-ordered key/value pairs.
-        Obj(Vec<(String, Json)>),
-    }
-
-    /// Conversion into a [`Json`] tree. Implement by hand or with
-    /// [`impl_to_json!`](crate::impl_to_json) for plain field structs.
-    pub trait ToJson {
-        fn to_json(&self) -> Json;
-    }
-
-    impl ToJson for Json {
-        fn to_json(&self) -> Json {
-            self.clone_tree()
-        }
-    }
-
-    impl Json {
-        fn clone_tree(&self) -> Json {
-            match self {
-                Json::Bool(b) => Json::Bool(*b),
-                Json::Int(n) => Json::Int(*n),
-                Json::Num(x) => Json::Num(*x),
-                Json::Str(s) => Json::Str(s.clone()),
-                Json::Arr(v) => Json::Arr(v.iter().map(Json::clone_tree).collect()),
-                Json::Obj(kv) => Json::Obj(
-                    kv.iter()
-                        .map(|(k, v)| (k.clone(), v.clone_tree()))
-                        .collect(),
-                ),
-            }
-        }
-
-        fn fmt_indented(&self, f: &mut fmt::Formatter<'_>, depth: usize) -> fmt::Result {
-            let pad = "  ".repeat(depth + 1);
-            let close = "  ".repeat(depth);
-            match self {
-                Json::Bool(b) => write!(f, "{b}"),
-                Json::Int(n) => write!(f, "{n}"),
-                Json::Num(x) if x.is_finite() => {
-                    if x.fract() == 0.0 && x.abs() < 1e15 {
-                        write!(f, "{x:.1}")
-                    } else {
-                        write!(f, "{x}")
-                    }
-                }
-                Json::Num(_) => write!(f, "null"),
-                Json::Str(s) => {
-                    f.write_str("\"")?;
-                    for c in s.chars() {
-                        match c {
-                            '"' => f.write_str("\\\"")?,
-                            '\\' => f.write_str("\\\\")?,
-                            '\n' => f.write_str("\\n")?,
-                            '\t' => f.write_str("\\t")?,
-                            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-                            c => write!(f, "{c}")?,
-                        }
-                    }
-                    f.write_str("\"")
-                }
-                Json::Arr(v) if v.is_empty() => f.write_str("[]"),
-                Json::Arr(v) => {
-                    f.write_str("[\n")?;
-                    for (i, item) in v.iter().enumerate() {
-                        f.write_str(&pad)?;
-                        item.fmt_indented(f, depth + 1)?;
-                        f.write_str(if i + 1 < v.len() { ",\n" } else { "\n" })?;
-                    }
-                    write!(f, "{close}]")
-                }
-                Json::Obj(kv) if kv.is_empty() => f.write_str("{}"),
-                Json::Obj(kv) => {
-                    f.write_str("{\n")?;
-                    for (i, (k, v)) in kv.iter().enumerate() {
-                        write!(f, "{pad}\"{k}\": ")?;
-                        v.fmt_indented(f, depth + 1)?;
-                        f.write_str(if i + 1 < kv.len() { ",\n" } else { "\n" })?;
-                    }
-                    write!(f, "{close}}}")
-                }
-            }
-        }
-    }
-
-    /// Pretty-printed with two-space indentation.
-    impl fmt::Display for Json {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            self.fmt_indented(f, 0)
-        }
-    }
-
-    impl ToJson for bool {
-        fn to_json(&self) -> Json {
-            Json::Bool(*self)
-        }
-    }
-    impl ToJson for f64 {
-        fn to_json(&self) -> Json {
-            Json::Num(*self)
-        }
-    }
-    impl ToJson for usize {
-        fn to_json(&self) -> Json {
-            Json::Int(*self as i64)
-        }
-    }
-    impl ToJson for u64 {
-        fn to_json(&self) -> Json {
-            Json::Int(*self as i64)
-        }
-    }
-    impl ToJson for u32 {
-        fn to_json(&self) -> Json {
-            Json::Int(i64::from(*self))
-        }
-    }
-    impl ToJson for i64 {
-        fn to_json(&self) -> Json {
-            Json::Int(*self)
-        }
-    }
-    impl ToJson for String {
-        fn to_json(&self) -> Json {
-            Json::Str(self.clone())
-        }
-    }
-    impl ToJson for &str {
-        fn to_json(&self) -> Json {
-            Json::Str((*self).to_string())
-        }
-    }
-    impl<T: ToJson> ToJson for &T {
-        fn to_json(&self) -> Json {
-            (*self).to_json()
-        }
-    }
-    impl<T: ToJson> ToJson for [T] {
-        fn to_json(&self) -> Json {
-            Json::Arr(self.iter().map(ToJson::to_json).collect())
-        }
-    }
-    impl<T: ToJson> ToJson for Vec<T> {
-        fn to_json(&self) -> Json {
-            self.as_slice().to_json()
-        }
-    }
-    impl<V: ToJson> ToJson for std::collections::BTreeMap<String, V> {
-        fn to_json(&self) -> Json {
-            Json::Obj(self.iter().map(|(k, v)| (k.clone(), v.to_json())).collect())
-        }
-    }
+/// Who compares an experiment's committed file with a fresh run.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub enum Policed {
+    /// `tests/baselines.rs`, in a debug build under tier-1.
+    Tier1,
+    /// `scripts/ci.sh` through `bench check`, in release: too slow for a
+    /// debug build.
+    Ci,
+    /// Nobody: paper scale takes minutes. Regenerate by hand
+    /// (EXPERIMENTS.md).
+    ByHand,
 }
 
-/// Implement [`ToJson`] for a struct by listing its fields, in the order
-/// they should appear in the emitted object:
-///
-/// ```
-/// struct Row {
-///     bytes: usize,
-///     latency_us: f64,
-/// }
-/// bench::impl_to_json!(Row { bytes, latency_us });
-/// ```
-#[macro_export]
-macro_rules! impl_to_json {
-    ($ty:ty { $($field:ident),+ $(,)? }) => {
-        impl $crate::ToJson for $ty {
-            fn to_json(&self) -> $crate::Json {
-                $crate::Json::Obj(vec![
-                    $((stringify!($field).to_string(), $crate::ToJson::to_json(&self.$field)),)+
-                ])
-            }
-        }
-    };
-}
-
-/// Parsed command-line options shared by all harness binaries.
-#[derive(Debug, Clone)]
-pub struct HarnessArgs {
-    /// Emit JSON instead of a table.
-    pub json: bool,
-    /// Matrix scale-down factor for the stencil experiments (1 = paper
-    /// size).
-    pub scale: usize,
-    /// Stencil iterations per run.
-    pub iters: usize,
-    /// Free-form key=value extras.
-    pub extra: BTreeMap<String, String>,
-}
-
-impl Default for HarnessArgs {
-    fn default() -> Self {
-        HarnessArgs {
-            json: false,
-            scale: 1,
-            iters: 5,
-            extra: BTreeMap::new(),
-        }
-    }
-}
-
-impl HarnessArgs {
-    /// Parse `std::env::args()`: `--json`, `--scale N`, `--iters N`, and
-    /// `--key value` for each key in `extras` — the extras this binary
-    /// reads. Anything else (a typo such as `--ouy`, a flag without its
-    /// value) prints the accepted list and exits with status 2 instead of
-    /// being silently dropped.
-    pub fn parse(extras: &[&str]) -> Self {
-        Self::parse_from(std::env::args().skip(1), extras).unwrap_or_else(|err| {
-            eprintln!("{err}");
-            std::process::exit(2);
-        })
-    }
-
-    fn parse_from(mut args: impl Iterator<Item = String>, extras: &[&str]) -> Result<Self, String> {
-        let mut out = HarnessArgs::default();
-        let usage = || {
-            let extras: String = extras.iter().map(|k| format!(" --{k} VALUE")).collect();
-            format!("accepted flags: --json --scale N --iters N{extras}")
-        };
-        while let Some(flag) = args.next() {
-            if flag == "--json" {
-                out.json = true;
-                continue;
-            }
-            let key = flag.strip_prefix("--").unwrap_or("");
-            if !(matches!(key, "scale" | "iters") || extras.contains(&key)) {
-                return Err(format!("unknown flag `{flag}`; {}", usage()));
-            }
-            let val = args
-                .next()
-                .ok_or_else(|| format!("`{flag}` needs a value; {}", usage()))?;
-            let positive = || {
-                val.parse::<usize>()
-                    .map_err(|_| format!("`{flag}` needs a positive integer; {}", usage()))
-            };
-            match key {
-                "scale" => out.scale = positive()?,
-                "iters" => out.iters = positive()?,
-                _ => {
-                    out.extra.insert(key.to_string(), val);
-                }
-            }
-        }
-        Ok(out)
-    }
-}
-
-/// One experiment's machine-readable result.
-pub struct ExperimentRecord<T: ToJson> {
-    /// Experiment id ("fig2", "table2", ...).
+/// One experiment: a sub-command of the driver.
+pub struct Experiment {
+    /// Sub-command name.
+    pub name: &'static str,
+    /// `id` of the JSON record.
     pub id: &'static str,
-    /// Human title.
+    /// `title` of the JSON record.
     pub title: &'static str,
-    /// The data series.
-    pub data: T,
+    /// Flags it reads beyond `--json`/`--out`, with their defaults: for an
+    /// experiment with a committed file, the values that file was generated
+    /// at.
+    pub flags: &'static [Flag],
+    /// Its committed file (repository-relative), who polices it, and the
+    /// host-clock members of that file, which no comparison looks at.
+    pub committed: Option<(&'static str, Policed, &'static [&'static str])>,
+    body: fn(&Args) -> Doc,
 }
 
-/// Print a record as pretty JSON.
-pub fn emit_json<T: ToJson>(rec: &ExperimentRecord<T>) {
-    let doc = Json::Obj(vec![
-        ("id".to_string(), rec.id.to_json()),
-        ("title".to_string(), rec.title.to_json()),
-        ("data".to_string(), rec.data.to_json()),
-    ]);
-    println!("{doc}");
-}
-
-/// Format a byte count the way the paper's axes do (16, 1K, 64K, 4M).
-pub fn fmt_size(bytes: usize) -> String {
-    if bytes >= 1 << 20 && bytes.is_multiple_of(1 << 20) {
-        format!("{}M", bytes >> 20)
-    } else if bytes >= 1 << 10 && bytes.is_multiple_of(1 << 10) {
-        format!("{}K", bytes >> 10)
-    } else {
-        format!("{bytes}")
+const fn row(
+    name: &'static str,
+    id: &'static str,
+    title: &'static str,
+    body: fn(&Args) -> Doc,
+) -> Experiment {
+    Experiment {
+        name,
+        id,
+        title,
+        flags: &[],
+        committed: None,
+        body,
     }
 }
 
-/// The paper's message-size sweep: 16 B to 4 MB in 4x steps.
-pub fn paper_sizes() -> Vec<usize> {
-    (0..10).map(|i| 16 << (2 * i)).collect()
+impl Experiment {
+    const fn flags(mut self, flags: &'static [Flag]) -> Experiment {
+        self.flags = flags;
+        self
+    }
+
+    const fn committed(
+        mut self,
+        file: &'static str,
+        by: Policed,
+        host_clock: &'static [&'static str],
+    ) -> Experiment {
+        self.committed = Some((file, by, host_clock));
+        self
+    }
+
+    /// Run the experiment (guards included) and head its record with `id`
+    /// and `title`.
+    pub fn run(&self, args: &Args) -> Doc {
+        let mut doc = (self.body)(args);
+        let head = [("id", self.id), ("title", self.title)];
+        let head = head.map(|(k, v)| (k.to_string(), json::Json::Str(v.to_string())));
+        doc.fields.splice(0..0, head);
+        doc
+    }
+
+    /// Run at the defaults and compare the record with the committed file:
+    /// one line per differing member, host-clock members excepted, plus the
+    /// run's own failed verdicts. Empty means the file polices itself.
+    pub fn check(&self) -> Vec<String> {
+        let (file, _, host_clock) = self.committed.expect("no committed file to check");
+        let doc = self.run(&Args::defaults(self.flags));
+        let mut found = doc.failures.clone();
+        found.extend(diff(&committed(file), &reparse(&doc), host_clock, false));
+        found
+    }
 }
 
-/// Render an aligned text table.
-pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
-    let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
-    for row in rows {
-        for (i, cell) in row.iter().enumerate() {
-            widths[i] = widths[i].max(cell.len());
+/// The parsed committed file at repository-relative `path`.
+pub fn committed(path: &str) -> JsonValue {
+    let path = format!("{}/../../{path}", env!("CARGO_MANIFEST_DIR"));
+    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+    sim_trace::json::parse(&text).unwrap_or_else(|e| panic!("{path}: {e}"))
+}
+
+/// `doc`'s record as the committed-file parser reads it back.
+pub fn reparse(doc: &Doc) -> JsonValue {
+    sim_trace::json::parse(&doc.json().to_string()).expect("the printer emits valid JSON")
+}
+
+/// Every difference between `want` (a committed file) and `got` (a fresh
+/// record), one `$.path: committed X, regenerated Y` line each. Object
+/// members named in `skip` are not compared, at any depth. With `prefix`,
+/// an array of `got` may stop early (a `--smoke` plan's rows against the
+/// full grid's).
+pub fn diff(want: &JsonValue, got: &JsonValue, skip: &[&str], prefix: bool) -> Vec<String> {
+    fn walk(
+        (want, got): (&JsonValue, &JsonValue),
+        (skip, prefix): (&[&str], bool),
+        path: &str,
+        found: &mut Vec<String>,
+    ) {
+        match (want, got) {
+            (JsonValue::Obj(w), JsonValue::Obj(g)) => {
+                let keys = |m: &[(String, JsonValue)]| -> Vec<String> {
+                    m.iter().map(|(k, _)| k.clone()).collect()
+                };
+                let (wk, gk) = (keys(w), keys(g));
+                if wk != gk {
+                    found.push(format!(
+                        "{path}: committed members {wk:?}, regenerated {gk:?}"
+                    ));
+                    return;
+                }
+                for ((k, w), (_, g)) in w.iter().zip(g) {
+                    if !skip.contains(&k.as_str()) {
+                        walk((w, g), (skip, prefix), &format!("{path}.{k}"), found);
+                    }
+                }
+            }
+            (JsonValue::Arr(w), JsonValue::Arr(g))
+                if w.len() == g.len() || (prefix && g.len() < w.len()) =>
+            {
+                for (i, pair) in w.iter().zip(g).enumerate() {
+                    walk(pair, (skip, prefix), &format!("{path}[{i}]"), found);
+                }
+            }
+            (JsonValue::Arr(w), JsonValue::Arr(g)) => found.push(format!(
+                "{path}: committed {} elements, regenerated {}",
+                w.len(),
+                g.len()
+            )),
+            _ if want == got => {}
+            _ => found.push(format!("{path}: committed {want:?}, regenerated {got:?}")),
         }
     }
-    let line = |cells: &[String]| {
-        let mut s = String::new();
-        for (i, c) in cells.iter().enumerate() {
-            s.push_str(&format!("{:>w$}  ", c, w = widths[i]));
-        }
-        println!("{}", s.trim_end());
-    };
-    line(&headers.iter().map(|s| s.to_string()).collect::<Vec<_>>());
-    line(&widths.iter().map(|w| "-".repeat(*w)).collect::<Vec<_>>());
-    for row in rows {
-        line(row);
-    }
+    let mut found = Vec::new();
+    walk((want, got), (skip, prefix), "$", &mut found);
+    found
 }
+
+/// The experiment called `name`.
+pub fn find(name: &str) -> Option<&'static Experiment> {
+    EXPERIMENTS.iter().find(|e| e.name == name)
+}
+
+use Policed::{ByHand, Ci, Tier1};
+
+/// Every experiment, in the paper's order, then the regression ledgers.
+pub static EXPERIMENTS: &[Experiment] = &[
+    row(
+        "fig2_pack_schemes",
+        "fig2",
+        "Non-contiguous data pack performance (Figure 2)",
+        vector::fig2_pack_schemes,
+    )
+    .committed("results/fig2_pack_schemes.json", Tier1, &[]),
+    row(
+        "pipeline_trace",
+        "fig3",
+        "Pipeline stage completion trace (Figure 3)",
+        trace::pipeline_trace,
+    )
+    .committed("results/pipeline_trace.json", Tier1, &[]),
+    row(
+        "fig5_vector_latency",
+        "fig5",
+        "Vector communication latency (Figure 5)",
+        vector::fig5_vector_latency,
+    )
+    .committed("results/fig5_vector_latency.json", Tier1, &[]),
+    row(
+        "fig6_stencil_breakdown",
+        "fig6",
+        "Stencil2D-Def communication breakdown at rank 1, 2x4 grid (Figure 6)",
+        stencil::fig6_stencil_breakdown,
+    )
+    .flags(&[("iters", "3"), ("scale", "1")])
+    .committed("results/fig6_stencil_breakdown.txt", ByHand, &[]),
+    row(
+        "table1_code_complexity",
+        "table1",
+        "Stencil2D main-loop code complexity (Table I)",
+        stencil::table1_code_complexity,
+    )
+    .committed("results/table1_code_complexity.json", Tier1, &[]),
+    row(
+        "table2_stencil_single",
+        "table2",
+        "Stencil2D median execution times, single precision (Table II)",
+        stencil::table2_stencil_single,
+    )
+    .flags(&[("iters", "5"), ("scale", "1")])
+    .committed("results/table2_stencil_single.txt", ByHand, &[]),
+    row(
+        "table3_stencil_double",
+        "table3",
+        "Stencil2D median execution times, double precision (Table III)",
+        stencil::table3_stencil_double,
+    )
+    .flags(&[("iters", "5"), ("scale", "1")])
+    .committed("results/table3_stencil_double.txt", ByHand, &[]),
+    row(
+        "ablation_block_size",
+        "ablation_block",
+        "Pipeline block-size ablation at 4 MB (section IV-B)",
+        vector::ablation_block_size,
+    )
+    .committed("results/ablation_block_size.json", Tier1, &[]),
+    row(
+        "ablation_eager_limit",
+        "ablation_eager",
+        "Eager vs rendezvous for small device messages",
+        vector::ablation_eager_limit,
+    ),
+    row(
+        "ablation_window",
+        "ablation_window",
+        "Pipeline window-depth ablation at 4 MB",
+        vector::ablation_window,
+    ),
+    row(
+        "halo3d_bench",
+        "halo3d",
+        "3-D Jacobi halo exchange, Def vs MV2-GPU-NC",
+        halo::halo3d_bench,
+    )
+    .flags(&[("iters", "5"), ("scale", "1")]),
+    row(
+        "pipeline_bench",
+        "pipeline",
+        "Plan cache + adaptive pipeline vs fixed block",
+        pipeline::pipeline_bench,
+    )
+    .flags(&[("iters", "8")])
+    .committed(
+        "results/BENCH_pipeline.json",
+        Tier1,
+        &["fixed_wall_ms", "adaptive_wall_ms"],
+    ),
+    row(
+        "offload_sweep",
+        "offload",
+        "Data-path schemes: staged pipeline vs NIC scatter/gather offload",
+        offload::offload_sweep,
+    )
+    .flags(&[("iters", "4")])
+    .committed("results/BENCH_offload.json", Tier1, &[]),
+    row(
+        "coll_sweep",
+        "coll",
+        "collective sweep: hier node-leader trees vs flat vs naive control",
+        coll::coll_sweep,
+    )
+    .flags(&[("smoke", "")])
+    .committed("results/BENCH_coll.json", Ci, &[]),
+    row(
+        "ppn_sweep",
+        "ppn",
+        "halo3d 16 ranks: blocked ppn placement vs all-remote control",
+        halo::ppn_sweep,
+    )
+    .flags(&[("iters", "5"), ("scale", "1")])
+    .committed("results/BENCH_ppn.json", Ci, &[]),
+    row(
+        "rank_scale_sweep",
+        "rank_scale",
+        "halo3d rank-count scaling under the event-driven kernel",
+        rank_scale::rank_scale_sweep,
+    )
+    .flags(&[("smoke", ""), ("exec", "event"), ("max-ranks", "1024")])
+    .committed(
+        "results/BENCH_rank_scale.json",
+        Ci,
+        &["wall_s", "wall_ms_per_rank"],
+    ),
+    row(
+        "job_mix",
+        "jobmix",
+        "multi-job shared-cluster campaigns: slowdown, overload tail, QoS shift",
+        job_mix::job_mix,
+    )
+    .flags(&[("smoke", ""), ("seed", "20211")])
+    .committed("results/BENCH_jobmix.json", Ci, &["host_scale"]),
+    row(
+        "fault_campaign",
+        "fault_campaign",
+        "Seeded fault campaign: halo3d under ctrl drop/delay + RDMA errors",
+        halo::fault_campaign,
+    )
+    .flags(&[("seed", "7"), ("drop", "0.2"), ("rdma-err", "0.1")])
+    .committed("results/fault_campaign.json", Tier1, &[]),
+    row(
+        "modelcheck",
+        "modelcheck",
+        "Exhaustive control-plane model checking",
+        modelcheck::modelcheck,
+    )
+    .flags(&[("smoke", "")])
+    .committed("results/modelcheck.json", Tier1, &["wall_ms"]),
+    row(
+        "trace_report",
+        "trace_report",
+        "Lane utilization, overlap factor and critical path",
+        trace::trace_report,
+    )
+    .flags(&[("chrome", "")])
+    .committed("results/trace_report.json", Tier1, &[]),
+];
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sim_trace::json::parse;
 
     #[test]
-    fn fmt_size_uses_paper_units() {
-        assert_eq!(fmt_size(16), "16");
-        assert_eq!(fmt_size(1 << 10), "1K");
-        assert_eq!(fmt_size(64 << 10), "64K");
-        assert_eq!(fmt_size(4 << 20), "4M");
-        assert_eq!(fmt_size(100), "100");
+    fn diff_names_the_path_and_both_values() {
+        let want = parse(r#"{"a": 1, "wall_ms": 2.5, "data": [{"x": 1}, {"x": 2}]}"#).unwrap();
+        let same = parse(r#"{"a": 1, "wall_ms": 9.9, "data": [{"x": 1}, {"x": 2}]}"#).unwrap();
+        let moved = parse(r#"{"a": 1, "wall_ms": 2.5, "data": [{"x": 1}, {"x": 3}]}"#).unwrap();
+        let short = parse(r#"{"a": 1, "wall_ms": 2.5, "data": [{"x": 1}]}"#).unwrap();
+        let run = |got, skip: &[&str], prefix| diff(&want, got, skip, prefix);
+        assert!(run(&same, &["wall_ms"], false).is_empty());
+        assert_eq!(
+            run(&same, &[], false),
+            ["$.wall_ms: committed Num(2.5), regenerated Num(9.9)"]
+        );
+        assert_eq!(
+            run(&moved, &[], false),
+            ["$.data[1].x: committed Num(2.0), regenerated Num(3.0)"]
+        );
+        assert!(run(&short, &[], true).is_empty(), "a smoke plan's prefix");
+        assert_eq!(
+            run(&short, &[], false),
+            ["$.data: committed 2 elements, regenerated 1"]
+        );
+        let renamed = parse(r#"{"b": 1}"#).unwrap();
+        assert!(run(&renamed, &[], false)[0].contains("members"));
     }
 
     #[test]
-    fn json_pretty_printer_round_trips_structure() {
-        struct Row {
-            bytes: usize,
-            us: f64,
+    fn the_table_is_consistent() {
+        for (i, e) in EXPERIMENTS.iter().enumerate() {
+            assert!(
+                EXPERIMENTS[..i].iter().all(|o| o.name != e.name),
+                "{} twice",
+                e.name
+            );
+            Args::defaults(e.flags); // every declared default parses
+            if let Some((file, by, _)) = e.committed {
+                let path = format!("{}/../../{file}", env!("CARGO_MANIFEST_DIR"));
+                assert!(std::path::Path::new(&path).exists(), "{file} missing");
+                assert_eq!(by == ByHand, file.ends_with(".txt"), "{file}");
+            }
         }
-        impl_to_json!(Row { bytes, us });
-        let rows = vec![Row { bytes: 16, us: 1.5 }, Row { bytes: 64, us: 2.0 }];
-        let doc = Json::Obj(vec![
-            ("id".to_string(), "t".to_json()),
-            ("data".to_string(), rows.to_json()),
-        ]);
-        let text = doc.to_string();
-        assert!(text.contains("\"id\": \"t\""));
-        assert!(text.contains("\"bytes\": 16"));
-        assert!(text.contains("\"us\": 1.5"));
-        assert!(
-            text.contains("\"us\": 2.0"),
-            "whole floats keep a decimal: {text}"
-        );
     }
 
-    fn parse(args: &[&str], extras: &[&str]) -> Result<HarnessArgs, String> {
-        HarnessArgs::parse_from(args.iter().map(|a| a.to_string()), extras)
-    }
-
+    /// An experiment nothing is committed for rots silently otherwise (the
+    /// eager-limit ablation once did, under a config check added later).
     #[test]
-    fn args_accept_the_builtins_and_declared_extras() {
-        let a = parse(
-            &[
-                "--iters",
-                "4",
-                "--json",
-                "--out",
-                "/tmp/x.json",
-                "--smoke",
-                "true",
-            ],
-            &["out", "smoke"],
-        )
-        .unwrap();
-        assert!(a.json);
-        assert_eq!((a.iters, a.scale), (4, 1));
-        assert_eq!(a.extra["out"], "/tmp/x.json");
-        assert_eq!(a.extra["smoke"], "true");
-    }
-
-    #[test]
-    fn args_reject_undeclared_flags_and_missing_values() {
-        // The typo that used to overwrite the committed baseline.
-        let err = parse(&["--ouy", "/tmp/x.json"], &["out"]).unwrap_err();
-        assert!(err.contains("unknown flag `--ouy`"), "{err}");
-        assert!(
-            err.contains("--out VALUE"),
-            "lists the accepted flags: {err}"
-        );
-        // Declared by another binary, not this one.
-        assert!(parse(&["--out", "x"], &[]).is_err());
-        assert!(parse(&["stray"], &["out"]).is_err());
-        let err = parse(&["--out"], &["out"]).unwrap_err();
-        assert!(err.contains("needs a value"), "{err}");
-        assert!(parse(&["--iters"], &[]).is_err());
-        assert!(parse(&["--scale", "big"], &[]).is_err());
-    }
-
-    #[test]
-    fn json_escapes_strings() {
-        let j = Json::Str("a\"b\\c\nd".to_string());
-        assert_eq!(j.to_string(), r#""a\"b\\c\nd""#);
-    }
-
-    #[test]
-    fn paper_sizes_span_16b_to_4mb() {
-        let s = paper_sizes();
-        assert_eq!(s.first(), Some(&16));
-        assert_eq!(s.last(), Some(&(4 << 20)));
-        assert_eq!(s.len(), 10);
-    }
-}
-
-/// Shared driver for the Table II / Table III stencil experiments.
-pub mod stencil_tables {
-    use super::{print_table, HarnessArgs};
-    use stencil2d::{run_stencil, Real, RunOptions, StencilParams, Variant};
-
-    /// One process-grid row of Table II/III.
-    pub struct GridRow {
-        /// Grid label, e.g. "2x4 (8192x8192/proc)".
-        pub grid: String,
-        /// Stencil2D-Def execution time (virtual seconds).
-        pub def_secs: f64,
-        /// Stencil2D-MV2-GPU-NC execution time (virtual seconds).
-        pub mv2_secs: f64,
-        /// Relative improvement in percent.
-        pub improvement_pct: f64,
-    }
-
-    crate::impl_to_json!(GridRow {
-        grid,
-        def_secs,
-        mv2_secs,
-        improvement_pct
-    });
-
-    /// Run all four paper grids in precision `T`.
-    pub fn run_tables<T: Real>(args: &HarnessArgs) -> Vec<GridRow> {
-        StencilParams::paper_grids(args.scale)
-            .into_iter()
-            .map(|mut p| {
-                p.iters = args.iters;
-                let def = run_stencil::<T>(p, Variant::Def, RunOptions::default());
-                let mv2 = run_stencil::<T>(p, Variant::Mv2, RunOptions::default());
-                assert_eq!(
-                    def.checksum(),
-                    mv2.checksum(),
-                    "variants must compute identical results ({})",
-                    p.label()
-                );
-                let (d, m) = (def.wall.as_secs_f64(), mv2.wall.as_secs_f64());
-                GridRow {
-                    grid: p.label(),
-                    def_secs: d,
-                    mv2_secs: m,
-                    improvement_pct: (1.0 - m / d) * 100.0,
-                }
-            })
-            .collect()
-    }
-
-    /// Print the table with the paper's improvement column for comparison.
-    pub fn print_report(title: &str, paper: [u32; 4], rows: &[GridRow]) {
-        println!("{title}\n");
-        print_table(
-            &[
-                "grid (matrix/proc)",
-                "Stencil2D-Def (s)",
-                "Stencil2D-MV2-GPU-NC (s)",
-                "improvement",
-                "paper",
-            ],
-            &rows
-                .iter()
-                .zip(paper)
-                .map(|(r, p)| {
-                    vec![
-                        r.grid.clone(),
-                        format!("{:.6}", r.def_secs),
-                        format!("{:.6}", r.mv2_secs),
-                        format!("{:.0}%", r.improvement_pct),
-                        format!("{p}%"),
-                    ]
-                })
-                .collect::<Vec<_>>(),
-        );
+    fn experiments_without_a_committed_file_still_run() {
+        for e in EXPERIMENTS.iter().filter(|e| e.committed.is_none()) {
+            let mut args = Args::defaults(e.flags);
+            (args.scale, args.iters) = (8, 2);
+            let doc = e.run(&args);
+            assert!(doc.failures.is_empty(), "{}: {:?}", e.name, doc.failures);
+            assert!(!doc.text().is_empty() && doc.json().to_string().contains(e.id));
+        }
     }
 }

@@ -23,7 +23,7 @@
 //!   the full MV2-GPU-NC stack, and per-job lifecycle instants + scoped
 //!   metrics land in one trace recorder.
 //!
-//! The `job_mix` bench bin (crate `bench`) drives campaigns from here and
+//! The `job_mix` experiment (crate `bench`) drives campaigns from here and
 //! commits slowdown distributions and QoS guards to
 //! `results/BENCH_jobmix.json`.
 

@@ -45,7 +45,6 @@ pub mod model;
 mod pools;
 pub mod schemes;
 mod stager;
-pub mod timeline;
 
 pub use cluster::{node_gpu, GpuCluster, GpuRankEnv, WakeTraceSink};
 pub use ib_sim::{FaultSpec, ShmModel, Topology};
@@ -419,5 +418,72 @@ mod tests {
             })
         };
         assert_eq!(run(), run());
+    }
+
+    /// The stage spans of one traced `total`-byte vector transfer.
+    fn traced_transfer(total: usize) -> Vec<sim_trace::analysis::SpanRec> {
+        let rec = Recorder::new();
+        GpuCluster::new(2).recorder(rec.clone()).run(move |env| {
+            let x = VectorXfer::paper(total);
+            let dev = env.gpu.malloc(x.extent());
+            if env.comm.rank() == 0 {
+                fill_vector(&env.gpu, dev, &x, 1);
+                baselines::send_mv2(&env.comm, dev, x, 1, 0);
+            } else {
+                baselines::recv_mv2(&env.comm, dev, x, 0, 0);
+            }
+        });
+        sim_trace::analysis::stage_spans(&rec)
+    }
+
+    #[test]
+    fn stages_overlap_for_multichunk_transfers() {
+        let stats = sim_trace::analysis::analyze_spans(&traced_transfer(1 << 20)); // 16 chunks
+        assert_eq!(stats.stages.len(), 5);
+        for s in &stats.stages {
+            assert_eq!(s.chunks, 16, "{}", s.stage);
+        }
+        assert!(
+            stats.overlap > 2.0,
+            "five stages should overlap substantially, got {:.2}",
+            stats.overlap
+        );
+    }
+
+    #[test]
+    fn pack_is_the_bottleneck_stage_at_the_cost_models_period() {
+        let stats = sim_trace::analysis::analyze_spans(&traced_transfer(1 << 20));
+        let b = sim_trace::analysis::bottleneck(&stats).unwrap();
+        // §IV-B: "latency of packing data in the GPU is always larger than
+        // the RDMA data transfer latency or time for contiguous data
+        // movement" — pack or unpack (same cost) must gate the pipeline.
+        assert!(
+            b.stage == "pack" || b.stage == "unpack",
+            "bottleneck was {}",
+            b.stage
+        );
+        let pack = stats.stages.iter().find(|s| s.stage == "pack").unwrap();
+        // 64 KB chunks of 4-byte rows: 16 µs + 16384*8 ns + bw term ≈ 150 µs.
+        assert!(
+            (120.0..200.0).contains(&pack.period_us),
+            "pack period {:.1} µs",
+            pack.period_us
+        );
+    }
+
+    #[test]
+    fn critical_path_runs_chunk_zero_stages_then_chunk_ladder() {
+        use sim_trace::analysis::{critical_path, STAGE_ORDER};
+        let path = critical_path(&traced_transfer(1 << 20), &STAGE_ORDER);
+        assert!(!path.is_empty());
+        // The path must start at (pack, 0) and end at (unpack, last chunk).
+        assert_eq!(path.first().unwrap().stage, "pack");
+        assert_eq!(path.first().unwrap().chunk, 0);
+        assert_eq!(path.last().unwrap().stage, "unpack");
+        assert_eq!(path.last().unwrap().chunk, 15);
+        // Steps never move backward in time.
+        for w in path.windows(2) {
+            assert!(w[1].end >= w[0].end);
+        }
     }
 }

@@ -1,4 +1,5 @@
-//! Trace analyses: lane utilization, pipeline overlap, critical path.
+//! Trace analyses: lane utilization, pipeline overlap, critical path and
+//! per-stage completion statistics.
 //!
 //! All analyses work on plain span lists so they can be fed either from a
 //! live [`Recorder`] or from hand-constructed data in tests.
@@ -229,6 +230,99 @@ pub fn critical_path(spans: &[SpanRec], stage_order: &[&str]) -> Vec<CritStep> {
     path
 }
 
+/// The five pipeline stages in dependence order (Figure 3).
+pub const STAGE_ORDER: [&str; 5] = ["pack", "d2h", "rdma", "h2d", "unpack"];
+
+/// Per-stage completion-time summary extracted from a trace.
+#[derive(Clone, Debug)]
+pub struct StageStats {
+    /// Stage name ("pack", "d2h", "rdma", "h2d", "unpack").
+    pub stage: &'static str,
+    /// Number of chunk completions observed.
+    pub chunks: usize,
+    /// First completion instant.
+    pub first_done: SimTime,
+    /// Last completion instant.
+    pub last_done: SimTime,
+    /// Mean gap between consecutive completions (the stage's steady-state
+    /// period), in microseconds.
+    pub period_us: f64,
+}
+
+/// Whole-pipeline completion-time summary.
+#[derive(Clone, Debug)]
+pub struct PipelineStats {
+    /// Per-stage summaries in pipeline order.
+    pub stages: Vec<StageStats>,
+    /// Wall span from first to last completion, microseconds.
+    pub span_us: f64,
+    /// Overlap ratio: sum of stage completion-time spans divided by the
+    /// wall span. A perfectly serialized pipeline gives ~1.0; full overlap
+    /// approaches the number of active stages.
+    pub overlap: f64,
+}
+
+/// Per-stage throughput and overlap from the stage lanes' completion times
+/// — the evidence Figure 3 sketches: the paper's design works because the
+/// five stages overlap. Spans on lanes not named in [`STAGE_ORDER`] are
+/// ignored. (For busy-time utilization see [`lane_utilization`].)
+pub fn analyze_spans(spans: &[SpanRec]) -> PipelineStats {
+    let mut stages = Vec::new();
+    let mut total_stage_span = 0.0;
+    let mut first = None::<SimTime>;
+    let mut last = None::<SimTime>;
+    for &stage in &STAGE_ORDER {
+        let mut times: Vec<SimTime> = spans
+            .iter()
+            .filter(|s| s.lane_name == stage)
+            .map(|s| s.end)
+            .collect();
+        if times.is_empty() {
+            continue;
+        }
+        times.sort_unstable();
+        let (f, l) = (times[0], *times.last().unwrap());
+        let span = (l - f).as_micros_f64();
+        let period = if times.len() > 1 {
+            span / (times.len() - 1) as f64
+        } else {
+            0.0
+        };
+        total_stage_span += span;
+        first = Some(first.map_or(f, |x: SimTime| x.min(f)));
+        last = Some(last.map_or(l, |x: SimTime| x.max(l)));
+        stages.push(StageStats {
+            stage,
+            chunks: times.len(),
+            first_done: f,
+            last_done: l,
+            period_us: period,
+        });
+    }
+    let span_us = match (first, last) {
+        (Some(f), Some(l)) => (l - f).as_micros_f64(),
+        _ => 0.0,
+    };
+    PipelineStats {
+        stages,
+        span_us,
+        overlap: if span_us > 0.0 {
+            total_stage_span / span_us
+        } else {
+            0.0
+        },
+    }
+}
+
+/// The slowest stage (largest steady-state period) — the pipeline's
+/// bottleneck, which §IV-B's model assumes is the device pack.
+pub fn bottleneck(stats: &PipelineStats) -> Option<&StageStats> {
+    stats
+        .stages
+        .iter()
+        .max_by(|a, b| a.period_us.total_cmp(&b.period_us))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -298,6 +392,23 @@ mod tests {
     }
 
     #[test]
+    fn two_chunk_stage_stats_are_hand_computable() {
+        let stats = analyze_spans(&stage_spans(&two_chunk_recorder()));
+        // Completions: pack 10/20, d2h 18/28, rdma 24/34, h2d 32/42,
+        // unpack 40/52 -> spans 10,10,10,10,12 over the 10..52 window.
+        let stages: Vec<&str> = stats.stages.iter().map(|s| s.stage).collect();
+        assert_eq!(stages, STAGE_ORDER);
+        for s in &stats.stages {
+            assert_eq!(s.chunks, 2, "{}", s.stage);
+            assert_eq!(s.period_us, (s.last_done - s.first_done).as_micros_f64());
+        }
+        assert_eq!(stats.span_us, 42.0);
+        assert!((stats.overlap - 52.0 / 42.0).abs() < 1e-12);
+        // The slowest stage is the one with the longest period.
+        assert_eq!(bottleneck(&stats).unwrap().stage, "unpack");
+    }
+
+    #[test]
     fn busy_time_merges_overlapping_intervals() {
         let iv = [
             (t(0), t(10)),
@@ -331,5 +442,8 @@ mod tests {
         assert!(lane_utilization(&sp).is_empty());
         assert_eq!(overlap_factor(&sp), 0.0);
         assert!(critical_path(&sp, &["pack"]).is_empty());
+        let stats = analyze_spans(&sp);
+        assert!(stats.stages.is_empty() && bottleneck(&stats).is_none());
+        assert_eq!((stats.span_us, stats.overlap), (0.0, 0.0));
     }
 }

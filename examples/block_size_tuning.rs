@@ -5,30 +5,8 @@
 //!
 //! Run with: `cargo run --release --example block_size_tuning`
 
-use gpu_nc_repro::mv2_gpu_nc::baselines::{fill_vector, recv_mv2, send_mv2, VectorXfer};
+use bench::measure::vector_laps;
 use gpu_nc_repro::mv2_gpu_nc::GpuCluster;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
-fn latency_with_block(total: usize, block: usize) -> f64 {
-    let out = Arc::new(AtomicU64::new(0));
-    let out2 = Arc::clone(&out);
-    GpuCluster::new(2).block_size(block).run(move |env| {
-        let x = VectorXfer::paper(total);
-        let dev = env.gpu.malloc(x.extent());
-        if env.comm.rank() == 0 {
-            fill_vector(&env.gpu, dev, &x, 1);
-            send_mv2(&env.comm, dev, x, 1, 0); // warm up pools
-            send_mv2(&env.comm, dev, x, 1, 1);
-        } else {
-            recv_mv2(&env.comm, dev, x, 0, 0);
-            let t0 = sim_core::now();
-            recv_mv2(&env.comm, dev, x, 0, 1);
-            out2.store((sim_core::now() - t0).as_nanos(), Ordering::SeqCst);
-        }
-    });
-    out.load(Ordering::SeqCst) as f64 / 1e6
-}
 
 fn main() {
     let total = 2 << 20;
@@ -39,7 +17,9 @@ fn main() {
     let mut best = (0usize, f64::INFINITY);
     for p in 13..=19 {
         let block = 1usize << p;
-        let ms = latency_with_block(total, block);
+        // One warm-up (pools), one timed message.
+        let ns = vector_laps(GpuCluster::new(2).block_size(block), total, 1)[0];
+        let ms = ns as f64 / 1e6;
         let bar = "#".repeat((ms * 4.0) as usize);
         println!("{:>6} KB: {:>8.2} ms  {}", block >> 10, ms, bar);
         if ms < best.1 {

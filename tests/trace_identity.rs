@@ -1,130 +1,77 @@
 //! Satellite guard: tracing must never perturb simulated time.
 //!
-//! Replicates `bench --bin pipeline_bench`'s `measure()` loop for a subset
-//! of the paper's message sizes and checks the virtual latencies against
-//! the committed `results/BENCH_pipeline.json` **exactly** (f64 equality on
-//! round-tripped values) — once with an enabled recorder and once with a
-//! disabled one. Any span emission that slept, blocked or advanced the
-//! virtual clock would shift these numbers and fail the comparison.
+//! Runs `pipeline_bench`'s measurement (`bench::measure::vector_laps`) for a
+//! subset of the paper's message sizes and checks the virtual latencies
+//! against the committed `results/BENCH_pipeline.json` **exactly** (f64
+//! equality on round-tripped values) — once with an enabled recorder and
+//! once with a disabled one. Any span emission that slept, blocked or
+//! advanced the virtual clock would shift these numbers and fail the
+//! comparison.
 
-use std::sync::Arc;
-
-use gpu_nc_repro::mpi_sim::{ChunkPolicy, MpiConfig};
+use bench::measure::{fixed_cfg, vector_laps};
+use gpu_nc_repro::mpi_sim::{MpiConfig, SchemeSel};
 use gpu_nc_repro::mv2_gpu_nc::baselines::{fill_vector, verify_vector, VectorXfer};
 use gpu_nc_repro::mv2_gpu_nc::{GpuCluster, Recorder};
-use gpu_nc_repro::sim_trace::json::{parse, JsonValue};
-use sim_core::lock::Mutex;
+use gpu_nc_repro::sim_trace::json::JsonValue;
 
-/// Mirror of `pipeline_bench::measure` (the bin keeps the authoritative
-/// copy; this must stay in lock-step for the identity check to be exact).
-fn measure(cfg: MpiConfig, total: usize, iters: u32, rec: Recorder) -> Vec<u64> {
-    let lat: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
-    let sink = Arc::clone(&lat);
-    GpuCluster::new(2)
-        .mpi_config(cfg)
-        .recorder(rec)
-        .run(move |env| {
-            let x = VectorXfer::paper(total);
-            let dt = x.dtype();
-            let dev = env.gpu.malloc(x.extent());
-            if env.comm.rank() == 0 {
-                fill_vector(&env.gpu, dev, &x, 11);
-                env.comm.send(dev, 1, &dt, 1, 99_999);
-            } else {
-                env.comm.recv(dev, 1, &dt, 0, 99_999);
-            }
-            for it in 0..iters {
-                env.comm.barrier();
-                let t0 = sim_core::now();
-                if env.comm.rank() == 0 {
-                    env.comm.send(dev, 1, &dt, 1, it);
-                } else {
-                    env.comm.recv(dev, 1, &dt, 0, it);
-                    sink.lock().push((sim_core::now() - t0).as_nanos());
-                }
-            }
-            if env.comm.rank() == 1 {
-                verify_vector(&env.gpu, dev, &x, 11);
-            }
-            env.gpu.free(dev);
-        });
-    Arc::try_unwrap(lat)
-        .map(|m| m.into_inner())
-        .unwrap_or_else(|a| a.lock().clone())
+/// `(best, last)` lap in microseconds of `pipeline_bench`'s measurement.
+fn measure(cfg: MpiConfig, total: usize, iters: u32, rec: Recorder) -> (f64, f64) {
+    let ns = vector_laps(
+        GpuCluster::new(2).mpi_config(cfg).recorder(rec),
+        total,
+        iters,
+    );
+    let us = |ns: &u64| *ns as f64 / 1e3;
+    (us(ns.iter().min().unwrap()), us(ns.last().unwrap()))
 }
 
-fn committed_reference() -> JsonValue {
-    let text = std::fs::read_to_string(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/results/BENCH_pipeline.json"
-    ))
-    .expect("committed reference missing");
-    parse(&text).expect("committed reference must be valid JSON")
+/// The committed pipeline ledger and its `iters_per_size`.
+fn committed_reference() -> (JsonValue, u32) {
+    let doc = bench::committed("results/BENCH_pipeline.json");
+    let iters = doc.get("iters_per_size").and_then(JsonValue::as_f64);
+    (doc, iters.expect("iters_per_size") as u32)
 }
 
-fn row_for(doc: &JsonValue, bytes: usize) -> &JsonValue {
-    doc.get("data")
-        .and_then(JsonValue::as_arr)
-        .expect("data array")
+/// Member `field` of the first `data` row of `doc` whose `key` is `value`.
+fn committed_cell(doc: &JsonValue, key: &str, value: usize, field: &str) -> f64 {
+    let rows = doc.get("data").and_then(JsonValue::as_arr);
+    rows.expect("data array")
         .iter()
-        .find(|r| r.get("bytes").and_then(JsonValue::as_f64) == Some(bytes as f64))
-        .unwrap_or_else(|| panic!("no committed row for {bytes} bytes"))
+        .find(|r| r.get(key).and_then(JsonValue::as_f64) == Some(value as f64))
+        .unwrap_or_else(|| panic!("no committed row for {key} = {value}"))
+        .get(field)
+        .and_then(JsonValue::as_f64)
+        .unwrap()
 }
 
 #[test]
 fn pipeline_bench_times_match_committed_reference_with_tracing_on_and_off() {
-    let doc = committed_reference();
-    let iters = doc
-        .get("iters_per_size")
-        .and_then(JsonValue::as_f64)
-        .expect("iters_per_size") as u32;
-    let fixed_cfg = MpiConfig {
-        policy: ChunkPolicy::Fixed,
-        ..MpiConfig::default()
-    };
-    let adaptive_cfg = MpiConfig::default();
-
+    let (doc, iters) = committed_reference();
     // One eager and two staged sizes keep the test fast while covering both
     // protocol paths and the adaptive tuner.
     for bytes in [4096usize, 64 << 10, 1 << 20] {
-        let row = row_for(&doc, bytes);
-        let fixed_best = row
-            .get("fixed_best_us")
-            .and_then(JsonValue::as_f64)
-            .unwrap();
-        let adaptive_best = row
-            .get("adaptive_best_us")
-            .and_then(JsonValue::as_f64)
-            .unwrap();
-        let adaptive_settled = row
-            .get("adaptive_settled_us")
-            .and_then(JsonValue::as_f64)
-            .unwrap();
-
+        let want = |field| committed_cell(&doc, "bytes", bytes, field);
         // Each run gets its own Recorder: the metrics registry namespaces
         // counters per fabric, so sharing one recorder across two fabrics
-        // would collide (and the registry now panics instead of silently
+        // would collide (and the registry panics instead of silently
         // dropping the second registration).
-        for label in ["on", "off"] {
-            let mk = || match label {
-                "on" => Recorder::new(),
-                _ => Recorder::off(),
-            };
-            let f = measure(fixed_cfg.clone(), bytes, iters, mk());
-            let a = measure(adaptive_cfg.clone(), bytes, iters, mk());
+        for (label, mk) in [("on", Recorder::new as fn() -> _), ("off", Recorder::off)] {
+            let (fixed_best, _) = measure(fixed_cfg(), bytes, iters, mk());
+            let (adaptive_best, adaptive_settled) =
+                measure(MpiConfig::default(), bytes, iters, mk());
             assert_eq!(
-                *f.iter().min().unwrap() as f64 / 1e3,
                 fixed_best,
+                want("fixed_best_us"),
                 "{bytes} bytes, tracing {label}: fixed best diverged from reference"
             );
             assert_eq!(
-                *a.iter().min().unwrap() as f64 / 1e3,
                 adaptive_best,
+                want("adaptive_best_us"),
                 "{bytes} bytes, tracing {label}: adaptive best diverged from reference"
             );
             assert_eq!(
-                *a.last().unwrap() as f64 / 1e3,
                 adaptive_settled,
+                want("adaptive_settled_us"),
                 "{bytes} bytes, tracing {label}: adaptive settled diverged from reference"
             );
         }
@@ -137,80 +84,40 @@ fn explicit_default_scheme_replays_committed_baselines() {
     // spelling out its default (`Auto { offload: false }`) must replay the
     // committed references event-for-event — first the pipeline latencies,
     // then the halo3d placement benchmark's ppn=2 row.
-    use gpu_nc_repro::halo3d::{Halo3dParams, Halo3dRank, Variant};
-    use gpu_nc_repro::mpi_sim::SchemeSel;
+    use gpu_nc_repro::halo3d::{run_halo3d_on, Variant};
 
-    let doc = committed_reference();
-    let iters = doc
-        .get("iters_per_size")
-        .and_then(JsonValue::as_f64)
-        .expect("iters_per_size") as u32;
+    let (doc, iters) = committed_reference();
+    let explicit = SchemeSel::Auto { offload: false };
     let cfg = MpiConfig {
-        policy: ChunkPolicy::Fixed,
-        scheme: SchemeSel::Auto { offload: false },
-        ..MpiConfig::default()
+        scheme: explicit,
+        ..fixed_cfg()
     };
     for bytes in [64 << 10, 1 << 20] {
-        let row = row_for(&doc, bytes);
-        let fixed_best = row
-            .get("fixed_best_us")
-            .and_then(JsonValue::as_f64)
-            .unwrap();
-        let f = measure(cfg.clone(), bytes, iters, Recorder::off());
+        let (fixed_best, _) = measure(cfg.clone(), bytes, iters, Recorder::off());
         assert_eq!(
-            *f.iter().min().unwrap() as f64 / 1e3,
             fixed_best,
+            committed_cell(&doc, "bytes", bytes, "fixed_best_us"),
             "{bytes} bytes: explicit default scheme diverged from reference"
         );
     }
 
-    // BENCH_ppn's ppn=2 blocked placement (mirror of `ppn_sweep`'s
-    // measurement loop; the bin keeps the authoritative copy).
-    let text = std::fs::read_to_string(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/results/BENCH_ppn.json"
-    ))
-    .expect("committed ppn reference missing");
-    let ppn_doc = parse(&text).expect("committed ppn reference must be valid JSON");
-    let blocked_ms = ppn_doc
-        .get("data")
-        .and_then(JsonValue::as_arr)
-        .expect("data array")
-        .iter()
-        .find(|r| r.get("ppn").and_then(JsonValue::as_f64) == Some(2.0))
-        .expect("no committed row for ppn 2")
-        .get("blocked_ms")
-        .and_then(JsonValue::as_f64)
-        .unwrap();
-    let p = Halo3dParams {
-        grid: (2, 2, 4),
-        local: (96, 96, 48),
-        iters: 3,
-    };
-    let walls: Arc<Mutex<Vec<sim_core::SimDur>>> = Arc::new(Mutex::new(Vec::new()));
-    let sink = Arc::clone(&walls);
+    // BENCH_ppn's ppn=2 blocked placement, on `ppn_sweep`'s own workload.
+    let ppn = bench::find("ppn_sweep").unwrap();
+    let p = bench::exp::halo::ppn_workload(&bench::Args::defaults(ppn.flags));
     let cfg = MpiConfig {
-        scheme: SchemeSel::Auto { offload: false },
+        scheme: explicit,
         ..MpiConfig::default()
     };
-    GpuCluster::new(p.nranks())
-        .mpi_config(cfg)
-        .ppn(2)
-        .run(move |env| {
-            let mut rk = Halo3dRank::<f32>::new(env, p);
-            env.comm.barrier();
-            let t0 = sim_core::now();
-            for _ in 0..p.iters {
-                rk.step(Variant::Mv2);
-            }
-            env.comm.barrier();
-            sink.lock().push(sim_core::now() - t0);
-            rk.free();
-        });
-    let wall = walls.lock().iter().copied().max().expect("no ranks ran");
+    let cluster = GpuCluster::new(p.nranks()).mpi_config(cfg).ppn(2);
+    let (blocked, _) = run_halo3d_on::<f32>(cluster, p, Variant::Mv2, false);
     assert_eq!(
-        wall.as_millis_f64(),
-        blocked_ms,
+        blocked.wall.as_millis_f64(),
+        committed_cell(
+            &bench::committed("results/BENCH_ppn.json"),
+            "ppn",
+            2,
+            "blocked_ms"
+        ),
         "explicit default scheme diverged from the committed ppn=2 placement row"
     );
 }
