@@ -154,7 +154,7 @@ mod tests {
 
     #[test]
     fn matches_serial_on_device_hier_pipelined() {
-        // 256 KiB of f32 spans several pipeline_chunk segments.
+        // 256 KiB of f32 spans several 64 KiB pipeline segments.
         check(GradParams {
             params: 64 << 10,
             steps: 2,

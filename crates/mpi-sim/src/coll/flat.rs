@@ -15,312 +15,148 @@
 use gpu_sim::Loc;
 use hostmem::HostBuf;
 
-use super::{
-    binomial_bcast_loc, binomial_reduce_bytes, byte_dt, coll_wait, combine_bytes,
-    deliver_from_host, stage_to_host, ReduceOp, ReqWindow,
-};
-use crate::comm::Comm;
+use super::{Blocks, Coll, Fold, ReqWindow, Tree};
 use crate::datatype::Datatype;
-use crate::engine::{SrcSel, TagSel};
 
-/// Binomial-tree broadcast from `root` — the seed algorithm, shared by
-/// every algorithm family.
-pub(super) fn bcast(
-    c: &Comm,
-    buf: &Loc,
-    count: usize,
-    dtype: &Datatype,
-    root: usize,
-    tag: u32,
-    ctx: u16,
-) {
-    let all: Vec<usize> = (0..c.size()).collect();
-    let mut eng = c.engine().lock();
-    binomial_bcast_loc(c, &mut eng, &all, root, buf, count, dtype, tag, ctx);
+/// The binomial tree over the whole communicator rooted at `root`.
+fn tree(cx: &Coll, root: usize) -> Tree {
+    let all: Vec<usize> = (0..cx.size()).collect();
+    Tree::binomial(&all, root, cx.rank())
+}
+
+/// Binomial-tree broadcast from `root` at tag offset `t` — the seed
+/// algorithm, shared by every algorithm family.
+pub(super) fn bcast(cx: &mut Coll, buf: &Loc, count: usize, dtype: &Datatype, root: usize, t: u32) {
+    let tree = tree(cx, root);
+    cx.bcast_over(&tree, buf, count, dtype, t);
 }
 
 /// Linear gather: every rank sends its block to the root (the root's own
 /// block travels as a self-message).
-#[allow(clippy::too_many_arguments)]
-pub(super) fn gather(
-    c: &Comm,
-    sendbuf: &Loc,
-    recvbuf: &Loc,
-    count: usize,
-    dtype: &Datatype,
-    root: usize,
-    tag: u32,
-    ctx: u16,
-) {
-    let (rank, size) = (c.rank(), c.size());
-    let root_world = c.world_rank_of(root);
-    let mut eng = c.engine().lock();
-    let ext = dtype.extent();
-    assert!(ext > 0, "gather needs a positive-extent datatype");
-    let block = count * ext as usize;
-    let mut ids = vec![eng.isend(sendbuf.clone(), count, dtype, root_world, tag, ctx)];
-    if rank == root {
-        for i in 0..size {
-            ids.push(eng.irecv(
-                recvbuf.add(i * block),
-                count,
-                dtype,
-                SrcSel(Some(c.world_rank_of(i))),
-                TagSel(Some(tag)),
-                ctx,
-            ));
+pub(super) fn gather(cx: &mut Coll, sendbuf: &Loc, recv: &Blocks, root: usize) {
+    let me = cx.rank();
+    let mut ids = vec![cx.send(sendbuf.clone(), recv.counts[me], recv.dtype, root, 0)];
+    if me == root {
+        for i in 0..cx.size() {
+            ids.push(cx.recv(recv.block(i), recv.counts[i], recv.dtype, i, 0));
         }
     }
-    coll_wait(&mut eng, ids);
+    cx.wait(ids);
 }
 
 /// Linear scatter: the root ships block `i` to rank `i`.
-#[allow(clippy::too_many_arguments)]
-pub(super) fn scatter(
-    c: &Comm,
-    sendbuf: &Loc,
-    recvbuf: &Loc,
-    count: usize,
-    dtype: &Datatype,
-    root: usize,
-    tag: u32,
-    ctx: u16,
-) {
-    let (rank, size) = (c.rank(), c.size());
-    let root_world = c.world_rank_of(root);
-    let mut eng = c.engine().lock();
-    let ext = dtype.extent();
-    assert!(ext > 0, "scatter needs a positive-extent datatype");
-    let block = count * ext as usize;
-    let mut ids = vec![eng.irecv(
-        recvbuf.clone(),
-        count,
-        dtype,
-        SrcSel(Some(root_world)),
-        TagSel(Some(tag)),
-        ctx,
-    )];
-    if rank == root {
-        for i in 0..size {
-            ids.push(eng.isend(
-                sendbuf.add(i * block),
-                count,
-                dtype,
-                c.world_rank_of(i),
-                tag,
-                ctx,
-            ));
+pub(super) fn scatter(cx: &mut Coll, send: &Blocks, recvbuf: &Loc, root: usize) {
+    let me = cx.rank();
+    let mut ids = vec![cx.recv(recvbuf.clone(), send.counts[me], send.dtype, root, 0)];
+    if me == root {
+        for i in 0..cx.size() {
+            ids.push(cx.send(send.block(i), send.counts[i], send.dtype, i, 0));
         }
     }
-    coll_wait(&mut eng, ids);
+    cx.wait(ids);
 }
 
 /// Ring allgatherv: each rank forwards one block per step to its right
 /// neighbour, so every link carries exactly one block at a time and no
 /// rank is a funnel. The own block enters `recvbuf` through a loopback
 /// self-message (device-capable).
-#[allow(clippy::too_many_arguments)]
 pub(super) fn allgatherv(
-    c: &Comm,
+    cx: &mut Coll,
     sendbuf: &Loc,
     scount: usize,
     sdtype: &Datatype,
-    recvbuf: &Loc,
-    rcounts: &[usize],
-    rdispls: &[usize],
-    rdtype: &Datatype,
-    tag: u32,
-    ctx: u16,
+    recv: &Blocks,
 ) {
-    let (me, n) = (c.rank(), c.size());
-    let me_w = c.world_rank_of(me);
-    let mut eng = c.engine().lock();
-    let s = eng.isend(sendbuf.clone(), scount, sdtype, me_w, tag, ctx);
-    let r = eng.irecv(
-        recvbuf.add(rdispls[me]),
-        rcounts[me],
-        rdtype,
-        SrcSel(Some(me_w)),
-        TagSel(Some(tag)),
-        ctx,
-    );
-    coll_wait(&mut eng, vec![s, r]);
-    if n == 1 {
-        return;
-    }
-    let right = c.world_rank_of((me + 1) % n);
-    let left = c.world_rank_of((me + n - 1) % n);
+    let (me, n) = (cx.rank(), cx.size());
+    let s = cx.send(sendbuf.clone(), scount, sdtype, me, 0);
+    let r = cx.recv(recv.block(me), recv.counts[me], recv.dtype, me, 0);
+    cx.wait(vec![s, r]);
+    let (right, left) = ((me + 1) % n, (me + n - 1) % n);
     for step in 0..n - 1 {
         let sb = (me + n - step) % n;
         let rb = (me + n - step - 1) % n;
-        let t = tag + 1 + (step % 8192) as u32;
-        let rid = eng.irecv(
-            recvbuf.add(rdispls[rb]),
-            rcounts[rb],
-            rdtype,
-            SrcSel(Some(left)),
-            TagSel(Some(t)),
-            ctx,
-        );
-        let sid = eng.isend(recvbuf.add(rdispls[sb]), rcounts[sb], rdtype, right, t, ctx);
-        coll_wait(&mut eng, vec![rid, sid]);
+        let t = 1 + (step % 8192) as u32;
+        let rid = cx.recv(recv.block(rb), recv.counts[rb], recv.dtype, left, t);
+        let sid = cx.send(recv.block(sb), recv.counts[sb], recv.dtype, right, t);
+        cx.wait(vec![rid, sid]);
     }
 }
 
 /// Pairwise alltoallv: at step `r` every rank sends to `(me + r) % P` and
 /// receives from `(me − r) % P` — each link carries one exchange per step
-/// — with at most `coll.max_inflight` steps outstanding. Step 0 is the
-/// loopback self-exchange, so device buffers work unchanged.
-#[allow(clippy::too_many_arguments)]
-pub(super) fn alltoallv(
-    c: &Comm,
-    sendbuf: &Loc,
-    scounts: &[usize],
-    sdispls: &[usize],
-    sdtype: &Datatype,
-    recvbuf: &Loc,
-    rcounts: &[usize],
-    rdispls: &[usize],
-    rdtype: &Datatype,
-    tag: u32,
-    ctx: u16,
-) {
-    let (me, n) = (c.rank(), c.size());
-    let w = c.coll_window();
-    let mut eng = c.engine().lock();
-    let mut win = ReqWindow::new(w);
+/// — with at most [`MAX_INFLIGHT`](super::MAX_INFLIGHT) steps outstanding.
+/// Step 0 is the loopback self-exchange, so device buffers work unchanged.
+pub(super) fn alltoallv(cx: &mut Coll, send: &Blocks, recv: &Blocks) {
+    let (me, n) = (cx.rank(), cx.size());
+    let mut win = ReqWindow::default();
     for r in 0..n {
         let sp = (me + r) % n;
         let rp = (me + n - r) % n;
-        let t = tag + (r % 8192) as u32;
-        let rid = eng.irecv(
-            recvbuf.add(rdispls[rp]),
-            rcounts[rp],
-            rdtype,
-            SrcSel(Some(c.world_rank_of(rp))),
-            TagSel(Some(t)),
-            ctx,
-        );
-        let sid = eng.isend(
-            sendbuf.add(sdispls[sp]),
-            scounts[sp],
-            sdtype,
-            c.world_rank_of(sp),
-            t,
-            ctx,
-        );
-        win.push(&mut eng, vec![rid, sid]);
+        let t = (r % 8192) as u32;
+        let rid = cx.recv(recv.block(rp), recv.counts[rp], recv.dtype, rp, t);
+        let sid = cx.send(send.block(sp), send.counts[sp], send.dtype, sp, t);
+        win.push(cx, vec![rid, sid]);
     }
-    win.drain(&mut eng);
+    win.drain(cx);
 }
 
 /// Binomial-tree reduce with double-buffered child receives: the next
 /// child's wire transfer is posted before the previous child's bytes are
 /// combined, so receive and combine overlap instead of serializing.
-#[allow(clippy::too_many_arguments)]
 pub(super) fn reduce(
-    c: &Comm,
+    cx: &mut Coll,
     sendbuf: &Loc,
     recvbuf: &Loc,
     count: usize,
-    dtype: &Datatype,
-    op: ReduceOp,
+    fold: Fold,
     root: usize,
-    tag: u32,
-    ctx: u16,
 ) {
-    let me_w = c.world_rank_of(c.rank());
-    let all: Vec<usize> = (0..c.size()).collect();
-    let mut eng = c.engine().lock();
-    let mut acc = stage_to_host(&mut eng, me_w, sendbuf, count, dtype, tag, ctx);
-    binomial_reduce_bytes(c, &mut eng, &all, root, &mut acc, dtype, op, tag + 1, ctx);
-    if c.rank() == root {
-        deliver_from_host(&mut eng, me_w, &acc, recvbuf, count, dtype, tag + 2, ctx);
+    let tree = tree(cx, root);
+    let mut acc = cx.stage(sendbuf, count, fold.dtype, 0);
+    cx.reduce_over(&tree, &mut acc, fold, 1);
+    if cx.rank() == root {
+        cx.deliver(&acc, recvbuf, count, fold.dtype, 2);
     }
 }
 
 /// The seed alltoall: every transfer posted nonblocking at once — 2·P
 /// requests per rank, P² in flight fabric-wide. Kept as the `coll_sweep`
 /// control.
-pub(super) fn naive_alltoall(
-    c: &Comm,
-    sendbuf: &Loc,
-    recvbuf: &Loc,
-    count: usize,
-    dtype: &Datatype,
-    tag: u32,
-    ctx: u16,
-) {
-    let size = c.size();
-    let mut eng = c.engine().lock();
-    let ext = dtype.extent();
-    let block = count * ext as usize;
+pub(super) fn naive_alltoall(cx: &mut Coll, send: &Blocks, recv: &Blocks) {
+    let size = cx.size();
     let mut ids = Vec::with_capacity(2 * size);
     for peer in 0..size {
-        ids.push(eng.irecv(
-            recvbuf.add(peer * block),
-            count,
-            dtype,
-            SrcSel(Some(c.world_rank_of(peer))),
-            TagSel(Some(tag)),
-            ctx,
-        ));
+        ids.push(cx.recv(recv.block(peer), recv.counts[peer], recv.dtype, peer, 0));
     }
     for peer in 0..size {
-        ids.push(eng.isend(
-            sendbuf.add(peer * block),
-            count,
-            dtype,
-            c.world_rank_of(peer),
-            tag,
-            ctx,
-        ));
+        ids.push(cx.send(send.block(peer), send.counts[peer], send.dtype, peer, 0));
     }
-    coll_wait(&mut eng, ids);
+    cx.wait(ids);
 }
 
 /// The seed reduce: the root drains all P−1 contributions one at a time
 /// through a single reused scratch buffer, serializing the whole
 /// collective. Kept as the `coll_sweep` control.
-#[allow(clippy::too_many_arguments)]
 pub(super) fn naive_reduce(
-    c: &Comm,
+    cx: &mut Coll,
     sendbuf: &Loc,
     recvbuf: &Loc,
     count: usize,
-    dtype: &Datatype,
-    op: ReduceOp,
+    fold: Fold,
     root: usize,
-    tag: u32,
-    ctx: u16,
 ) {
-    let (rank, size) = (c.rank(), c.size());
-    let root_world = c.world_rank_of(root);
-    let me_w = c.world_rank_of(rank);
-    let byte = byte_dt();
-    let mut eng = c.engine().lock();
-    let bytes = count * dtype.size();
-    if rank != root {
-        let id = eng.isend(sendbuf.clone(), count, dtype, root_world, tag, ctx);
-        coll_wait(&mut eng, vec![id]);
+    let bytes = count * fold.dtype.size();
+    if cx.rank() != root {
+        let id = cx.send(sendbuf.clone(), count, fold.dtype, root, 0);
+        cx.wait(vec![id]);
         return;
     }
-    let mut acc = stage_to_host(&mut eng, me_w, sendbuf, count, dtype, tag + 1, ctx);
+    let mut acc = cx.stage(sendbuf, count, fold.dtype, 1);
     let scratch = HostBuf::alloc(bytes);
-    for src in 0..size {
-        if src == root {
-            continue;
-        }
-        let id = eng.irecv(
-            Loc::Host(scratch.base()),
-            bytes,
-            &byte,
-            SrcSel(Some(c.world_rank_of(src))),
-            TagSel(Some(tag)),
-            ctx,
-        );
-        coll_wait(&mut eng, vec![id]);
-        combine_bytes(op, dtype, &mut acc, &scratch.read(0, bytes));
+    for src in (0..cx.size()).filter(|&src| src != root) {
+        let id = cx.recv_bytes(&scratch, 0, bytes, src, 0);
+        cx.wait(vec![id]);
+        fold.combine(&mut acc, &scratch.read(0, bytes));
     }
-    deliver_from_host(&mut eng, me_w, &acc, recvbuf, count, dtype, tag + 2, ctx);
+    cx.deliver(&acc, recvbuf, count, fold.dtype, 2);
 }

@@ -14,9 +14,9 @@
 //!   partial reduction), so the HCA sees one stream per node pair.
 //!
 //! Reductions additionally **pipeline**: the payload is cut into
-//! [`CollConfig::pipeline_chunk`](crate::CollConfig) segments, and while
-//! segment `s` crosses the leader tree, segment `s+1` is still fanning in
-//! over shm — pack, combine and wire time overlap instead of adding up.
+//! [`PIPELINE_CHUNK`] segments, and while segment `s` crosses the leader
+//! tree, segment `s+1` is still fanning in over shm — pack, combine and
+//! wire time overlap instead of adding up.
 //!
 //! All intra-node aggregation happens in packed-byte form (the wire
 //! representation), so member buffers may be host or device, contiguous
@@ -28,14 +28,10 @@ use std::collections::HashMap;
 use gpu_sim::Loc;
 use hostmem::HostBuf;
 
-use super::{
-    binomial_bcast_bytes, binomial_bcast_loc, binomial_reduce_bytes, byte_dt, coll_wait,
-    combine_bytes, deliver_from_host, host_direct, read_host_block, stage_to_host,
-    write_host_block, ReduceOp, ReqWindow,
-};
+use super::{Blocks, Coll, Fold, ReqWindow, Tree, PIPELINE_CHUNK};
 use crate::comm::Comm;
 use crate::datatype::Datatype;
-use crate::engine::{SrcSel, TagSel};
+use crate::engine::Engine;
 use crate::proto::ReqId;
 
 /// Upper bound on participating nodes: phase tags are node-indexed with a
@@ -54,8 +50,7 @@ pub(crate) struct Hierarchy {
 }
 
 impl Hierarchy {
-    pub(crate) fn build(c: &Comm) -> Hierarchy {
-        let eng = c.engine().lock();
+    pub(crate) fn build(c: &Comm, eng: &Engine) -> Hierarchy {
         let mut idx_of_node: HashMap<usize, usize> = HashMap::new();
         let mut groups: Vec<Vec<usize>> = Vec::new();
         let mut my_node = 0;
@@ -89,67 +84,41 @@ impl Hierarchy {
         self.groups.iter().map(|g| g[0]).collect()
     }
 
-    /// The node index hosting group rank `g`.
-    fn node_of_rank(&self, g: usize) -> usize {
+    /// The calling rank's node, leader first.
+    fn my_group(&self) -> &[usize] {
+        &self.groups[self.my_node]
+    }
+
+    /// One representative per node for a collective rooted at `root`: the
+    /// root itself on its own node (so the payload never takes an extra
+    /// hop there), the leader everywhere else.
+    fn reps(&self, root: usize) -> Vec<usize> {
         self.groups
             .iter()
-            .position(|grp| grp.binary_search(&g).is_ok())
-            .expect("rank is a member of some node group")
+            .map(|g| match g.binary_search(&root) {
+                Ok(_) => root,
+                Err(_) => g[0],
+            })
+            .collect()
     }
 }
 
 /// Hierarchical bcast: root → one representative per node over the wire
 /// (binomial over representatives), then representative → co-located
-/// members over shm (binomial inside the node). On the root's own node the
-/// root itself is the representative, so the payload never takes an extra
-/// hop.
-#[allow(clippy::too_many_arguments)]
+/// members over shm (binomial inside the node).
 pub(super) fn bcast(
-    c: &Comm,
+    cx: &mut Coll,
     h: &Hierarchy,
     buf: &Loc,
     count: usize,
     dtype: &Datatype,
     root: usize,
-    tag: u32,
-    ctx: u16,
 ) {
-    let root_node = h.node_of_rank(root);
-    let reps: Vec<usize> = h
-        .groups
-        .iter()
-        .enumerate()
-        .map(|(x, g)| if x == root_node { root } else { g[0] })
-        .collect();
-    let mut eng = c.engine().lock();
-    binomial_bcast_loc(
-        c,
-        &mut eng,
-        &reps,
-        root_node,
-        buf,
-        count,
-        dtype,
-        tag + 1,
-        ctx,
-    );
-    let my_group = &h.groups[h.my_node];
-    let rep = reps[h.my_node];
-    let rep_pos = my_group
-        .iter()
-        .position(|&g| g == rep)
-        .expect("node representative is a member of its node");
-    binomial_bcast_loc(
-        c,
-        &mut eng,
-        my_group,
-        rep_pos,
-        buf,
-        count,
-        dtype,
-        tag + 2,
-        ctx,
-    );
+    let reps = h.reps(root);
+    let wire = Tree::binomial(&reps, root, cx.rank());
+    cx.bcast_over(&wire, buf, count, dtype, 1);
+    let shm = Tree::binomial(h.my_group(), reps[h.my_node], cx.rank());
+    cx.bcast_over(&shm, buf, count, dtype, 2);
 }
 
 /// Hierarchical gather: members ship their block to their node's
@@ -157,606 +126,329 @@ pub(super) fn bcast(
 /// concatenated aggregate to the root, which receives it with an hindexed
 /// datatype placing every block straight at its `recvbuf` offset — one
 /// wire message per remote node, no intermediate copy at the root.
-#[allow(clippy::too_many_arguments)]
-pub(super) fn gather(
-    c: &Comm,
-    h: &Hierarchy,
-    sendbuf: &Loc,
-    recvbuf: &Loc,
-    count: usize,
-    dtype: &Datatype,
-    root: usize,
-    tag: u32,
-    ctx: u16,
-) {
-    let me = c.rank();
-    let ext = dtype.extent();
-    assert!(ext > 0, "gather needs a positive-extent datatype");
-    let block = count * ext as usize;
-    let bytes = count * dtype.size();
-    let byte = byte_dt();
-    let root_node = h.node_of_rank(root);
-    let rep_of = |x: usize| if x == root_node { root } else { h.groups[x][0] };
-    let my_rep = rep_of(h.my_node);
-    let root_w = c.world_rank_of(root);
+pub(super) fn gather(cx: &mut Coll, h: &Hierarchy, sendbuf: &Loc, recv: &Blocks, root: usize) {
+    let me = cx.rank();
+    let reps = h.reps(root);
+    let my_rep = reps[h.my_node];
     const T_BLOCK: u32 = 1;
     const T_AGG: u32 = 2;
-    let mut eng = c.engine().lock();
 
     // Every rank ships its block to its node's representative (a
     // self-message for the representative itself).
-    let mut ids = vec![eng.isend(
+    let mut ids = vec![cx.send(
         sendbuf.clone(),
-        count,
-        dtype,
-        c.world_rank_of(my_rep),
-        tag + T_BLOCK,
-        ctx,
+        recv.counts[me],
+        recv.dtype,
+        my_rep,
+        T_BLOCK,
     )];
 
     if me == root {
-        for (x, grp) in h.groups.iter().enumerate() {
-            if x == root_node {
+        for (grp, &rep) in h.groups.iter().zip(&reps) {
+            if rep == root {
                 // Blocks from my own node arrive individually, typed.
                 for &g in grp {
-                    ids.push(eng.irecv(
-                        recvbuf.add(g * block),
-                        count,
-                        dtype,
-                        SrcSel(Some(c.world_rank_of(g))),
-                        TagSel(Some(tag + T_BLOCK)),
-                        ctx,
-                    ));
+                    ids.push(cx.recv(recv.block(g), recv.counts[g], recv.dtype, g, T_BLOCK));
                 }
             } else {
                 // A remote node's aggregate lands via one hindexed view
                 // scattering each member's block to its offset.
-                let blocks: Vec<(usize, isize)> =
-                    grp.iter().map(|&g| (count, (g * block) as isize)).collect();
-                let dt = Datatype::hindexed(&blocks, dtype);
-                dt.commit();
-                ids.push(eng.irecv(
-                    recvbuf.clone(),
-                    1,
-                    &dt,
-                    SrcSel(Some(c.world_rank_of(rep_of(x)))),
-                    TagSel(Some(tag + T_AGG)),
-                    ctx,
-                ));
+                let (loc, n, dt) = recv.view(grp.iter().copied());
+                ids.push(cx.recv(loc, n, &dt, rep, T_AGG));
             }
         }
-        coll_wait(&mut eng, ids);
     } else if me == my_rep {
         // Aggregate local blocks (packed, member order) and forward once.
-        let grp = &h.groups[h.my_node];
+        let (grp, bytes) = (h.my_group(), recv.bytes(me));
         let scratch = HostBuf::alloc(grp.len() * bytes);
         for (i, &g) in grp.iter().enumerate() {
-            ids.push(eng.irecv(
-                Loc::Host(scratch.base().add(i * bytes)),
-                bytes,
-                &byte,
-                SrcSel(Some(c.world_rank_of(g))),
-                TagSel(Some(tag + T_BLOCK)),
-                ctx,
-            ));
+            ids.push(cx.recv_bytes(&scratch, i * bytes, bytes, g, T_BLOCK));
         }
-        coll_wait(&mut eng, ids);
-        let fwd = eng.isend(
-            Loc::Host(scratch.base()),
-            grp.len() * bytes,
-            &byte,
-            root_w,
-            tag + T_AGG,
-            ctx,
-        );
-        coll_wait(&mut eng, vec![fwd]);
-    } else {
-        coll_wait(&mut eng, ids);
+        cx.wait(std::mem::take(&mut ids));
+        ids.push(cx.send_bytes(&scratch, 0, grp.len() * bytes, root, T_AGG));
     }
+    cx.wait(ids);
 }
 
 /// Hierarchical scatter — the mirror of [`gather`]: the root sends each
 /// remote node one hindexed aggregate (gathered straight out of
 /// `sendbuf`), whose representative splits it over shm.
-#[allow(clippy::too_many_arguments)]
-pub(super) fn scatter(
-    c: &Comm,
-    h: &Hierarchy,
-    sendbuf: &Loc,
-    recvbuf: &Loc,
-    count: usize,
-    dtype: &Datatype,
-    root: usize,
-    tag: u32,
-    ctx: u16,
-) {
-    let me = c.rank();
-    let ext = dtype.extent();
-    assert!(ext > 0, "scatter needs a positive-extent datatype");
-    let block = count * ext as usize;
-    let bytes = count * dtype.size();
-    let byte = byte_dt();
-    let root_node = h.node_of_rank(root);
-    let rep_of = |x: usize| if x == root_node { root } else { h.groups[x][0] };
-    let my_rep = rep_of(h.my_node);
-    let w = c.coll_window();
+pub(super) fn scatter(cx: &mut Coll, h: &Hierarchy, send: &Blocks, recvbuf: &Loc, root: usize) {
+    let me = cx.rank();
+    let reps = h.reps(root);
+    let my_rep = reps[h.my_node];
     const T_BLOCK: u32 = 1;
     const T_AGG: u32 = 2;
-    let mut eng = c.engine().lock();
 
     // My block arrives typed from whoever distributes it to me: the root
     // itself on the root's node, my representative elsewhere.
-    let feeder = if h.my_node == root_node { root } else { my_rep };
-    let my_recv = eng.irecv(
+    let my_recv = cx.recv(
         recvbuf.clone(),
-        count,
-        dtype,
-        SrcSel(Some(c.world_rank_of(feeder))),
-        TagSel(Some(tag + T_BLOCK)),
-        ctx,
+        send.counts[me],
+        send.dtype,
+        my_rep,
+        T_BLOCK,
     );
 
+    let mut win = ReqWindow::default();
     if me == root {
-        let mut win = ReqWindow::new(w);
-        for (x, grp) in h.groups.iter().enumerate() {
-            if x == root_node {
+        for (grp, &rep) in h.groups.iter().zip(&reps) {
+            if rep == root {
                 for &g in grp {
-                    let id = eng.isend(
-                        sendbuf.add(g * block),
-                        count,
-                        dtype,
-                        c.world_rank_of(g),
-                        tag + T_BLOCK,
-                        ctx,
-                    );
-                    win.push(&mut eng, vec![id]);
+                    let id = cx.send(send.block(g), send.counts[g], send.dtype, g, T_BLOCK);
+                    win.push(cx, vec![id]);
                 }
             } else {
-                let blocks: Vec<(usize, isize)> =
-                    grp.iter().map(|&g| (count, (g * block) as isize)).collect();
-                let dt = Datatype::hindexed(&blocks, dtype);
-                dt.commit();
-                let id = eng.isend(
-                    sendbuf.clone(),
-                    1,
-                    &dt,
-                    c.world_rank_of(rep_of(x)),
-                    tag + T_AGG,
-                    ctx,
-                );
-                win.push(&mut eng, vec![id]);
+                let (loc, n, dt) = send.view(grp.iter().copied());
+                let id = cx.send(loc, n, &dt, rep, T_AGG);
+                win.push(cx, vec![id]);
             }
         }
-        win.drain(&mut eng);
     } else if me == my_rep {
-        let grp = &h.groups[h.my_node];
+        let (grp, bytes) = (h.my_group(), send.bytes(me));
         let scratch = HostBuf::alloc(grp.len() * bytes);
-        let agg = eng.irecv(
-            Loc::Host(scratch.base()),
-            grp.len() * bytes,
-            &byte,
-            SrcSel(Some(c.world_rank_of(root))),
-            TagSel(Some(tag + T_AGG)),
-            ctx,
-        );
-        coll_wait(&mut eng, vec![agg]);
-        let mut win = ReqWindow::new(w);
+        let agg = cx.recv_bytes(&scratch, 0, grp.len() * bytes, root, T_AGG);
+        cx.wait(vec![agg]);
         for (i, &g) in grp.iter().enumerate() {
-            let id = eng.isend(
-                Loc::Host(scratch.base().add(i * bytes)),
-                bytes,
-                &byte,
-                c.world_rank_of(g),
-                tag + T_BLOCK,
-                ctx,
-            );
-            win.push(&mut eng, vec![id]);
+            let id = cx.send_bytes(&scratch, i * bytes, bytes, g, T_BLOCK);
+            win.push(cx, vec![id]);
         }
-        win.drain(&mut eng);
     }
-    coll_wait(&mut eng, vec![my_recv]);
+    win.drain(cx);
+    cx.wait(vec![my_recv]);
 }
 
 /// Hierarchical allgatherv: members ship their block to the node leader
 /// over shm; leaders run a ring over *node aggregates* (each wire step
 /// carries one node's concatenated blocks); the leader then fans every
 /// node's aggregate out to each co-located member, which receives it with
-/// an hindexed view placing the blocks at their `rdispls` offsets.
-#[allow(clippy::too_many_arguments)]
+/// an hindexed view placing the blocks at their displacements.
 pub(super) fn allgatherv(
-    c: &Comm,
+    cx: &mut Coll,
     h: &Hierarchy,
     sendbuf: &Loc,
     scount: usize,
     sdtype: &Datatype,
-    recvbuf: &Loc,
-    rcounts: &[usize],
-    rdispls: &[usize],
-    rdtype: &Datatype,
-    tag: u32,
-    ctx: u16,
+    recv: &Blocks,
 ) {
-    let me = c.rank();
-    let rsz = rdtype.size();
-    let rb: Vec<usize> = rcounts.iter().map(|&n| n * rsz).collect();
-    let byte = byte_dt();
+    let me = cx.rank();
     let nn = h.groups.len();
-    let my_group = &h.groups[h.my_node];
-    let leader_w = c.world_rank_of(my_group[0]);
-    let w = c.coll_window();
+    let my_group = h.my_group();
+    let leader = my_group[0];
     const T_IN: u32 = 1;
     const T_RING: u32 = 4096; // + ring step
     const T_OUT: u32 = 8192; // + source node index
-    let mut eng = c.engine().lock();
 
     // Phase 1: ship my block to my node leader (self-message if I am it).
-    let mut final_ids = vec![eng.isend(sendbuf.clone(), scount, sdtype, leader_w, tag + T_IN, ctx)];
+    let mut final_ids = vec![cx.send(sendbuf.clone(), scount, sdtype, leader, T_IN)];
 
     // Post the fan-out receives up front: one hindexed message per node,
     // scattering that node's blocks to their displacements.
     for (x, grp) in h.groups.iter().enumerate() {
-        let blocks: Vec<(usize, isize)> = grp
-            .iter()
-            .filter(|&&g| rcounts[g] > 0)
-            .map(|&g| (rcounts[g], rdispls[g] as isize))
-            .collect();
-        let id = if blocks.is_empty() {
-            let empty = HostBuf::alloc(0);
-            eng.irecv(
-                Loc::Host(empty.base()),
-                0,
-                &byte,
-                SrcSel(Some(leader_w)),
-                TagSel(Some(tag + T_OUT + x as u32)),
-                ctx,
-            )
-        } else {
-            let dt = Datatype::hindexed(&blocks, rdtype);
-            dt.commit();
-            eng.irecv(
-                recvbuf.clone(),
-                1,
-                &dt,
-                SrcSel(Some(leader_w)),
-                TagSel(Some(tag + T_OUT + x as u32)),
-                ctx,
-            )
-        };
-        final_ids.push(id);
+        let (loc, n, dt) = recv.view(grp.iter().copied());
+        final_ids.push(cx.recv(loc, n, &dt, leader, T_OUT + x as u32));
     }
 
-    if me == my_group[0] {
+    if me == leader {
         // Node aggregate sizes, and the local aggregate's member layout.
         let nb: Vec<usize> = h
             .groups
             .iter()
-            .map(|grp| grp.iter().map(|&g| rb[g]).sum())
+            .map(|grp| grp.iter().map(|&g| recv.bytes(g)).sum())
             .collect();
         let mut aggs: Vec<Option<HostBuf>> = (0..nn).map(|_| None).collect();
         let mine = HostBuf::alloc(nb[h.my_node]);
         let mut off = 0;
         let mut gids = Vec::new();
         for &g in my_group {
-            gids.push(eng.irecv(
-                Loc::Host(mine.base().add(off)),
-                rb[g],
-                &byte,
-                SrcSel(Some(c.world_rank_of(g))),
-                TagSel(Some(tag + T_IN)),
-                ctx,
-            ));
-            off += rb[g];
+            gids.push(cx.recv_bytes(&mine, off, recv.bytes(g), g, T_IN));
+            off += recv.bytes(g);
         }
-        coll_wait(&mut eng, gids);
+        cx.wait(gids);
         aggs[h.my_node] = Some(mine);
 
         // Ring over node aggregates among the leaders.
         let li = h.my_node;
-        let right = c.world_rank_of(h.groups[(li + 1) % nn][0]);
-        let left = c.world_rank_of(h.groups[(li + nn - 1) % nn][0]);
+        let right = h.groups[(li + 1) % nn][0];
+        let left = h.groups[(li + nn - 1) % nn][0];
         for step in 0..nn - 1 {
             let sx = (li + nn - step) % nn;
             let rx = (li + nn - step - 1) % nn;
-            let t = tag + T_RING + step as u32;
+            let t = T_RING + step as u32;
             let inbuf = HostBuf::alloc(nb[rx]);
-            let rid = eng.irecv(
-                Loc::Host(inbuf.base()),
-                nb[rx],
-                &byte,
-                SrcSel(Some(left)),
-                TagSel(Some(t)),
-                ctx,
-            );
+            let rid = cx.recv_bytes(&inbuf, 0, nb[rx], left, t);
             let send_from = aggs[sx].as_ref().expect("ring block already arrived");
-            let sid = eng.isend(Loc::Host(send_from.base()), nb[sx], &byte, right, t, ctx);
-            coll_wait(&mut eng, vec![rid, sid]);
+            let sid = cx.send_bytes(send_from, 0, nb[sx], right, t);
+            cx.wait(vec![rid, sid]);
             aggs[rx] = Some(inbuf);
         }
 
         // Fan every node's aggregate out to each co-located member (self
         // included), bounded in flight.
-        let mut win = ReqWindow::new(w);
+        let mut win = ReqWindow::default();
         for &d in my_group {
-            let d_w = c.world_rank_of(d);
             for (x, agg) in aggs.iter().enumerate() {
                 let agg = agg.as_ref().expect("ring delivered every aggregate");
-                let id = eng.isend(
-                    Loc::Host(agg.base()),
-                    nb[x],
-                    &byte,
-                    d_w,
-                    tag + T_OUT + x as u32,
-                    ctx,
-                );
-                win.push(&mut eng, vec![id]);
+                let id = cx.send_bytes(agg, 0, nb[x], d, T_OUT + x as u32);
+                win.push(cx, vec![id]);
             }
         }
-        win.drain(&mut eng);
+        win.drain(cx);
     }
-    coll_wait(&mut eng, final_ids);
+    cx.wait(final_ids);
 }
 
 /// Hierarchical reduce: members send their typed contribution to their
 /// node's representative, which folds them (double-buffered, packed) into
 /// its own staged bytes; representatives then run the binomial byte tree,
 /// and the root unpacks into `recvbuf`.
-#[allow(clippy::too_many_arguments)]
 pub(super) fn reduce(
-    c: &Comm,
+    cx: &mut Coll,
     h: &Hierarchy,
     sendbuf: &Loc,
     recvbuf: &Loc,
     count: usize,
-    dtype: &Datatype,
-    op: ReduceOp,
+    fold: Fold,
     root: usize,
-    tag: u32,
-    ctx: u16,
 ) {
-    let me = c.rank();
-    let bytes = count * dtype.size();
-    let byte = byte_dt();
+    let me = cx.rank();
     const T_FANIN: u32 = 1;
     const T_TREE: u32 = 2;
     const T_STAGE: u32 = 3;
     const T_OUT: u32 = 4;
-    let root_node = h.node_of_rank(root);
-    let reps: Vec<usize> = h
-        .groups
-        .iter()
-        .enumerate()
-        .map(|(x, g)| if x == root_node { root } else { g[0] })
-        .collect();
+    let reps = h.reps(root);
     let my_rep = reps[h.my_node];
-    let mut eng = c.engine().lock();
 
     if me != my_rep {
-        let id = eng.isend(
-            sendbuf.clone(),
-            count,
-            dtype,
-            c.world_rank_of(my_rep),
-            tag + T_FANIN,
-            ctx,
-        );
-        coll_wait(&mut eng, vec![id]);
+        let id = cx.send(sendbuf.clone(), count, fold.dtype, my_rep, T_FANIN);
+        cx.wait(vec![id]);
         return;
     }
 
-    let me_w = c.world_rank_of(me);
-    let mut acc = stage_to_host(&mut eng, me_w, sendbuf, count, dtype, tag + T_STAGE, ctx);
-
-    // Double-buffered shm fan-in: post the next member's receive before
-    // combining the previous one's bytes.
-    let scratch = [HostBuf::alloc(bytes), HostBuf::alloc(bytes)];
-    let mut pending: Option<(ReqId, usize)> = None;
-    let mut bank = 0usize;
-    for &m in h.groups[h.my_node].iter().filter(|&&g| g != me) {
-        let id = eng.irecv(
-            Loc::Host(scratch[bank].base()),
-            bytes,
-            &byte,
-            SrcSel(Some(c.world_rank_of(m))),
-            TagSel(Some(tag + T_FANIN)),
-            ctx,
-        );
-        if let Some((prev, pb)) = pending.take() {
-            coll_wait(&mut eng, vec![prev]);
-            combine_bytes(op, dtype, &mut acc, &scratch[pb].read(0, bytes));
-        }
-        pending = Some((id, bank));
-        bank ^= 1;
-    }
-    if let Some((prev, pb)) = pending.take() {
-        coll_wait(&mut eng, vec![prev]);
-        combine_bytes(op, dtype, &mut acc, &scratch[pb].read(0, bytes));
-    }
-
-    binomial_reduce_bytes(
-        c,
-        &mut eng,
-        &reps,
-        root_node,
-        &mut acc,
-        dtype,
-        op,
-        tag + T_TREE,
-        ctx,
-    );
+    let mut acc = cx.stage(sendbuf, count, fold.dtype, T_STAGE);
+    let members = h.my_group().iter().copied().filter(|&g| g != me);
+    cx.fold_from(members, &mut acc, fold, T_FANIN);
+    let tree = Tree::binomial(&reps, root, me);
+    cx.reduce_over(&tree, &mut acc, fold, T_TREE);
     if me == root {
-        deliver_from_host(
-            &mut eng,
-            me_w,
-            &acc,
-            recvbuf,
-            count,
-            dtype,
-            tag + T_OUT,
-            ctx,
-        );
+        cx.deliver(&acc, recvbuf, count, fold.dtype, T_OUT);
     }
 }
 
 /// Hierarchical pipelined allreduce. The payload is cut into
-/// `coll.pipeline_chunk` segments; per segment: members send their slice
-/// to the node leader over shm (typed, straight out of the user buffer),
-/// the leader folds all local slices, the leaders reduce-then-broadcast
-/// the segment over the binomial wire tree, and the leader fans the
-/// reduced slice back out over shm into each member's `recvbuf` slice.
-/// Segment `s+1`'s fan-in receives are posted before segment `s` is
-/// combined, and fan-in/fan-out traffic is windowed by `coll.max_inflight`
-/// segments, so shm, combine and wire time overlap across segments.
-#[allow(clippy::too_many_arguments)]
+/// [`PIPELINE_CHUNK`] segments; per segment: members send their slice to
+/// the node leader over shm (typed, straight out of the user buffer), the
+/// leader folds all local slices, the leaders reduce-then-broadcast the
+/// segment over the binomial wire tree, and the leader fans the reduced
+/// slice back out over shm into each member's `recvbuf` slice. Segment
+/// `s+1`'s fan-in receives are posted before segment `s` is combined, and
+/// fan-in/fan-out traffic is windowed by `MAX_INFLIGHT` segments, so shm,
+/// combine and wire time overlap across segments.
 pub(super) fn allreduce(
-    c: &Comm,
+    cx: &mut Coll,
     h: &Hierarchy,
     sendbuf: &Loc,
     recvbuf: &Loc,
     count: usize,
-    dtype: &Datatype,
-    op: ReduceOp,
-    tag: u32,
-    ctx: u16,
+    fold: Fold,
 ) {
-    let me = c.rank();
+    let me = cx.rank();
+    let dtype = fold.dtype;
     let psz = dtype.size();
     let bytes = count * psz;
     if bytes == 0 {
         return;
     }
-    let byte = byte_dt();
-    let leaders = h.leaders();
-    let my_group = &h.groups[h.my_node];
-    let leader = my_group[0];
-    let leader_w = c.world_rank_of(leader);
-    let (w, chunk) = {
-        let eng = c.engine().lock();
-        (eng.cfg.coll.max_inflight, eng.cfg.coll.pipeline_chunk)
-    };
-    let nseg = bytes.div_ceil(chunk);
+    let leader = h.my_group()[0];
+    let members = &h.my_group()[1..];
+    let nseg = bytes.div_ceil(PIPELINE_CHUNK);
     let seg_of = |s: usize| {
-        let off = s * chunk;
-        (off, chunk.min(bytes - off))
+        let off = s * PIPELINE_CHUNK;
+        (off, PIPELINE_CHUNK.min(bytes - off))
     };
     const T_STAGE_IN: u32 = 1;
     const T_STAGE_OUT: u32 = 2;
-    let t_fanin = |s: usize| tag + 1024 + (s % 1024) as u32;
-    let t_fanout = |s: usize| tag + 2048 + (s % 1024) as u32;
-    let t_tree = |s: usize| tag + 4096 + (s % 1024) as u32;
-    let t_tree_bc = |s: usize| tag + 8192 + (s % 1024) as u32;
-    let mut eng = c.engine().lock();
+    let t_fanin = |s: usize| 1024 + (s % 1024) as u32;
+    let t_fanout = |s: usize| 2048 + (s % 1024) as u32;
+    let t_tree = |s: usize| 4096 + (s % 1024) as u32;
+    let t_tree_bc = |s: usize| 8192 + (s % 1024) as u32;
 
     if me != leader {
         // Members stream slices to the leader and receive reduced slices
-        // back, both bounded to `w` outstanding segments. pipeline_chunk
-        // is a multiple of every primitive size, so slice boundaries
-        // always fall on element boundaries.
-        let mut sends = ReqWindow::new(w);
-        let mut recvs = ReqWindow::new(w);
+        // back, both bounded in flight. PIPELINE_CHUNK is a multiple of
+        // every primitive size, so slice boundaries always fall on element
+        // boundaries.
+        let mut sends = ReqWindow::default();
+        let mut recvs = ReqWindow::default();
         for s in 0..nseg {
             let (off, sb) = seg_of(s);
-            let n_el = sb / psz;
-            let sid = eng.isend(sendbuf.add(off), n_el, dtype, leader_w, t_fanin(s), ctx);
-            sends.push(&mut eng, vec![sid]);
-            let rid = eng.irecv(
-                recvbuf.add(off),
-                n_el,
-                dtype,
-                SrcSel(Some(leader_w)),
-                TagSel(Some(t_fanout(s))),
-                ctx,
-            );
-            recvs.push(&mut eng, vec![rid]);
+            let sid = cx.send(sendbuf.add(off), sb / psz, dtype, leader, t_fanin(s));
+            sends.push(cx, vec![sid]);
+            let rid = cx.recv(recvbuf.add(off), sb / psz, dtype, leader, t_fanout(s));
+            recvs.push(cx, vec![rid]);
         }
-        sends.drain(&mut eng);
-        recvs.drain(&mut eng);
+        sends.drain(cx);
+        recvs.drain(cx);
         return;
     }
 
     // Leader. Stage my whole contribution once; the pipeline then works
     // in packed bytes.
-    let me_w = c.world_rank_of(me);
-    let mut acc = stage_to_host(&mut eng, me_w, sendbuf, count, dtype, tag + T_STAGE_IN, ctx);
-    let members: Vec<usize> = my_group[1..].to_vec();
-    let nm = members.len();
+    let mut acc = cx.stage(sendbuf, count, dtype, T_STAGE_IN);
+    let leaders = h.leaders();
+    let tree = Tree::binomial(&leaders, leaders[0], me);
 
     // Two banks of per-member segment scratch: bank s%2 holds segment s's
     // fan-in, and segment s+1's receives are posted before segment s is
     // combined, so members' shm transfers overlap the leader's work.
-    let banks: [Vec<HostBuf>; 2] = [
-        (0..nm).map(|_| HostBuf::alloc(chunk)).collect(),
-        (0..nm).map(|_| HostBuf::alloc(chunk)).collect(),
-    ];
-    let mut bank_ids: [Vec<ReqId>; 2] = [Vec::new(), Vec::new()];
-    let post_bank = |eng: &mut crate::engine::Engine, s: usize, bank: &Vec<HostBuf>| {
-        let (_, sb) = seg_of(s);
+    let bank = || -> Vec<HostBuf> {
         members
             .iter()
-            .enumerate()
-            .map(|(i, &m)| {
-                eng.irecv(
-                    Loc::Host(bank[i].base()),
-                    sb,
-                    &byte,
-                    SrcSel(Some(c.world_rank_of(m))),
-                    TagSel(Some(t_fanin(s))),
-                    ctx,
-                )
-            })
-            .collect::<Vec<ReqId>>()
+            .map(|_| HostBuf::alloc(PIPELINE_CHUNK))
+            .collect()
     };
-    bank_ids[0] = post_bank(&mut eng, 0, &banks[0]);
+    let banks = [bank(), bank()];
+    let post_bank = |cx: &mut Coll, s: usize| -> Vec<ReqId> {
+        let (sb, t) = (seg_of(s).1, t_fanin(s));
+        let fanin = members.iter().zip(&banks[s % 2]);
+        fanin
+            .map(|(&m, buf)| cx.recv_bytes(buf, 0, sb, m, t))
+            .collect()
+    };
+    let mut posted = post_bank(cx, 0);
 
-    let mut fanout = ReqWindow::new(w);
+    let mut fanout = ReqWindow::default();
     for s in 0..nseg {
         let (off, sb) = seg_of(s);
-        let cur = s % 2;
-        if s + 1 < nseg {
-            bank_ids[1 - cur] = post_bank(&mut eng, s + 1, &banks[1 - cur]);
-        }
-        let ids = std::mem::take(&mut bank_ids[cur]);
-        coll_wait(&mut eng, ids);
+        let next = if s + 1 < nseg {
+            post_bank(cx, s + 1)
+        } else {
+            Vec::new()
+        };
+        cx.wait(std::mem::replace(&mut posted, next));
         let seg = &mut acc[off..off + sb];
-        for buf in &banks[cur] {
-            combine_bytes(op, dtype, seg, &buf.read(0, sb));
+        for buf in &banks[s % 2] {
+            fold.combine(seg, &buf.read(0, sb));
         }
 
         // Inter-node reduce + broadcast of this segment over the leader
         // tree while later segments are still fanning in.
-        binomial_reduce_bytes(c, &mut eng, &leaders, 0, seg, dtype, op, t_tree(s), ctx);
-        binomial_bcast_bytes(c, &mut eng, &leaders, 0, seg, t_tree_bc(s), ctx);
+        cx.reduce_over(&tree, seg, fold, t_tree(s));
+        cx.bcast_bytes_over(&tree, seg, t_tree_bc(s));
 
         // Fan the reduced segment back out over shm; the engine's send
         // state keeps the wire buffer alive until delivery.
-        if nm > 0 {
+        if !members.is_empty() {
             let out = HostBuf::from_vec(seg.to_vec());
-            let ids: Vec<ReqId> = members
+            let ids = members
                 .iter()
-                .map(|&m| {
-                    eng.isend(
-                        Loc::Host(out.base()),
-                        sb,
-                        &byte,
-                        c.world_rank_of(m),
-                        t_fanout(s),
-                        ctx,
-                    )
-                })
+                .map(|&m| cx.send_bytes(&out, 0, sb, m, t_fanout(s)))
                 .collect();
-            fanout.push(&mut eng, ids);
+            fanout.push(cx, ids);
         }
     }
-    fanout.drain(&mut eng);
-    deliver_from_host(
-        &mut eng,
-        me_w,
-        &acc,
-        recvbuf,
-        count,
-        dtype,
-        tag + T_STAGE_OUT,
-        ctx,
-    );
+    fanout.drain(cx);
+    cx.deliver(&acc, recvbuf, count, dtype, T_STAGE_OUT);
 }
 
 /// Hierarchical alltoallv. Four phases, all windowed:
@@ -764,53 +456,34 @@ pub(super) fn allreduce(
 /// * **metadata** — members ship their per-peer byte counts to the node
 ///   leader (16·P bytes), so the leader can size every aggregate without
 ///   global communication;
-/// * **A (fan-in)** — every rank sends its leader one hindexed message per
-///   *remote node* `Y`, gathering all its blocks destined for `Y` straight
-///   out of `sendbuf`; intra-node blocks are exchanged pairwise over shm
-///   directly between members, never touching the leader;
+/// * **A (fan-in)** — every rank sends its leader one hindexed message
+///   gathering all its blocks destined for *remote nodes* straight out of
+///   `sendbuf`; intra-node blocks are exchanged pairwise over shm directly
+///   between members, never touching the leader;
 /// * **B/C (wire)** — leaders exchange per-node aggregates pairwise: one
 ///   wire message per node pair instead of ppn² rank pairs;
 /// * **D (fan-out)** — the leader re-slices each inbound aggregate per
-///   member with hindexed views and ships each member its blocks, which
-///   land at their `rdispls` offsets via hindexed receives.
-#[allow(clippy::too_many_arguments)]
-pub(super) fn alltoallv(
-    c: &Comm,
-    h: &Hierarchy,
-    sendbuf: &Loc,
-    scounts: &[usize],
-    sdispls: &[usize],
-    sdtype: &Datatype,
-    recvbuf: &Loc,
-    rcounts: &[usize],
-    rdispls: &[usize],
-    rdtype: &Datatype,
-    tag: u32,
-    ctx: u16,
-) {
-    let me = c.rank();
-    let size = c.size();
-    let ssz = sdtype.size();
-    let rsz = rdtype.size();
-    let sb: Vec<usize> = scounts.iter().map(|&n| n * ssz).collect();
-    let rb: Vec<usize> = rcounts.iter().map(|&n| n * rsz).collect();
-    let byte = byte_dt();
+///   member and ships each member its blocks, which land at their
+///   displacements via one hindexed receive.
+pub(super) fn alltoallv(cx: &mut Coll, h: &Hierarchy, send: &Blocks, recv: &Blocks) {
+    let me = cx.rank();
+    let size = cx.size();
+    let sb: Vec<usize> = (0..size).map(|j| send.bytes(j)).collect();
+    let rb: Vec<usize> = (0..size).map(|j| recv.bytes(j)).collect();
     let nn = h.groups.len();
-    let my_group = &h.groups[h.my_node];
+    let my_group = h.my_group();
     let nl = my_group.len();
     let mi = my_group
         .iter()
         .position(|&g| g == me)
         .expect("calling rank is in its own node group");
-    let leader_w = c.world_rank_of(my_group[0]);
+    let leader = my_group[0];
     let is_leader = mi == 0;
-    let w = c.coll_window();
     const T_META: u32 = 1;
     const T_WIRE: u32 = 2;
     const T_INTRA: u32 = 3;
     const T_FANIN: u32 = 4096;
     const T_FANOUT: u32 = 8192;
-    let mut eng = c.engine().lock();
 
     // --- Metadata: the leader learns every local member's per-peer send
     // and receive byte counts (its own it knows locally). Serialized as
@@ -825,29 +498,15 @@ pub(super) fn alltoallv(
             ser.extend_from_slice(&(*v as u64).to_le_bytes());
         }
         let mbuf = HostBuf::from_vec(ser);
-        let id = eng.isend(
-            Loc::Host(mbuf.base()),
-            16 * size,
-            &byte,
-            leader_w,
-            tag + T_META,
-            ctx,
-        );
-        coll_wait(&mut eng, vec![id]);
+        let id = cx.send_bytes(&mbuf, 0, 16 * size, leader, T_META);
+        cx.wait(vec![id]);
     } else if nl > 1 {
-        let mut ids = Vec::new();
         let bufs: Vec<HostBuf> = (1..nl).map(|_| HostBuf::alloc(16 * size)).collect();
-        for (i, buf) in bufs.iter().enumerate() {
-            ids.push(eng.irecv(
-                Loc::Host(buf.base()),
-                16 * size,
-                &byte,
-                SrcSel(Some(c.world_rank_of(my_group[i + 1]))),
-                TagSel(Some(tag + T_META)),
-                ctx,
-            ));
-        }
-        coll_wait(&mut eng, ids);
+        let metas = bufs.iter().zip(&my_group[1..]);
+        let ids = metas
+            .map(|(buf, &m)| cx.recv_bytes(buf, 0, 16 * size, m, T_META))
+            .collect();
+        cx.wait(ids);
         let word = |raw: &[u8], j: usize| {
             u64::from_le_bytes(raw[8 * j..8 * j + 8].try_into().unwrap()) as usize
         };
@@ -862,8 +521,8 @@ pub(super) fn alltoallv(
     // aggregates with plain copies; a loopback self-send would bill this
     // node-local bookkeeping to the HCA (see `transport_for`). Device or
     // derived buffers still take the self-send so the pack pipeline runs.
-    let s_direct = host_direct(sendbuf, sdtype);
-    let r_direct = host_direct(recvbuf, rdtype);
+    let s_host = send.host().filter(|_| is_leader);
+    let r_host = recv.host().filter(|_| is_leader);
 
     // --- Fan-in layout: each member ships its leader ONE message — an
     // hindexed gather of every remote-destined block in `sendbuf`, ordered
@@ -873,14 +532,12 @@ pub(super) fn alltoallv(
     // swamping the aggregation win; the leader re-slices the streams into
     // per-destination wire aggregates with local copies.
     let remote_nodes: Vec<usize> = (0..nn).filter(|&y| y != h.my_node).collect();
-    // member i's fan-in stream length, and its section offset for node y.
-    let stream_len = |i: usize| -> usize {
-        remote_nodes
-            .iter()
-            .flat_map(|&y| h.groups[y].iter())
-            .map(|&j| member_sb[i][j])
-            .sum()
+    let remote_ranks = || {
+        let ranks = remote_nodes.iter();
+        ranks.flat_map(move |&y| h.groups[y].iter().copied())
     };
+    // member i's fan-in stream length, and its section offset for node y.
+    let stream_len = |i: usize| -> usize { remote_ranks().map(|j| member_sb[i][j]).sum() };
     let section_off = |i: usize, y: usize| -> usize {
         remote_nodes
             .iter()
@@ -897,19 +554,12 @@ pub(super) fn alltoallv(
     let mut a_scratch: Vec<Option<HostBuf>> = (0..nl).map(|_| None).collect();
     if is_leader {
         for (i, &m) in my_group.iter().enumerate() {
-            if i == 0 && s_direct {
+            if i == 0 && s_host.is_some() {
                 continue;
             }
             let total = stream_len(i);
             let buf = HostBuf::alloc(total);
-            a_ids.push(eng.irecv(
-                Loc::Host(buf.base()),
-                total,
-                &byte,
-                SrcSel(Some(c.world_rank_of(m))),
-                TagSel(Some(tag + T_FANIN)),
-                ctx,
-            ));
+            a_ids.push(cx.recv_bytes(&buf, 0, total, m, T_FANIN));
             a_scratch[i] = Some(buf);
         }
     }
@@ -917,29 +567,9 @@ pub(super) fn alltoallv(
     // --- Phase A send (every rank; the leader's is a self-message unless
     // spliced directly during assembly below).
     let mut a_send = Vec::new();
-    if !(is_leader && s_direct) {
-        let blocks: Vec<(usize, isize)> = remote_nodes
-            .iter()
-            .flat_map(|&y| h.groups[y].iter())
-            .filter(|&&j| scounts[j] > 0)
-            .map(|&j| (scounts[j], sdispls[j] as isize))
-            .collect();
-        let id = if blocks.is_empty() {
-            let empty = HostBuf::alloc(0);
-            eng.isend(
-                Loc::Host(empty.base()),
-                0,
-                &byte,
-                leader_w,
-                tag + T_FANIN,
-                ctx,
-            )
-        } else {
-            let dt = Datatype::hindexed(&blocks, sdtype);
-            dt.commit();
-            eng.isend(sendbuf.clone(), 1, &dt, leader_w, tag + T_FANIN, ctx)
-        };
-        a_send.push(id);
+    if s_host.is_none() {
+        let (loc, n, dt) = send.view(remote_ranks());
+        a_send.push(cx.send(loc, n, &dt, leader, T_FANIN));
     }
 
     // --- Phase D receive (every rank), posted before anything blocks: ONE
@@ -948,103 +578,33 @@ pub(super) fn alltoallv(
     // by source rank in group order. The leader's own share is spliced
     // directly when the receive side is host-primitive.
     let mut d_ids = Vec::new();
-    if !(is_leader && r_direct) {
-        let blocks: Vec<(usize, isize)> = remote_nodes
-            .iter()
-            .flat_map(|&x| h.groups[x].iter())
-            .filter(|&&s| rcounts[s] > 0)
-            .map(|&s| (rcounts[s], rdispls[s] as isize))
-            .collect();
-        let id = if blocks.is_empty() {
-            let empty = HostBuf::alloc(0);
-            eng.irecv(
-                Loc::Host(empty.base()),
-                0,
-                &byte,
-                SrcSel(Some(leader_w)),
-                TagSel(Some(tag + T_FANOUT)),
-                ctx,
-            )
-        } else {
-            let dt = Datatype::hindexed(&blocks, rdtype);
-            dt.commit();
-            eng.irecv(
-                recvbuf.clone(),
-                1,
-                &dt,
-                SrcSel(Some(leader_w)),
-                TagSel(Some(tag + T_FANOUT)),
-                ctx,
-            )
-        };
-        d_ids.push(id);
+    if r_host.is_none() {
+        let (loc, n, dt) = recv.view(remote_ranks());
+        d_ids.push(cx.recv(loc, n, &dt, leader, T_FANOUT));
     }
 
     // --- Intra-node blocks: pairwise over shm, leader not involved. The
     // self-pair is a plain copy when both sides are host-primitive (a
     // self-send would ride the HCA loopback path).
-    let mut i_win = ReqWindow::new(w);
+    let own_pair = send.host().zip(recv.host());
+    let mut i_win = ReqWindow::default();
     for r in 0..nl {
         let sp = my_group[(mi + r) % nl];
         let rp = my_group[(mi + nl - r) % nl];
-        if r == 0 && s_direct && r_direct {
+        if let (0, Some((src, dst))) = (r, own_pair) {
             if sb[me] > 0 {
-                write_host_block(
-                    recvbuf,
-                    rdispls[me],
-                    &read_host_block(sendbuf, sdispls[me], sb[me]),
-                );
+                let own = src.add(send.displs[me]).read(sb[me]);
+                dst.add(recv.displs[me]).write(&own);
             }
             continue;
         }
-        let mut ids = Vec::new();
-        ids.push(if rcounts[rp] > 0 {
-            let dt = Datatype::hindexed(&[(rcounts[rp], rdispls[rp] as isize)], rdtype);
-            dt.commit();
-            eng.irecv(
-                recvbuf.clone(),
-                1,
-                &dt,
-                SrcSel(Some(c.world_rank_of(rp))),
-                TagSel(Some(tag + T_INTRA)),
-                ctx,
-            )
-        } else {
-            let empty = HostBuf::alloc(0);
-            eng.irecv(
-                Loc::Host(empty.base()),
-                0,
-                &byte,
-                SrcSel(Some(c.world_rank_of(rp))),
-                TagSel(Some(tag + T_INTRA)),
-                ctx,
-            )
-        });
-        ids.push(if scounts[sp] > 0 {
-            let dt = Datatype::hindexed(&[(scounts[sp], sdispls[sp] as isize)], sdtype);
-            dt.commit();
-            eng.isend(
-                sendbuf.clone(),
-                1,
-                &dt,
-                c.world_rank_of(sp),
-                tag + T_INTRA,
-                ctx,
-            )
-        } else {
-            let empty = HostBuf::alloc(0);
-            eng.isend(
-                Loc::Host(empty.base()),
-                0,
-                &byte,
-                c.world_rank_of(sp),
-                tag + T_INTRA,
-                ctx,
-            )
-        });
-        i_win.push(&mut eng, ids);
+        let (loc, n, dt) = recv.view([rp]);
+        let rid = cx.recv(loc, n, &dt, rp, T_INTRA);
+        let (loc, n, dt) = send.view([sp]);
+        let sid = cx.send(loc, n, &dt, sp, T_INTRA);
+        i_win.push(cx, vec![rid, sid]);
     }
-    i_win.drain(&mut eng);
+    i_win.drain(cx);
 
     if is_leader {
         // --- Phase C receives, posted before any waiting so peer leaders'
@@ -1059,18 +619,11 @@ pub(super) fn alltoallv(
                 .map(|&s| (0..nl).map(|i| member_rb[i][s]).sum::<usize>())
                 .sum();
             let buf = HostBuf::alloc(total);
-            c_ids.push(eng.irecv(
-                Loc::Host(buf.base()),
-                total,
-                &byte,
-                SrcSel(Some(c.world_rank_of(h.groups[x][0]))),
-                TagSel(Some(tag + T_WIRE)),
-                ctx,
-            ));
+            c_ids.push(cx.recv_bytes(&buf, 0, total, h.groups[x][0], T_WIRE));
             in_agg[x] = Some(buf);
         }
 
-        coll_wait(&mut eng, a_ids);
+        cx.wait(a_ids);
 
         // --- Assemble per-destination wire aggregates: span per local
         // member (group order), each span that member's blocks for Y's
@@ -1085,13 +638,11 @@ pub(super) fn alltoallv(
             let buf = HostBuf::alloc(spans.iter().sum());
             let mut cur = 0usize;
             for (i, &span) in spans.iter().enumerate() {
-                if i == 0 && s_direct {
+                if let (0, Some(src)) = (i, s_host) {
                     let mut off = cur;
-                    for &j in grp {
-                        if sb[j] > 0 {
-                            buf.write(off, &read_host_block(sendbuf, sdispls[j], sb[j]));
-                            off += sb[j];
-                        }
+                    for &j in grp.iter().filter(|&&j| sb[j] > 0) {
+                        buf.write(off, &src.add(send.displs[j]).read(sb[j]));
+                        off += sb[j];
                     }
                 } else {
                     let src = a_scratch[i].as_ref().expect("fan-in stream present");
@@ -1104,73 +655,54 @@ pub(super) fn alltoallv(
 
         // --- Phase B sends: one aggregate per destination node, in
         // shifted order so no two leaders hammer the same target.
-        let mut b_win = ReqWindow::new(w);
+        let mut b_win = ReqWindow::default();
         for r in 1..nn {
             let y = (h.my_node + r) % nn;
             let buf = out_agg[y].as_ref().expect("assembled above");
-            let id = eng.isend(
-                Loc::Host(buf.base()),
-                buf.len(),
-                &byte,
-                c.world_rank_of(h.groups[y][0]),
-                tag + T_WIRE,
-                ctx,
-            );
-            b_win.push(&mut eng, vec![id]);
+            let id = cx.send_bytes(buf, 0, buf.len(), h.groups[y][0], T_WIRE);
+            b_win.push(cx, vec![id]);
         }
 
-        coll_wait(&mut eng, c_ids);
+        cx.wait(c_ids);
 
         // --- Phase D sends: ONE message per local member, concatenating
         // its blocks from every inbound aggregate in source-node order —
-        // the exact stream its hindexed receive scatters to rdispls.
-        // Aggregate layout (fixed by the sender's phase A/assembly): spans
-        // per source member in X's group order; within a span, blocks for
-        // my node's members in group order, block (s -> d) being
-        // `member_rb[d][s]` bytes (the byte-total contract makes the
-        // sender's scounts and our rcounts agree).
-        let mut d_win = ReqWindow::new(w);
+        // the exact stream its hindexed receive scatters to its
+        // displacements. Aggregate layout (fixed by the sender's phase
+        // A/assembly): spans per source member in X's group order; within
+        // a span, blocks for my node's members in group order, block
+        // (s -> d) being `member_rb[d][s]` bytes (the byte-total contract
+        // makes the sender's counts and ours agree).
+        let mut d_win = ReqWindow::default();
         for di in 0..nl {
+            let splice = r_host.filter(|_| di == 0);
             let mut payload: Vec<u8> = Vec::new();
-            let mut splice: Vec<(usize, Vec<u8>)> = Vec::new();
             for &x in &remote_nodes {
-                let grp = &h.groups[x];
                 let buf = in_agg[x].as_ref().expect("phase C filled this aggregate");
                 let mut base = 0usize;
-                for &s in grp {
+                for &s in &h.groups[x] {
                     let within: usize = (0..di).map(|i| member_rb[i][s]).sum();
                     let len = member_rb[di][s];
                     if len > 0 {
                         let bytes = buf.read(base + within, len);
-                        if di == 0 && r_direct {
-                            splice.push((rdispls[s], bytes));
-                        } else {
-                            payload.extend_from_slice(&bytes);
+                        match splice {
+                            Some(dst) => dst.add(recv.displs[s]).write(&bytes),
+                            None => payload.extend_from_slice(&bytes),
                         }
                     }
                     base += (0..nl).map(|i| member_rb[i][s]).sum::<usize>();
                 }
             }
-            if di == 0 && r_direct {
-                for (displ, bytes) in splice {
-                    write_host_block(recvbuf, displ, &bytes);
-                }
+            if splice.is_some() {
                 continue;
             }
             let out = HostBuf::from_vec(payload);
-            let id = eng.isend(
-                Loc::Host(out.base()),
-                out.len(),
-                &byte,
-                c.world_rank_of(my_group[di]),
-                tag + T_FANOUT,
-                ctx,
-            );
-            d_win.push(&mut eng, vec![id]);
+            let id = cx.send_bytes(&out, 0, out.len(), my_group[di], T_FANOUT);
+            d_win.push(cx, vec![id]);
         }
-        b_win.drain(&mut eng);
-        d_win.drain(&mut eng);
+        b_win.drain(cx);
+        d_win.drain(cx);
     }
-    coll_wait(&mut eng, a_send);
-    coll_wait(&mut eng, d_ids);
+    cx.wait(a_send);
+    cx.wait(d_ids);
 }

@@ -21,6 +21,16 @@
 //!   in/out over the shm channel, only node leaders cross the wire, and
 //!   reductions pipeline pack → intra-node combine → wire per segment.
 //!
+//! Every algorithm is written in one vocabulary: a [`Coll`] is one
+//! collective call on one rank and offers the steps (post a send or a
+//! receive to a *group* rank at a *tag offset*, wait, stage to and from
+//! packed host bytes, fold a stream of contributions); a [`Blocks`] is one
+//! side of a v-collective (buffer, per-peer counts and byte displacements,
+//! datatype); a [`Tree`] is this rank's parent and children in a binomial
+//! tree over a member list. World ranks, selectors, the collective context
+//! and the engine are named inside [`Coll`] and nowhere else, and a step
+//! that fails there fails the collective under its MPI name.
+//!
 //! All data movement goes through the normal staging machinery, so every
 //! collective (including the reductions, via loopback staging) works on
 //! **device buffers too** — GPU-aware collectives, the natural extension
@@ -29,10 +39,12 @@
 mod flat;
 mod hier;
 
+use std::borrow::Cow;
 use std::collections::VecDeque;
 
 use gpu_sim::Loc;
-use hostmem::{HostBuf, Scalar};
+use hostmem::{HostBuf, HostPtr, Scalar};
+use sim_core::lock::MutexGuard;
 use sim_core::san;
 
 use crate::comm::Comm;
@@ -45,6 +57,16 @@ use crate::proto::{CollAlgo, ReqId, SeededBug};
 /// reductions by segment, so the window is far wider than the handful of
 /// rounds a flat binomial needs.
 pub(crate) const TAGS_PER_COLL: u32 = 16384;
+
+/// Nonblocking exchanges a collective keeps in flight per rank (pairwise
+/// alltoall steps, leader fan-in/out messages, pipeline segments). Bounds
+/// the fabric-wide request count that grows as P² in the naive alltoall.
+pub(crate) const MAX_INFLIGHT: usize = 4;
+
+/// Segment size, bytes, of the pipelined reductions (pack → intra-node
+/// combine → wire per segment). A multiple of every primitive size, so a
+/// segment boundary never splits an element.
+pub(crate) const PIPELINE_CHUNK: usize = 64 << 10;
 
 /// Predefined reduction operators.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
@@ -86,397 +108,455 @@ impl ReduceOp {
     }
 }
 
-pub(crate) fn coll_wait(eng: &mut Engine, ids: Vec<ReqId>) {
-    loop {
-        eng.progress();
-        let all = ids.iter().all(|&id| {
-            if eng.is_send(id) {
-                eng.send_done(id)
-            } else {
-                eng.recv_done(id).is_some()
+/// What a reduction does with two packed operands: `op`, elementwise, on
+/// values of the primitive `dtype`.
+#[derive(Copy, Clone)]
+pub(crate) struct Fold<'a> {
+    pub(crate) op: ReduceOp,
+    pub(crate) dtype: &'a Datatype,
+}
+
+impl Fold<'_> {
+    /// Elementwise `acc[i] = op(acc[i], inc[i])` on packed little-endian
+    /// primitive values. Rejects operand lengths that disagree or are not a
+    /// multiple of the primitive size — a silent `chunks_exact` skip here
+    /// would drop trailing elements of a mis-sized segment instead of
+    /// surfacing the bug.
+    pub(crate) fn combine(&self, acc: &mut [u8], inc: &[u8]) {
+        fn fold_slice<T>(op: ReduceOp, acc: &mut [u8], inc: &[u8])
+        where
+            T: Scalar + PartialOrd + std::ops::Add<Output = T> + std::ops::Mul<Output = T>,
+        {
+            for (a, b) in acc.chunks_exact_mut(T::SIZE).zip(inc.chunks_exact(T::SIZE)) {
+                let v = op.fold(T::read_le(a), T::read_le(b));
+                v.write_le(a);
             }
-        });
-        if all {
-            break;
         }
-        eng.idle_block();
-    }
-    for id in ids {
-        if eng.is_send(id) {
-            eng.reap_send(id);
-        } else {
-            eng.reap_recv(id);
-        }
-    }
-}
-
-/// Elementwise `acc[i] = op(acc[i], inc[i])` on packed little-endian
-/// primitive values. Rejects operand lengths that disagree or are not a
-/// multiple of the primitive size — a silent `chunks_exact` skip here
-/// would drop trailing elements of a mis-sized segment instead of
-/// surfacing the bug.
-pub(crate) fn combine_bytes(op: ReduceOp, dtype: &Datatype, acc: &mut [u8], inc: &[u8]) {
-    fn fold_slice<T>(op: ReduceOp, acc: &mut [u8], inc: &[u8])
-    where
-        T: Scalar + PartialOrd + std::ops::Add<Output = T> + std::ops::Mul<Output = T>,
-    {
-        for (a, b) in acc.chunks_exact_mut(T::SIZE).zip(inc.chunks_exact(T::SIZE)) {
-            let v = op.fold(T::read_le(a), T::read_le(b));
-            v.write_le(a);
-        }
-    }
-    let name = dtype
-        .primitive_name()
-        .expect("reductions are defined on primitive datatypes");
-    assert_eq!(
-        acc.len(),
-        inc.len(),
-        "reduction operands differ in length: {} vs {} bytes",
-        acc.len(),
-        inc.len()
-    );
-    assert!(
-        acc.len().is_multiple_of(dtype.size()),
-        "reduction byte count {} is not a multiple of the {}-byte primitive {name}",
-        acc.len(),
-        dtype.size()
-    );
-    match name {
-        "MPI_FLOAT" => fold_slice::<f32>(op, acc, inc),
-        "MPI_DOUBLE" => fold_slice::<f64>(op, acc, inc),
-        "MPI_INT" => fold_slice::<i32>(op, acc, inc),
-        "MPI_LONG" => fold_slice::<i64>(op, acc, inc),
-        "MPI_BYTE" | "MPI_CHAR" => fold_slice::<u8>(op, acc, inc),
-        other => panic!("no reduction defined for {other}"),
-    }
-}
-
-/// A committed byte datatype (scratch traffic is always packed bytes).
-pub(crate) fn byte_dt() -> Datatype {
-    let b = Datatype::byte();
-    b.commit();
-    b
-}
-
-/// Bounded-in-flight request window: pushing a group past `cap` first
-/// waits out (and reaps) the oldest group. Collectives use this instead of
-/// posting every request at once, so a P-wide exchange never holds more
-/// than `cap` operations per rank — the fix for the naive alltoall's P²
-/// fabric-wide request storm.
-pub(crate) struct ReqWindow {
-    cap: usize,
-    q: VecDeque<Vec<ReqId>>,
-}
-
-impl ReqWindow {
-    pub(crate) fn new(cap: usize) -> Self {
-        ReqWindow {
-            cap: cap.max(1),
-            q: VecDeque::new(),
-        }
-    }
-
-    pub(crate) fn push(&mut self, eng: &mut Engine, ids: Vec<ReqId>) {
-        if self.q.len() == self.cap {
-            let old = self.q.pop_front().unwrap();
-            coll_wait(eng, old);
-        }
-        self.q.push_back(ids);
-    }
-
-    pub(crate) fn drain(&mut self, eng: &mut Engine) {
-        let ids: Vec<ReqId> = self.q.drain(..).flatten().collect();
-        if !ids.is_empty() {
-            coll_wait(eng, ids);
+        let (op, dtype) = (self.op, self.dtype);
+        let name = dtype
+            .primitive_name()
+            .expect("reductions are defined on primitive datatypes");
+        assert_eq!(
+            acc.len(),
+            inc.len(),
+            "reduction operands differ in length: {} vs {} bytes",
+            acc.len(),
+            inc.len()
+        );
+        assert!(
+            acc.len().is_multiple_of(dtype.size()),
+            "reduction byte count {} is not a multiple of the {}-byte primitive {name}",
+            acc.len(),
+            dtype.size()
+        );
+        match name {
+            "MPI_FLOAT" => fold_slice::<f32>(op, acc, inc),
+            "MPI_DOUBLE" => fold_slice::<f64>(op, acc, inc),
+            "MPI_INT" => fold_slice::<i32>(op, acc, inc),
+            "MPI_LONG" => fold_slice::<i64>(op, acc, inc),
+            "MPI_BYTE" | "MPI_CHAR" => fold_slice::<u8>(op, acc, inc),
+            other => panic!("no reduction defined for {other}"),
         }
     }
 }
 
-/// The packed host bytes of `(buf, count, dtype)`. A contiguous host
-/// buffer is read directly; anything else (device memory, derived layouts)
-/// is staged through a loopback self-message, which runs the real
-/// pack-to-host pipeline — GPU reductions pay the same staging cost the
-/// paper's point-to-point path does.
-pub(crate) fn stage_to_host(
-    eng: &mut Engine,
-    me_world: usize,
-    buf: &Loc,
-    count: usize,
-    dtype: &Datatype,
-    tag: u32,
-    ctx: u16,
-) -> Vec<u8> {
-    let bytes = count * dtype.size();
-    if let Loc::Host(p) = buf {
-        if dtype.primitive_name().is_some() {
-            return p.read(bytes);
-        }
-    }
-    let byte = byte_dt();
-    let scratch = HostBuf::alloc(bytes);
-    let s = eng.isend(buf.clone(), count, dtype, me_world, tag, ctx);
-    let r = eng.irecv(
-        Loc::Host(scratch.base()),
-        bytes,
-        &byte,
-        SrcSel(Some(me_world)),
-        TagSel(Some(tag)),
-        ctx,
-    );
-    coll_wait(eng, vec![s, r]);
-    scratch.read(0, bytes)
-}
-
-/// Deliver packed host bytes into `(buf, count, dtype)` — the inverse of
-/// [`stage_to_host`]: direct write for contiguous host buffers, loopback
-/// repack (host staging → device scatter) for everything else.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn deliver_from_host(
-    eng: &mut Engine,
-    me_world: usize,
-    data: &[u8],
-    buf: &Loc,
-    count: usize,
-    dtype: &Datatype,
-    tag: u32,
-    ctx: u16,
-) {
-    if let Loc::Host(p) = buf {
-        if dtype.primitive_name().is_some() {
-            p.write(data);
-            return;
-        }
-    }
-    let byte = byte_dt();
-    let scratch = HostBuf::from_vec(data.to_vec());
-    let s = eng.isend(
-        Loc::Host(scratch.base()),
-        data.len(),
-        &byte,
-        me_world,
-        tag,
-        ctx,
-    );
-    let r = eng.irecv(
-        buf.clone(),
-        count,
-        dtype,
-        SrcSel(Some(me_world)),
-        TagSel(Some(tag)),
-        ctx,
-    );
-    coll_wait(eng, vec![s, r]);
-}
-
-/// True when `(loc, dtype)` can be copied with plain host reads/writes —
-/// host memory and a primitive datatype. Everything else (device buffers,
-/// derived datatypes) must round-trip through the engine's pack pipeline.
+/// The host pointer behind `(loc, dtype)` when it can be copied with plain
+/// host reads and writes — host memory and a primitive datatype. Everything
+/// else (device buffers, derived datatypes) must round-trip through the
+/// engine's pack pipeline.
 ///
 /// Node-leader algorithms use this to splice the leader's *own* blocks
 /// into an aggregate without a loopback self-send: self-sends ride the HCA
 /// loopback path (see `transport_for`), so leaving them in would bill the
 /// leader's node-local bookkeeping to the wire and distort the byte
 /// accounting the hierarchy exists to improve.
-pub(crate) fn host_direct(loc: &Loc, dtype: &Datatype) -> bool {
-    matches!(loc, Loc::Host(_)) && dtype.primitive_name().is_some()
-}
-
-/// Read the `bytes`-long block at byte displacement `displ` of a
-/// [`host_direct`] buffer.
-pub(crate) fn read_host_block(loc: &Loc, displ: usize, bytes: usize) -> Vec<u8> {
+fn host_direct<'a>(loc: &'a Loc, dtype: &Datatype) -> Option<&'a HostPtr> {
     match loc {
-        Loc::Host(p) => p.add(displ).read(bytes),
-        Loc::Device(_) => unreachable!("read_host_block on a device buffer"),
+        Loc::Host(p) if dtype.primitive_name().is_some() => Some(p),
+        _ => None,
     }
 }
 
-/// Write `data` at byte displacement `displ` of a [`host_direct`] buffer.
-pub(crate) fn write_host_block(loc: &Loc, displ: usize, data: &[u8]) {
-    match loc {
-        Loc::Host(p) => p.add(displ).write(data),
-        Loc::Device(_) => unreachable!("write_host_block on a device buffer"),
+/// One side of a v-collective: peer `j`'s block is `counts[j]` elements of
+/// `dtype` at **byte** displacement `displs[j]` of `buf`.
+pub(crate) struct Blocks<'a> {
+    buf: &'a Loc,
+    pub(crate) counts: Cow<'a, [usize]>,
+    pub(crate) displs: Cow<'a, [usize]>,
+    pub(crate) dtype: &'a Datatype,
+}
+
+impl<'a> Blocks<'a> {
+    pub(crate) fn new(
+        buf: &'a Loc,
+        counts: &'a [usize],
+        displs: &'a [usize],
+        dtype: &'a Datatype,
+    ) -> Self {
+        Blocks {
+            buf,
+            counts: counts.into(),
+            displs: displs.into(),
+            dtype,
+        }
+    }
+
+    /// `n` blocks of `count` elements, `count * extent` bytes apart — the
+    /// layout of the non-v collectives.
+    pub(crate) fn uniform(buf: &'a Loc, n: usize, count: usize, dtype: &'a Datatype) -> Self {
+        let ext = dtype.extent();
+        assert!(
+            ext > 0,
+            "a collective over uniform blocks needs a positive-extent datatype"
+        );
+        Blocks {
+            buf,
+            counts: vec![count; n].into(),
+            displs: (0..n).map(|j| j * count * ext as usize).collect(),
+            dtype,
+        }
+    }
+
+    /// Packed size of peer `j`'s block.
+    pub(crate) fn bytes(&self, j: usize) -> usize {
+        self.counts[j] * self.dtype.size()
+    }
+
+    /// Where peer `j`'s block starts, as `counts[j]` elements of `dtype`.
+    pub(crate) fn block(&self, j: usize) -> Loc {
+        self.buf.add(self.displs[j])
+    }
+
+    /// One message covering the listed peers' blocks in the order given: an
+    /// `hindexed` view of the non-empty ones over the whole buffer, or a
+    /// zero-byte message when there are none.
+    pub(crate) fn view(&self, peers: impl IntoIterator<Item = usize>) -> (Loc, usize, Datatype) {
+        let blocks: Vec<(usize, isize)> = peers
+            .into_iter()
+            .filter(|&j| self.counts[j] > 0)
+            .map(|j| (self.counts[j], self.displs[j] as isize))
+            .collect();
+        if blocks.is_empty() {
+            let byte = Datatype::byte();
+            byte.commit();
+            return (Loc::Host(HostBuf::alloc(0).base()), 0, byte);
+        }
+        let dt = Datatype::hindexed(&blocks, self.dtype);
+        dt.commit();
+        (self.buf.clone(), 1, dt)
+    }
+
+    /// The buffer as plain host memory, when [`host_direct`] allows; peer
+    /// `j`'s block is then `bytes(j)` bytes at `host.add(displs[j])`.
+    pub(crate) fn host(&self) -> Option<&HostPtr> {
+        host_direct(self.buf, self.dtype)
     }
 }
 
-/// Binomial-tree broadcast of `(buf, count, dtype)` over `members` (group
-/// ranks), rooted at `members[ri]`. No-op for ranks outside `members`.
-/// User buffers only — device-capable because every hop is an engine
-/// transfer.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn binomial_bcast_loc(
-    c: &Comm,
-    eng: &mut Engine,
-    members: &[usize],
-    ri: usize,
-    buf: &Loc,
-    count: usize,
-    dtype: &Datatype,
+/// This rank's place in a binomial tree over a member list: whom it hears
+/// from first (broadcast) or reports to last (reduce), and its children in
+/// ascending-mask order. A rank outside the list has neither.
+#[derive(Default)]
+pub(crate) struct Tree {
+    parent: Option<usize>,
+    children: Vec<usize>,
+}
+
+impl Tree {
+    /// The tree over `members` (group ranks) rooted at member `root`, seen
+    /// from `me`. Virtual rank `v` (position relative to the root) reports
+    /// to `v` with its lowest set bit cleared and parents `v + mask` for
+    /// every lower `mask`.
+    pub(crate) fn binomial(members: &[usize], root: usize, me: usize) -> Tree {
+        let n = members.len();
+        let pos = |g: usize| members.iter().position(|&m| m == g);
+        let Some(mi) = pos(me) else {
+            return Tree::default();
+        };
+        let ri = pos(root).expect("a tree's root is one of its members");
+        let vrank = (mi + n - ri) % n;
+        let at = |v: usize| members[(v + ri) % n];
+        let lsb = match vrank {
+            0 => usize::MAX,
+            v => 1 << v.trailing_zeros(),
+        };
+        let mut children = Vec::new();
+        let mut mask = 1;
+        while mask < lsb && vrank + mask < n {
+            children.push(at(vrank + mask));
+            mask <<= 1;
+        }
+        Tree {
+            parent: (vrank != 0).then(|| at(vrank - lsb)),
+            children,
+        }
+    }
+}
+
+/// One collective call on one rank: the engine (held for the whole call),
+/// the communicator, the call's tag window and its MPI name. Algorithms
+/// address peers by **group rank** and messages by **tag offset**; the
+/// translation to world ranks, selectors and the collective context
+/// happens here and nowhere else.
+pub(crate) struct Coll<'a> {
+    comm: &'a Comm,
+    eng: MutexGuard<'a, Engine>,
     tag: u32,
-    ctx: u16,
-) {
-    let n = members.len();
-    let me = c.rank();
-    let Some(mi) = members.iter().position(|&g| g == me) else {
-        return;
-    };
-    if n <= 1 {
-        return;
-    }
-    let vrank = (mi + n - ri) % n;
-    let world = |v: usize| c.world_rank_of(members[(v + ri) % n]);
-    let mut mask = 1usize;
-    while mask < n {
-        if vrank & mask != 0 {
-            let src = world(vrank - mask);
-            let id = eng.irecv(
-                buf.clone(),
-                count,
-                dtype,
-                SrcSel(Some(src)),
-                TagSel(Some(tag)),
-                ctx,
-            );
-            coll_wait(eng, vec![id]);
-            break;
-        }
-        mask <<= 1;
-    }
-    mask >>= 1;
-    while mask > 0 {
-        if vrank & mask == 0 && vrank + mask < n {
-            let dst = world(vrank + mask);
-            let id = eng.isend(buf.clone(), count, dtype, dst, tag, ctx);
-            coll_wait(eng, vec![id]);
-        }
-        mask >>= 1;
-    }
+    name: &'static str,
+    /// Scratch traffic is packed bytes; one committed byte type serves the
+    /// whole call.
+    byte: Datatype,
 }
 
-/// Binomial-tree broadcast of packed host bytes over `members` (group
-/// ranks), rooted at `members[ri]`: `data` must hold the payload on the
-/// root and is overwritten with it everywhere else.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn binomial_bcast_bytes(
-    c: &Comm,
-    eng: &mut Engine,
-    members: &[usize],
-    ri: usize,
-    data: &mut [u8],
-    tag: u32,
-    ctx: u16,
-) {
-    let n = members.len();
-    let me = c.rank();
-    let Some(mi) = members.iter().position(|&g| g == me) else {
-        return;
-    };
-    if n <= 1 {
-        return;
-    }
-    let byte = byte_dt();
-    let bytes = data.len();
-    let vrank = (mi + n - ri) % n;
-    let world = |v: usize| c.world_rank_of(members[(v + ri) % n]);
-    let wire = HostBuf::alloc(bytes);
-    if vrank == 0 {
-        wire.write(0, data);
-    }
-    let mut mask = 1usize;
-    while mask < n {
-        if vrank & mask != 0 {
-            let src = world(vrank - mask);
-            let id = eng.irecv(
-                Loc::Host(wire.base()),
-                bytes,
-                &byte,
-                SrcSel(Some(src)),
-                TagSel(Some(tag)),
-                ctx,
-            );
-            coll_wait(eng, vec![id]);
-            data.copy_from_slice(&wire.read(0, bytes));
-            break;
+impl<'a> Coll<'a> {
+    /// Open a collective on `comm` under `eng` (the caller's guard:
+    /// `sim_core::lock::Mutex` is not re-entrant): draw its tag window and
+    /// commit its byte type.
+    fn begin(comm: &'a Comm, eng: MutexGuard<'a, Engine>, name: &'static str) -> Self {
+        let byte = Datatype::byte();
+        byte.commit();
+        Coll {
+            comm,
+            eng,
+            tag: comm.next_coll_tag(),
+            name,
+            byte,
         }
-        mask <<= 1;
     }
-    mask >>= 1;
-    while mask > 0 {
-        if vrank & mask == 0 && vrank + mask < n {
-            let dst = world(vrank + mask);
-            let id = eng.isend(Loc::Host(wire.base()), bytes, &byte, dst, tag, ctx);
-            coll_wait(eng, vec![id]);
-        }
-        mask >>= 1;
-    }
-}
 
-/// Binomial-tree reduction of packed host bytes over `members` (group
-/// ranks), rooted at `members[ri]`: every participant contributes `acc`;
-/// on the root, `acc` holds the folded result on return. Child receives
-/// are double-buffered — the next child's wire time overlaps the previous
-/// child's combine.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn binomial_reduce_bytes(
-    c: &Comm,
-    eng: &mut Engine,
-    members: &[usize],
-    ri: usize,
-    acc: &mut [u8],
-    dtype: &Datatype,
-    op: ReduceOp,
-    tag: u32,
-    ctx: u16,
-) {
-    let n = members.len();
-    let me = c.rank();
-    let Some(mi) = members.iter().position(|&g| g == me) else {
-        return;
-    };
-    if n <= 1 {
-        return;
+    pub(crate) fn rank(&self) -> usize {
+        self.comm.rank()
     }
-    let byte = byte_dt();
-    let bytes = acc.len();
-    let vrank = (mi + n - ri) % n;
-    let world = |v: usize| c.world_rank_of(members[(v + ri) % n]);
-    let lsb = if vrank == 0 {
-        usize::MAX
-    } else {
-        1 << vrank.trailing_zeros()
-    };
-    let scratch = [HostBuf::alloc(bytes), HostBuf::alloc(bytes)];
-    let mut pending: Option<(ReqId, usize)> = None;
-    let mut bank = 0usize;
-    let mut mask = 1usize;
-    while mask < n && mask < lsb {
-        if vrank + mask < n {
-            let child = world(vrank + mask);
-            let id = eng.irecv(
-                Loc::Host(scratch[bank].base()),
-                bytes,
-                &byte,
-                SrcSel(Some(child)),
-                TagSel(Some(tag)),
-                ctx,
-            );
-            if let Some((prev, pb)) = pending.take() {
-                coll_wait(eng, vec![prev]);
-                combine_bytes(op, dtype, acc, &scratch[pb].read(0, bytes));
+
+    pub(crate) fn size(&self) -> usize {
+        self.comm.size()
+    }
+
+    /// Post a send of `(buf, count, dtype)` to group rank `to`.
+    pub(crate) fn send(
+        &mut self,
+        buf: Loc,
+        count: usize,
+        dtype: &Datatype,
+        to: usize,
+        t: u32,
+    ) -> ReqId {
+        let dst = self.comm.world_rank_of(to);
+        let ctx = self.comm.coll_ctx();
+        self.eng.isend(buf, count, dtype, dst, self.tag + t, ctx)
+    }
+
+    /// Post a receive into `(buf, count, dtype)` from group rank `from`.
+    pub(crate) fn recv(
+        &mut self,
+        buf: Loc,
+        count: usize,
+        dtype: &Datatype,
+        from: usize,
+        t: u32,
+    ) -> ReqId {
+        let src = SrcSel(Some(self.comm.world_rank_of(from)));
+        let ctx = self.comm.coll_ctx();
+        self.eng
+            .irecv(buf, count, dtype, src, TagSel(Some(self.tag + t)), ctx)
+    }
+
+    /// Post a send of the `len` packed bytes at `off` of `buf`.
+    pub(crate) fn send_bytes(
+        &mut self,
+        buf: &HostBuf,
+        off: usize,
+        len: usize,
+        to: usize,
+        t: u32,
+    ) -> ReqId {
+        let byte = self.byte.clone();
+        self.send(Loc::Host(buf.ptr(off)), len, &byte, to, t)
+    }
+
+    /// Post a receive of `len` packed bytes into `buf` at `off`.
+    pub(crate) fn recv_bytes(
+        &mut self,
+        buf: &HostBuf,
+        off: usize,
+        len: usize,
+        from: usize,
+        t: u32,
+    ) -> ReqId {
+        let byte = self.byte.clone();
+        self.recv(Loc::Host(buf.ptr(off)), len, &byte, from, t)
+    }
+
+    /// Block until every request in `ids` has finished, then reap them. A
+    /// request that failed (retries exhausted on a fault-injecting fabric)
+    /// fails the collective by name.
+    pub(crate) fn wait(&mut self, ids: Vec<ReqId>) {
+        self.eng
+            .block_until(|eng| ids.iter().all(|&id| eng.req_done(id)).then_some(()));
+        for id in ids {
+            if let Err(e) = self.eng.reap(id) {
+                panic!("{} failed: {e}", self.name);
             }
-            pending = Some((id, bank));
-            bank ^= 1;
         }
-        mask <<= 1;
     }
-    if let Some((prev, pb)) = pending.take() {
-        coll_wait(eng, vec![prev]);
-        combine_bytes(op, dtype, acc, &scratch[pb].read(0, bytes));
+
+    /// The packed host bytes of `(buf, count, dtype)`. A contiguous host
+    /// buffer is read directly; anything else (device memory, derived
+    /// layouts) is staged through a loopback self-message, which runs the
+    /// real pack-to-host pipeline — GPU reductions pay the same staging
+    /// cost the paper's point-to-point path does.
+    pub(crate) fn stage(&mut self, buf: &Loc, count: usize, dtype: &Datatype, t: u32) -> Vec<u8> {
+        let bytes = count * dtype.size();
+        if let Some(p) = host_direct(buf, dtype) {
+            return p.read(bytes);
+        }
+        let me = self.rank();
+        let scratch = HostBuf::alloc(bytes);
+        let s = self.send(buf.clone(), count, dtype, me, t);
+        let r = self.recv_bytes(&scratch, 0, bytes, me, t);
+        self.wait(vec![s, r]);
+        scratch.read(0, bytes)
     }
-    if vrank != 0 {
-        let parent = world(vrank - lsb);
-        let out = HostBuf::from_vec(acc.to_vec());
-        let id = eng.isend(Loc::Host(out.base()), bytes, &byte, parent, tag, ctx);
-        coll_wait(eng, vec![id]);
+
+    /// Deliver packed host bytes into `(buf, count, dtype)` — the inverse
+    /// of [`stage`](Coll::stage): direct write for contiguous host
+    /// buffers, loopback repack (host staging → device scatter) for
+    /// everything else.
+    pub(crate) fn deliver(
+        &mut self,
+        data: &[u8],
+        buf: &Loc,
+        count: usize,
+        dtype: &Datatype,
+        t: u32,
+    ) {
+        if let Some(p) = host_direct(buf, dtype) {
+            p.write(data);
+            return;
+        }
+        let me = self.rank();
+        let scratch = HostBuf::from_vec(data.to_vec());
+        let s = self.send_bytes(&scratch, 0, data.len(), me, t);
+        let r = self.recv(buf.clone(), count, dtype, me, t);
+        self.wait(vec![s, r]);
+    }
+
+    /// Fold one packed contribution from every rank in `sources`, in order,
+    /// into `acc`. Receives are double-buffered: the next source's receive
+    /// is posted before the previous one's bytes are combined, so transfer
+    /// and combine overlap instead of serializing.
+    pub(crate) fn fold_from(
+        &mut self,
+        sources: impl Iterator<Item = usize>,
+        acc: &mut [u8],
+        fold: Fold,
+        t: u32,
+    ) {
+        let bytes = acc.len();
+        let scratch = [HostBuf::alloc(bytes), HostBuf::alloc(bytes)];
+        let mut pending: Option<(ReqId, usize)> = None;
+        for (i, src) in sources.map(Some).chain([None]).enumerate() {
+            let next = src.map(|src| (self.recv_bytes(&scratch[i % 2], 0, bytes, src, t), i % 2));
+            if let Some((prev, bank)) = std::mem::replace(&mut pending, next) {
+                self.wait(vec![prev]);
+                fold.combine(acc, &scratch[bank].read(0, bytes));
+            }
+        }
+    }
+
+    /// Broadcast `(buf, count, dtype)` down `tree`: receive from the
+    /// parent, then feed the children, farthest subtree first. User buffers
+    /// work as they are — device-capable because every hop is an engine
+    /// transfer.
+    pub(crate) fn bcast_over(
+        &mut self,
+        tree: &Tree,
+        buf: &Loc,
+        count: usize,
+        dtype: &Datatype,
+        t: u32,
+    ) {
+        if let Some(parent) = tree.parent {
+            let id = self.recv(buf.clone(), count, dtype, parent, t);
+            self.wait(vec![id]);
+        }
+        for &child in tree.children.iter().rev() {
+            let id = self.send(buf.clone(), count, dtype, child, t);
+            self.wait(vec![id]);
+        }
+    }
+
+    /// Broadcast packed host bytes down `tree`: `data` holds the payload on
+    /// the root and is overwritten with it everywhere else.
+    pub(crate) fn bcast_bytes_over(&mut self, tree: &Tree, data: &mut [u8], t: u32) {
+        let wire = HostBuf::from_vec(data.to_vec());
+        let byte = self.byte.clone();
+        self.bcast_over(tree, &Loc::Host(wire.base()), data.len(), &byte, t);
+        wire.read_into(0, data);
+    }
+
+    /// Reduce packed host bytes up `tree`: every member contributes `acc`;
+    /// on the root, `acc` holds the folded result on return.
+    pub(crate) fn reduce_over(&mut self, tree: &Tree, acc: &mut [u8], fold: Fold, t: u32) {
+        self.fold_from(tree.children.iter().copied(), acc, fold, t);
+        if let Some(parent) = tree.parent {
+            let out = HostBuf::from_vec(acc.to_vec());
+            let id = self.send_bytes(&out, 0, acc.len(), parent, t);
+            self.wait(vec![id]);
+        }
+    }
+}
+
+/// Bounded-in-flight request window: pushing a group past
+/// [`MAX_INFLIGHT`] first waits out (and reaps) the oldest group.
+/// Collectives use this instead of posting every request at once, so a
+/// P-wide exchange never holds more than that many operations per rank —
+/// the fix for the naive alltoall's P² fabric-wide request storm.
+#[derive(Default)]
+pub(crate) struct ReqWindow {
+    q: VecDeque<Vec<ReqId>>,
+}
+
+impl ReqWindow {
+    pub(crate) fn push(&mut self, cx: &mut Coll, ids: Vec<ReqId>) {
+        if self.q.len() == MAX_INFLIGHT {
+            let old = self
+                .q
+                .pop_front()
+                .expect("a full window has an oldest group");
+            cx.wait(old);
+        }
+        self.q.push_back(ids);
+    }
+
+    pub(crate) fn drain(&mut self, cx: &mut Coll) {
+        let ids: Vec<ReqId> = self.q.drain(..).flatten().collect();
+        if !ids.is_empty() {
+            cx.wait(ids);
+        }
+    }
+}
+
+/// Which algorithms serve one call: the configured family, with `Hier`
+/// resolved against the communicator's actual shape.
+enum Family {
+    Naive,
+    Flat,
+    Hier(hier::Hierarchy),
+}
+
+/// Dissemination barrier: in round `r` every rank signals the rank `2^r`
+/// ahead and hears from the one `2^r` behind.
+fn dissemination(mut cx: Coll) {
+    let (rank, size) = (cx.rank(), cx.size());
+    let empty = HostBuf::alloc(0);
+    let (mut k, mut round) = (1, 0);
+    while k < size {
+        let s = cx.send_bytes(&empty, 0, 0, (rank + k) % size, round);
+        let r = cx.recv_bytes(&empty, 0, 0, (rank + size - k) % size, round);
+        cx.wait(vec![s, r]);
+        k *= 2;
+        round += 1;
     }
 }
 
@@ -485,26 +565,39 @@ impl Comm {
         self.engine().lock().cfg.coll.algo
     }
 
-    fn coll_window(&self) -> usize {
-        self.engine().lock().cfg.coll.max_inflight
+    /// Enter a collective: take the engine, record the call, open its
+    /// [`Coll`].
+    fn enter(&self, name: &'static str) -> Coll<'_> {
+        let eng = self.engine().lock();
+        eng.counters.record(name);
+        Coll::begin(self, eng, name)
     }
 
-    /// Resolve the hierarchical path: `Some(hierarchy)` when the
-    /// configured algorithm is `Hier` and this communicator actually
-    /// spans multiple nodes with at least one shared node — otherwise the
-    /// flat path is the right (and identical-cost) choice.
-    fn hier_path(&self) -> Option<hier::Hierarchy> {
-        if self.coll_algo() != CollAlgo::Hier {
-            return None;
-        }
-        let h = hier::Hierarchy::build(self);
-        h.beneficial().then_some(h)
+    /// [`enter`](Comm::enter), plus the family that serves the call. The
+    /// hierarchical algorithms apply only when the configured family is
+    /// `Hier` and this communicator actually spans multiple nodes with at
+    /// least one shared node — otherwise the flat path is the right (and
+    /// identical-cost) choice.
+    fn enter_family(&self, name: &'static str) -> (Coll<'_>, Family) {
+        let cx = self.enter(name);
+        let family = match cx.eng.cfg.coll.algo {
+            CollAlgo::Naive => Family::Naive,
+            CollAlgo::Flat => Family::Flat,
+            CollAlgo::Hier => {
+                let h = hier::Hierarchy::build(self, &cx.eng);
+                if h.beneficial() {
+                    Family::Hier(h)
+                } else {
+                    Family::Flat
+                }
+            }
+        };
+        (cx, family)
     }
 
     /// `MPI_Barrier` (dissemination algorithm).
     pub fn barrier(&self) {
-        self.engine().lock().counters.record("MPI_Barrier");
-        self.dissemination();
+        dissemination(self.enter("MPI_Barrier"));
     }
 
     /// Post-job quiesce for fault-injecting fabrics (no-op on a clean
@@ -521,69 +614,34 @@ impl Comm {
     /// mailbox and answering replays; a rank can only leave once every
     /// rank has arrived, i.e. once everyone's requests are settled.
     pub fn finalize(&self) {
-        let (faulty, bug_quiesce) = {
-            let eng = self.engine().lock();
-            // Finalize-time invariant checkpoint: this rank must be fully
-            // quiesced (no unreaped requests, staging pools drained).
-            let rank = eng.rank;
-            // Gauges are scoped by the job prefix (empty on a dedicated
-            // fabric), so concurrent jobs' finalize checkpoints stay
-            // independent: each job's invariant only inspects its own
-            // `{prefix}rank{r}` scopes.
-            san::proto_set(
-                &format!("{}rank{rank}", eng.prefix),
-                "live_requests",
-                eng.live_requests() as i64,
-            );
-            san::proto_set(
-                &format!("{}job", eng.prefix),
-                "finalizing_rank",
-                rank as i64,
-            );
-            san::invariant_checkpoint("finalize");
-            let bug = eng.cfg.seeded_bug == Some(SeededBug::FinalizeQuiesce);
-            (eng.is_faulty(), bug)
-        };
-        if !faulty {
+        let eng = self.engine().lock();
+        // Finalize-time invariant checkpoint: this rank must be fully
+        // quiesced (no unreaped requests, staging pools drained).
+        let rank = eng.rank;
+        // Gauges are scoped by the job prefix (empty on a dedicated
+        // fabric), so concurrent jobs' finalize checkpoints stay
+        // independent: each job's invariant only inspects its own
+        // `{prefix}rank{r}` scopes.
+        san::proto_set(
+            &format!("{}rank{rank}", eng.prefix),
+            "live_requests",
+            eng.live_requests() as i64,
+        );
+        san::proto_set(
+            &format!("{}job", eng.prefix),
+            "finalizing_rank",
+            rank as i64,
+        );
+        san::invariant_checkpoint("finalize");
+        if !eng.is_faulty() {
             return;
         }
-        if bug_quiesce {
+        if eng.cfg.seeded_bug == Some(SeededBug::FinalizeQuiesce) {
             // Reintroduced liveness bug: skip the post-job dissemination, so
             // a finished rank stops answering its peers' protocol replays.
             return;
         }
-        self.dissemination();
-    }
-
-    fn dissemination(&self) {
-        let (rank, size) = (self.rank(), self.size());
-        let base = self.next_coll_tag();
-        let ctx = self.coll_ctx();
-        let mut eng = self.engine().lock();
-        if size == 1 {
-            return;
-        }
-        let empty = HostBuf::alloc(0);
-        let byte = Datatype::byte();
-        byte.commit();
-        let mut k = 1;
-        let mut round = 0u32;
-        while k < size {
-            let dst = self.world_rank_of((rank + k) % size);
-            let src = self.world_rank_of((rank + size - k) % size);
-            let s = eng.isend(Loc::Host(empty.base()), 0, &byte, dst, base + round, ctx);
-            let r = eng.irecv(
-                Loc::Host(empty.base()),
-                0,
-                &byte,
-                SrcSel(Some(src)),
-                TagSel(Some(base + round)),
-                ctx,
-            );
-            coll_wait(&mut eng, vec![s, r]);
-            k *= 2;
-            round += 1;
-        }
+        dissemination(Coll::begin(self, eng, "MPI_Finalize"));
     }
 
     /// `MPI_Bcast` from `root` (group rank): binomial tree on the flat
@@ -591,15 +649,10 @@ impl Comm {
     /// hierarchical one. Works on host and device buffers.
     pub fn bcast(&self, buf: impl Into<Loc>, count: usize, dtype: &Datatype, root: usize) {
         let buf = buf.into();
-        self.engine().lock().counters.record("MPI_Bcast");
-        if self.size() == 1 {
-            return;
-        }
-        let tag = self.next_coll_tag();
-        let ctx = self.coll_ctx();
-        match self.hier_path() {
-            Some(h) => hier::bcast(self, &h, &buf, count, dtype, root, tag, ctx),
-            None => flat::bcast(self, &buf, count, dtype, root, tag, ctx),
+        let (mut cx, family) = self.enter_family("MPI_Bcast");
+        match family {
+            Family::Hier(h) => hier::bcast(&mut cx, &h, &buf, count, dtype, root),
+            _ => flat::bcast(&mut cx, &buf, count, dtype, root, 0),
         }
     }
 
@@ -619,12 +672,11 @@ impl Comm {
         root: usize,
     ) {
         let (sendbuf, recvbuf) = (sendbuf.into(), recvbuf.into());
-        self.engine().lock().counters.record("MPI_Gather");
-        let tag = self.next_coll_tag();
-        let ctx = self.coll_ctx();
-        match self.hier_path() {
-            Some(h) => hier::gather(self, &h, &sendbuf, &recvbuf, count, dtype, root, tag, ctx),
-            None => flat::gather(self, &sendbuf, &recvbuf, count, dtype, root, tag, ctx),
+        let (mut cx, family) = self.enter_family("MPI_Gather");
+        let recv = Blocks::uniform(&recvbuf, self.size(), count, dtype);
+        match family {
+            Family::Hier(h) => hier::gather(&mut cx, &h, &sendbuf, &recv, root),
+            _ => flat::gather(&mut cx, &sendbuf, &recv, root),
         }
     }
 
@@ -641,12 +693,11 @@ impl Comm {
         root: usize,
     ) {
         let (sendbuf, recvbuf) = (sendbuf.into(), recvbuf.into());
-        self.engine().lock().counters.record("MPI_Scatter");
-        let tag = self.next_coll_tag();
-        let ctx = self.coll_ctx();
-        match self.hier_path() {
-            Some(h) => hier::scatter(self, &h, &sendbuf, &recvbuf, count, dtype, root, tag, ctx),
-            None => flat::scatter(self, &sendbuf, &recvbuf, count, dtype, root, tag, ctx),
+        let (mut cx, family) = self.enter_family("MPI_Scatter");
+        let send = Blocks::uniform(&sendbuf, self.size(), count, dtype);
+        match family {
+            Family::Hier(h) => hier::scatter(&mut cx, &h, &send, &recvbuf, root),
+            _ => flat::scatter(&mut cx, &send, &recvbuf, root),
         }
     }
 
@@ -666,27 +717,12 @@ impl Comm {
         let (sendbuf, recvbuf) = (sendbuf.into(), recvbuf.into());
         if self.coll_algo() == CollAlgo::Naive {
             // The seed algorithm: funnel everything through rank 0, twice.
-            let n = self.size();
             self.gather(sendbuf, recvbuf.clone(), count, dtype, 0);
-            self.bcast(recvbuf, n * count, dtype, 0);
+            self.bcast(recvbuf, self.size() * count, dtype, 0);
             return;
         }
-        self.engine().lock().counters.record("MPI_Allgather");
-        let ext = dtype.extent();
-        assert!(ext > 0, "allgather needs a positive-extent datatype");
-        let n = self.size();
-        let counts = vec![count; n];
-        let displs: Vec<usize> = (0..n).map(|i| i * count * ext as usize).collect();
-        let tag = self.next_coll_tag();
-        let ctx = self.coll_ctx();
-        match self.hier_path() {
-            Some(h) => hier::allgatherv(
-                self, &h, &sendbuf, count, dtype, &recvbuf, &counts, &displs, dtype, tag, ctx,
-            ),
-            None => flat::allgatherv(
-                self, &sendbuf, count, dtype, &recvbuf, &counts, &displs, dtype, tag, ctx,
-            ),
-        }
+        let recv = Blocks::uniform(&recvbuf, self.size(), count, dtype);
+        self.allgatherv_as("MPI_Allgather", &sendbuf, count, dtype, &recv);
     }
 
     /// `MPI_Allgatherv`: rank `j`'s `(sendbuf, scount, sdtype)` lands on
@@ -720,16 +756,22 @@ impl Comm {
             rcounts[self.rank()] * rdtype.size(),
             "allgatherv send and receive sides disagree on my block's bytes"
         );
-        self.engine().lock().counters.record("MPI_Allgatherv");
-        let tag = self.next_coll_tag();
-        let ctx = self.coll_ctx();
-        match self.hier_path() {
-            Some(h) => hier::allgatherv(
-                self, &h, &sendbuf, scount, sdtype, &recvbuf, rcounts, rdispls, rdtype, tag, ctx,
-            ),
-            None => flat::allgatherv(
-                self, &sendbuf, scount, sdtype, &recvbuf, rcounts, rdispls, rdtype, tag, ctx,
-            ),
+        let recv = Blocks::new(&recvbuf, rcounts, rdispls, rdtype);
+        self.allgatherv_as("MPI_Allgatherv", &sendbuf, scount, sdtype, &recv);
+    }
+
+    fn allgatherv_as(
+        &self,
+        name: &'static str,
+        sendbuf: &Loc,
+        scount: usize,
+        sdtype: &Datatype,
+        recv: &Blocks,
+    ) {
+        let (mut cx, family) = self.enter_family(name);
+        match family {
+            Family::Hier(h) => hier::allgatherv(&mut cx, &h, sendbuf, scount, sdtype, recv),
+            _ => flat::allgatherv(&mut cx, sendbuf, scount, sdtype, recv),
         }
     }
 
@@ -748,27 +790,13 @@ impl Comm {
         dtype: &Datatype,
     ) {
         let (sendbuf, recvbuf) = (sendbuf.into(), recvbuf.into());
-        self.engine().lock().counters.record("MPI_Alltoall");
-        let ext = dtype.extent();
-        assert!(ext > 0, "alltoall needs a positive-extent datatype");
-        let tag = self.next_coll_tag();
-        let ctx = self.coll_ctx();
-        if self.coll_algo() == CollAlgo::Naive {
-            flat::naive_alltoall(self, &sendbuf, &recvbuf, count, dtype, tag, ctx);
-            return;
-        }
-        let n = self.size();
-        let counts = vec![count; n];
-        let displs: Vec<usize> = (0..n).map(|i| i * count * ext as usize).collect();
-        match self.hier_path() {
-            Some(h) => hier::alltoallv(
-                self, &h, &sendbuf, &counts, &displs, dtype, &recvbuf, &counts, &displs, dtype,
-                tag, ctx,
-            ),
-            None => flat::alltoallv(
-                self, &sendbuf, &counts, &displs, dtype, &recvbuf, &counts, &displs, dtype, tag,
-                ctx,
-            ),
+        let (mut cx, family) = self.enter_family("MPI_Alltoall");
+        let send = Blocks::uniform(&sendbuf, self.size(), count, dtype);
+        let recv = Blocks::uniform(&recvbuf, self.size(), count, dtype);
+        match family {
+            Family::Naive => flat::naive_alltoall(&mut cx, &send, &recv),
+            Family::Flat => flat::alltoallv(&mut cx, &send, &recv),
+            Family::Hier(h) => hier::alltoallv(&mut cx, &h, &send, &recv),
         }
     }
 
@@ -805,18 +833,12 @@ impl Comm {
             n,
             "alltoallv needs one recv displacement per rank"
         );
-        self.engine().lock().counters.record("MPI_Alltoallv");
-        let tag = self.next_coll_tag();
-        let ctx = self.coll_ctx();
-        match self.hier_path() {
-            Some(h) => hier::alltoallv(
-                self, &h, &sendbuf, scounts, sdispls, sdtype, &recvbuf, rcounts, rdispls, rdtype,
-                tag, ctx,
-            ),
-            None => flat::alltoallv(
-                self, &sendbuf, scounts, sdispls, sdtype, &recvbuf, rcounts, rdispls, rdtype, tag,
-                ctx,
-            ),
+        let (mut cx, family) = self.enter_family("MPI_Alltoallv");
+        let send = Blocks::new(&sendbuf, scounts, sdispls, sdtype);
+        let recv = Blocks::new(&recvbuf, rcounts, rdispls, rdtype);
+        match family {
+            Family::Hier(h) => hier::alltoallv(&mut cx, &h, &send, &recv),
+            _ => flat::alltoallv(&mut cx, &send, &recv),
         }
     }
 
@@ -843,28 +865,20 @@ impl Comm {
             dtype.primitive_name().is_some(),
             "reductions are defined on primitive datatypes"
         );
-        self.engine().lock().counters.record("MPI_Reduce");
-        let tag = self.next_coll_tag();
-        let ctx = self.coll_ctx();
-        match self.coll_algo() {
-            CollAlgo::Naive => {
-                flat::naive_reduce(self, &sendbuf, &recvbuf, count, dtype, op, root, tag, ctx)
-            }
-            _ => match self.hier_path() {
-                Some(h) => hier::reduce(
-                    self, &h, &sendbuf, &recvbuf, count, dtype, op, root, tag, ctx,
-                ),
-                None => flat::reduce(self, &sendbuf, &recvbuf, count, dtype, op, root, tag, ctx),
-            },
+        let fold = Fold { op, dtype };
+        let (mut cx, family) = self.enter_family("MPI_Reduce");
+        match family {
+            Family::Naive => flat::naive_reduce(&mut cx, &sendbuf, &recvbuf, count, fold, root),
+            Family::Flat => flat::reduce(&mut cx, &sendbuf, &recvbuf, count, fold, root),
+            Family::Hier(h) => hier::reduce(&mut cx, &h, &sendbuf, &recvbuf, count, fold, root),
         }
     }
 
     /// `MPI_Allreduce` for primitive datatypes, host and device buffers.
-    /// The hierarchical path pipelines per
-    /// [`CollConfig::pipeline_chunk`](crate::CollConfig) segment: pack →
-    /// shm fan-in and combine at the node leader → one reduced stream per
-    /// node over the wire (leader binomial tree) → shm fan-out, so a
-    /// segment's wire time overlaps the next segment's pack and combine.
+    /// The hierarchical path pipelines per 64 KiB segment: pack → shm
+    /// fan-in and combine at the node leader → one reduced stream per node
+    /// over the wire (leader binomial tree) → shm fan-out, so a segment's
+    /// wire time overlaps the next segment's pack and combine.
     pub fn allreduce(
         &self,
         sendbuf: impl Into<Loc>,
@@ -884,14 +898,13 @@ impl Comm {
             self.bcast(recvbuf, count, dtype, 0);
             return;
         }
-        self.engine().lock().counters.record("MPI_Allreduce");
-        let tag = self.next_coll_tag();
-        let ctx = self.coll_ctx();
-        match self.hier_path() {
-            Some(h) => hier::allreduce(self, &h, &sendbuf, &recvbuf, count, dtype, op, tag, ctx),
-            None => {
-                flat::reduce(self, &sendbuf, &recvbuf, count, dtype, op, 0, tag, ctx);
-                flat::bcast(self, &recvbuf, count, dtype, 0, tag + 512, ctx);
+        let fold = Fold { op, dtype };
+        let (mut cx, family) = self.enter_family("MPI_Allreduce");
+        match family {
+            Family::Hier(h) => hier::allreduce(&mut cx, &h, &sendbuf, &recvbuf, count, fold),
+            _ => {
+                flat::reduce(&mut cx, &sendbuf, &recvbuf, count, fold, 0);
+                flat::bcast(&mut cx, &recvbuf, count, dtype, 0, 512);
             }
         }
     }

@@ -312,20 +312,14 @@ fn all_families_agree_on_all_collectives() {
     }
 }
 
-/// A pipelined hierarchical allreduce spanning many `pipeline_chunk`
+/// A pipelined hierarchical allreduce spanning many [`PIPELINE_CHUNK`]
 /// segments must still fold every element exactly once.
 #[test]
 fn pipelined_allreduce_spans_many_segments() {
-    let mut cfg = MpiConfig {
-        ppn: 4,
-        ..MpiConfig::default()
-    };
-    cfg.coll.pipeline_chunk = 4 << 10; // force ~32 segments
-    cfg.coll.max_inflight = 3;
-    MpiWorld::new(8).with_config(cfg).run(|comm| {
+    world(8, 4, CollAlgo::Hier).run(|comm| {
         let t = Datatype::float();
         t.commit();
-        let n = 32 << 10; // 128 KiB of f32
+        let n = 32 * PIPELINE_CHUNK / 4; // 32 segments of f32
         let me = comm.rank() as f32;
         let vals: Vec<f32> = (0..n).map(|i| (i % 97) as f32 + me).collect();
         let send = HostBuf::from_vec(scalars_to_bytes(&vals));
@@ -556,20 +550,20 @@ fn hier_and_naive_reach_identical_values_but_hier_sheds_hca_bytes() {
     );
 }
 
-// --- combine_bytes strictness --------------------------------------------
+// --- Fold::combine strictness --------------------------------------------
 
 #[test]
 #[should_panic(expected = "reduction operands differ in length")]
 fn combine_rejects_mismatched_lengths() {
-    let t = Datatype::int();
-    combine_bytes(ReduceOp::Sum, &t, &mut [0u8; 8], &[0u8; 4]);
+    let (op, t) = (ReduceOp::Sum, Datatype::int());
+    Fold { op, dtype: &t }.combine(&mut [0u8; 8], &[0u8; 4]);
 }
 
 #[test]
 #[should_panic(expected = "is not a multiple of")]
 fn combine_rejects_partial_elements() {
-    let t = Datatype::int();
-    combine_bytes(ReduceOp::Sum, &t, &mut [0u8; 6], &[0u8; 6]);
+    let (op, t) = (ReduceOp::Sum, Datatype::int());
+    Fold { op, dtype: &t }.combine(&mut [0u8; 6], &[0u8; 6]);
 }
 
 // --- sub-communicators ---------------------------------------------------

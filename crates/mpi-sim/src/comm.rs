@@ -210,44 +210,9 @@ impl Comm {
         self.fix_status(st)
     }
 
-    fn req_done(eng: &Engine, req: &Request) -> bool {
-        if eng.is_send(req.id) {
-            eng.send_done(req.id)
-        } else {
-            eng.recv_finished(req.id)
-        }
-    }
-
-    /// Consume a finished request: surface its typed error (fault-injected
-    /// fabrics only) or its status.
-    fn reap(eng: &mut Engine, req: &Request) -> Result<Option<RecvStatus>, MpiError> {
-        if eng.is_send(req.id) {
-            let err = eng.send_error(req.id);
-            eng.reap_send(req.id);
-            match err {
-                Some(e) => Err(e),
-                None => Ok(None),
-            }
-        } else {
-            let err = eng.recv_error(req.id);
-            let status = eng.recv_done(req.id);
-            eng.reap_recv(req.id);
-            match err {
-                Some(e) => Err(e),
-                None => Ok(status),
-            }
-        }
-    }
-
     fn wait_inner(eng: &mut Engine, req: Request) -> Result<Option<RecvStatus>, MpiError> {
-        loop {
-            eng.progress();
-            if Self::req_done(eng, &req) {
-                break;
-            }
-            eng.idle_block();
-        }
-        Self::reap(eng, &req)
+        eng.block_until(|eng| eng.req_done(req.id).then_some(()));
+        eng.reap(req.id)
     }
 
     /// `MPI_Wait`. Returns the status for receive requests.
@@ -275,16 +240,13 @@ impl Comm {
     pub fn waitall(&self, reqs: Vec<Request>) -> Vec<Option<RecvStatus>> {
         let mut eng = self.eng.lock();
         eng.counters.record("MPI_Waitall");
-        loop {
-            eng.progress();
-            if reqs.iter().all(|r| Self::req_done(&eng, r)) {
-                break;
-            }
-            eng.idle_block();
-        }
+        eng.block_until(|eng| reqs.iter().all(|r| eng.req_done(r.id)).then_some(()));
         let out: Vec<Option<RecvStatus>> = reqs
             .into_iter()
-            .map(|r| Self::reap(&mut eng, &r).unwrap_or_else(|e| panic!("MPI_Waitall failed: {e}")))
+            .map(|r| {
+                eng.reap(r.id)
+                    .unwrap_or_else(|e| panic!("MPI_Waitall failed: {e}"))
+            })
             .collect();
         drop(eng);
         out.into_iter()
@@ -298,16 +260,12 @@ impl Comm {
         assert!(!reqs.is_empty(), "waitany on an empty request list");
         let mut eng = self.eng.lock();
         eng.counters.record("MPI_Waitany");
-        loop {
-            eng.progress();
-            if let Some(i) = reqs.iter().position(|r| Self::req_done(&eng, r)) {
-                let st = Self::reap(&mut eng, &reqs[i])
-                    .unwrap_or_else(|e| panic!("MPI_Waitany failed: {e}"));
-                drop(eng);
-                return (i, st.map(|s| self.fix_status(s)));
-            }
-            eng.idle_block();
-        }
+        let i = eng.block_until(|eng| reqs.iter().position(|r| eng.req_done(r.id)));
+        let st = eng
+            .reap(reqs[i].id)
+            .unwrap_or_else(|e| panic!("MPI_Waitany failed: {e}"));
+        drop(eng);
+        (i, st.map(|s| self.fix_status(s)))
     }
 
     /// `MPI_Testall`: progress once; true only if every request has
@@ -316,7 +274,7 @@ impl Comm {
         let mut eng = self.eng.lock();
         eng.counters.record("MPI_Testall");
         eng.progress();
-        reqs.iter().all(|r| Self::req_done(&eng, r))
+        reqs.iter().all(|r| eng.req_done(r.id))
     }
 
     /// `MPI_Test`: progress once and report completion without blocking.
@@ -325,7 +283,7 @@ impl Comm {
         let mut eng = self.eng.lock();
         eng.counters.record("MPI_Test");
         eng.progress();
-        Self::req_done(&eng, req)
+        eng.req_done(req.id)
     }
 
     /// `MPI_Iprobe`: progress once, then report whether a message matching
@@ -347,14 +305,9 @@ impl Comm {
         let tag = tag.into();
         let mut eng = self.eng.lock();
         eng.counters.record("MPI_Probe");
-        loop {
-            eng.progress();
-            if let Some(st) = eng.probe_unexpected(src, tag, self.ctx) {
-                drop(eng);
-                return self.fix_status(st);
-            }
-            eng.idle_block();
-        }
+        let st = eng.block_until(|eng| eng.probe_unexpected(src, tag, self.ctx));
+        drop(eng);
+        self.fix_status(st)
     }
 
     // --- communicator management ---------------------------------------------

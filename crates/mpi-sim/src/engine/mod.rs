@@ -71,7 +71,7 @@ use self::rput::{RegCache, RputRecv, RputSend};
 use self::staged::{StagedRecv, StagedSend};
 use crate::datatype::Datatype;
 use crate::invariants;
-use crate::plan::{Canonical, Plan, WireDescriptor};
+use crate::plan::{Canonical, Plan, WireDescriptor, OFFLOAD_ENTRY_BUDGET};
 use crate::proto::{ConfigError, Envelope, MpiConfig, MpiError, MpiPacket, ReqId, RputKind, Rts};
 use crate::scheme::{DataScheme, SchemeSelector};
 use crate::staging::{BufferStager, HostRecvSink, HostSendSource, RecvSink, SendSource};
@@ -543,7 +543,7 @@ impl Engine {
     /// it has one within the HCA's entry budget.
     fn lower(&self, buf: &Loc, plan: &Plan) -> Option<(HostPtr, WireDescriptor)> {
         let Loc::Host(p) = buf else { return None };
-        WireDescriptor::lower(plan, self.cfg.offload_entry_budget).map(|d| (p.clone(), d))
+        WireDescriptor::lower(plan, OFFLOAD_ENTRY_BUDGET).map(|d| (p.clone(), d))
     }
 
     pub fn isend(
@@ -770,10 +770,9 @@ impl Engine {
             .dev_gpu
             .is_some_and(|gpu| st.sink.device_gpu() == Some(gpu));
         let direct_ok = rts.direct_capable && st.direct_ptr.is_some();
-        let budget = self.cfg.offload_entry_budget;
         let offload_ok = self.scheme.offload_peer(rts.env.src)
             && (rts.offload_entries.zip(st.offload.as_ref()))
-                .is_some_and(|(n, (_, d))| n as usize + d.entries().len() <= budget);
+                .is_some_and(|(n, (_, d))| n as usize + d.entries().len() <= OFFLOAD_ENTRY_BUDGET);
         if self.faulty {
             self.matched_rts
                 .insert((rts.env.src, rts.send_req), recv_id);
@@ -974,11 +973,32 @@ impl Engine {
 
     // --- completion queries --------------------------------------------------------
 
-    pub fn send_done(&self, id: ReqId) -> bool {
-        matches!(
-            self.sends[&id].phase,
-            SendPhase::Done | SendPhase::Failed(_)
-        )
+    /// Whether request `id` has reached a terminal state (success or typed
+    /// failure).
+    pub fn req_done(&self, id: ReqId) -> bool {
+        match self.sends.get(&id) {
+            Some(s) => matches!(s.phase, SendPhase::Done | SendPhase::Failed(_)),
+            None => matches!(
+                self.recvs[&id].phase,
+                RecvPhase::Done(_) | RecvPhase::Failed(_)
+            ),
+        }
+    }
+
+    /// Consume a finished request: its typed error (fault-injecting fabrics
+    /// only), or the status of a receive.
+    pub fn reap(&mut self, id: ReqId) -> Result<Option<RecvStatus>, MpiError> {
+        if let Some(s) = self.sends.remove(&id) {
+            return match s.phase {
+                SendPhase::Failed(e) => Err(e),
+                _ => Ok(None),
+            };
+        }
+        match self.recvs.remove(&id).expect("unknown request").phase {
+            RecvPhase::Failed(e) => Err(e),
+            RecvPhase::Done(status) => Ok(Some(status)),
+            _ => Ok(None),
+        }
     }
 
     /// Whether this engine sits on a fault-injecting fabric.
@@ -996,50 +1016,6 @@ impl Engine {
     /// zero once the application has waited on everything it posted.
     pub fn live_requests(&self) -> usize {
         self.sends.len() + self.recvs.len()
-    }
-
-    /// The typed error a failed send ended with, if any.
-    pub fn send_error(&self, id: ReqId) -> Option<MpiError> {
-        match &self.sends[&id].phase {
-            SendPhase::Failed(e) => Some(e.clone()),
-            _ => None,
-        }
-    }
-
-    pub fn recv_done(&self, id: ReqId) -> Option<RecvStatus> {
-        match self.recvs[&id].phase {
-            RecvPhase::Done(status) => Some(status),
-            _ => None,
-        }
-    }
-
-    /// Whether the receive has reached a terminal state (success or typed
-    /// failure).
-    pub fn recv_finished(&self, id: ReqId) -> bool {
-        matches!(
-            self.recvs[&id].phase,
-            RecvPhase::Done(_) | RecvPhase::Failed(_)
-        )
-    }
-
-    /// The typed error a failed receive ended with, if any.
-    pub fn recv_error(&self, id: ReqId) -> Option<MpiError> {
-        match &self.recvs[&id].phase {
-            RecvPhase::Failed(e) => Some(e.clone()),
-            _ => None,
-        }
-    }
-
-    pub fn is_send(&self, id: ReqId) -> bool {
-        self.sends.contains_key(&id)
-    }
-
-    pub fn reap_send(&mut self, id: ReqId) {
-        self.sends.remove(&id);
-    }
-
-    pub fn reap_recv(&mut self, id: ReqId) {
-        self.recvs.remove(&id);
     }
 
     /// Scan the unexpected queue for a message matching `(src, tag)` on
@@ -1106,7 +1082,20 @@ impl Engine {
 
     /// Block (in virtual time) until a packet arrives or the next known
     /// event instant passes.
-    pub fn idle_block(&self) {
+    fn idle_block(&self) {
         self.nic.mailbox().wait_nonempty_until(self.next_event());
+    }
+
+    /// The one blocking loop: progress, ask `ready`, and park until
+    /// something can have changed. Every blocking MPI call is this loop
+    /// with its own question.
+    pub fn block_until<T>(&mut self, mut ready: impl FnMut(&mut Engine) -> Option<T>) -> T {
+        loop {
+            self.progress();
+            if let Some(v) = ready(self) {
+                return v;
+            }
+            self.idle_block();
+        }
     }
 }

@@ -331,6 +331,11 @@ pub struct WireDescriptor {
     total: usize,
 }
 
+/// Largest combined (gather + scatter) entry count a wire descriptor may
+/// have — the modeled HCA's descriptor memory. Transfers needing more fall
+/// back to the staged pipeline.
+pub(crate) const OFFLOAD_ENTRY_BUDGET: usize = 256;
+
 impl WireDescriptor {
     /// The plan's runs as a descriptor of at most `budget` entries: one for
     /// `Contig`/`Strided1D`, one per group for `Strided2D`. `None` if the

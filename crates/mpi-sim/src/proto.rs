@@ -243,42 +243,32 @@ pub enum CollAlgo {
     /// buffer. Kept as the honest control for `coll_sweep`.
     Naive,
     /// Single-level algorithms with bounded resource use: pairwise
-    /// (XOR-schedule) alltoall(v) with at most
-    /// [`CollConfig::max_inflight`] exchanges outstanding, ring
+    /// alltoall(v) with at most four exchanges outstanding, ring
     /// allgather(v), binomial-tree reduce with double-buffered scratch
     /// overlapping receive and combine.
     Flat,
     /// Topology-aware node-leader trees: fan in/out over the shm channel
     /// between co-located ranks, cross the wire once per node pair, and
-    /// pipeline pack → intra-node combine → wire per
-    /// [`CollConfig::pipeline_chunk`] segment. Falls back to [`Flat`]
+    /// pipeline pack → intra-node combine → wire per 64 KiB segment.
+    /// Falls back to [`Flat`]
     /// (`CollAlgo::Flat`) on communicators where no node hosts two
     /// members or all members share one node.
     Hier,
 }
 
-/// Collective-algorithm tunables.
+/// Collective-algorithm selection. The in-flight window and the reduction
+/// pipeline's segment size are constants of the `coll` module, not knobs:
+/// no workload ever set them.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct CollConfig {
     /// Algorithm family (default [`CollAlgo::Hier`]).
     pub algo: CollAlgo,
-    /// Maximum nonblocking exchanges a collective keeps in flight per rank
-    /// (pairwise alltoall windows, leader fan-in/out windows). Bounds the
-    /// fabric-wide request count that used to grow as P² in the naive
-    /// alltoall.
-    pub max_inflight: usize,
-    /// Segment size, bytes, for pipelined reductions (pack → intra-node
-    /// combine → wire per segment). Must be a positive multiple of 8 so
-    /// segment boundaries never split a primitive element.
-    pub pipeline_chunk: usize,
 }
 
 impl Default for CollConfig {
     fn default() -> Self {
         CollConfig {
             algo: CollAlgo::Hier,
-            max_inflight: 4,
-            pipeline_chunk: 64 << 10,
         }
     }
 }
@@ -401,15 +391,6 @@ pub enum ConfigError {
         /// World size.
         nranks: usize,
     },
-    /// `coll.max_inflight == 0`.
-    ZeroCollInflight,
-    /// `coll.pipeline_chunk` is zero or not a multiple of 8.
-    BadCollChunk {
-        /// Configured segment size.
-        pipeline_chunk: usize,
-    },
-    /// `offload_entry_budget == 0`.
-    ZeroOffloadBudget,
     /// [`SchemeSel::Force`]`(NicOffload)` combined with a layout that
     /// canonicalizes to [`Canonical::Irregular`]: the HCA cannot walk a
     /// deep struct layout, and forcing forbids the staged fallback.
@@ -481,19 +462,6 @@ impl std::fmt::Display for ConfigError {
                 f,
                 "ppn ({ppn}) must evenly divide the world size ({nranks}) so every node \
                  hosts the same number of ranks"
-            ),
-            ConfigError::ZeroCollInflight => write!(
-                f,
-                "coll.max_inflight must be >= 1 (a collective could never post a request)"
-            ),
-            ConfigError::BadCollChunk { pipeline_chunk } => write!(
-                f,
-                "coll.pipeline_chunk ({pipeline_chunk}) must be a positive multiple of 8 \
-                 so reduction segments never split a primitive element"
-            ),
-            ConfigError::ZeroOffloadBudget => write!(
-                f,
-                "offload_entry_budget must be >= 1 (the HCA could never hold a descriptor)"
             ),
             ConfigError::ForcedOffloadIrregular => write!(
                 f,
@@ -570,16 +538,12 @@ pub struct MpiConfig {
     /// shm channel has no wire or vbuf pressure, so its eager window can be
     /// (and defaults to) larger than [`eager_limit`](MpiConfig::eager_limit).
     pub shm_eager_limit: usize,
-    /// Collective-algorithm selection and tunables.
+    /// Collective-algorithm selection.
     pub coll: CollConfig,
     /// Rendezvous data-path selection (see [`crate::scheme`]). The default,
     /// `Auto { offload: false }`, reproduces the classic
     /// device → direct → staged decision bit for bit.
     pub scheme: SchemeSel,
-    /// Largest combined (gather + scatter) entry count a wire descriptor
-    /// may have — the modeled HCA's descriptor memory. Transfers needing
-    /// more fall back to the staged pipeline.
-    pub offload_entry_budget: usize,
     /// Smallest message [`SchemeSel::Auto`] routes through the offload
     /// engine, bytes. Below this the descriptor fetches cost more than the
     /// pack they save; forcing ignores the floor.
@@ -602,7 +566,6 @@ impl Default for MpiConfig {
             shm_eager_limit: 32 << 10,
             coll: CollConfig::default(),
             scheme: SchemeSel::default(),
-            offload_entry_budget: 256,
             offload_min_bytes: 64 << 10,
         }
     }
@@ -681,17 +644,6 @@ impl MpiConfig {
                 shm_eager_limit: self.shm_eager_limit,
                 eager_limit: self.eager_limit,
             });
-        }
-        if self.coll.max_inflight == 0 {
-            return Err(ConfigError::ZeroCollInflight);
-        }
-        if self.coll.pipeline_chunk == 0 || !self.coll.pipeline_chunk.is_multiple_of(8) {
-            return Err(ConfigError::BadCollChunk {
-                pipeline_chunk: self.coll.pipeline_chunk,
-            });
-        }
-        if self.offload_entry_budget == 0 {
-            return Err(ConfigError::ZeroOffloadBudget);
         }
         Ok(())
     }
@@ -922,37 +874,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "coll.max_inflight must be >= 1")]
-    fn zero_coll_inflight_is_rejected() {
-        MpiConfig {
-            coll: CollConfig {
-                max_inflight: 0,
-                ..Default::default()
-            },
-            ..Default::default()
-        }
-        .validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "positive multiple of 8")]
-    fn unaligned_coll_chunk_is_rejected() {
-        MpiConfig {
-            coll: CollConfig {
-                pipeline_chunk: 12,
-                ..Default::default()
-            },
-            ..Default::default()
-        }
-        .validate();
-    }
-
-    #[test]
     fn default_coll_config_is_hier() {
         let c = MpiConfig::default();
         assert_eq!(c.coll.algo, CollAlgo::Hier);
-        assert!(c.coll.max_inflight >= 1);
-        assert!(c.coll.pipeline_chunk.is_multiple_of(8));
     }
 
     #[test]

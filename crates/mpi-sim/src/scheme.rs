@@ -18,7 +18,7 @@
 //! 3. **NicOffload** — both sides host-resident with layouts that lower to
 //!    bounded scatter/gather descriptors (see [`crate::plan::Canonical`]),
 //!    the message at least [`MpiConfig::offload_min_bytes`], and the
-//!    combined entry count within [`MpiConfig::offload_entry_budget`]: one
+//!    combined entry count within the HCA's 256-entry descriptor budget: one
 //!    descriptor-driven post, no CPU pack/unpack. Off by default
 //!    (`Auto { offload: false }` keeps the classic decision bit-identical).
 //! 4. **Staged** — everything else: the paper's 5-stage pipeline.

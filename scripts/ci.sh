@@ -15,6 +15,9 @@ if [[ "${1:-}" != "--release-only" ]]; then
     cargo clippy --workspace --all-targets -- -D warnings
 fi
 
+echo "==> code size (scripts/loc.sh fails if it counts a #[test] line as code)"
+scripts/loc.sh | tail -n 1
+
 echo "==> cargo build --release"
 cargo build --release
 
