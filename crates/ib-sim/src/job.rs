@@ -57,6 +57,11 @@ impl Default for JobQos {
 
 impl JobQos {
     /// Panic on out-of-range knobs (zero weight, caps outside `(0, 1]`).
+    /// Caller contract: QoS values are literals in campaign code (bench
+    /// `job_mix`, `tests/cluster.rs`), nothing parses them from outside the
+    /// program; [`Fabric::multi_job`](crate::Fabric::multi_job) checks them
+    /// here, at construction, so the arbiter never divides by a zero weight
+    /// or share.
     pub fn validate(&self) {
         assert!(self.hca_weight >= 1, "JobQos.hca_weight must be >= 1");
         if let Some(c) = self.rate_cap {

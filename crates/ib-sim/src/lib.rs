@@ -7,6 +7,16 @@
 //! verbs surface the MVAPICH2 rendezvous protocol (RTS / CTS / RDMA write /
 //! FIN) is built on.
 //!
+//! A [`Fabric`] is the registry (models, tenants, placement); one `Node`
+//! per physical host owns the HCA and shm engines, the MR table, the
+//! counters and the trace lanes, and one occupancy function models both
+//! engines; a [`Nic`] is one endpoint's handle with six primitives —
+//! [`send`](Nic::send), [`send_ctrl`](Nic::send_ctrl),
+//! [`rdma_write`](Nic::rdma_write), [`rdma_write_sg`](Nic::rdma_write_sg),
+//! [`shm_write`](Nic::shm_write) and [`write`](Nic::write), which picks
+//! between the two contiguous writes by [`Nic::route`], the one place
+//! "shared memory or the wire?" is decided.
+//!
 //! ```
 //! use ib_sim::{Fabric, NetModel};
 //! use hostmem::HostBuf;
@@ -37,12 +47,22 @@ mod fabric;
 mod fault;
 mod job;
 mod model;
+mod nic;
+mod node;
+mod pump;
+mod rdma;
 pub mod scheduler;
 mod topology;
 
-pub use fabric::{Fabric, MrKey, Nic, Packet, RegError, SgEntry};
+pub use fabric::Fabric;
 pub use fault::FaultSpec;
 pub use job::{BindError, JobQos, JobSpec};
 pub use model::{NetModel, ShmModel};
+pub use nic::{Nic, Packet, RegError};
+pub use node::Route;
+pub use rdma::{MrKey, SgEntry};
 pub use scheduler::{CtrlAction, CtrlPoint, DeliveryScheduler, FifoScheduler};
 pub use topology::Topology;
+
+#[cfg(test)]
+mod tests;

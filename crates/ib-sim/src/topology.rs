@@ -29,6 +29,9 @@ impl Topology {
     /// on node `r / ppn`, so consecutive ranks share a node (the usual
     /// `mpirun` block placement).
     pub fn uniform(nodes: usize, ppn: usize) -> Self {
+        // Caller contract: `MpiConfig::try_validate` turns a user's `ppn` of 0
+        // (or one that does not divide the ranks) into a `ConfigError`
+        // before `MpiWorld::launch` gets here.
         assert!(ppn >= 1, "ppn must be >= 1, got {ppn}");
         Topology {
             node_of: Arc::new((0..nodes * ppn).map(|r| r / ppn).collect()),
@@ -39,6 +42,8 @@ impl Topology {
     /// Arbitrary mapping: `map[r]` is the node of endpoint `r`. Node ids
     /// must be dense (`0..=max` all present); panics otherwise.
     pub fn from_map(map: Vec<usize>) -> Self {
+        // Caller contract (both asserts): a map is written out by the code
+        // that builds the world; a sparse one is a typo there.
         assert!(!map.is_empty(), "topology must have at least one endpoint");
         let num_nodes = map.iter().copied().max().unwrap() + 1;
         for node in 0..num_nodes {
@@ -65,6 +70,7 @@ impl Topology {
 
     /// The node hosting endpoint `rank`. Panics on an out-of-range endpoint.
     pub fn node_of(&self, rank: usize) -> usize {
+        // Caller contract: ranks come from the job's own `0..num_ranks()`.
         assert!(
             rank < self.node_of.len(),
             "no such endpoint {rank} (topology has {} endpoints)",

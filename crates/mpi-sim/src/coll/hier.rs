@@ -519,7 +519,7 @@ pub(super) fn alltoallv(cx: &mut Coll, h: &Hierarchy, send: &Blocks, recv: &Bloc
 
     // Host-primitive buffers let the leader splice its own blocks into the
     // aggregates with plain copies; a loopback self-send would bill this
-    // node-local bookkeeping to the HCA (see `transport_for`). Device or
+    // node-local bookkeeping to the HCA (see `ib_sim::Nic::route`). Device or
     // derived buffers still take the self-send so the pack pipeline runs.
     let s_host = send.host().filter(|_| is_leader);
     let r_host = recv.host().filter(|_| is_leader);

@@ -167,7 +167,7 @@ impl Fold<'_> {
 ///
 /// Node-leader algorithms use this to splice the leader's *own* blocks
 /// into an aggregate without a loopback self-send: self-sends ride the HCA
-/// loopback path (see `transport_for`), so leaving them in would bill the
+/// loopback path (see `ib_sim::Nic::route`), so leaving them in would bill the
 /// leader's node-local bookkeeping to the wire and distort the byte
 /// accounting the hierarchy exists to improve.
 fn host_direct<'a>(loc: &'a Loc, dtype: &Datatype) -> Option<&'a HostPtr> {

@@ -310,7 +310,7 @@ pub(crate) struct Engine {
     pub prefix: String,
     pub cfg: MpiConfig,
     pub counters: CallCounters,
-    /// The data-path scheme layer: per-peer transports, colocation, eager
+    /// The data-path scheme layer: per-peer colocation, eager
     /// thresholds and rendezvous scheme resolution, owned in one place.
     /// The protocol state machines ask it what to do and never look inside.
     scheme: SchemeSelector,
@@ -410,7 +410,7 @@ impl Engine {
         let counters = CallCounters::new();
         rec.register_counters(&scope, &counters);
         let trace = ProtoTrace::new(rec, &scope);
-        let scheme = SchemeSelector::new(&nic, rank, size, &cfg);
+        let scheme = SchemeSelector::new(&nic, &cfg);
         Engine {
             rank,
             size,

@@ -38,7 +38,6 @@ use sim_core::{CallCounters, Completion};
 use super::reliability::RetryTimer;
 use super::{note, Engine, ProtoTrace, RecvPhase, SendPhase, SendRecord};
 use crate::proto::{MpiError, MpiPacket, ReqId, RputKind, RputPlace, Rts};
-use crate::transport::Transport;
 
 /// The observable strings of one payload kind.
 struct Names {
@@ -109,11 +108,15 @@ struct RputWrite {
 impl RputWrite {
     /// Post the transfer — the only place a one-shot write is issued, for
     /// the first attempt and for every re-post after an error CQE.
-    fn post(&self, t: &dyn Transport, total: usize) -> Completion {
+    fn post(&self, nic: &Nic, dst: usize, total: usize) -> Completion {
         match &self.place {
-            RputPlace::Direct { offset } => t.write(self.peer_key, *offset, &self.ptr, total),
+            RputPlace::Direct { offset } => {
+                nic.write(dst, self.peer_key, *offset, &self.ptr, total)
+            }
+            // The HCA walks descriptors; `offload_peer` keeps co-located
+            // peers off this kind.
             RputPlace::Offload { scatter } => {
-                t.write_sg(self.peer_key, &self.ptr, &self.gather, scatter)
+                nic.rdma_write_sg(dst, self.peer_key, &self.ptr, &self.gather, scatter)
             }
         }
     }
@@ -314,7 +317,7 @@ impl Engine {
                     ptr,
                     gather,
                 };
-                let rdma = wr.post(self.scheme.transport(st.dst), total);
+                let rdma = wr.post(&self.nic, st.dst, total);
                 let fin_sent = !self.faulty;
                 if fin_sent {
                     self.nic.send_ctrl(st.dst, fin());
@@ -396,7 +399,6 @@ impl Engine {
         }
         let kind = r.wr.place.kind();
         let n = kind.names();
-        let t = self.scheme.transport(st.dst);
         if r.rdma.is_error() {
             // (A failed descriptor fetch surfaces as an error CQE too.)
             if r.attempts > self.cfg.retry.max_retries {
@@ -409,11 +411,11 @@ impl Engine {
             }
             r.attempts += 1;
             note(&self.counters, &self.trace, n.retry_rdma);
-            r.rdma = r.wr.post(t, st.total);
+            r.rdma = r.wr.post(&self.nic, st.dst, st.total);
             return;
         }
         let lane = match kind {
-            RputKind::Direct => t.name(),
+            RputKind::Direct => self.scheme.wire_label(st.dst),
             RputKind::Offload => "offload",
         };
         self.trace.rdma.comp_span(lane, None, &r.rdma);

@@ -20,7 +20,6 @@ use super::reliability::{violation, RetryTimer};
 use super::{note, Engine, ProtoTrace, RecvPhase, RecvStatus, SendPhase, SendRecord, Vbuf};
 use crate::invariants;
 use crate::proto::{ChunkPolicy, MpiError, MpiPacket, ReqId, Rts, SeededBug, SlotDesc};
-use crate::transport::Transport;
 use crate::tuner::TuneKey;
 
 struct SlotState {
@@ -89,8 +88,8 @@ fn credit(send_req: ReqId, slot: usize, chunk_idx: usize) -> Box<MpiPacket> {
 
 /// RDMA-write one staged chunk into its granted slot — the first write and
 /// every re-issue after an error CQE.
-fn write_chunk(t: &dyn Transport, slot: MrKey, vbuf: &Vbuf, len: usize) -> Completion {
-    t.write(slot, 0, &vbuf.buf.base(), len)
+fn write_chunk(nic: &Nic, dst: usize, slot: MrKey, vbuf: &Vbuf, len: usize) -> Completion {
+    nic.write(dst, slot, 0, &vbuf.buf.base(), len)
 }
 
 /// One more chunk of send `id` (of `rank`) has been announced.
@@ -531,7 +530,7 @@ impl Engine {
             assert!(len <= s.desc.len, "chunk larger than the granted vbuf slot");
             s.free = false;
             s.occupant = Some(i);
-            let comp = write_chunk(self.scheme.transport(ss.dst), s.desc.key, &vbuf, len);
+            let comp = write_chunk(&self.nic, ss.dst, s.desc.key, &vbuf, len);
             // On a faulty fabric the FIN waits for the CQE: a failed write
             // must never be announced.
             s.fin_sent = !self.faulty;
@@ -564,7 +563,6 @@ impl Engine {
         let SendPhase::Staged(ss) = &mut st.phase else {
             return Ok(());
         };
-        let wire = self.scheme.transport(ss.dst);
         let mut i = 0;
         while i < ss.inflight.len() {
             let c = &mut ss.inflight[i];
@@ -582,14 +580,14 @@ impl Engine {
                 }
                 c.attempts += 1;
                 note(&self.counters, &self.trace, "retry.chunk_rdma");
-                c.comp = write_chunk(wire, ss.slots[c.slot].desc.key, &c.vbuf, c.len);
+                c.comp = write_chunk(&self.nic, ss.dst, ss.slots[c.slot].desc.key, &c.vbuf, c.len);
                 i += 1;
                 continue;
             }
             let done = ss.inflight.swap_remove(i);
             self.trace
                 .rdma
-                .comp_span(wire.name(), Some(done.chunk), &done.comp);
+                .comp_span(self.scheme.wire_label(ss.dst), Some(done.chunk), &done.comp);
             if self.faulty {
                 self.nic.send_ctrl(
                     ss.dst,

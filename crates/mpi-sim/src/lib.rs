@@ -52,7 +52,6 @@ pub mod plan;
 mod proto;
 pub mod scheme;
 pub mod staging;
-mod transport;
 mod tuner;
 mod world;
 

@@ -1,14 +1,14 @@
 //! The data-path scheme layer: which of the library's transfer schemes a
 //! given message uses, decided in one place.
 //!
-//! Historically the per-peer decision was smeared across the rendezvous
-//! state machine (`engine.rs`) and the transport constructor
-//! (`transport.rs`): eager limits here, colocation checks there, pin-limit
-//! fallbacks inline in match arms. [`SchemeSelector`] owns all of it — the
-//! engine's rendezvous states ask it which [`DataScheme`] serves a message
-//! and dispatch through the [`Transport`](crate::transport::Transport) it
-//! hands out; the selection policy itself is configured with
-//! [`SchemeSel`] on [`MpiConfig`].
+//! [`SchemeSelector`] owns every per-peer decision above the fabric — eager
+//! windows, offload reach, rendezvous scheme resolution — and the engine's
+//! rendezvous states ask it which [`DataScheme`] serves a message; the
+//! selection policy itself is configured with [`SchemeSel`] on
+//! [`MpiConfig`]. Which *engine* carries a peer's bytes (the node's shm copy
+//! engine or the HCA) is not decided here: that is [`ib_sim::Nic::route`],
+//! which [`ib_sim::Nic::write`] and the sends follow on their own, and from
+//! which the selector derives what it needs to know about a peer.
 //!
 //! Selection order under [`SchemeSel::Auto`], most to least specialized:
 //!
@@ -28,10 +28,9 @@
 //! [`DataScheme`] for forcing (which widens the co-located eager window)
 //! but never comes out of rendezvous resolution.
 
-use ib_sim::Nic;
+use ib_sim::{Nic, Route};
 
 use crate::proto::{MpiConfig, SeededBug};
-use crate::transport::{RdmaTransport, ShmTransport, Transport};
 
 /// The library's transfer schemes.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -81,18 +80,12 @@ impl Default for SchemeSel {
     }
 }
 
-/// Owns the per-peer data-path decision: transports, colocation, eager
-/// thresholds and rendezvous scheme resolution. Built once per engine from
-/// the fabric topology and the library configuration — the single source
-/// of truth the checks formerly duplicated across `engine.rs` and
-/// `transport.rs` collapsed into.
+/// Owns the per-peer data-path decision: eager thresholds, offload reach
+/// and rendezvous scheme resolution. Built once per engine from the rank's
+/// endpoint and the library configuration.
 pub(crate) struct SchemeSelector {
-    /// Per-peer data path, chosen once from the fabric topology: the shm
-    /// copy engine for distinct co-located peers, the HCA (including
-    /// self-send loopback) otherwise.
-    transports: Vec<Box<dyn Transport>>,
-    /// `colocated[p]`: peer `p` is a *different* rank on this rank's node.
-    colocated: Vec<bool>,
+    /// This rank's endpoint, asked for the route toward a peer.
+    nic: Nic,
     sel: SchemeSel,
     eager_limit: usize,
     shm_eager_limit: usize,
@@ -101,24 +94,10 @@ pub(crate) struct SchemeSelector {
 }
 
 impl SchemeSelector {
-    /// Build the selector for `rank` of `size` on `nic`. Shared memory is
-    /// selected iff the peer is distinct and co-located; a rank's
-    /// self-sends keep the HCA loopback path so the ppn=1 topology stays
-    /// bit-identical to the pre-topology engine.
-    pub(crate) fn new(nic: &Nic, rank: usize, size: usize, cfg: &MpiConfig) -> SchemeSelector {
-        let colocated: Vec<bool> = (0..size).map(|p| p != rank && nic.colocated(p)).collect();
-        let transports = (0..size)
-            .map(|dst| -> Box<dyn Transport> {
-                if colocated[dst] {
-                    Box::new(ShmTransport::new(nic.clone(), dst))
-                } else {
-                    Box::new(RdmaTransport::new(nic.clone(), dst))
-                }
-            })
-            .collect();
+    /// Build the selector for the rank attached at `nic`.
+    pub(crate) fn new(nic: &Nic, cfg: &MpiConfig) -> SchemeSelector {
         SchemeSelector {
-            transports,
-            colocated,
+            nic: nic.clone(),
             sel: cfg.scheme,
             eager_limit: cfg.eager_limit,
             shm_eager_limit: cfg.shm_eager_limit,
@@ -127,21 +106,26 @@ impl SchemeSelector {
         }
     }
 
-    /// Is `peer` a distinct rank on this rank's node?
+    /// Is `peer` a distinct rank on this rank's node — served by the shm
+    /// copy engine, not the HCA?
     pub(crate) fn colocated(&self, peer: usize) -> bool {
-        self.colocated[peer]
+        self.nic.route(peer) == Route::Shm
     }
 
-    /// The data path toward `peer`.
-    pub(crate) fn transport(&self, peer: usize) -> &dyn Transport {
-        &*self.transports[peer]
+    /// Label of a chunk's span on the `rdma` stage lane: the engine that
+    /// carried it toward `peer`.
+    pub(crate) fn wire_label(&self, peer: usize) -> &'static str {
+        match self.nic.route(peer) {
+            Route::Hca => "rdma",
+            Route::Shm => "shm",
+        }
     }
 
     /// The eager threshold toward `peer`: the shm channel has no wire or
     /// vbuf pressure, so co-located peers get the larger window — and
     /// `Force(ShmEager)` widens it to every message size.
     pub(crate) fn eager_limit(&self, peer: usize) -> usize {
-        if self.colocated[peer] {
+        if self.colocated(peer) {
             if self.sel == SchemeSel::Force(DataScheme::ShmEager) {
                 usize::MAX
             } else {
@@ -157,7 +141,7 @@ impl SchemeSelector {
     /// oversize-fault override that ships payloads the receiver-side
     /// linter must reject.
     pub(crate) fn send_eager_limit(&self, peer: usize) -> usize {
-        if self.fault_shm_eager_oversize && self.colocated[peer] {
+        if self.fault_shm_eager_oversize && self.colocated(peer) {
             self.shm_eager_limit * 2
         } else {
             self.eager_limit(peer)
@@ -173,10 +157,10 @@ impl SchemeSelector {
     }
 
     /// Can the offload engine reach `peer`? Descriptors are walked by the
-    /// HCA, so only peers served by the RDMA transport qualify — the shm
-    /// copy engine has no descriptor walker.
+    /// HCA, so only peers routed over it qualify — the shm copy engine has
+    /// no descriptor walker.
     pub(crate) fn offload_peer(&self, peer: usize) -> bool {
-        !self.colocated[peer]
+        !self.colocated(peer)
     }
 
     /// Resolve the rendezvous scheme for one matched message. The `_ok`
@@ -223,16 +207,20 @@ mod tests {
             scheme: sel,
             ..Default::default()
         };
-        SchemeSelector::new(&fabric.nic(0), 0, 4, &cfg)
+        SchemeSelector::new(&fabric.nic(0), &cfg)
     }
 
     #[test]
-    fn transport_selection_follows_topology() {
+    fn route_follows_topology() {
         let s = selector(SchemeSel::default());
-        assert_eq!(s.transport(0).name(), "rdma"); // self: loopback
-        assert_eq!(s.transport(1).name(), "shm"); // co-located
-        assert_eq!(s.transport(2).name(), "rdma"); // remote
-        assert_eq!(s.transport(3).name(), "rdma");
+        assert_eq!(s.nic.route(0), Route::Hca); // self: loopback
+        assert_eq!(s.nic.route(1), Route::Shm); // co-located
+        assert_eq!(s.nic.route(2), Route::Hca); // remote
+        assert_eq!(s.nic.route(3), Route::Hca);
+        assert_eq!(
+            [0, 1, 2, 3].map(|p| s.wire_label(p)),
+            ["rdma", "shm", "rdma", "rdma"]
+        );
         assert!(s.colocated(1) && !s.colocated(0) && !s.colocated(2));
         assert!(s.offload_peer(2) && !s.offload_peer(1));
     }

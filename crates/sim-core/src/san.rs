@@ -150,6 +150,7 @@ impl fmt::Display for MemRange {
 }
 
 /// Description of an asynchronous operation being registered.
+#[derive(Default)]
 pub struct OpDesc {
     /// Operation kind, e.g. `"memcpy_async(D2H)"` or `"rdma_write"`.
     pub kind: &'static str,
