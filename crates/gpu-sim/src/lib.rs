@@ -480,6 +480,160 @@ mod tests {
         });
     }
 
+    /// `(what, a, b)`: an operation's `(started_at, done_at)` — for a
+    /// blocking call the instants around it — or an engine's
+    /// `(queue wait, 0)`, all in ns.
+    type Row = (&'static str, u64, u64);
+
+    /// Queue wait per engine (h2d, d2h, d2d, compute), in ns.
+    fn engine_waits(gpu: &Gpu) -> [u64; 4] {
+        ["h2d", "d2h", "d2d", "compute"].map(|e| gpu.queue_waits().get(&format!("queue_wait.{e}")))
+    }
+
+    /// The device ledger's script: one device, the owner's streams and a
+    /// second process (`tenant`) that shares it from 150 us on.
+    fn device_ledger() -> Vec<Row> {
+        const MIB: usize = 1 << 20;
+        let sim = Sim::new();
+        let gpu = Gpu::tesla_c2050(0);
+        let rows: std::sync::Arc<sim_core::lock::Mutex<Vec<Row>>> = Default::default();
+        let comp = |what, c: &sim_core::Completion| -> Row {
+            let ns = |t: Option<SimTime>| t.expect("a device completion has both").as_nanos();
+            (what, ns(c.started_at()), ns(c.done_at()))
+        };
+        let pitched = |dst: Loc, src: Loc| Copy2d {
+            dst,
+            dpitch: 64,
+            src,
+            spitch: 256,
+            width: 64,
+            height: 2048,
+        };
+        {
+            let (gpu, rows) = (gpu.clone(), rows.clone());
+            sim.spawn("owner", move || {
+                let [d1, d2, d3] = [0; 3].map(|_| gpu.malloc(MIB));
+                let host = HostBuf::alloc(4 * MIB);
+                let [s1, s2, s3, s4, s5] = [0; 5].map(|_| gpu.create_stream());
+                let mut out = Vec::new();
+                // Two streams race for the H2D engine...
+                let c1 = gpu.memcpy_async(d1, host.base(), MIB, &s1);
+                let c2 = gpu.memcpy_async(d2, host.ptr(MIB), MIB / 2, &s2);
+                // ...while D2H and the device-internal engine run beside it.
+                let c3 = gpu.memcpy_async(host.ptr(2 * MIB), d3, MIB / 4, &s3);
+                let c4 = gpu.memcpy_2d_async(pitched(d3.add(MIB / 2).into(), d2.into()), &s4);
+                // D2H on s3 may not start before the first H2D has landed.
+                s3.wait_event(&c1);
+                let c5 = gpu.memcpy_async(host.ptr(3 * MIB), d1, 64 << 10, &s3);
+                // A fill on its own stream queues behind the pitched copy on
+                // the device-internal engine; a long kernel behind the copy's
+                // stream keeps the compute engine from the one after `c1`.
+                let c6 = gpu.memset_async(d3, 0x5a, 128 << 10, &s5);
+                let k0 = gpu.launch_kernel("long", SimDur::from_micros(200), &s4, |_| {});
+                let k1 = gpu.launch_kernel("scale", SimDur::from_micros(40), &s1, |g| {
+                    g.with_arena(d1, 16, |b| b.fill(1));
+                });
+                for (what, c) in [
+                    ("h2d s1", &c1),
+                    ("h2d s2 (queued)", &c2),
+                    ("d2h s3", &c3),
+                    ("d2d 2d s4", &c4),
+                    ("d2h s3 after event", &c5),
+                    ("memset s5 (queued)", &c6),
+                    ("kernel s4", &k0),
+                    ("kernel s1 (queued)", &k1),
+                ] {
+                    out.push(comp(what, c));
+                }
+                // Blocking calls while the tenant's work is in flight.
+                let t = now().as_nanos();
+                gpu.memcpy(host.base(), d2, MIB / 8);
+                out.push(("sync memcpy d2h", t, now().as_nanos()));
+                let t = now().as_nanos();
+                gpu.memcpy_2d(pitched(host.ptr(MIB).into(), d1.into()));
+                out.push(("sync memcpy_2d d2h", t, now().as_nanos()));
+                let t = now().as_nanos();
+                gpu.memset(d2, 7, MIB / 4);
+                out.push(("sync memset", t, now().as_nanos()));
+                gpu.synchronize();
+                out.push(("owner synchronized", now().as_nanos(), 0));
+                rows.lock().extend(out);
+            });
+        }
+        {
+            let (gpu, rows) = (gpu.clone(), rows.clone());
+            sim.spawn("tenant", move || {
+                sim_core::sleep_until(SimTime::from_nanos(150_000));
+                let dev = gpu.malloc(MIB);
+                let host = HostBuf::alloc(MIB);
+                let s = gpu.create_stream();
+                let c1 = gpu.memcpy_async(dev, host.base(), MIB / 2, &s);
+                let k = gpu.launch_kernel("tenant", SimDur::from_micros(25), &s, |_| {});
+                let c2 = gpu.memcpy_async(host.base(), dev, MIB / 2, &s);
+                let out = [
+                    comp("tenant h2d", &c1),
+                    comp("tenant kernel", &k),
+                    comp("tenant d2h", &c2),
+                ];
+                s.synchronize();
+                rows.lock().extend(out);
+                rows.lock()
+                    .push(("tenant synchronized", now().as_nanos(), 0));
+            });
+        }
+        sim.run();
+        let mut rows = std::mem::take(&mut *rows.lock());
+        let [h2d, d2h, d2d, compute] = engine_waits(&gpu);
+        rows.extend([
+            ("wait h2d", h2d, 0),
+            ("wait d2h", d2h, 0),
+            ("wait d2d", d2d, 0),
+            ("wait compute", compute, 0),
+        ]);
+        rows
+    }
+
+    /// Captured at the commit before `gpu.rs` was rebuilt on
+    /// `sim_core::Horizon`. To re-capture on purpose (a cost-model or
+    /// scheduling change): run `cargo test -p gpu-sim
+    /// device_virtual_times_are_pinned`; the failure message is the new
+    /// table as Rust source. Paste it here and say why in CHANGES.md.
+    const DEVICE: &[Row] = &[
+        ("tenant h2d", 483475, 586800),
+        ("tenant kernel", 586800, 618800),
+        ("tenant d2h", 618800, 722125),
+        ("tenant synchronized", 722125, 0),
+        ("h2d s1", 181500, 380150),
+        ("h2d s2 (queued)", 380150, 483475),
+        ("d2h s3", 184500, 240163),
+        ("d2d 2d s4", 186000, 224938),
+        ("d2h s3 after event", 380150, 400066),
+        ("memset s5 (queued)", 224938, 232576),
+        ("kernel s4", 224938, 431938),
+        ("kernel s1 (queued)", 431938, 478938),
+        ("sync memcpy d2h", 192000, 431897),
+        ("sync memcpy_2d d2h", 431897, 1298724),
+        ("sync memset", 1298724, 1308001),
+        ("owner synchronized", 1308001, 0),
+        ("wait h2d", 469125, 0),
+        ("wait d2h", 498294, 0),
+        ("wait d2d", 35938, 0),
+        ("wait compute", 51788, 0),
+    ];
+
+    #[test]
+    fn device_virtual_times_are_pinned() {
+        let got = device_ledger();
+        let table: String = got
+            .iter()
+            .map(|(what, a, b)| format!("        ({what:?}, {a}, {b}),\n"))
+            .collect();
+        assert!(
+            got == DEVICE,
+            "a device operation's virtual time moved; DEVICE is now\n{table}"
+        );
+    }
+
     #[test]
     fn two_gpus_are_independent_devices() {
         in_sim(|| {
