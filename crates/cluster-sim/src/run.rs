@@ -169,17 +169,10 @@ pub fn run_mix(params: &ClusterParams, plans: &[JobPlan]) -> ClusterOutcome {
     let rec = params.recorder.clone().unwrap_or_default();
     fabric.attach_recorder(&rec);
 
-    // One GPU per physical node, shared by every tenant bound there. The
-    // queue-wait counters (how long each tenant's work sat behind the
-    // other's on the copy/compute engines) go into the registry separately
-    // from the per-GPU span lanes.
+    // One GPU per physical node, shared by every tenant bound there.
     let cost = CostModel::tesla_c2050();
     let gpus: Vec<Gpu> = (0..params.phys_nodes)
-        .map(|node| {
-            let gpu = node_gpu(node, &cost, 3 << 30, &rec);
-            rec.register_counters(&format!("gpu{node}.queue"), gpu.queue_waits());
-            gpu
-        })
+        .map(|node| node_gpu(node, &cost, 3 << 30, &rec))
         .collect();
 
     // Per-job lifecycle lanes (arrive/start/done instants) and plumbing.

@@ -12,9 +12,21 @@
 //! copy into `tbuf` (the staging vbuf is creditable as soon as that
 //! finishes) followed by a strided device unpack into the user buffer.
 //!
+//! Both are chunk bookkeeping and two streams around one [`DeviceHalf`]:
+//! the device side of a message — the user buffer, its layout plan, the
+//! tbuf, and the one gather and the one scatter every path (chunked, eager,
+//! device rendezvous) goes through.
+//!
 //! Contiguous device buffers skip the tbuf entirely — they still get the
 //! chunked PCIe/RDMA pipeline (the paper's "8x1 grid" case, which benefits
 //! from pipelining alone).
+//!
+//! **When the tbuf is taken is behaviour, not style.** A pool miss is a
+//! `cudaMalloc`: it sleeps `malloc_ns` and decides device addresses. So a
+//! send takes its tbuf at its first pack, a chunked receive at `begin` (for
+//! the bytes actually coming, not the layout's capacity), both hold it
+//! until they are dropped, and an eager receive puts it back before it
+//! returns — the next message of the rank finds it in the pool.
 
 use std::sync::Arc;
 
@@ -38,134 +50,148 @@ struct StageLanes {
     unpack: Lane,
 }
 
-impl StageLanes {
-    fn new(rec: &Recorder, scope: &str) -> Self {
-        StageLanes {
-            pack: rec.lane(scope, "pack", LaneKind::Stage),
-            d2h: rec.lane(scope, "d2h", LaneKind::Stage),
-            h2d: rec.lane(scope, "h2d", LaneKind::Stage),
-            unpack: rec.lane(scope, "unpack", LaneKind::Stage),
-        }
-    }
-}
-
-/// Where the message starts when `plan` is one contiguous run of the
-/// buffer at `base` (such buffers skip the tbuf).
-fn contiguous(plan: &Plan, base: DevPtr) -> Option<DevPtr> {
-    match Canonical::of(plan) {
-        Canonical::Contig { offset, .. } => Some(base.add_signed(offset)),
-        _ => None,
-    }
-}
-
-/// Sender half of the GPU pipeline (plugs into the rendezvous engine).
-pub struct GpuSendSource {
+/// The device side of one message, either direction: where the user's bytes
+/// are, how they are laid out, and the contiguous device image (`tbuf`) they
+/// are packed into or scattered from.
+struct DeviceHalf {
     gpu: Gpu,
     pool: Arc<TbufPool>,
     user: DevPtr,
     plan: Arc<Plan>,
+    /// Packed bytes of the whole layout: a send's size, a receive's capacity.
     total: usize,
+    /// Where the message starts when the layout is one contiguous run of the
+    /// user buffer (such buffers skip the tbuf).
     contiguous: Option<DevPtr>,
     tbuf: Option<Tbuf>,
+    lanes: StageLanes,
+}
+
+impl DeviceHalf {
+    /// The tbuf, taken from the pool for `len` bytes on first use.
+    fn tbuf(&mut self, len: usize) -> DevPtr {
+        self.tbuf.get_or_insert_with(|| self.pool.take(len)).ptr
+    }
+
+    /// Where packed byte `off` sits on the device: in the user buffer when
+    /// that is contiguous, else in the tbuf (which a pack or `begin` took).
+    fn packed(&self, off: usize) -> DevPtr {
+        match self.contiguous {
+            Some(cptr) => cptr.add(off),
+            None => self.tbuf.as_ref().expect("begin not called").ptr.add(off),
+        }
+    }
+
+    /// Pack bytes `[off, off + len)` of the message into the tbuf on `stream`.
+    fn gather(&mut self, stream: &Stream, off: usize, len: usize) -> Completion {
+        let dst = self.tbuf(self.total).add(off);
+        let pieces = self.plan.pieces(off, len);
+        enqueue_gather(&self.gpu, stream, self.user, &pieces, dst)
+    }
+
+    /// Scatter packed bytes `[off, off + len)`, sitting at `src`, into the
+    /// user buffer on `stream`, no earlier than `after`.
+    fn scatter(
+        &self,
+        stream: &Stream,
+        (off, len): (usize, usize),
+        src: DevPtr,
+        after: &Completion,
+    ) -> Completion {
+        stream.wait_event(after);
+        match self.contiguous {
+            Some(cptr) => self.gpu.memcpy_async(cptr.add(off), src, len, stream),
+            None => {
+                let pieces = self.plan.pieces(off, len);
+                enqueue_scatter(&self.gpu, stream, self.user, &pieces, src)
+            }
+        }
+    }
+
+    /// The engine refuses a truncating match first; this is the device
+    /// layout's own guard against scattering past the user buffer.
+    fn check_fits(&self, bytes: usize) {
+        assert!(
+            bytes <= self.total,
+            "message truncated: {bytes} bytes into a {}-byte device layout",
+            self.total
+        );
+    }
+
+    fn release(&mut self) {
+        if let Some(t) = self.tbuf.take() {
+            self.pool.put(t);
+        }
+    }
+}
+
+impl Drop for DeviceHalf {
+    fn drop(&mut self) {
+        self.release();
+    }
+}
+
+/// The earliest finish among `comps` that still lies ahead.
+fn next_done<'a>(comps: impl Iterator<Item = &'a Option<Completion>>) -> Option<SimTime> {
+    let now = sim_core::now();
+    comps
+        .flatten()
+        .filter_map(Completion::done_at)
+        .filter(|&t| t > now)
+        .min()
+}
+
+/// Sender half of the GPU pipeline (plugs into the rendezvous engine).
+pub struct GpuSendSource {
+    half: DeviceHalf,
     pack_stream: Stream,
     d2h_stream: Stream,
     chunk_size: usize,
     packs: Vec<Completion>,
     d2h: Vec<Option<Completion>>,
-    lanes: StageLanes,
 }
 
 impl GpuSendSource {
-    fn new(
-        gpu: Gpu,
-        pool: Arc<TbufPool>,
-        user: DevPtr,
-        count: usize,
-        dtype: &Datatype,
-        lanes: StageLanes,
-    ) -> Self {
-        let plan = dtype.plan(count);
-        let total = plan.total();
-        let pack_stream = gpu.create_stream();
-        let d2h_stream = gpu.create_stream();
-        GpuSendSource {
-            gpu,
-            pool,
-            user,
-            contiguous: contiguous(&plan, user),
-            plan,
-            total,
-            tbuf: None,
-            pack_stream,
-            d2h_stream,
-            chunk_size: 0,
-            packs: Vec::new(),
-            d2h: Vec::new(),
-            lanes,
+    /// One contiguous D2H of packed bytes `[off, off + len)` into `dst`, no
+    /// earlier than the pack that produces them.
+    fn d2h(&self, dst: HostPtr, off: usize, len: usize, pack: Option<&Completion>) -> Completion {
+        if let Some(pack) = pack {
+            self.d2h_stream.wait_event(pack);
         }
-    }
-
-    fn ensure_tbuf(&mut self) -> DevPtr {
-        if self.tbuf.is_none() {
-            self.tbuf = Some(self.pool.take(self.total));
-        }
-        self.tbuf.as_ref().unwrap().ptr
+        let (gpu, src) = (&self.half.gpu, self.half.packed(off));
+        gpu.memcpy_async(Loc::Host(dst), src, len, &self.d2h_stream)
     }
 }
 
 impl SendSource for GpuSendSource {
     fn total_bytes(&self) -> usize {
-        self.total
+        self.half.total
     }
 
     fn begin(&mut self, chunk_size: usize) {
+        let total = self.half.total;
         self.chunk_size = chunk_size;
-        let nchunks = self.total.div_ceil(chunk_size).max(1);
-        self.d2h = (0..nchunks).map(|_| None).collect();
-        if self.contiguous.is_some() {
+        let nchunks = total.div_ceil(chunk_size).max(1);
+        self.d2h = vec![None; nchunks];
+        if self.half.contiguous.is_some() {
             return; // no packing needed; D2H reads the user buffer directly
         }
-        let tbuf = self.ensure_tbuf();
         // Enqueue every chunk's pack up front (the paper's async 2D-copy
         // loop): the device packs ahead while earlier chunks drain to the
         // host and the wire.
         for i in 0..nchunks {
             let off = i * chunk_size;
-            let len = chunk_size.min(self.total - off);
-            let pieces = self.plan.pieces(off, len);
-            let comp = enqueue_gather(
-                &self.gpu,
-                &self.pack_stream,
-                self.user,
-                &pieces,
-                tbuf.add(off),
-            );
-            self.lanes.pack.comp_span("pack", Some(i), &comp);
+            let len = chunk_size.min(total - off);
+            let comp = self.half.gather(&self.pack_stream, off, len);
+            self.half.lanes.pack.comp_span("pack", Some(i), &comp);
             self.packs.push(comp);
         }
     }
 
     fn request_chunk(&mut self, idx: usize, dst: HostPtr, len: usize) {
-        let off = idx * self.chunk_size;
-        let comp = match self.contiguous {
-            Some(cptr) => {
-                self.gpu
-                    .memcpy_async(Loc::Host(dst), cptr.add(off), len, &self.d2h_stream)
-            }
-            None => {
-                let tbuf = self.tbuf.as_ref().expect("begin not called").ptr;
-                // The D2H copy may start only after this chunk's pack.
-                self.d2h_stream.wait_event(&self.packs[idx]);
-                self.gpu
-                    .memcpy_async(Loc::Host(dst), tbuf.add(off), len, &self.d2h_stream)
-            }
-        };
-        self.lanes.d2h.comp_span("d2h", Some(idx), &comp);
+        let comp = self.d2h(dst, idx * self.chunk_size, len, self.packs.get(idx));
+        self.half.lanes.d2h.comp_span("d2h", Some(idx), &comp);
         self.d2h[idx] = Some(comp);
-    }
-
-    fn poll(&mut self) -> bool {
-        false // completion times are known; progress is purely time-driven
     }
 
     fn chunk_ready(&self, idx: usize) -> bool {
@@ -173,17 +199,11 @@ impl SendSource for GpuSendSource {
     }
 
     fn next_event(&self) -> Option<SimTime> {
-        let now = sim_core::now();
-        self.d2h
-            .iter()
-            .flatten()
-            .filter_map(Completion::done_at)
-            .filter(|&t| t > now)
-            .min()
+        next_done(self.d2h.iter())
     }
 
     fn device_gpu(&self) -> Option<u32> {
-        Some(self.gpu.id())
+        Some(self.half.gpu.id())
     }
 
     fn stage_device(&mut self) -> Option<(DevPtr, Completion)> {
@@ -191,58 +211,30 @@ impl SendSource for GpuSendSource {
         // whole message into a device tbuf in one go — no chunking, the
         // receiver scatters straight from it. Contiguous buffers need no
         // packing at all; the user buffer itself is announced.
-        if let Some(cptr) = self.contiguous {
+        if let Some(cptr) = self.half.contiguous {
             return Some((cptr, Completion::ready()));
         }
-        let tbuf = self.ensure_tbuf();
-        let pieces = self.plan.pieces(0, self.total);
-        let comp = enqueue_gather(&self.gpu, &self.pack_stream, self.user, &pieces, tbuf);
-        self.lanes.pack.comp_span("pack", None, &comp);
-        Some((tbuf, comp))
+        let comp = self.half.gather(&self.pack_stream, 0, self.half.total);
+        self.half.lanes.pack.comp_span("pack", None, &comp);
+        Some((self.half.packed(0), comp))
     }
 
     fn pack_eager(&mut self) -> Vec<u8> {
-        let host = HostBuf::alloc(self.total);
-        if self.total == 0 {
+        let total = self.half.total;
+        let host = HostBuf::alloc(total);
+        if total == 0 {
             return Vec::new();
         }
-        match self.contiguous {
-            Some(cptr) => {
-                self.gpu
-                    .memcpy_async(Loc::Host(host.base()), cptr, self.total, &self.d2h_stream)
-                    .wait();
-            }
-            None => {
-                let tbuf = self.ensure_tbuf();
-                let pieces = self.plan.pieces(0, self.total);
-                let pack = enqueue_gather(&self.gpu, &self.pack_stream, self.user, &pieces, tbuf);
-                self.d2h_stream.wait_event(&pack);
-                self.gpu
-                    .memcpy_async(Loc::Host(host.base()), tbuf, self.total, &self.d2h_stream)
-                    .wait();
-            }
-        }
-        host.read(0, self.total)
-    }
-}
-
-impl Drop for GpuSendSource {
-    fn drop(&mut self) {
-        if let Some(t) = self.tbuf.take() {
-            self.pool.put(t);
-        }
+        let packing = self.half.contiguous.is_none();
+        let pack = packing.then(|| self.half.gather(&self.pack_stream, 0, total));
+        self.d2h(host.base(), 0, total, pack.as_ref()).wait();
+        host.read(0, total)
     }
 }
 
 /// Receiver half of the GPU pipeline.
 pub struct GpuRecvSink {
-    gpu: Gpu,
-    pool: Arc<TbufPool>,
-    user: DevPtr,
-    plan: Arc<Plan>,
-    capacity: usize,
-    contiguous: Option<DevPtr>,
-    tbuf: Option<Tbuf>,
+    half: DeviceHalf,
     h2d_stream: Stream,
     unpack_stream: Stream,
     chunk_size: usize,
@@ -250,98 +242,62 @@ pub struct GpuRecvSink {
     arrived: usize,
     h2d: Vec<Option<Completion>>,
     unpack: Vec<Option<Completion>>,
-    lanes: StageLanes,
 }
 
 impl GpuRecvSink {
-    fn new(
-        gpu: Gpu,
-        pool: Arc<TbufPool>,
-        user: DevPtr,
-        count: usize,
-        dtype: &Datatype,
-        lanes: StageLanes,
-    ) -> Self {
-        let plan = dtype.plan(count);
-        let capacity = plan.total();
-        let h2d_stream = gpu.create_stream();
-        let unpack_stream = gpu.create_stream();
-        GpuRecvSink {
-            gpu,
-            pool,
-            user,
-            contiguous: contiguous(&plan, user),
-            plan,
-            capacity,
-            tbuf: None,
-            h2d_stream,
-            unpack_stream,
-            chunk_size: 0,
-            nchunks: 0,
-            arrived: 0,
-            h2d: Vec::new(),
-            unpack: Vec::new(),
-            lanes,
+    /// H2D of packed bytes `[off, off + len)` from `src` to where they sit
+    /// on the device, then — unless that already is the user buffer — the
+    /// unpack after it (stream-wait dependency). A pipelined `chunk` leaves
+    /// its stage spans, in issue order; an eager message (`None`) leaves none.
+    fn h2d_unpack(
+        &self,
+        src: HostPtr,
+        (off, len): (usize, usize),
+        chunk: Option<usize>,
+    ) -> (Completion, Option<Completion>) {
+        let (half, at) = (&self.half, self.half.packed(off));
+        let h2d = half
+            .gpu
+            .memcpy_async(at, Loc::Host(src), len, &self.h2d_stream);
+        if chunk.is_some() {
+            half.lanes.h2d.comp_span("h2d", chunk, &h2d);
         }
+        let packed = half.contiguous.is_none();
+        let unpack = packed.then(|| half.scatter(&self.unpack_stream, (off, len), at, &h2d));
+        if let (Some(_), Some(up)) = (chunk, &unpack) {
+            half.lanes.unpack.comp_span("unpack", chunk, up);
+        }
+        (h2d, unpack)
+    }
+
+    /// The whole message in one step: the chunk bookkeeping collapses to a
+    /// single entry, finished when `unpack` is.
+    fn single(&mut self, unpack: Option<Completion>) {
+        (self.nchunks, self.arrived) = (1, 1);
+        (self.h2d, self.unpack) = (vec![None], vec![unpack]);
     }
 }
 
 impl RecvSink for GpuRecvSink {
     fn total_bytes(&self) -> usize {
-        self.capacity
+        self.half.total
     }
 
     fn begin(&mut self, chunk_size: usize, actual_total: usize) {
-        assert!(
-            actual_total <= self.capacity,
-            "message truncated: {actual_total} bytes into a {}-byte device layout",
-            self.capacity
-        );
+        self.half.check_fits(actual_total);
         self.chunk_size = chunk_size;
         self.nchunks = actual_total.div_ceil(chunk_size).max(1);
-        self.h2d = (0..self.nchunks).map(|_| None).collect();
-        self.unpack = (0..self.nchunks).map(|_| None).collect();
-        if self.contiguous.is_none() && actual_total > 0 {
-            self.tbuf = Some(self.pool.take(actual_total));
+        self.h2d = vec![None; self.nchunks];
+        self.unpack = vec![None; self.nchunks];
+        if self.half.contiguous.is_none() && actual_total > 0 {
+            self.half.tbuf(actual_total);
         }
     }
 
     fn chunk_arrived(&mut self, idx: usize, src: HostPtr, len: usize) {
-        let off = idx * self.chunk_size;
-        match self.contiguous {
-            Some(cptr) => {
-                let comp =
-                    self.gpu
-                        .memcpy_async(cptr.add(off), Loc::Host(src), len, &self.h2d_stream);
-                self.lanes.h2d.comp_span("h2d", Some(idx), &comp);
-                self.h2d[idx] = Some(comp);
-            }
-            None => {
-                let tbuf = self.tbuf.as_ref().expect("begin not called").ptr;
-                let h2d =
-                    self.gpu
-                        .memcpy_async(tbuf.add(off), Loc::Host(src), len, &self.h2d_stream);
-                self.lanes.h2d.comp_span("h2d", Some(idx), &h2d);
-                // Unpack after this chunk's H2D (stream-wait dependency).
-                self.unpack_stream.wait_event(&h2d);
-                let pieces = self.plan.pieces(off, len);
-                let up = enqueue_scatter(
-                    &self.gpu,
-                    &self.unpack_stream,
-                    self.user,
-                    &pieces,
-                    tbuf.add(off),
-                );
-                self.lanes.unpack.comp_span("unpack", Some(idx), &up);
-                self.h2d[idx] = Some(h2d);
-                self.unpack[idx] = Some(up);
-            }
-        }
+        let (h2d, unpack) = self.h2d_unpack(src, (idx * self.chunk_size, len), Some(idx));
+        (self.h2d[idx], self.unpack[idx]) = (Some(h2d), unpack);
         self.arrived += 1;
-    }
-
-    fn poll(&mut self) -> bool {
-        false
     }
 
     fn chunk_absorbed(&self, idx: usize) -> bool {
@@ -350,28 +306,16 @@ impl RecvSink for GpuRecvSink {
     }
 
     fn finished(&self) -> bool {
-        self.arrived == self.nchunks
-            && self
-                .h2d
-                .iter()
-                .chain(self.unpack.iter())
-                .flatten()
-                .all(Completion::poll)
+        let mut all = self.h2d.iter().chain(&self.unpack).flatten();
+        self.arrived == self.nchunks && all.all(Completion::poll)
     }
 
     fn next_event(&self) -> Option<SimTime> {
-        let now = sim_core::now();
-        self.h2d
-            .iter()
-            .chain(self.unpack.iter())
-            .flatten()
-            .filter_map(Completion::done_at)
-            .filter(|&t| t > now)
-            .min()
+        next_done(self.h2d.iter().chain(&self.unpack))
     }
 
     fn device_gpu(&self) -> Option<u32> {
-        Some(self.gpu.id())
+        Some(self.half.gpu.id())
     }
 
     fn absorb_device(
@@ -380,75 +324,31 @@ impl RecvSink for GpuRecvSink {
         total: usize,
         ready: &Completion,
     ) -> Option<Completion> {
-        assert!(
-            total <= self.capacity,
-            "message truncated: {total} bytes into a {}-byte device layout",
-            self.capacity
-        );
-        // One whole-message device-side absorb; the engine completes the
-        // receive on this completion, so the chunk bookkeeping collapses to
-        // a single entry.
-        self.nchunks = 1;
-        self.arrived = 1;
-        self.h2d = vec![None];
-        // Order the reads after the sender's pack (CUDA IPC event).
-        self.unpack_stream.wait_event(ready);
-        let comp = match self.contiguous {
-            Some(cptr) => self.gpu.memcpy_async(cptr, src, total, &self.unpack_stream),
-            None => {
-                let pieces = self.plan.pieces(0, total);
-                enqueue_scatter(&self.gpu, &self.unpack_stream, self.user, &pieces, src)
-            }
-        };
-        self.lanes.unpack.comp_span("unpack", None, &comp);
-        self.unpack = vec![Some(comp.clone())];
+        self.half.check_fits(total);
+        // One whole-message device-side absorb, its reads ordered after the
+        // sender's pack (CUDA IPC event); the engine completes the receive
+        // on this completion.
+        let comp = self
+            .half
+            .scatter(&self.unpack_stream, (0, total), src, ready);
+        self.half.lanes.unpack.comp_span("unpack", None, &comp);
+        self.single(Some(comp.clone()));
         Some(comp)
     }
 
     fn unpack_eager(&mut self, data: &[u8]) {
-        assert!(
-            data.len() <= self.capacity,
-            "message truncated: {} bytes into a {}-byte device layout",
-            data.len(),
-            self.capacity
-        );
-        self.nchunks = 1;
-        self.arrived = 1;
-        self.h2d = vec![None];
-        self.unpack = vec![None];
+        self.half.check_fits(data.len());
+        self.single(None);
         if data.is_empty() {
             return;
         }
         let host = HostBuf::from_vec(data.to_vec());
-        match self.contiguous {
-            Some(cptr) => {
-                self.gpu
-                    .memcpy_async(cptr, Loc::Host(host.base()), data.len(), &self.h2d_stream)
-                    .wait();
-            }
-            None => {
-                let tbuf = self.pool.take(data.len());
-                let h2d = self.gpu.memcpy_async(
-                    tbuf.ptr,
-                    Loc::Host(host.base()),
-                    data.len(),
-                    &self.h2d_stream,
-                );
-                self.unpack_stream.wait_event(&h2d);
-                let pieces = self.plan.pieces(0, data.len());
-                enqueue_scatter(&self.gpu, &self.unpack_stream, self.user, &pieces, tbuf.ptr)
-                    .wait();
-                self.pool.put(tbuf);
-            }
+        if self.half.contiguous.is_none() {
+            self.half.tbuf(data.len());
         }
-    }
-}
-
-impl Drop for GpuRecvSink {
-    fn drop(&mut self) {
-        if let Some(t) = self.tbuf.take() {
-            self.pool.put(t);
-        }
+        let (h2d, unpack) = self.h2d_unpack(host.base(), (0, data.len()), None);
+        unpack.unwrap_or(h2d).wait();
+        self.half.release();
     }
 }
 
@@ -467,48 +367,113 @@ impl GpuStager {
     /// stage spans in its own namespace.
     pub fn with_scope(gpu: Gpu, scope: &str, rec: &Recorder) -> Self {
         let pool = Arc::new(TbufPool::new(gpu.clone()));
-        let lanes = StageLanes::new(rec, scope);
+        // Registered in pipeline order; the Chrome export numbers threads by it.
+        let lane = |name| rec.lane(scope, name, LaneKind::Stage);
+        let lanes = StageLanes {
+            pack: lane("pack"),
+            d2h: lane("d2h"),
+            h2d: lane("h2d"),
+            unpack: lane("unpack"),
+        };
         GpuStager { gpu, pool, lanes }
     }
 
-    /// The device temporary pool (exposed for tests/diagnostics).
-    pub fn pool(&self) -> &Arc<TbufPool> {
-        &self.pool
+    /// The device side of a message in `buf`, with the two streams its
+    /// pipeline runs on (created in the order the halves name them: stream
+    /// indices are sanitizer queue ids). `None` for a host buffer.
+    fn half(&self, buf: &Loc, count: usize, dtype: &Datatype) -> Option<(DeviceHalf, [Stream; 2])> {
+        let Loc::Device(user) = *buf else { return None };
+        assert_eq!(
+            user.gpu_id(),
+            self.gpu.id(),
+            "device buffer belongs to a different GPU than this rank's"
+        );
+        let plan = dtype.plan(count);
+        let contiguous = match Canonical::of(&plan) {
+            Canonical::Contig { offset, .. } => Some(user.add_signed(offset)),
+            _ => None,
+        };
+        let half = DeviceHalf {
+            gpu: self.gpu.clone(),
+            pool: Arc::clone(&self.pool),
+            user,
+            total: plan.total(),
+            contiguous,
+            plan,
+            tbuf: None,
+            lanes: self.lanes.clone(),
+        };
+        let streams = [(); 2].map(|()| self.gpu.create_stream());
+        Some((half, streams))
     }
 }
 
 impl BufferStager for GpuStager {
     fn source(&self, buf: &Loc, count: usize, dtype: &Datatype) -> Option<Box<dyn SendSource>> {
-        let Loc::Device(p) = buf else { return None };
-        assert_eq!(
-            p.gpu_id(),
-            self.gpu.id(),
-            "device buffer belongs to a different GPU than this rank's"
-        );
-        Some(Box::new(GpuSendSource::new(
-            self.gpu.clone(),
-            Arc::clone(&self.pool),
-            *p,
-            count,
-            dtype,
-            self.lanes.clone(),
-        )))
+        let (half, [pack_stream, d2h_stream]) = self.half(buf, count, dtype)?;
+        Some(Box::new(GpuSendSource {
+            half,
+            pack_stream,
+            d2h_stream,
+            chunk_size: 0,
+            packs: Vec::new(),
+            d2h: Vec::new(),
+        }))
     }
 
     fn sink(&self, buf: &Loc, count: usize, dtype: &Datatype) -> Option<Box<dyn RecvSink>> {
-        let Loc::Device(p) = buf else { return None };
-        assert_eq!(
-            p.gpu_id(),
-            self.gpu.id(),
-            "device buffer belongs to a different GPU than this rank's"
-        );
-        Some(Box::new(GpuRecvSink::new(
-            self.gpu.clone(),
-            Arc::clone(&self.pool),
-            *p,
-            count,
-            dtype,
-            self.lanes.clone(),
-        )))
+        let (half, [h2d_stream, unpack_stream]) = self.half(buf, count, dtype)?;
+        Some(Box::new(GpuRecvSink {
+            half,
+            h2d_stream,
+            unpack_stream,
+            chunk_size: 0,
+            nchunks: 0,
+            arrived: 0,
+            h2d: Vec::new(),
+            unpack: Vec::new(),
+        }))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_truncated_device_receive_dies_at_the_one_check() {
+        // The engine refuses a truncating match before a sink sees it; a
+        // sink handed one anyway must still refuse — chunked, eager and
+        // device rendezvous alike — before it touches the device.
+        let gpu = Gpu::tesla_c2050(0);
+        let stager = GpuStager::with_scope(gpu.clone(), "rank0", &Recorder::off());
+        let dt = Datatype::vector(16, 4, 8, &Datatype::float());
+        dt.commit();
+        let (capacity, dev) = (16 * 4 * 4, gpu.malloc(16 * 8 * 4));
+        let mut sink = stager
+            .sink(&Loc::Device(dev), 1, &dt)
+            .expect("a device sink");
+        assert_eq!(sink.total_bytes(), capacity);
+        let too_long = vec![0u8; capacity + 1];
+        type Path = fn(&mut dyn RecvSink, DevPtr, &[u8]);
+        let paths: [(&str, Path); 3] = [
+            ("chunked", |sink, _, data| sink.begin(64, data.len())),
+            ("eager", |sink, _, data| sink.unpack_eager(data)),
+            ("device", |sink, src, data| {
+                sink.absorb_device(src, data.len(), &Completion::ready());
+            }),
+        ];
+        for (path, call) in paths {
+            let call = || call(&mut *sink, dev, &too_long);
+            let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(call))
+                .expect_err("a truncated receive must die");
+            let msg = died.downcast::<String>().expect("a message");
+            let want = format!(
+                "message truncated: {} bytes into a {capacity}-byte",
+                capacity + 1
+            );
+            assert!(msg.contains(&want), "{path}: {msg}");
+        }
+        assert_eq!(gpu.live_allocs(), 1, "a refused receive took a tbuf");
     }
 }

@@ -12,21 +12,26 @@
 //!   waiting/polling completions, this is indistinguishable from deferred
 //!   copying for race-free programs (racy programs are undefined behaviour
 //!   on real CUDA too).
-//! * **Engines.** Fermi exposes two PCIe copy engines (H2D and D2H) that
-//!   run concurrently with the compute engine; strided device-internal
-//!   copies get their own queue (they execute as small DMA/kernel programs).
-//!   An operation starts when both its stream's previous op and its engine
-//!   are free.
+//! * **Engines and streams are horizons.** Fermi exposes two PCIe copy
+//!   engines (H2D and D2H) that run concurrently with the compute engine;
+//!   strided device-internal copies get their own queue (they execute as
+//!   small DMA/kernel programs). Each engine, and each stream, is one
+//!   [`sim_core::Horizon`]. What this device adds is the two-horizon rule:
+//!   an operation is ready when its stream's previous op has finished,
+//!   starts when its engine is free as well, and holds both until it ends.
+//!   The engine's wait tally is therefore pure contention — other streams
+//!   or, on a shared device, other jobs ([`Gpu::engines`]).
 //! * **Sync vs async.** Synchronous calls (`cudaMemcpy`, `cudaMemcpy2D`)
 //!   block the calling process until the engine finishes. Asynchronous calls
 //!   cost [`CostModel::async_submit_ns`] of CPU time and return immediately.
+//!   Either way the operation goes through the one body, `Gpu::run`.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use hostmem::{HostPtr, Scalar};
 use sim_core::lock::Mutex;
 use sim_core::san;
-use sim_core::{CallCounters, Completion, SimDur, SimTime};
+use sim_core::{CallCounters, Completion, Horizon, SimDur, SimTime};
 
 use crate::cost::{CopyDir, CostModel, Shape2D};
 use crate::mem::{DevPtr, DeviceMem, DeviceOom};
@@ -43,11 +48,6 @@ pub enum Loc {
 }
 
 impl Loc {
-    /// True if the location is in device memory.
-    pub fn is_device(&self) -> bool {
-        matches!(self, Loc::Device(_))
-    }
-
     /// A location `bytes` further along.
     pub fn add(&self, bytes: usize) -> Loc {
         match self {
@@ -88,14 +88,43 @@ pub struct Copy2d {
 }
 
 impl Copy2d {
-    fn validate(&self) {
+    /// A contiguous copy of `len` bytes as a one-row pitched copy.
+    fn flat(dst: Loc, src: Loc, len: usize) -> Copy2d {
+        Copy2d {
+            dst,
+            dpitch: len.max(1),
+            src,
+            spitch: len.max(1),
+            width: len,
+            height: 1,
+        }
+    }
+
+    /// The bytes each side spans, `(source, destination)`: computed once per
+    /// copy, for the byte mover and the sanitizer alike. An extent that does
+    /// not fit a `usize` lies outside every allocation — the device fault,
+    /// raised here, before a byte moves, not a sum left to wrap.
+    fn extents(&self) -> (usize, usize) {
+        let (w, h) = (self.width, self.height);
         assert!(
-            self.spitch >= self.width && self.dpitch >= self.width,
-            "Copy2d: pitch smaller than width ({} / {} < {})",
+            self.spitch >= w && self.dpitch >= w,
+            "Copy2d: pitch smaller than width ({} / {} < {w})",
             self.spitch,
             self.dpitch,
-            self.width
         );
+        let side = |pitch: usize| {
+            (h - 1)
+                .checked_mul(pitch)
+                .and_then(|n| n.checked_add(w))
+                .unwrap_or_else(|| {
+                    panic!("pitched copy of {h} rows {pitch} apart is outside any live allocation")
+                })
+        };
+        if w == 0 || h == 0 {
+            (0, 0)
+        } else {
+            (side(self.spitch), side(self.dpitch))
+        }
     }
 
     fn dir(&self) -> CopyDir {
@@ -147,37 +176,71 @@ fn copy_rows(dst: &mut [u8], dpitch: usize, src: &[u8], spitch: usize, w: usize)
 }
 
 const ENGINES: usize = 4;
-const ENG_H2D: usize = 0;
-const ENG_D2H: usize = 1;
-const ENG_D2D: usize = 2;
+/// Engine names by index — the copy engines sit at `CopyDir as usize`. Also
+/// the lane registration order, which the Chrome export numbers threads by.
+const ENGINE_NAMES: [&str; ENGINES] = ["h2d", "d2h", "d2d", "compute"];
 const ENG_COMPUTE: usize = 3;
 
-/// Queue-wait counter name per engine (see [`Gpu::queue_waits`]).
-const ENGINE_WAIT: [&str; ENGINES] = [
-    "queue_wait.h2d",
-    "queue_wait.d2h",
-    "queue_wait.d2d",
-    "queue_wait.compute",
-];
+/// What tells the four copy calls apart: the `cuda*` counter key, the span
+/// label, the sanitizer kind per direction (`CopyDir as usize`) and which
+/// price applies.
+struct CopyCall {
+    counter: &'static str,
+    span: &'static str,
+    kinds: [&'static str; 3],
+    pitched: bool,
+}
 
-fn engine_for(dir: CopyDir) -> usize {
-    match dir {
-        CopyDir::H2D => ENG_H2D,
-        CopyDir::D2H => ENG_D2H,
-        CopyDir::D2D => ENG_D2D,
-    }
+/// A [`CopyCall`] whose sanitizer kinds are its span label and the direction.
+macro_rules! copy_call {
+    ($counter:literal, $span:literal, $pitched:literal) => {
+        CopyCall {
+            counter: $counter,
+            span: $span,
+            kinds: [
+                concat!($span, "(H2D)"),
+                concat!($span, "(D2H)"),
+                concat!($span, "(D2D)"),
+            ],
+            pitched: $pitched,
+        }
+    };
+}
+
+const MEMCPY: CopyCall = copy_call!("cudaMemcpy", "memcpy", false);
+const MEMCPY_2D: CopyCall = copy_call!("cudaMemcpy2D", "memcpy_2d", true);
+const MEMCPY_ASYNC: CopyCall = copy_call!("cudaMemcpyAsync", "memcpy_async", false);
+const MEMCPY_2D_ASYNC: CopyCall = copy_call!("cudaMemcpy2DAsync", "memcpy_2d_async", true);
+
+/// One timed operation as its entry point describes it ([`Gpu::run`]).
+struct Op<'a> {
+    /// `cuda*` counter key.
+    counter: &'static str,
+    /// Span label on the engine's lane.
+    span: &'static str,
+    /// Sanitizer: the operation's kind and the range it reads / writes.
+    kind: &'static str,
+    reads: Option<san::MemRange>,
+    writes: Option<san::MemRange>,
+    /// `None` is a blocking call: stream 0, no submit cost, and the caller
+    /// gets the operation back finished.
+    stream: Option<&'a Stream>,
+    engine: usize,
+    dur: SimDur,
+}
+
+/// A stream: a horizon plus, for the sanitizer, the event ops it was told to
+/// order after (from `wait_event`), drained into its next operation's
+/// predecessors.
+#[derive(Default)]
+struct StreamState {
+    horizon: Horizon,
+    pending: Vec<san::OpId>,
 }
 
 struct Sched {
-    engine_free: [SimTime; ENGINES],
-    stream_end: Vec<SimTime>,
-    /// Sanitizer: last operation scheduled on each engine.
-    engine_last: [Option<san::OpId>; ENGINES],
-    /// Sanitizer: last operation scheduled on each stream.
-    stream_last: Vec<Option<san::OpId>>,
-    /// Sanitizer: event ops a stream must order after (from `wait_event`),
-    /// drained into the next operation's predecessors.
-    stream_pending: Vec<Vec<san::OpId>>,
+    engines: [Horizon; ENGINES],
+    streams: Vec<StreamState>,
 }
 
 struct GpuInner {
@@ -186,21 +249,14 @@ struct GpuInner {
     mem: Mutex<DeviceMem>,
     sched: Mutex<Sched>,
     counters: CallCounters,
-    /// Engine queue-wait accounting: nanoseconds each operation waited on
-    /// a busy engine beyond its stream dependency (`queue_wait.{engine}`
-    /// plus the `queue_wait_ns` total). Kept separate from `counters` so
-    /// [`Gpu::attach_recorder`]'s metrics namespace is unchanged; sharing
-    /// layers (a multi-job cluster) read it via [`Gpu::queue_waits`] and
-    /// register it under their own scope.
-    queue_wait: CallCounters,
     /// Sanitizer queue domain for this device (unique per instance).
     san_domain: u64,
-    /// Trace lanes, one per engine, when a recorder is attached.
-    trace: Mutex<Option<[sim_trace::Lane; ENGINES]>>,
+    /// Trace lanes, one per engine, once a recorder is attached.
+    trace: OnceLock<[sim_trace::Lane; ENGINES]>,
     /// Event monitor (see [`Gpu::attach_event_monitor`]): every scheduled
-    /// operation's completion also wakes this component. `None` (default)
+    /// operation's completion also wakes this component. Unset (default)
     /// skips the hook entirely.
-    monitor: Mutex<Option<MonitorHook>>,
+    monitor: OnceLock<MonitorHook>,
 }
 
 /// An attached completion monitor: the component's waker plus the shared
@@ -249,17 +305,13 @@ impl Gpu {
                 cost,
                 mem: Mutex::new(DeviceMem::new(mem_bytes)),
                 sched: Mutex::new(Sched {
-                    engine_free: [SimTime::ZERO; ENGINES],
-                    stream_end: Vec::new(),
-                    engine_last: [None; ENGINES],
-                    stream_last: Vec::new(),
-                    stream_pending: Vec::new(),
+                    engines: [Horizon::default(); ENGINES],
+                    streams: Vec::new(),
                 }),
                 counters: CallCounters::new(),
-                queue_wait: CallCounters::new(),
                 san_domain: san::new_queue_domain(),
-                trace: Mutex::new(None),
-                monitor: Mutex::new(None),
+                trace: OnceLock::new(),
+                monitor: OnceLock::new(),
             }),
         };
         // Stream 0: used by the synchronous copy API.
@@ -287,34 +339,34 @@ impl Gpu {
         &self.inner.counters
     }
 
-    /// Engine queue-wait accounting: total nanoseconds operations spent
-    /// waiting on a busy engine beyond their stream dependency, as
-    /// `queue_wait_ns` plus a per-engine `queue_wait.{h2d,d2h,d2d,compute}`
-    /// breakdown. On a device shared by several jobs this is the
-    /// contention a tenant actually felt; sharing layers register the set
-    /// under their own metrics scope. Not part of
-    /// [`Gpu::attach_recorder`]'s namespace.
-    pub fn queue_waits(&self) -> &CallCounters {
-        &self.inner.queue_wait
+    /// A snapshot of the four engines — H2D, D2H, device-internal, compute —
+    /// with their always-on tallies. `wait_ns` is what operations waited on
+    /// the busy engine beyond their stream dependency: on a device shared by
+    /// several jobs, the contention a tenant actually felt.
+    pub fn engines(&self) -> [Horizon; ENGINES] {
+        self.inner.sched.lock().engines
     }
 
-    /// Attach a trace recorder: every scheduled operation emits a busy span
-    /// on its engine's lane (`gpu<id>/{h2d,d2h,d2d,compute}`), and this
+    /// Attach a trace recorder (once): every scheduled operation emits a busy
+    /// span on its engine's lane (`gpu<id>/{h2d,d2h,d2d,compute}`), and this
     /// device's call counters join the recorder's metrics registry. Purely
     /// observational — virtual-time behavior is unchanged.
     pub fn attach_recorder(&self, rec: &sim_trace::Recorder) {
         let scope = format!("gpu{}", self.inner.id);
-        let lane = |name| rec.lane(&scope, name, sim_trace::LaneKind::GpuEngine);
-        *self.inner.trace.lock() = Some([lane("h2d"), lane("d2h"), lane("d2d"), lane("compute")]);
+        let lanes = ENGINE_NAMES.map(|name| rec.lane(&scope, name, sim_trace::LaneKind::GpuEngine));
+        assert!(
+            self.inner.trace.set(lanes).is_ok(),
+            "{scope} already has a recorder"
+        );
         rec.register_counters(&scope, &self.inner.counters);
     }
 
-    /// Register a stackless completion monitor on `sim`'s kernel: every
-    /// operation scheduled on this device wakes the component at its finish
-    /// instant (coalesced), turning stream/copy completions into component
-    /// wakes. Observational only — attaching it never changes the timing of
-    /// any operation, completion, or waiter. Returns the monitor's waker
-    /// (its tick count = distinct completion instants observed).
+    /// Register a stackless completion monitor on `sim`'s kernel (once):
+    /// every operation scheduled on this device wakes the component at its
+    /// finish instant (coalesced), turning stream/copy completions into
+    /// component wakes. Observational only — attaching it never changes the
+    /// timing of any operation, completion, or waiter. Returns the monitor's
+    /// waker (its tick count = distinct completion instants observed).
     pub fn attach_event_monitor(&self, sim: &sim_core::Sim) -> sim_core::Waker {
         let last_seen = Arc::new(Mutex::new(None));
         let w = sim.add_component(
@@ -323,7 +375,11 @@ impl Gpu {
                 last_seen: Arc::clone(&last_seen),
             },
         );
-        *self.inner.monitor.lock() = Some((w.clone(), last_seen));
+        assert!(
+            self.inner.monitor.set((w.clone(), last_seen)).is_ok(),
+            "gpu{} already has an event monitor",
+            self.inner.id
+        );
         w
     }
 
@@ -331,11 +387,7 @@ impl Gpu {
     /// without [`attach_event_monitor`](Gpu::attach_event_monitor) or before
     /// the first completion).
     pub fn last_completion_seen(&self) -> Option<SimTime> {
-        self.inner
-            .monitor
-            .lock()
-            .as_ref()
-            .and_then(|(_, last)| *last.lock())
+        self.inner.monitor.get().and_then(|(_, last)| *last.lock())
     }
 
     // --- memory management -------------------------------------------------
@@ -372,11 +424,6 @@ impl Gpu {
         self.inner.mem.lock().bytes_allocated()
     }
 
-    /// Total device memory.
-    pub fn mem_capacity(&self) -> usize {
-        self.inner.mem.lock().capacity()
-    }
-
     /// Number of live allocations (leak checking).
     pub fn live_allocs(&self) -> usize {
         self.inner.mem.lock().live_allocs()
@@ -395,20 +442,10 @@ impl Gpu {
     /// Create a new stream.
     pub fn create_stream(&self) -> Stream {
         let mut sched = self.inner.sched.lock();
-        let idx = sched.stream_end.len();
-        sched.stream_end.push(SimTime::ZERO);
-        sched.stream_last.push(None);
-        sched.stream_pending.push(Vec::new());
+        sched.streams.push(StreamState::default());
         Stream {
             gpu: self.clone(),
-            idx,
-        }
-    }
-
-    fn sync_stream(&self) -> Stream {
-        Stream {
-            gpu: self.clone(),
-            idx: 0,
+            idx: sched.streams.len() - 1,
         }
     }
 
@@ -417,14 +454,9 @@ impl Gpu {
         self.inner.counters.record("cudaDeviceSynchronize");
         let t = {
             let sched = self.inner.sched.lock();
-            let mut t = SimTime::ZERO;
-            for &e in &sched.engine_free {
-                t = t.max(e);
-            }
-            for &s in &sched.stream_end {
-                t = t.max(s);
-            }
-            t
+            let streams = sched.streams.iter().map(|s| &s.horizon);
+            let idle = sched.engines.iter().chain(streams).map(Horizon::free).max();
+            idle.expect("a device has engines")
         };
         if sim_core::now() < t {
             sim_core::sleep_until(t);
@@ -432,154 +464,70 @@ impl Gpu {
         san::acquire_queue(self.inner.san_domain, None);
     }
 
-    /// Sanitizer: the range a side of a pitched copy covers.
-    fn loc_range(&self, loc: &Loc, pitch: usize, width: usize, height: usize) -> san::MemRange {
-        let len = if width == 0 || height == 0 {
-            0
-        } else {
-            (height - 1) * pitch + width
-        };
-        match loc {
-            Loc::Host(hp) => san::MemRange {
-                domain: san::MemDomain::Host { buf: hp.buf().id() },
-                start: hp.offset(),
-                len,
-            },
-            Loc::Device(dp) => san::MemRange {
-                domain: san::MemDomain::Dev {
-                    gpu: self.inner.id as u64,
-                },
-                start: dp.offset(),
-                len,
-            },
-        }
-    }
+    // --- the one timed operation ---------------------------------------------
 
-    /// Sanitizer: the range of a contiguous device-memory operation.
-    fn dev_range(&self, ptr: DevPtr, len: usize) -> san::MemRange {
-        san::MemRange {
-            domain: san::MemDomain::Dev {
-                gpu: self.inner.id as u64,
-            },
-            start: ptr.offset(),
-            len,
-        }
-    }
-
-    /// Sanitizer: register a 1-D/2-D copy as an operation reading the
-    /// source extent and writing the destination extent.
-    fn san_op_for_copy(
-        &self,
-        base: &'static str,
-        p: &Copy2d,
-        stream: &Stream,
-    ) -> Option<san::OpId> {
-        if !san::enabled() {
-            return None;
-        }
-        let dir = p.dir();
-        let kind = match (base, dir) {
-            ("memcpy", CopyDir::H2D) => "memcpy(H2D)",
-            ("memcpy", CopyDir::D2H) => "memcpy(D2H)",
-            ("memcpy", CopyDir::D2D) => "memcpy(D2D)",
-            ("memcpy_2d", CopyDir::H2D) => "memcpy_2d(H2D)",
-            ("memcpy_2d", CopyDir::D2H) => "memcpy_2d(D2H)",
-            ("memcpy_2d", CopyDir::D2D) => "memcpy_2d(D2D)",
-            ("memcpy_async", CopyDir::H2D) => "memcpy_async(H2D)",
-            ("memcpy_async", CopyDir::D2H) => "memcpy_async(D2H)",
-            ("memcpy_async", CopyDir::D2D) => "memcpy_async(D2D)",
-            ("memcpy_2d_async", CopyDir::H2D) => "memcpy_2d_async(H2D)",
-            ("memcpy_2d_async", CopyDir::D2H) => "memcpy_2d_async(D2H)",
-            ("memcpy_2d_async", CopyDir::D2D) => "memcpy_2d_async(D2D)",
-            _ => base,
-        };
-        let reads = vec![self.loc_range(&p.src, p.spitch, p.width, p.height)];
-        let writes = vec![self.loc_range(&p.dst, p.dpitch, p.width, p.height)];
-        self.san_begin(kind, stream, engine_for(dir), reads, writes)
-    }
-
-    /// Sanitizer: register an operation about to be scheduled on
-    /// `(stream, engine)`, ordered after the stream's previous op, any
-    /// pending event waits, and the engine's previous op.
-    fn san_begin(
-        &self,
-        kind: &'static str,
-        stream: &Stream,
-        engine: usize,
-        reads: Vec<san::MemRange>,
-        writes: Vec<san::MemRange>,
-    ) -> Option<san::OpId> {
-        if !san::enabled() {
-            return None;
-        }
-        let mut preds = Vec::new();
-        {
-            let mut sched = self.inner.sched.lock();
-            if let Some(p) = sched.stream_last[stream.idx] {
-                preds.push(p);
+    /// Sanitizer: `len` bytes at `loc` as a range.
+    fn range(&self, loc: &Loc, len: usize) -> san::MemRange {
+        let (domain, start) = match loc {
+            Loc::Host(hp) => (san::MemDomain::Host { buf: hp.buf().id() }, hp.offset()),
+            Loc::Device(dp) => {
+                let gpu = self.inner.id as u64;
+                (san::MemDomain::Dev { gpu }, dp.offset())
             }
-            preds.append(&mut sched.stream_pending[stream.idx]);
-            if let Some(p) = sched.engine_last[engine] {
-                preds.push(p);
-            }
-        }
-        san::begin_op(san::OpDesc {
-            kind,
-            queue: (self.inner.san_domain, stream.idx as u64),
-            preds,
-            reads,
-            writes,
-        })
+        };
+        san::MemRange { domain, start, len }
     }
 
-    /// Reserve time on (stream, engine) and return the completion. The
-    /// operation starts when both the stream's previous op and the engine
-    /// are free.
-    fn schedule(
-        &self,
-        kind: &'static str,
-        stream: &Stream,
-        engine: usize,
-        dur: SimDur,
-        op: Option<san::OpId>,
-    ) -> Completion {
+    /// The body of every timed call: count it, pay the submit cost, move the
+    /// bytes, then — in one critical section — declare the operation to the
+    /// sanitizer (ordered after the stream's previous op, its pending event
+    /// waits and the engine's previous op) and place it on its two horizons.
+    fn run(&self, op: Op<'_>, move_bytes: impl FnOnce()) -> Completion {
+        let inner = &*self.inner;
+        inner.counters.record(op.counter);
         assert!(
             sim_core::in_sim(),
             "GPU operations with timing must run inside a simulation process"
         );
+        if op.stream.is_some() {
+            sim_core::sleep(SimDur::from_nanos(inner.cost.async_submit_ns));
+        }
+        move_bytes();
+        let idx = op.stream.map_or(0, |s| s.idx);
         let now = sim_core::now();
-        let (start, end) = {
-            let mut sched = self.inner.sched.lock();
-            // `ready`: when the op could start were the engine free (its
-            // stream dependency); any further delay is queue wait on the
-            // engine — contention from other streams or, on a shared
-            // device, other jobs.
-            let ready = now.max(sched.stream_end[stream.idx]);
-            let start = ready.max(sched.engine_free[engine]);
-            let wait = (start - ready).as_nanos();
-            if wait > 0 {
-                self.inner.queue_wait.add(ENGINE_WAIT[engine], wait);
-                self.inner.queue_wait.add("queue_wait_ns", wait);
-            }
-            let end = start + dur;
-            sched.stream_end[stream.idx] = end;
-            sched.engine_free[engine] = end;
-            if op.is_some() {
-                sched.stream_last[stream.idx] = op;
-                sched.engine_last[engine] = op;
-            }
-            (start, end)
+        let (start, end, san_op) = {
+            let Sched { engines, streams } = &mut *inner.sched.lock();
+            let (engine, stream) = (&mut engines[op.engine], &mut streams[idx]);
+            let san_op = if san::enabled() {
+                let mut preds: Vec<_> = stream.horizon.last().into_iter().collect();
+                preds.append(&mut stream.pending);
+                preds.extend(engine.last());
+                san::begin_op(san::OpDesc {
+                    kind: op.kind,
+                    queue: (inner.san_domain, idx as u64),
+                    preds,
+                    reads: op.reads.into_iter().collect(),
+                    writes: op.writes.into_iter().collect(),
+                })
+            } else {
+                None
+            };
+            let ready = stream.horizon.ready(now);
+            let (start, end) = engine.occupy(ready, op.dur, san_op);
+            stream.horizon.book(now, start, op.dur, san_op);
+            (start, end, san_op)
         };
-        san::op_complete_at(op, end);
-        if let Some(lanes) = &*self.inner.trace.lock() {
-            lanes[engine].span(kind, start, end);
+        san::op_complete_at(san_op, end);
+        if let Some(lanes) = inner.trace.get() {
+            lanes[op.engine].span(op.span, start, end);
         }
         let c = Completion::ready_between(start, end);
-        if let Some(o) = op {
-            c.attach_ops(&[o]);
-        }
-        if let Some((w, _)) = &*self.inner.monitor.lock() {
+        c.attach_ops(san_op.as_slice());
+        if let Some((w, _)) = inner.monitor.get() {
             c.notify_component(w);
+        }
+        if op.stream.is_none() {
+            c.wait();
         }
         c
     }
@@ -587,19 +535,18 @@ impl Gpu {
     // --- data plane ----------------------------------------------------------
 
     /// Move bytes for a 2-D copy right now (no virtual time involved): both
-    /// extents are validated before the first byte moves, then every row is
-    /// copied once, source to destination. Overlapping source and
-    /// destination rows are undefined, as on the device.
-    fn do_copy2d_bytes(&self, p: &Copy2d) {
-        p.validate();
+    /// extents (from [`Copy2d::extents`]) are validated before the first
+    /// byte moves, then every row is copied once, source to destination.
+    /// Overlapping source and destination rows are undefined, as on the
+    /// device.
+    fn move_rows(&self, p: &Copy2d, sext: usize, dext: usize) {
         let (w, h) = (p.width, p.height);
-        if w == 0 || h == 0 {
+        if sext == 0 {
             return;
         }
-        // The declared ranges were checked when the op was registered; the
-        // eager byte movement below must not re-trigger process-level checks.
+        // The declared ranges are checked when the op is registered; the
+        // eager byte movement below must not trigger process-level checks.
         let _san = san::suppress();
-        let (sext, dext) = ((h - 1) * p.spitch + w, (h - 1) * p.dpitch + w);
         // Lock the device and check one side's extent against its allocation.
         let device = |ptr: &DevPtr, extent| {
             self.check_owned(*ptr);
@@ -632,13 +579,8 @@ impl Gpu {
             (Loc::Host(hp), Loc::Device(dp)) => hp.buf().with_slice(|host| {
                 let src = &host[hp.offset()..][..sext];
                 let mut mem = device(dp, dext);
-                copy_rows(
-                    &mut mem.arena[dp.offset..][..dext],
-                    p.dpitch,
-                    src,
-                    p.spitch,
-                    w,
-                );
+                let dst = &mut mem.arena[dp.offset..][..dext];
+                copy_rows(dst, p.dpitch, src, p.spitch, w);
             }),
             (Loc::Device(sp), Loc::Host(hp)) => hp.buf().with_slice(|host| {
                 let mem = device(sp, sext);
@@ -651,47 +593,39 @@ impl Gpu {
         }
     }
 
-    fn copy1d_params(dst: Loc, src: Loc, len: usize) -> Copy2d {
-        Copy2d {
-            dst,
-            dpitch: len.max(1),
-            src,
-            spitch: len.max(1),
-            width: len,
-            height: 1,
-        }
+    /// The four copy calls: an operation on the direction's engine that
+    /// reads the source extent and writes the destination extent.
+    fn copy(&self, call: &CopyCall, p: Copy2d, stream: Option<&Stream>) -> Completion {
+        let (dir, (sext, dext)) = (p.dir(), p.extents());
+        let cost = &self.inner.cost;
+        let dur = if call.pitched {
+            cost.copy2d(dir, p.shape(), p.width as u64, p.height as u64)
+        } else {
+            cost.copy1d(dir, p.width as u64)
+        };
+        let op = Op {
+            counter: call.counter,
+            span: call.span,
+            kind: call.kinds[dir as usize],
+            reads: Some(self.range(&p.src, sext)),
+            writes: Some(self.range(&p.dst, dext)),
+            stream,
+            engine: dir as usize,
+            dur,
+        };
+        self.run(op, || self.move_rows(&p, sext, dext))
     }
-
-    // --- synchronous copies ---------------------------------------------------
 
     /// `cudaMemcpy`: contiguous blocking copy. Direction is inferred from the
     /// locations.
     pub fn memcpy(&self, dst: impl Into<Loc>, src: impl Into<Loc>, len: usize) {
-        self.inner.counters.record("cudaMemcpy");
-        let p = Self::copy1d_params(dst.into(), src.into(), len);
-        let dur = self.inner.cost.copy1d(p.dir(), len as u64);
-        let stream = self.sync_stream();
-        let op = self.san_op_for_copy("memcpy", &p, &stream);
-        self.do_copy2d_bytes(&p);
-        self.schedule("memcpy", &stream, engine_for(p.dir()), dur, op)
-            .wait();
+        self.copy(&MEMCPY, Copy2d::flat(dst.into(), src.into(), len), None);
     }
 
     /// `cudaMemcpy2D`: pitched blocking copy.
     pub fn memcpy_2d(&self, p: Copy2d) {
-        self.inner.counters.record("cudaMemcpy2D");
-        let dur = self
-            .inner
-            .cost
-            .copy2d(p.dir(), p.shape(), p.width as u64, p.height as u64);
-        let stream = self.sync_stream();
-        let op = self.san_op_for_copy("memcpy_2d", &p, &stream);
-        self.do_copy2d_bytes(&p);
-        self.schedule("memcpy_2d", &stream, engine_for(p.dir()), dur, op)
-            .wait();
+        self.copy(&MEMCPY_2D, p, None);
     }
-
-    // --- asynchronous copies ----------------------------------------------------
 
     /// `cudaMemcpyAsync`: contiguous copy enqueued on `stream`.
     pub fn memcpy_async(
@@ -701,69 +635,52 @@ impl Gpu {
         len: usize,
         stream: &Stream,
     ) -> Completion {
-        self.inner.counters.record("cudaMemcpyAsync");
-        sim_core::sleep(SimDur::from_nanos(self.inner.cost.async_submit_ns));
-        let p = Self::copy1d_params(dst.into(), src.into(), len);
-        let dur = self.inner.cost.copy1d(p.dir(), len as u64);
-        let op = self.san_op_for_copy("memcpy_async", &p, stream);
-        self.do_copy2d_bytes(&p);
-        self.schedule("memcpy_async", stream, engine_for(p.dir()), dur, op)
+        let p = Copy2d::flat(dst.into(), src.into(), len);
+        self.copy(&MEMCPY_ASYNC, p, Some(stream))
     }
 
     /// `cudaMemcpy2DAsync`: pitched copy enqueued on `stream`.
     pub fn memcpy_2d_async(&self, p: Copy2d, stream: &Stream) -> Completion {
-        self.inner.counters.record("cudaMemcpy2DAsync");
-        sim_core::sleep(SimDur::from_nanos(self.inner.cost.async_submit_ns));
-        let dur = self
-            .inner
-            .cost
-            .copy2d(p.dir(), p.shape(), p.width as u64, p.height as u64);
-        let op = self.san_op_for_copy("memcpy_2d_async", &p, stream);
-        self.do_copy2d_bytes(&p);
-        self.schedule("memcpy_2d_async", stream, engine_for(p.dir()), dur, op)
+        self.copy(&MEMCPY_2D_ASYNC, p, Some(stream))
+    }
+
+    /// The two fills: an operation on the device-internal engine, at
+    /// contiguous rate, that writes `len` bytes at `dst`.
+    fn fill(
+        &self,
+        [counter, name]: [&'static str; 2],
+        dst: DevPtr,
+        value: u8,
+        len: usize,
+        stream: Option<&Stream>,
+    ) -> Completion {
+        let op = Op {
+            counter,
+            span: name,
+            kind: name,
+            reads: None,
+            writes: Some(self.range(&dst.into(), len)),
+            stream,
+            engine: CopyDir::D2D as usize,
+            dur: self.inner.cost.copy1d(CopyDir::D2D, len as u64),
+        };
+        // The operation declares its range; the eager fill is not a
+        // process-level access.
+        self.run(op, || {
+            let _san = san::suppress();
+            self.with_arena(dst, len, |bytes| bytes.fill(value));
+        })
     }
 
     /// `cudaMemset`: blocking fill of device memory.
     pub fn memset(&self, dst: DevPtr, value: u8, len: usize) {
-        self.inner.counters.record("cudaMemset");
-        self.check_owned(dst);
-        let stream = self.sync_stream();
-        let op = self.san_begin(
-            "memset",
-            &stream,
-            ENG_D2D,
-            vec![],
-            vec![self.dev_range(dst, len)],
-        );
-        {
-            let mut mem = self.inner.mem.lock();
-            mem.check_access(dst.offset, len);
-            mem.arena[dst.offset..dst.offset + len].fill(value);
-        }
-        // Memset runs on the device-internal engine at contiguous rate.
-        let dur = self.inner.cost.copy1d(CopyDir::D2D, len as u64);
-        self.schedule("memset", &stream, ENG_D2D, dur, op).wait();
+        self.fill(["cudaMemset", "memset"], dst, value, len, None);
     }
 
     /// `cudaMemsetAsync`: fill enqueued on `stream`.
     pub fn memset_async(&self, dst: DevPtr, value: u8, len: usize, stream: &Stream) -> Completion {
-        self.inner.counters.record("cudaMemsetAsync");
-        sim_core::sleep(SimDur::from_nanos(self.inner.cost.async_submit_ns));
-        self.check_owned(dst);
-        let op = self.san_begin(
-            "memset_async",
-            stream,
-            ENG_D2D,
-            vec![],
-            vec![self.dev_range(dst, len)],
-        );
-        {
-            let mut mem = self.inner.mem.lock();
-            mem.check_access(dst.offset, len);
-            mem.arena[dst.offset..dst.offset + len].fill(value);
-        }
-        let dur = self.inner.cost.copy1d(CopyDir::D2D, len as u64);
-        self.schedule("memset_async", stream, ENG_D2D, dur, op)
+        let names = ["cudaMemsetAsync", "memset_async"];
+        self.fill(names, dst, value, len, Some(stream))
     }
 
     // --- kernels ---------------------------------------------------------------
@@ -771,7 +688,8 @@ impl Gpu {
     /// Launch a kernel on `stream`. `work` runs the kernel's *computation*
     /// (against device memory, via this handle) immediately; the returned
     /// completion fires after the modeled execution time `cost` plus launch
-    /// overhead, once the compute engine and the stream are free.
+    /// overhead, once the compute engine and the stream are free. `name`
+    /// labels its span on the compute lane.
     pub fn launch_kernel(
         &self,
         name: &'static str,
@@ -779,40 +697,46 @@ impl Gpu {
         stream: &Stream,
         work: impl FnOnce(&Gpu),
     ) -> Completion {
-        self.inner.counters.record("kernelLaunch");
-        let _ = name;
-        sim_core::sleep(SimDur::from_nanos(self.inner.cost.async_submit_ns));
         // Kernels declare no ranges (their footprint is unknown); they still
         // participate in stream/event ordering, and their body's eager
         // execution must not trip process-level checks.
-        let op = self.san_begin("launch_kernel", stream, ENG_COMPUTE, vec![], vec![]);
-        {
+        let op = Op {
+            counter: "kernelLaunch",
+            span: name,
+            kind: "launch_kernel",
+            reads: None,
+            writes: None,
+            stream: Some(stream),
+            engine: ENG_COMPUTE,
+            dur: SimDur::from_nanos(self.inner.cost.kernel_launch_ns) + cost,
+        };
+        self.run(op, || {
             let _san = san::suppress();
             work(self);
-        }
-        let dur = SimDur::from_nanos(self.inner.cost.kernel_launch_ns) + cost;
-        self.schedule("kernel", stream, ENG_COMPUTE, dur, op)
+        })
     }
 
     // --- untimed access (test setup / verification) ------------------------------
 
+    /// Run `f` on `len` bytes of the device arena at `ptr`, validated like
+    /// any device access and shown to the sanitizer as a read or a write.
+    fn access<R>(&self, ptr: DevPtr, len: usize, write: bool, f: impl FnOnce(&mut [u8]) -> R) -> R {
+        self.check_owned(ptr);
+        san::on_dev_access(self.inner.id as u64, ptr.offset, len, write);
+        let mut mem = self.inner.mem.lock();
+        mem.check_access(ptr.offset, len);
+        f(&mut mem.arena[ptr.offset..ptr.offset + len])
+    }
+
     /// Write bytes directly into device memory (no virtual time; for setup
     /// and verification only).
     pub fn write_bytes(&self, ptr: DevPtr, data: &[u8]) {
-        self.check_owned(ptr);
-        san::on_dev_access(self.inner.id as u64, ptr.offset, data.len(), true);
-        let mut mem = self.inner.mem.lock();
-        mem.check_access(ptr.offset, data.len());
-        mem.arena[ptr.offset..ptr.offset + data.len()].copy_from_slice(data);
+        self.access(ptr, data.len(), true, |bytes| bytes.copy_from_slice(data));
     }
 
     /// Read bytes directly from device memory (no virtual time).
     pub fn read_bytes(&self, ptr: DevPtr, len: usize) -> Vec<u8> {
-        self.check_owned(ptr);
-        san::on_dev_access(self.inner.id as u64, ptr.offset, len, false);
-        let mem = self.inner.mem.lock();
-        mem.check_access(ptr.offset, len);
-        mem.arena[ptr.offset..ptr.offset + len].to_vec()
+        self.access(ptr, len, false, |bytes| bytes.to_vec())
     }
 
     /// Write a slice of scalars directly into device memory.
@@ -830,25 +754,21 @@ impl Gpu {
     /// [`launch_kernel`](Gpu::launch_kernel)) uses to move rows inside
     /// device memory. Extents are validated like any device access.
     pub fn copy_2d_untimed(&self, p: &Copy2d) {
-        self.do_copy2d_bytes(p);
+        let (sext, dext) = p.extents();
+        self.move_rows(p, sext, dext);
     }
 
     /// Run `f` with mutable access to the raw device arena (kernel bodies).
     /// The access range is validated like any device access.
     pub fn with_arena<R>(&self, ptr: DevPtr, len: usize, f: impl FnOnce(&mut [u8]) -> R) -> R {
-        self.check_owned(ptr);
-        san::on_dev_access(self.inner.id as u64, ptr.offset, len, true);
-        let mut mem = self.inner.mem.lock();
-        mem.check_access(ptr.offset, len);
-        let off = ptr.offset;
-        f(&mut mem.arena[off..off + len])
+        self.access(ptr, len, true, f)
     }
 }
 
 impl Stream {
-    /// The owning device.
-    pub fn gpu(&self) -> &Gpu {
-        &self.gpu
+    /// When everything enqueued so far has finished.
+    fn end(&self) -> SimTime {
+        self.gpu.inner.sched.lock().streams[self.idx].horizon.free()
     }
 
     /// `cudaStreamQuery`: true if every operation enqueued so far has
@@ -856,8 +776,7 @@ impl Stream {
     pub fn query(&self) -> bool {
         self.gpu.inner.counters.record("cudaStreamQuery");
         sim_core::sleep(SimDur::from_nanos(self.gpu.inner.cost.query_ns));
-        let end = self.gpu.inner.sched.lock().stream_end[self.idx];
-        let done = end <= sim_core::now();
+        let done = self.end() <= sim_core::now();
         if done {
             san::acquire_queue(self.gpu.inner.san_domain, Some(self.idx as u64));
         }
@@ -867,24 +786,11 @@ impl Stream {
     /// `cudaStreamSynchronize`: block until all enqueued work finishes.
     pub fn synchronize(&self) {
         self.gpu.inner.counters.record("cudaStreamSynchronize");
-        let end = self.gpu.inner.sched.lock().stream_end[self.idx];
+        let end = self.end();
         if sim_core::now() < end {
             sim_core::sleep_until(end);
         }
         san::acquire_queue(self.gpu.inner.san_domain, Some(self.idx as u64));
-    }
-
-    /// Record an event capturing all work enqueued so far.
-    pub fn record_event(&self) -> Completion {
-        let (end, last) = {
-            let sched = self.gpu.inner.sched.lock();
-            (sched.stream_end[self.idx], sched.stream_last[self.idx])
-        };
-        let c = Completion::ready_at(end);
-        if let Some(op) = last {
-            c.attach_ops(&[op]);
-        }
-        c
     }
 
     /// `cudaStreamWaitEvent`: future work on this stream starts no earlier
@@ -894,10 +800,8 @@ impl Stream {
         let at = event
             .done_at()
             .expect("Stream::wait_event requires an event with an assigned finish time");
-        let ops = event.attached_ops();
-        let mut sched = self.gpu.inner.sched.lock();
-        let end = &mut sched.stream_end[self.idx];
-        *end = (*end).max(at);
-        sched.stream_pending[self.idx].extend(ops);
+        let stream = &mut self.gpu.inner.sched.lock().streams[self.idx];
+        stream.horizon.not_before(at);
+        stream.pending.extend(event.attached_ops());
     }
 }

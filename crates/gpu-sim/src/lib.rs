@@ -390,17 +390,18 @@ mod tests {
         let (a, b) = (gpu.malloc(256), gpu.malloc(256));
         gpu.write_bytes(a, &[7u8; 256]);
         gpu.write_bytes(b, &[9u8; 256]);
-        let copy = |dst: DevPtr, src: DevPtr, width, height| {
+        let copy_at = |dst: DevPtr, dpitch, src: DevPtr, spitch, width, height| {
             let p = Copy2d {
                 dst: Loc::Device(dst),
-                dpitch: 64,
+                dpitch,
                 src: Loc::Device(src),
-                spitch: 64,
+                spitch,
                 width,
                 height,
             };
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| gpu.copy_2d_untimed(&p)))
         };
+        let copy = |dst, src, width, height| copy_at(dst, 64, src, 64, width, height);
         // Nothing to move is nothing checked, wherever the pointers aim.
         assert!(copy(b.add(250), a.add(250), 0, 9).is_ok());
         assert!(copy(b.add(250), a.add(250), 9, 0).is_ok());
@@ -422,6 +423,11 @@ mod tests {
         let roomy = gpu.malloc(512);
         fault(copy(roomy, a, 8, 5)); // source extent leaves `a`
         fault(copy(b, roomy, 8, 5)); // destination extent leaves `b`
+        assert!(copy(roomy, a, 8, 4).is_ok());
+        // An extent that does not fit a `usize` is outside every allocation:
+        // `2 * (1 << 63) + 4` must not wrap to 4 and pass as one row.
+        fault(copy_at(b, 4, a, 1 << 63, 4, 3));
+        fault(copy_at(b, 1 << 63, a, 4, 4, 3));
         assert!(copy(b, roomy, 8, 4).is_ok());
     }
 
@@ -484,11 +490,6 @@ mod tests {
     /// blocking call the instants around it — or an engine's
     /// `(queue wait, 0)`, all in ns.
     type Row = (&'static str, u64, u64);
-
-    /// Queue wait per engine (h2d, d2h, d2d, compute), in ns.
-    fn engine_waits(gpu: &Gpu) -> [u64; 4] {
-        ["h2d", "d2h", "d2d", "compute"].map(|e| gpu.queue_waits().get(&format!("queue_wait.{e}")))
-    }
 
     /// The device ledger's script: one device, the owner's streams and a
     /// second process (`tenant`) that shares it from 150 us on.
@@ -583,7 +584,7 @@ mod tests {
         }
         sim.run();
         let mut rows = std::mem::take(&mut *rows.lock());
-        let [h2d, d2h, d2d, compute] = engine_waits(&gpu);
+        let [h2d, d2h, d2d, compute] = gpu.engines().map(|e| e.wait_ns());
         rows.extend([
             ("wait h2d", h2d, 0),
             ("wait d2h", d2h, 0),

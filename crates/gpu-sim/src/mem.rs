@@ -36,11 +36,15 @@ impl DevPtr {
         self.offset
     }
 
-    /// A pointer `bytes` further into device memory.
+    /// A pointer `bytes` further into device memory. A sum past the end of
+    /// the address space is the device fault, not a wrapped pointer.
     pub fn add(&self, bytes: usize) -> DevPtr {
+        let Some(offset) = self.offset.checked_add(bytes) else {
+            panic!("{self:?} + {bytes} bytes is outside any live allocation")
+        };
         DevPtr {
             gpu_id: self.gpu_id,
-            offset: self.offset + bytes,
+            offset,
         }
     }
 
@@ -100,10 +104,6 @@ impl DeviceMem {
             free,
             allocs: BTreeMap::new(),
         }
-    }
-
-    pub fn capacity(&self) -> usize {
-        self.arena.len()
     }
 
     pub fn bytes_free(&self) -> usize {
@@ -171,7 +171,12 @@ impl DeviceMem {
             .allocs
             .range(..=offset)
             .next_back()
-            .is_some_and(|(&aoff, &alen)| offset + len <= aoff + alen);
+            .is_some_and(|(&aoff, &alen)| {
+                // An end past the address space is past every allocation.
+                offset
+                    .checked_add(len)
+                    .is_some_and(|end| end <= aoff + alen)
+            });
         assert!(
             ok,
             "device memory access [{offset:#x}, +{len}) outside any live allocation"
@@ -257,6 +262,24 @@ mod tests {
         // 1000 rounds up to 1024, so 1025 bytes must overflow the alloc.
         let a = m.alloc(1000).unwrap();
         m.check_access(a, 1025);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside any live allocation")]
+    fn check_access_rejects_an_end_that_wraps() {
+        let mut m = DeviceMem::new(4096);
+        let a = m.alloc(256).unwrap();
+        m.check_access(a + 8, usize::MAX - 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside any live allocation")]
+    fn pointer_add_rejects_a_sum_that_wraps() {
+        let p = DevPtr {
+            gpu_id: 0,
+            offset: 256,
+        };
+        p.add(usize::MAX - 8);
     }
 
     #[test]

@@ -23,14 +23,14 @@ use std::sync::Arc;
 
 use sim_core::instrument::CallCounters;
 use sim_core::lock::Mutex;
-use sim_core::{san, Mailbox};
+use sim_core::{san, Horizon, Mailbox};
 use sim_trace::Recorder;
 
 use crate::fault::{FaultSpec, FaultState};
 use crate::job::{BindError, JobQos, JobSpec};
 use crate::model::{NetModel, ShmModel};
 use crate::nic::{Nic, Packet};
-use crate::node::Node;
+use crate::node::{Node, Route};
 use crate::pump::PumpState;
 use crate::scheduler::DeliveryScheduler;
 use crate::topology::Topology;
@@ -333,7 +333,7 @@ impl Fabric {
             // Caller contract: the scheduler unbinds a job after its ranks
             // returned, so nothing of it is left on an engine.
             debug_assert!(
-                !sim_core::in_sim() || node.job_free[job] <= sim_core::now(),
+                !sim_core::in_sim() || node.job_hca[job].free() <= sim_core::now(),
                 "unbind_job({job}) while its sends still occupy node {at}'s HCA"
             );
             let released: usize = node
@@ -361,6 +361,17 @@ impl Fabric {
     /// Bytes copied through `node`'s shm channel so far.
     pub fn shm_bytes(&self, node: usize) -> u64 {
         self.inner.nodes[node].lock().counters.get("shm.bytes")
+    }
+
+    /// A snapshot of `node`'s engine on `route` with its always-on tallies:
+    /// nanoseconds of serialization (stretched by the tenants' shares on a
+    /// shared HCA), nanoseconds posts waited behind earlier ones, posts.
+    pub fn engine(&self, node: usize, route: Route) -> Horizon {
+        let node = self.inner.nodes[node].lock();
+        match route {
+            Route::Hca => node.hca,
+            Route::Shm => node.shm,
+        }
     }
 
     /// Attach a trace recorder: each node gets a `node{k}/hca_tx` lane

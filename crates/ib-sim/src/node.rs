@@ -7,13 +7,13 @@
 //! lanes. Co-located endpoints contend for all of it, exactly like
 //! processes sharing a host adapter.
 //!
-//! **Engines are horizons, not components.** An [`Engine`] is the instant
-//! it next falls idle plus the sanitizer's last operation on it; occupying
-//! it ([`Nic::occupy`]) is closed-form arithmetic in the posting process.
-//! An engine that `tick`ed per work request would admit one kernel timer
-//! per operation, and timer admission order is committed history (wake
-//! traces, the model checker's exploration depth) — only the wire
-//! ([`crate::pump`]) is a `Component`.
+//! **Engines are horizons, not components.** Each engine is a
+//! [`sim_core::Horizon`] — the instant it next falls idle plus the
+//! sanitizer's last operation on it — and occupying it ([`Nic::occupy`]) is
+//! closed-form arithmetic in the posting process. An engine that `tick`ed
+//! per work request would admit one kernel timer per operation, and timer
+//! admission order is committed history (wake traces, the model checker's
+//! exploration depth) — only the wire ([`crate::pump`]) is a `Component`.
 //!
 //! **Timing.** An operation occupies its engine for `bytes / bandwidth`
 //! (plus `extra`: the descriptor fetches of a scatter/gather post) and
@@ -22,12 +22,14 @@
 //! delivery is in posting order — the in-order guarantee of an IB
 //! reliable-connected QP, and of the shm channel likewise.
 //!
-//! **Arbitration** is the one HCA-specific branch of the occupancy
-//! function; the model is stated on [`Fabric::multi_job`]. What the code
-//! relies on: `share >= 1.0` keeps the exact integer duration and a sole
-//! tenant's horizon *is* the engine's, so a sole tenant — the classic
-//! single-job fabric — sees the plain FIFO timeline whatever its weight.
-//! The shm copy engine is that arbiter with a sole tenant.
+//! **Arbitration** is what this device adds to the horizon, and the one
+//! HCA-specific branch of the occupancy function; the model is stated on
+//! [`Fabric::multi_job`]. Each tenant queues on a horizon of its own,
+//! stretched by its share, and the engine's horizon is held until the last
+//! tenant's end. What the code relies on: `share >= 1.0` keeps the exact
+//! integer duration and a sole tenant's horizon *is* the engine's, so a sole
+//! tenant — the classic single-job fabric — sees the plain FIFO timeline
+//! whatever its weight. The shm copy engine is a plain horizon.
 //!
 //! [`Fabric::multi_job`]: crate::Fabric::multi_job
 //! [`Topology`]: crate::Topology
@@ -38,7 +40,7 @@ use hostmem::HostBuf;
 use sim_core::instrument::{self, CallCounters};
 use sim_core::lock::MutexGuard;
 use sim_core::san;
-use sim_core::{Completion, SimDur, SimTime};
+use sim_core::{Completion, Horizon, SimDur, SimTime};
 use sim_trace::{Lane, LaneKind, Recorder};
 
 use crate::fabric::JobState;
@@ -68,27 +70,18 @@ pub(crate) struct Mr {
     pub(crate) job: usize,
 }
 
-/// One serializing engine: a FIFO horizon.
-#[derive(Default)]
-struct Engine {
-    /// When the engine is next free.
-    free: SimTime,
-    /// Sanitizer: the last operation posted here (same-queue ordering).
-    last: Option<san::OpId>,
-}
-
 /// Per-node hardware state, shared by every endpoint the topology (and the
 /// jobs' bindings) place on the node.
 #[derive(Default)]
 pub(crate) struct Node {
-    hca: Engine,
-    /// When job `j`'s last operation leaves the HCA engine. On a
-    /// single-job fabric entry 0 always equals `hca.free`.
-    pub(crate) job_free: Vec<SimTime>,
+    pub(crate) hca: Horizon,
+    /// Job `j`'s queue on the HCA engine. On a single-job fabric entry 0
+    /// always falls idle when `hca` does.
+    pub(crate) job_hca: Vec<Horizon>,
     /// Jobs currently bound to this node, in bind order. Arbitration and
     /// the overlap check walk this instead of every declared job.
     pub(crate) tenants: Vec<usize>,
-    shm: Engine,
+    pub(crate) shm: Horizon,
     /// Registered memory regions (keyed for remote access).
     pub(crate) mrs: HashMap<MrKey, Mr>,
     /// Bytes currently pinned through this node's HCA (for the fault
@@ -131,7 +124,7 @@ impl Busy {
 impl Node {
     pub(crate) fn new(njobs: usize) -> Self {
         Node {
-            job_free: vec![SimTime::ZERO; njobs],
+            job_hca: vec![Horizon::default(); njobs],
             ..Node::default()
         }
     }
@@ -216,19 +209,19 @@ impl Nic {
         let queue = (route as usize * fab.nodes.len() + at) as u64;
         let op = decl.and_then(|mut d| {
             d.queue = (fab.san_domain, queue);
-            d.preds = engine.last.into_iter().collect();
+            d.preds = engine.last().into_iter().collect();
             san::begin_op(d)
         });
         let cost = cost + extra;
-        let (start, dur) = match route {
-            Route::Shm => (now.max(engine.free), cost),
+        let (start, done) = match route {
+            Route::Shm => engine.occupy(now, cost, op),
             Route::Hca => {
                 let q = &fab.jobs[self.job].spec.qos;
                 let mut share = 1.0;
-                if engine.free > now {
+                if engine.free() > now {
                     let mut wsum = q.hca_weight as u64;
                     for &j in &node.tenants {
-                        if j != self.job && node.job_free[j] > now {
+                        if j != self.job && node.job_hca[j].free() > now {
                             wsum += fab.jobs[j].spec.qos.hca_weight as u64;
                         }
                     }
@@ -242,16 +235,10 @@ impl Nic {
                 } else {
                     SimDur::from_nanos((cost.as_nanos() as f64 / share).round() as u64)
                 };
-                let start = now.max(node.job_free[self.job]);
-                node.job_free[self.job] = start + dur;
-                (start, dur)
+                let (start, _) = node.job_hca[self.job].occupy(now, dur, None);
+                engine.book(now, start, dur, op)
             }
         };
-        let done = start + dur;
-        engine.free = engine.free.max(done);
-        if op.is_some() {
-            engine.last = op;
-        }
         let visible = done + SimDur::from_nanos(latency_ns);
         let busy = Busy {
             start,
@@ -274,13 +261,14 @@ mod tests {
     use sim_core::{now, Sim, SimTime};
 
     use crate::tests::two_node_spec;
-    use crate::{Fabric, NetModel, Nic, ShmModel, Topology};
+    use crate::{Fabric, NetModel, Nic, Route, ShmModel, Topology};
 
     #[test]
     fn colocated_endpoints_share_one_hca_engine() {
-        // Two colocated senders each push 1 MiB to a rank on another node:
-        // the second transfer serializes behind the first on the shared
-        // engine, so it arrives roughly twice as late as it would alone.
+        // Two colocated senders each push 1 MiB to a rank on another node at
+        // the same instant: the second transfer serializes behind the first
+        // on the shared engine, so the HCA's recorded wait is exactly one
+        // serialization time — and the shm engine saw nothing.
         let sim = Sim::new();
         let topo = Topology::from_map(vec![0, 0, 1]);
         let fabric = Fabric::with_topology(topo, NetModel::qdr(), ShmModel::westmere(), None);
@@ -295,14 +283,13 @@ mod tests {
             sim.spawn("receiver", move || {
                 let _ = nic.mailbox().recv();
                 let _ = nic.mailbox().recv();
-                let us = now().as_micros_f64();
-                assert!(
-                    us > 600.0,
-                    "second 1 MiB arrived at {us} us — no contention"
-                );
             });
         }
         sim.run();
+        let one = fabric.model().serialize_time(1 << 20).as_nanos();
+        let hca = fabric.engine(0, Route::Hca);
+        assert_eq!((hca.ops(), hca.busy_ns(), hca.wait_ns()), (2, 2 * one, one));
+        assert_eq!(fabric.engine(0, Route::Shm).ops(), 0);
     }
 
     /// Arrival times of a three-message train from `tx` to `rx` (endpoint 1

@@ -517,7 +517,6 @@ impl Engine {
             ss.local.push_back((i, vbuf));
             ss.next_request += 1;
         }
-        st.source.poll();
         while let Some(&(i, _)) = ss.local.front() {
             debug_assert_eq!(i, ss.next_send);
             let slot = i % ss.slots.len();
@@ -649,7 +648,6 @@ impl Engine {
         };
         let (peer, send_req) = (sr.src, sr.peer_send_req);
         let scope = || invariants::xfer_scope(&self.prefix, peer, send_req);
-        st.sink.poll();
         while let Some((&chunk, &(slot, bytes))) = sr.arrived.first_key_value() {
             if chunk != sr.next_chunk {
                 break; // hole: a FIN is still missing (or in flight)

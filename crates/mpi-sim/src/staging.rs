@@ -24,12 +24,10 @@ pub trait SendSource: Send {
     /// Make packed bytes `[idx*chunk_size, +len)` available in `dst`.
     /// Requests arrive in increasing `idx` order.
     fn request_chunk(&mut self, idx: usize, dst: HostPtr, len: usize);
-    /// Drive any asynchronous machinery; true if state advanced.
-    fn poll(&mut self) -> bool;
     /// True once the requested chunk is fully present in its `dst`.
     fn chunk_ready(&self, idx: usize) -> bool;
-    /// Earliest future instant at which [`poll`](Self::poll) could make
-    /// progress (None if only external events can).
+    /// Earliest future instant at which [`chunk_ready`](Self::chunk_ready)
+    /// could change (None if only external events can change it).
     fn next_event(&self) -> Option<SimTime>;
     /// Pack the whole message at once (eager path).
     fn pack_eager(&mut self) -> Vec<u8>;
@@ -58,14 +56,12 @@ pub trait RecvSink: Send {
     fn begin(&mut self, chunk_size: usize, actual_total: usize);
     /// Packed bytes `[idx*chunk_size, +len)` have landed in `src`.
     fn chunk_arrived(&mut self, idx: usize, src: HostPtr, len: usize);
-    /// Drive any asynchronous machinery; true if state advanced.
-    fn poll(&mut self) -> bool;
     /// True once the staging buffer of chunk `idx` may be reused.
     fn chunk_absorbed(&self, idx: usize) -> bool;
     /// True once every byte rests in the user buffer.
     fn finished(&self) -> bool;
-    /// Earliest future instant at which [`poll`](Self::poll) could make
-    /// progress.
+    /// Earliest future instant at which [`chunk_absorbed`](Self::chunk_absorbed)
+    /// or [`finished`](Self::finished) could change.
     fn next_event(&self) -> Option<SimTime>;
     /// Unpack a whole eager payload at once.
     fn unpack_eager(&mut self, data: &[u8]);
@@ -154,10 +150,6 @@ impl SendSource for HostSendSource {
         self.ready_upto = idx + 1;
     }
 
-    fn poll(&mut self) -> bool {
-        false
-    }
-
     fn chunk_ready(&self, idx: usize) -> bool {
         idx < self.ready_upto
     }
@@ -205,6 +197,16 @@ impl HostRecvSink {
         }
         (self.segments * bytes).div_ceil(self.total)
     }
+
+    /// The engine refuses a truncating match first; this is the layout's
+    /// own guard against unpacking past the user buffer.
+    fn check_fits(&self, bytes: usize) {
+        assert!(
+            bytes <= self.total,
+            "message truncated: {bytes} bytes into a {}-byte layout",
+            self.total
+        );
+    }
 }
 
 impl RecvSink for HostRecvSink {
@@ -213,11 +215,7 @@ impl RecvSink for HostRecvSink {
     }
 
     fn begin(&mut self, _chunk_size: usize, actual_total: usize) {
-        assert!(
-            actual_total <= self.total,
-            "message truncated: {actual_total} bytes into a {}-byte layout",
-            self.total
-        );
+        self.check_fits(actual_total);
         self.expected = actual_total;
     }
 
@@ -228,10 +226,6 @@ impl RecvSink for HostRecvSink {
         self.cursor.unpack_from(&data);
         self.absorbed_upto = idx + 1;
         self.consumed += len;
-    }
-
-    fn poll(&mut self) -> bool {
-        false
     }
 
     fn chunk_absorbed(&self, idx: usize) -> bool {
@@ -247,12 +241,7 @@ impl RecvSink for HostRecvSink {
     }
 
     fn unpack_eager(&mut self, data: &[u8]) {
-        assert!(
-            data.len() <= self.total,
-            "message truncated: {} bytes into a {}-byte layout",
-            data.len(),
-            self.total
-        );
+        self.check_fits(data.len());
         self.expected = data.len();
         sim_core::sleep(self.cpu.pack_time(data.len(), self.segments));
         self.cursor.unpack_from(data);

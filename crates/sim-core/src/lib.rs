@@ -22,6 +22,8 @@
 //!   [`ProcHandle::unpark`] — process-context primitives.
 //! * [`Completion`] — one-shot events with a known finish instant (models
 //!   DMA / RDMA operation completion, `cudaStreamQuery`-style polling).
+//! * [`Horizon`] — a FIFO resource in closed form (models copy engines,
+//!   streams, HCA and shm engines), with always-on busy/wait tallies.
 //! * [`Mailbox`] — timed message delivery (models wires and control paths).
 //! * [`Semaphore`] — fair bounded resources (models buffer pools).
 //!
@@ -51,6 +53,7 @@
 mod completion;
 pub mod component;
 mod fiber;
+mod horizon;
 pub mod instrument;
 mod kernel;
 pub mod lock;
@@ -61,6 +64,7 @@ mod time;
 
 pub use completion::Completion;
 pub use component::{Component, ComponentStats, Waker};
+pub use horizon::Horizon;
 pub use instrument::CallCounters;
 pub use kernel::{
     cancel_timer, current_handle, current_pid, in_sim, now, park, schedule_at,

@@ -24,10 +24,11 @@ cargo build --release
 echo "==> cargo test (workspace)"
 cargo test --workspace -q
 
-echo "==> cargo test --release -p ib-sim (overflow checks are off: bounds must hold by checked arithmetic)"
-# The fabric's bounds checks once wrapped in release and panicked in debug;
-# the workspace tests above run in debug only.
-cargo test --release -q -p ib-sim
+echo "==> cargo test --release -p ib-sim -p gpu-sim (overflow checks are off: bounds must hold by checked arithmetic)"
+# The fabric's bounds checks, then the device's pitched extents, once wrapped
+# in release and panicked in debug; the workspace tests above run in debug
+# only.
+cargo test --release -q -p ib-sim -p gpu-sim
 
 echo "==> experiments (release): smoke plans + the committed grids too slow for a debug build"
 # Every experiment's guards run on every invocation. `cargo test` above has
