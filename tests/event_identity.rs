@@ -18,7 +18,7 @@ use mpi_sim::{ChunkPolicy, Datatype, MpiConfig, MpiWorld};
 use mv2_gpu_nc::baselines::{fill_vector, verify_vector, VectorXfer};
 use mv2_gpu_nc::{FaultSpec, GpuCluster, WakeTraceSink};
 use sim_core::lock::Mutex;
-use sim_core::{ExecMode, SanitizerMode, SimTime};
+use sim_core::{ExecMode, SanitizerMode, SimTime, WakeEvent};
 use sim_trace::Recorder;
 use simcheck::{explore, Budget, CheckScheduler, RunOutcome, Scenario, Schedule};
 
@@ -335,5 +335,122 @@ fn modelcheck_identity() {
     assert!(
         ev.stats.schedules > 1,
         "exploration degenerate: one schedule"
+    );
+}
+
+/// A host-only job that takes both routes: rank 0 sends a strided 64 KiB
+/// `vector` to rank 2 on the other node (staged rendezvous over the HCA)
+/// while the two ranks of each node swap an eager message over shm.
+fn two_route_world_trace(mode: ExecMode) -> Vec<WakeEvent> {
+    let sink: WakeTraceSink = Arc::default();
+    MpiWorld::new(4)
+        .with_ppn(2)
+        .with_exec(mode)
+        .with_wake_trace(Arc::clone(&sink))
+        .run(|comm| {
+            let me = comm.rank();
+            let row = Datatype::vector(1 << 14, 1, 4, &Datatype::float());
+            row.commit();
+            let int = Datatype::int();
+            int.commit();
+            let big = HostBuf::from_vec((0..(1 << 18)).map(|i| (i % 251) as u8).collect());
+            let (out, inb) = (HostBuf::from_vec(vec![me as u8; 64]), HostBuf::alloc(64));
+            for lap in 0..3u32 {
+                match me {
+                    0 => comm.send(big.base(), 1, &row, 2, lap),
+                    2 => assert_eq!(comm.recv(big.base(), 1, &row, 0, lap).bytes, 64 << 10),
+                    _ => {}
+                }
+                let peer = me ^ 1;
+                comm.sendrecv(
+                    out.base(),
+                    16,
+                    &int,
+                    peer,
+                    lap,
+                    inb.base(),
+                    16,
+                    &int,
+                    peer,
+                    lap,
+                );
+                assert_eq!(inb.read(0, 64), vec![peer as u8; 64]);
+            }
+        });
+    let trace = sink.lock().unwrap().clone();
+    trace
+}
+
+/// FNV-1a over a stream of words.
+fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
+    words
+        .into_iter()
+        .flat_map(u64::to_le_bytes)
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+}
+
+/// What the ledger keeps of a wake trace: the grant count, a digest of
+/// every grant's `(at, pid)` and one of `(seq, at, pid)`.
+fn wake_digest(trace: &[WakeEvent]) -> (usize, u64, u64) {
+    let at_pid = |w: &WakeEvent| [w.at.as_nanos(), w.pid as u64];
+    (
+        trace.len(),
+        fnv(trace.iter().flat_map(at_pid)),
+        fnv(trace
+            .iter()
+            .flat_map(|w| [w.seq, w.at.as_nanos(), w.pid as u64])),
+    )
+}
+
+/// The committed grant order: `(script, grants, FNV of (at, pid), FNV of
+/// (seq, at, pid))`. `None` where the script's seq stream is not pinned.
+/// Captured at PR 21's tree; see `.claude/skills/verify/SKILL.md` for the
+/// re-capture recipe.
+const PINNED_WAKES: &[(&str, usize, u64, Option<u64>)] = &[
+    (
+        "world 4 ranks ppn 2",
+        401,
+        0xc8ad96efa8a449b6,
+        Some(0x4b595df2be72a8d2),
+    ),
+    (
+        "cluster 2 ranks staged vector",
+        395,
+        0xcc4ae5ccd1f2c93,
+        None,
+    ),
+];
+
+/// The grant order itself is committed, not only equal across carriers:
+/// who ran, when, and (for the host-only world) at which admission seq.
+/// A kernel, wire or launcher refactor must leave the table unedited.
+#[test]
+fn wake_traces_are_pinned() {
+    let gpu_staged = |mode| {
+        let sink: WakeTraceSink = Arc::default();
+        staged_vector_run(mode, Some(Arc::clone(&sink)), None, None);
+        let trace = sink.lock().unwrap().clone();
+        trace
+    };
+    let mut got = Vec::new();
+    for mode in [ExecMode::Event, ExecMode::Threads] {
+        let (n, at_pid, seq) = wake_digest(&two_route_world_trace(mode));
+        got.push(("world 4 ranks ppn 2", n, at_pid, Some(seq)));
+        let (n, at_pid, _) = wake_digest(&gpu_staged(mode));
+        got.push(("cluster 2 ranks staged vector", n, at_pid, None));
+    }
+    assert_eq!(got[..2], got[2..], "wake traces diverged across carriers");
+    let rows: String = got[..2]
+        .iter()
+        .map(|(s, n, a, q)| {
+            let q = q.map_or("None".to_string(), |q| format!("Some({q:#x})"));
+            format!("    ({s:?}, {n}, {a:#x}, {q}),\n")
+        })
+        .collect();
+    assert!(
+        got[..2] == *PINNED_WAKES,
+        "wake traces moved; if on purpose, PINNED_WAKES becomes\n&[\n{rows}]"
     );
 }
