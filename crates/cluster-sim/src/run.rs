@@ -165,7 +165,6 @@ pub fn run_mix(params: &ClusterParams, plans: &[JobPlan]) -> ClusterOutcome {
         ShmModel::westmere(),
         params.faults.clone(),
     );
-    fabric.attach_event_pump(&sim);
     let rec = params.recorder.clone().unwrap_or_default();
     fabric.attach_recorder(&rec);
 

@@ -98,9 +98,7 @@ impl GpuCluster {
     }
 
     /// Record every scheduling grant of the run into `sink`; see
-    /// [`MpiWorld::with_wake_trace`]. A wake-traced run also observes GPU
-    /// completions through the component layer, so the monitor wakes are
-    /// cross-checked across carriers like everything else.
+    /// [`MpiWorld::with_wake_trace`].
     pub fn wake_trace(self, sink: WakeTraceSink) -> Self {
         self.on_world(|w| w.with_wake_trace(sink))
     }
@@ -211,16 +209,9 @@ impl GpuCluster {
             gpu_mem,
         } = self;
         world.launch(
-            move |sim, topo, rec| -> Vec<Gpu> {
-                let monitored = sim.records_wake_trace();
+            move |_, topo, rec| -> Vec<Gpu> {
                 (0..topo.num_nodes())
-                    .map(|node| {
-                        let gpu = node_gpu(node, &gpu_cost, gpu_mem, rec);
-                        if monitored {
-                            gpu.attach_event_monitor(sim);
-                        }
-                        gpu
-                    })
+                    .map(|node| node_gpu(node, &gpu_cost, gpu_mem, rec))
                     .collect()
             },
             move |gpus, seat| {

@@ -253,32 +253,6 @@ struct GpuInner {
     san_domain: u64,
     /// Trace lanes, one per engine, once a recorder is attached.
     trace: OnceLock<[sim_trace::Lane; ENGINES]>,
-    /// Event monitor (see [`Gpu::attach_event_monitor`]): every scheduled
-    /// operation's completion also wakes this component. Unset (default)
-    /// skips the hook entirely.
-    monitor: OnceLock<MonitorHook>,
-}
-
-/// An attached completion monitor: the component's waker plus the shared
-/// cell where its ticks record the latest completion instant seen.
-type MonitorHook = (sim_core::Waker, Arc<Mutex<Option<SimTime>>>);
-
-/// Stackless observer of a device's operation completions: woken (with
-/// coalescing) at each operation's finish instant, it records the latest
-/// completion it has seen. Purely observational — attaching it never moves
-/// an event.
-struct EngineMonitor {
-    last_seen: Arc<Mutex<Option<SimTime>>>,
-}
-
-impl sim_core::Component for EngineMonitor {
-    fn tick(&mut self, now: SimTime) -> Option<SimTime> {
-        let mut last = self.last_seen.lock();
-        if last.is_none_or(|t| t < now) {
-            *last = Some(now);
-        }
-        None
-    }
 }
 
 /// One simulated GPU. Clones are shallow handles to the same device.
@@ -311,7 +285,6 @@ impl Gpu {
                 counters: CallCounters::new(),
                 san_domain: san::new_queue_domain(),
                 trace: OnceLock::new(),
-                monitor: OnceLock::new(),
             }),
         };
         // Stream 0: used by the synchronous copy API.
@@ -359,35 +332,6 @@ impl Gpu {
             "{scope} already has a recorder"
         );
         rec.register_counters(&scope, &self.inner.counters);
-    }
-
-    /// Register a stackless completion monitor on `sim`'s kernel (once):
-    /// every operation scheduled on this device wakes the component at its
-    /// finish instant (coalesced), turning stream/copy completions into
-    /// component wakes. Observational only — attaching it never changes the
-    /// timing of any operation, completion, or waiter. Returns the monitor's
-    /// waker (its tick count = distinct completion instants observed).
-    pub fn attach_event_monitor(&self, sim: &sim_core::Sim) -> sim_core::Waker {
-        let last_seen = Arc::new(Mutex::new(None));
-        let w = sim.add_component(
-            format!("gpu{}.events", self.inner.id),
-            EngineMonitor {
-                last_seen: Arc::clone(&last_seen),
-            },
-        );
-        assert!(
-            self.inner.monitor.set((w.clone(), last_seen)).is_ok(),
-            "gpu{} already has an event monitor",
-            self.inner.id
-        );
-        w
-    }
-
-    /// Latest completion instant the event monitor has observed (`None`
-    /// without [`attach_event_monitor`](Gpu::attach_event_monitor) or before
-    /// the first completion).
-    pub fn last_completion_seen(&self) -> Option<SimTime> {
-        self.inner.monitor.get().and_then(|(_, last)| *last.lock())
     }
 
     // --- memory management -------------------------------------------------
@@ -523,9 +467,6 @@ impl Gpu {
         }
         let c = Completion::ready_between(start, end);
         c.attach_ops(san_op.as_slice());
-        if let Some((w, _)) = inner.monitor.get() {
-            c.notify_component(w);
-        }
         if op.stream.is_none() {
             c.wait();
         }

@@ -56,31 +56,6 @@ mod tests {
     }
 
     #[test]
-    fn event_monitor_sees_stream_completions() {
-        let sim = Sim::new();
-        let gpu = Gpu::tesla_c2050(0);
-        let waker = gpu.attach_event_monitor(&sim);
-        {
-            let gpu = gpu.clone();
-            sim.spawn("test", move || {
-                let dev = gpu.malloc(1 << 20);
-                let host = HostBuf::alloc(1 << 20);
-                let stream = gpu.create_stream();
-                let c = gpu.memcpy_async(dev, host.base(), 1 << 20, &stream);
-                let done = c.done_at().unwrap();
-                assert!(
-                    gpu.last_completion_seen().is_none_or(|t| t < done),
-                    "monitor must not observe a completion before it happens"
-                );
-                c.wait();
-                assert_eq!(gpu.last_completion_seen(), Some(done));
-            });
-        }
-        sim.run();
-        assert!(waker.ticks() >= 1, "monitor component never ticked");
-    }
-
-    #[test]
     fn h2d_d2h_round_trip_moves_bytes() {
         in_sim(|| {
             let gpu = Gpu::tesla_c2050(0);

@@ -12,18 +12,18 @@
 //!   envelopes, eager payloads, RTS/CTS/FIN) and **registration**.
 //! * [`crate::rdma`] — the one-sided writes into registered memory:
 //!   **RDMA WRITE**, its scatter/gather form and the **shm write**.
-//! * [`crate::pump`] — the wire: timed delivery into mailboxes.
 //!
 //! This file is what is left: building a fabric ([`Fabric::new`],
 //! [`Fabric::with_topology`], [`Fabric::multi_job`]), handing out endpoints,
-//! binding jobs to nodes and attaching the recorder.
+//! binding jobs to nodes, attaching the recorder — and the wire, which is
+//! one function (`Fabric::deliver_packet_at`): one kernel timer per packet.
 
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
 use sim_core::instrument::CallCounters;
 use sim_core::lock::Mutex;
-use sim_core::{san, Horizon, Mailbox};
+use sim_core::{san, Horizon, Mailbox, Sim, SimTime};
 use sim_trace::Recorder;
 
 use crate::fault::{FaultSpec, FaultState};
@@ -31,7 +31,6 @@ use crate::job::{BindError, JobQos, JobSpec};
 use crate::model::{NetModel, ShmModel};
 use crate::nic::{Nic, Packet};
 use crate::node::{Node, Route};
-use crate::pump::PumpState;
 use crate::scheduler::DeliveryScheduler;
 use crate::topology::Topology;
 
@@ -76,9 +75,6 @@ pub(crate) struct FabricInner {
     /// (the default) is FIFO delivery with the original code path — a run
     /// without a scheduler is bit-identical to a pre-hook fabric.
     pub(crate) scheduler: Mutex<Option<Arc<dyn DeliveryScheduler>>>,
-    /// Event-driven delivery pump (see [`Fabric::attach_event_pump`]).
-    /// `None` falls back to one boxed timer closure per packet.
-    pub(crate) pump: Mutex<Option<PumpState>>,
 }
 
 /// The simulated cluster interconnect. Clones are shallow.
@@ -185,7 +181,6 @@ impl Fabric {
                 san_domain: san::new_queue_domain(),
                 faults: faults.map(FaultState::new),
                 scheduler: Mutex::new(None),
-                pump: Mutex::new(None),
                 jobs,
             }),
         }
@@ -373,6 +368,18 @@ impl Fabric {
             Route::Shm => node.shm,
         }
     }
+
+    /// The wire: deliver `pkt` into global endpoint `dst`'s mailbox at
+    /// instant `at`, as one kernel timer carrying the sender's
+    /// happens-before token (captured here, at send time).
+    pub(crate) fn deliver_packet_at(&self, dst: usize, at: SimTime, pkt: Packet) {
+        self.inner.mailboxes[dst].send_at(at, pkt);
+    }
+
+    /// Does nothing: the wire has no pump to attach any more. Kept only
+    /// because `benchmark/src/probes.rs`, which a change to the simulator
+    /// may not edit, still calls it; delete it with that call.
+    pub fn attach_event_pump(&self, _: &Sim) {}
 
     /// Attach a trace recorder: each node gets a `node{k}/hca_tx` lane
     /// (HCA serialization spans and fault instants), a `node{k}/shm`

@@ -49,7 +49,6 @@ mod job;
 mod model;
 mod nic;
 mod node;
-mod pump;
 mod rdma;
 pub mod scheduler;
 mod topology;

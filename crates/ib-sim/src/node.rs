@@ -7,13 +7,14 @@
 //! lanes. Co-located endpoints contend for all of it, exactly like
 //! processes sharing a host adapter.
 //!
-//! **Engines are horizons, not components.** Each engine is a
+//! **Engines are horizons, not timers.** Each engine is a
 //! [`sim_core::Horizon`] — the instant it next falls idle plus the
 //! sanitizer's last operation on it — and occupying it ([`Nic::occupy`]) is
-//! closed-form arithmetic in the posting process. An engine that `tick`ed
-//! per work request would admit one kernel timer per operation, and timer
+//! closed-form arithmetic in the posting process. An engine modelled as an
+//! event per work request would admit one kernel timer per operation, and timer
 //! admission order is committed history (wake traces, the model checker's
-//! exploration depth) — only the wire ([`crate::pump`]) is a `Component`.
+//! exploration depth) — only the wire (`Fabric::deliver_packet_at`) arms a
+//! timer, one per packet.
 //!
 //! **Timing.** An operation occupies its engine for `bytes / bandwidth`
 //! (plus `extra`: the descriptor fetches of a scatter/gather post) and

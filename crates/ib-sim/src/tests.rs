@@ -262,8 +262,8 @@ fn trace_rows(rec: &Recorder) -> Vec<Row> {
 }
 
 /// Bring a fabric up the bare way the unit tests do (`production: false`:
-/// per-packet timer closures, sanitizer off) or the way every launcher does
-/// (event pump, sanitizer collecting), run the script, return the ledger.
+/// sanitizer off) or the way the checked launchers do (sanitizer
+/// collecting), run the script, return the ledger.
 fn ledger(production: bool, build: impl FnOnce() -> (Fabric, Vec<Arc<Cast>>)) -> Vec<Row> {
     let sim = Sim::new();
     let rec = Recorder::new();
@@ -271,7 +271,6 @@ fn ledger(production: bool, build: impl FnOnce() -> (Fabric, Vec<Arc<Cast>>)) ->
     fabric.attach_recorder(&rec);
     if production {
         sim.set_sanitizer(SanitizerMode::Collect);
-        fabric.attach_event_pump(&sim);
     }
     let mut rows = run_script(&sim, &casts);
     assert!(
@@ -376,7 +375,6 @@ fn fault_outcomes() -> Vec<(String, u64)> {
         }),
     );
     f.attach_recorder(&rec);
-    f.attach_event_pump(&sim);
     let cast = Cast::new("", (0..4).map(|r| f.nic(r)).collect());
     let arrivals: Arc<Mutex<HashMap<u32, SimTime>>> = Arc::default();
     for r in [1, 2] {

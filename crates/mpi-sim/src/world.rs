@@ -5,7 +5,7 @@
 //! shm models, MPI configuration, carrier, sanitizer, faults, recorder,
 //! delivery scheduler and wake-trace sink. [`MpiWorld::launch`] is the only
 //! code that acts on it: it creates the [`Sim`], builds the fabric, attaches
-//! pump, recorder and scheduler, spawns one `rank{r}` process per rank and
+//! recorder and scheduler, spawns one `rank{r}` process per rank and
 //! turns a panic anywhere in the job into `Err(message)` plus the sanitizer
 //! reports. A caller supplies two pieces: a once-per-world *set-up* (where
 //! per-node hardware is built, before any rank exists) and a per-rank
@@ -14,9 +14,8 @@
 //! empty set-up; `mv2_gpu_nc::GpuCluster` is `launch` with one GPU per node.
 //!
 //! Registration order is observable (trace lane ids are dense in
-//! first-registration order, components tick in admission order) and fixed
-//! here: fabric pump, fabric lanes, whatever the set-up registers, then the
-//! ranks in rank order.
+//! first-registration order) and fixed here: fabric lanes, whatever the
+//! set-up registers, then the ranks in rank order.
 
 use std::sync::Arc;
 
@@ -268,10 +267,6 @@ impl MpiWorld {
             topo.num_ranks(),
         );
         let fabric = Fabric::with_topology(topo.clone(), net, shm, faults);
-        // Fabric delivery rides the event-driven pump: pending-heap entries
-        // drained by a stackless tick instead of one boxed closure per
-        // packet. Exact-wake discipline — virtual times are unchanged.
-        fabric.attach_event_pump(&sim);
         fabric.attach_recorder(&rec);
         if let Some(s) = scheduler {
             fabric.set_delivery_scheduler(s);

@@ -10,7 +10,6 @@ use std::sync::Arc;
 
 use crate::lock::Mutex;
 
-use crate::component::Waker;
 use crate::kernel::{self, ProcHandle};
 use crate::san;
 use crate::time::SimTime;
@@ -27,8 +26,6 @@ struct CompState {
     error: bool,
     /// Processes parked waiting for a finish time to be assigned.
     waiters: Vec<ProcHandle>,
-    /// Stackless consumers: woken at the finish instant once it is known.
-    components: Vec<Waker>,
     /// Sanitizer: async operations this completion synchronizes with. A
     /// successful wait/poll acquires them for the caller.
     ops: Vec<san::OpId>,
@@ -53,12 +50,8 @@ impl Completion {
     pub fn ready_at(t: SimTime) -> Self {
         Completion {
             inner: Arc::new(Mutex::new(CompState {
-                started_at: None,
                 done_at: Some(t),
-                error: false,
-                waiters: Vec::new(),
-                components: Vec::new(),
-                ops: Vec::new(),
+                ..CompState::default()
             })),
         }
     }
@@ -74,21 +67,14 @@ impl Completion {
         c
     }
 
-    /// [`failed_at`](Self::failed_at) with a recorded start instant (see
-    /// [`ready_between`](Self::ready_between)).
+    /// A completion that occupies `start..end` and finishes *with an error
+    /// status* — the simulator's equivalent of an error CQE
+    /// (`IBV_WC_RETRY_EXC_ERR` and friends). Timing behaves exactly like
+    /// [`ready_between`](Self::ready_between); protocol layers query
+    /// [`is_error`](Self::is_error) after completion to decide whether the
+    /// operation must be retried.
     pub fn failed_between(start: SimTime, end: SimTime) -> Self {
         let c = Self::ready_between(start, end);
-        c.inner.lock().error = true;
-        c
-    }
-
-    /// A completion that finishes at `t` *with an error status* — the
-    /// simulator's equivalent of an error CQE (`IBV_WC_RETRY_EXC_ERR` and
-    /// friends). Timing behaves exactly like [`ready_at`](Self::ready_at);
-    /// protocol layers query [`is_error`](Self::is_error) after completion
-    /// to decide whether the operation must be retried.
-    pub fn failed_at(t: SimTime) -> Self {
-        let c = Self::ready_at(t);
         c.inner.lock().error = true;
         c
     }
@@ -101,14 +87,11 @@ impl Completion {
     /// Assign the finish time. Waiters parked on this completion are woken at
     /// `max(t, now)`. Panics if the completion already has a finish time.
     pub fn complete_at(&self, t: SimTime) {
-        let (waiters, components) = {
+        let waiters = {
             let st = &mut *self.inner.lock();
             assert!(st.done_at.is_none(), "Completion::complete_at called twice");
             st.done_at = Some(t);
-            (
-                std::mem::take(&mut st.waiters),
-                std::mem::take(&mut st.components),
-            )
+            std::mem::take(&mut st.waiters)
         };
         if !waiters.is_empty() {
             let wake_at = t.max(kernel::now());
@@ -119,26 +102,6 @@ impl Completion {
                     h.unpark();
                 }
             });
-        }
-        for w in components {
-            w.wake_at(t);
-        }
-    }
-
-    /// Subscribe a stackless component: it receives a coalesced wake at the
-    /// finish instant. If the finish time is already assigned the wake is
-    /// issued immediately (for that instant, which may be in the past — the
-    /// kernel clamps to now). Timing of waiters and pollers is unaffected.
-    pub fn notify_component(&self, w: &Waker) {
-        let done = {
-            let mut st = self.inner.lock();
-            if st.done_at.is_none() {
-                st.components.push(w.clone());
-            }
-            st.done_at
-        };
-        if let Some(t) = done {
-            w.wake_at(t);
         }
     }
 
@@ -220,23 +183,6 @@ impl Completion {
                 }
             }
         }
-    }
-
-    /// A completion that finishes when every input has finished (the latest
-    /// `done_at`). All inputs must already have assigned finish times.
-    pub fn join_all<'a>(comps: impl IntoIterator<Item = &'a Completion>) -> Completion {
-        let mut latest = SimTime::ZERO;
-        let mut ops = Vec::new();
-        for c in comps {
-            let t = c
-                .done_at()
-                .expect("Completion::join_all requires assigned finish times");
-            latest = latest.max(t);
-            ops.extend(c.inner.lock().ops.iter().copied());
-        }
-        let out = Completion::ready_at(latest);
-        out.attach_ops(&ops);
-        out
     }
 }
 
@@ -333,7 +279,7 @@ mod tests {
         let sim = Sim::new();
         sim.spawn("p", || {
             let ok = Completion::ready_at(now() + SimDur::from_micros(1));
-            let bad = Completion::failed_at(now() + SimDur::from_micros(1));
+            let bad = Completion::failed_between(now(), now() + SimDur::from_micros(1));
             assert!(!ok.is_error());
             assert!(bad.is_error(), "error status must be queryable before done");
             // Identical timing semantics: both finish at the same instant.
@@ -359,18 +305,6 @@ mod tests {
             assert!(bad.is_error());
             assert_eq!(bad.started_at(), Some(s));
             assert_eq!(bad.done_at(), Some(e));
-        });
-        sim.run();
-    }
-
-    #[test]
-    fn join_all_takes_latest() {
-        let sim = Sim::new();
-        sim.spawn("p", || {
-            let a = Completion::ready_at(SimTime::from_nanos(5));
-            let b = Completion::ready_at(SimTime::from_nanos(9));
-            let c = Completion::join_all([&a, &b]);
-            assert_eq!(c.done_at(), Some(SimTime::from_nanos(9)));
         });
         sim.run();
     }

@@ -5,7 +5,7 @@
 //! tenant's queue on it and a shm copy engine are all the same thing: the
 //! instant the resource next falls idle, plus the sanitizer's last operation
 //! on it (its successor is ordered after it). Occupying one is closed-form
-//! arithmetic in the posting process — no timer, no component. What a device
+//! arithmetic in the posting process — no timer. What a device
 //! adds is how horizons combine: a GPU operation holds its stream and its
 //! engine; an HCA operation holds its tenant's queue and, beside the other
 //! tenants, the engine.

@@ -1,5 +1,8 @@
 //! The simulation kernel: a deterministic cooperative scheduler over
-//! stackful fibers plus a binary heap of virtual-time timers.
+//! stackful fibers plus a binary heap of virtual-time timers. It schedules
+//! two kinds of thing and nothing else: *processes* (a rank inside an MPI
+//! call, driving its progress engine) and *timers* (a hardware completion
+//! or arrival instant, as a closure).
 //!
 //! # Execution model
 //!
@@ -21,15 +24,16 @@
 //! instead; it makes the identical decisions and is kept as the
 //! cross-check (and the fallback where fibers are unsupported).
 //!
-//! Runnable processes wait in a min-heap keyed by admission sequence;
-//! timers wait in a min-heap keyed by `(deadline, admission sequence)`
-//! whose entries point at a slab of actions, so a cancelled timer drops its
-//! action at once and leaves a generation-stamped tombstone behind.
+//! Runnable processes wait in a FIFO (admission sequences only ever grow,
+//! so arrival order is sequence order); timers wait in a min-heap keyed by
+//! `(deadline, admission sequence)`, each owning its action. A timer cannot
+//! be cancelled: one that outlives its purpose fires a harmless stale
+//! unpark, and recorded baselines depend on those wakes.
 //!
 //! # Blocking and waking
 //!
 //! The only kernel-level blocking primitive is [`park`]; everything else
-//! (sleeps, mailboxes, completions, semaphores) is built from `park` +
+//! (sleeps, mailboxes, completions) is built from `park` +
 //! timers + [`ProcHandle::unpark`]. Because only one process runs at a time
 //! and timer actions only fire while no process is running, the classic
 //! check-then-park race cannot occur: nothing can deliver a wakeup between a
@@ -41,24 +45,22 @@
 //! runs, by that process's running context (`Ctx`; a thread carrier's OS
 //! thread holds one for as long as it lives). Everything the kernel itself
 //! ends up owning refers back to it weakly: [`ProcHandle`]s sit in waiter
-//! lists inside registered components and in timer actions that may never
-//! fire (`run` returns at `live == 0` with the heap non-empty), component
-//! wakers sit in the registry and in wake timers, and a fiber's body sits
-//! in the process table. So dropping the last `Sim` after `run` frees the
-//! whole world — processes, timers, components and whatever their state
-//! holds.
+//! lists that un-fired timer actions own (`run` returns at `live == 0`
+//! with the heap non-empty), and a fiber's body sits in the process table.
+//! So dropping the last `Sim` after `run` frees the whole world —
+//! processes, timers and whatever their closures hold.
 
 use std::any::Any;
 use std::cell::RefCell;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 use std::fmt;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Weak};
 use std::thread;
 
 use crate::fiber::{self, Fiber};
-use crate::lock::{Condvar, Mutex};
+use crate::lock::{Condvar, Mutex, MutexGuard};
 
 use crate::san::{Report, SanData, SanitizerMode};
 use crate::time::{SimDur, SimTime};
@@ -84,36 +86,33 @@ pub enum ExecMode {
 }
 
 impl ExecMode {
-    /// The build/environment default: `Event` where fibers are supported,
-    /// overridable with `SIM_EXEC=threads|event`.
+    /// The build default: `Event` where fibers are supported, else
+    /// `Threads`.
     pub fn default_mode() -> ExecMode {
-        static MODE: std::sync::OnceLock<ExecMode> = std::sync::OnceLock::new();
-        *MODE.get_or_init(|| match std::env::var("SIM_EXEC").as_deref() {
-            Ok("threads") => ExecMode::Threads,
-            Ok("event") => ExecMode::Event,
-            _ => {
-                if fiber::supported() {
-                    ExecMode::Event
-                } else {
-                    ExecMode::Threads
-                }
-            }
-        })
+        if fiber::supported() {
+            ExecMode::Event
+        } else {
+            ExecMode::Threads
+        }
     }
 }
 
 /// Per-process stack budget in bytes (satellite of the 1k-rank work: the
 /// default 8 MiB OS stacks exhaust address space and RSS at scale).
-/// Override with `SIM_STACK_KB`.
+/// Override with `SIM_STACK_KB`, a positive number of KiB; anything else
+/// there panics by name instead of running at some other size.
 fn stack_bytes() -> usize {
-    static KB: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *KB.get_or_init(|| {
-        std::env::var("SIM_STACK_KB")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            // Debug frames are much fatter than release ones.
-            .unwrap_or(if cfg!(debug_assertions) { 1024 } else { 256 })
-            * 1024
+    static BYTES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *BYTES.get_or_init(|| match std::env::var_os("SIM_STACK_KB") {
+        // Debug frames are much fatter than release ones.
+        None if cfg!(debug_assertions) => 1024 << 10,
+        None => 256 << 10,
+        Some(v) => v
+            .to_str()
+            .and_then(|kb| kb.parse::<usize>().ok())
+            .filter(|&kb| kb > 0)
+            .and_then(|kb| kb.checked_mul(1024))
+            .unwrap_or_else(|| panic!("SIM_STACK_KB={v:?} is not a positive stack size in KiB")),
     })
 }
 
@@ -153,28 +152,12 @@ struct Proc {
     fiber: Option<Box<Fiber>>,
 }
 
-/// A heap entry pointing at a timer slot. The action lives in the slot so
-/// cancellation can drop it immediately; the entry itself becomes a
-/// tombstone, skipped on pop by its stale generation.
+/// An action to run on the kernel thread at `at`; same-instant timers
+/// fire in admission (`seq`) order.
 struct Timer {
     at: SimTime,
     seq: u64,
-    slot: usize,
-    gen: u64,
-}
-
-struct TimerSlot {
-    gen: u64,
-    action: Option<Box<dyn FnOnce() + Send>>,
-}
-
-/// Handle to a cancellable timer (see [`schedule_cancellable_at`]).
-/// Generation-stamped: cancelling after the timer fired (or cancelling
-/// twice) is a harmless no-op.
-#[derive(Clone, Debug)]
-pub struct TimerId {
-    slot: usize,
-    gen: u64,
+    action: Box<dyn FnOnce() + Send>,
 }
 
 impl PartialEq for Timer {
@@ -199,16 +182,10 @@ struct State {
     seq: u64,
     exec: ExecMode,
     procs: Vec<Proc>,
-    /// Min-heap of `(admission seq, pid)`: FIFO among processes made runnable
-    /// at the same virtual time.
-    runnable: BinaryHeap<Reverse<(u64, usize)>>,
+    /// `(admission seq, pid)` in push order, which is seq order: the next
+    /// seq is drawn at every push.
+    runnable: VecDeque<(u64, usize)>,
     timers: BinaryHeap<Reverse<Timer>>,
-    /// Slab of timer actions addressed by heap entries; generation stamps
-    /// let cancellation tombstone an entry without touching the heap.
-    timer_slots: Vec<TimerSlot>,
-    timer_free: Vec<usize>,
-    /// Armed (non-tombstoned) timers currently in the heap.
-    timers_live: usize,
     live: usize,
     aborted: bool,
     panic: Option<Box<dyn Any + Send>>,
@@ -237,60 +214,11 @@ impl State {
         s
     }
 
+    /// Admit `pid` to the run queue behind everything already there.
     fn make_runnable(&mut self, pid: ProcId) {
         let seq = self.next_seq();
-        let p = &mut self.procs[pid.0];
-        debug_assert!(
-            matches!(p.status, Status::Parked { .. }),
-            "make_runnable on non-parked process {}",
-            p.name
-        );
-        p.status = Status::Runnable;
-        self.runnable.push(Reverse((seq, pid.0)));
-    }
-
-    fn push_timer(&mut self, at: SimTime, action: Box<dyn FnOnce() + Send>) -> TimerId {
-        let at = at.max(self.now);
-        let seq = self.next_seq();
-        let slot = match self.timer_free.pop() {
-            Some(s) => s,
-            None => {
-                self.timer_slots.push(TimerSlot {
-                    gen: 0,
-                    action: None,
-                });
-                self.timer_slots.len() - 1
-            }
-        };
-        let gen = self.timer_slots[slot].gen;
-        self.timer_slots[slot].action = Some(action);
-        self.timers.push(Reverse(Timer { at, seq, slot, gen }));
-        self.timers_live += 1;
-        TimerId { slot, gen }
-    }
-
-    /// Take the action of a popped heap entry, or `None` for a tombstone.
-    /// Live entries free their slot for reuse.
-    fn claim_timer(&mut self, t: &Timer) -> Option<Box<dyn FnOnce() + Send>> {
-        let s = &mut self.timer_slots[t.slot];
-        if s.gen != t.gen {
-            return None; // tombstone: cancelled (slot already recycled)
-        }
-        let action = s.action.take().expect("armed timer slot without action");
-        s.gen += 1;
-        self.timer_free.push(t.slot);
-        self.timers_live -= 1;
-        Some(action)
-    }
-
-    /// Drop tombstoned heap heads so `peek` sees the next *live* timer.
-    fn drop_dead_timers(&mut self) {
-        while let Some(Reverse(t)) = self.timers.peek() {
-            if self.timer_slots[t.slot].gen == t.gen {
-                return;
-            }
-            self.timers.pop();
-        }
+        self.procs[pid.0].status = Status::Runnable;
+        self.runnable.push_back((seq, pid.0));
     }
 }
 
@@ -301,8 +229,6 @@ pub(crate) struct Kernel {
     /// Sanitizer state (see [`crate::san`]). Lock order: never acquire this
     /// while holding `state`; acquiring `state` while holding `san` is fine.
     san: Mutex<SanData>,
-    /// Registry of stackless components (see [`crate::component`]).
-    pub(crate) components: Mutex<Vec<crate::component::Waker>>,
 }
 
 impl Drop for Kernel {
@@ -313,7 +239,7 @@ impl Drop for Kernel {
 
 impl Kernel {
     /// Lock the sanitizer state (for `crate::san` hooks).
-    pub(crate) fn san_lock(&self) -> crate::lock::MutexGuard<'_, SanData> {
+    pub(crate) fn san_lock(&self) -> MutexGuard<'_, SanData> {
         self.san.lock()
     }
 
@@ -321,11 +247,6 @@ impl Kernel {
     pub(crate) fn name_and_now(&self, pid: ProcId) -> (String, SimTime) {
         let st = self.state.lock();
         (st.procs[pid.0].name.clone(), st.now)
-    }
-
-    /// Current virtual time (context-free; usable from timer actions).
-    pub(crate) fn current_time(&self) -> SimTime {
-        self.state.lock().now
     }
 }
 
@@ -420,11 +341,8 @@ impl Sim {
                     seq: 0,
                     exec: ExecMode::default_mode(),
                     procs: Vec::new(),
-                    runnable: BinaryHeap::new(),
+                    runnable: VecDeque::new(),
                     timers: BinaryHeap::new(),
-                    timer_slots: Vec::new(),
-                    timer_free: Vec::new(),
-                    timers_live: 0,
                     live: 0,
                     aborted: false,
                     panic: None,
@@ -432,26 +350,8 @@ impl Sim {
                 }),
                 kernel_cv: Condvar::new(),
                 san: Mutex::new(SanData::new()),
-                components: Mutex::new(Vec::new()),
             }),
         }
-    }
-
-    /// Register a stackless [`Component`](crate::component::Component) and
-    /// return the [`Waker`](crate::component::Waker) that schedules its
-    /// ticks. See [`crate::component`] for the execution and determinism
-    /// contract.
-    pub fn add_component(
-        &self,
-        name: impl Into<String>,
-        comp: impl crate::component::Component + 'static,
-    ) -> crate::component::Waker {
-        crate::component::register(&self.kernel, name.into(), Box::new(comp))
-    }
-
-    /// Snapshot per-component wake statistics (registration order).
-    pub fn component_stats(&self) -> Vec<crate::component::ComponentStats> {
-        crate::component::stats(&self.kernel)
     }
 
     /// Select the process carrier (see [`ExecMode`]). Call before spawning;
@@ -471,12 +371,9 @@ impl Sim {
         self.kernel.state.lock().exec
     }
 
-    /// Number of armed timers currently in the heap (tombstoned entries
-    /// excluded) — the `timers_live` gauge. A progress engine that arms and
-    /// cancels one deadline per idle wait holds this flat instead of
-    /// accumulating dead entries until their deadlines.
+    /// Number of timers currently in the heap, stale deadlines included.
     pub fn timers_live(&self) -> usize {
-        self.kernel.state.lock().timers_live
+        self.kernel.state.lock().timers.len()
     }
 
     /// Start recording one [`WakeEvent`] per scheduling grant. The trace is
@@ -486,13 +383,6 @@ impl Sim {
     /// `event_identity` tests assert exactly this.
     pub fn record_wake_trace(&self) {
         self.kernel.state.lock().wake_trace = Some(Vec::new());
-    }
-
-    /// Whether [`record_wake_trace`](Sim::record_wake_trace) was called —
-    /// layers that add observation-only components to a cross-checked run
-    /// (the GPU completion monitor) key on this.
-    pub fn records_wake_trace(&self) -> bool {
-        self.kernel.state.lock().wake_trace.is_some()
     }
 
     /// The grants recorded since [`record_wake_trace`](Sim::record_wake_trace)
@@ -532,7 +422,6 @@ impl Sim {
             let mut st = kernel.state.lock();
             pid = ProcId(st.procs.len());
             exec = st.exec;
-            let seq = st.next_seq();
             st.procs.push(Proc {
                 name: name.clone(),
                 status: Status::Runnable,
@@ -540,7 +429,7 @@ impl Sim {
                 cv: Arc::new(Condvar::new()),
                 fiber: None,
             });
-            st.runnable.push(Reverse((seq, pid.0)));
+            st.make_runnable(pid);
             st.live += 1;
         }
         match exec {
@@ -609,14 +498,7 @@ impl Sim {
         let mut st = kernel.state.lock();
         loop {
             if let Some(payload) = st.panic.take() {
-                st.aborted = true;
-                let cvs: Vec<Arc<Condvar>> = st.procs.iter().map(|p| Arc::clone(&p.cv)).collect();
-                for (i, cv) in cvs.iter().enumerate() {
-                    st.procs[i].granted = true;
-                    cv.notify_one();
-                }
-                drop(st);
-                kernel.abort_fibers();
+                kernel.abort(st);
                 resume_unwind(payload);
             }
             if st.live == 0 {
@@ -638,7 +520,7 @@ impl Sim {
                 }
                 return now;
             }
-            if let Some(Reverse((seq, pid))) = st.runnable.pop() {
+            if let Some((seq, pid)) = st.runnable.pop_front() {
                 let at = st.now;
                 if let Some(trace) = &mut st.wake_trace {
                     trace.push(WakeEvent { seq, at, pid });
@@ -685,10 +567,7 @@ impl Sim {
                 }
                 continue;
             }
-            // Nothing runnable: advance virtual time. Tombstones of
-            // cancelled timers are discarded here so they neither fire nor
-            // drag the clock to a dead deadline.
-            st.drop_dead_timers();
+            // Nothing runnable: advance virtual time to the next timer.
             let Some(Reverse(head)) = st.timers.peek() else {
                 let parked_info: Vec<(usize, String, &'static str)> = st
                     .procs
@@ -699,15 +578,8 @@ impl Sim {
                         _ => None,
                     })
                     .collect();
-                st.aborted = true;
-                let cvs: Vec<Arc<Condvar>> = st.procs.iter().map(|p| Arc::clone(&p.cv)).collect();
-                for (i, cv) in cvs.iter().enumerate() {
-                    st.procs[i].granted = true;
-                    cv.notify_one();
-                }
                 let now = st.now;
-                drop(st);
-                kernel.abort_fibers();
+                kernel.abort(st);
                 // With the sanitizer active, dump a wait-for graph naming
                 // each process and the primitive it is blocked on; otherwise
                 // fall back to the terse parked-process listing.
@@ -733,10 +605,7 @@ impl Sim {
             // the lock released (actions re-enter the kernel to wake procs).
             let mut due = Vec::new();
             while st.timers.peek().is_some_and(|Reverse(t)| t.at <= st.now) {
-                let t = st.timers.pop().unwrap().0;
-                if let Some(action) = st.claim_timer(&t) {
-                    due.push(action);
-                }
+                due.push(st.timers.pop().unwrap().0.action);
             }
             drop(st);
             for action in due {
@@ -783,9 +652,7 @@ impl Kernel {
         let fiber_data = {
             let mut st = self.state.lock();
             if to_runnable {
-                let seq = st.next_seq();
-                st.procs[pid.0].status = Status::Runnable;
-                st.runnable.push(Reverse((seq, pid.0)));
+                st.make_runnable(pid);
             } else {
                 st.procs[pid.0].status = Status::Parked { reason };
             }
@@ -809,10 +676,18 @@ impl Kernel {
         }
     }
 
-    /// Unwind every live fiber after an abort so their stacks run
-    /// destructors (mirroring the granted-thread panic path), and mark
-    /// never-started fibers finished so their closures are simply dropped.
-    fn abort_fibers(self: &Arc<Self>) {
+    /// Shut the world down after a panic or a deadlock: mark it aborted and
+    /// grant every thread carrier (each wakes, sees `aborted` and unwinds),
+    /// then unwind every live fiber so their stacks run destructors too,
+    /// marking never-started fibers finished so their closures are simply
+    /// dropped.
+    fn abort(self: &Arc<Self>, mut st: MutexGuard<'_, State>) {
+        st.aborted = true;
+        for p in &mut st.procs {
+            p.granted = true;
+            p.cv.notify_one();
+        }
+        drop(st);
         loop {
             let next = {
                 let mut st = self.state.lock();
@@ -822,13 +697,11 @@ impl Kernel {
                         if fb.finished || matches!(p.status, Status::Done) {
                             continue;
                         }
-                        if !fb.started {
-                            fb.finished = true;
-                            continue;
-                        }
                         fb.finished = true;
-                        found = Some((i, fb.data_ptr()));
-                        break;
+                        if fb.started {
+                            found = Some((i, fb.data_ptr()));
+                            break;
+                        }
                     }
                 }
                 found
@@ -847,32 +720,12 @@ impl Kernel {
         }
     }
 
-    pub(crate) fn schedule_at(&self, at: SimTime, action: impl FnOnce() + Send + 'static) {
-        self.state.lock().push_timer(at, Box::new(action));
-    }
-
-    pub(crate) fn schedule_cancellable_at(
-        &self,
-        at: SimTime,
-        action: impl FnOnce() + Send + 'static,
-    ) -> TimerId {
-        self.state.lock().push_timer(at, Box::new(action))
-    }
-
-    /// Cancel a pending timer: the action is dropped immediately and the
-    /// heap entry becomes a tombstone. Returns false if it already fired or
-    /// was already cancelled.
-    pub(crate) fn cancel_timer(&self, id: &TimerId) -> bool {
+    /// Arm a timer: the one way an action gets onto the heap.
+    fn schedule_at(&self, at: SimTime, action: impl FnOnce() + Send + 'static) {
         let mut st = self.state.lock();
-        let s = &mut st.timer_slots[id.slot];
-        if s.gen != id.gen {
-            return false;
-        }
-        s.action = None;
-        s.gen += 1;
-        st.timer_free.push(id.slot);
-        st.timers_live -= 1;
-        true
+        let (at, seq) = (at.max(st.now), st.next_seq());
+        let action = Box::new(action);
+        st.timers.push(Reverse(Timer { at, seq, action }));
     }
 
     fn unpark(&self, pid: ProcId) {
@@ -890,11 +743,6 @@ impl Kernel {
 /// Current virtual time.
 pub fn now() -> SimTime {
     with_ctx(|c| c.kernel.state.lock().now)
-}
-
-/// The calling process's id.
-pub fn current_pid() -> ProcId {
-    with_ctx(|c| c.pid)
 }
 
 /// A [`ProcHandle`] for the calling process.
@@ -966,26 +814,6 @@ pub fn spawn(name: impl Into<String>, f: impl FnOnce() + Send + 'static) -> Proc
 /// process.
 pub fn schedule_at(at: SimTime, action: impl FnOnce() + Send + 'static) {
     with_ctx(|c| c.kernel.schedule_at(at, action));
-}
-
-/// Like [`schedule_at`], but returns a [`TimerId`] with which the timer can
-/// be cancelled before it fires (see [`cancel_timer`]).
-pub fn schedule_cancellable_at(at: SimTime, action: impl FnOnce() + Send + 'static) -> TimerId {
-    with_ctx(|c| c.kernel.schedule_cancellable_at(at, action))
-}
-
-/// Cancel a timer armed with [`schedule_cancellable_at`]: its action is
-/// dropped immediately and its heap entry becomes a generation-stamped
-/// tombstone that is skipped (never fired, never used as a time-advance
-/// target). Returns false if the timer already fired or was cancelled.
-pub fn cancel_timer(id: &TimerId) -> bool {
-    with_ctx(|c| c.kernel.cancel_timer(id))
-}
-
-/// The `timers_live` gauge: armed timers currently in the heap, excluding
-/// cancelled tombstones. See [`Sim::timers_live`].
-pub fn timers_live() -> usize {
-    with_ctx(|c| c.kernel.state.lock().timers_live)
 }
 
 #[cfg(test)]
@@ -1177,24 +1005,17 @@ mod tests {
 
     #[test]
     fn finished_sim_frees_its_kernel() {
-        // Everything a finished world used to leak through: a component
-        // whose state holds a mailbox (kernel → registry → component →
-        // mailbox → waiter handles), a wait that ended by its deadline and
-        // left its handle in the waiter list, and a deadline timer still
-        // un-fired when `run` returns at `live == 0`.
-        use crate::component::Component;
+        // Everything a finished world used to leak through: a far-future
+        // timer whose closure holds a mailbox (kernel → timer → mailbox →
+        // waiter handles), a wait that ended by its deadline and left its
+        // handle in the waiter list, and a deadline timer still un-fired
+        // when `run` returns at `live == 0`.
         use crate::mailbox::Mailbox;
-        struct Holder(#[allow(dead_code)] Mailbox<u32>);
-        impl Component for Holder {
-            fn tick(&mut self, _now: SimTime) -> Option<SimTime> {
-                None
-            }
-        }
         let sim = Sim::new();
         let mb: Mailbox<u32> = Mailbox::new();
-        let waker = sim.add_component("holder", Holder(mb.clone()));
         let proc = sim.spawn("p", move || {
-            waker.wake_exact_at(now() + SimDur::from_millis(5));
+            let held = mb.clone();
+            schedule_at(now() + SimDur::from_millis(5), move || drop(held));
             // Ended by a delivery: its 1 ms deadline timer outlives the run.
             mb.send_at(now() + SimDur::from_micros(1), 1);
             assert!(mb.wait_nonempty_until(Some(now() + SimDur::from_millis(1))));
@@ -1203,7 +1024,7 @@ mod tests {
             assert!(!mb.wait_nonempty_until(Some(now() + SimDur::from_micros(1))));
         });
         sim.run();
-        assert_eq!(sim.timers_live(), 2, "the wake and the stale deadline");
+        assert_eq!(sim.timers_live(), 2, "the holder and the stale deadline");
         let kernel = Arc::downgrade(&sim.kernel);
         drop(sim);
         proc.unpark(); // a handle that outlives its simulation is inert
@@ -1211,6 +1032,29 @@ mod tests {
             kernel.upgrade().is_none(),
             "a finished Sim must free its kernel"
         );
+    }
+
+    #[test]
+    fn same_instant_actions_interleave_by_seq() {
+        // An action armed for the current instant from inside a timer action
+        // runs after the actions already due and before any later-admitted
+        // one, whatever its origin: nothing drains "everything due" at once.
+        let sim = Sim::new();
+        let hits = Arc::new(StdMutex::new(Vec::new()));
+        let at = SimTime::from_nanos(10_000);
+        let log = |tag: &'static str| {
+            let hits = Arc::clone(&hits);
+            move || hits.lock().unwrap().push(tag)
+        };
+        let (inner_sim, nested, late) = (sim.clone(), log("nested"), log("late"));
+        sim.schedule_at(at, move || {
+            inner_sim.schedule_at(at, nested);
+            inner_sim.schedule_at(at, late);
+        });
+        sim.schedule_at(at, log("due"));
+        sim.spawn("anchor", || sleep(SimDur::from_micros(20)));
+        sim.run();
+        assert_eq!(*hits.lock().unwrap(), vec!["due", "nested", "late"]);
     }
 
     #[test]

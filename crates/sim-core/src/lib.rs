@@ -25,7 +25,6 @@
 //! * [`Horizon`] — a FIFO resource in closed form (models copy engines,
 //!   streams, HCA and shm engines), with always-on busy/wait tallies.
 //! * [`Mailbox`] — timed message delivery (models wires and control paths).
-//! * [`Semaphore`] — fair bounded resources (models buffer pools).
 //!
 //! ## Example
 //!
@@ -51,7 +50,6 @@
 #![warn(missing_docs)]
 
 mod completion;
-pub mod component;
 mod fiber;
 mod horizon;
 pub mod instrument;
@@ -59,19 +57,15 @@ mod kernel;
 pub mod lock;
 mod mailbox;
 pub mod san;
-mod sync;
 mod time;
 
 pub use completion::Completion;
-pub use component::{Component, ComponentStats, Waker};
 pub use horizon::Horizon;
 pub use instrument::CallCounters;
 pub use kernel::{
-    cancel_timer, current_handle, current_pid, in_sim, now, park, schedule_at,
-    schedule_cancellable_at, sleep, sleep_until, spawn, timers_live, yield_now, ExecMode,
-    ProcHandle, ProcId, Sim, TimerId, WakeEvent,
+    current_handle, in_sim, now, park, schedule_at, sleep, sleep_until, spawn, yield_now, ExecMode,
+    ProcHandle, ProcId, Sim, WakeEvent,
 };
-pub use mailbox::{DeliveryStamp, Mailbox};
+pub use mailbox::Mailbox;
 pub use san::{Invariant, ProtoView, Report, ReportKind, SanitizerMode};
-pub use sync::Semaphore;
 pub use time::{SimDur, SimTime};

@@ -11,27 +11,15 @@ use std::sync::Arc;
 
 use crate::lock::Mutex;
 
-use crate::component::Waker;
 use crate::kernel::{self, ProcHandle};
 use crate::san;
 use crate::time::SimTime;
-
-/// A sender-side happens-before stamp for a delivery performed later by a
-/// third party (e.g. a delivery component draining a timed queue). Capture
-/// with [`Mailbox::stamp`] in the sender's context, deliver with
-/// [`Mailbox::send_stamped`].
-pub struct DeliveryStamp {
-    token: Option<san::SanToken>,
-}
 
 struct MbState<T> {
     /// Deliverable messages, each with the sanitizer happens-before token
     /// snapshotted from the sender at send time.
     ready: VecDeque<(T, Option<san::SanToken>)>,
     waiters: Vec<ProcHandle>,
-    /// Stackless consumer: woken (coalesced) on every delivery, in addition
-    /// to the parked-process waiters. See [`Mailbox::set_component_waker`].
-    component: Option<Waker>,
 }
 
 impl<T> MbState<T> {
@@ -76,7 +64,6 @@ impl<T> Mailbox<T> {
             inner: Arc::new(Mutex::new(MbState {
                 ready: VecDeque::new(),
                 waiters: Vec::new(),
-                component: None,
             })),
         }
     }
@@ -92,41 +79,14 @@ impl<T> Mailbox<T> {
     }
 
     fn deliver(inner: &Arc<Mutex<MbState<T>>>, msg: T, token: Option<san::SanToken>) {
-        let (waiters, component) = {
+        let waiters = {
             let mut st = inner.lock();
             st.ready.push_back((msg, token));
-            (std::mem::take(&mut st.waiters), st.component.clone())
+            std::mem::take(&mut st.waiters)
         };
         for w in waiters {
             w.unpark();
         }
-        if let Some(c) = component {
-            c.wake_now();
-        }
-    }
-
-    /// Subscribe a stackless component to this mailbox: every delivery
-    /// issues a coalesced [`Waker::wake_at`] for the delivery instant, in
-    /// addition to unparking process waiters. One component per mailbox
-    /// (replacing any previous subscription).
-    pub fn set_component_waker(&self, w: Waker) {
-        self.inner.lock().component = Some(w);
-    }
-
-    /// Capture the calling context's happens-before stamp for a delivery
-    /// performed later via [`send_stamped`](Mailbox::send_stamped).
-    pub fn stamp() -> DeliveryStamp {
-        DeliveryStamp {
-            token: san::channel_token(),
-        }
-    }
-
-    /// Deliver `msg` now, carrying a stamp captured earlier in the sender's
-    /// context. This is the delivery-component path: the component drains a
-    /// timed queue on the kernel thread but synchronization edges must
-    /// originate at the *sender*.
-    pub fn send_stamped(&self, msg: T, stamp: DeliveryStamp) {
-        Self::deliver(&self.inner, msg, stamp.token);
     }
 
     fn take(msg: T, token: Option<san::SanToken>) -> T {
@@ -182,10 +142,10 @@ impl<T> Mailbox<T> {
         // The deadline timer deliberately outlives the wait: if a message
         // arrives first, the entry stays in the heap and fires a spurious
         // (harmless) unpark at the deadline, exactly as it always has.
-        // Cancelling it here (via `schedule_cancellable_at`) would trim the
-        // heap, but those stale wakes are part of the kernel's committed
-        // scheduling history — removing them shifts run-queue admission
-        // seqs and breaks bit-identity of recorded virtual-time baselines.
+        // Those stale wakes are part of the kernel's committed scheduling
+        // history: removing them would shift run-queue admission seqs and
+        // break bit-identity of recorded virtual-time baselines, which is
+        // why the kernel has no timer cancellation.
         if let Some(t) = deadline {
             let h = kernel::current_handle();
             kernel::schedule_at(t, move || h.unpark());
@@ -201,8 +161,10 @@ impl<T> Mailbox<T> {
 }
 
 impl<T: Send + 'static> Mailbox<T> {
-    /// Deliver `msg` at virtual instant `at` (clamped to now if in the past).
-    /// Messages scheduled for the same instant arrive in send order.
+    /// Deliver `msg` at virtual instant `at` (clamped to now if in the past):
+    /// one kernel timer, carrying the sender's happens-before token captured
+    /// here, at send time. Messages scheduled for the same instant arrive
+    /// in send order.
     pub fn send_at(&self, at: SimTime, msg: T) {
         let inner = Arc::clone(&self.inner);
         let token = san::channel_token();
@@ -404,43 +366,6 @@ mod tests {
             });
         }
         sim.run();
-    }
-
-    #[test]
-    fn component_waker_fires_on_delivery() {
-        use crate::component::Component;
-        struct Drainer {
-            mb: Mailbox<u32>,
-            got: Arc<Mutex<Vec<(u64, u32)>>>,
-        }
-        impl Component for Drainer {
-            fn tick(&mut self, now: SimTime) -> Option<SimTime> {
-                while let Some(v) = self.mb.try_recv() {
-                    self.got.lock().push((now.as_nanos(), v));
-                }
-                None
-            }
-        }
-        let sim = Sim::new();
-        let mb: Mailbox<u32> = Mailbox::new();
-        let got = Arc::new(Mutex::new(Vec::new()));
-        mb.set_component_waker(sim.add_component(
-            "drainer",
-            Drainer {
-                mb: mb.clone(),
-                got: Arc::clone(&got),
-            },
-        ));
-        {
-            let mb = mb.clone();
-            sim.spawn("producer", move || {
-                mb.send(7);
-                mb.send_at(now() + SimDur::from_micros(3), 9);
-                sleep(SimDur::from_micros(10));
-            });
-        }
-        sim.run();
-        assert_eq!(*got.lock(), vec![(0, 7), (3_000, 9)]);
     }
 
     #[test]

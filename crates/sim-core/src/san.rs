@@ -12,8 +12,7 @@
 //!    itself with the sanitizer along with the memory ranges it reads and
 //!    writes. Sync points — [`Completion::wait`](crate::Completion::wait),
 //!    a successful [`Completion::poll`](crate::Completion::poll), stream
-//!    events, [`Mailbox`](crate::Mailbox) send/recv,
-//!    [`Semaphore`](crate::Semaphore) acquire/release — propagate a
+//!    events, [`Mailbox`](crate::Mailbox) send/recv — propagate a
 //!    per-process *acquired set* of operation ids (the epoch/vector-clock
 //!    state of this design). Any access to a range touched by an in-flight
 //!    operation that the accessor has not acquired is reported as a race.
@@ -167,7 +166,7 @@ pub struct OpDesc {
 }
 
 /// An opaque snapshot of a process's acquired set, carried across channels
-/// (mailbox messages, semaphore releases) to propagate happens-before.
+/// (mailbox messages) to propagate happens-before.
 #[derive(Clone, Debug, Default)]
 pub struct SanToken {
     ids: Vec<u64>,
@@ -658,7 +657,7 @@ fn on_access(range: MemRange, write: bool) {
 }
 
 /// Snapshot the calling process's acquired set for transfer across a
-/// channel (mailbox message, semaphore release). `None` when off.
+/// channel (a mailbox message). `None` when off.
 pub fn channel_token() -> Option<SanToken> {
     if !enabled() {
         return None;

@@ -31,7 +31,6 @@ fn run_child(mode: &str, stack_kb: Option<&str>) -> Output {
     let mut cmd = Command::new(std::env::current_exe().expect("test binary path"));
     cmd.args(["--exact", "child", "--nocapture", "--test-threads=1"])
         .env(CHILD_ENV, mode)
-        .env_remove("SIM_EXEC")
         .env_remove("SIM_STACK_KB");
     if let Some(kb) = stack_kb {
         cmd.env("SIM_STACK_KB", kb);
@@ -184,6 +183,23 @@ fn sim_stack_kb_sets_the_usable_size() {
         "160 KiB of frames must fit SIM_STACK_KB=1024: {:?}",
         large_ok.status
     );
+}
+
+/// `SIM_STACK_KB` comes from outside the program: a value that is not a
+/// number of KiB the host can address must stop the run by name, not run at
+/// some other size.
+#[test]
+fn sim_stack_kb_rejects_what_it_cannot_honour() {
+    // Not a number; a number with a unit; 2^54 + 1 KiB, past `usize` bytes.
+    for bad in ["abc", "512k", "18014398509481985", "0"] {
+        let out = run_child("burn24k", Some(bad));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            !out.status.success() && stderr.contains(&format!("SIM_STACK_KB={bad:?}")),
+            "SIM_STACK_KB={bad} must be one panic naming the variable and the value: {:?}\n{stderr}",
+            out.status
+        );
+    }
 }
 
 /// A small program that exercises every way a process yields: timed

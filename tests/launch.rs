@@ -14,7 +14,7 @@ use gpu_nc_repro::mpi_sim::{Comm, Datatype, MpiWorld, ReduceOp, Seat};
 use gpu_nc_repro::mv2_gpu_nc::GpuCluster;
 use hostmem::{bytes_to_scalars, scalars_to_bytes, HostBuf};
 use sim_core::lock::Mutex;
-use sim_core::{Component, ExecMode, Report, SanitizerMode, SimTime};
+use sim_core::{ExecMode, Report, SanitizerMode, SimDur, SimTime};
 use sim_trace::Recorder;
 
 const RANKS: usize = 4;
@@ -242,16 +242,13 @@ fn a_panicking_rank_reports_the_same_message_from_both_launchers() {
 /// rep count.) `GpuCluster` and `run_mix` launch through the same kernel.
 #[test]
 fn a_finished_world_is_freed() {
-    struct Holder(#[allow(dead_code)] Arc<()>);
-    impl Component for Holder {
-        fn tick(&mut self, _now: SimTime) -> Option<SimTime> {
-            None
-        }
-    }
     let sentinel = Arc::new(());
     let held = Arc::clone(&sentinel);
+    // A timer far past the job's end: `run` returns with it un-fired, so
+    // only the kernel's own drop releases what its closure holds.
+    let never = SimTime::ZERO + SimDur::from_millis(3_600_000);
     let (ran, _) = MpiWorld::new(2).launch(
-        move |sim, _, _| drop(sim.add_component("sentinel", Holder(held))),
+        move |sim, _, _| sim.schedule_at(never, move || drop(held)),
         |(), s: Seat| {
             let no_stagers = Arc::new(Vec::new());
             let comm = Comm::create_traced(s.nic, s.rank, s.size, s.cfg, no_stagers, &s.recorder);
