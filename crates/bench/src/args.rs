@@ -9,8 +9,11 @@
 use sim_core::ExecMode;
 
 /// One declared flag: `(name, default)`. An empty default means "unset"
-/// (`chrome`) or, for `smoke`, "takes no value".
+/// (`chrome`) or, for a [`SWITCHES`] member, "takes no value".
 pub type Flag = (&'static str, &'static str);
+
+/// The flags that take no value: present means on.
+const SWITCHES: [&str; 3] = ["smoke", "device", "strided"];
 
 /// Parsed arguments: the union of what the experiments read.
 #[derive(Clone, Debug)]
@@ -37,6 +40,14 @@ pub struct Args {
     pub exec: ExecMode,
     /// Largest rank count `rank_scale_sweep` runs.
     pub max_ranks: usize,
+    /// The OSU rows: message buffers in device memory (host otherwise).
+    pub device: bool,
+    /// The OSU rows: the paper's strided vector (contiguous otherwise).
+    pub strided: bool,
+    /// The OSU rows: smallest message of the power-of-two sweep, bytes.
+    pub min: usize,
+    /// The OSU rows: largest message of the sweep, bytes.
+    pub max: usize,
 }
 
 impl Args {
@@ -54,6 +65,10 @@ impl Args {
             chrome: None,
             exec: ExecMode::Event,
             max_ranks: usize::MAX,
+            device: false,
+            strided: false,
+            min: 0,
+            max: 0,
         };
         for (key, default) in flags.iter().filter(|(_, d)| !d.is_empty()) {
             args.set(key, default)
@@ -69,9 +84,9 @@ impl Args {
         let usage = || {
             let declared: String = flags
                 .iter()
-                .map(|(k, _)| match *k {
-                    "smoke" => " --smoke".to_string(),
-                    k => format!(" --{k} VALUE"),
+                .map(|(k, _)| match SWITCHES.contains(k) {
+                    true => format!(" --{k}"),
+                    false => format!(" --{k} VALUE"),
                 })
                 .collect();
             format!("accepted flags: --json --out PATH{declared}")
@@ -82,6 +97,8 @@ impl Args {
             match key {
                 "json" => args.json = true,
                 "smoke" if declared => args.smoke = true,
+                "device" if declared => args.device = true,
+                "strided" if declared => args.strided = true,
                 _ if key == "out" || declared => {
                     let val = argv
                         .next()
@@ -109,6 +126,8 @@ impl Args {
             "drop" => self.drop = num(key, val)?,
             "rdma-err" => self.rdma_err = num(key, val)?,
             "max-ranks" => self.max_ranks = num(key, val)?,
+            "min" => self.min = num(key, val)?,
+            "max" => self.max = num(key, val)?,
             "exec" => {
                 self.exec = match val {
                     "event" => ExecMode::Event,
@@ -176,5 +195,11 @@ mod tests {
         assert!(err.contains("unknown flag `false`"), "{err}");
         assert!(err.contains(" --smoke --seed VALUE"), "{err}");
         assert!(parse(&["--smoke"], &[]).is_err(), "only where declared");
+        // The OSU rows' switches follow the same rule.
+        let flags = [("device", ""), ("strided", ""), ("min", "4")];
+        let a = parse(&["--strided", "--min", "64"], &flags).unwrap();
+        assert_eq!((a.device, a.strided, a.min), (false, true, 64));
+        let err = parse(&["--device", "1"], &flags).unwrap_err();
+        assert!(err.contains(" --device --strided --min VALUE"), "{err}");
     }
 }

@@ -7,6 +7,7 @@ pub mod halo;
 pub mod job_mix;
 pub mod modelcheck;
 pub mod offload;
+pub mod osu;
 pub mod pipeline;
 pub mod rank_scale;
 pub mod stencil;

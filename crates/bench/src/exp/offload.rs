@@ -23,7 +23,7 @@ use mpi_sim::{DataScheme, Datatype, MpiConfig, MpiWorld, SchemeSel};
 use sim_core::SimTime;
 
 use crate::doc::{col, fmt_size, Col, Doc, Fmt, Table};
-use crate::measure::{one_way, Laps};
+use crate::measure::{best_us, laps, one_way};
 use crate::Args;
 
 /// The layout zoo, by name: `(datatype, count, buffer bytes)` for a
@@ -76,25 +76,25 @@ fn measure(
     scheme: SchemeSel,
     iters: u32,
 ) -> (f64, Vec<u8>, SimTime) {
-    let laps = Laps::new(iters);
-    let l = laps.clone();
     let cfg = MpiConfig {
         scheme,
         ..MpiConfig::default()
     };
-    let end = MpiWorld::new(2).with_config(cfg).run(move |comm| {
+    let out = MpiWorld::new(2).with_config(cfg).try_run(move |comm| {
         let (t, count, bufsize) = layout(name, total);
         t.commit();
         let buf = match comm.rank() {
             0 => HostBuf::from_vec((0..bufsize).map(|i| (i % 251) as u8).collect()),
             _ => HostBuf::alloc(bufsize),
         };
-        l.run(&comm, |tag| one_way(&comm, buf.base(), count, &t, tag));
-        if comm.rank() == 1 {
-            l.keep(buf.read(0, bufsize));
-        }
+        let ns = laps(&comm, iters, |tag| {
+            one_way(&comm, buf.base(), count, &t, tag)
+        });
+        (ns, buf.read(0, bufsize))
     });
-    (laps.best_us(), laps.bytes(), end)
+    let (end, mut ranks, _) = out.unwrap();
+    let (ns, bytes) = ranks.swap_remove(1);
+    (best_us(&ns), bytes, end)
 }
 
 pub fn offload_sweep(args: &Args) -> Doc {

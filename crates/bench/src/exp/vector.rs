@@ -1,6 +1,6 @@
 //! The two-rank vector micro-benchmarks: Figures 2 and 5 and the three
 //! pipeline ablations. All but Figure 2 time the paper's strided vector
-//! through [`Laps`](crate::measure::Laps) under the paper's static 64 KiB
+//! through [`laps`](crate::measure::laps) under the paper's static 64 KiB
 //! block ([`fixed_cfg`]) and differ only in the design or the `MpiConfig`
 //! field they sweep. One warm-up and one timed message would catch the
 //! adaptive tuner (today's default policy) mid-probe; it has its own
@@ -8,9 +8,8 @@
 
 use std::sync::{Arc, Mutex};
 
-use gpu_sim::{CostModel, Gpu, Loc};
-use hostmem::HostBuf;
-use mpi_sim::{Datatype, MpiConfig};
+use gpu_sim::{CostModel, Gpu};
+use mpi_sim::MpiConfig;
 use mv2_gpu_nc::baselines::{
     fill_vector, recv_cpy2d_blocking, recv_manual_pipeline, recv_mv2, send_cpy2d_blocking,
     send_manual_pipeline, send_mv2, verify_vector, VectorXfer,
@@ -20,7 +19,7 @@ use mv2_gpu_nc::{model, GpuCluster};
 use sim_core::Sim;
 
 use crate::doc::{col, fmt_size, paper_sizes, Col, Doc, Fmt, Table};
-use crate::measure::{fixed_cfg, one_way, vector_laps, Laps};
+use crate::measure::{best_us, fixed_cfg, laps, one_way, vector_laps, Msg, WARMUP};
 use crate::Args;
 
 /// Figure 2 (+ the §I-A motivating numbers): latency of the three
@@ -83,34 +82,35 @@ enum Design {
 /// One-way latency (us) of `design` for a `total`-byte vector message; the
 /// warm-up is always MV2-GPU-NC.
 fn design_latency(design: Design, total: usize) -> f64 {
-    let laps = Laps::new(1);
-    let l = laps.clone();
-    GpuCluster::new(2).mpi_config(fixed_cfg()).run(move |env| {
-        let x = VectorXfer::paper(total);
-        let block = env.comm.config().chunk_size.min(total.next_power_of_two());
-        let block = block.max(x.elem);
-        let dev = env.gpu.malloc(x.extent());
-        let sender = env.comm.rank() == 0;
-        if sender {
-            fill_vector(&env.gpu, dev, &x, 11);
-        }
-        let mv2 = |tag| match sender {
-            true => send_mv2(&env.comm, dev, x, 1, tag),
-            false => recv_mv2(&env.comm, dev, x, 0, tag),
-        };
-        l.run(&env.comm, |tag| match (design, sender) {
-            (Design::Mv2, _) => mv2(tag),
-            _ if tag == Laps::WARMUP => mv2(tag),
-            (Design::Blocking, true) => send_cpy2d_blocking(env, dev, x, 1, tag),
-            (Design::Blocking, false) => recv_cpy2d_blocking(env, dev, x, 0, tag),
-            (Design::Manual, true) => send_manual_pipeline(env, dev, x, 1, 1, block),
-            (Design::Manual, false) => recv_manual_pipeline(env, dev, x, 0, 1, block),
+    let out = GpuCluster::new(2)
+        .mpi_config(fixed_cfg())
+        .try_run(move |env| {
+            let x = VectorXfer::paper(total);
+            let block = env.comm.config().chunk_size.min(total.next_power_of_two());
+            let block = block.max(x.elem);
+            let dev = env.gpu.malloc(x.extent());
+            let sender = env.comm.rank() == 0;
+            if sender {
+                fill_vector(&env.gpu, dev, &x, 11);
+            }
+            let mv2 = |tag| match sender {
+                true => send_mv2(&env.comm, dev, x, 1, tag),
+                false => recv_mv2(&env.comm, dev, x, 0, tag),
+            };
+            let ns = laps(&env.comm, 1, |tag| match (design, sender) {
+                (Design::Mv2, _) => mv2(tag),
+                _ if tag == WARMUP => mv2(tag),
+                (Design::Blocking, true) => send_cpy2d_blocking(env, dev, x, 1, tag),
+                (Design::Blocking, false) => recv_cpy2d_blocking(env, dev, x, 0, tag),
+                (Design::Manual, true) => send_manual_pipeline(env, dev, x, 1, 1, block),
+                (Design::Manual, false) => recv_manual_pipeline(env, dev, x, 0, 1, block),
+            });
+            if !sender {
+                verify_vector(&env.gpu, dev, &x, 11);
+            }
+            ns
         });
-        if !sender {
-            verify_vector(&env.gpu, dev, &x, 11);
-        }
-    });
-    laps.best_us()
+    best_us(&out.unwrap().1[1])
 }
 
 /// Figure 5: GPU-to-GPU vector transfer latency for the three designs of
@@ -159,23 +159,13 @@ fn vector_us(cfg: MpiConfig, total: usize) -> f64 {
 /// One timed contiguous `total`-byte message (us) under `cfg`, between
 /// device buffers or host buffers.
 fn contiguous_us(cfg: MpiConfig, total: usize, on_device: bool) -> f64 {
-    let laps = Laps::new(1);
-    let l = laps.clone();
-    GpuCluster::new(2).mpi_config(cfg).run(move |env| {
-        let t = Datatype::byte();
-        t.commit();
-        let host; // owns the host-side buffer for the run
-        let buf: Loc = if on_device {
-            env.gpu.malloc(total).into()
-        } else {
-            host = HostBuf::alloc(total.max(1));
-            host.base().into()
-        };
-        l.run(&env.comm, |tag| {
-            one_way(&env.comm, buf.clone(), total, &t, tag)
-        });
+    let out = GpuCluster::new(2).mpi_config(cfg).try_run(move |env| {
+        let m = Msg::new(env, on_device, false, total);
+        laps(&env.comm, 1, |tag| {
+            one_way(&env.comm, m.loc.clone(), m.count, &m.dtype, tag)
+        })
     });
-    laps.best_us()
+    best_us(&out.unwrap().1[1])
 }
 
 /// §IV-B ablation: pipeline block size (`MV2_CUDA_BLOCK_SIZE`). Sweeps the

@@ -21,7 +21,9 @@ use sim_trace::json::JsonValue;
 
 pub use args::{Args, Flag};
 pub use doc::Doc;
-use exp::{coll, halo, job_mix, modelcheck, offload, pipeline, rank_scale, stencil, trace, vector};
+use exp::{
+    coll, halo, job_mix, modelcheck, offload, osu, pipeline, rank_scale, stencil, trace, vector,
+};
 
 /// Who compares an experiment's committed file with a fresh run.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -178,6 +180,16 @@ pub fn find(name: &str) -> Option<&'static Experiment> {
 
 use Policed::{ByHand, Ci, Tier1};
 
+/// What the three OSU rows read: buffers, layout and the size sweep (OSU's
+/// default 4 B – 1 MB), or `--smoke`'s two sizes.
+const OSU_FLAGS: &[Flag] = &[
+    ("device", ""),
+    ("strided", ""),
+    ("min", "4"),
+    ("max", "1048576"),
+    ("smoke", ""),
+];
+
 /// Every experiment, in the paper's order, then the regression ledgers.
 pub static EXPERIMENTS: &[Experiment] = &[
     row(
@@ -251,6 +263,27 @@ pub static EXPERIMENTS: &[Experiment] = &[
         "Pipeline window-depth ablation at 4 MB",
         vector::ablation_window,
     ),
+    row(
+        "osu_latency",
+        "osu_latency",
+        "OSU ping-pong latency, host or device buffers, contiguous or strided",
+        osu::osu_latency,
+    )
+    .flags(OSU_FLAGS),
+    row(
+        "osu_bw",
+        "osu_bw",
+        "OSU unidirectional windowed bandwidth",
+        osu::osu_bw,
+    )
+    .flags(OSU_FLAGS),
+    row(
+        "osu_bibw",
+        "osu_bibw",
+        "OSU bidirectional windowed bandwidth",
+        osu::osu_bibw,
+    )
+    .flags(OSU_FLAGS),
     row(
         "halo3d_bench",
         "halo3d",
@@ -343,7 +376,92 @@ pub static EXPERIMENTS: &[Experiment] = &[
 #[cfg(test)]
 mod tests {
     use super::*;
+    use exp::osu::{bandwidth, bi_bandwidth, latency, size_sweep};
     use sim_trace::json::parse;
+
+    // The OSU rows' measurements (`exp/osu.rs`), kept in this module so the
+    // suite prints them under the names they have had since `osu-micro`.
+    const HOST: bool = false;
+    const DEVICE: bool = true;
+    const CONTIGUOUS: bool = false;
+    const STRIDED: bool = true;
+
+    #[test]
+    fn latency_grows_with_size() {
+        let small = latency(HOST, CONTIGUOUS, 64);
+        let big = latency(HOST, CONTIGUOUS, 1 << 20);
+        assert!(big.micros > small.micros);
+        assert!(big.mbps > small.mbps, "big messages amortize overheads");
+    }
+
+    #[test]
+    fn device_contiguous_latency_close_to_host_at_size() {
+        // The pipelined device path adds PCIe hops; at 1 MB it should be
+        // within a small factor of host latency, not orders of magnitude.
+        let host = latency(HOST, CONTIGUOUS, 1 << 20);
+        let dev = latency(DEVICE, CONTIGUOUS, 1 << 20);
+        assert!(dev.micros > host.micros);
+        assert!(dev.micros < host.micros * 4.0, "host {host:?} dev {dev:?}");
+    }
+
+    #[test]
+    fn strided_device_latency_matches_fig5_shape() {
+        // 4 KB: paper Figure 5(a) region — MV2-GPU-NC ~74 us in our
+        // calibration.
+        let s = latency(DEVICE, STRIDED, 4 << 10);
+        assert!(
+            (40.0..120.0).contains(&s.micros),
+            "4KB strided device latency {s:?}"
+        );
+    }
+
+    #[test]
+    fn bandwidth_saturates_toward_wire_speed() {
+        let bw = bandwidth(HOST, CONTIGUOUS, 1 << 20);
+        // QDR model: 3.2 GB/s = 3200 MB/s wire; expect > 60% at 1 MB.
+        assert!(bw.mbps > 2000.0, "got {}", bw.mbps);
+        let small = bandwidth(HOST, CONTIGUOUS, 4096);
+        assert!(small.mbps < bw.mbps);
+    }
+
+    #[test]
+    fn bidirectional_beats_unidirectional() {
+        let uni = bandwidth(HOST, CONTIGUOUS, 256 << 10);
+        let bi = bi_bandwidth(HOST, CONTIGUOUS, 256 << 10);
+        assert!(
+            bi.mbps > uni.mbps * 1.3,
+            "bibw {} vs bw {}",
+            bi.mbps,
+            uni.mbps
+        );
+    }
+
+    #[test]
+    fn device_strided_bandwidth_is_pack_limited() {
+        // Strided device messages are gated by the pack engine, not the
+        // wire: bandwidth must be well below the contiguous device case.
+        let contig = bandwidth(DEVICE, CONTIGUOUS, 256 << 10);
+        let strided = bandwidth(DEVICE, STRIDED, 256 << 10);
+        assert!(
+            strided.mbps < contig.mbps,
+            "strided {} vs contig {}",
+            strided.mbps,
+            contig.mbps
+        );
+    }
+
+    #[test]
+    fn sweep_is_powers_of_two() {
+        assert_eq!(size_sweep(4, 64), vec![4, 8, 16, 32, 64]);
+        assert_eq!(size_sweep(0, 2), vec![1, 2]);
+    }
+
+    #[test]
+    fn deterministic_measurements() {
+        let a = latency(DEVICE, STRIDED, 64 << 10);
+        let b = latency(DEVICE, STRIDED, 64 << 10);
+        assert_eq!(a.micros, b.micros);
+    }
 
     #[test]
     fn diff_names_the_path_and_both_values() {
@@ -394,6 +512,7 @@ mod tests {
         for e in EXPERIMENTS.iter().filter(|e| e.committed.is_none()) {
             let mut args = Args::defaults(e.flags);
             (args.scale, args.iters) = (8, 2);
+            args.smoke = e.flags.iter().any(|(k, _)| *k == "smoke");
             let doc = e.run(&args);
             assert!(doc.failures.is_empty(), "{}: {:?}", e.name, doc.failures);
             assert!(!doc.text().is_empty() && doc.json().to_string().contains(e.id));

@@ -1,75 +1,41 @@
-//! The measurements experiments share: the one timed transfer, fabric
-//! byte totals, the process-wide plan-cache delta and a percentile.
-
-use std::sync::Arc;
+//! The measurements experiments share: the one timed transfer, a message in
+//! either memory, fabric byte totals, the process-wide plan-cache delta and a
+//! percentile.
 
 use gpu_sim::Loc;
+use hostmem::HostBuf;
 use mpi_sim::{ChunkPolicy, Comm, Datatype, MpiConfig};
 use mv2_gpu_nc::baselines::{fill_vector, verify_vector, VectorXfer};
-use mv2_gpu_nc::GpuCluster;
-use sim_core::lock::Mutex;
+use mv2_gpu_nc::{GpuCluster, GpuRankEnv};
 use sim_trace::Recorder;
 
-/// The one timed transfer: an untimed warm-up, then per lap a barrier, `t0`,
-/// the transfer, and on rank 1 (the receiver) the elapsed virtual time.
+/// The tag [`laps`] passes for the warm-up transfer.
+pub const WARMUP: u32 = 99_999;
+
+/// The one timed transfer, inside a rank: `xfer(tag)` is this rank's side of
+/// one transfer. An untimed warm-up ([`WARMUP`]) populates staging pools,
+/// registration and plan caches on both sides (and gives the adaptive tuner
+/// its first observation); then per lap a barrier, `t0`, the transfer with
+/// tags `0..iters`, and the elapsed virtual ns as this rank saw it.
 ///
 /// The caller builds and runs the cluster — a `GpuCluster` or an `MpiWorld`,
-/// under any `MpiConfig` and `Recorder` — and every rank's body calls
-/// [`Laps::run`] on a clone; [`Laps::ns`] afterwards holds one entry per lap.
-#[derive(Clone)]
-pub struct Laps {
-    iters: u32,
-    /// (per-lap ns, the receiver's kept bytes)
-    out: Arc<Mutex<(Vec<u64>, Vec<u8>)>>,
-}
-
-impl Laps {
-    /// The tag [`Laps::run`] passes for the warm-up transfer.
-    pub const WARMUP: u32 = 99_999;
-
-    pub fn new(iters: u32) -> Laps {
-        Laps {
-            iters,
-            out: Arc::default(),
-        }
-    }
-
-    /// Inside a rank: `xfer(tag)` is this rank's side of one transfer. The
-    /// warm-up ([`Laps::WARMUP`]) populates staging pools, registration and
-    /// plan caches on both sides (and gives the adaptive tuner its first
-    /// observation); laps then run with tags `0..iters`.
-    pub fn run(&self, comm: &Comm, xfer: impl Fn(u32)) {
-        xfer(Laps::WARMUP);
-        for lap in 0..self.iters {
+/// under any `MpiConfig` and `Recorder` — returns this from every rank's
+/// body and reads rank 1's, the receiver's.
+pub fn laps(comm: &Comm, iters: u32, xfer: impl Fn(u32)) -> Vec<u64> {
+    xfer(WARMUP);
+    (0..iters)
+        .map(|lap| {
             comm.barrier();
             let t0 = sim_core::now();
             xfer(lap);
-            if comm.rank() == 1 {
-                self.out.lock().0.push((sim_core::now() - t0).as_nanos());
-            }
-        }
-    }
+            (sim_core::now() - t0).as_nanos()
+        })
+        .collect()
+}
 
-    /// Inside the receiving rank: keep its final buffer for a byte-identity
-    /// guard.
-    pub fn keep(&self, bytes: Vec<u8>) {
-        self.out.lock().1 = bytes;
-    }
-
-    /// Virtual nanoseconds of each lap, in order.
-    pub fn ns(&self) -> Vec<u64> {
-        self.out.lock().0.clone()
-    }
-
-    /// The fastest lap, in microseconds.
-    pub fn best_us(&self) -> f64 {
-        *self.out.lock().0.iter().min().expect("no lap ran") as f64 / 1e3
-    }
-
-    /// What the receiver [`keep`](Laps::keep)s.
-    pub fn bytes(&self) -> Vec<u8> {
-        std::mem::take(&mut self.out.lock().1)
-    }
+/// The fastest of `laps`, in microseconds.
+pub fn best_us(laps: &[u64]) -> f64 {
+    *laps.iter().min().expect("no lap ran") as f64 / 1e3
 }
 
 /// The paper's design: a static 64 KiB pipeline block (`ChunkPolicy::Fixed`;
@@ -90,13 +56,44 @@ pub fn one_way(comm: &Comm, buf: impl Into<Loc>, count: usize, dt: &Datatype, ta
     }
 }
 
+/// A fresh message buffer in host or device memory with the committed
+/// datatype describing it (never freed: the world ends with the
+/// measurement).
+pub struct Msg {
+    pub loc: Loc,
+    pub count: usize,
+    pub dtype: Datatype,
+}
+
+impl Msg {
+    /// `bytes` contiguous bytes, or (`strided`) a vector of 4-byte elements
+    /// at a 16-byte pitch — the paper's Figure 5 geometry.
+    pub fn new(env: &GpuRankEnv, device: bool, strided: bool, bytes: usize) -> Msg {
+        let (dtype, count, span) = if strided {
+            assert!(
+                bytes.is_multiple_of(4),
+                "strided pattern needs 4-byte multiples"
+            );
+            let rows = bytes / 4;
+            let vector = Datatype::hvector(rows, 1, 16, &Datatype::float());
+            (vector, 1, rows * 16)
+        } else {
+            (Datatype::byte(), bytes, bytes.max(1))
+        };
+        dtype.commit();
+        let loc = match device {
+            true => Loc::Device(env.gpu.malloc(span)),
+            false => Loc::Host(HostBuf::alloc(span).base()),
+        };
+        Msg { loc, count, dtype }
+    }
+}
+
 /// Per-lap one-way virtual ns of the paper's `total`-byte vector (4-byte
 /// rows, 16-byte pitch) sent device-to-device by MV2-GPU-NC over the first
 /// two ranks of `cluster`; the received rows are verified.
 pub fn vector_laps(cluster: GpuCluster, total: usize, iters: u32) -> Vec<u64> {
-    let laps = Laps::new(iters);
-    let l = laps.clone();
-    cluster.run(move |env| {
+    let out = cluster.try_run(move |env| {
         let x = VectorXfer::paper(total);
         let dt = x.dtype();
         let dev = env.gpu.malloc(x.extent());
@@ -104,13 +101,14 @@ pub fn vector_laps(cluster: GpuCluster, total: usize, iters: u32) -> Vec<u64> {
         if me == 0 {
             fill_vector(&env.gpu, dev, &x, 11);
         }
-        l.run(&env.comm, |tag| one_way(&env.comm, dev, 1, &dt, tag));
+        let ns = laps(&env.comm, iters, |tag| one_way(&env.comm, dev, 1, &dt, tag));
         if me == 1 {
             verify_vector(&env.gpu, dev, &x, 11);
         }
         env.gpu.free(dev);
+        ns
     });
-    laps.ns()
+    out.unwrap().1.swap_remove(1)
 }
 
 /// `(HCA tx bytes, shm bytes)` summed over the first `nodes` nodes of the

@@ -18,7 +18,7 @@ use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use gpu_sim::{CostModel, Gpu};
+use gpu_sim::Gpu;
 use ib_sim::{Fabric, FaultSpec, JobSpec, NetModel, ShmModel};
 use mpi_sim::{MpiConfig, Seat};
 use mv2_gpu_nc::{node_gpu, GpuRankEnv};
@@ -49,9 +49,6 @@ pub struct ClusterParams {
     pub phys_nodes: usize,
     /// Placement policy.
     pub placement: Placement,
-    /// Base MPI configuration; each job's `pool_vbufs` is scaled by its
-    /// `JobQos::vbuf_share` (floor 4) before its ranks are built.
-    pub mpi: MpiConfig,
     /// Process carrier (fibers vs OS threads); `None` = kernel default.
     pub exec: Option<ExecMode>,
     /// Seeded fabric fault injection for resilience campaigns.
@@ -65,7 +62,6 @@ impl Default for ClusterParams {
         ClusterParams {
             phys_nodes: 8,
             placement: Placement::Exclusive,
-            mpi: MpiConfig::default(),
             exec: None,
             faults: None,
             recorder: None,
@@ -169,9 +165,8 @@ pub fn run_mix(params: &ClusterParams, plans: &[JobPlan]) -> ClusterOutcome {
     fabric.attach_recorder(&rec);
 
     // One GPU per physical node, shared by every tenant bound there.
-    let cost = CostModel::tesla_c2050();
     let gpus: Vec<Gpu> = (0..params.phys_nodes)
-        .map(|node| node_gpu(node, &cost, 3 << 30, &rec))
+        .map(|node| node_gpu(node, 3 << 30, &rec))
         .collect();
 
     // Per-job lifecycle lanes (arrive/start/done instants) and plumbing.
@@ -203,18 +198,13 @@ pub fn run_mix(params: &ClusterParams, plans: &[JobPlan]) -> ClusterOutcome {
             let remaining = Arc::clone(&remaining);
             let life = life[j].clone();
             let job = plan.job;
-            let qos = plan.qos.clone();
-            let mut cfg = params.mpi.clone();
             sim.spawn(format!("job{j}.rank{r}"), move || {
                 gate.recv();
-                // The vbuf pool is partitioned by the job's advisory share
-                // (never below the pipeline's minimum working set).
-                cfg.pool_vbufs = ((cfg.pool_vbufs as f64 * qos.vbuf_share).round() as usize).max(4);
                 let seat = Seat {
                     nic: fabric.job_nic(j, r),
                     rank: r,
                     size: ranks,
-                    cfg,
+                    cfg: MpiConfig::default(),
                     recorder: rec,
                 };
                 let env = GpuRankEnv::new(seat, &gpus);

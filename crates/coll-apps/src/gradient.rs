@@ -120,9 +120,9 @@ pub fn gradient_rank(env: &GpuRankEnv, params: usize, steps: usize, mem: Mem) ->
 
 /// Run the distributed training loop.
 pub fn run_gradient(p: GradParams) -> GradOutcome {
-    let (wall, weights) = crate::run_ranks(p.ranks, p.ppn, p.algo, move |env| {
-        gradient_rank(env, p.params, p.steps, p.mem)
-    });
+    let (wall, weights, _) = crate::cluster(p.ranks, p.ppn, p.algo)
+        .try_run(move |env| gradient_rank(env, p.params, p.steps, p.mem))
+        .unwrap();
     GradOutcome { wall, weights }
 }
 

@@ -21,12 +21,8 @@
 pub mod gradient;
 pub mod transpose;
 
-use std::sync::Arc;
-
 use mpi_sim::{CollAlgo, MpiConfig};
-use mv2_gpu_nc::{GpuCluster, GpuRankEnv};
-use sim_core::lock::Mutex;
-use sim_core::SimTime;
+use mv2_gpu_nc::GpuCluster;
 
 pub use gradient::{gradient_rank, run_gradient, serial_gradient, GradOutcome, GradParams};
 pub use transpose::{
@@ -43,27 +39,13 @@ pub enum Mem {
     Device,
 }
 
-/// Launch `body` on a default cluster of `ranks` ranks, `ppn` per node
-/// (blocked), with collective family `algo`; returns the virtual completion
-/// time and every rank's result in rank order.
-fn run_ranks<T: Send + 'static>(
-    ranks: usize,
-    ppn: usize,
-    algo: CollAlgo,
-    body: impl Fn(&GpuRankEnv) -> T + Send + Sync + 'static,
-) -> (SimTime, Vec<T>) {
+/// A default cluster of `ranks` ranks, `ppn` per node (blocked), with
+/// collective family `algo`.
+fn cluster(ranks: usize, ppn: usize, algo: CollAlgo) -> GpuCluster {
     let mut cfg = MpiConfig {
         ppn,
         ..MpiConfig::default()
     };
     cfg.coll.algo = algo;
-    let results = Arc::new(Mutex::new(Vec::new()));
-    let sink = Arc::clone(&results);
-    let wall = GpuCluster::new(ranks).mpi_config(cfg).run(move |env| {
-        let out = body(env);
-        sink.lock().push((env.comm.rank(), out));
-    });
-    let mut got = std::mem::take(&mut *results.lock());
-    got.sort_by_key(|(r, _)| *r);
-    (wall, got.into_iter().map(|(_, v)| v).collect())
+    GpuCluster::new(ranks).mpi_config(cfg)
 }

@@ -141,9 +141,9 @@ pub fn run_transpose(p: TransposeParams) -> TransposeOutcome {
         p.n,
         p.ranks
     );
-    let (wall, blocks) = crate::run_ranks(p.ranks, p.ppn, p.algo, move |env| {
-        transpose_rank(env, p.n, p.mem)
-    });
+    let (wall, blocks, _) = crate::cluster(p.ranks, p.ppn, p.algo)
+        .try_run(move |env| transpose_rank(env, p.n, p.mem))
+        .unwrap();
     TransposeOutcome { wall, blocks }
 }
 

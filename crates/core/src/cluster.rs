@@ -12,9 +12,8 @@
 use std::sync::Arc;
 
 use gpu_sim::{CostModel, Gpu};
-use ib_sim::{DeliveryScheduler, FaultSpec, NetModel, ShmModel, Topology};
-use mpi_sim::staging::BufferStager;
-use mpi_sim::{Comm, MpiConfig, MpiWorld, Seat};
+use ib_sim::{DeliveryScheduler, FaultSpec, Topology};
+use mpi_sim::{Comm, MpiConfig, MpiWorld, Outcome, Seat};
 use sim_core::{ExecMode, Report, SanitizerMode, SimTime};
 use sim_trace::Recorder;
 
@@ -49,21 +48,21 @@ impl GpuRankEnv {
         } = seat;
         let gpu = node_gpus[nic.physical_node()].clone();
         let scope = format!("{}rank{rank}", nic.scope_prefix());
-        let stager = GpuStager::with_scope(gpu.clone(), &scope, &recorder);
-        let stagers: Arc<Vec<Box<dyn BufferStager>>> = Arc::new(vec![Box::new(stager)]);
+        let stager = Arc::new(GpuStager::with_scope(gpu.clone(), &scope, &recorder));
         GpuRankEnv {
-            comm: Comm::create_traced(nic, rank, size, cfg, stagers, &recorder),
+            comm: Comm::create_traced(nic, rank, size, cfg, Some(stager), &recorder),
             gpu,
             recorder,
         }
     }
 }
 
-/// Node `node`'s GPU, tracing onto `rec`. One physical GPU per *node* (the
-/// paper's testbed): co-located ranks share the device, its copy engines
-/// and its PCIe links. Pure construction, safe outside simulation context.
-pub fn node_gpu(node: usize, cost: &CostModel, mem: usize, rec: &Recorder) -> Gpu {
-    let gpu = Gpu::new(node as u32, cost.clone(), mem);
+/// Node `node`'s GPU (the calibrated Tesla C2050), tracing onto `rec`. One
+/// physical GPU per *node* (the paper's testbed): co-located ranks share
+/// the device, its copy engines and its PCIe links. Pure construction, safe
+/// outside simulation context.
+pub fn node_gpu(node: usize, mem: usize, rec: &Recorder) -> Gpu {
+    let gpu = Gpu::new(node as u32, CostModel::tesla_c2050(), mem);
     gpu.attach_recorder(rec);
     gpu
 }
@@ -72,7 +71,6 @@ pub fn node_gpu(node: usize, cost: &CostModel, mem: usize, rec: &Recorder) -> Gp
 /// GPU per process).
 pub struct GpuCluster {
     world: MpiWorld,
-    gpu_cost: CostModel,
     gpu_mem: usize,
 }
 
@@ -82,7 +80,6 @@ impl GpuCluster {
     pub fn new(n: usize) -> Self {
         GpuCluster {
             world: MpiWorld::new(n).with_recorder(Recorder::new()),
-            gpu_cost: CostModel::tesla_c2050(),
             gpu_mem: 3 << 30,
         }
     }
@@ -117,11 +114,6 @@ impl GpuCluster {
         self.on_world(|w| w.with_topology(topo))
     }
 
-    /// Override the intra-node shared-memory channel cost model.
-    pub fn shm(self, shm: ShmModel) -> Self {
-        self.on_world(|w| w.with_shm(shm))
-    }
-
     /// Set the pipeline block size (the paper's `MV2_CUDA_BLOCK_SIZE`),
     /// pinning the chunk policy; see [`MpiWorld::with_block_size`].
     pub fn block_size(self, bytes: usize) -> Self {
@@ -131,17 +123,6 @@ impl GpuCluster {
     /// Override the MPI configuration.
     pub fn mpi_config(self, cfg: MpiConfig) -> Self {
         self.on_world(|w| w.with_config(cfg))
-    }
-
-    /// Override the network model.
-    pub fn net(self, net: NetModel) -> Self {
-        self.on_world(|w| w.with_net(net))
-    }
-
-    /// Override the GPU cost model.
-    pub fn gpu_cost(mut self, cost: CostModel) -> Self {
-        self.gpu_cost = cost;
-        self
     }
 
     /// Override per-GPU device memory (default 3 GiB).
@@ -174,50 +155,45 @@ impl GpuCluster {
         self.on_world(|w| w.with_recorder(rec))
     }
 
-    /// Run `f` on every rank; returns the virtual completion time.
+    /// Run `f` on every rank; returns the virtual completion time. A panic
+    /// anywhere in the job propagates.
     pub fn run<F>(self, f: F) -> SimTime
     where
         F: Fn(&GpuRankEnv) + Send + Sync + 'static,
     {
-        self.run_with_reports(f).0
+        self.try_run(f).unwrap().0
     }
 
-    /// Like [`run`](GpuCluster::run), also returning the sanitizer reports
-    /// collected during the job (empty when the sanitizer is off).
-    pub fn run_with_reports<F>(self, f: F) -> (SimTime, Vec<Report>)
-    where
-        F: Fn(&GpuRankEnv) + Send + Sync + 'static,
-    {
-        let (end, reports) = self.try_run_with_reports(f);
-        match end {
-            Ok(t) => (t, reports),
-            Err(msg) => std::panic::panic_any(msg),
-        }
-    }
-
-    /// Like [`run_with_reports`](GpuCluster::run_with_reports), but a panic
-    /// anywhere in the job is caught and returned as `Err` with its message
-    /// and the reports collected so far; see
-    /// [`MpiWorld::try_run_with_reports`].
+    /// [`try_run`](GpuCluster::try_run) as the `(end, reports)` pair the
+    /// frozen `benchmark/` package reads; nothing else calls it.
     pub fn try_run_with_reports<F>(self, f: F) -> (Result<SimTime, String>, Vec<Report>)
     where
         F: Fn(&GpuRankEnv) + Send + Sync + 'static,
     {
-        let GpuCluster {
-            world,
-            gpu_cost,
-            gpu_mem,
-        } = self;
+        let out = self.try_run(f);
+        (out.end, out.reports)
+    }
+
+    /// Run `f` on every rank and return the job's [`Outcome`]: every rank's
+    /// value of `f`, the sanitizer reports, and a panic anywhere in the job
+    /// as `Err` instead of unwinding; see [`MpiWorld::try_run`].
+    pub fn try_run<T, F>(self, f: F) -> Outcome<T>
+    where
+        T: Send + 'static,
+        F: Fn(&GpuRankEnv) -> T + Send + Sync + 'static,
+    {
+        let GpuCluster { world, gpu_mem } = self;
         world.launch(
             move |_, topo, rec| -> Vec<Gpu> {
                 (0..topo.num_nodes())
-                    .map(|node| node_gpu(node, &gpu_cost, gpu_mem, rec))
+                    .map(|node| node_gpu(node, gpu_mem, rec))
                     .collect()
             },
             move |gpus, seat| {
                 let env = GpuRankEnv::new(seat, gpus);
-                f(&env);
+                let out = f(&env);
                 env.comm.finalize();
+                out
             },
         )
     }

@@ -212,10 +212,7 @@ mod tests {
         // The same irregular transfer delivered intra-node (D2D) and
         // inter-node (staged pipeline) must produce identical bytes.
         let run = |ppn: usize| {
-            use std::sync::Mutex;
-            let got = Arc::new(Mutex::new(Vec::new()));
-            let g2 = Arc::clone(&got);
-            GpuCluster::new(2).ppn(ppn).run(move |env| {
+            let out = GpuCluster::new(2).ppn(ppn).try_run(|env| {
                 let blocks: Vec<(usize, isize)> =
                     (0..2000).map(|i| (5, (i * 11) as isize)).collect();
                 let t = Datatype::indexed(&blocks, &Datatype::int());
@@ -226,14 +223,14 @@ mod tests {
                     let pattern: Vec<u8> = (0..span).map(|i| (i % 157) as u8).collect();
                     env.gpu.write_bytes(dev, &pattern);
                     env.comm.send(dev, 1, &t, 1, 0);
+                    Vec::new()
                 } else {
                     env.comm.recv(dev, 1, &t, 0, 0);
-                    *g2.lock().unwrap() = env.gpu.read_bytes(dev, span);
+                    env.gpu.read_bytes(dev, span)
                 }
             });
-            Arc::try_unwrap(got).unwrap().into_inner().unwrap()
+            out.unwrap().1.swap_remove(1)
         };
-        use std::sync::Arc;
         let intra = run(2);
         let inter = run(1);
         assert!(!intra.is_empty());
@@ -242,12 +239,7 @@ mod tests {
 
     #[test]
     fn mv2_beats_blocking_baseline_at_large_sizes() {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        use std::sync::Arc;
-        let mv2_time = Arc::new(AtomicU64::new(0));
-        let blocking_time = Arc::new(AtomicU64::new(0));
-        let (m2, b2) = (Arc::clone(&mv2_time), Arc::clone(&blocking_time));
-        GpuCluster::new(2).run(move |env| {
+        let out = GpuCluster::new(2).try_run(|env| {
             let x = VectorXfer::paper(1 << 20);
             let dev = env.gpu.malloc(x.extent());
             let me = env.comm.rank();
@@ -271,14 +263,9 @@ mod tests {
                 verify_vector(&env.gpu, dev, &x, 1);
             }
             env.comm.barrier();
-            let t_mv2 = sim_core::now() - t1;
-            if me == 0 {
-                b2.store(t_blocking.as_nanos(), Ordering::SeqCst);
-                m2.store(t_mv2.as_nanos(), Ordering::SeqCst);
-            }
+            (t_blocking.as_nanos(), (sim_core::now() - t1).as_nanos())
         });
-        let b = blocking_time.load(std::sync::atomic::Ordering::SeqCst);
-        let m = mv2_time.load(std::sync::atomic::Ordering::SeqCst);
+        let (b, m) = out.unwrap().1[0];
         assert!(
             m * 4 < b,
             "MV2-GPU-NC ({m} ns) should be several times faster than the \
@@ -288,12 +275,7 @@ mod tests {
 
     #[test]
     fn manual_pipeline_matches_mv2_shape() {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        use std::sync::Arc;
-        let manual = Arc::new(AtomicU64::new(0));
-        let mv2 = Arc::new(AtomicU64::new(0));
-        let (ma, mb) = (Arc::clone(&manual), Arc::clone(&mv2));
-        GpuCluster::new(2).run(move |env| {
+        let out = GpuCluster::new(2).try_run(|env| {
             let x = VectorXfer::paper(1 << 20);
             let block = env.comm.config().chunk_size;
             let dev = env.gpu.malloc(x.extent());
@@ -316,15 +298,10 @@ mod tests {
                 baselines::recv_mv2(&env.comm, dev, x, 0, 2);
             }
             env.comm.barrier();
-            let t_mv2 = sim_core::now() - t1;
-            if me == 0 {
-                ma.store(t_manual.as_nanos(), Ordering::SeqCst);
-                mb.store(t_mv2.as_nanos(), Ordering::SeqCst);
-            }
+            (t_manual.as_nanos(), (sim_core::now() - t1).as_nanos())
         });
-        let a = manual.load(std::sync::atomic::Ordering::SeqCst) as f64;
-        let b = mv2.load(std::sync::atomic::Ordering::SeqCst) as f64;
-        let ratio = a / b;
+        let (manual, mv2) = out.unwrap().1[0];
+        let ratio = manual as f64 / mv2 as f64;
         assert!(
             (0.5..2.0).contains(&ratio),
             "manual pipeline and MV2-GPU-NC should be comparable (paper \
@@ -359,27 +336,20 @@ mod tests {
 
     #[test]
     fn pipeline_trace_records_all_stages() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        use std::sync::Arc;
         let rec = Recorder::new();
-        let nchunks = Arc::new(AtomicUsize::new(0));
-        let nc = Arc::clone(&nchunks);
-        GpuCluster::new(2).recorder(rec.clone()).run(move |env| {
+        let out = GpuCluster::new(2).recorder(rec.clone()).try_run(|env| {
             let x = VectorXfer::paper(256 << 10);
             let dev = env.gpu.malloc(x.extent());
             if env.comm.rank() == 0 {
                 fill_vector(&env.gpu, dev, &x, 2);
                 env.comm.send(dev, 1, &x.dtype(), 1, 0);
-                nc.store(
-                    (256usize << 10).div_ceil(env.comm.config().chunk_size),
-                    Ordering::SeqCst,
-                );
             } else {
                 env.comm.recv(dev, 1, &x.dtype(), 0, 0);
             }
+            (256usize << 10).div_ceil(env.comm.config().chunk_size)
         });
         let spans = sim_trace::analysis::stage_spans(&rec);
-        let nchunks = nchunks.load(std::sync::atomic::Ordering::SeqCst);
+        let nchunks = out.unwrap().1[0];
         for stage in ["pack", "d2h", "rdma", "h2d", "unpack"] {
             let n = spans.iter().filter(|s| s.lane_name == stage).count();
             assert_eq!(n, nchunks, "stage {stage} spans");

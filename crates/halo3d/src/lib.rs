@@ -21,10 +21,7 @@
 mod params;
 mod rank;
 
-use std::sync::Arc;
-
 use mv2_gpu_nc::GpuCluster;
-use sim_core::lock::Mutex;
 use sim_core::{Report, SimDur};
 use stencil2d::Real;
 
@@ -83,9 +80,7 @@ pub fn run_halo3d_on<T: Real>(
     variant: Variant,
     collect: bool,
 ) -> (Halo3dOutcome, Vec<Report>) {
-    let reports: Arc<Mutex<Vec<Rank3dReport>>> = Arc::new(Mutex::new(Vec::new()));
-    let sink = Arc::clone(&reports);
-    let (_, san) = cluster.run_with_reports(move |env| {
+    let out = cluster.try_run(move |env| {
         let mut rk = Halo3dRank::<T>::new(env, p);
         env.comm.barrier();
         let t0 = sim_core::now();
@@ -96,7 +91,7 @@ pub fn run_halo3d_on<T: Real>(
         let elapsed = sim_core::now() - t0;
         let interior = rk.interior();
         let checksum = interior.iter().map(|v| v.to_f64()).sum();
-        sink.lock().push(Rank3dReport {
+        let report = Rank3dReport {
             rank: env.comm.rank(),
             elapsed,
             checksum,
@@ -110,13 +105,11 @@ pub fn run_halo3d_on<T: Real>(
                     })
                     .collect()
             }),
-        });
+        };
         rk.free();
+        report
     });
-    let mut ranks = Arc::try_unwrap(reports)
-        .map(|m| m.into_inner())
-        .unwrap_or_else(|a| a.lock().clone());
-    ranks.sort_by_key(|r| r.rank);
+    let (_, ranks, san) = out.unwrap();
     let wall = ranks
         .iter()
         .map(|r| r.elapsed)

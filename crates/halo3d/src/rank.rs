@@ -85,8 +85,6 @@ impl<'a, T: Real> Halo3dRank<'a, T> {
                 let a = axis as usize;
                 let mut subsizes = [ni, nj, nk];
                 subsizes[a] = 1;
-                let interior = [sizes[0] - 2, sizes[1] - 2, sizes[2] - 2];
-                let _ = interior;
                 let mut starts = [1usize, 1, 1];
                 starts[a] = match side {
                     Side::Low => 1,
@@ -206,95 +204,55 @@ impl<'a, T: Real> Halo3dRank<'a, T> {
         let (ni, nj, nk) = self.p.local;
         let dims = self.dims;
         let es = T::SIZE;
-        let plane = |a: Axis, s: Side, halo: bool| -> usize {
-            let len = match a {
-                Axis::I => dims.0,
-                Axis::J => dims.1,
-                Axis::K => dims.2,
-            };
-            match (s, halo) {
-                (Side::Low, true) => 0,
-                (Side::Low, false) => 1,
-                (Side::High, true) => len - 1,
-                (Side::High, false) => len - 2,
-            }
+        // The boundary plane goes out; the halo plane next to it comes in.
+        let len = [dims.0, dims.1, dims.2][axis as usize];
+        let fixed = match (side, out) {
+            (Side::Low, true) => 1,
+            (Side::Low, false) => 0,
+            (Side::High, true) => len - 2,
+            (Side::High, false) => len - 1,
         };
-        let fixed = plane(axis, side, !out);
         let host = &self.stage[di * 2 + usize::from(!out)];
+        // One pitched copy of `height` rows of `width` bytes, device rows
+        // `pitch` apart starting at cell `cell`, host rows packed from byte
+        // `hoff`: built outbound, flipped for the inbound direction.
+        let copy = |cell: usize, hoff: usize, pitch: usize, width: usize, height: usize| {
+            let c = Copy2d {
+                dst: Loc::Host(host.ptr(hoff)),
+                dpitch: width,
+                src: Loc::Device(self.cur.add(cell * es)),
+                spitch: pitch,
+                width,
+                height,
+            };
+            gpu.memcpy_2d(match out {
+                true => c,
+                false => Copy2d {
+                    dst: c.src,
+                    dpitch: c.spitch,
+                    src: c.dst,
+                    spitch: c.dpitch,
+                    ..c
+                },
+            });
+        };
         match axis {
             // i-face: nj rows of nk contiguous elements.
-            Axis::I => {
-                let base = idx(dims, fixed, 1, 1) * es;
-                let c = Copy2d {
-                    dst: if out {
-                        Loc::Host(host.base())
-                    } else {
-                        Loc::Device(self.cur.add(base))
-                    },
-                    dpitch: if out { nk * es } else { dims.2 * es },
-                    src: if out {
-                        Loc::Device(self.cur.add(base))
-                    } else {
-                        Loc::Host(host.base())
-                    },
-                    spitch: if out { dims.2 * es } else { nk * es },
-                    width: nk * es,
-                    height: nj,
-                };
-                gpu.memcpy_2d(c);
-            }
+            Axis::I => copy(idx(dims, fixed, 1, 1), 0, dims.2 * es, nk * es, nj),
             // j-face: ni rows of nk contiguous elements, plane pitch apart.
-            Axis::J => {
-                let base = idx(dims, 1, fixed, 1) * es;
-                let pitch = dims.1 * dims.2 * es;
-                let c = Copy2d {
-                    dst: if out {
-                        Loc::Host(host.base())
-                    } else {
-                        Loc::Device(self.cur.add(base))
-                    },
-                    dpitch: if out { nk * es } else { pitch },
-                    src: if out {
-                        Loc::Device(self.cur.add(base))
-                    } else {
-                        Loc::Host(host.base())
-                    },
-                    spitch: if out { dims.2 * es } else { nk * es },
-                    width: nk * es,
-                    height: ni,
-                };
-                // Source pitch differs per direction; fix up for `out`.
-                let c = if out {
-                    Copy2d { spitch: pitch, ..c }
-                } else {
-                    Copy2d { dpitch: pitch, ..c }
-                };
-                gpu.memcpy_2d(c);
-            }
+            Axis::J => copy(idx(dims, 1, fixed, 1), 0, dims.1 * dims.2 * es, nk * es, ni),
             // k-face: single elements at pitch (nk+2) within a plane, but
             // planes are not uniformly spaced relative to the rows — the
             // original application needs one 2-D copy per i-plane.
             Axis::K => {
                 for i in 1..=ni {
-                    let base = idx(dims, i, 1, fixed) * es;
-                    let hoff = (i - 1) * nj * es;
-                    let c = Copy2d {
-                        dst: if out {
-                            Loc::Host(host.ptr(hoff))
-                        } else {
-                            Loc::Device(self.cur.add(base))
-                        },
-                        dpitch: if out { es } else { dims.2 * es },
-                        src: if out {
-                            Loc::Device(self.cur.add(base))
-                        } else {
-                            Loc::Host(host.ptr(hoff))
-                        },
-                        spitch: if out { dims.2 * es } else { es },
-                        width: es,
-                        height: nj,
-                    };
-                    gpu.memcpy_2d(c);
+                    copy(
+                        idx(dims, i, 1, fixed),
+                        (i - 1) * nj * es,
+                        dims.2 * es,
+                        es,
+                        nj,
+                    );
                 }
             }
         }

@@ -15,9 +15,6 @@
 //! * **`rate_cap`** — optional hard ceiling on the fraction of link
 //!   bandwidth the job may use, applied even when the engine is idle
 //!   (non-work-conserving, like an HCA rate-limited SL).
-//! * **`vbuf_share`** — advisory partition of the MPI layer's vbuf pool;
-//!   the fabric itself does not consume it (the world-construction layer
-//!   sizes each job's pools from it).
 //! * **`share_nodes`** — opt-in to co-placement. Two jobs may only be
 //!   bound to overlapping physical node sets when *both* opted in;
 //!   otherwise [`crate::Fabric::try_bind_job`] refuses with
@@ -28,7 +25,7 @@ use crate::topology::Topology;
 
 /// Per-job quality-of-service knobs on the shared fabric. See the module
 /// docs for what each knob means; [`JobQos::default`] is "one fair share,
-/// no cap, full vbuf pool, exclusive nodes".
+/// no cap, exclusive nodes".
 #[derive(Clone, Debug)]
 pub struct JobQos {
     /// Weight in the HCA transmit-engine arbitration (>= 1).
@@ -36,9 +33,6 @@ pub struct JobQos {
     /// Optional hard cap on the job's fraction of link bandwidth, in
     /// `(0, 1]`. Applied even on an idle engine.
     pub rate_cap: Option<f64>,
-    /// Advisory fraction of the MPI vbuf pool this job should get, in
-    /// `(0, 1]`. Consumed by the world-construction layer, not the fabric.
-    pub vbuf_share: f64,
     /// Whether this job may share physical nodes with other jobs that also
     /// set this flag.
     pub share_nodes: bool,
@@ -49,7 +43,6 @@ impl Default for JobQos {
         JobQos {
             hca_weight: 1,
             rate_cap: None,
-            vbuf_share: 1.0,
             share_nodes: false,
         }
     }
@@ -60,8 +53,7 @@ impl JobQos {
     /// Caller contract: QoS values are literals in campaign code (bench
     /// `job_mix`, `tests/cluster.rs`), nothing parses them from outside the
     /// program; [`Fabric::multi_job`](crate::Fabric::multi_job) checks them
-    /// here, at construction, so the arbiter never divides by a zero weight
-    /// or share.
+    /// here, at construction, so the arbiter never divides by a zero weight.
     pub fn validate(&self) {
         assert!(self.hca_weight >= 1, "JobQos.hca_weight must be >= 1");
         if let Some(c) = self.rate_cap {
@@ -70,11 +62,6 @@ impl JobQos {
                 "JobQos.rate_cap must be in (0, 1], got {c}"
             );
         }
-        assert!(
-            self.vbuf_share > 0.0 && self.vbuf_share <= 1.0,
-            "JobQos.vbuf_share must be in (0, 1], got {}",
-            self.vbuf_share
-        );
     }
 }
 

@@ -88,23 +88,24 @@ impl Comm {
     }
 
     /// Create the world communicator for `rank` of `size` on `nic`.
-    /// `stagers` are tried (in order) before the built-in host staging —
-    /// this is where GPU-aware datatype support plugs in. The engine's
-    /// protocol events, RDMA stage spans and vbuf-pool gauges are recorded
-    /// on `rank{rank}/*` lanes of `rec` and its counters join the
-    /// recorder's metrics registry (pass [`sim_trace::Recorder::off`] for
-    /// an untraced communicator). Recording never changes virtual time.
+    /// `stager` is tried before the built-in host staging — this is where
+    /// GPU-aware datatype support plugs in (`None`: host-only, a device
+    /// buffer panics). The engine's protocol events, RDMA stage spans and
+    /// vbuf-pool gauges are recorded on `rank{rank}/*` lanes of `rec` and
+    /// its counters join the recorder's metrics registry (pass
+    /// [`sim_trace::Recorder::off`] for an untraced communicator). Recording
+    /// never changes virtual time.
     pub fn create_traced(
         nic: Nic,
         rank: usize,
         size: usize,
         cfg: MpiConfig,
-        stagers: Arc<Vec<Box<dyn BufferStager>>>,
+        stager: Option<Arc<dyn BufferStager>>,
         rec: &sim_trace::Recorder,
     ) -> Comm {
         Comm {
             eng: Arc::new(Mutex::new(Engine::new_traced(
-                nic, rank, size, cfg, stagers, rec,
+                nic, rank, size, cfg, stager, rec,
             ))),
             group: Arc::new((0..size).collect()),
             my_rank: rank,

@@ -57,7 +57,7 @@ mod reliability;
 mod rput;
 mod staged;
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
 
 use gpu_sim::Loc;
@@ -71,6 +71,7 @@ use self::rput::{RegCache, RputRecv, RputSend};
 use self::staged::{StagedRecv, StagedSend};
 use crate::datatype::Datatype;
 use crate::invariants;
+use crate::pack::CpuModel;
 use crate::plan::{Canonical, Plan, WireDescriptor, OFFLOAD_ENTRY_BUDGET};
 use crate::proto::{ConfigError, Envelope, MpiConfig, MpiError, MpiPacket, ReqId, RputKind, Rts};
 use crate::scheme::{DataScheme, SchemeSelector};
@@ -314,13 +315,18 @@ pub(crate) struct Engine {
     /// thresholds and rendezvous scheme resolution, owned in one place.
     /// The protocol state machines ask it what to do and never look inside.
     scheme: SchemeSelector,
-    stagers: Arc<Vec<Box<dyn BufferStager>>>,
+    /// Host CPU cost model (the calibrated Westmere host).
+    cpu: CpuModel,
+    /// Builds sources/sinks for device buffers; `None` on a host-only world.
+    stager: Option<Arc<dyn BufferStager>>,
     /// True when the fabric injects faults; every retry timer and
     /// duplicate-tolerance path is gated on this.
     faulty: bool,
     next_req: ReqId,
-    sends: HashMap<ReqId, SendState>,
-    recvs: HashMap<ReqId, RecvState>,
+    /// Live requests, iterated in id (= posting) order: the advance order
+    /// must be a pure function of request ids for replay determinism.
+    sends: BTreeMap<ReqId, SendState>,
+    recvs: BTreeMap<ReqId, RecvState>,
     posted: Vec<ReqId>,
     unexpected: VecDeque<Unexpected>,
     /// Registered staging buffers for *outgoing* chunks. Kept separate from
@@ -373,7 +379,7 @@ impl Engine {
         rank: usize,
         size: usize,
         cfg: MpiConfig,
-        stagers: Arc<Vec<Box<dyn BufferStager>>>,
+        stager: Option<Arc<dyn BufferStager>>,
         rec: &sim_trace::Recorder,
     ) -> Engine {
         cfg.validate();
@@ -419,11 +425,12 @@ impl Engine {
             cfg,
             counters,
             scheme,
-            stagers,
+            cpu: CpuModel::westmere(),
+            stager,
             faulty,
             next_req: 1,
-            sends: HashMap::new(),
-            recvs: HashMap::new(),
+            sends: BTreeMap::new(),
+            recvs: BTreeMap::new(),
             posted: Vec::new(),
             unexpected: VecDeque::new(),
             send_pool,
@@ -468,23 +475,17 @@ impl Engine {
     }
 
     fn mpi_call_cost(&self) {
-        sim_core::sleep(SimDur::from_nanos(self.cfg.cpu.mpi_call_ns));
+        sim_core::sleep(SimDur::from_nanos(self.cpu.mpi_call_ns));
     }
 
     fn make_source(&self, buf: &Loc, count: usize, dt: &Datatype) -> Box<dyn SendSource> {
-        for s in self.stagers.iter() {
-            if let Some(src) = s.source(buf, count, dt) {
-                return src;
+        let staged = self.stager.as_ref().and_then(|s| s.source(buf, count, dt));
+        match (staged, buf) {
+            (Some(src), _) => src,
+            (None, Loc::Host(p)) => {
+                Box::new(HostSendSource::new(p.clone(), count, dt, self.cpu.clone()))
             }
-        }
-        match buf {
-            Loc::Host(p) => Box::new(HostSendSource::new(
-                p.clone(),
-                count,
-                dt,
-                self.cfg.cpu.clone(),
-            )),
-            Loc::Device(_) => panic!(
+            (None, Loc::Device(_)) => panic!(
                 "send buffer resides in device memory but this MPI build has \
                  no GPU datatype support (use mv2-gpu-nc)"
             ),
@@ -492,19 +493,13 @@ impl Engine {
     }
 
     fn make_sink(&self, buf: &Loc, count: usize, dt: &Datatype) -> Box<dyn RecvSink> {
-        for s in self.stagers.iter() {
-            if let Some(sink) = s.sink(buf, count, dt) {
-                return sink;
+        let staged = self.stager.as_ref().and_then(|s| s.sink(buf, count, dt));
+        match (staged, buf) {
+            (Some(sink), _) => sink,
+            (None, Loc::Host(p)) => {
+                Box::new(HostRecvSink::new(p.clone(), count, dt, self.cpu.clone()))
             }
-        }
-        match buf {
-            Loc::Host(p) => Box::new(HostRecvSink::new(
-                p.clone(),
-                count,
-                dt,
-                self.cfg.cpu.clone(),
-            )),
-            Loc::Device(_) => panic!(
+            (None, Loc::Device(_)) => panic!(
                 "receive buffer resides in device memory but this MPI build \
                  has no GPU datatype support (use mv2-gpu-nc)"
             ),
@@ -808,7 +803,7 @@ impl Engine {
     // --- packet dispatch -----------------------------------------------------------
 
     fn handle_packet(&mut self, src: usize, pkt: MpiPacket) {
-        sim_core::sleep(SimDur::from_nanos(self.cfg.cpu.handle_pkt_ns));
+        sim_core::sleep(SimDur::from_nanos(self.cpu.handle_pkt_ns));
         match pkt {
             MpiPacket::Eager { env, data } => self.on_eager(src, env, data),
             MpiPacket::Rts(rts) => self.on_rts(rts),
@@ -866,17 +861,12 @@ impl Engine {
                 .expect("non-MPI packet in MPI mailbox");
             self.handle_packet(src, *payload);
         }
-        // Advance sends. Sorted: HashMap iteration order differs between
-        // processes (per-instance hash seeds), and replay determinism
-        // requires the advance order to be a pure function of request ids.
-        let mut send_ids: Vec<ReqId> = self.sends.keys().copied().collect();
-        send_ids.sort_unstable();
+        // Advance sends, then receives, each in id order.
+        let send_ids: Vec<ReqId> = self.sends.keys().copied().collect();
         for id in send_ids {
             self.advance_send(id);
         }
-        // Advance receives (sorted, as above).
-        let mut recv_ids: Vec<ReqId> = self.recvs.keys().copied().collect();
-        recv_ids.sort_unstable();
+        let recv_ids: Vec<ReqId> = self.recvs.keys().copied().collect();
         for id in recv_ids {
             self.advance_recv(id);
         }

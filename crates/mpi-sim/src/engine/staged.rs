@@ -235,9 +235,7 @@ impl Engine {
         if self.recv_pool.is_empty() {
             return;
         }
-        // Sorted so the grant order is a function of request ids alone, not
-        // of the HashMap's per-process iteration order (replay determinism).
-        let mut deferred: Vec<ReqId> = self
+        let deferred: Vec<ReqId> = self
             .recvs
             .iter()
             .filter_map(|(&id, st)| match &st.phase {
@@ -245,7 +243,6 @@ impl Engine {
                 _ => None,
             })
             .collect();
-        deferred.sort_unstable();
         for id in deferred {
             self.try_grant_cts(id);
         }

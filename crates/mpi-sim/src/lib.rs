@@ -70,4 +70,4 @@ pub use proto::{
 };
 pub use scheme::{DataScheme, SchemeSel};
 pub use staging::{BufferStager, RecvSink, SendSource};
-pub use world::{MpiWorld, Seat, WakeTraceSink};
+pub use world::{MpiWorld, Outcome, Seat, WakeTraceSink};

@@ -21,7 +21,7 @@
 use ib_sim::{MrKey, SgEntry};
 
 use crate::plan::Canonical;
-use crate::scheme::{DataScheme, SchemeSel};
+use crate::scheme::{DataScheme, SchemeSel, SHM_EAGER_LIMIT};
 
 /// Request identifier, unique within one rank.
 pub(crate) type ReqId = u64;
@@ -374,12 +374,10 @@ pub enum ConfigError {
     },
     /// `ppn == 0`.
     ZeroPpn,
-    /// `shm_eager_limit < eager_limit`: a co-located peer would get a
-    /// *smaller* eager window than a remote one, which inverts the point of
-    /// the shm channel.
+    /// `eager_limit` above [`SHM_EAGER_LIMIT`]: a co-located peer would get
+    /// a *smaller* eager window than a remote one, which inverts the point
+    /// of the shm channel.
     ShmEagerBelowEager {
-        /// Configured intra-node eager limit.
-        shm_eager_limit: usize,
         /// Configured inter-node eager limit.
         eager_limit: usize,
     },
@@ -449,12 +447,9 @@ impl std::fmt::Display for ConfigError {
             ConfigError::ZeroPpn => {
                 write!(f, "ppn must be >= 1 (every rank lives on some node)")
             }
-            ConfigError::ShmEagerBelowEager {
-                shm_eager_limit,
-                eager_limit,
-            } => write!(
+            ConfigError::ShmEagerBelowEager { eager_limit } => write!(
                 f,
-                "shm_eager_limit ({shm_eager_limit}) must be >= eager_limit ({eager_limit}) — \
+                "shm_eager_limit ({SHM_EAGER_LIMIT}) must be >= eager_limit ({eager_limit}) — \
                  the shm channel is cheaper than the wire, so co-located peers must get at \
                  least the inter-node eager window"
             ),
@@ -506,7 +501,8 @@ pub enum SeededBug {
 /// Tunables of the simulated MPI library.
 #[derive(Clone, Debug)]
 pub struct MpiConfig {
-    /// Largest message sent eagerly, bytes.
+    /// Largest message sent eagerly to a remote peer, bytes; at most
+    /// [`SHM_EAGER_LIMIT`], the co-located window.
     pub eager_limit: usize,
     /// Staging chunk size (the paper's `MV2_CUDA_BLOCK_SIZE` analog), bytes.
     /// The starting point (and, under [`ChunkPolicy::Fixed`], the only
@@ -518,8 +514,6 @@ pub struct MpiConfig {
     pub window_slots: usize,
     /// Total vbufs in each rank's pool.
     pub pool_vbufs: usize,
-    /// Host CPU cost model.
-    pub cpu: crate::pack::CpuModel,
     /// Retry policy under fault injection (unused on a reliable fabric).
     pub retry: RetryConfig,
     /// Capacity of the per-rank registration cache for rendezvous user
@@ -534,20 +528,12 @@ pub struct MpiConfig {
     /// default, 1, is the classic one-rank-per-node layout and is
     /// bit-identical to the pre-topology simulator.
     pub ppn: usize,
-    /// Largest message sent eagerly *between co-located ranks*, bytes. The
-    /// shm channel has no wire or vbuf pressure, so its eager window can be
-    /// (and defaults to) larger than [`eager_limit`](MpiConfig::eager_limit).
-    pub shm_eager_limit: usize,
     /// Collective-algorithm selection.
     pub coll: CollConfig,
     /// Rendezvous data-path selection (see [`crate::scheme`]). The default,
     /// `Auto { offload: false }`, reproduces the classic
     /// device → direct → staged decision bit for bit.
     pub scheme: SchemeSel,
-    /// Smallest message [`SchemeSel::Auto`] routes through the offload
-    /// engine, bytes. Below this the descriptor fetches cost more than the
-    /// pack they save; forcing ignores the floor.
-    pub offload_min_bytes: usize,
 }
 
 impl Default for MpiConfig {
@@ -558,15 +544,12 @@ impl Default for MpiConfig {
             policy: ChunkPolicy::adaptive(),
             window_slots: 8,
             pool_vbufs: 64,
-            cpu: crate::pack::CpuModel::westmere(),
             retry: RetryConfig::default(),
             reg_cache_entries: 1024,
             seeded_bug: None,
             ppn: 1,
-            shm_eager_limit: 32 << 10,
             coll: CollConfig::default(),
             scheme: SchemeSel::default(),
-            offload_min_bytes: 64 << 10,
         }
     }
 }
@@ -639,9 +622,8 @@ impl MpiConfig {
         if self.ppn == 0 {
             return Err(ConfigError::ZeroPpn);
         }
-        if self.shm_eager_limit < self.eager_limit {
+        if SHM_EAGER_LIMIT < self.eager_limit {
             return Err(ConfigError::ShmEagerBelowEager {
-                shm_eager_limit: self.shm_eager_limit,
                 eager_limit: self.eager_limit,
             });
         }
@@ -851,13 +833,19 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "shm_eager_limit (1024) must be >= eager_limit (8192)")]
+    #[should_panic(expected = "shm_eager_limit (32768) must be >= eager_limit (32769)")]
     fn shm_eager_below_eager_is_rejected() {
-        MpiConfig {
-            shm_eager_limit: 1024,
+        let cfg = MpiConfig {
+            eager_limit: SHM_EAGER_LIMIT + 1,
             ..Default::default()
-        }
-        .validate();
+        };
+        assert_eq!(
+            cfg.try_validate(),
+            Err(ConfigError::ShmEagerBelowEager {
+                eager_limit: SHM_EAGER_LIMIT + 1,
+            })
+        );
+        cfg.validate();
     }
 
     #[test]

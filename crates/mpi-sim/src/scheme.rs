@@ -17,7 +17,7 @@
 //! 2. **Direct** — both sides contiguous host memory: one R-PUT.
 //! 3. **NicOffload** — both sides host-resident with layouts that lower to
 //!    bounded scatter/gather descriptors (see [`crate::plan::Canonical`]),
-//!    the message at least [`MpiConfig::offload_min_bytes`], and the
+//!    the message at least [`OFFLOAD_MIN_BYTES`], and the
 //!    combined entry count within the HCA's 256-entry descriptor budget: one
 //!    descriptor-driven post, no CPU pack/unpack. Off by default
 //!    (`Auto { offload: false }` keeps the classic decision bit-identical).
@@ -31,6 +31,16 @@
 use ib_sim::{Nic, Route};
 
 use crate::proto::{MpiConfig, SeededBug};
+
+/// Largest message sent eagerly *between co-located ranks*, bytes. The shm
+/// channel has no wire or vbuf pressure, so its eager window is larger than
+/// any [`MpiConfig::eager_limit`] (checked at validation).
+pub const SHM_EAGER_LIMIT: usize = 32 << 10;
+
+/// Smallest message [`SchemeSel::Auto`] routes through the offload engine,
+/// bytes. Below this the descriptor fetches cost more than the pack they
+/// save; forcing ignores the floor.
+pub const OFFLOAD_MIN_BYTES: usize = 64 << 10;
 
 /// The library's transfer schemes.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -88,9 +98,7 @@ pub(crate) struct SchemeSelector {
     nic: Nic,
     sel: SchemeSel,
     eager_limit: usize,
-    shm_eager_limit: usize,
     fault_shm_eager_oversize: bool,
-    offload_min_bytes: usize,
 }
 
 impl SchemeSelector {
@@ -100,9 +108,7 @@ impl SchemeSelector {
             nic: nic.clone(),
             sel: cfg.scheme,
             eager_limit: cfg.eager_limit,
-            shm_eager_limit: cfg.shm_eager_limit,
             fault_shm_eager_oversize: cfg.seeded_bug == Some(SeededBug::ShmEagerOversize),
-            offload_min_bytes: cfg.offload_min_bytes,
         }
     }
 
@@ -129,7 +135,7 @@ impl SchemeSelector {
             if self.sel == SchemeSel::Force(DataScheme::ShmEager) {
                 usize::MAX
             } else {
-                self.shm_eager_limit
+                SHM_EAGER_LIMIT
             }
         } else {
             self.eager_limit
@@ -142,7 +148,7 @@ impl SchemeSelector {
     /// linter must reject.
     pub(crate) fn send_eager_limit(&self, peer: usize) -> usize {
         if self.fault_shm_eager_oversize && self.colocated(peer) {
-            self.shm_eager_limit * 2
+            SHM_EAGER_LIMIT * 2
         } else {
             self.eager_limit(peer)
         }
@@ -185,7 +191,7 @@ impl SchemeSelector {
                     DataScheme::DeviceD2D
                 } else if direct_ok {
                     DataScheme::Direct
-                } else if offload && offload_ok && total >= self.offload_min_bytes {
+                } else if offload && offload_ok && total >= OFFLOAD_MIN_BYTES {
                     DataScheme::NicOffload
                 } else {
                     DataScheme::Staged
@@ -230,8 +236,8 @@ mod tests {
         let s = selector(SchemeSel::default());
         let cfg = MpiConfig::default();
         assert_eq!(s.eager_limit(2), cfg.eager_limit);
-        assert_eq!(s.eager_limit(1), cfg.shm_eager_limit);
-        assert_eq!(s.send_eager_limit(1), cfg.shm_eager_limit);
+        assert_eq!(s.eager_limit(1), SHM_EAGER_LIMIT);
+        assert_eq!(s.send_eager_limit(1), SHM_EAGER_LIMIT);
         let s = selector(SchemeSel::Force(DataScheme::ShmEager));
         assert_eq!(s.eager_limit(1), usize::MAX);
         assert_eq!(s.eager_limit(2), cfg.eager_limit, "remote peers unaffected");
@@ -240,7 +246,7 @@ mod tests {
     #[test]
     fn auto_resolution_order() {
         let s = selector(SchemeSel::Auto { offload: true });
-        let min = MpiConfig::default().offload_min_bytes;
+        let min = OFFLOAD_MIN_BYTES;
         assert_eq!(s.resolve(true, true, true, min), DataScheme::DeviceD2D);
         assert_eq!(s.resolve(false, true, true, min), DataScheme::Direct);
         assert_eq!(s.resolve(false, false, true, min), DataScheme::NicOffload);

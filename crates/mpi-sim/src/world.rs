@@ -1,17 +1,18 @@
 //! The job launcher — the one place a description of a simulated job
 //! becomes a running one.
 //!
-//! [`MpiWorld`] is the description: rank count, placement, network and
-//! shm models, MPI configuration, carrier, sanitizer, faults, recorder,
+//! [`MpiWorld`] is the description: rank count, placement, MPI
+//! configuration, carrier, sanitizer, faults, recorder,
 //! delivery scheduler and wake-trace sink. [`MpiWorld::launch`] is the only
 //! code that acts on it: it creates the [`Sim`], builds the fabric, attaches
-//! recorder and scheduler, spawns one `rank{r}` process per rank and
-//! turns a panic anywhere in the job into `Err(message)` plus the sanitizer
-//! reports. A caller supplies two pieces: a once-per-world *set-up* (where
-//! per-node hardware is built, before any rank exists) and a per-rank
-//! *main* that receives the set-up's result and the rank's [`Seat`].
-//! Host-only MPI ([`MpiWorld::try_run_with_reports`]) is `launch` with an
-//! empty set-up; `mv2_gpu_nc::GpuCluster` is `launch` with one GPU per node.
+//! recorder and scheduler, spawns one `rank{r}` process per rank, gathers
+//! what each rank's main returned and turns a panic anywhere in the job
+//! into `Err(message)`: one [`Outcome`]. A caller supplies two pieces: a
+//! once-per-world *set-up* (where per-node hardware is built, before any
+//! rank exists) and a per-rank *main* that receives the set-up's result and
+//! the rank's [`Seat`]. Host-only MPI ([`MpiWorld::try_run`]) is `launch`
+//! with an empty set-up; `mv2_gpu_nc::GpuCluster` is `launch` with one GPU
+//! per node.
 //!
 //! Registration order is observable (trace lane ids are dense in
 //! first-registration order) and fixed here: fabric lanes, whatever the
@@ -20,6 +21,7 @@
 use std::sync::Arc;
 
 use ib_sim::{DeliveryScheduler, Fabric, FaultSpec, NetModel, Nic, ShmModel, Topology};
+use sim_core::lock::Mutex;
 use sim_core::{ExecMode, Report, SanitizerMode, Sim, SimTime, WakeEvent};
 use sim_trace::Recorder;
 
@@ -29,6 +31,32 @@ use crate::proto::{ChunkPolicy, MpiConfig};
 /// Shared sink for a run's scheduling-grant trace (see
 /// [`MpiWorld::with_wake_trace`]).
 pub type WakeTraceSink = Arc<std::sync::Mutex<Vec<WakeEvent>>>;
+
+/// What a launched job left behind.
+pub struct Outcome<T> {
+    /// The virtual time the last rank finished, or the message of the panic
+    /// that ended the job (protocol violation, sanitizer in `Panic` mode,
+    /// deadlock, `MPI_Wait` failure): how a model checker observes a
+    /// schedule's verdict without tearing down its own process.
+    pub end: Result<SimTime, String>,
+    /// What each rank's main returned, in rank order: one per rank when
+    /// `end` is `Ok`, only the ranks that had returned when it is `Err`.
+    pub ranks: Vec<T>,
+    /// The sanitizer reports collected up to the end, panic or not (empty
+    /// when the sanitizer is off).
+    pub reports: Vec<Report>,
+}
+
+impl<T> Outcome<T> {
+    /// The finished job as `(end, ranks, reports)`; a job that panicked
+    /// panics again here, with its message.
+    pub fn unwrap(self) -> (SimTime, Vec<T>, Vec<Report>) {
+        match self.end {
+            Ok(end) => (end, self.ranks, self.reports),
+            Err(msg) => std::panic::panic_any(msg),
+        }
+    }
+}
 
 /// One rank's seat in a launched job: what [`MpiWorld::launch`] hands the
 /// per-rank main to build its communicator from.
@@ -51,8 +79,6 @@ pub struct Seat {
 /// where they share one HCA and talk over the shared-memory channel.
 pub struct MpiWorld {
     n: usize,
-    net: NetModel,
-    shm: ShmModel,
     topo: Option<Topology>,
     cfg: MpiConfig,
     sanitizer: SanitizerMode,
@@ -69,8 +95,6 @@ impl MpiWorld {
     pub fn new(n: usize) -> Self {
         MpiWorld {
             n,
-            net: NetModel::qdr(),
-            shm: ShmModel::westmere(),
             topo: None,
             cfg: MpiConfig::default(),
             sanitizer: SanitizerMode::Off,
@@ -115,12 +139,6 @@ impl MpiWorld {
         self
     }
 
-    /// Override the intra-node shared-memory channel cost model.
-    pub fn with_shm(mut self, shm: ShmModel) -> Self {
-        self.shm = shm;
-        self
-    }
-
     /// Record the job onto `rec`: every rank's protocol engine and every
     /// HCA transmit engine emit trace events (see the `sim-trace` crate).
     /// Pass [`Recorder::off`] to disable tracing entirely, or a clone of an
@@ -144,12 +162,6 @@ impl MpiWorld {
     pub fn with_block_size(mut self, bytes: usize) -> Self {
         self.cfg.chunk_size = bytes;
         self.cfg.policy = ChunkPolicy::Fixed;
-        self
-    }
-
-    /// Override the network model.
-    pub fn with_net(mut self, net: NetModel) -> Self {
-        self.net = net;
         self
     }
 
@@ -178,45 +190,30 @@ impl MpiWorld {
     }
 
     /// Run `f` on every rank (host-only MPI; device buffers panic). Returns
-    /// the virtual time when the last rank finished.
+    /// the virtual time when the last rank finished; a panic anywhere in
+    /// the job propagates.
     pub fn run<F>(self, f: F) -> SimTime
     where
         F: Fn(Comm) + Send + Sync + 'static,
     {
-        self.run_with_reports(f).0
+        self.try_run(f).unwrap().0
     }
 
-    /// Like [`run`](MpiWorld::run), also returning the sanitizer reports
-    /// collected during the job (empty when the sanitizer is off).
-    pub fn run_with_reports<F>(self, f: F) -> (SimTime, Vec<Report>)
+    /// Run `f` on every rank (host-only MPI; device buffers panic) and
+    /// return the job's [`Outcome`]: every rank's value of `f`, the
+    /// sanitizer reports, and a panic as `Err` instead of unwinding.
+    pub fn try_run<T, F>(self, f: F) -> Outcome<T>
     where
-        F: Fn(Comm) + Send + Sync + 'static,
-    {
-        let (end, reports) = self.try_run_with_reports(f);
-        match end {
-            Ok(t) => (t, reports),
-            Err(msg) => std::panic::panic_any(msg),
-        }
-    }
-
-    /// Like [`run_with_reports`](MpiWorld::run_with_reports), but a panic
-    /// anywhere in the job (protocol violation, sanitizer in `Panic` mode,
-    /// deadlock, `MPI_Wait` failure) is caught and returned as `Err` with
-    /// its message — together with every report collected up to that point.
-    /// This is how a model checker observes a schedule's verdict without
-    /// tearing down its own process.
-    pub fn try_run_with_reports<F>(self, f: F) -> (Result<SimTime, String>, Vec<Report>)
-    where
-        F: Fn(Comm) + Send + Sync + 'static,
+        T: Send + 'static,
+        F: Fn(Comm) -> T + Send + Sync + 'static,
     {
         self.launch(
             |_, _, _| (),
             move |(), s: Seat| {
-                let no_stagers = Arc::new(Vec::new());
-                let comm =
-                    Comm::create_traced(s.nic, s.rank, s.size, s.cfg, no_stagers, &s.recorder);
-                f(comm.clone());
+                let comm = Comm::create_traced(s.nic, s.rank, s.size, s.cfg, None, &s.recorder);
+                let out = f(comm.clone());
                 comm.finalize();
+                out
             },
         )
     }
@@ -224,54 +221,52 @@ impl MpiWorld {
     /// Build the world this value describes and run `main` on every rank
     /// (see the module docs). `setup` runs once, before any rank is
     /// spawned, with the [`Sim`], the resolved [`Topology`] and the
-    /// recorder; every rank's `main` gets a reference to its result.
-    /// Returns like [`try_run_with_reports`](MpiWorld::try_run_with_reports).
-    pub fn launch<S, M>(
+    /// recorder; every rank's `main` gets a reference to its result, and
+    /// what it returns is the rank's entry in [`Outcome::ranks`]. The
+    /// cluster is the calibrated one (QDR InfiniBand, Westmere shm channel).
+    pub fn launch<S, T, M>(
         self,
         setup: impl FnOnce(&Sim, &Topology, &Recorder) -> S,
         main: M,
-    ) -> (Result<SimTime, String>, Vec<Report>)
+    ) -> Outcome<T>
     where
         S: Send + Sync + 'static,
-        M: Fn(&S, Seat) + Send + Sync + 'static,
+        T: Send + 'static,
+        M: Fn(&S, Seat) -> T + Send + Sync + 'static,
     {
-        let MpiWorld {
-            n,
-            net,
-            shm,
-            topo,
-            cfg,
-            sanitizer,
-            faults,
-            recorder: rec,
-            scheduler,
-            exec,
-            wake_sink,
-        } = self;
+        let (n, cfg, rec) = (self.n, self.cfg, self.recorder);
         let sim = Sim::new();
-        if let Some(mode) = exec {
+        if let Some(mode) = self.exec {
             sim.set_exec_mode(mode);
         }
-        if wake_sink.is_some() {
+        if self.wake_sink.is_some() {
             sim.record_wake_trace();
         }
-        sim.set_sanitizer(sanitizer);
+        sim.set_sanitizer(self.sanitizer);
         if let Err(e) = cfg.try_validate_topology(n) {
             panic!("MpiConfig: {e}");
         }
-        let topo = topo.unwrap_or_else(|| Topology::uniform(n / cfg.ppn, cfg.ppn));
+        let blocked = || Topology::uniform(n / cfg.ppn, cfg.ppn);
+        let topo = self.topo.unwrap_or_else(blocked);
         assert_eq!(
             topo.num_ranks(),
             n,
             "topology places {} endpoint(s) but the job has {n} rank(s)",
             topo.num_ranks(),
         );
-        let fabric = Fabric::with_topology(topo.clone(), net, shm, faults);
+        let fabric = Fabric::with_topology(
+            topo.clone(),
+            NetModel::qdr(),
+            ShmModel::westmere(),
+            self.faults,
+        );
         fabric.attach_recorder(&rec);
-        if let Some(s) = scheduler {
+        if let Some(s) = self.scheduler {
             fabric.set_delivery_scheduler(s);
         }
         let shared = Arc::new((setup(&sim, &topo, &rec), main));
+        let returned: Arc<Mutex<Vec<Option<T>>>> =
+            Arc::new(Mutex::new((0..n).map(|_| None).collect()));
         for rank in 0..n {
             let seat = Seat {
                 nic: fabric.nic(rank),
@@ -280,15 +275,23 @@ impl MpiWorld {
                 cfg: cfg.clone(),
                 recorder: rec.clone(),
             };
-            let shared = Arc::clone(&shared);
-            sim.spawn(format!("rank{rank}"), move || (shared.1)(&shared.0, seat));
+            let (shared, returned) = (Arc::clone(&shared), Arc::clone(&returned));
+            sim.spawn(format!("rank{rank}"), move || {
+                let out = (shared.1)(&shared.0, seat);
+                returned.lock()[rank] = Some(out);
+            });
         }
         let end = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sim.run()))
             .map_err(panic_message);
-        if let Some(sink) = wake_sink {
+        if let Some(sink) = self.wake_sink {
             *sink.lock().expect("wake-trace sink poisoned") = sim.wake_trace();
         }
-        (end, sim.sanitizer_reports())
+        let ranks = std::mem::take(&mut *returned.lock());
+        Outcome {
+            end,
+            ranks: ranks.into_iter().flatten().collect(),
+            reports: sim.sanitizer_reports(),
+        }
     }
 }
 
@@ -310,7 +313,6 @@ mod tests {
     use crate::datatype::Datatype;
     use crate::engine::{Request, ANY_SOURCE, ANY_TAG};
     use hostmem::HostBuf;
-    use std::sync::Mutex;
 
     #[test]
     fn eager_ping_pong() {
@@ -471,15 +473,14 @@ mod tests {
 
     #[test]
     fn barrier_synchronizes_ranks() {
-        let after = Arc::new(Mutex::new(Vec::new()));
-        let after2 = Arc::clone(&after);
-        MpiWorld::new(4).run(move |comm| {
-            // Rank r works for r ms before the barrier.
-            sim_core::sleep(sim_core::SimDur::from_millis(comm.rank() as u64));
-            comm.barrier();
-            after2.lock().unwrap().push((comm.rank(), sim_core::now()));
-        });
-        let times = after.lock().unwrap().clone();
+        let (_, times, _) = MpiWorld::new(4)
+            .try_run(|comm| {
+                // Rank r works for r ms before the barrier.
+                sim_core::sleep(sim_core::SimDur::from_millis(comm.rank() as u64));
+                comm.barrier();
+                (comm.rank(), sim_core::now())
+            })
+            .unwrap();
         let slowest = times.iter().map(|&(_, t)| t).min().unwrap();
         for (r, t) in times {
             assert!(

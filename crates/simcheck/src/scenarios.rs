@@ -11,8 +11,8 @@
 
 use hostmem::HostBuf;
 use mpi_sim::{
-    ChunkPolicy, CollAlgo, DataScheme, Datatype, FaultSpec, MpiConfig, MpiWorld, SchemeSel,
-    SeededBug, Topology,
+    ChunkPolicy, CollAlgo, DataScheme, Datatype, FaultSpec, MpiConfig, MpiWorld, Outcome,
+    SchemeSel, SeededBug, Topology,
 };
 use mv2_gpu_nc::baselines::{fill_vector, verify_vector, VectorXfer};
 use mv2_gpu_nc::GpuCluster;
@@ -24,6 +24,16 @@ use crate::explore::{Budget, RunOutcome, Scenario};
 /// Deterministic seed for the (zero-probability) fault spec that arms the
 /// retry machinery.
 const ARM_SEED: u64 = 1;
+
+/// A finished run as the explorer reads it: the launcher's verdict and
+/// reports plus the decisions `checker` took.
+fn verdict(out: Outcome<()>, checker: &CheckScheduler) -> RunOutcome {
+    RunOutcome {
+        end: out.end.map(|t| t.as_nanos()),
+        reports: out.reports,
+        log: checker.log(),
+    }
+}
 
 /// A 64 KiB strided vector (16 Ki rows of 4 bytes, stride 16) in a 256 KiB
 /// buffer — always takes the staged (vbuf) rendezvous path.
@@ -60,7 +70,7 @@ pub fn staged_2rank() -> Scenario {
                 .with_sanitizer(SanitizerMode::Collect)
                 .with_recorder(rec.clone())
                 .with_scheduler(checker.clone());
-            let (end, reports) = world.try_run_with_reports(|comm| {
+            let out = world.try_run(|comm| {
                 let t = staged_dtype();
                 if comm.rank() == 0 {
                     let buf = HostBuf::from_vec((0..(1 << 18)).map(|i| (i % 249) as u8).collect());
@@ -72,11 +82,7 @@ pub fn staged_2rank() -> Scenario {
                     verify_staged_rows(&buf);
                 }
             });
-            RunOutcome {
-                end: end.map(|t| t.as_nanos()),
-                reports,
-                log: checker.log(),
-            }
+            verdict(out, &checker)
         }),
     }
 }
@@ -108,7 +114,7 @@ pub fn direct_2rank(bug_finalize_quiesce: bool) -> Scenario {
                 .with_sanitizer(SanitizerMode::Collect)
                 .with_recorder(rec.clone())
                 .with_scheduler(checker.clone());
-            let (end, reports) = world.try_run_with_reports(|comm| {
+            let out = world.try_run(|comm| {
                 let t = Datatype::byte();
                 t.commit();
                 let n = 300 << 10;
@@ -124,11 +130,7 @@ pub fn direct_2rank(bug_finalize_quiesce: bool) -> Scenario {
                     }
                 }
             });
-            RunOutcome {
-                end: end.map(|t| t.as_nanos()),
-                reports,
-                log: checker.log(),
-            }
+            verdict(out, &checker)
         }),
     }
 }
@@ -151,7 +153,7 @@ pub fn shm_eager_2rank() -> Scenario {
                 .with_sanitizer(SanitizerMode::Collect)
                 .with_recorder(rec.clone())
                 .with_scheduler(checker.clone());
-            let (end, reports) = world.try_run_with_reports(|comm| {
+            let out = world.try_run(|comm| {
                 let t = Datatype::byte();
                 t.commit();
                 let n = 4 << 10;
@@ -165,11 +167,7 @@ pub fn shm_eager_2rank() -> Scenario {
                     assert_eq!(buf.read(0, n), vec![42u8; n]);
                 }
             });
-            RunOutcome {
-                end: end.map(|t| t.as_nanos()),
-                reports,
-                log: checker.log(),
-            }
+            verdict(out, &checker)
         }),
     }
 }
@@ -196,7 +194,7 @@ pub fn d2d_2rank() -> Scenario {
                 .sanitizer(SanitizerMode::Collect)
                 .recorder(rec.clone())
                 .scheduler(checker.clone());
-            let (end, reports) = cluster.try_run_with_reports(|env| {
+            let out = cluster.try_run(|env| {
                 let x = VectorXfer::paper(64 << 10);
                 let dev = env.gpu.malloc(x.extent());
                 if env.comm.rank() == 0 {
@@ -207,11 +205,7 @@ pub fn d2d_2rank() -> Scenario {
                     verify_vector(&env.gpu, dev, &x, 11);
                 }
             });
-            RunOutcome {
-                end: end.map(|t| t.as_nanos()),
-                reports,
-                log: checker.log(),
-            }
+            verdict(out, &checker)
         }),
     }
 }
@@ -254,7 +248,7 @@ pub fn deferred_cts(bug_deferred_cts: bool) -> Scenario {
                 .with_sanitizer(SanitizerMode::Collect)
                 .with_recorder(rec.clone())
                 .with_scheduler(checker.clone());
-            let (end, reports) = world.try_run_with_reports(|comm| match comm.rank() {
+            let out = world.try_run(|comm| match comm.rank() {
                 0 => {
                     let t = staged_dtype();
                     let b1 = HostBuf::alloc(1 << 18);
@@ -276,11 +270,7 @@ pub fn deferred_cts(bug_deferred_cts: bool) -> Scenario {
                     comm.send(buf.base(), 1, &t, 0, r as u32);
                 }
             });
-            RunOutcome {
-                end: end.map(|t| t.as_nanos()),
-                reports,
-                log: checker.log(),
-            }
+            verdict(out, &checker)
         }),
     }
 }
@@ -312,7 +302,7 @@ pub fn hier_fanin_3rank() -> Scenario {
                 .with_sanitizer(SanitizerMode::Collect)
                 .with_recorder(rec.clone())
                 .with_scheduler(checker.clone());
-            let (end, reports) = world.try_run_with_reports(|comm| {
+            let out = world.try_run(|comm| {
                 let byte = Datatype::byte();
                 byte.commit();
                 // 16 KiB per rank: past the 8 KiB inter-node eager limit
@@ -338,11 +328,7 @@ pub fn hier_fanin_3rank() -> Scenario {
                     }
                 }
             });
-            RunOutcome {
-                end: end.map(|t| t.as_nanos()),
-                reports,
-                log: checker.log(),
-            }
+            verdict(out, &checker)
         }),
     }
 }
@@ -374,7 +360,7 @@ pub fn offload_2rank() -> Scenario {
                 .with_sanitizer(SanitizerMode::Collect)
                 .with_recorder(rec.clone())
                 .with_scheduler(checker.clone());
-            let (end, reports) = world.try_run_with_reports(|comm| {
+            let out = world.try_run(|comm| {
                 let t = staged_dtype();
                 if comm.rank() == 0 {
                     let buf = HostBuf::from_vec((0..(1 << 18)).map(|i| (i % 249) as u8).collect());
@@ -386,11 +372,7 @@ pub fn offload_2rank() -> Scenario {
                     verify_staged_rows(&buf);
                 }
             });
-            RunOutcome {
-                end: end.map(|t| t.as_nanos()),
-                reports,
-                log: checker.log(),
-            }
+            verdict(out, &checker)
         }),
     }
 }

@@ -2,10 +2,8 @@
 //! cluster and collect timing, breakdowns, checksums and call counts.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 use mv2_gpu_nc::GpuCluster;
-use sim_core::lock::Mutex;
 use sim_core::{Report, SimDur};
 
 use crate::params::{StencilParams, Variant};
@@ -76,9 +74,7 @@ pub fn run_stencil_on<T: Real>(
     variant: Variant,
     opts: RunOptions,
 ) -> (StencilOutcome, Vec<Report>) {
-    let reports: Arc<Mutex<Vec<RankReport>>> = Arc::new(Mutex::new(Vec::new()));
-    let collector = Arc::clone(&reports);
-    let (_, san) = cluster.run_with_reports(move |env| {
+    let out = cluster.try_run(move |env| {
         let mut rk = StencilRank::<T>::new(env, p);
         rk.timed = opts.timed_breakdown;
         env.comm.barrier();
@@ -118,12 +114,9 @@ pub fn run_stencil_on<T: Real>(
             loop_calls,
         };
         rk.free();
-        collector.lock().push(report);
+        report
     });
-    let mut ranks = Arc::try_unwrap(reports)
-        .map(|m| m.into_inner())
-        .unwrap_or_else(|a| a.lock().clone());
-    ranks.sort_by_key(|r| r.rank);
+    let (_, ranks, san) = out.unwrap();
     let wall = ranks
         .iter()
         .map(|r| r.elapsed)

@@ -28,7 +28,6 @@ pub use hostmem;
 pub use ib_sim;
 pub use mpi_sim;
 pub use mv2_gpu_nc;
-pub use osu_micro;
 pub use sim_core;
 pub use sim_trace;
 pub use simcheck;

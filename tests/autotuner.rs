@@ -7,22 +7,18 @@
 //! * After a convergence window, Adaptive must be within 10% of the best
 //!   static block size for the workload, without being told which one.
 
-use std::sync::Arc;
-
 use gpu_nc_repro::mpi_sim::{ChunkPolicy, MpiConfig};
 use gpu_nc_repro::mv2_gpu_nc::baselines::{fill_vector, VectorXfer};
 use gpu_nc_repro::mv2_gpu_nc::GpuCluster;
-use sim_core::lock::Mutex;
 
 /// One-way latency of `iters` back-to-back 4 MiB strided transfers,
 /// observed at the receiver (barrier-separated), in virtual nanoseconds.
 fn measure(cfg: MpiConfig, iters: u32) -> Vec<u64> {
-    let lat: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
-    let sink = Arc::clone(&lat);
-    GpuCluster::new(2).mpi_config(cfg).run(move |env| {
+    let out = GpuCluster::new(2).mpi_config(cfg).try_run(move |env| {
         let x = VectorXfer::paper(4 << 20);
         let dt = x.dtype();
         let dev = env.gpu.malloc(x.extent());
+        let mut lat = Vec::new();
         if env.comm.rank() == 0 {
             fill_vector(&env.gpu, dev, &x, 7);
         }
@@ -33,14 +29,13 @@ fn measure(cfg: MpiConfig, iters: u32) -> Vec<u64> {
                 env.comm.send(dev, 1, &dt, 1, it);
             } else {
                 env.comm.recv(dev, 1, &dt, 0, it);
-                sink.lock().push((sim_core::now() - t0).as_nanos());
+                lat.push((sim_core::now() - t0).as_nanos());
             }
         }
         env.gpu.free(dev);
+        lat
     });
-    let v = Arc::try_unwrap(lat)
-        .map(|m| m.into_inner())
-        .unwrap_or_else(|a| a.lock().clone());
+    let v = out.unwrap().1.swap_remove(1);
     assert_eq!(v.len(), iters as usize);
     v
 }
@@ -84,14 +79,12 @@ fn settled_strided_keys(hog: bool) -> Vec<String> {
         window_slots: 8,
         ..MpiConfig::default()
     };
-    let keys: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
-    let sink = Arc::clone(&keys);
     let iters = 16u32;
     // Uneven blocks classify as Irregular, keeping the hog's tuner keys
     // disjoint from the measured stream's Strided ones.
     let hog_blocks: &[(usize, isize)] = &[(2, 0), (1, 3)];
     let hog_count = |it: u32| (16 << 10) * (1 + (it % 3) as usize);
-    GpuCluster::new(3).mpi_config(cfg).run(move |env| {
+    let out = GpuCluster::new(3).mpi_config(cfg).try_run(move |env| {
         let x = VectorXfer::paper(1 << 20);
         let dt = x.dtype();
         let ht = Datatype::indexed(hog_blocks, &Datatype::double());
@@ -108,6 +101,7 @@ fn settled_strided_keys(hog: bool) -> Vec<String> {
                     env.comm.send(dev, 1, &dt, 1, it);
                 }
                 env.gpu.free(dev);
+                Vec::new()
             }
             1 => {
                 let dev = env.gpu.malloc(x.extent());
@@ -129,9 +123,9 @@ fn settled_strided_keys(hog: bool) -> Vec<String> {
                     .filter(|k| k.starts_with("tuner.settled.strided."))
                     .map(|k| k.to_string())
                     .collect();
-                *sink.lock() = settled;
                 env.gpu.free(dev);
                 env.gpu.free(hdev);
+                settled
             }
             _ => {
                 let hdev = env.gpu.malloc(hog_extent);
@@ -143,12 +137,11 @@ fn settled_strided_keys(hog: bool) -> Vec<String> {
                     }
                 }
                 env.gpu.free(hdev);
+                Vec::new()
             }
         }
     });
-    let mut v = Arc::try_unwrap(keys)
-        .map(|m| m.into_inner())
-        .unwrap_or_else(|a| a.lock().clone());
+    let mut v = out.unwrap().1.swap_remove(1);
     v.sort();
     v
 }

@@ -113,7 +113,6 @@ fn seeded_fault_campaign_is_carrier_deterministic() {
                 ..FaultSpec::seeded(11)
             }),
             recorder: off(),
-            ..ClusterParams::default()
         };
         run_mix(&params, &plans).jobs
     };

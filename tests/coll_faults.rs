@@ -10,14 +10,9 @@
 //! stream ([`ib_sim::FaultSpec`]); only virtual time and the retransmit
 //! counters may differ from a fault-free run.
 
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
-
 use gpu_nc_repro::ib_sim::FaultSpec;
 use gpu_nc_repro::mpi_sim::{CollAlgo, Datatype, MpiConfig, MpiWorld, ReduceOp, RetryConfig};
 use hostmem::{bytes_to_scalars, scalars_to_bytes, HostBuf};
-use sim_core::lock::Mutex;
 use sim_core::{instrument, SimTime};
 
 const N: usize = 8;
@@ -43,8 +38,6 @@ fn term(rank: usize, k: usize) -> f32 {
 /// everything it received to its digest. Returns the virtual end time and
 /// the per-rank digests.
 fn coll_campaign(algo: CollAlgo, ppn: usize, faults: Option<FaultSpec>) -> (SimTime, Vec<Vec<u8>>) {
-    let digests: Arc<Mutex<BTreeMap<usize, Vec<u8>>>> = Arc::new(Mutex::new(BTreeMap::new()));
-    let sink = Arc::clone(&digests);
     let mut cfg = MpiConfig {
         ppn,
         ..MpiConfig::default()
@@ -54,7 +47,7 @@ fn coll_campaign(algo: CollAlgo, ppn: usize, faults: Option<FaultSpec>) -> (SimT
     if let Some(spec) = faults {
         world = world.with_faults(spec);
     }
-    let end = world.run(move |comm| {
+    let out = world.try_run(move |comm| {
         let me = comm.rank();
         let byte = Datatype::byte();
         byte.commit();
@@ -183,13 +176,10 @@ fn coll_campaign(algo: CollAlgo, ppn: usize, faults: Option<FaultSpec>) -> (SimT
             digest.extend(mrecv.read(0, mn * 4));
         }
 
-        sink.lock().insert(me, digest);
+        digest
     });
-    let map = Arc::try_unwrap(digests)
-        .map(|m| m.into_inner())
-        .unwrap_or_else(|a| a.lock().clone());
-    assert_eq!(map.len(), N, "some rank never reported its digest");
-    (end, map.into_values().collect())
+    let (end, digests, _) = out.unwrap();
+    (end, digests)
 }
 
 #[test]
@@ -312,17 +302,16 @@ fn exhausted_retries_surface_from_a_collective() {
             ctrl_drop: 1.0,
             ..FaultSpec::seeded(8)
         };
-        let returned = Arc::new(AtomicUsize::new(0));
-        let sink = Arc::clone(&returned);
         let world = MpiWorld::new(2).with_config(cfg).with_faults(spec);
-        let (end, _) = world.try_run_with_reports(move |comm| {
+        let out = world.try_run(|comm| {
             let byte = Datatype::byte();
             byte.commit();
             let buf = HostBuf::alloc(1 << 20);
             comm.bcast(buf.base(), 1 << 20, &byte, 0);
-            sink.fetch_add(1, Ordering::Relaxed);
         });
-        let msg = end.expect_err("every RTS is dropped; the bcast cannot succeed");
+        let msg = out
+            .end
+            .expect_err("every RTS is dropped; the bcast cannot succeed");
         assert!(
             msg.contains("MPI_Bcast failed") && msg.contains("retries exhausted"),
             "{algo:?}: the error must name the collective and its cause: {msg}"
@@ -331,9 +320,8 @@ fn exhausted_retries_surface_from_a_collective() {
             !msg.contains("deadlock"),
             "{algo:?}: a failed collective must not surface as a hang: {msg}"
         );
-        assert_eq!(
-            returned.load(Ordering::Relaxed),
-            0,
+        assert!(
+            out.ranks.is_empty(),
             "{algo:?}: no rank may return from a bcast that failed"
         );
     }

@@ -6,8 +6,6 @@ use gpu_nc_repro::mpi_sim::{Datatype, MpiConfig};
 use gpu_nc_repro::mv2_gpu_nc::baselines::{fill_vector, verify_vector, VectorXfer};
 use gpu_nc_repro::mv2_gpu_nc::GpuCluster;
 use gpu_nc_repro::stencil2d::{run_stencil, RunOptions, StencilParams, Variant};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 #[test]
 fn eight_rank_ring_of_device_vectors() {
@@ -126,22 +124,21 @@ fn block_size_is_a_working_tunable() {
     // correct data, just different timing.
     let mut times = Vec::new();
     for block in [8 << 10, 64 << 10, 1 << 20] {
-        let out = Arc::new(AtomicU64::new(0));
-        let out2 = Arc::clone(&out);
-        GpuCluster::new(2).block_size(block).run(move |env| {
+        let out = GpuCluster::new(2).block_size(block).try_run(|env| {
             let x = VectorXfer::paper(2 << 20);
             let dev = env.gpu.malloc(x.extent());
             if env.comm.rank() == 0 {
                 fill_vector(&env.gpu, dev, &x, 3);
                 env.comm.send(dev, 1, &x.dtype(), 1, 0);
+                0
             } else {
                 let t0 = sim_core::now();
                 env.comm.recv(dev, 1, &x.dtype(), 0, 0);
                 verify_vector(&env.gpu, dev, &x, 3);
-                out2.store((sim_core::now() - t0).as_nanos(), Ordering::SeqCst);
+                (sim_core::now() - t0).as_nanos()
             }
         });
-        times.push(out.load(Ordering::SeqCst));
+        times.push(out.unwrap().1[1]);
     }
     // 64 KB (the tuned default) must beat both extremes.
     assert!(times[1] < times[0], "64K must beat 8K: {times:?}");

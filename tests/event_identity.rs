@@ -17,7 +17,6 @@ use hostmem::HostBuf;
 use mpi_sim::{ChunkPolicy, Datatype, MpiConfig, MpiWorld};
 use mv2_gpu_nc::baselines::{fill_vector, verify_vector, VectorXfer};
 use mv2_gpu_nc::{FaultSpec, GpuCluster, WakeTraceSink};
-use sim_core::lock::Mutex;
 use sim_core::{ExecMode, SanitizerMode, SimTime, WakeEvent};
 use sim_trace::Recorder;
 use simcheck::{explore, Budget, CheckScheduler, RunOutcome, Scenario, Schedule};
@@ -32,8 +31,6 @@ fn staged_vector_run(
     faults: Option<FaultSpec>,
     recorder: Option<Recorder>,
 ) -> (Vec<u64>, SimTime) {
-    let lat: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
-    let out = Arc::clone(&lat);
     let mut cluster = GpuCluster::new(2).exec(mode);
     if let Some(s) = sink {
         cluster = cluster.wake_trace(s);
@@ -44,10 +41,11 @@ fn staged_vector_run(
     if let Some(r) = recorder {
         cluster = cluster.recorder(r);
     }
-    let end = cluster.run(move |env| {
+    let out = cluster.try_run(|env| {
         let x = VectorXfer::paper(256 << 10);
         let dt = x.dtype();
         let dev = env.gpu.malloc(x.extent());
+        let mut lat = Vec::new();
         for it in 0..3u32 {
             env.comm.barrier();
             let t0 = sim_core::now();
@@ -57,13 +55,14 @@ fn staged_vector_run(
             } else {
                 env.comm.recv(dev, 1, &dt, 0, it);
                 verify_vector(&env.gpu, dev, &x, it as u8);
-                out.lock().push((sim_core::now() - t0).as_nanos());
+                lat.push((sim_core::now() - t0).as_nanos());
             }
         }
         env.gpu.free(dev);
+        lat
     });
-    let v = lat.lock().clone();
-    (v, end)
+    let (end, mut ranks, _) = out.unwrap();
+    (ranks.swap_remove(1), end)
 }
 
 /// Pipeline case: staged transfers produce identical per-iteration
@@ -159,22 +158,18 @@ fn fault_injection_identity() {
 /// node-leader algorithms. Returns the virtual end time, every rank's
 /// received bytes, and the trace event stream.
 fn collective_256rank_run(mode: ExecMode) -> (SimTime, Vec<Vec<u8>>, Vec<String>) {
-    use std::collections::BTreeMap;
-
     let n = 256usize;
-    let digests: Arc<Mutex<BTreeMap<usize, Vec<u8>>>> = Arc::new(Mutex::new(BTreeMap::new()));
-    let sink = Arc::clone(&digests);
     let rec = Recorder::new();
     let mut cfg = MpiConfig {
         ppn: 4,
         ..MpiConfig::default()
     };
     cfg.coll.algo = mpi_sim::CollAlgo::Hier;
-    let end = MpiWorld::new(n)
+    let out = MpiWorld::new(n)
         .with_config(cfg)
         .with_exec(mode)
         .with_recorder(rec.clone())
-        .run(move |comm| {
+        .try_run(move |comm| {
             let me = comm.rank();
             let f32t = Datatype::float();
             f32t.commit();
@@ -213,14 +208,11 @@ fn collective_256rank_run(mode: ExecMode) -> (SimTime, Vec<Vec<u8>>, Vec<String>
             );
             digest.extend(trecv.read(0, n * cnt * 4));
 
-            sink.lock().insert(me, digest);
+            digest
         });
-    let map = Arc::try_unwrap(digests)
-        .map(|m| m.into_inner())
-        .unwrap_or_else(|a| a.lock().clone());
-    assert_eq!(map.len(), n, "some rank never reported");
+    let (end, digests, _) = out.unwrap();
     let events = rec.events().iter().map(|e| format!("{e:?}")).collect();
-    (end, map.into_values().collect(), events)
+    (end, digests, events)
 }
 
 /// Collectives case at scale: a 256-rank hierarchical job must be two
@@ -258,7 +250,7 @@ fn checked_staged_run(mode: ExecMode, schedule: &Schedule) -> RunOutcome {
         .with_faults(FaultSpec::seeded(1))
         .with_sanitizer(SanitizerMode::Collect)
         .with_scheduler(checker.clone());
-    let (end, reports) = world.try_run_with_reports(|comm| {
+    let out = world.try_run(|comm| {
         let t = Datatype::vector(1 << 14, 1, 4, &Datatype::float());
         t.commit();
         if comm.rank() == 0 {
@@ -276,8 +268,8 @@ fn checked_staged_run(mode: ExecMode, schedule: &Schedule) -> RunOutcome {
         }
     });
     RunOutcome {
-        end: end.map(|t| t.as_nanos()),
-        reports,
+        end: out.end.map(|t| t.as_nanos()),
+        reports: out.reports,
         log: checker.log(),
     }
 }

@@ -8,8 +8,6 @@
 //! from a seeded xorshift stream, so every campaign here is exactly
 //! reproducible.
 
-use std::sync::Arc;
-
 use gpu_nc_repro::halo3d::{run_halo3d, run_halo3d_on, Halo3dParams, Variant as HaloVariant};
 use gpu_nc_repro::ib_sim::FaultSpec;
 use gpu_nc_repro::mpi_sim::{ChunkPolicy, Datatype, MpiConfig, MpiError, MpiWorld, RetryConfig};
@@ -18,7 +16,6 @@ use gpu_nc_repro::stencil2d::{
     run_stencil, run_stencil_on, RunOptions, StencilParams, Variant as StencilVariant,
 };
 use hostmem::HostBuf;
-use sim_core::lock::Mutex;
 use sim_core::{instrument, SanitizerMode};
 
 fn drop_and_error_spec(seed: u64) -> FaultSpec {
@@ -119,14 +116,11 @@ fn fault_campaign_is_clean_under_collect_sanitizer() {
 /// rendezvous direct (contiguous) and rendezvous staged (vector datatype).
 /// Returns the three receive buffers of the observing rank (rank 1).
 fn mixed_exchange(faults: Option<FaultSpec>, cfg: MpiConfig) -> (Vec<u8>, Vec<u8>, Vec<u8>) {
-    type Bufs = (Vec<u8>, Vec<u8>, Vec<u8>);
-    let out: Arc<Mutex<Bufs>> = Arc::new(Mutex::new((Vec::new(), Vec::new(), Vec::new())));
-    let sink = Arc::clone(&out);
     let mut world = MpiWorld::new(2).with_config(cfg);
     if let Some(spec) = faults {
         world = world.with_faults(spec);
     }
-    world.run(move |comm| {
+    let out = world.try_run(|comm| {
         let byte = Datatype::byte();
         byte.commit();
         // 64Ki rows of 4 bytes, stride 16 — non-contiguous, so the host
@@ -152,17 +146,13 @@ fn mixed_exchange(faults: Option<FaultSpec>, cfg: MpiConfig) -> (Vec<u8>, Vec<u8
             comm.isend(staged_tx.base(), 1, &vec_t, peer, 3),
         ];
         comm.waitall(reqs);
-        if comm.rank() == 1 {
-            *sink.lock() = (
-                eager_rx.read(0, 256),
-                direct_rx.read(0, 300 << 10),
-                staged_rx.read(0, 1 << 20),
-            );
-        }
+        (
+            eager_rx.read(0, 256),
+            direct_rx.read(0, 300 << 10),
+            staged_rx.read(0, 1 << 20),
+        )
     });
-    Arc::try_unwrap(out)
-        .map(|m| m.into_inner())
-        .unwrap_or_else(|a| a.lock().clone())
+    out.unwrap().1.swap_remove(1)
 }
 
 #[test]
@@ -197,24 +187,21 @@ fn fault_schedule_is_deterministic() {
             rdma_error: 0.05,
             ..FaultSpec::seeded(99)
         };
-        let data: Arc<Mutex<Vec<u8>>> = Arc::new(Mutex::new(Vec::new()));
-        let sink = Arc::clone(&data);
-        let end = MpiWorld::new(2).with_faults(spec).run(move |comm| {
+        let out = MpiWorld::new(2).with_faults(spec).try_run(|comm| {
             let t = Datatype::byte();
             t.commit();
             if comm.rank() == 0 {
                 let buf = HostBuf::from_vec((0..600 << 10).map(|i| (i % 241) as u8).collect());
                 comm.send(buf.base(), 600 << 10, &t, 1, 0);
+                Vec::new()
             } else {
                 let buf = HostBuf::alloc(600 << 10);
                 comm.recv(buf.base(), 600 << 10, &t, 0, 0);
-                *sink.lock() = buf.read(0, 600 << 10);
+                buf.read(0, 600 << 10)
             }
         });
-        let bytes = Arc::try_unwrap(data)
-            .map(|m| m.into_inner())
-            .unwrap_or_else(|a| a.lock().clone());
-        (end, bytes)
+        let (end, mut ranks, _) = out.unwrap();
+        (end, ranks.swap_remove(1))
     };
     let (end_a, data_a) = run();
     let (end_b, data_b) = run();
@@ -240,27 +227,25 @@ fn pin_limit_degrades_direct_to_staged() {
         ..FaultSpec::seeded(5)
     };
     let before = instrument::global().snapshot();
-    let ok: Arc<Mutex<bool>> = Arc::new(Mutex::new(false));
-    let sink = Arc::clone(&ok);
-    MpiWorld::new(2)
+    let out = MpiWorld::new(2)
         .with_config(cfg)
         .with_faults(spec)
-        .run(move |comm| {
+        .try_run(|comm| {
             let t = Datatype::byte();
             t.commit();
             let n = 1 << 20;
             if comm.rank() == 0 {
                 let buf = HostBuf::from_vec((0..n).map(|i| (i % 253) as u8).collect());
                 comm.send(buf.base(), n, &t, 1, 0);
+                false
             } else {
                 let buf = HostBuf::alloc(n);
                 let st = comm.recv(buf.base(), n, &t, 0, 0);
                 assert_eq!(st.bytes, n);
-                assert!((0..n).all(|i| buf.read(i, 1)[0] == (i % 253) as u8));
-                *sink.lock() = true;
+                (0..n).all(|i| buf.read(i, 1)[0] == (i % 253) as u8)
             }
         });
-    assert!(*ok.lock(), "receiver never validated the payload");
+    assert!(out.unwrap().1[1], "the receiver's payload is wrong");
     let delta = instrument::global().delta(&before);
     assert!(
         delta.get("fault.reg_fail").copied().unwrap_or(0) > 0,
@@ -287,29 +272,25 @@ fn exhausted_retries_surface_a_typed_error() {
         ctrl_drop: 1.0,
         ..FaultSpec::seeded(8)
     };
-    let saw: Arc<Mutex<Option<MpiError>>> = Arc::new(Mutex::new(None));
-    let sink = Arc::clone(&saw);
-    MpiWorld::new(2)
+    let out = MpiWorld::new(2)
         .with_config(cfg)
         .with_faults(spec)
-        .run(move |comm| {
+        .try_run(|comm| {
             let t = Datatype::byte();
             t.commit();
             if comm.rank() == 0 {
                 let buf = HostBuf::alloc(1 << 20);
                 let req = comm.isend(buf.base(), 1 << 20, &t, 1, 0);
-                let err = comm
-                    .wait_result(req)
-                    .expect_err("every RTS is dropped; the send cannot succeed");
-                *sink.lock() = Some(err);
+                let err = comm.wait_result(req);
+                Some(err.expect_err("every RTS is dropped; the send cannot succeed"))
             } else {
                 // Stay alive (in virtual time) while rank 0 burns through
                 // its retry budget; never post the receive.
                 sim_core::sleep(sim_core::SimDur::from_millis(10));
+                None
             }
         });
-    let err = saw.lock().clone().expect("rank 0 never reported");
-    match err {
+    match out.unwrap().1.swap_remove(0).expect("rank 0's error") {
         MpiError::RetriesExhausted { op, peer, attempts } => {
             assert_eq!(op, "rts");
             assert_eq!(peer, 1);

@@ -3,50 +3,58 @@
 //! (`MpiWorld::launch`) builds it. One host-buffer program run under both
 //! must therefore end at the same virtual instant with the same per-rank
 //! call counters, whichever knob is turned — and each knob must visibly
-//! take effect, so that one dropped on *both* sides cannot hide.
+//! take effect, so that one dropped on *both* sides cannot hide. What the
+//! ranks return comes back with the run ([`Outcome`]), in rank order.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use gpu_nc_repro::ib_sim::{CtrlAction, CtrlPoint, DeliveryScheduler, FaultSpec, Topology};
-use gpu_nc_repro::mpi_sim::{Comm, Datatype, MpiWorld, ReduceOp, Seat};
+use gpu_nc_repro::mpi_sim::{
+    Comm, Datatype, MpiConfig, MpiWorld, Outcome, ReduceOp, Seat, SeededBug,
+};
 use gpu_nc_repro::mv2_gpu_nc::GpuCluster;
 use hostmem::{bytes_to_scalars, scalars_to_bytes, HostBuf};
-use sim_core::lock::Mutex;
 use sim_core::{ExecMode, Report, SanitizerMode, SimDur, SimTime};
 use sim_trace::Recorder;
 
 const RANKS: usize = 4;
+/// The two messages of [`ping_pong`], one eager and one rendezvous.
+const PING_PONG: [(u32, usize); 2] = [(0, 256), (1, 300 << 10)];
 
 type Counters = BTreeMap<&'static str, u64>;
-type Sink = Arc<Mutex<Vec<(usize, Counters)>>>;
+/// What [`program`] returns on one rank: the rank, the bytes it received,
+/// its call counters.
+type Seen = (usize, usize, Counters);
 
 /// Eager + rendezvous ping-pong between rank pairs `(2k, 2k+1)`, then a
-/// barrier, all on host buffers.
-fn ping_pong(comm: &Comm) {
+/// barrier, all on host buffers. Returns the bytes received.
+fn ping_pong(comm: &Comm) -> usize {
     let byte = Datatype::byte();
     byte.commit();
     let (me, peer) = (comm.rank(), comm.rank() ^ 1);
-    for (tag, len) in [(0u32, 256usize), (1, 300 << 10)] {
+    let mut received = 0;
+    for (tag, len) in PING_PONG {
         let ping = HostBuf::from_vec(vec![me as u8 + 1; len]);
         let pong = HostBuf::alloc(len);
         if me.is_multiple_of(2) {
             comm.send(ping.base(), len, &byte, peer, tag);
-            comm.recv(pong.base(), len, &byte, peer, tag);
+            received += comm.recv(pong.base(), len, &byte, peer, tag).bytes;
         } else {
-            comm.recv(pong.base(), len, &byte, peer, tag);
+            received += comm.recv(pong.base(), len, &byte, peer, tag).bytes;
             comm.send(ping.base(), len, &byte, peer, tag);
         }
         assert_eq!(pong.read(0, len), vec![peer as u8 + 1; len]);
     }
     comm.barrier();
+    received
 }
 
 /// [`ping_pong`] and an allreduce (host buffers, so `MpiWorld`'s host-only
-/// communicator can run it). Leaves the rank's call counters in `sink`.
-fn program(comm: &Comm, sink: &Sink) {
-    ping_pong(comm);
+/// communicator can run it).
+fn program(comm: &Comm) -> Seen {
+    let received = ping_pong(comm);
     let me = comm.rank();
     let int = Datatype::int();
     int.commit();
@@ -54,7 +62,7 @@ fn program(comm: &Comm, sink: &Sink) {
     let sum = HostBuf::alloc(4);
     comm.allreduce(mine.base(), sum.base(), 1, &int, ReduceOp::Sum);
     assert_eq!(bytes_to_scalars::<i32>(&sum.read(0, 4)), vec![10]);
-    sink.lock().push((me, comm.counters().snapshot()));
+    (me, received, comm.counters().snapshot())
 }
 
 /// Drops the first wire control packet it is shown, delivers the rest.
@@ -93,8 +101,8 @@ enum Knob {
 #[derive(Debug, PartialEq)]
 struct Observed {
     end: SimTime,
-    /// Per-rank `Comm::counters()` snapshots, in rank order.
-    counters: Vec<(usize, Counters)>,
+    /// What each rank returned, as the launcher ordered it.
+    ranks: Vec<Seen>,
     /// Sanitizer reports, rendered.
     reports: Vec<String>,
     shm_bytes: u64,
@@ -102,14 +110,8 @@ struct Observed {
 }
 
 impl Observed {
-    fn gather(
-        (end, reports): (SimTime, Vec<Report>),
-        sink: Sink,
-        rec: &Recorder,
-        scheduler: &DropFirst,
-    ) -> Observed {
-        let mut counters = std::mem::take(&mut *sink.lock());
-        counters.sort_by_key(|(rank, _)| *rank);
+    fn gather(out: Outcome<Seen>, rec: &Recorder, scheduler: &DropFirst) -> Observed {
+        let (end, ranks, reports) = out.unwrap();
         let shm_bytes = rec
             .metrics()
             .iter()
@@ -118,7 +120,7 @@ impl Observed {
             .sum();
         Observed {
             end,
-            counters,
+            ranks,
             reports: reports.iter().map(Report::to_string).collect(),
             shm_bytes,
             scheduler_calls: scheduler.calls.load(Ordering::SeqCst),
@@ -126,9 +128,9 @@ impl Observed {
     }
 
     fn retries(&self) -> u64 {
-        self.counters
+        self.ranks
             .iter()
-            .flat_map(|(_, c)| c.iter())
+            .flat_map(|(_, _, c)| c.iter())
             .filter(|(k, _)| k.starts_with("retry."))
             .map(|(_, v)| v)
             .sum()
@@ -149,10 +151,7 @@ fn under_world(knob: &Knob) -> Observed {
             .with_faults(FaultSpec::seeded(3))
             .with_scheduler(scheduler.clone()),
     };
-    let sink = Sink::default();
-    let out = Arc::clone(&sink);
-    let ran = w.run_with_reports(move |comm| program(&comm, &out));
-    Observed::gather(ran, sink, &rec, &scheduler)
+    Observed::gather(w.try_run(|comm| program(&comm)), &rec, &scheduler)
 }
 
 fn under_cluster(knob: &Knob) -> Observed {
@@ -167,10 +166,7 @@ fn under_cluster(knob: &Knob) -> Observed {
         Knob::CollectSanitizer => c.sanitizer(SanitizerMode::Collect),
         Knob::DropFirstScheduler => c.faults(FaultSpec::seeded(3)).scheduler(scheduler.clone()),
     };
-    let sink = Sink::default();
-    let out = Arc::clone(&sink);
-    let ran = c.run_with_reports(move |env| program(&env.comm, &out));
-    Observed::gather(ran, sink, &rec, &scheduler)
+    Observed::gather(c.try_run(|env| program(&env.comm)), &rec, &scheduler)
 }
 
 #[test]
@@ -196,7 +192,10 @@ fn both_launchers_build_the_same_world_for_every_knob() {
     for (name, knob) in &cases {
         let (world, cluster) = (under_world(knob), under_cluster(knob));
         assert_eq!(world, cluster, "{name}: the two launchers diverged");
-        assert_eq!(world.counters.len(), RANKS, "{name}");
+        // Every rank's value came back, in rank order.
+        let seen = world.ranks.iter().map(|(rank, bytes, _)| (*rank, *bytes));
+        let bytes: usize = PING_PONG.iter().map(|(_, len)| len).sum();
+        assert!(seen.eq((0..RANKS).map(|r| (r, bytes))), "{name}");
         assert!(world.reports.is_empty(), "{name}: {:?}", world.reports);
         // The knob took effect (a knob ignored by both launchers would
         // still compare equal above).
@@ -208,8 +207,8 @@ fn both_launchers_build_the_same_world_for_every_knob() {
             }
             // The carrier must *not* move virtual time or a counter.
             Knob::Exec(_) => assert_eq!(
-                (world.end, &world.counters),
-                (baseline.end, &baseline.counters),
+                (world.end, &world.ranks),
+                (baseline.end, &baseline.ranks),
                 "{name}"
             ),
             Knob::Faults(_) => assert!(world.retries() > 0, "{name}: nothing retried"),
@@ -228,11 +227,58 @@ fn a_panicking_rank_reports_the_same_message_from_both_launchers() {
             panic!("rank {rank} gives up");
         }
     };
-    let (world, _) = MpiWorld::new(2).try_run_with_reports(move |comm| boom(comm.rank()));
-    let (cluster, _) = GpuCluster::new(2).try_run_with_reports(move |env| boom(env.comm.rank()));
+    let world = MpiWorld::new(2).try_run(move |comm| boom(comm.rank())).end;
+    let cluster = GpuCluster::new(2)
+        .try_run(move |env| boom(env.comm.rank()))
+        .end;
     let message = world.expect_err("the world must report the panic");
     assert!(message.contains("rank 1 gives up"), "{message}");
     assert_eq!(Err(message), cluster);
+}
+
+/// A job that dies still returns: `end` carries the panic's message,
+/// `reports` what the collecting sanitizer had seen by then (here the
+/// oversized shm eager payload of `SeededBug::ShmEagerOversize`), and
+/// `ranks` only the ranks that had returned — from both launchers alike.
+#[test]
+fn a_run_that_dies_returns_its_message_its_reports_and_the_ranks_that_finished() {
+    fn body(comm: &Comm) -> usize {
+        let byte = Datatype::byte();
+        byte.commit();
+        let n = 40 << 10; // eager only under the seeded bug
+        if comm.rank() == 0 {
+            comm.send(HostBuf::from_vec(vec![5u8; n]).base(), n, &byte, 1, 0);
+        } else {
+            comm.recv(HostBuf::alloc(n).base(), n, &byte, 0, 0);
+            panic!("rank 1 gives up after {n} bytes");
+        }
+        comm.rank()
+    }
+    let cfg = MpiConfig {
+        seeded_bug: Some(SeededBug::ShmEagerOversize),
+        ppn: 2,
+        ..MpiConfig::default()
+    };
+    let world = MpiWorld::new(2)
+        .with_config(cfg.clone())
+        .with_sanitizer(SanitizerMode::Collect)
+        .try_run(|comm| body(&comm));
+    let cluster = GpuCluster::new(2)
+        .mpi_config(cfg)
+        .sanitizer(SanitizerMode::Collect)
+        .try_run(|env| body(&env.comm));
+    for (name, out) in [("world", world), ("cluster", cluster)] {
+        let message = out.end.expect_err("the run must report the panic");
+        assert!(message.contains("rank 1 gives up after 40960"), "{name}");
+        let reports: Vec<String> = out.reports.iter().map(Report::to_string).collect();
+        assert!(
+            reports
+                .iter()
+                .any(|r| r.contains("exceeds the eager limit")),
+            "{name}: {reports:?}"
+        );
+        assert!(out.ranks.len() < 2, "{name}: {:?}", out.ranks);
+    }
 }
 
 /// A finished world is freed, not leaked: whatever `setup` hung on the
@@ -247,16 +293,15 @@ fn a_finished_world_is_freed() {
     // A timer far past the job's end: `run` returns with it un-fired, so
     // only the kernel's own drop releases what its closure holds.
     let never = SimTime::ZERO + SimDur::from_millis(3_600_000);
-    let (ran, _) = MpiWorld::new(2).launch(
+    let out = MpiWorld::new(2).launch(
         move |sim, _, _| sim.schedule_at(never, move || drop(held)),
         |(), s: Seat| {
-            let no_stagers = Arc::new(Vec::new());
-            let comm = Comm::create_traced(s.nic, s.rank, s.size, s.cfg, no_stagers, &s.recorder);
+            let comm = Comm::create_traced(s.nic, s.rank, s.size, s.cfg, None, &s.recorder);
             ping_pong(&comm);
             comm.finalize();
         },
     );
-    ran.expect("the world runs to completion");
+    out.end.expect("the world runs to completion");
     assert_eq!(
         Arc::strong_count(&sentinel),
         1,

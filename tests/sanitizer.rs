@@ -92,10 +92,10 @@ fn staged_transfer_reports(fault: bool) -> Vec<Report> {
         seeded_bug: fault.then_some(SeededBug::LeakVbuf),
         ..MpiConfig::default()
     };
-    let (_end, reports) = GpuCluster::new(2)
+    let out = GpuCluster::new(2)
         .mpi_config(cfg)
         .sanitizer(SanitizerMode::Collect)
-        .run_with_reports(|env| {
+        .try_run(|env| {
             let x = VectorXfer::paper(512 << 10);
             let dev = env.gpu.malloc(x.extent());
             if env.comm.rank() == 0 {
@@ -105,7 +105,7 @@ fn staged_transfer_reports(fault: bool) -> Vec<Report> {
                 recv_mv2(&env.comm, dev, x, 0, 0);
             }
         });
-    reports
+    out.unwrap().2
 }
 
 #[test]
@@ -146,11 +146,11 @@ fn d2d_transfer_reports(fault: bool) -> Vec<Report> {
         seeded_bug: fault.then_some(SeededBug::DropDevCredit),
         ..MpiConfig::default()
     };
-    let (_end, reports) = GpuCluster::new(2)
+    let out = GpuCluster::new(2)
         .mpi_config(cfg)
         .ppn(2) // co-located: the D2D (shared-GPU) rendezvous path
         .sanitizer(SanitizerMode::Collect)
-        .run_with_reports(|env| {
+        .try_run(|env| {
             let x = VectorXfer::paper(64 << 10);
             let dev = env.gpu.malloc(x.extent());
             if env.comm.rank() == 0 {
@@ -171,7 +171,7 @@ fn d2d_transfer_reports(fault: bool) -> Vec<Report> {
                 env.comm.recv(dev, 1, &x.dtype(), 0, 0);
             }
         });
-    reports
+    out.unwrap().2
 }
 
 #[test]
@@ -206,12 +206,12 @@ fn shm_eager_reports(fault: bool) -> Vec<Report> {
         seeded_bug: fault.then_some(SeededBug::ShmEagerOversize),
         ..MpiConfig::default()
     };
-    let n = 40 << 10; // between shm_eager_limit (32 KiB) and 2x
-    let (_end, reports) = MpiWorld::new(2)
+    let n = 40 << 10; // between SHM_EAGER_LIMIT (32 KiB) and 2x
+    let out = MpiWorld::new(2)
         .with_config(cfg)
         .with_ppn(2)
         .with_sanitizer(SanitizerMode::Collect)
-        .run_with_reports(move |comm| {
+        .try_run(move |comm| {
             let t = Datatype::byte();
             t.commit();
             if comm.rank() == 0 {
@@ -224,7 +224,7 @@ fn shm_eager_reports(fault: bool) -> Vec<Report> {
                 assert_eq!(buf.read(0, n), vec![5u8; n], "payload still delivered");
             }
         });
-    reports
+    out.unwrap().2
 }
 
 #[test]
@@ -303,9 +303,9 @@ fn deadlock_names_parked_processes() {
 /// reports, so the sanitizer can stay on in benchmark runs.
 #[test]
 fn benchmark_workloads_clean_under_sanitizer() {
-    let (_end, reports) = GpuCluster::new(2)
+    let out = GpuCluster::new(2)
         .sanitizer(SanitizerMode::Collect)
-        .run_with_reports(|env| {
+        .try_run(|env| {
             // Staged non-contiguous pipeline, both directions.
             let x = VectorXfer::paper(256 << 10);
             let dev = env.gpu.malloc(x.extent());
@@ -331,6 +331,7 @@ fn benchmark_workloads_clean_under_sanitizer() {
                 }
             }
         });
+    let reports = out.unwrap().2;
     assert!(
         reports.is_empty(),
         "benchmark workloads must be sanitizer-clean: {reports:?}"

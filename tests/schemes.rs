@@ -17,12 +17,11 @@ use gpu_nc_repro::mpi_sim::{
 };
 use gpu_nc_repro::simcheck::{explore, scenarios, silence_expected_panics, Schedule};
 use hostmem::HostBuf;
-use sim_core::lock::Mutex;
 use sim_core::{instrument, SimTime};
 
 /// The layout zoo: one datatype per [`Canonical`](gpu_nc_repro::mpi_sim::Canonical)
 /// form, every payload rendezvous-sized and (for the regular shapes) above
-/// the `offload_min_bytes` threshold so the Auto policy is willing to
+/// the `OFFLOAD_MIN_BYTES` threshold so the Auto policy is willing to
 /// offload.
 #[derive(Copy, Clone, Debug)]
 enum Zoo {
@@ -68,8 +67,6 @@ fn zoo_type(z: Zoo) -> (Datatype, usize, usize, usize) {
 /// policy: returns the job's virtual end time and the receiver's *entire*
 /// buffer (holes included — hole corruption must show up too).
 fn exchange(z: Zoo, scheme: SchemeSel, faults: Option<FaultSpec>) -> (SimTime, Vec<u8>) {
-    let out: Arc<Mutex<Vec<u8>>> = Arc::new(Mutex::new(Vec::new()));
-    let sink = Arc::clone(&out);
     let cfg = MpiConfig {
         scheme,
         ..MpiConfig::default()
@@ -78,22 +75,22 @@ fn exchange(z: Zoo, scheme: SchemeSel, faults: Option<FaultSpec>) -> (SimTime, V
     if let Some(spec) = faults {
         world = world.with_faults(spec);
     }
-    let end = world.run(move |comm| {
+    let out = world.try_run(move |comm| {
         let (t, count, bufsize, payload) = zoo_type(z);
         t.commit();
         if comm.rank() == 0 {
             let buf = HostBuf::from_vec((0..bufsize).map(|i| (i % 251) as u8).collect());
             comm.send(buf.base(), count, &t, 1, 0);
+            Vec::new()
         } else {
             let buf = HostBuf::alloc(bufsize);
             let st = comm.recv(buf.base(), count, &t, 0, 0);
             assert_eq!(st.bytes, payload, "{z:?}: wrong payload size");
-            *sink.lock() = buf.read(0, bufsize);
+            buf.read(0, bufsize)
         }
     });
-    let bytes = std::mem::take(&mut *out.lock());
-    assert!(!bytes.is_empty(), "{z:?}: receiver never recorded");
-    (end, bytes)
+    let (end, mut ranks, _) = out.unwrap();
+    (end, ranks.swap_remove(1))
 }
 
 #[test]
@@ -145,27 +142,22 @@ fn forced_offload_on_irregular_is_rejected_with_a_typed_error() {
         scheme: SchemeSel::Force(DataScheme::NicOffload),
         ..MpiConfig::default()
     };
-    let saw: Arc<Mutex<Option<MpiError>>> = Arc::new(Mutex::new(None));
-    let sink = Arc::clone(&saw);
-    MpiWorld::new(2).with_config(cfg).run(move |comm| {
-        if comm.rank() == 0 {
+    let out = MpiWorld::new(2).with_config(cfg).try_run(|comm| {
+        // Rank 1 never posts a receive: the rejection happens sender-side.
+        (comm.rank() == 0).then(|| {
             let (t, count, bufsize, _) = zoo_type(Zoo::Irregular);
             t.commit();
             let buf = HostBuf::alloc(bufsize);
             let req = comm.isend(buf.base(), count, &t, 1, 0);
-            let err = comm
-                .wait_result(req)
-                .expect_err("forced offload on an irregular layout must be rejected");
-            *sink.lock() = Some(err);
-        }
-        // Rank 1 never posts a receive: the rejection happens sender-side.
+            comm.wait_result(req)
+                .expect_err("forced offload on an irregular layout must be rejected")
+        })
     });
-    let err = saw.lock().clone().expect("rank 0 never reported");
     assert_eq!(
-        err,
-        MpiError::Rejected {
+        out.unwrap().1[0],
+        Some(MpiError::Rejected {
             err: ConfigError::ForcedOffloadIrregular
-        },
+        }),
         "wrong rejection surfaced"
     );
 }
@@ -177,8 +169,6 @@ fn desc_fetch_faults_retry_and_deliver_intact() {
     // re-post the scatter/gather write and the delivered bytes must be
     // identical to a fault-free run — only the retry counters differ.
     let campaign = |faults: Option<FaultSpec>| -> Vec<Vec<u8>> {
-        let out: Arc<Mutex<Vec<Vec<u8>>>> = Arc::new(Mutex::new(Vec::new()));
-        let sink = Arc::clone(&out);
         let cfg = MpiConfig {
             scheme: SchemeSel::Force(DataScheme::NicOffload),
             ..MpiConfig::default()
@@ -187,9 +177,10 @@ fn desc_fetch_faults_retry_and_deliver_intact() {
         if let Some(spec) = faults {
             world = world.with_faults(spec);
         }
-        world.run(move |comm| {
+        let out = world.try_run(|comm| {
             let (t, count, bufsize, _) = zoo_type(Zoo::Strided2d);
             t.commit();
+            let mut got = Vec::new();
             for tag in 0..8u32 {
                 if comm.rank() == 0 {
                     let fill = tag as usize;
@@ -199,12 +190,12 @@ fn desc_fetch_faults_retry_and_deliver_intact() {
                 } else {
                     let buf = HostBuf::alloc(bufsize);
                     comm.recv(buf.base(), count, &t, 0, tag);
-                    sink.lock().push(buf.read(0, bufsize));
+                    got.push(buf.read(0, bufsize));
                 }
             }
+            got
         });
-        let got = std::mem::take(&mut *out.lock());
-        got
+        out.unwrap().1.swap_remove(1)
     };
     let clean = campaign(None);
     let before = instrument::global().snapshot();
@@ -316,9 +307,6 @@ struct FaultCase {
 /// `c`'s faults; returns every received buffer and both ranks' own
 /// counters (summed), read behind a barrier so recovery has settled.
 fn rput_run(k: &RputKind, c: &FaultCase) -> (Vec<Vec<u8>>, BTreeMap<&'static str, u64>) {
-    type Out = (Vec<Vec<u8>>, BTreeMap<&'static str, u64>);
-    let out: Arc<Mutex<Out>> = Arc::new(Mutex::new((Vec::new(), BTreeMap::new())));
-    let sink = Arc::clone(&out);
     let cfg = MpiConfig {
         scheme: k.scheme,
         policy: ChunkPolicy::Fixed,
@@ -336,9 +324,10 @@ fn rput_run(k: &RputKind, c: &FaultCase) -> (Vec<Vec<u8>>, BTreeMap<&'static str
         }));
     }
     let (zoo, sender_pad, messages) = (k.zoo, c.sender_pad, c.messages);
-    world.run(move |comm| {
+    let out = world.try_run(move |comm| {
         let (t, count, bufsize, payload) = zoo_type(zoo);
         t.commit();
+        let mut got = Vec::new();
         for tag in 0..messages {
             if comm.rank() == 0 {
                 let fill = |i| ((i + tag as usize) % 251) as u8;
@@ -348,16 +337,18 @@ fn rput_run(k: &RputKind, c: &FaultCase) -> (Vec<Vec<u8>>, BTreeMap<&'static str
                 let buf = HostBuf::alloc(bufsize);
                 let st = comm.recv(buf.base(), count, &t, 0, tag);
                 assert_eq!(st.bytes, payload);
-                sink.lock().0.push(buf.read(0, bufsize));
+                got.push(buf.read(0, bufsize));
             }
         }
         comm.barrier();
-        for (name, n) in comm.counters().snapshot() {
-            *sink.lock().1.entry(name).or_insert(0) += n;
-        }
+        (got, comm.counters().snapshot())
     });
-    let got = std::mem::take(&mut *out.lock());
-    got
+    let mut summed = BTreeMap::new();
+    let mut ranks = out.unwrap().1;
+    for (name, n) in ranks.iter().flat_map(|(_, counters)| counters) {
+        *summed.entry(*name).or_insert(0) += n;
+    }
+    (ranks.swap_remove(1).0, summed)
 }
 
 #[test]

@@ -4,13 +4,10 @@
 //! byte-identical payloads whether the two ranks share a node or sit on
 //! different ones — and the co-located run never touches the HCA.
 
-use std::sync::Arc;
-
 use gpu_nc_repro::halo3d::{run_halo3d_on, Halo3dParams, Variant};
 use gpu_nc_repro::mpi_sim::{Datatype, SubarrayOrder};
 use gpu_nc_repro::mv2_gpu_nc::GpuCluster;
 use gpu_nc_repro::sim_trace::Recorder;
-use sim_core::lock::Mutex;
 use sim_core::SanitizerMode;
 
 /// Run the three datatype-zoo transfers between two ranks placed by `ppn`
@@ -18,17 +15,15 @@ use sim_core::SanitizerMode;
 /// return the receiver's full buffer bytes per transfer, plus the node-0
 /// HCA transmit byte count.
 fn zoo_payloads(ppn: usize) -> (Vec<Vec<u8>>, u64) {
-    type Payloads = Arc<Mutex<Vec<(u32, Vec<u8>)>>>;
     let rec = Recorder::new();
-    let payloads: Payloads = Arc::new(Mutex::new(Vec::new()));
-    let sink = Arc::clone(&payloads);
-    GpuCluster::new(2)
+    let out = GpuCluster::new(2)
         .ppn(ppn)
         .recorder(rec.clone())
-        .run(move |env| {
+        .try_run(|env| {
             let comm = &env.comm;
             let gpu = &env.gpu;
             let me = comm.rank();
+            let mut payloads = Vec::new();
 
             // 1. 2-D subarray: a 64x64 f64 tile at (100, 200) of a 512x512 grid.
             let grid = Datatype::subarray(
@@ -46,7 +41,7 @@ fn zoo_payloads(ppn: usize) -> (Vec<Vec<u8>>, u64) {
                 comm.send(field, 1, &grid, 1, 0);
             } else {
                 comm.recv(field, 1, &grid, 0, 0);
-                sink.lock().push((0, gpu.read_bytes(field, 512 * 512 * 8)));
+                payloads.push(gpu.read_bytes(field, 512 * 512 * 8));
             }
 
             // 2. Indexed gather: 512 irregular 3-int blocks every 17 ints.
@@ -60,8 +55,7 @@ fn zoo_payloads(ppn: usize) -> (Vec<Vec<u8>>, u64) {
                 comm.send(sparse, 1, &idx, 1, 1);
             } else {
                 comm.recv(sparse, 1, &idx, 0, 1);
-                sink.lock()
-                    .push((1, gpu.read_bytes(sparse, (512 * 17 + 16) * 4)));
+                payloads.push(gpu.read_bytes(sparse, (512 * 17 + 16) * 4));
             }
 
             // 3. Resized struct: interleaved (i32 id, f64 mass) records.
@@ -78,19 +72,16 @@ fn zoo_payloads(ppn: usize) -> (Vec<Vec<u8>>, u64) {
                 comm.send(particles, 1000, &particle, 1, 2);
             } else {
                 comm.recv(particles, 1000, &particle, 0, 2);
-                sink.lock().push((2, gpu.read_bytes(particles, 1000 * 16)));
+                payloads.push(gpu.read_bytes(particles, 1000 * 16));
             }
+            payloads
         });
     let hca_tx = rec
         .metrics()
         .get("node0.hca.tx_bytes")
         .copied()
         .unwrap_or(0);
-    let mut got = Arc::try_unwrap(payloads)
-        .map(|m| m.into_inner())
-        .unwrap_or_else(|a| a.lock().clone());
-    got.sort_by_key(|(tag, _)| *tag);
-    (got.into_iter().map(|(_, bytes)| bytes).collect(), hca_tx)
+    (out.unwrap().1.swap_remove(1), hca_tx)
 }
 
 #[test]
