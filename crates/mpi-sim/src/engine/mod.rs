@@ -289,7 +289,11 @@ fn env_matches(env: &Envelope, ctx: u16, src: SrcSel, tag: TagSel) -> bool {
     env.ctx == ctx && src.0.is_none_or(|s| s == env.src) && tag.0.is_none_or(|t| t == env.tag)
 }
 
-/// A message larger than the receive it matched: report and panic.
+/// A message larger than the receive it matched (`MPI_ERR_TRUNCATE`), on
+/// the eager and the rendezvous path alike. Fatal, as under MPI's default
+/// `MPI_ERRORS_ARE_FATAL` handler: the sanitizer gets the report and the job
+/// aborts (`Outcome::end` is `Err`). A typed error on the receive alone
+/// would leave a rendezvous sender waiting for a CTS that never comes.
 fn truncated(bytes: usize, capacity: usize) -> ! {
     violation(format_args!(
         "message truncated: {bytes} bytes into a {capacity}-byte receive"
@@ -519,16 +523,23 @@ impl Engine {
         }
     }
 
+    /// A host post must fit its buffer. A footprint or a message size that
+    /// overflows fits none: refused here in every build profile, before a
+    /// wrapped size could pass for a small one.
     fn check_host_bounds(buf: &Loc, count: usize, dt: &Datatype) {
-        if let Loc::Host(p) = buf {
-            let (lo, hi) = dt.flat().byte_range(count);
-            let lo_abs = p.offset() as isize + lo;
-            let hi_abs = p.offset() as isize + hi;
-            assert!(
-                lo_abs >= 0 && hi_abs as usize <= p.buf().len(),
-                "datatype footprint [{lo_abs}, {hi_abs}) exceeds host buffer of {} bytes",
-                p.buf().len()
-            );
+        let Loc::Host(p) = buf else { return };
+        let (flat, len) = (dt.flat(), p.buf().len());
+        let base = p.offset() as isize;
+        let abs = flat.total_bytes(count).and(flat.byte_range(count));
+        match abs.and_then(|(lo, hi)| Some((base.checked_add(lo)?, base.checked_add(hi)?))) {
+            Some((lo, hi)) if lo >= 0 && hi as usize <= len => {}
+            Some((lo, hi)) => {
+                panic!("datatype footprint [{lo}, {hi}) exceeds host buffer of {len} bytes")
+            }
+            None => panic!(
+                "datatype footprint of {count} elements overflows and exceeds host buffer \
+                 of {len} bytes"
+            ),
         }
     }
 

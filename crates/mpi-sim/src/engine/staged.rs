@@ -188,7 +188,7 @@ impl Engine {
         // the sender learns it from the CTS.
         let (chunk_size, tune_key) = match self.cfg.policy {
             ChunkPolicy::Fixed => (self.cfg.chunk_size, None),
-            ChunkPolicy::Adaptive { .. } => {
+            ChunkPolicy::Adaptive => {
                 let key = TuneKey::new(total, &st.shape);
                 (self.tuner.choose(key), Some(key))
             }

@@ -292,9 +292,9 @@ impl FlatType {
         self.extent
     }
 
-    /// Total data bytes for `count` elements.
-    pub fn total_bytes(&self, count: usize) -> usize {
-        self.size * count
+    /// Total data bytes for `count` elements; `None` when that overflows.
+    pub fn total_bytes(&self, count: usize) -> Option<usize> {
+        self.size.checked_mul(count)
     }
 
     /// Runs for `count` elements (element `i` shifted by `i * extent`),
@@ -333,10 +333,10 @@ impl FlatType {
 
     /// Smallest and one-past-largest byte offsets touched by `count`
     /// elements (used for buffer bounds checking). Returns `(0, 0)` for
-    /// empty types.
-    pub fn byte_range(&self, count: usize) -> (isize, isize) {
+    /// empty types, and `None` when an offset is not representable.
+    pub fn byte_range(&self, count: usize) -> Option<(isize, isize)> {
         if self.size == 0 || count == 0 {
-            return (0, 0);
+            return Some((0, 0));
         }
         let lo = self.runs.iter().map(|r| r.offset).min().unwrap_or(0);
         let hi = self.runs.iter().map(|r| {
@@ -344,8 +344,9 @@ impl FlatType {
             last.offset + last.len as isize
         });
         let hi = hi.max().unwrap_or(0);
-        let last_shift = (count as isize - 1) * self.extent;
-        (lo.min(lo + last_shift), hi.max(hi + last_shift))
+        let last_shift = isize::try_from(count - 1).ok()?.checked_mul(self.extent)?;
+        let (lo_last, hi_last) = (lo.checked_add(last_shift)?, hi.checked_add(last_shift)?);
+        Some((lo.min(lo_last), hi.max(hi_last)))
     }
 }
 
@@ -485,7 +486,7 @@ mod tests {
             &Datatype::int(),
         ));
         assert_eq!(shape(&f, 1), Canonical::Irregular);
-        assert_eq!(f.total_bytes(1), 16);
+        assert_eq!(f.total_bytes(1), Some(16));
     }
 
     #[test]
@@ -544,9 +545,9 @@ mod tests {
         t.commit();
         let f = t.flat();
         // one element: offsets 0..4 and 16..20 → (0, 20); extent 20.
-        assert_eq!(f.byte_range(1), (0, 20));
-        assert_eq!(f.byte_range(3), (0, 60));
-        assert_eq!(f.byte_range(0), (0, 0));
+        assert_eq!(f.byte_range(1), Some((0, 20)));
+        assert_eq!(f.byte_range(3), Some((0, 60)));
+        assert_eq!(f.byte_range(0), Some((0, 0)));
     }
 
     #[test]
@@ -554,7 +555,7 @@ mod tests {
         let t = Datatype::hindexed(&[(1, -8), (1, 4)], &Datatype::int());
         let f = flat(&t);
         assert_eq!(f.runs()[0].offset, -8);
-        assert_eq!(f.byte_range(1).0, -8);
+        assert_eq!(f.byte_range(1).unwrap().0, -8);
     }
 
     #[test]

@@ -22,6 +22,7 @@ use ib_sim::{MrKey, SgEntry};
 
 use crate::plan::Canonical;
 use crate::scheme::{DataScheme, SchemeSel, SHM_EAGER_LIMIT};
+use crate::tuner::MAX_BLOCK;
 
 /// Request identifier, unique within one rank.
 pub(crate) type ReqId = u64;
@@ -212,26 +213,10 @@ pub enum ChunkPolicy {
     /// Start each `(message size class, layout class)` at
     /// [`MpiConfig::chunk_size`] and converge online onto the block size
     /// with the lowest observed transfer latency, exploring powers of two
-    /// within `[min_block, max_block]` — the paper's offline 64 KB sweep,
-    /// done per workload at runtime.
-    Adaptive {
-        /// Smallest block size the tuner may try, bytes.
-        min_block: usize,
-        /// Largest block size the tuner may try, bytes (staging vbufs are
-        /// sized to this).
-        max_block: usize,
-    },
-}
-
-impl ChunkPolicy {
-    /// The default adaptive range: 16 KiB – 256 KiB, bracketing the paper's
-    /// 64 KiB sweet spot.
-    pub fn adaptive() -> Self {
-        ChunkPolicy::Adaptive {
-            min_block: 16 << 10,
-            max_block: 256 << 10,
-        }
-    }
+    /// between the tuner's `MIN_BLOCK` and `MAX_BLOCK` (16 – 256 KiB,
+    /// bracketing the paper's 64 KiB sweet spot) — the paper's offline
+    /// sweep, done per workload at runtime.
+    Adaptive,
 }
 
 /// Which family of collective algorithms a communicator uses.
@@ -365,13 +350,6 @@ pub enum ConfigError {
     ZeroRetryTimeout,
     /// `retry.max_retries == 0`.
     ZeroRetryBudget,
-    /// Adaptive policy with `min_block == 0` or `min_block > max_block`.
-    BadAdaptiveRange {
-        /// Configured lower bound.
-        min_block: usize,
-        /// Configured upper bound.
-        max_block: usize,
-    },
     /// `ppn == 0`.
     ZeroPpn,
     /// `eager_limit` above [`SHM_EAGER_LIMIT`]: a co-located peer would get
@@ -435,14 +413,6 @@ impl std::fmt::Display for ConfigError {
                 f,
                 "retry.max_retries must be >= 1 (a zero budget fails every rendezvous \
                  on the first lost packet)"
-            ),
-            ConfigError::BadAdaptiveRange {
-                min_block,
-                max_block,
-            } => write!(
-                f,
-                "adaptive policy needs 0 < min_block <= max_block \
-                 (got min_block {min_block}, max_block {max_block})"
             ),
             ConfigError::ZeroPpn => {
                 write!(f, "ppn must be >= 1 (every rank lives on some node)")
@@ -541,7 +511,7 @@ impl Default for MpiConfig {
         MpiConfig {
             eager_limit: 8192,
             chunk_size: 64 << 10,
-            policy: ChunkPolicy::adaptive(),
+            policy: ChunkPolicy::Adaptive,
             window_slots: 8,
             pool_vbufs: 64,
             retry: RetryConfig::default(),
@@ -570,7 +540,7 @@ impl MpiConfig {
     pub fn max_chunk(&self) -> usize {
         match self.policy {
             ChunkPolicy::Fixed => self.chunk_size,
-            ChunkPolicy::Adaptive { max_block, .. } => max_block.max(self.chunk_size),
+            ChunkPolicy::Adaptive => MAX_BLOCK.max(self.chunk_size),
         }
     }
 
@@ -606,18 +576,6 @@ impl MpiConfig {
         }
         if self.retry.max_retries < 1 {
             return Err(ConfigError::ZeroRetryBudget);
-        }
-        if let ChunkPolicy::Adaptive {
-            min_block,
-            max_block,
-        } = self.policy
-        {
-            if min_block == 0 || min_block > max_block {
-                return Err(ConfigError::BadAdaptiveRange {
-                    min_block,
-                    max_block,
-                });
-            }
         }
         if self.ppn == 0 {
             return Err(ConfigError::ZeroPpn);
@@ -714,19 +672,6 @@ mod tests {
         MpiConfig {
             window_slots: 8,
             pool_vbufs: 4,
-            ..Default::default()
-        }
-        .validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "min_block <= max_block")]
-    fn inverted_adaptive_range_is_rejected() {
-        MpiConfig {
-            policy: ChunkPolicy::Adaptive {
-                min_block: 128 << 10,
-                max_block: 16 << 10,
-            },
             ..Default::default()
         }
         .validate();

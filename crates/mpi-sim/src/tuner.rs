@@ -18,6 +18,13 @@ use sim_core::SimDur;
 use crate::plan::Canonical;
 use crate::proto::{ChunkPolicy, MpiConfig};
 
+/// Smallest block size the adaptive search may try, bytes.
+pub(crate) const MIN_BLOCK: usize = 16 << 10;
+
+/// Largest block size the adaptive search may try, bytes; staging vbufs are
+/// sized to this (see [`MpiConfig::max_chunk`]).
+pub(crate) const MAX_BLOCK: usize = 256 << 10;
+
 /// Tuning key: transfers of the same power-of-two size class and layout
 /// bucket share one search state.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
@@ -96,13 +103,10 @@ impl ChunkTuner {
     pub(crate) fn new(cfg: &MpiConfig) -> Self {
         let mut ladder = match cfg.policy {
             ChunkPolicy::Fixed => vec![cfg.chunk_size],
-            ChunkPolicy::Adaptive {
-                min_block,
-                max_block,
-            } => {
+            ChunkPolicy::Adaptive => {
                 let mut l: Vec<usize> = (0..usize::BITS)
                     .map(|p| 1usize << p)
-                    .filter(|&b| b >= min_block && b <= max_block)
+                    .filter(|&b| (MIN_BLOCK..=MAX_BLOCK).contains(&b))
                     .collect();
                 l.push(cfg.chunk_size);
                 l

@@ -597,6 +597,56 @@ mod tests {
     }
 
     #[test]
+    fn truncation_is_fatal_with_a_report_on_both_paths() {
+        // MPI_ERRORS_ARE_FATAL: a receive smaller than its message ends the
+        // job, eager (64 B into 16 B) and rendezvous (64 KiB into 16 KiB)
+        // alike, and the collecting sanitizer keeps the protocol report.
+        for (sent, posted) in [(64, 16), (64 << 10, 16 << 10)] {
+            let out = MpiWorld::new(2)
+                .with_sanitizer(SanitizerMode::Collect)
+                .try_run(move |comm| {
+                    let t = Datatype::byte();
+                    t.commit();
+                    if comm.rank() == 0 {
+                        comm.send(HostBuf::alloc(sent).base(), sent, &t, 1, 0);
+                    } else {
+                        comm.recv(HostBuf::alloc(posted).base(), posted, &t, 0, 0);
+                    }
+                });
+            let want = format!("message truncated: {sent} bytes into a {posted}-byte receive");
+            assert_eq!(out.end.as_ref().unwrap_err(), &want);
+            assert!(
+                out.reports
+                    .iter()
+                    .any(|r| r.kind == sim_core::ReportKind::Protocol && r.message == want),
+                "{sent} B: {:?}",
+                out.reports
+            );
+        }
+    }
+
+    #[test]
+    fn an_overflowing_footprint_is_refused_in_every_profile() {
+        // `count - 1` elements of a float reach past isize (usize::MAX / 2),
+        // or wrap to a 4-byte message and a 4-byte footprint ((1 << 62) + 1):
+        // both are refused at the bounds check, debug and release alike.
+        for count in [usize::MAX / 2, (1 << 62) + 1] {
+            let out = MpiWorld::new(2).try_run(move |comm| {
+                let t = Datatype::float();
+                t.commit();
+                if comm.rank() == 0 {
+                    comm.isend(HostBuf::alloc(64).base(), count, &t, 1, 0);
+                }
+            });
+            let msg = out.end.expect_err("an overflowing post must be refused");
+            assert!(
+                msg.starts_with("datatype footprint") && msg.contains("exceeds host buffer"),
+                "count {count}: {msg}"
+            );
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "no GPU datatype support")]
     fn device_buffer_without_gpu_support_panics() {
         MpiWorld::new(2).run(|comm| {

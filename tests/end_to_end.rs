@@ -2,10 +2,12 @@
 //! simulators → MPI runtime → MV2-GPU-NC → application) exercised end to
 //! end.
 
+use gpu_nc_repro::halo3d::{self, run_halo3d_on, Halo3dParams};
 use gpu_nc_repro::mpi_sim::{Datatype, MpiConfig};
 use gpu_nc_repro::mv2_gpu_nc::baselines::{fill_vector, verify_vector, VectorXfer};
 use gpu_nc_repro::mv2_gpu_nc::GpuCluster;
 use gpu_nc_repro::stencil2d::{run_stencil, RunOptions, StencilParams, Variant};
+use sim_core::SanitizerMode;
 
 #[test]
 fn eight_rank_ring_of_device_vectors() {
@@ -271,4 +273,25 @@ fn whole_simulation_is_deterministic_end_to_end() {
     let a = run();
     let b = run();
     assert_eq!(a, b);
+}
+
+#[test]
+fn halo3d_under_sanitizer_is_clean_at_ppn_2() {
+    // The full application on mixed intra-/inter-node topology, with the
+    // simulation sanitizer collecting: the shm and device-to-device data
+    // paths must be as race- and leak-free as the staged RDMA path.
+    let params = Halo3dParams {
+        grid: (2, 1, 2),
+        local: (4, 5, 6),
+        iters: 2,
+    };
+    let cluster = GpuCluster::new(params.nranks())
+        .ppn(2)
+        .sanitizer(SanitizerMode::Collect);
+    let (out, san) = run_halo3d_on::<f64>(cluster, params, halo3d::Variant::Mv2, false);
+    assert_eq!(out.ranks.len(), 4);
+    assert!(
+        san.is_empty(),
+        "sanitizer reports on the intra-node paths: {san:#?}"
+    );
 }

@@ -23,7 +23,7 @@ fn noncontig_16k() -> Datatype {
 }
 
 fn footprint(dt: &Datatype) -> usize {
-    let (lo, hi) = dt.flat().byte_range(1);
+    let (lo, hi) = dt.flat().byte_range(1).expect("a representable footprint");
     assert!(lo >= 0);
     hi as usize + 64
 }

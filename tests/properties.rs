@@ -1,20 +1,28 @@
-//! Property-style tests on the core invariants: randomized datatype trees
-//! and message geometries must round-trip exactly through every transfer
-//! path (CPU pack, GPU pack, eager, staged pipeline, any block size).
+//! Property-style tests on the core invariants. Generated datatype trees are
+//! checked against a row oracle that shares no code with the run list: first
+//! the layout (runs, shape, chunk slices, device ops, CPU cursors), then one
+//! differential generator that sends them through every scheme and world and
+//! compares the schemes with one another.
 //!
 //! Each test runs a fixed number of cases drawn from a seeded [`XorShift64`]
 //! stream, so failures are fully reproducible.
 
+use std::collections::BTreeMap;
+use std::sync::Mutex;
+
 use gpu_nc_repro::mpi_sim::flat::{rows as rows_of_runs, Run, Segment};
 use gpu_nc_repro::mpi_sim::pack::{PackCursor, UnpackCursor};
+use gpu_nc_repro::mpi_sim::scheme::OFFLOAD_MIN_BYTES;
 use gpu_nc_repro::mpi_sim::{
-    Canonical, Datatype, MpiConfig, MpiWorld, Plan, SubarrayOrder, WireDescriptor,
+    Canonical, ChunkPolicy, CollAlgo, Comm, ConfigError, DataScheme, Datatype, FaultSpec,
+    MpiConfig, MpiError, MpiWorld, Outcome, Plan, SchemeSel, SubarrayOrder, WireDescriptor,
 };
 use gpu_nc_repro::mv2_gpu_nc::gpu_pack::enqueue_gather;
 use gpu_nc_repro::mv2_gpu_nc::GpuCluster;
 use gpu_sim::{Copy2d, CostModel, DevPtr, Gpu, Loc, Stream};
 use hostmem::HostBuf;
-use sim_core::{Completion, Sim, SimTime};
+use sim_core::{Completion, ExecMode, SanitizerMode, Sim, SimTime};
+use sim_trace::{chrome_trace, EventKind, LaneKind, Recorder};
 use xorshift::XorShift64;
 
 /// A random, commit-able datatype tree plus the count to send. Kept small
@@ -25,16 +33,16 @@ struct TypeSpec {
     count: usize,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 enum DtSpec {
     Float,
     Double,
     Contig(usize, Box<DtSpec>),
     Vector(usize, usize, usize, Box<DtSpec>), // count, blocklen, stride>=blocklen
     Indexed(Vec<(usize, usize)>, Box<DtSpec>),
-    // The constructors below are drawn by `wild_spec` only: layouts that
-    // are legal to describe but not to receive into (rows may overlap or
-    // run backwards), for the layout properties rather than the transfers.
+    // The constructors below can describe layouts that are legal to send
+    // from but not to receive into (rows may overlap): `wild_spec` draws
+    // them freely, `recv_spec` keeps only trees whose rows never collide.
     Hvector(usize, usize, isize, Box<DtSpec>), // count, blocklen, stride in bytes
     Hindexed(Vec<(usize, isize)>, Box<DtSpec>), // (blocklen, byte displacement)
     Resized(isize, isize, Box<DtSpec>),        // lb, extent
@@ -63,38 +71,51 @@ impl DtSpec {
     /// types'), merging a run into the previous one only when it starts
     /// where that one ends. Shares no code with the run-list builder.
     fn rows(&self, base: isize, out: &mut Vec<Segment>) {
-        let block = |c: &DtSpec, blocklen: usize, at: isize, out: &mut Vec<Segment>| {
-            let cext = c.build().extent();
+        let Some(c) = self.child() else {
+            return push_row(out, seg(base, self.build().size()));
+        };
+        let cext = c.build().extent();
+        let mut block = |blocklen: usize, at: isize| {
             for j in 0..blocklen {
                 c.rows(at + j as isize * cext, out);
             }
         };
         match self {
-            DtSpec::Float | DtSpec::Double => push_row(out, seg(base, self.build().size())),
-            DtSpec::Contig(n, c) => block(c, *n, base, out),
-            DtSpec::Vector(n, bl, stride, c) => {
-                let cext = c.build().extent();
+            DtSpec::Contig(n, _) => block(*n, base),
+            DtSpec::Vector(n, bl, stride, _) => {
                 for i in 0..*n {
-                    block(c, *bl, base + (i * stride) as isize * cext, out);
+                    block(*bl, base + (i * stride) as isize * cext);
                 }
             }
-            DtSpec::Hvector(n, bl, stride, c) => {
+            DtSpec::Hvector(n, bl, stride, _) => {
                 for i in 0..*n {
-                    block(c, *bl, base + i as isize * stride, out);
+                    block(*bl, base + i as isize * stride);
                 }
             }
-            DtSpec::Indexed(_, c) => {
-                let cext = c.build().extent();
+            DtSpec::Indexed(..) => {
                 for (bl, disp) in self.indexed_blocks() {
-                    block(c, bl, base + disp * cext, out);
+                    block(bl, base + disp * cext);
                 }
             }
-            DtSpec::Hindexed(blocks, c) => {
+            DtSpec::Hindexed(blocks, _) => {
                 for &(bl, disp) in blocks {
-                    block(c, bl, base + disp, out);
+                    block(bl, base + disp);
                 }
             }
-            DtSpec::Resized(_, _, c) => c.rows(base, out),
+            _ => c.rows(base, out),
+        }
+    }
+
+    /// The tree below this node (`None` for a leaf).
+    fn child(&self) -> Option<&DtSpec> {
+        match self {
+            DtSpec::Float | DtSpec::Double => None,
+            DtSpec::Contig(.., c)
+            | DtSpec::Vector(.., c)
+            | DtSpec::Indexed(.., c)
+            | DtSpec::Hvector(.., c)
+            | DtSpec::Hindexed(.., c)
+            | DtSpec::Resized(.., c) => Some(c),
         }
     }
 
@@ -116,12 +137,34 @@ impl DtSpec {
 
     /// The oracle rows of `count` elements, `extent` apart.
     fn expanded(&self, count: usize) -> Vec<Segment> {
+        let (mut one, mut out) = (Vec::new(), Vec::new());
+        self.rows(0, &mut one);
         let extent = self.build().extent();
-        let mut out = Vec::new();
-        for i in 0..count {
-            self.rows(i as isize * extent, &mut out);
+        for i in 0..count as isize {
+            for s in &one {
+                push_row(&mut out, seg(s.offset + i * extent, s.len));
+            }
         }
         out
+    }
+}
+
+/// As the expression that builds the tree (with `DtSpec::*` in scope), so a
+/// failing tree prints as source.
+impl std::fmt::Debug for DtSpec {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let c = self.child().map(|c| format!(", Box::new({c:?})"));
+        let c = c.unwrap_or_default();
+        match self {
+            DtSpec::Float => write!(f, "Float"),
+            DtSpec::Double => write!(f, "Double"),
+            DtSpec::Contig(n, _) => write!(f, "Contig({n}{c})"),
+            DtSpec::Vector(n, bl, stride, _) => write!(f, "Vector({n}, {bl}, {stride}{c})"),
+            DtSpec::Indexed(blocks, _) => write!(f, "Indexed({blocks:?}{c})"),
+            DtSpec::Hvector(n, bl, stride, _) => write!(f, "Hvector({n}, {bl}, {stride}{c})"),
+            DtSpec::Hindexed(blocks, _) => write!(f, "Hindexed({blocks:?}{c})"),
+            DtSpec::Resized(lb, extent, _) => write!(f, "Resized({lb}, {extent}{c})"),
+        }
     }
 }
 
@@ -134,11 +177,7 @@ fn push_row(out: &mut Vec<Segment>, s: Segment) {
 }
 
 fn leaf(rng: &mut XorShift64) -> DtSpec {
-    if rng.gen_bool() {
-        DtSpec::Float
-    } else {
-        DtSpec::Double
-    }
+    [DtSpec::Double, DtSpec::Float][rng.gen_range(0, 2)].clone()
 }
 
 /// A random datatype tree of at most `depth` derived levels over a leaf.
@@ -217,114 +256,6 @@ fn type_spec(rng: &mut XorShift64) -> TypeSpec {
     TypeSpec {
         dt: dt_spec(rng, 2),
         count: rng.gen_range(1, 4),
-    }
-}
-
-/// Footprint of (count, dtype) in bytes, with headroom.
-fn footprint(dt: &Datatype, count: usize) -> usize {
-    let (lo, hi) = dt.flat().byte_range(count);
-    assert!(lo >= 0, "these specs never go negative");
-    (hi as usize).max(1) + 64
-}
-
-/// Reference pack on the CPU from a byte pattern.
-fn reference_pack(dt: &Datatype, count: usize, pattern: &[u8]) -> Vec<u8> {
-    let segs = dt.flat().expanded(count);
-    let mut out = Vec::new();
-    for s in segs {
-        let o = s.offset as usize;
-        out.extend_from_slice(&pattern[o..o + s.len]);
-    }
-    out
-}
-
-/// Host -> host transfers with random derived types deliver exactly the
-/// typemap bytes, regardless of path (eager or staged).
-#[test]
-fn host_transfer_round_trips() {
-    let mut rng = XorShift64::new(0x5EED_0001);
-    for _ in 0..24 {
-        let spec = type_spec(&mut rng);
-        let seed = rng.next_u64() as u8;
-        let dt = spec.dt.build();
-        dt.commit();
-        let count = spec.count;
-        let fp = footprint(&dt, count);
-        let pattern: Vec<u8> = (0..fp).map(|i| (i as u8).wrapping_add(seed)).collect();
-        let dtc = dt.clone();
-        let patc = pattern.clone();
-        MpiWorld::new(2).run(move |comm| {
-            if comm.rank() == 0 {
-                let buf = HostBuf::from_vec(patc.clone());
-                comm.send(buf.base(), count, &dtc, 1, 0);
-            } else {
-                let buf = HostBuf::alloc(fp);
-                comm.recv(buf.base(), count, &dtc, 0, 0);
-                assert_eq!(
-                    reference_pack(&dtc, count, &buf.read(0, fp)),
-                    reference_pack(&dtc, count, &patc),
-                    "typemap bytes differ"
-                );
-            }
-        });
-    }
-}
-
-/// GPU -> GPU transfers with random derived types deliver exactly the
-/// typemap bytes through the device pack/unpack pipeline.
-#[test]
-fn gpu_transfer_round_trips() {
-    let mut rng = XorShift64::new(0x5EED_0002);
-    for _ in 0..24 {
-        let spec = type_spec(&mut rng);
-        let seed = rng.next_u64() as u8;
-        let dt = spec.dt.build();
-        dt.commit();
-        let count = spec.count;
-        let fp = footprint(&dt, count);
-        let pattern: Vec<u8> = (0..fp)
-            .map(|i| (i as u8).wrapping_mul(13).wrapping_add(seed))
-            .collect();
-        let dtc = dt.clone();
-        let patc = pattern.clone();
-        GpuCluster::new(2).run(move |env| {
-            let dev = env.gpu.malloc(fp);
-            if env.comm.rank() == 0 {
-                env.gpu.write_bytes(dev, &patc);
-                env.comm.send(dev, count, &dtc, 1, 0);
-            } else {
-                env.comm.recv(dev, count, &dtc, 0, 0);
-                let got = env.gpu.read_bytes(dev, fp);
-                assert_eq!(
-                    reference_pack(&dtc, count, &got),
-                    reference_pack(&dtc, count, &patc),
-                    "typemap bytes differ"
-                );
-            }
-        });
-    }
-}
-
-/// The pipeline delivers identical bytes for any block size and any
-/// message size (chunk boundaries hit arbitrary offsets).
-#[test]
-fn any_block_size_is_correct() {
-    let mut rng = XorShift64::new(0x5EED_0003);
-    for _ in 0..24 {
-        let total = rng.gen_range(1, 96) << 10;
-        let block = 1usize << rng.gen_range(12, 18);
-        GpuCluster::new(2).block_size(block).run(move |env| {
-            use gpu_nc_repro::mv2_gpu_nc::baselines::{fill_vector, verify_vector, VectorXfer};
-            let x = VectorXfer::paper(total);
-            let dev = env.gpu.malloc(x.extent());
-            if env.comm.rank() == 0 {
-                fill_vector(&env.gpu, dev, &x, 5);
-                env.comm.send(dev, 1, &x.dtype(), 1, 0);
-            } else {
-                env.comm.recv(dev, 1, &x.dtype(), 0, 0);
-                verify_vector(&env.gpu, dev, &x, 5);
-            }
-        });
     }
 }
 
@@ -1025,4 +956,534 @@ fn canonical_shape_is_the_run_list() {
         }
     ));
     assert!(WireDescriptor::lower(&col.plan(257), 256).is_none());
+}
+
+// --- the differential generator ---------------------------------------------
+//
+// One seeded list of draws — a receivable datatype tree × count × residency
+// × world — each run once per scheme, or as one 4-rank `alltoallv`. Every run
+// is checked three ways: the receiver's whole buffer against the row oracle
+// (holes included); a collecting sanitizer with no report (protocol
+// invariants included); and, within a draw, event identity of every two runs
+// that took the same path — `Auto` against the `Force` it resolved to, every
+// forced scheme that fell back against the rest. The path is the receiver's
+// first `cts*` proto instant (staged, direct, offload or dev), eager or
+// shm_eager without one, or the sender's typed rejection. A failure shrinks
+// greedily and panics with the minimal draw as a `named_rows()` entry.
+
+/// Seed of the generated draws.
+const SEED: u64 = 0x5EED_0025;
+
+/// Both `Auto` policies and every forced scheme.
+const SCHEMES: [SchemeSel; 7] = [
+    SchemeSel::Auto { offload: false },
+    SchemeSel::Auto { offload: true },
+    SchemeSel::Force(DataScheme::Staged),
+    SchemeSel::Force(DataScheme::Direct),
+    SchemeSel::Force(DataScheme::DeviceD2D),
+    SchemeSel::Force(DataScheme::ShmEager),
+    SchemeSel::Force(DataScheme::NicOffload),
+];
+
+/// The world a draw runs in: ranks per node (1 puts a pair on two nodes, 2
+/// on one), the carrier, the seed of a mix of control drops and delays,
+/// RDMA and descriptor-fetch errors (`None`: a reliable fabric) and a
+/// `ChunkPolicy::Fixed` block (`None`: the adaptive default).
+#[derive(Clone, Debug)]
+struct World(usize, ExecMode, Option<u64>, Option<usize>);
+
+/// One draw: a receivable tree × count, in GPU memory or not, in a world;
+/// run once under every scheme — or, given a collective, as one 4-rank
+/// `alltoallv` at ppn 2 trading blocks of the tree for blocks of the
+/// collective's tree, `count` times the smallest pair whose bytes match.
+#[derive(Clone, Debug)]
+struct Draw(TypeSpec, bool, World, Option<(CollAlgo, DtSpec)>);
+
+fn bytes(rows: &[Segment]) -> usize {
+    rows.iter().map(|s| s.len).sum()
+}
+
+/// Where `blocks` copies of `rows` sit in a buffer, as `(base, stride,
+/// span)`: copy `j` at `base + j * stride`, clear of each other and of
+/// negative offsets.
+fn frame(rows: &[Segment], blocks: usize) -> (usize, usize, usize) {
+    let lo = rows.iter().map(|s| s.offset).min().unwrap_or(0).min(0);
+    let hi = rows.iter().map(|s| s.offset + s.len as isize).max();
+    let (base, stride) = ((8 - lo) as usize, (hi.unwrap_or(0).max(0) - lo) as usize);
+    (base, stride, base + blocks * stride + 8)
+}
+
+/// A receive may use `rows` (no byte written twice) and a test can afford
+/// their buffer.
+fn fits(rows: &[Segment]) -> bool {
+    let mut spans: Vec<_> = rows.iter().map(|s| (s.offset, s.len as isize)).collect();
+    spans.sort_unstable();
+    spans.windows(2).all(|w| w[0].0 + w[0].1 <= w[1].0) && frame(rows, 1).2 <= 4 << 20
+}
+
+/// The bytes buffer `id` starts with (rank `r` sends from `r` and receives
+/// into `r + 4`): unlike every other buffer's at every offset and varying
+/// along it, so a misplaced byte or a written hole shows.
+fn fill(id: usize, len: usize) -> Vec<u8> {
+    let k = (id as u8).wrapping_mul(0x3B);
+    let at = |i: u64| (i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 56) as u8;
+    (1..=len as u64).map(|i| at(i) ^ k).collect()
+}
+
+/// Values below `n` for a shrinking step, the biggest cut first (`n - n/2`,
+/// `n - n/4`, ..., `n - 1`): a search rather than a walk down to a count
+/// the failure needs.
+fn smaller(n: usize) -> impl Iterator<Item = usize> {
+    let cuts = (1..usize::BITS).map(move |k| n >> k).take_while(|&c| c > 1);
+    cuts.map(move |c| n - c).chain(n.checked_sub(1))
+}
+
+/// A tree a receive may use: `dt_spec`'s constructors plus empty and long
+/// vectors, and byte strides, displacements and lower bounds below zero
+/// (`fits` sorts out the trees whose rows collide).
+fn recv_spec(rng: &mut XorShift64, depth: usize) -> DtSpec {
+    if depth == 0 {
+        return leaf(rng);
+    }
+    let c = Box::new(recv_spec(rng, depth - 1));
+    let (ext, bl) = (c.build().extent(), rng.gen_range(1, 3));
+    match rng.gen_range(0, 8) {
+        0 => dt_spec(rng, depth),
+        1 => *c,
+        2 => DtSpec::Vector([0, 1, 3, 5, 200][rng.gen_range(0, 5)], bl, bl + 1, c),
+        // Rows of single blocks run backwards.
+        3 => DtSpec::Hvector(3, bl, [-1, 1][bl - 1] * (bl as isize * ext + 4), c),
+        4 | 5 => {
+            let mut at: Vec<isize> = (0..rng.gen_range(2, 5) as isize).collect();
+            rng.shuffle(&mut at);
+            let (mid, w) = (at.len() as isize / 2, 2 * ext + 4);
+            DtSpec::Hindexed(at.iter().map(|&s| (bl, (s - mid) * w)).collect(), c)
+        }
+        6 => DtSpec::Resized(-4 * bl as isize, [4, ext, ext + 8][rng.gen_range(0, 3)], c),
+        _ => DtSpec::Contig(rng.gen_range(0, 4), c),
+    }
+}
+
+/// A receivable tree and a count putting its total in size regime `regime`:
+/// zero, eager, shm-eager, staged, or at or above `OFFLOAD_MIN_BYTES`. Most
+/// are `recv_spec` trees, the rest the regular shapes the fast paths serve:
+/// a resized column (`count` of them interleave as `count` descriptor
+/// groups), one long vector sent once, or a leaf resized apart.
+fn sized(rng: &mut XorShift64, regime: usize) -> TypeSpec {
+    let lo = [0, 1, 8 << 10, 32 << 10, 64 << 10][regime];
+    let hi = [1, 8 << 10, 32 << 10, 64 << 10, 256 << 10][regime];
+    loop {
+        let (target, bl, f) = (rng.gen_range(lo, hi), rng.gen_range(1, 4), DtSpec::Float);
+        let (rows, stride) = (rng.gen_range(2, 512), rng.gen_range(100, 400));
+        let dt = match rng.gen_range(0, 8) {
+            0 => DtSpec::Resized(0, 4, Box::new(DtSpec::Vector(rows, 1, stride, Box::new(f)))),
+            1 => DtSpec::Vector((target / (4 * bl)).max(1), bl, 2 * bl, Box::new(f)),
+            2 => DtSpec::Resized(-4, 4 * (bl + 1) as isize, Box::new(leaf(rng))),
+            _ => recv_spec(rng, 3),
+        };
+        let one = bytes(&dt.expanded(1));
+        let count = [(target / one.max(1)).max(usize::from(lo > 0)), bl][usize::from(one == 0)];
+        let mut halvings = std::iter::successors(Some(count), |c| (*c > 1).then_some(c / 2));
+        if let Some(count) = halvings.find(|&c| fits(&dt.expanded(c))) {
+            return TypeSpec { dt, count };
+        }
+    }
+}
+
+/// The generated draws: 48 pairs cycling residency × placement and walking
+/// the size regimes, then 8 `alltoallv`s (at most 48 KiB a block)
+/// alternating residency and algorithm; carrier, faults and block drawn.
+fn draws() -> Vec<Draw> {
+    const REGIMES: [usize; 12] = [0, 1, 2, 3, 4, 4, 1, 2, 3, 4, 4, 2];
+    let mut rng = XorShift64::new(SEED);
+    let mut out = Vec::new();
+    for i in 0..56 {
+        let exec = [ExecMode::Event, ExecMode::Event, ExecMode::Threads][rng.gen_range(0, 3)];
+        let faults = (rng.gen_range(0, 3) == 0).then(|| rng.next_u64() % 1000);
+        let block = (rng.gen_range(0, 4) > 0).then(|| rng.gen_range(4 << 10, 256 << 10));
+        let world = World(1 + usize::from(i >= 48 || i % 4 >= 2), exec, faults, block);
+        let (gpu, algo) = (i % 2 == 1, [CollAlgo::Flat, CollAlgo::Hier][i / 2 % 2]);
+        if i < 48 {
+            out.push(Draw(sized(&mut rng, REGIMES[i / 4]), gpu, world, None));
+            continue;
+        }
+        out.push(loop {
+            let (dt, recv) = (sized(&mut rng, 1).dt, sized(&mut rng, 1).dt);
+            let one = bytes(&dt.expanded(1)) * bytes(&recv.expanded(1));
+            let k = rng.gen_range(1, 48 << 10) / one.max(1);
+            let (count, coll) = ([k.max(1), 3][usize::from(one == 0)], Some((algo, recv)));
+            let d = Draw(TypeSpec { dt, count }, gpu, world.clone(), coll);
+            let [(s, ..), (r, ..)] = d.sides();
+            if fits(&s) && fits(&r) && bytes(&s) <= 48 << 10 {
+                break d;
+            }
+        });
+    }
+    out
+}
+
+/// Rows kept in the generator by name: the HCA's 256-entry descriptor
+/// budget met exactly (128 + 128 groups, at exactly `OFFLOAD_MIN_BYTES`) and
+/// missed by one group a side. A failure prints its replay row for here.
+#[allow(unused_imports)]
+fn named_rows() -> Vec<(String, Draw)> {
+    use {CollAlgo::*, DtSpec::*, ExecMode::*};
+    let column = |count| {
+        let dt = Resized(0, 4, Box::new(Vector(128, 1, 300, Box::new(Float))));
+        let world = World(1, Event, None, None);
+        Draw(TypeSpec { dt, count }, false, world, None)
+    };
+    let rows = [("256 entries", column(128)), ("258 entries", column(129))];
+    rows.map(|(name, d)| (name.into(), d)).into()
+}
+
+impl DtSpec {
+    /// This node's counts and block lengths, each a shrinking step's
+    /// target, and its child.
+    fn parts(&mut self) -> (Vec<&mut usize>, Option<&mut DtSpec>) {
+        match self {
+            DtSpec::Float | DtSpec::Double => (Vec::new(), None),
+            DtSpec::Contig(n, c) => (vec![n], Some(c.as_mut())),
+            DtSpec::Vector(n, bl, _, c) => (vec![n, bl], Some(c.as_mut())),
+            DtSpec::Hvector(n, bl, _, c) => (vec![n, bl], Some(c.as_mut())),
+            DtSpec::Indexed(v, c) => (v.iter_mut().map(|b| &mut b.0).collect(), Some(c.as_mut())),
+            DtSpec::Hindexed(v, c) => (v.iter_mut().map(|b| &mut b.0).collect(), Some(c.as_mut())),
+            DtSpec::Resized(.., c) => (Vec::new(), Some(c.as_mut())),
+        }
+    }
+
+    /// Trees one step smaller: this level dropped, a smaller count or block
+    /// length (an indexed block cut to zero is dropped), or a smaller child.
+    fn shrinks(&self) -> Vec<DtSpec> {
+        let Some(c) = self.child() else {
+            return Vec::new();
+        };
+        let mut out = vec![c.clone()];
+        for (i, n) in self.clone().parts().0.into_iter().enumerate() {
+            for m in smaller(*n) {
+                let mut t = self.clone();
+                *t.parts().0[i] = m;
+                if let DtSpec::Indexed(v, _) = &mut t {
+                    v.retain(|b| b.0 > 0);
+                } else if let DtSpec::Hindexed(v, _) = &mut t {
+                    v.retain(|b| b.0 > 0);
+                }
+                out.push(t);
+            }
+        }
+        for smaller_child in c.shrinks() {
+            let mut t = self.clone();
+            *t.parts().1.unwrap() = smaller_child;
+            out.push(t);
+        }
+        out
+    }
+
+    fn any(&self, f: &dyn Fn(&DtSpec) -> bool) -> bool {
+        f(self) || self.child().is_some_and(|c| c.any(f))
+    }
+}
+
+/// One side of a message: the oracle rows, the element count, and the
+/// `(base, stride, span)` frame of a buffer with one block per rank.
+type Side = (Vec<Segment>, usize, (usize, usize, usize));
+
+impl Draw {
+    /// Both sides of one message (a pair sends and receives one type;
+    /// `alltoallv` sends `count` times the receive type's size in elements
+    /// of the send type, and receives the reverse).
+    fn sides(&self) -> [Side; 2] {
+        let side = |dt: &DtSpec, count, blocks| {
+            let rows = dt.expanded(count);
+            let at = frame(&rows, blocks);
+            (rows, count, at)
+        };
+        let Draw(TypeSpec { dt, count: k }, ..) = self;
+        let Some((_, recv)) = &self.3 else {
+            return [(); 2].map(|()| side(dt, *k, 1));
+        };
+        let (s, r) = (bytes(&dt.expanded(1)), bytes(&recv.expanded(1)));
+        [side(dt, k * r, 4), side(recv, k * s, 4)]
+    }
+
+    /// Draws one shrinking step smaller that a receive may still use.
+    fn shrinks(&self) -> Vec<Draw> {
+        let Draw(TypeSpec { dt, count }, gpu, world, coll) = self.clone();
+        let mut ones = vec![(dt.clone(), count, coll.clone())];
+        ones.extend(smaller(count).map(|c| (dt.clone(), c, coll.clone())));
+        ones.extend(dt.shrinks().into_iter().map(|t| (t, count, coll.clone())));
+        for r in coll.iter().flat_map(|(_, recv)| recv.shrinks()) {
+            ones.push((dt.clone(), count, coll.clone().map(|(algo, _)| (algo, r))));
+        }
+        let draw = |(dt, count, coll)| Draw(TypeSpec { dt, count }, gpu, world.clone(), coll);
+        let draws = ones.into_iter().skip(1).map(draw);
+        let fit = |d: &Draw| d.sides().iter().all(|(rows, ..)| fits(rows));
+        draws.filter(fit).collect()
+    }
+}
+
+/// What every rank holds after a correct run: its receive buffer's bytes
+/// with the oracle's rows of each message written in — `(me, j, from, to)`:
+/// sender `j`'s block `from` into receiver `me`'s block `to`. A pair's
+/// sender holds nothing.
+fn want(sides: &[Side; 2], messages: &[(usize, usize, usize, usize)], pair: bool) -> Vec<Vec<u8>> {
+    let [(srows, _, (sb, ss, sspan)), (rrows, _, (rb, rs, rspan))] = sides;
+    let at = |base: usize, s: &Segment| (base as isize + s.offset) as usize;
+    let n = 4 - 2 * usize::from(pair);
+    let mut ranks: Vec<_> = (0..n).map(|me| fill(me + 4, *rspan)).collect();
+    for &(me, j, from, to) in messages {
+        let src = fill(j, *sspan);
+        let bytes_of = |s: &Segment| &src[at(sb + from * ss, s)..][..s.len];
+        let mut stream = srows.iter().flat_map(bytes_of);
+        for s in rrows {
+            ranks[me][at(rb + to * rs, s)..][..s.len].fill_with(|| *stream.next().unwrap());
+        }
+    }
+    ranks[0].truncate(if pair { 0 } else { *rspan });
+    ranks
+}
+
+/// One rank of a run: its buffers filled with its own bytes, its part
+/// played (a pair's receiver posts only when a message is `coming`), and
+/// what it returns — a pair sender's typed error, or its whole receive
+/// buffer.
+fn rank(d: &Draw, sides: &[Side; 2], coming: bool, comm: &Comm, gpu: Option<&Gpu>) -> Got {
+    let buf = |bytes: Vec<u8>| match gpu {
+        None => Loc::Host(HostBuf::from_vec(bytes).base()),
+        Some(gpu) => {
+            let dev = gpu.malloc(bytes.len());
+            gpu.write_bytes(dev, &bytes);
+            Loc::Device(dev)
+        }
+    };
+    let [(_, sc, (sb, ss, sspan)), (_, rc, (rb, rs, rspan))] = *sides;
+    let (me, send) = (comm.rank(), d.0.dt.build());
+    send.commit();
+    if d.3.is_none() && me == 0 {
+        let req = comm.isend(buf(fill(0, sspan)).add(sb), sc, &send, 1, 0);
+        return (comm.wait_result(req).err(), Vec::new());
+    }
+    let to = buf(fill(me + 4, rspan));
+    match &d.3 {
+        None if coming => drop(comm.recv(to.add(rb), rc, &send, 0, 0)),
+        None => {}
+        Some((_, recv)) => {
+            let (recv, displs) = (recv.build(), |b, s| [0, 1, 2, 3].map(|j| b + j * s));
+            recv.commit();
+            let (from, sd, rd) = (buf(fill(me, sspan)), displs(sb, ss), displs(rb, rs));
+            comm.alltoallv(from, &[sc; 4], &sd, &send, to.clone(), &[rc; 4], &rd, &recv);
+        }
+    }
+    match (&to, gpu) {
+        (Loc::Host(p), _) => (None, p.buf().read(0, rspan)),
+        (Loc::Device(p), Some(gpu)) => (None, gpu.read_bytes(*p, rspan)),
+        _ => unreachable!("device memory without a GPU"),
+    }
+}
+
+/// What a rank returns: a pair sender's typed error, a receiver's buffer.
+type Got = (Option<MpiError>, Vec<u8>);
+
+/// What one run left behind: the ranks' returns, the receiver's first
+/// `cts*` proto instant, and what two runs of one path must agree on besides
+/// `end` — every counter of the run and its Chrome trace.
+type Ran = (Outcome<Got>, Option<&'static str>, Events);
+
+/// Every counter of a run, and its Chrome trace.
+type Events = (BTreeMap<String, u64>, String);
+
+/// The typed refusal of `Force(NicOffload)` on a layout the HCA cannot walk.
+const REJECTED: MpiError = MpiError::Rejected {
+    err: ConfigError::ForcedOffloadIrregular,
+};
+
+fn run(d: &Draw, sel: SchemeSel, sides: &[Side; 2], coming: bool) -> Ran {
+    let (World(ppn, exec, faults, block), rec) = (d.2.clone(), Recorder::new());
+    let mut cfg = MpiConfig::default();
+    (cfg.scheme, cfg.ppn, cfg.coll.algo) = (sel, ppn, d.3.as_ref().map_or(CollAlgo::Hier, |c| c.0));
+    if let Some(block) = block {
+        (cfg.chunk_size, cfg.policy) = (block, ChunkPolicy::Fixed);
+    }
+    let faults = faults.map(|seed| {
+        let mut f = FaultSpec::seeded(seed);
+        (f.ctrl_drop, f.ctrl_delay, f.rdma_error, f.desc_fetch_error) = (0.1, 0.1, 0.1, 0.2);
+        f
+    });
+    let (n, d2, sides) = (if d.3.is_some() { 4 } else { 2 }, d.clone(), sides.clone());
+    let out = if d.1 {
+        let c = GpuCluster::new(n).mpi_config(cfg).recorder(rec.clone());
+        let c = faults.into_iter().fold(c, GpuCluster::faults);
+        let c = c.exec(exec).sanitizer(SanitizerMode::Collect);
+        c.try_run(move |env| rank(&d2, &sides, coming, &env.comm, Some(&env.gpu)))
+    } else {
+        let w = MpiWorld::new(n).with_config(cfg).with_recorder(rec.clone());
+        let w = faults.into_iter().fold(w, MpiWorld::with_faults);
+        let w = w.with_exec(exec).with_sanitizer(SanitizerMode::Collect);
+        w.try_run(move |comm| rank(&d2, &sides, coming, &comm, None))
+    };
+    let proto = rec.lane("rank1", "proto", LaneKind::Proto).id();
+    let cts = rec.events().into_iter().find_map(|e| match e.kind {
+        EventKind::Instant { name, .. } if e.lane == proto => name.strip_prefix("cts"),
+        _ => None,
+    });
+    (out, cts, (rec.metrics(), chrome_trace(&rec)))
+}
+
+/// Run `d` under each of its schemes and check every run; runs that took
+/// the same path must agree event for event. Counts the cells of the matrix
+/// the draw reaches into `cells`.
+fn check(d: &Draw, cells: &Mutex<BTreeMap<String, usize>>) -> Result<(), String> {
+    let hit = |yes: bool, cell: &str| {
+        yes.then(|| *cells.lock().unwrap().entry(cell.into()).or_default() += 1)
+    };
+    let Draw(TypeSpec { dt, count }, gpu, World(ppn, exec, faults, _), coll) = d;
+    let (sides, near, pair) = (d.sides(), *ppn == 2, coll.is_none());
+    let (rows, res) = (&sides[0].0, ["host", "GPU"][usize::from(*gpu)]);
+    let (shape, rendezvous) = (Canonical::classify(rows), bytes(rows) > 8 << 10);
+    let has = |f: &dyn Fn(&DtSpec) -> bool| pair && !rows.is_empty() && dt.any(f);
+    let form = format!("{shape:?} ");
+    let layout = format!("{} on the {res}", form.split(' ').next().unwrap());
+    let alltoallv = coll
+        .as_ref()
+        .map(|(algo, _)| format!("alltoallv under {algo:?}"));
+    let zero = ["zero-size type", "zero-count type"][usize::from(*count == 0)];
+    hit(true, &format!("ppn {ppn}"));
+    hit(true, &format!("{exec:?}"));
+    hit(true, &format!("faults: {}", faults.is_some()));
+    hit(pair, &layout);
+    hit(!pair, &alltoallv.unwrap_or_default());
+    hit(pair && rows.is_empty(), zero);
+    let hvector = has(&|t| matches!(t, DtSpec::Hvector(_, 1.., ..=-1, _)));
+    let resized = has(&|t| matches!(t, DtSpec::Resized(..=-1, ..)));
+    let hindexed = has(&|t| matches!(t, DtSpec::Hindexed(v, _) if v.iter().any(|b| b.1 < 0)));
+    hit(hvector, "negative-stride hvector");
+    hit(resized, "negative-lb resized");
+    hit(hindexed, "negative-displacement hindexed");
+    let groups = WireDescriptor::lower(&Plan::from_segments(rows.clone()), usize::MAX);
+    let groups = groups.map(|w| w.entries().len());
+    let entries = ["offload on, <= 256 entries", "offload on, > 256 entries"];
+    let entries = entries[usize::from(groups > Some(128))];
+    // Offload was on the table: a remote host pair at rendezvous size whose
+    // layout lowers to a descriptor of `groups` entries a side.
+    let considered = !near && !gpu && rendezvous && groups.is_some();
+    // ... and the HCA walks it: both sides within the 256-entry budget,
+    // forced, or under `Auto` at `OFFLOAD_MIN_BYTES` unless a direct R-PUT
+    // serves it first.
+    let walks = considered && groups <= Some(128);
+    let contig = matches!(shape, Canonical::Contig { .. });
+    let auto_walks = walks && bytes(rows) >= OFFLOAD_MIN_BYTES && !contig;
+    // Receiver, sender, sender's block, receiver's block: a pair's one
+    // message, or `alltoallv`'s sixteen.
+    let message = |m: usize| (m / 4 + usize::from(pair), m % 4, m / 4, m % 4);
+    let all: Vec<_> = (0..[16, 1][usize::from(pair)]).map(message).collect();
+    let mut seen: Vec<(&str, SchemeSel, Ran)> = Vec::new();
+    let nic = SchemeSel::Force(DataScheme::NicOffload);
+    for &sel in &SCHEMES[..if pair { 7 } else { 1 }] {
+        let refused = sel == nic && !gpu && !near && groups.is_none() && rendezvous;
+        let messages = &all[..if pair && refused { 0 } else { all.len() }];
+        let ran = run(d, sel, &sides, !messages.is_empty());
+        let (out, counters) = (&ran.0, &ran.2 .0);
+        let fail = |what: String| Err(format!("{sel:?}: {what}"));
+        if let Err(e) = &out.end {
+            return fail(format!("the job died: {e}"));
+        }
+        if let Some(r) = out.reports.first() {
+            return fail(format!("a sanitizer report: {r}"));
+        }
+        let wants = want(&sides, messages, pair);
+        for (r, ((_, got), want)) in out.ranks.iter().zip(wants).enumerate() {
+            let differs = |i: &usize| got.get(*i) != want.get(*i);
+            if let Some(i) = (got != &want).then(|| (0..).find(differs)).flatten() {
+                let (got, want) = (got.get(i), want.get(i));
+                return fail(format!("rank {r} byte {i} is {got:?}, not {want:?}"));
+            }
+        }
+        if !pair {
+            continue;
+        }
+        let rejected = out.ranks[0].0 == Some(REJECTED);
+        let path = match (&out.ranks[0].0, ran.1) {
+            _ if rejected => "rejected",
+            (Some(e), _) => return fail(format!("the send failed: {e}")),
+            (None, Some("")) => "staged",
+            (None, Some(cts)) => &cts[1..],
+            (None, None) => ["eager", "shm_eager"][usize::from(near)],
+        };
+        let hca = counters.get("node0.hca.tx_bytes").copied().unwrap_or(0);
+        if near && hca > 0 {
+            return fail(format!("{hca} bytes went through the HCA"));
+        }
+        // Same path, same events: `Auto` and the `Force` it resolved to, and
+        // every forced scheme that fell back. The one intended difference,
+        // `Force(ShmEager)` widening the co-located eager window, is a
+        // different path (shm_eager above `SHM_EAGER_LIMIT`), never compared.
+        if let Some((_, first, twin)) = seen.iter().find(|(p, ..)| *p == path && !rejected) {
+            if (&twin.0.end, &twin.2) != (&out.end, &ran.2) {
+                let ends = (&twin.0.end, &out.end);
+                return fail(format!("took {path} as {first:?} did; ends {ends:?}"));
+            }
+        }
+        let mode = ["Force", "Auto"][usize::from(matches!(sel, SchemeSel::Auto { .. }))];
+        if (path == "offload") != (sel == nic && walks || sel == SCHEMES[1] && auto_walks) {
+            return fail(format!("took {path}; the offload policy says otherwise"));
+        }
+        hit(true, &format!("{path} under {mode}"));
+        hit(near && !rows.is_empty(), "co-located pair, no HCA bytes");
+        hit(considered && (sel == nic || sel == SCHEMES[1]), entries);
+        seen.push((path, sel, ran));
+    }
+    Ok(())
+}
+
+/// Every named row and generated draw holds, and together they reach every
+/// cell of the matrix: each `Canonical` form on the host and on the GPU;
+/// every path under `Auto` and forced; offload enabled with combined
+/// descriptor entries on both sides of the 256-entry budget; both
+/// placements, carriers and fault settings; zero-count and zero-size types;
+/// a negative-stride `hvector`, a negative-displacement `hindexed` and a
+/// negative-lb `resized` received into; the typed rejection of
+/// `Force(NicOffload)` on `Irregular`; co-located pairs that keep off the
+/// HCA; `alltoallv` under both algorithms. The draws are a pure function of
+/// [`SEED`], so the table printed is too. A failing draw shrinks greedily to
+/// a minimal one, printed as a `named_rows()` entry that replays it.
+#[test]
+fn generated_draws_hold_and_reach_every_cell() {
+    assert_eq!(format!("{:?}", draws()), format!("{:?}", draws()));
+    let mut rows = named_rows();
+    rows.extend((0..).zip(draws()).map(|(i, d)| (format!("draw {i}"), d)));
+    let cells = &Mutex::new(BTreeMap::new());
+    // Two halves at once: every run is a world of its own.
+    std::thread::scope(|s| {
+        for half in rows.chunks(rows.len().div_ceil(2)) {
+            s.spawn(move || half.iter().for_each(|(n, d)| hold(n, d.clone(), cells)));
+        }
+    });
+    let cells = cells.lock().unwrap();
+    println!("cases per cell: {cells:#?}");
+    let want = "Contig on the host|Contig on the GPU|Strided1D on the host|Strided1D on the GPU|\
+        Strided2D on the host|Strided2D on the GPU|Irregular on the host|Irregular on the GPU|\
+        eager under Auto|eager under Force|shm_eager under Auto|shm_eager under Force|\
+        staged under Auto|staged under Force|direct under Auto|direct under Force|\
+        offload under Auto|offload under Force|dev under Auto|dev under Force|\
+        offload on, <= 256 entries|offload on, > 256 entries|zero-count type|zero-size type|\
+        negative-stride hvector|negative-displacement hindexed|negative-lb resized|\
+        rejected under Force|co-located pair, no HCA bytes|alltoallv under Flat|\
+        alltoallv under Hier|ppn 1|ppn 2|Event|Threads|faults: false|faults: true";
+    let missing = |c: &&str| !cells.contains_key(*c);
+    let empty: Vec<&str> = want.split('|').filter(missing).collect();
+    assert!(empty.is_empty(), "cells never reached: {empty:?}");
+}
+
+/// Check one row; on a failure shrink it greedily to a minimal draw and
+/// panic with the `named_rows()` entry that replays it.
+fn hold(name: &str, mut d: Draw, cells: &Mutex<BTreeMap<String, usize>>) {
+    let Err(mut msg) = check(&d, cells) else {
+        return;
+    };
+    let fails = |c: &Draw| Some((c.clone(), check(c, &Mutex::default()).err()?));
+    while let Some((smaller, m)) = d.shrinks().iter().find_map(fails) {
+        (d, msg) = (smaller, m);
+    }
+    let row = format!("{d:?}").replace('[', "vec![");
+    panic!("{name} (seed {SEED:#x}) fails. Shrunk: {msg}\nReplay with this row of `named_rows()`: {row}");
 }

@@ -1,10 +1,10 @@
-//! Scheme-layer contract tests: the NIC offload data path must be
-//! invisible to the application. Every layout the HCA's descriptor walker
-//! can express delivers byte-identical payloads whether the bytes move
-//! through the staged pipeline, the direct R-PUT, or the scatter/gather
-//! offload engine; layouts it cannot express fall back to the staged
-//! pipeline without perturbing a single event; and forcing offload onto
-//! such a layout surfaces a typed rejection instead of a deep-engine panic.
+//! Scheme-layer recovery tests: the one-shot RDMA rendezvous (direct and
+//! NIC-offload kinds) survives lost CTS and FIN packets, pin-limit
+//! registration failures, error CQEs and descriptor-fetch faults with the
+//! clean run's bytes, and its control plane passes exhaustive model
+//! checking. Byte identity across schemes, the staged fallback and the typed
+//! rejection of a forced offload are rows of the differential generator in
+//! `tests/properties.rs`.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -12,154 +12,31 @@ use std::sync::Arc;
 
 use gpu_nc_repro::ib_sim::{CtrlAction, CtrlPoint, DeliveryScheduler, FaultSpec};
 use gpu_nc_repro::mpi_sim::{
-    packet_kind, ChunkPolicy, ConfigError, DataScheme, Datatype, MpiConfig, MpiError, MpiWorld,
-    SchemeSel,
+    packet_kind, ChunkPolicy, DataScheme, Datatype, MpiConfig, MpiWorld, SchemeSel,
 };
 use gpu_nc_repro::simcheck::{explore, scenarios, silence_expected_panics, Schedule};
 use hostmem::HostBuf;
-use sim_core::{instrument, SimTime};
+use sim_core::instrument;
 
-/// The layout zoo: one datatype per [`Canonical`](gpu_nc_repro::mpi_sim::Canonical)
-/// form, every payload rendezvous-sized and (for the regular shapes) above
-/// the `OFFLOAD_MIN_BYTES` threshold so the Auto policy is willing to
-/// offload.
+/// The layouts of the two rput payload kinds, rendezvous-sized and above
+/// the `OFFLOAD_MIN_BYTES` threshold.
 #[derive(Copy, Clone, Debug)]
 enum Zoo {
-    /// 256 KiB of plain bytes — one descriptor entry.
+    /// 256 KiB of plain bytes — the direct kind, one descriptor entry.
     Contig,
-    /// 4096 rows of 64 B every 128 B (`MPI_Type_vector`) — one entry.
-    Strided1d,
     /// 64 planes of 32 rows of 64 B (hvector of vector) — 64 entries.
     Strided2d,
-    /// Alternating 96/160 B blocks — no bounded descriptor exists.
-    Irregular,
 }
 
 /// Build the zoo datatype: `(type, count, buffer bytes, payload bytes)`.
 fn zoo_type(z: Zoo) -> (Datatype, usize, usize, usize) {
     match z {
         Zoo::Contig => (Datatype::byte(), 256 << 10, 256 << 10, 256 << 10),
-        Zoo::Strided1d => (
-            Datatype::vector(4096, 16, 32, &Datatype::float()),
-            1,
-            524288,
-            256 << 10,
-        ),
         Zoo::Strided2d => {
             let row = Datatype::vector(32, 16, 32, &Datatype::float());
             (Datatype::hvector(64, 1, 8192, &row), 1, 520192, 128 << 10)
         }
-        Zoo::Irregular => {
-            let blocks: Vec<(usize, isize)> = (0..1024)
-                .map(|i| (if i % 2 == 0 { 96 } else { 160 }, i * 512))
-                .collect();
-            (
-                Datatype::hindexed(&blocks, &Datatype::byte()),
-                1,
-                524288,
-                128 << 10,
-            )
-        }
     }
-}
-
-/// One rank-0 → rank-1 transfer of the zoo layout under the given scheme
-/// policy: returns the job's virtual end time and the receiver's *entire*
-/// buffer (holes included — hole corruption must show up too).
-fn exchange(z: Zoo, scheme: SchemeSel, faults: Option<FaultSpec>) -> (SimTime, Vec<u8>) {
-    let cfg = MpiConfig {
-        scheme,
-        ..MpiConfig::default()
-    };
-    let mut world = MpiWorld::new(2).with_config(cfg);
-    if let Some(spec) = faults {
-        world = world.with_faults(spec);
-    }
-    let out = world.try_run(move |comm| {
-        let (t, count, bufsize, payload) = zoo_type(z);
-        t.commit();
-        if comm.rank() == 0 {
-            let buf = HostBuf::from_vec((0..bufsize).map(|i| (i % 251) as u8).collect());
-            comm.send(buf.base(), count, &t, 1, 0);
-            Vec::new()
-        } else {
-            let buf = HostBuf::alloc(bufsize);
-            let st = comm.recv(buf.base(), count, &t, 0, 0);
-            assert_eq!(st.bytes, payload, "{z:?}: wrong payload size");
-            buf.read(0, bufsize)
-        }
-    });
-    let (end, mut ranks, _) = out.unwrap();
-    (end, ranks.swap_remove(1))
-}
-
-#[test]
-fn offload_is_byte_identical_to_staged_and_auto() {
-    for z in [Zoo::Contig, Zoo::Strided1d, Zoo::Strided2d] {
-        let (t_staged, staged) = exchange(z, SchemeSel::Force(DataScheme::Staged), None);
-        let (t_offload, offload) = exchange(z, SchemeSel::Force(DataScheme::NicOffload), None);
-        let (_, auto) = exchange(z, SchemeSel::Auto { offload: true }, None);
-        assert_eq!(staged, offload, "{z:?}: offload corrupted the payload");
-        assert_eq!(staged, auto, "{z:?}: auto policy corrupted the payload");
-        // The offload engine is a genuinely different data path — one
-        // descriptor walk instead of a chunked vbuf pipeline — so its
-        // virtual timing cannot coincide with the staged schedule.
-        assert_ne!(
-            t_staged, t_offload,
-            "{z:?}: forced offload replayed the staged schedule — scheme not engaged"
-        );
-    }
-}
-
-#[test]
-fn irregular_layout_falls_back_to_staged_bit_identically() {
-    // No bounded descriptor exists for the irregular zoo type: the Auto
-    // policy with offload enabled must degrade to the staged pipeline
-    // without moving a single event — same bytes, same virtual end time as
-    // both the offload-disabled default and an explicit Force(Staged).
-    let (t_off, off) = exchange(Zoo::Irregular, SchemeSel::Auto { offload: true }, None);
-    let (t_def, def) = exchange(Zoo::Irregular, SchemeSel::Auto { offload: false }, None);
-    let (t_forced, forced) = exchange(Zoo::Irregular, SchemeSel::Force(DataScheme::Staged), None);
-    assert_eq!(off, def, "fallback changed the delivered bytes");
-    assert_eq!(off, forced, "forced staged changed the delivered bytes");
-    assert_eq!(
-        t_off, t_def,
-        "enabling offload perturbed the virtual time of an irregular transfer"
-    );
-    assert_eq!(
-        t_def, t_forced,
-        "Force(Staged) perturbed the virtual time of an irregular transfer"
-    );
-}
-
-#[test]
-fn forced_offload_on_irregular_is_rejected_with_a_typed_error() {
-    // Force(NicOffload) forbids the staged fallback, and the HCA cannot
-    // walk a deep struct layout: the send must fail through wait_result
-    // with the typed rejection before any wire traffic — not hang, not
-    // panic deep in the engine.
-    let cfg = MpiConfig {
-        scheme: SchemeSel::Force(DataScheme::NicOffload),
-        ..MpiConfig::default()
-    };
-    let out = MpiWorld::new(2).with_config(cfg).try_run(|comm| {
-        // Rank 1 never posts a receive: the rejection happens sender-side.
-        (comm.rank() == 0).then(|| {
-            let (t, count, bufsize, _) = zoo_type(Zoo::Irregular);
-            t.commit();
-            let buf = HostBuf::alloc(bufsize);
-            let req = comm.isend(buf.base(), count, &t, 1, 0);
-            comm.wait_result(req)
-                .expect_err("forced offload on an irregular layout must be rejected")
-        })
-    });
-    assert_eq!(
-        out.unwrap().1[0],
-        Some(MpiError::Rejected {
-            err: ConfigError::ForcedOffloadIrregular
-        }),
-        "wrong rejection surfaced"
-    );
 }
 
 #[test]
