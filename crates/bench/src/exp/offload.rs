@@ -11,6 +11,9 @@
 //! staged), and fails loudly if:
 //!
 //! * any scheme delivers different bytes than the staged pipeline,
+//! * the Auto policy is slower than the better of staged and offload on
+//!   any row (its choice is the walk-vs-pack inequality, so it must pick
+//!   the cheaper one; on `contig` a direct R-PUT beats both),
 //! * offload does not beat staged on the two-level layout at >= 256 KiB,
 //! * the two-level crossover lands above 256 KiB,
 //! * the Auto policy on the irregular layout diverges from `Force(Staged)`
@@ -143,6 +146,11 @@ pub fn offload_sweep(args: &Args) -> Doc {
                 irregular_fallback_exact &= staged == auto && s_end == a_end;
                 auto
             };
+            let best = staged.min(offload);
+            assert!(
+                auto <= best,
+                "{at}: Auto took {auto} us, the better scheme {best} us"
+            );
             if name == "strided2d" && total >= 256 << 10 {
                 assert!(
                     offload < staged,

@@ -174,6 +174,30 @@ mod tests {
     }
 
     #[test]
+    fn an_overflowing_device_footprint_is_refused_in_every_profile() {
+        // The device twin of mpi-sim's host-buffer check: `count - 1`
+        // elements of a float reach past isize (usize::MAX / 2), or wrap to
+        // a 4-byte message ((1 << 62) + 1). The overflow needs no buffer to
+        // be seen, so the post is refused before the stager plans it, debug
+        // and release alike.
+        for count in [usize::MAX / 2, (1 << 62) + 1] {
+            let out = GpuCluster::new(2).try_run(move |env| {
+                let t = Datatype::float();
+                t.commit();
+                if env.comm.rank() == 0 {
+                    let req = env.comm.isend(env.gpu.malloc(64), count, &t, 1, 0);
+                    env.comm.wait(req);
+                }
+            });
+            let msg = out.end.expect_err("an overflowing post must be refused");
+            assert!(
+                msg.starts_with("datatype footprint") && msg.contains("overflows"),
+                "count {count}: {msg}"
+            );
+        }
+    }
+
+    #[test]
     fn colocated_device_ranks_stay_on_the_gpu() {
         // Two ranks on one node share the physical GPU: a device-to-device
         // rendezvous must move zero bytes over the HCA *and* zero bytes

@@ -222,6 +222,15 @@ impl Nic {
         self.write_over(Route::Hca, dst, key, dst_offset, src, len)
     }
 
+    /// What the offload engine charges to walk `entries` scatter/gather
+    /// descriptor entries: one fetch each
+    /// ([`NetModel::offload_entry_ns`](crate::NetModel::offload_entry_ns)).
+    /// [`Nic::rdma_write_sg`] charges it per post; a scheme layer weighs it
+    /// against the CPU pack a walk saves.
+    pub fn offload_walk_time(&self, entries: usize) -> SimDur {
+        SimDur::from_nanos(entries as u64 * self.fabric.inner.model.offload_entry_ns)
+    }
+
     /// One-sided scatter/gather write: the HCA's offload engine walks the
     /// `gather` descriptor over `src`'s buffer, streams the packed bytes to
     /// `dst`, and the remote HCA walks `scatter` to place them into the
@@ -230,10 +239,9 @@ impl Nic {
     /// remote MR (scatter).
     ///
     /// Cost model: one descriptor fetch per entry
-    /// ([`NetModel::offload_entry_ns`](crate::NetModel::offload_entry_ns))
-    /// plus DMA serialization of the payload, both charged against the
-    /// node's HCA transmit engine (and scaled by the job's QoS share like
-    /// any other transmit). With
+    /// ([`Nic::offload_walk_time`]) plus DMA serialization of the payload,
+    /// both charged against the node's HCA transmit engine (and scaled by
+    /// the job's QoS share like any other transmit). With
     /// [`FaultSpec::desc_fetch_error`](crate::FaultSpec::desc_fetch_error)
     /// armed, a post can fail its descriptor fetch: it occupies the engine
     /// (the HCA burned the fetches before aborting), places no bytes and
@@ -263,7 +271,7 @@ impl Nic {
         );
         let entries = gather.len() + scatter.len();
         let fab = &*self.fabric.inner;
-        let extra = SimDur::from_nanos(entries as u64 * fab.model.offload_entry_ns);
+        let extra = self.offload_walk_time(entries);
         self.post_overhead(Route::Hca);
         if fab.faults.as_ref().is_some_and(|f| f.desc_fetch_error()) {
             let busy = self.occupy(Route::Hca, "offload", total, extra, None);

@@ -84,13 +84,6 @@ impl Topology {
     pub fn colocated(&self, a: usize, b: usize) -> bool {
         self.node_of(a) == self.node_of(b)
     }
-
-    /// Endpoints hosted on `node`, in rank order.
-    pub fn ranks_on(&self, node: usize) -> Vec<usize> {
-        (0..self.num_ranks())
-            .filter(|&r| self.node_of[r] == node)
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -118,7 +111,6 @@ mod tests {
         assert_eq!(t.node_of(4), 1);
         assert!(t.colocated(0, 3));
         assert!(!t.colocated(3, 4));
-        assert_eq!(t.ranks_on(1), vec![4, 5, 6, 7]);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! device tbuf and the receiver scatters straight from it: no host
 //! staging, no vbufs, no HCA.
 //!
-//! RTS (advertising `dev_gpu`) → CTS-dev → FIN-dev naming the packed tbuf
+//! RTS (advertising the sender's GPU) → CTS-dev → FIN-dev naming the packed tbuf
 //! → scatter → CREDIT-dev freeing it. All control travels the intra-node
 //! shm channel, which never drops or reorders, so this unit has no retry
 //! timers and protocol violations stay hard panics even on

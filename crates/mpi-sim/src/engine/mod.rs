@@ -61,7 +61,7 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
 
 use gpu_sim::Loc;
-use hostmem::{HostBuf, HostPtr};
+use hostmem::HostBuf;
 use ib_sim::{MrKey, Nic};
 use sim_core::{instrument, san};
 use sim_core::{CallCounters, Completion, SimDur, SimTime};
@@ -72,9 +72,9 @@ use self::staged::{StagedRecv, StagedSend};
 use crate::datatype::Datatype;
 use crate::invariants;
 use crate::pack::CpuModel;
-use crate::plan::{Canonical, Plan, WireDescriptor, OFFLOAD_ENTRY_BUDGET};
-use crate::proto::{ConfigError, Envelope, MpiConfig, MpiError, MpiPacket, ReqId, RputKind, Rts};
-use crate::scheme::{DataScheme, SchemeSelector};
+use crate::plan::Canonical;
+use crate::proto::{Envelope, MpiConfig, MpiError, MpiPacket, ReqId, RputKind, Rts};
+use crate::scheme::{DataScheme, Offer, SchemeSelector};
 use crate::staging::{BufferStager, HostRecvSink, HostSendSource, RecvSink, SendSource};
 use crate::tuner::ChunkTuner;
 
@@ -189,16 +189,9 @@ struct SendState {
     total: usize,
     /// Envelope of the original RTS (for retransmission).
     env: Envelope,
-    /// Device-GPU advert carried on the RTS (and its retransmissions):
-    /// `Some` only toward a co-located peer when the source is device
-    /// memory.
-    dev_gpu: Option<u32>,
     source: Box<dyn SendSource>,
-    /// Start of the user buffer when it is host-contiguous (direct kind).
-    direct_ptr: Option<HostPtr>,
-    /// Base pointer + lowered gather descriptor when the offload scheme is
-    /// enabled and this layout admits a bounded wire descriptor.
-    offload: Option<(HostPtr, WireDescriptor)>,
+    /// What the send buffer offers a rendezvous (empty for an eager send).
+    offer: Offer,
     /// Registration for the rput path failed: the transfer falls back to
     /// staged, and RTS retransmits stop advertising either rput kind.
     rput_failed: bool,
@@ -208,14 +201,15 @@ struct SendState {
 impl SendState {
     /// The RTS of this send, as first sent and as retransmitted.
     fn rts(&self, send_req: ReqId) -> Rts {
-        let offload = self.offload.as_ref().filter(|_| !self.rput_failed);
+        let (rput, o) = (!self.rput_failed, &self.offer);
+        let wire = o.wire.as_ref().filter(|_| rput);
         Rts {
             env: self.env,
             total: self.total,
             send_req,
-            direct_capable: self.direct_ptr.is_some() && !self.rput_failed,
-            dev_gpu: self.dev_gpu,
-            offload_entries: offload.map(|(_, d)| d.entries().len() as u32),
+            direct: rput && o.direct.is_some(),
+            wire: wire.map(|(_, d)| (d.entries().len(), d.rows())),
+            gpu: o.gpu,
         }
     }
 }
@@ -262,11 +256,8 @@ struct RecvState {
     ctx: u16,
     capacity: usize,
     sink: Box<dyn RecvSink>,
-    /// Start of the user buffer when it is host-contiguous (direct kind).
-    direct_ptr: Option<HostPtr>,
-    /// Base pointer + lowered scatter descriptor when the offload scheme
-    /// is enabled and this layout admits a bounded wire descriptor.
-    offload: Option<(HostPtr, WireDescriptor)>,
+    /// What the receive buffer offers a rendezvous.
+    offer: Offer,
     /// Shape of the receive layout (the autotuner keys on its bucket).
     shape: Canonical,
     phase: RecvPhase,
@@ -420,7 +411,8 @@ impl Engine {
         let counters = CallCounters::new();
         rec.register_counters(&scope, &counters);
         let trace = ProtoTrace::new(rec, &scope);
-        let scheme = SchemeSelector::new(&nic, &cfg);
+        let cpu = CpuModel::westmere();
+        let scheme = SchemeSelector::new(&nic, &cfg, &cpu);
         Engine {
             rank,
             size,
@@ -429,7 +421,7 @@ impl Engine {
             cfg,
             counters,
             scheme,
-            cpu: CpuModel::westmere(),
+            cpu,
             stager,
             faulty,
             next_req: 1,
@@ -510,27 +502,21 @@ impl Engine {
         }
     }
 
-    /// If (buf, count, dtype) is a contiguous host region, its start.
-    fn contiguous_host_ptr(buf: &Loc, count: usize, dt: &Datatype) -> Option<HostPtr> {
-        let Loc::Host(p) = buf else { return None };
-        match Canonical::of(&dt.plan(count)) {
-            Canonical::Contig { offset, .. } => {
-                let abs = p.offset() as isize + offset;
-                assert!(abs >= 0, "contiguous layout starts before the buffer");
-                Some(p.buf().ptr(abs as usize))
-            }
-            _ => None,
-        }
-    }
-
-    /// A host post must fit its buffer. A footprint or a message size that
-    /// overflows fits none: refused here in every build profile, before a
-    /// wrapped size could pass for a small one.
-    fn check_host_bounds(buf: &Loc, count: usize, dt: &Datatype) {
-        let Loc::Host(p) = buf else { return };
-        let (flat, len) = (dt.flat(), p.buf().len());
-        let base = p.offset() as isize;
+    /// A post must fit its buffer. A footprint or a message size that
+    /// overflows fits none: refused here for every residency and in every
+    /// build profile, before a wrapped size could pass for a small one. The
+    /// extent itself is checked against host buffers.
+    fn check_bounds(buf: &Loc, count: usize, dt: &Datatype) {
+        let flat = dt.flat();
         let abs = flat.total_bytes(count).and(flat.byte_range(count));
+        let Loc::Host(p) = buf else {
+            assert!(
+                abs.is_some(),
+                "datatype footprint of {count} elements overflows"
+            );
+            return;
+        };
+        let (len, base) = (p.buf().len(), p.offset() as isize);
         match abs.and_then(|(lo, hi)| Some((base.checked_add(lo)?, base.checked_add(hi)?))) {
             Some((lo, hi)) if lo >= 0 && hi as usize <= len => {}
             Some((lo, hi)) => {
@@ -544,13 +530,6 @@ impl Engine {
     }
 
     // --- posting ---------------------------------------------------------------
-
-    /// Lower `plan` to a wire descriptor over the host buffer `buf`, when
-    /// it has one within the HCA's entry budget.
-    fn lower(&self, buf: &Loc, plan: &Plan) -> Option<(HostPtr, WireDescriptor)> {
-        let Loc::Host(p) = buf else { return None };
-        WireDescriptor::lower(plan, OFFLOAD_ENTRY_BUDGET).map(|d| (p.clone(), d))
-    }
 
     pub fn isend(
         &mut self,
@@ -566,7 +545,7 @@ impl Engine {
         // Every MPI call gives the progress engine a chance to run (as in
         // any real single-threaded MPI library).
         self.progress();
-        Self::check_host_bounds(&buf, count, dt);
+        Self::check_bounds(&buf, count, dt);
         let source = self.make_source(&buf, count, dt);
         let id = self.alloc_req();
         let mut st = SendState {
@@ -577,10 +556,8 @@ impl Engine {
                 src: self.rank,
                 tag,
             },
-            dev_gpu: None,
             source,
-            direct_ptr: None,
-            offload: None,
+            offer: Offer::default(),
             rput_failed: false,
             phase: SendPhase::Done,
         };
@@ -590,15 +567,10 @@ impl Engine {
             self.nic
                 .send(dst, wire, Box::new(MpiPacket::Eager { env, data }));
         } else {
-            st.direct_ptr = Self::contiguous_host_ptr(&buf, count, dt);
-            // Advertise the device path only toward a co-located peer: a
-            // remote receiver can never read this GPU's memory directly.
-            if self.scheme.colocated(dst) {
-                st.dev_gpu = st.source.device_gpu();
-            }
-            st.phase = match self.lower_send(&buf, count, dt, dst) {
-                Ok(offload) => {
-                    st.offload = offload;
+            let gpu = st.source.device_gpu();
+            st.phase = match self.scheme.offer(&buf, count, dt, Some(dst), gpu) {
+                Ok(offer) => {
+                    st.offer = offer;
                     self.trace.proto.instant_now("rts");
                     self.nic
                         .send_ctrl(dst, Box::new(MpiPacket::Rts(st.rts(id))));
@@ -619,26 +591,6 @@ impl Engine {
         id
     }
 
-    /// Sender-side offload lowering: the layout as a bounded gather
-    /// descriptor the HCA can walk. Only attempted when the scheme layer
-    /// enables it and the peer sits behind the RDMA transport — the
-    /// default configuration takes zero plan lookups here.
-    fn lower_send(
-        &self,
-        buf: &Loc,
-        count: usize,
-        dt: &Datatype,
-        dst: usize,
-    ) -> Result<Option<(HostPtr, WireDescriptor)>, ConfigError> {
-        let host = matches!(buf, Loc::Host(_));
-        if !(host && self.scheme.offload_enabled() && self.scheme.offload_peer(dst)) {
-            return Ok(None);
-        }
-        let plan = dt.flat().plan(count);
-        self.cfg.try_validate_scheme(&Canonical::of(&plan))?;
-        Ok(self.lower(buf, &plan))
-    }
-
     pub fn irecv(
         &mut self,
         buf: Loc,
@@ -650,10 +602,11 @@ impl Engine {
     ) -> ReqId {
         self.mpi_call_cost();
         self.progress();
-        Self::check_host_bounds(&buf, count, dt);
+        Self::check_bounds(&buf, count, dt);
         let sink = self.make_sink(&buf, count, dt);
         // Cheap after the sink pulled the plan into the cache.
-        let plan = dt.flat().plan(count);
+        let shape = Canonical::of(&dt.plan(count));
+        let offer = self.scheme.offer(&buf, count, dt, None, sink.device_gpu());
         let id = self.alloc_req();
         self.recvs.insert(
             id,
@@ -663,15 +616,8 @@ impl Engine {
                 ctx,
                 capacity: sink.total_bytes(),
                 sink,
-                direct_ptr: Self::contiguous_host_ptr(&buf, count, dt),
-                // Offload: a receiver whose layout has no bounded scatter
-                // descriptor (or whose sink is not host memory) simply
-                // never grants the offload kind — forced offload then
-                // falls back to the staged pipeline at resolution.
-                offload: (self.scheme.offload_enabled())
-                    .then(|| self.lower(&buf, &plan))
-                    .flatten(),
-                shape: Canonical::of(&plan),
+                offer: offer.expect("a receive is never refused"),
+                shape,
                 phase: RecvPhase::Unmatched,
             },
         );
@@ -762,38 +708,28 @@ impl Engine {
     }
 
     /// Pair a receive with the RTS it matched and engage the rendezvous
-    /// unit the scheme layer picks. Feasibility of each scheme comes from
-    /// what the RTS advertised and what this receive posted; the policy
-    /// choice among the feasible ones belongs to the scheme layer. A unit
-    /// that cannot engage after all (a registration hit the pin limit)
-    /// leaves the transfer to the staged pipeline.
+    /// unit the scheme layer picks from what the RTS advertised and what
+    /// this receive offers. A unit that cannot engage after all (a
+    /// registration hit the pin limit) leaves the transfer to the staged
+    /// pipeline.
     fn match_rts(&mut self, recv_id: ReqId, rts: Rts) {
         let st = &self.recvs[&recv_id];
         if rts.total > st.capacity {
             truncated(rts.total, st.capacity);
         }
-        let device_ok = rts
-            .dev_gpu
-            .is_some_and(|gpu| st.sink.device_gpu() == Some(gpu));
-        let direct_ok = rts.direct_capable && st.direct_ptr.is_some();
-        let offload_ok = self.scheme.offload_peer(rts.env.src)
-            && (rts.offload_entries.zip(st.offload.as_ref()))
-                .is_some_and(|(n, (_, d))| n as usize + d.entries().len() <= OFFLOAD_ENTRY_BUDGET);
+        let scheme = self.scheme.resolve(&rts, &st.offer);
         if self.faulty {
             self.matched_rts
                 .insert((rts.env.src, rts.send_req), recv_id);
         }
-        let engaged = match self
-            .scheme
-            .resolve(device_ok, direct_ok, offload_ok, rts.total)
-        {
+        let engaged = match scheme {
             DataScheme::DeviceD2D => {
                 self.dev_grant(recv_id, rts);
                 true
             }
             DataScheme::Direct => self.rput_grant(recv_id, rts, RputKind::Direct),
             DataScheme::NicOffload => self.rput_grant(recv_id, rts, RputKind::Offload),
-            DataScheme::Staged | DataScheme::ShmEager => false,
+            DataScheme::Staged => false,
         };
         if !engaged {
             self.start_staged_recv(recv_id, &rts);

@@ -3,7 +3,7 @@
 //!
 //! ```text
 //!   sender                                   receiver
-//!     │ ── RTS (direct_capable, offload_entries) ──▶ │  match, register user buffer
+//!     │ ── RTS (direct, wire) ─────────────────────▶ │  match, register user buffer
 //!     │ ◀── CTS-rput {key, total, place} ─────────── │  WaitRput (watchdog re-sends the CTS)
 //!     │  register user buffer, post()                │
 //!     │ ══ one RDMA write / scatter-gather walk ═══▶ │
@@ -113,8 +113,8 @@ impl RputWrite {
             RputPlace::Direct { offset } => {
                 nic.write(dst, self.peer_key, *offset, &self.ptr, total)
             }
-            // The HCA walks descriptors; `offload_peer` keeps co-located
-            // peers off this kind.
+            // The HCA walks descriptors; `SchemeSelector::resolve` keeps
+            // co-located peers off this kind.
             RputPlace::Offload { scatter } => {
                 nic.rdma_write_sg(dst, self.peer_key, &self.ptr, &self.gather, scatter)
             }
@@ -175,12 +175,12 @@ impl Engine {
         let st = &self.recvs[&recv_id];
         let (buf, place) = match kind {
             RputKind::Direct => {
-                let ptr = st.direct_ptr.as_ref().expect("direct without a ptr");
+                let ptr = st.offer.direct.as_ref().expect("direct without a ptr");
                 let offset = ptr.offset();
                 (ptr.buf().clone(), RputPlace::Direct { offset })
             }
             RputKind::Offload => {
-                let (ptr, desc) = st.offload.as_ref().expect("offload without a descriptor");
+                let (ptr, desc) = (st.offer.wire.as_ref()).expect("offload without a descriptor");
                 // The received message may be shorter than the posted
                 // receive: clip the scatter walk to its packed prefix.
                 let scatter = desc.prefix(rts.total).to_sg(ptr.offset());
@@ -220,8 +220,8 @@ impl Engine {
         };
         let kind = w.place.kind();
         let still_offered = match kind {
-            RputKind::Direct => dup.direct_capable,
-            RputKind::Offload => dup.offload_entries.is_some(),
+            RputKind::Direct => dup.direct,
+            RputKind::Offload => dup.wire.is_some(),
         };
         if still_offered {
             note(&self.counters, &self.trace, kind.names().retry_cts);
@@ -296,13 +296,12 @@ impl Engine {
         if !st.rput_failed {
             let (ptr, gather) = match kind {
                 RputKind::Direct => (
-                    st.direct_ptr
-                        .clone()
-                        .expect("direct CTS for a non-contiguous send"),
+                    (st.offer.direct.clone()).expect("direct CTS for a non-contiguous send"),
                     Vec::new(),
                 ),
                 RputKind::Offload => {
-                    let (ptr, desc) = st.offload.as_ref().expect("offload CTS never advertised");
+                    let wire = st.offer.wire.as_ref();
+                    let (ptr, desc) = wire.expect("offload CTS never advertised");
                     (ptr.clone(), desc.to_sg(ptr.offset()))
                 }
             };

@@ -331,11 +331,6 @@ pub struct WireDescriptor {
     total: usize,
 }
 
-/// Largest combined (gather + scatter) entry count a wire descriptor may
-/// have — the modeled HCA's descriptor memory. Transfers needing more fall
-/// back to the staged pipeline.
-pub(crate) const OFFLOAD_ENTRY_BUDGET: usize = 256;
-
 impl WireDescriptor {
     /// The plan's runs as a descriptor of at most `budget` entries: one for
     /// `Contig`/`Strided1D`, one per group for `Strided2D`. `None` if the
@@ -358,6 +353,12 @@ impl WireDescriptor {
     /// Total payload bytes.
     pub fn total(&self) -> usize {
         self.total
+    }
+
+    /// Rows the entries describe: what packing the same bytes on the CPU
+    /// would touch.
+    pub fn rows(&self) -> usize {
+        self.entries.iter().map(|e| e.count).sum()
     }
 
     /// Clip to the first `bytes` of the packed stream — the receive-side

@@ -10,7 +10,7 @@
 //!   (both sides contiguous host memory; a plain write at an offset) and
 //!   *offload* (both sides host-resident and canonicalizable, see
 //!   [`crate::plan::Canonical`]; the RTS advertises the sender's entry
-//!   count, the CTS carries the scatter descriptor, the NIC walks both —
+//!   and row counts, the CTS carries the scatter descriptor, the NIC walks both —
 //!   no CPU pack/unpack on either side).
 //! * **Rendezvous staged** — everything else (device-resident or deep
 //!   struct layouts): RTS → CTS granting a window of registered staging
@@ -20,8 +20,7 @@
 
 use ib_sim::{MrKey, SgEntry};
 
-use crate::plan::Canonical;
-use crate::scheme::{DataScheme, SchemeSel, SHM_EAGER_LIMIT};
+use crate::scheme::{SchemeSel, SHM_EAGER_LIMIT};
 use crate::tuner::MAX_BLOCK;
 
 /// Request identifier, unique within one rank.
@@ -48,26 +47,22 @@ pub(crate) struct SlotDesc {
 /// Request To Send: the body of the rendezvous-opening packet. It travels
 /// as [`MpiPacket::Rts`], waits in the unexpected queue and is what a
 /// receive is matched against, so it is one value instead of six loose
-/// arguments.
+/// arguments. Its last three fields are the send's
+/// [`Offer`](crate::scheme::Offer) as the wire carries it, for the
+/// receiver's [`SchemeSelector::resolve`](crate::scheme::SchemeSelector::resolve);
+/// a failed registration withdraws both rput kinds from a retransmitted RTS.
 #[derive(Copy, Clone, Debug)]
 pub(crate) struct Rts {
     pub env: Envelope,
     pub total: usize,
     pub send_req: ReqId,
-    /// Sender's buffer is contiguous host memory, so a direct R-PUT is
-    /// possible if the receiver's is too.
-    pub direct_capable: bool,
-    /// Set when the send buffer is device memory on a GPU the receiver
-    /// might share (the sender is co-located with the receiver): the id
-    /// of that GPU. A receiver sinking into the same GPU answers with
-    /// [`MpiPacket::CtsDev`] and the transfer stays on the device.
-    pub dev_gpu: Option<u32>,
-    /// Set when the sender's layout lowers to a bounded scatter/gather
-    /// descriptor and its scheme selection allows NIC offload: the
-    /// gather entry count (the receiver checks the combined count
-    /// against its HCA budget). `None` = the sender cannot (or will
-    /// not) drive this transfer through the offload engine.
-    pub offload_entries: Option<u32>,
+    /// The send buffer is one contiguous host run (a direct R-PUT).
+    pub direct: bool,
+    /// The send's wire descriptor as `(entries, rows)`: what walking it
+    /// costs, and what packing it on the CPU would.
+    pub wire: Option<(usize, usize)>,
+    /// The GPU the send buffer lives on.
+    pub gpu: Option<u32>,
 }
 
 /// The two payload kinds of the one-shot RDMA ("rput") rendezvous. The
@@ -154,7 +149,7 @@ pub(crate) enum MpiPacket {
     /// must fall back to granting a staged window.
     RputAbort { kind: RputKind, recv_req: ReqId },
     /// Device path (co-located ranks sharing one GPU): the receiver sinks
-    /// into the same GPU the sender advertised in `Rts::dev_gpu` — skip
+    /// into the same GPU the sender advertised in `Rts::gpu` — skip
     /// host staging entirely; the sender should pack into a device tbuf
     /// (D2D) and announce it.
     CtsDev { send_req: ReqId, recv_req: ReqId },
@@ -367,10 +362,11 @@ pub enum ConfigError {
         /// World size.
         nranks: usize,
     },
-    /// [`SchemeSel::Force`]`(NicOffload)` combined with a layout that
-    /// canonicalizes to [`Canonical::Irregular`]: the HCA cannot walk a
-    /// deep struct layout, and forcing forbids the staged fallback.
-    /// Checked per message by [`MpiConfig::try_validate_scheme`].
+    /// [`SchemeSel::Force`]`(NicOffload)` combined with a send layout that
+    /// canonicalizes to [`Canonical::Irregular`](crate::plan::Canonical::Irregular):
+    /// the HCA cannot walk a deep struct layout, and forcing forbids the
+    /// staged fallback. Checked when a rendezvous send toward an
+    /// HCA-routed peer is posted.
     ForcedOffloadIrregular,
 }
 
@@ -525,16 +521,6 @@ impl Default for MpiConfig {
 }
 
 impl MpiConfig {
-    /// Number of chunks a staged transfer of `total` bytes would use at
-    /// [`chunk_size`](MpiConfig::chunk_size). Under [`ChunkPolicy::Fixed`]
-    /// that is the actual chunk count; under [`ChunkPolicy::Adaptive`] it
-    /// reflects only the *starting* chunk size — once the tuner has
-    /// observed a `(size class, layout class)` pair it picks a different
-    /// block, and the real count is `total.div_ceil(chosen_block)`.
-    pub fn nchunks(&self, total: usize) -> usize {
-        total.div_ceil(self.chunk_size).max(1)
-    }
-
     /// Largest chunk size any transfer may use under this configuration —
     /// what the staging vbufs must be sized to.
     pub fn max_chunk(&self) -> usize {
@@ -584,19 +570,6 @@ impl MpiConfig {
             return Err(ConfigError::ShmEagerBelowEager {
                 eager_limit: self.eager_limit,
             });
-        }
-        Ok(())
-    }
-
-    /// Per-message scheme check: a forced NIC offload cannot serve a layout
-    /// that canonicalizes to [`Canonical::Irregular`]. The engine runs this
-    /// at post time and fails the request with a typed
-    /// [`MpiError::Rejected`] instead of panicking mid-rendezvous.
-    pub fn try_validate_scheme(&self, canonical: &Canonical) -> Result<(), ConfigError> {
-        if self.scheme == SchemeSel::Force(DataScheme::NicOffload)
-            && *canonical == Canonical::Irregular
-        {
-            return Err(ConfigError::ForcedOffloadIrregular);
         }
         Ok(())
     }
@@ -810,17 +783,5 @@ mod tests {
     fn default_coll_config_is_hier() {
         let c = MpiConfig::default();
         assert_eq!(c.coll.algo, CollAlgo::Hier);
-    }
-
-    #[test]
-    fn nchunks_rounds_up() {
-        let c = MpiConfig {
-            chunk_size: 100,
-            ..Default::default()
-        };
-        assert_eq!(c.nchunks(1), 1);
-        assert_eq!(c.nchunks(100), 1);
-        assert_eq!(c.nchunks(101), 2);
-        assert_eq!(c.nchunks(0), 1);
     }
 }

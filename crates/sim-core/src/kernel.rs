@@ -366,11 +366,6 @@ impl Sim {
         self.kernel.state.lock().exec = mode;
     }
 
-    /// The carrier mode processes are spawned with.
-    pub fn exec_mode(&self) -> ExecMode {
-        self.kernel.state.lock().exec
-    }
-
     /// Number of timers currently in the heap, stale deadlines included.
     pub fn timers_live(&self) -> usize {
         self.kernel.state.lock().timers.len()

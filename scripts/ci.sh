@@ -28,15 +28,18 @@ cargo build --release
 echo "==> cargo test (workspace)"
 cargo test --workspace -q
 
-echo "==> cargo test --release -p ib-sim -p gpu-sim -p sim-core, and mpi-sim's footprint check (overflow checks are off: bounds must hold by checked arithmetic)"
+echo "==> cargo test --release -p ib-sim -p gpu-sim -p sim-core, and the host and device footprint checks (overflow checks are off: bounds must hold by checked arithmetic)"
 # The fabric's bounds checks, the device's pitched extents and SIM_STACK_KB's
 # size each once wrapped in release and panicked in debug, and sim-core holds
 # the unsafe context switch, whose default stack differs by profile (1024 KiB
 # debug, 256 KiB release); the workspace tests above run in debug only.
 cargo test --release -q -p ib-sim -p gpu-sim -p sim-core
 # A post whose datatype footprint overflows wrapped to a small message in
-# release and passed the host bounds check; it must be refused there too.
+# release and passed the host bounds check; it must be refused there too,
+# and so must the same post from a device buffer, which has no host extent
+# to check.
 cargo test --release -q -p mpi-sim an_overflowing_footprint_is_refused_in_every_profile
+cargo test --release -q -p mv2-gpu-nc an_overflowing_device_footprint_is_refused_in_every_profile
 
 echo "==> experiments (release): smoke plans + the committed grids too slow for a debug build"
 # Every experiment's guards run on every invocation. `cargo test` above has

@@ -10,9 +10,9 @@
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
+use gpu_nc_repro::ib_sim::NetModel;
 use gpu_nc_repro::mpi_sim::flat::{rows as rows_of_runs, Run, Segment};
-use gpu_nc_repro::mpi_sim::pack::{PackCursor, UnpackCursor};
-use gpu_nc_repro::mpi_sim::scheme::OFFLOAD_MIN_BYTES;
+use gpu_nc_repro::mpi_sim::pack::{CpuModel, PackCursor, UnpackCursor};
 use gpu_nc_repro::mpi_sim::{
     Canonical, ChunkPolicy, CollAlgo, Comm, ConfigError, DataScheme, Datatype, FaultSpec,
     MpiConfig, MpiError, MpiWorld, Outcome, Plan, SchemeSel, SubarrayOrder, WireDescriptor,
@@ -975,15 +975,17 @@ fn canonical_shape_is_the_run_list() {
 const SEED: u64 = 0x5EED_0025;
 
 /// Both `Auto` policies and every forced scheme.
-const SCHEMES: [SchemeSel; 7] = [
+const SCHEMES: [SchemeSel; 6] = [
     SchemeSel::Auto { offload: false },
     SchemeSel::Auto { offload: true },
     SchemeSel::Force(DataScheme::Staged),
     SchemeSel::Force(DataScheme::Direct),
     SchemeSel::Force(DataScheme::DeviceD2D),
-    SchemeSel::Force(DataScheme::ShmEager),
     SchemeSel::Force(DataScheme::NicOffload),
 ];
+
+/// The smallest message of the largest size regime.
+const LARGE: usize = 64 << 10;
 
 /// The world a draw runs in: ranks per node (1 puts a pair on two nodes, 2
 /// on one), the carrier, the seed of a mix of control drops and delays,
@@ -1065,13 +1067,13 @@ fn recv_spec(rng: &mut XorShift64, depth: usize) -> DtSpec {
 }
 
 /// A receivable tree and a count putting its total in size regime `regime`:
-/// zero, eager, shm-eager, staged, or at or above `OFFLOAD_MIN_BYTES`. Most
+/// zero, eager, shm-eager, staged, or at or above [`LARGE`]. Most
 /// are `recv_spec` trees, the rest the regular shapes the fast paths serve:
 /// a resized column (`count` of them interleave as `count` descriptor
 /// groups), one long vector sent once, or a leaf resized apart.
 fn sized(rng: &mut XorShift64, regime: usize) -> TypeSpec {
-    let lo = [0, 1, 8 << 10, 32 << 10, 64 << 10][regime];
-    let hi = [1, 8 << 10, 32 << 10, 64 << 10, 256 << 10][regime];
+    let lo = [0, 1, 8 << 10, 32 << 10, LARGE][regime];
+    let hi = [1, 8 << 10, 32 << 10, LARGE, 256 << 10][regime];
     loop {
         let (target, bl, f) = (rng.gen_range(lo, hi), rng.gen_range(1, 4), DtSpec::Float);
         let (rows, stride) = (rng.gen_range(2, 512), rng.gen_range(100, 400));
@@ -1123,17 +1125,33 @@ fn draws() -> Vec<Draw> {
 }
 
 /// Rows kept in the generator by name: the HCA's 256-entry descriptor
-/// budget met exactly (128 + 128 groups, at exactly `OFFLOAD_MIN_BYTES`) and
-/// missed by one group a side. A failure prints its replay row for here.
+/// budget met exactly (128 + 128 groups, at exactly [`LARGE`]) and
+/// missed by one group a side; and `offload_sweep`'s `strided2d` at 16 KiB,
+/// whose 64 + 64 descriptor fetches cost more than packing and unpacking
+/// its 256 rows on the CPU. A failure prints its replay row for here.
 #[allow(unused_imports)]
 fn named_rows() -> Vec<(String, Draw)> {
     use {CollAlgo::*, DtSpec::*, ExecMode::*};
-    let column = |count| {
-        let dt = Resized(0, 4, Box::new(Vector(128, 1, 300, Box::new(Float))));
-        let world = World(1, Event, None, None);
-        Draw(TypeSpec { dt, count }, false, world, None)
+    let host = |dt, count| {
+        Draw(
+            TypeSpec { dt, count },
+            false,
+            World(1, Event, None, None),
+            None,
+        )
     };
-    let rows = [("256 entries", column(128)), ("258 entries", column(129))];
+    let column = |count| {
+        host(
+            Resized(0, 4, Box::new(Vector(128, 1, 300, Box::new(Float)))),
+            count,
+        )
+    };
+    let planes = Hvector(64, 1, 768, Box::new(Vector(4, 16, 32, Box::new(Float))));
+    let rows = [
+        ("256 entries", column(128)),
+        ("258 entries", column(129)),
+        ("a walk that costs more than the pack", host(planes, 1)),
+    ];
     rows.map(|(name, d)| (name.into(), d)).into()
 }
 
@@ -1366,19 +1384,23 @@ fn check(d: &Draw, cells: &Mutex<BTreeMap<String, usize>>) -> Result<(), String>
     // Offload was on the table: a remote host pair at rendezvous size whose
     // layout lowers to a descriptor of `groups` entries a side.
     let considered = !near && !gpu && rendezvous && groups.is_some();
-    // ... and the HCA walks it: both sides within the 256-entry budget,
-    // forced, or under `Auto` at `OFFLOAD_MIN_BYTES` unless a direct R-PUT
+    // ... and the HCA walks it: both sides within the 256-entry budget, and
+    // forced, or under `Auto` when fetching both descriptors costs less than
+    // packing and unpacking the rows on the CPU — unless a direct R-PUT
     // serves it first.
     let walks = considered && groups <= Some(128);
     let contig = matches!(shape, Canonical::Contig { .. });
-    let auto_walks = walks && bytes(rows) >= OFFLOAD_MIN_BYTES && !contig;
+    let (entry_ns, cpu) = (NetModel::qdr().offload_entry_ns, CpuModel::westmere());
+    let walk_ns = 2 * groups.unwrap_or(0) as u64 * entry_ns;
+    let pays = walk_ns < 2 * cpu.pack_time(bytes(rows), rows.len()).as_nanos();
+    let auto_walks = walks && !contig && pays;
     // Receiver, sender, sender's block, receiver's block: a pair's one
     // message, or `alltoallv`'s sixteen.
     let message = |m: usize| (m / 4 + usize::from(pair), m % 4, m / 4, m % 4);
     let all: Vec<_> = (0..[16, 1][usize::from(pair)]).map(message).collect();
     let mut seen: Vec<(&str, SchemeSel, Ran)> = Vec::new();
     let nic = SchemeSel::Force(DataScheme::NicOffload);
-    for &sel in &SCHEMES[..if pair { 7 } else { 1 }] {
+    for &sel in &SCHEMES[..if pair { SCHEMES.len() } else { 1 }] {
         let refused = sel == nic && !gpu && !near && groups.is_none() && rendezvous;
         let messages = &all[..if pair && refused { 0 } else { all.len() }];
         let ran = run(d, sel, &sides, !messages.is_empty());
@@ -1414,9 +1436,7 @@ fn check(d: &Draw, cells: &Mutex<BTreeMap<String, usize>>) -> Result<(), String>
             return fail(format!("{hca} bytes went through the HCA"));
         }
         // Same path, same events: `Auto` and the `Force` it resolved to, and
-        // every forced scheme that fell back. The one intended difference,
-        // `Force(ShmEager)` widening the co-located eager window, is a
-        // different path (shm_eager above `SHM_EAGER_LIMIT`), never compared.
+        // every forced scheme that fell back.
         if let Some((_, first, twin)) = seen.iter().find(|(p, ..)| *p == path && !rejected) {
             if (&twin.0.end, &twin.2) != (&out.end, &ran.2) {
                 let ends = (&twin.0.end, &out.end);
@@ -1430,6 +1450,14 @@ fn check(d: &Draw, cells: &Mutex<BTreeMap<String, usize>>) -> Result<(), String>
         hit(true, &format!("{path} under {mode}"));
         hit(near && !rows.is_empty(), "co-located pair, no HCA bytes");
         hit(considered && (sel == nic || sel == SCHEMES[1]), entries);
+        let auto = [
+            "Auto declines a walkable layout",
+            "Auto walks a walkable layout",
+        ];
+        hit(
+            sel == SCHEMES[1] && walks && !contig,
+            auto[usize::from(auto_walks)],
+        );
         seen.push((path, sel, ran));
     }
     Ok(())
@@ -1438,7 +1466,8 @@ fn check(d: &Draw, cells: &Mutex<BTreeMap<String, usize>>) -> Result<(), String>
 /// Every named row and generated draw holds, and together they reach every
 /// cell of the matrix: each `Canonical` form on the host and on the GPU;
 /// every path under `Auto` and forced; offload enabled with combined
-/// descriptor entries on both sides of the 256-entry budget; both
+/// descriptor entries on both sides of the 256-entry budget; `Auto` both
+/// taking and declining the walk of a layout the HCA can walk; both
 /// placements, carriers and fault settings; zero-count and zero-size types;
 /// a negative-stride `hvector`, a negative-displacement `hindexed` and a
 /// negative-lb `resized` received into; the typed rejection of
@@ -1465,7 +1494,8 @@ fn generated_draws_hold_and_reach_every_cell() {
         eager under Auto|eager under Force|shm_eager under Auto|shm_eager under Force|\
         staged under Auto|staged under Force|direct under Auto|direct under Force|\
         offload under Auto|offload under Force|dev under Auto|dev under Force|\
-        offload on, <= 256 entries|offload on, > 256 entries|zero-count type|zero-size type|\
+        offload on, <= 256 entries|offload on, > 256 entries|Auto walks a walkable layout|\
+        Auto declines a walkable layout|zero-count type|zero-size type|\
         negative-stride hvector|negative-displacement hindexed|negative-lb resized|\
         rejected under Force|co-located pair, no HCA bytes|alltoallv under Flat|\
         alltoallv under Hier|ppn 1|ppn 2|Event|Threads|faults: false|faults: true";
