@@ -140,13 +140,6 @@ impl Comm {
         self.eng.lock().cfg.clone()
     }
 
-    /// Number of live entries in this rank's rendezvous registration cache
-    /// (observability for tests and tools; bounded by
-    /// `MpiConfig::reg_cache_entries`).
-    pub fn reg_cache_len(&self) -> usize {
-        self.eng.lock().reg_cache_len()
-    }
-
     // --- point-to-point -----------------------------------------------------
 
     /// `MPI_Isend`.

@@ -6,20 +6,35 @@
 //! RTS (advertising the sender's GPU) → CTS-dev → FIN-dev naming the packed tbuf
 //! → scatter → CREDIT-dev freeing it. All control travels the intra-node
 //! shm channel, which never drops or reorders, so this unit has no retry
-//! timers and protocol violations stay hard panics even on
+//! timers and a stale device packet is a hard violation even on
 //! fault-injecting fabrics.
 
 use sim_core::{san, Completion};
 
 use super::reliability::violation;
-use super::{Engine, RecvPhase, SendPhase};
-use crate::proto::{MpiPacket, ReqId, Rts, SeededBug};
+use super::{Engine, RecvPhase, RecvState, SendPhase, SendState};
+use crate::proto::{FinDev, MpiPacket, ReqId, Rts, SeededBug};
+
+/// Sender: the FIN-dev is out, announcing the packed tbuf; waiting for the
+/// receiver's credit. The pack completion is kept only as a wake-up hint —
+/// ordering travels inside the FIN-dev itself.
+pub(super) struct DevSend {
+    pub(super) pack: Completion,
+}
+
+/// Receiver: the two steps between the CTS-dev and completion.
+pub(super) enum DevRecv {
+    /// CTS-dev sent, waiting for the sender's FIN-dev naming its packed
+    /// device tbuf.
+    Wait(Rts),
+    /// Scattering from the sender's tbuf on the shared GPU; the credit goes
+    /// out when the unpack completion lands.
+    Absorb { comp: Completion, rts: Rts },
+}
 
 impl Engine {
     /// Receiver: answer a matched RTS whose source sits on our GPU.
-    pub(super) fn dev_grant(&mut self, recv_id: ReqId, rts: Rts) {
-        let st = self.recvs.get_mut(&recv_id).expect("recv state missing");
-        st.phase = RecvPhase::DevWait { rts };
+    pub(super) fn dev_grant(&mut self, recv_id: ReqId, rts: Rts) -> RecvPhase {
         self.trace.proto.instant_now("cts_dev");
         self.nic.send_ctrl(
             rts.env.src,
@@ -28,20 +43,11 @@ impl Engine {
                 recv_req: recv_id,
             }),
         );
+        RecvPhase::Dev(DevRecv::Wait(rts))
     }
 
     /// Sender: pack into a device tbuf and announce it.
-    pub(super) fn dev_on_cts(&mut self, send_req: ReqId, recv_req: ReqId) {
-        let Some(st) = self.sends.get_mut(&send_req) else {
-            violation(format_args!(
-                "device CTS for unknown send request #{send_req}"
-            ));
-        };
-        if !matches!(st.phase, SendPhase::WaitCts { .. }) {
-            violation(format_args!(
-                "device CTS for send request #{send_req} that is not awaiting CTS"
-            ));
-        }
+    pub(super) fn dev_on_cts(&mut self, st: &mut SendState, recv_req: ReqId) -> SendPhase {
         let (ptr, pack) = st
             .source
             .stage_device()
@@ -55,71 +61,44 @@ impl Engine {
         self.trace.proto.instant_now("fin_dev");
         self.nic.send_ctrl(
             st.dst,
-            Box::new(MpiPacket::FinDev {
+            Box::new(MpiPacket::FinDev(FinDev {
                 recv_req,
                 ptr,
                 total: st.total,
                 ready: pack.clone(),
-            }),
+            })),
         );
-        st.phase = SendPhase::DevWaitCredit { pack };
+        SendPhase::Dev(DevSend { pack })
     }
 
-    /// Receiver: the packed bytes sit at `ptr` on the shared GPU — start
-    /// scattering from there, ordered after the pack (`ready`).
-    pub(super) fn dev_on_fin(
-        &mut self,
-        recv_req: ReqId,
-        ptr: gpu_sim::DevPtr,
-        total: usize,
-        ready: Completion,
-    ) {
-        let Some(st) = self.recvs.get_mut(&recv_req) else {
+    /// Receiver: the packed bytes sit on the shared GPU — start scattering
+    /// from there, ordered after the pack.
+    pub(super) fn dev_on_fin(&mut self, st: &mut RecvState, rts: Rts, fin: FinDev) -> RecvPhase {
+        if fin.total != rts.total {
             violation(format_args!(
-                "device FIN for unknown receive request #{recv_req}"
+                "device FIN announces {} bytes for a {}-byte RTS",
+                fin.total, rts.total
             ));
-        };
-        let RecvPhase::DevWait { rts } = st.phase else {
-            violation(format_args!(
-                "device FIN for receive request #{recv_req} that is not in the device \
-                 rendezvous phase (protocol state machine violation)"
-            ));
-        };
-        assert_eq!(total, rts.total, "device FIN announces a different size");
+        }
         let comp = st
             .sink
-            .absorb_device(ptr, total, &ready)
+            .absorb_device(fin.ptr, fin.total, &fin.ready)
             .expect("device FIN for a sink without device support");
-        st.phase = RecvPhase::DevAbsorb { comp, rts };
+        RecvPhase::Dev(DevRecv::Absorb { comp, rts })
     }
 
     /// Sender: the receiver is done reading the tbuf.
-    pub(super) fn dev_on_credit(&mut self, send_req: ReqId) {
-        let Some(st) = self.sends.get_mut(&send_req) else {
-            violation(format_args!(
-                "device credit for unknown send request #{send_req}"
-            ));
-        };
-        if !matches!(st.phase, SendPhase::DevWaitCredit { .. }) {
-            violation(format_args!(
-                "device credit for send request #{send_req} that is not awaiting one"
-            ));
-        }
+    pub(super) fn dev_on_credit(&mut self) -> SendPhase {
         san::pool_put(self.dev_tbuf_id);
-        st.phase = SendPhase::Done;
+        SendPhase::Done
     }
 
     /// Receiver: once the scatter from the shared GPU has finished, credit
     /// the sender's tbuf and complete.
-    pub(super) fn dev_advance_recv(&mut self, id: ReqId) {
-        let Some(RecvPhase::DevAbsorb { comp, rts }) = self.recvs.get(&id).map(|st| &st.phase)
-        else {
-            return;
-        };
+    pub(super) fn dev_advance_recv(&mut self, comp: Completion, rts: Rts) -> RecvPhase {
         if !comp.poll() {
-            return;
+            return RecvPhase::Dev(DevRecv::Absorb { comp, rts });
         }
-        let rts = *rts;
         if self.cfg.seeded_bug == Some(SeededBug::DropDevCredit) && !self.seeded_bug_fired {
             // Swallow the first CREDIT-dev. The sender never learns its
             // device tbuf is free — a staging leak the sanitizer must flag
@@ -130,6 +109,6 @@ impl Engine {
             self.nic
                 .send_ctrl(rts.env.src, Box::new(MpiPacket::CreditDev { send_req }));
         }
-        self.complete_recv(id, &rts);
+        self.complete_recv(&rts)
     }
 }

@@ -9,10 +9,11 @@
 //! hardware completion instant passes.
 //!
 //! This module owns what every message shares — posting, matching, the
-//! eager path, the RTS (sent, retransmitted, matched), the packet
-//! dispatcher and the progress loop. What happens between a matched RTS
-//! and completion belongs to one of three self-contained rendezvous
-//! units, each an `impl Engine` block over its own send/receive records:
+//! eager path, the RTS (sent, retransmitted, matched), the packet router
+//! and the progress loop. What happens between a matched RTS and
+//! completion belongs to one of three self-contained rendezvous units,
+//! each an `impl Engine` block over its own send/receive state — one
+//! variant of [`SendPhase`] and of [`RecvPhase`]:
 //!
 //! * [`staged`] — the windowed vbuf pipeline (CTS / FIN / CREDIT / FIN-NACK);
 //! * [`rput`] — the one-shot RDMA write into the receiver's registered
@@ -20,8 +21,13 @@
 //!   *offload* (NIC scatter/gather);
 //! * [`device`] — the D2D path between ranks sharing a GPU.
 //!
-//! A new scheme is a new file here, a packet arm in `handle_packet`, a
-//! phase in [`SendPhase`]/[`RecvPhase`] and a row in `match_rts`.
+//! Every packet after the RTS names one local request. The router looks
+//! it up once, and a `(phase, kind)` row hands the request's state to the
+//! unit's handler, so a handler sees only packets its phase expects. Every
+//! packet without a row goes to the one stale-packet rule
+//! ([`Engine::stale`]). A new scheme is one file here, one `match_rts`
+//! row, and per new packet kind one `(phase, kind)` row in `route_send` or
+//! `route_recv` and one row of the stale rule.
 //!
 //! # Fault recovery
 //!
@@ -57,23 +63,27 @@ mod reliability;
 mod rput;
 mod staged;
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 use gpu_sim::Loc;
 use hostmem::HostBuf;
 use ib_sim::{MrKey, Nic};
 use sim_core::{instrument, san};
-use sim_core::{CallCounters, Completion, SimDur, SimTime};
+use sim_core::{CallCounters, SimDur, SimTime};
 
-use self::reliability::{violation, BoundedMap, RetryTimer};
+use self::device::{DevRecv, DevSend};
+use self::reliability::{violation, Replay, RetryTimer};
 use self::rput::{RegCache, RputRecv, RputSend};
 use self::staged::{StagedRecv, StagedSend};
 use crate::datatype::Datatype;
 use crate::invariants;
 use crate::pack::CpuModel;
 use crate::plan::Canonical;
-use crate::proto::{Envelope, MpiConfig, MpiError, MpiPacket, ReqId, RputKind, Rts};
+use crate::proto::{
+    Credit, Cts, CtsRput, Envelope, Fin, FinDev, MpiConfig, MpiError, MpiPacket, ReqId, RputKind,
+    Rts,
+};
 use crate::scheme::{DataScheme, Offer, SchemeSelector};
 use crate::staging::{BufferStager, HostRecvSink, HostSendSource, RecvSink, SendSource};
 use crate::tuner::ChunkTuner;
@@ -166,20 +176,13 @@ pub(crate) struct Vbuf {
     pub key: MrKey,
 }
 
+/// Where a send is: waiting for the receiver's CTS, in one rendezvous
+/// unit, or finished.
 enum SendPhase {
-    WaitCts {
-        timer: Option<RetryTimer>,
-    },
-    Rput(RputSend),
+    WaitCts { timer: Option<RetryTimer> },
     Staged(StagedSend),
-    /// Device path (co-located ranks sharing one GPU): the FIN-dev is out,
-    /// announcing the packed tbuf; waiting for the receiver's credit. The
-    /// pack completion is kept only as a wake-up hint — ordering travels
-    /// inside the FIN-dev itself. No retry timer: intra-node control is
-    /// reliable even on fault-injecting fabrics.
-    DevWaitCredit {
-        pack: Completion,
-    },
+    Rput(RputSend),
+    Dev(DevSend),
     Done,
     Failed(MpiError),
 }
@@ -214,38 +217,14 @@ impl SendState {
     }
 }
 
-/// What a completed send must remember to answer retransmits (faulty
-/// fabrics only).
-#[derive(Copy, Clone)]
-enum SendRecord {
-    Staged {
-        dst: usize,
-        peer_recv_req: ReqId,
-        chunk_size: usize,
-        nchunks: usize,
-        nslots: usize,
-        total: usize,
-    },
-    Rput {
-        dst: usize,
-    },
-}
-
+/// Where a receive is: waiting for a matching message, in one rendezvous
+/// unit, or finished.
 enum RecvPhase {
     Unmatched,
-    WaitRput(RputRecv),
-    Staged(StagedRecv, Envelope),
-    /// Device path: CTS-dev sent, waiting for the sender's FIN-dev naming
-    /// its packed device tbuf. No timer — intra-node control is reliable.
-    DevWait {
-        rts: Rts,
-    },
-    /// Device path: scattering from the sender's tbuf on the shared GPU;
-    /// the credit goes out when the unpack completion lands.
-    DevAbsorb {
-        comp: Completion,
-        rts: Rts,
-    },
+    /// Boxed: the largest unit state stays out of every receive's size.
+    Staged(Box<StagedRecv>),
+    Rput(RputRecv),
+    Dev(DevRecv),
     Done(RecvStatus),
     Failed(MpiError),
 }
@@ -290,9 +269,6 @@ fn truncated(bytes: usize, capacity: usize) -> ! {
         "message truncated: {bytes} bytes into a {capacity}-byte receive"
     ))
 }
-
-/// How many completed transfers each rank remembers for replay tolerance.
-const REPLAY_MEMORY: usize = 1024;
 
 pub(crate) struct Engine {
     pub rank: usize,
@@ -346,16 +322,8 @@ pub(crate) struct Engine {
     reg_cache: RegCache,
     /// Online block-size search (drives `ChunkPolicy::Adaptive`).
     tuner: ChunkTuner,
-    /// Live matched RTSes, (src, send_req) -> recv_req: a duplicate RTS
-    /// re-sends the response instead of matching twice (faulty only).
-    matched_rts: HashMap<(usize, ReqId), ReqId>,
-    /// RTSes whose transfer completed; late duplicates are ignored.
-    done_rts: BoundedMap<(usize, ReqId), ()>,
-    /// Completed sends, kept to answer FinNack / CtsDirect retransmits.
-    completed_sends: BoundedMap<ReqId, SendRecord>,
-    /// Completed staged receives, recv_req -> (src, peer_send_req), kept to
-    /// re-credit on duplicate FINs after the receive was reaped.
-    completed_recvs: BoundedMap<ReqId, (usize, ReqId)>,
+    /// What the stale-packet rule answers retransmits from.
+    replay: Replay,
     /// This rank's trace lanes (no-ops when the recorder is disabled).
     trace: ProtoTrace,
     /// Last (send_pool, recv_pool) occupancy sampled onto the gauge lanes;
@@ -407,7 +375,6 @@ impl Engine {
         invariants::register_all();
         let tuner = ChunkTuner::new(&cfg);
         let faulty = nic.faults_enabled();
-        let reg_cache = RegCache::new(cfg.reg_cache_entries);
         let counters = CallCounters::new();
         rec.register_counters(&scope, &counters);
         let trace = ProtoTrace::new(rec, &scope);
@@ -436,12 +403,9 @@ impl Engine {
             dev_tbuf_id,
             seeded_bug_fired: false,
             next_ctx: 2,
-            reg_cache,
+            reg_cache: RegCache::new(),
             tuner,
-            matched_rts: HashMap::new(),
-            done_rts: BoundedMap::new(REPLAY_MEMORY),
-            completed_sends: BoundedMap::new(REPLAY_MEMORY),
-            completed_recvs: BoundedMap::new(REPLAY_MEMORY),
+            replay: Replay::default(),
             trace,
             // Sentinel: the first progress pass samples the baseline.
             last_pools: (usize::MAX, usize::MAX),
@@ -457,11 +421,6 @@ impl Engine {
     /// Advance the context allocator past an agreed block.
     pub fn advance_ctx(&mut self, to: u16) {
         self.next_ctx = self.next_ctx.max(to);
-    }
-
-    /// Number of live registration-cache entries (tests).
-    pub fn reg_cache_len(&self) -> usize {
-        self.reg_cache.len()
     }
 
     fn alloc_req(&mut self) -> ReqId {
@@ -581,10 +540,7 @@ impl Engine {
                 // Forced offload on a layout the HCA cannot walk: surface
                 // the typed rejection through wait_result before any wire
                 // traffic, instead of a deep-engine panic later.
-                Err(err) => {
-                    note(&self.counters, &self.trace, "mpi.error");
-                    SendPhase::Failed(MpiError::Rejected { err })
-                }
+                Err(err) => self.fail_send(SendPhase::Done, MpiError::Rejected { err }),
             };
         }
         self.sends.insert(id, st);
@@ -673,37 +629,10 @@ impl Engine {
     }
 
     fn on_rts(&mut self, rts: Rts) {
-        if self.faulty {
-            // Retransmit tolerance: an RTS we have already seen must not
-            // match (or enqueue) twice.
-            let key = (rts.env.src, rts.send_req);
-            let live = self.matched_rts.get(&key).copied();
-            let queued =
-                |u: &Unexpected| matches!(u, Unexpected::Rts(q) if (q.env.src, q.send_req) == key);
-            if live.is_some() || self.done_rts.contains(&key) || self.unexpected.iter().any(queued)
-            {
-                note(&self.counters, &self.trace, "dup.rts");
-                if let Some(recv_id) = live {
-                    self.resend_response(recv_id, &rts);
-                }
-                return;
-            }
-        }
         if let Some(recv_id) = self.find_posted(&rts.env) {
             self.match_rts(recv_id, rts);
         } else {
             self.unexpected.push_back(Unexpected::Rts(rts));
-        }
-    }
-
-    /// A duplicate RTS arrived for an already-matched receive: the response
-    /// (a CTS of some kind) was evidently lost — the receive's unit re-sends
-    /// it from the live state. A receive that already finished needs none.
-    fn resend_response(&mut self, recv_id: ReqId, dup: &Rts) {
-        match self.recvs.get(&recv_id).map(|st| &st.phase) {
-            Some(RecvPhase::WaitRput(_)) => self.rput_resend_cts(recv_id, dup),
-            Some(RecvPhase::Staged(..)) => self.staged_resend_cts(recv_id),
-            _ => {}
         }
     }
 
@@ -713,86 +642,147 @@ impl Engine {
     /// registration hit the pin limit) leaves the transfer to the staged
     /// pipeline.
     fn match_rts(&mut self, recv_id: ReqId, rts: Rts) {
-        let st = &self.recvs[&recv_id];
-        if rts.total > st.capacity {
-            truncated(rts.total, st.capacity);
-        }
-        let scheme = self.scheme.resolve(&rts, &st.offer);
-        if self.faulty {
-            self.matched_rts
-                .insert((rts.env.src, rts.send_req), recv_id);
-        }
-        let engaged = match scheme {
-            DataScheme::DeviceD2D => {
-                self.dev_grant(recv_id, rts);
-                true
+        self.step_recv(recv_id, |e, st, _| {
+            if rts.total > st.capacity {
+                truncated(rts.total, st.capacity);
             }
-            DataScheme::Direct => self.rput_grant(recv_id, rts, RputKind::Direct),
-            DataScheme::NicOffload => self.rput_grant(recv_id, rts, RputKind::Offload),
-            DataScheme::Staged => false,
-        };
-        if !engaged {
-            self.start_staged_recv(recv_id, &rts);
-        }
+            let scheme = e.scheme.resolve(&rts, &st.offer);
+            if e.faulty {
+                e.replay
+                    .matched_rts
+                    .insert((rts.env.src, rts.send_req), recv_id);
+            }
+            let engaged = match scheme {
+                DataScheme::DeviceD2D => Some(e.dev_grant(recv_id, rts)),
+                DataScheme::Direct => e.rput_grant(recv_id, st, rts, RputKind::Direct),
+                DataScheme::NicOffload => e.rput_grant(recv_id, st, rts, RputKind::Offload),
+                DataScheme::Staged => None,
+            };
+            engaged.unwrap_or_else(|| e.start_staged_recv(recv_id, st, rts))
+        });
     }
 
-    /// A receive delivered all of `rts`'s bytes.
-    fn complete_recv(&mut self, id: ReqId, rts: &Rts) {
-        let st = self.recvs.get_mut(&id).expect("recv state missing");
-        st.phase = RecvPhase::Done(RecvStatus {
+    /// A receive delivered all of `rts`'s bytes: its phase from now on.
+    fn complete_recv(&mut self, rts: &Rts) -> RecvPhase {
+        self.retire_rts(rts.env.src, rts.send_req);
+        RecvPhase::Done(RecvStatus {
             src: rts.env.src,
             tag: rts.env.tag,
             bytes: rts.total,
-        });
-        self.retire_rts(rts.env.src, rts.send_req);
+        })
     }
 
-    // --- packet dispatch -----------------------------------------------------------
+    /// Check send `id` out of its table, hand `step` its phase by value and
+    /// the rest of its state, and store the phase `step` returns. Unit code
+    /// runs inside a step, on a request its caller has already routed.
+    fn step_send(
+        &mut self,
+        id: ReqId,
+        step: impl FnOnce(&mut Engine, &mut SendState, SendPhase) -> SendPhase,
+    ) {
+        let mut st = self.sends.remove(&id).expect("send state missing");
+        let phase = std::mem::replace(&mut st.phase, SendPhase::Done);
+        st.phase = step(self, &mut st, phase);
+        self.sends.insert(id, st);
+    }
 
+    /// [`step_send`](Engine::step_send) for receive `id`.
+    fn step_recv(
+        &mut self,
+        id: ReqId,
+        step: impl FnOnce(&mut Engine, &mut RecvState, RecvPhase) -> RecvPhase,
+    ) {
+        let mut st = self.recvs.remove(&id).expect("recv state missing");
+        let phase = std::mem::replace(&mut st.phase, RecvPhase::Unmatched);
+        st.phase = step(self, &mut st, phase);
+        self.recvs.insert(id, st);
+    }
+
+    // --- packet routing ------------------------------------------------------------
+
+    /// An eager message and a first RTS are matched by envelope. Every
+    /// later packet names one local request, a send or a receive, and goes
+    /// to that request's unit if a `(phase, kind)` row takes it. Whatever
+    /// is left is stale.
     fn handle_packet(&mut self, src: usize, pkt: MpiPacket) {
         sim_core::sleep(SimDur::from_nanos(self.cpu.handle_pkt_ns));
-        match pkt {
-            MpiPacket::Eager { env, data } => self.on_eager(src, env, data),
-            MpiPacket::Rts(rts) => self.on_rts(rts),
-            MpiPacket::Cts {
-                send_req,
-                recv_req,
-                chunk_size,
-                slots,
-            } => self.staged_on_cts(send_req, recv_req, chunk_size, slots),
-            MpiPacket::Fin {
-                recv_req,
-                chunk_idx,
-                slot,
-                bytes,
-            } => self.staged_on_fin(recv_req, chunk_idx, slot, bytes),
-            MpiPacket::Credit {
-                send_req,
-                slot,
-                chunk_idx,
-            } => self.staged_on_credit(send_req, slot, chunk_idx),
-            MpiPacket::FinNack {
-                send_req,
-                next_needed,
-            } => self.staged_on_fin_nack(send_req, next_needed),
-            MpiPacket::CtsRput {
-                send_req,
-                recv_req,
-                key,
-                total,
-                place,
-            } => self.rput_on_cts(send_req, recv_req, key, total, place),
-            MpiPacket::FinRput { kind, recv_req } => self.rput_on_fin(kind, recv_req),
-            MpiPacket::RputAbort { kind, recv_req } => self.rput_on_abort(kind, recv_req),
-            MpiPacket::CtsDev { send_req, recv_req } => self.dev_on_cts(send_req, recv_req),
-            MpiPacket::FinDev {
-                recv_req,
-                ptr,
-                total,
-                ready,
-            } => self.dev_on_fin(recv_req, ptr, total, ready),
-            MpiPacket::CreditDev { send_req } => self.dev_on_credit(send_req),
+        let stale = match pkt {
+            MpiPacket::Eager { env, data } => return self.on_eager(src, env, data),
+            MpiPacket::Rts(rts) if !self.seen_rts(&rts) => return self.on_rts(rts),
+            MpiPacket::Rts(_) => Some(pkt),
+            MpiPacket::Cts(Cts { send_req, .. })
+            | MpiPacket::CtsRput(CtsRput { send_req, .. })
+            | MpiPacket::CtsDev { send_req, .. }
+            | MpiPacket::Credit(Credit { send_req, .. })
+            | MpiPacket::CreditDev { send_req }
+            | MpiPacket::FinNack { send_req, .. } => self.route_send(send_req, pkt),
+            MpiPacket::Fin(Fin { recv_req, .. })
+            | MpiPacket::FinRput { recv_req, .. }
+            | MpiPacket::FinDev(FinDev { recv_req, .. })
+            | MpiPacket::RputAbort { recv_req, .. } => self.route_recv(recv_req, pkt),
+        };
+        if let Some(pkt) = stale {
+            self.stale(pkt);
         }
+    }
+
+    /// The rows for packets naming a send; returns a packet no row takes.
+    fn route_send(&mut self, id: ReqId, pkt: MpiPacket) -> Option<MpiPacket> {
+        if !self.sends.contains_key(&id) {
+            return Some(pkt);
+        }
+        let mut stale = None;
+        self.step_send(id, |e, st, phase| match (phase, pkt) {
+            (SendPhase::WaitCts { .. }, MpiPacket::Cts(cts)) => e.staged_on_cts(st, cts),
+            (SendPhase::WaitCts { timer }, MpiPacket::CtsRput(cts)) => {
+                e.rput_on_cts(st, timer, cts)
+            }
+            (SendPhase::WaitCts { .. }, MpiPacket::CtsDev { recv_req, .. }) => {
+                e.dev_on_cts(st, recv_req)
+            }
+            (SendPhase::Staged(mut ss), MpiPacket::Credit(c)) => {
+                e.staged_on_credit(id, &mut ss, c);
+                SendPhase::Staged(ss)
+            }
+            (SendPhase::Staged(ss), MpiPacket::FinNack { .. }) => {
+                ss.refin(&e.nic, &e.counters, &e.trace);
+                SendPhase::Staged(ss)
+            }
+            (SendPhase::Dev(_), MpiPacket::CreditDev { .. }) => e.dev_on_credit(),
+            (phase, pkt) => {
+                stale = Some(pkt);
+                phase
+            }
+        });
+        stale
+    }
+
+    /// The rows for packets naming a receive; returns a packet no row takes.
+    fn route_recv(&mut self, id: ReqId, pkt: MpiPacket) -> Option<MpiPacket> {
+        if !self.recvs.contains_key(&id) {
+            return Some(pkt);
+        }
+        let mut stale = None;
+        self.step_recv(id, |e, st, phase| match (phase, pkt) {
+            (RecvPhase::Staged(mut sr), MpiPacket::Fin(fin)) => {
+                e.staged_on_fin(&mut sr, fin);
+                RecvPhase::Staged(sr)
+            }
+            (RecvPhase::Rput(w), MpiPacket::FinRput { kind, .. }) if w.place.kind() == kind => {
+                e.rput_on_fin(w)
+            }
+            (RecvPhase::Rput(w), MpiPacket::RputAbort { kind, .. }) if w.place.kind() == kind => {
+                e.rput_to_staged(id, st, w)
+            }
+            (RecvPhase::Dev(DevRecv::Wait(rts)), MpiPacket::FinDev(fin)) => {
+                e.dev_on_fin(st, rts, fin)
+            }
+            (phase, pkt) => {
+                stale = Some(pkt);
+                phase
+            }
+        });
+        stale
     }
 
     // --- progress -------------------------------------------------------------------
@@ -827,51 +817,55 @@ impl Engine {
     }
 
     fn advance_send(&mut self, id: ReqId) {
-        match self.sends.get(&id).map(|st| &st.phase) {
-            Some(SendPhase::WaitCts { timer: Some(_) }) => self.retransmit_rts(id),
-            Some(SendPhase::Rput(_)) => self.rput_advance_send(id),
-            Some(SendPhase::Staged(_)) => self.staged_advance_send(id),
-            // Nothing to drive: an unarmed RTS wait, a device send whose
-            // credit arrives through the mailbox, or a terminal state.
-            _ => {}
+        // A finished send has nothing to drive: skip the checkout.
+        if let SendPhase::Done | SendPhase::Failed(_) = self.sends[&id].phase {
+            return;
         }
+        self.step_send(id, |e, st, phase| match phase {
+            SendPhase::WaitCts { timer: Some(t) } => e.retransmit_rts(id, st, t),
+            SendPhase::Rput(r) => e.rput_advance_send(id, st, r),
+            SendPhase::Staged(ss) => e.staged_advance_send(id, st, ss),
+            // Nothing to drive: an unarmed RTS wait, or a device send whose
+            // credit arrives through the mailbox.
+            phase => phase,
+        });
     }
 
     /// RTS watchdog (armed on faulty fabrics only): no CTS of any kind
     /// within the window — retransmit the RTS.
-    fn retransmit_rts(&mut self, id: ReqId) {
-        let st = self.sends.get_mut(&id).expect("send state missing");
-        let SendPhase::WaitCts { timer: Some(t) } = &mut st.phase else {
-            return;
-        };
-        match t.fire(&self.cfg.retry, "rts", st.dst) {
+    fn retransmit_rts(&mut self, id: ReqId, st: &SendState, mut t: RetryTimer) -> SendPhase {
+        match t.fire("rts", st.dst) {
             Ok(false) => {}
             Ok(true) => {
                 note(&self.counters, &self.trace, "retry.rts");
                 self.nic
                     .send_ctrl(st.dst, Box::new(MpiPacket::Rts(st.rts(id))));
             }
-            Err(e) => self.fail_send(id, e),
+            Err(e) => return self.fail_send(SendPhase::WaitCts { timer: None }, e),
         }
+        SendPhase::WaitCts { timer: Some(t) }
     }
 
     fn advance_recv(&mut self, id: ReqId) {
-        match self.recvs.get(&id).map(|st| &st.phase) {
-            Some(RecvPhase::WaitRput(_)) => self.rput_watchdog(id),
-            Some(RecvPhase::DevAbsorb { .. }) => self.dev_advance_recv(id),
-            Some(RecvPhase::Staged(..)) => self.staged_advance_recv(id),
-            _ => {}
+        // Nothing to drive before a match or after the end: skip the checkout.
+        if let RecvPhase::Unmatched | RecvPhase::Done(_) | RecvPhase::Failed(_) =
+            self.recvs[&id].phase
+        {
+            return;
         }
+        self.step_recv(id, |e, st, phase| match phase {
+            RecvPhase::Rput(w) => e.rput_watchdog(id, w),
+            RecvPhase::Dev(DevRecv::Absorb { comp, rts }) => e.dev_advance_recv(comp, rts),
+            RecvPhase::Staged(sr) => e.staged_advance_recv(id, st, sr),
+            phase => phase,
+        });
     }
 
-    /// Surface a typed failure on a send: release its resources and park it
-    /// in the Failed phase for the caller to reap.
-    fn fail_send(&mut self, id: ReqId, e: MpiError) {
+    /// A typed failure on a send: release what its phase holds; the send
+    /// parks Failed for the caller to reap.
+    fn fail_send(&mut self, phase: SendPhase, e: MpiError) -> SendPhase {
         note(&self.counters, &self.trace, "mpi.error");
-        let Some(st) = self.sends.get_mut(&id) else {
-            return;
-        };
-        match std::mem::replace(&mut st.phase, SendPhase::Failed(e)) {
+        match phase {
             SendPhase::Staged(ss) => {
                 let held = ss.local.into_iter().map(|(_, vbuf)| vbuf);
                 for vbuf in held.chain(ss.inflight.into_iter().map(|c| c.vbuf)) {
@@ -882,30 +876,29 @@ impl Engine {
             SendPhase::Rput(r) => self.reg_cache.release(r.buf_id()),
             _ => {}
         }
+        SendPhase::Failed(e)
     }
 
-    /// Surface a typed failure on a receive: release its resources and park
-    /// it in the Failed phase for the caller to reap.
-    fn fail_recv(&mut self, id: ReqId, e: MpiError) {
+    /// A typed failure on a receive: release what its phase holds; the
+    /// receive parks Failed for the caller to reap.
+    fn fail_recv(&mut self, phase: RecvPhase, e: MpiError) -> RecvPhase {
         note(&self.counters, &self.trace, "mpi.error");
-        let Some(st) = self.recvs.get_mut(&id) else {
-            return;
-        };
-        match std::mem::replace(&mut st.phase, RecvPhase::Failed(e)) {
-            RecvPhase::Staged(mut sr, _) => {
+        match phase {
+            RecvPhase::Staged(mut sr) => {
                 for _ in 0..sr.slots.len() {
                     san::pool_put(self.recv_pool_id);
                 }
                 self.recv_pool.append(&mut sr.slots);
-                self.retire_rts(sr.src, sr.peer_send_req);
+                self.retire_rts(sr.rts.env.src, sr.rts.send_req);
                 self.grant_deferred_cts();
             }
-            RecvPhase::WaitRput(w) => {
+            RecvPhase::Rput(w) => {
                 self.reg_cache.release(w.buf_id);
                 self.retire_rts(w.rts.env.src, w.rts.send_req);
             }
             _ => {}
         }
+        RecvPhase::Failed(e)
     }
 
     // --- completion queries --------------------------------------------------------
@@ -995,7 +988,7 @@ impl Engine {
             match &s.phase {
                 SendPhase::WaitCts { timer } => consider(deadline(timer)),
                 SendPhase::Rput(r) => consider(r.rdma.done_at()),
-                SendPhase::DevWaitCredit { pack } => consider(pack.done_at()),
+                SendPhase::Dev(d) => consider(d.pack.done_at()),
                 SendPhase::Staged(ss) => {
                     for c in &ss.inflight {
                         consider(c.comp.done_at());
@@ -1008,9 +1001,9 @@ impl Engine {
         for r in self.recvs.values() {
             consider(r.sink.next_event());
             match &r.phase {
-                RecvPhase::WaitRput(w) => consider(deadline(&w.timer)),
-                RecvPhase::DevAbsorb { comp, .. } => consider(comp.done_at()),
-                RecvPhase::Staged(sr, _) => consider(deadline(&sr.timer)),
+                RecvPhase::Rput(w) => consider(deadline(&w.timer)),
+                RecvPhase::Dev(DevRecv::Absorb { comp, .. }) => consider(comp.done_at()),
+                RecvPhase::Staged(sr) => consider(deadline(&sr.timer)),
                 _ => {}
             }
         }
@@ -1036,3 +1029,6 @@ impl Engine {
         }
     }
 }
+
+#[cfg(test)]
+mod tests;

@@ -4,7 +4,7 @@
 //! ```text
 //!   sender                                   receiver
 //!     │ ── RTS (direct, wire) ─────────────────────▶ │  match, register user buffer
-//!     │ ◀── CTS-rput {key, total, place} ─────────── │  WaitRput (watchdog re-sends the CTS)
+//!     │ ◀── CTS-rput {key, total, place} ─────────── │  Rput (watchdog re-sends the CTS)
 //!     │  register user buffer, post()                │
 //!     │ ══ one RDMA write / scatter-gather walk ═══▶ │
 //!     │ ── FIN-rput ───────────────────────────────▶ │  Done
@@ -35,12 +35,16 @@ use hostmem::{HostBuf, HostPtr};
 use ib_sim::{MrKey, Nic, SgEntry};
 use sim_core::{CallCounters, Completion};
 
-use super::reliability::RetryTimer;
-use super::{note, Engine, ProtoTrace, RecvPhase, SendPhase, SendRecord};
-use crate::proto::{MpiError, MpiPacket, ReqId, RputKind, RputPlace, Rts};
+use super::reliability::{violation, RetryTimer, SendRecord, MAX_RETRIES};
+use super::{note, Engine, ProtoTrace, RecvPhase, RecvState, SendPhase, SendState};
+use crate::proto::{CtsRput, MpiError, MpiPacket, ReqId, RputKind, RputPlace, Rts};
+
+/// Registrations the per-rank cache keeps before evicting the least
+/// recently used idle one.
+const REG_CACHE_ENTRIES: usize = 1024;
 
 /// The observable strings of one payload kind.
-struct Names {
+pub(super) struct Names {
     /// The kind as sanitizer messages spell it.
     label: &'static str,
     /// Trace instant of the first CTS, and the `op` of an exhausted CTS
@@ -48,20 +52,21 @@ struct Names {
     cts: &'static str,
     retry_cts: &'static str,
     retry_fin: &'static str,
-    dup_fin: &'static str,
+    pub(super) dup_fin: &'static str,
     /// `op` of an exhausted RDMA re-post budget.
     rdma: &'static str,
     retry_rdma: &'static str,
-    /// Sender could not register: first abort, and its repetition.
+    /// Sender could not register: first abort, its repetition, and a
+    /// receiver that already fell back.
     abort: &'static str,
     retry_abort: &'static str,
-    dup_abort: &'static str,
+    pub(super) dup_abort: &'static str,
     /// Receiver gave the rput up for a staged window.
     to_staged: &'static str,
 }
 
 impl RputKind {
-    fn names(self) -> &'static Names {
+    pub(super) fn names(self) -> &'static Names {
         match self {
             RputKind::Direct => &Names {
                 label: "direct",
@@ -147,7 +152,7 @@ pub(super) struct RputRecv {
     pub(super) rts: Rts,
     my_key: MrKey,
     /// What the CTS granted (kept to re-send the very same CTS).
-    place: RputPlace,
+    pub(super) place: RputPlace,
     /// The registered user buffer, for the reg-cache release.
     pub(super) buf_id: u64,
     pub(super) timer: Option<RetryTimer>,
@@ -155,24 +160,29 @@ pub(super) struct RputRecv {
 
 impl RputRecv {
     fn cts(&self, recv_req: ReqId) -> Box<MpiPacket> {
-        Box::new(MpiPacket::CtsRput {
+        Box::new(MpiPacket::CtsRput(CtsRput {
             send_req: self.rts.send_req,
             recv_req,
             key: self.my_key,
             total: self.rts.total,
             place: self.place.clone(),
-        })
+        }))
     }
 }
 
 impl Engine {
     /// Receiver: engage the rput path for a just-matched RTS — register
-    /// the user buffer (through the cache) and hand its key over. Returns
-    /// false when registration hits a fault-injected pin limit; the caller
-    /// then grants a staged window instead.
-    pub(super) fn rput_grant(&mut self, recv_id: ReqId, rts: Rts, kind: RputKind) -> bool {
+    /// the user buffer (through the cache) and hand its key over. `None`
+    /// when registration hits a fault-injected pin limit; the caller then
+    /// grants a staged window instead.
+    pub(super) fn rput_grant(
+        &mut self,
+        recv_id: ReqId,
+        st: &RecvState,
+        rts: Rts,
+        kind: RputKind,
+    ) -> Option<RecvPhase> {
         let n = kind.names();
-        let st = &self.recvs[&recv_id];
         let (buf, place) = match kind {
             RputKind::Direct => {
                 let ptr = st.offer.direct.as_ref().expect("direct without a ptr");
@@ -192,7 +202,7 @@ impl Engine {
             .acquire(&self.nic, &self.counters, &self.trace, &buf)
         else {
             note(&self.counters, &self.trace, n.to_staged);
-            return false;
+            return None;
         };
         let w = RputRecv {
             rts,
@@ -203,94 +213,66 @@ impl Engine {
         };
         self.trace.proto.instant_now(n.cts);
         self.nic.send_ctrl(rts.env.src, w.cts(recv_id));
-        self.recvs
-            .get_mut(&recv_id)
-            .expect("recv state missing")
-            .phase = RecvPhase::WaitRput(w);
-        true
+        Some(RecvPhase::Rput(w))
     }
 
     /// Receiver: a duplicate RTS arrived while waiting for the FIN, so the
     /// CTS was evidently lost. Re-send it — unless the sender stopped
     /// advertising this kind (its registration failed and its abort was
     /// lost too), in which case fall back to staged ourselves.
-    pub(super) fn rput_resend_cts(&mut self, recv_id: ReqId, dup: &Rts) {
-        let Some(RecvPhase::WaitRput(w)) = self.recvs.get(&recv_id).map(|st| &st.phase) else {
-            return;
-        };
+    pub(super) fn rput_resend_cts(
+        &mut self,
+        recv_id: ReqId,
+        st: &mut RecvState,
+        w: RputRecv,
+        dup: &Rts,
+    ) -> RecvPhase {
         let kind = w.place.kind();
         let still_offered = match kind {
             RputKind::Direct => dup.direct,
             RputKind::Offload => dup.wire.is_some(),
         };
-        if still_offered {
-            note(&self.counters, &self.trace, kind.names().retry_cts);
-            self.nic.send_ctrl(w.rts.env.src, w.cts(recv_id));
-        } else {
-            self.rput_to_staged(recv_id);
+        if !still_offered {
+            return self.rput_to_staged(recv_id, st, w);
         }
+        note(&self.counters, &self.trace, kind.names().retry_cts);
+        self.nic.send_ctrl(w.rts.env.src, w.cts(recv_id));
+        RecvPhase::Rput(w)
     }
 
     /// Receiver: the rput is abandoned (the sender could not register) —
     /// release our registration and grant a staged window instead.
-    fn rput_to_staged(&mut self, recv_id: ReqId) {
-        let Some(RecvPhase::WaitRput(w)) = self.recvs.get(&recv_id).map(|st| &st.phase) else {
-            return;
-        };
-        let (rts, n) = (w.rts, w.place.kind().names());
+    pub(super) fn rput_to_staged(
+        &mut self,
+        recv_id: ReqId,
+        st: &mut RecvState,
+        w: RputRecv,
+    ) -> RecvPhase {
         self.reg_cache.release(w.buf_id);
-        note(&self.counters, &self.trace, n.to_staged);
-        self.start_staged_recv(recv_id, &rts);
+        note(
+            &self.counters,
+            &self.trace,
+            w.place.kind().names().to_staged,
+        );
+        self.start_staged_recv(recv_id, st, w.rts)
     }
 
     /// Sender: the receiver's buffer is registered and waiting. Register
     /// ours and post — or abort the rput when registration fails.
     pub(super) fn rput_on_cts(
         &mut self,
-        send_req: ReqId,
-        recv_req: ReqId,
-        key: MrKey,
-        total: usize,
-        place: RputPlace,
-    ) {
-        let kind = place.kind();
-        let (n, l) = (kind.names(), kind.names().label);
-        let fin = || Box::new(MpiPacket::FinRput { kind, recv_req });
-        let Some(st) = self.sends.get_mut(&send_req) else {
-            self.stale(
-                "dup.cts",
-                format_args!(
-                    "{l} CTS for unknown send request #{send_req} (never posted or already reaped)"
-                ),
-            );
-            // If the send finished and was reaped, the receiver must have
-            // missed the FIN — re-announce.
-            if let Some(&SendRecord::Rput { dst }) = self.completed_sends.get(&send_req) {
-                note(&self.counters, &self.trace, n.retry_fin);
-                self.nic.send_ctrl(dst, fin());
-            }
-            return;
-        };
-        match &st.phase {
-            SendPhase::WaitCts { .. } => {}
-            SendPhase::Done if self.faulty => {
-                // Completed but not yet reaped: re-announce.
-                note(&self.counters, &self.trace, "dup.cts");
-                note(&self.counters, &self.trace, n.retry_fin);
-                self.nic.send_ctrl(st.dst, fin());
-                return;
-            }
-            _ => {
-                return self.stale(
-                    "dup.cts",
-                    format_args!(
-                        "{l} CTS for send request #{send_req} that is not awaiting CTS \
-                         (duplicate or out-of-order CTS)"
-                    ),
-                )
-            }
+        st: &mut SendState,
+        mut timer: Option<RetryTimer>,
+        cts: CtsRput,
+    ) -> SendPhase {
+        let (kind, recv_req) = (cts.place.kind(), cts.recv_req);
+        let n = kind.names();
+        if cts.total != st.total {
+            violation(format_args!(
+                "{} CTS grants {} bytes for a {}-byte send",
+                n.label, cts.total, st.total
+            ));
         }
-        assert_eq!(total, st.total, "{l} CTS grants a different size");
         // A registration that failed before is not retried: the abort was
         // evidently lost, repeat it.
         if !st.rput_failed {
@@ -311,24 +293,24 @@ impl Engine {
                 .is_ok()
             {
                 let wr = RputWrite {
-                    peer_key: key,
-                    place,
+                    peer_key: cts.key,
+                    place: cts.place,
                     ptr,
                     gather,
                 };
-                let rdma = wr.post(&self.nic, st.dst, total);
+                let rdma = wr.post(&self.nic, st.dst, st.total);
                 let fin_sent = !self.faulty;
                 if fin_sent {
-                    self.nic.send_ctrl(st.dst, fin());
+                    self.nic
+                        .send_ctrl(st.dst, Box::new(MpiPacket::FinRput { kind, recv_req }));
                 }
-                st.phase = SendPhase::Rput(RputSend {
+                return SendPhase::Rput(RputSend {
                     wr,
                     rdma,
                     recv_req,
                     fin_sent,
                     attempts: 1,
                 });
-                return;
             }
         }
         // Pin limit: abandon the rput; the receiver falls back to granting
@@ -340,78 +322,57 @@ impl Engine {
         };
         note(&self.counters, &self.trace, name);
         st.rput_failed = true;
-        if let SendPhase::WaitCts { timer: Some(t) } = &mut st.phase {
+        if let Some(t) = &mut timer {
             t.feed();
         }
         self.nic
             .send_ctrl(st.dst, Box::new(MpiPacket::RputAbort { kind, recv_req }));
+        SendPhase::WaitCts { timer }
+    }
+
+    /// Sender, finished: a repeated CTS says the receiver missed the FIN —
+    /// announce it again.
+    pub(super) fn rput_refin(&self, dst: usize, kind: RputKind, recv_req: ReqId) {
+        note(&self.counters, &self.trace, kind.names().retry_fin);
+        self.nic
+            .send_ctrl(dst, Box::new(MpiPacket::FinRput { kind, recv_req }));
     }
 
     /// Receiver: the sender's post has completed — the bytes are in place.
-    pub(super) fn rput_on_fin(&mut self, kind: RputKind, recv_req: ReqId) {
-        let (n, l) = (kind.names(), kind.names().label);
-        let Some(st) = self.recvs.get(&recv_req) else {
-            return self.stale(
-                n.dup_fin,
-                format_args!("FIN-{l} for unknown receive request #{recv_req}"),
-            );
-        };
-        let (rts, buf_id) = match &st.phase {
-            RecvPhase::WaitRput(w) if w.place.kind() == kind => (w.rts, w.buf_id),
-            _ => {
-                return self.stale(
-                    n.dup_fin,
-                    format_args!(
-                        "FIN-{l} for receive request #{recv_req} that is not in the {l} \
-                         rendezvous phase (protocol state machine violation)"
-                    ),
-                )
-            }
-        };
-        self.complete_recv(recv_req, &rts);
+    pub(super) fn rput_on_fin(&mut self, w: RputRecv) -> RecvPhase {
+        let done = self.complete_recv(&w.rts);
         // The registration stays cached but becomes evictable.
-        self.reg_cache.release(buf_id);
-    }
-
-    /// Receiver: the sender abandoned the rput.
-    pub(super) fn rput_on_abort(&mut self, kind: RputKind, recv_req: ReqId) {
-        let waiting = self.recvs.get(&recv_req).is_some_and(
-            |st| matches!(&st.phase, RecvPhase::WaitRput(w) if w.place.kind() == kind),
-        );
-        if waiting {
-            self.rput_to_staged(recv_req);
-        } else {
-            // Already fell back (duplicate abort) or finished.
-            note(&self.counters, &self.trace, kind.names().dup_abort);
-        }
+        self.reg_cache.release(w.buf_id);
+        done
     }
 
     /// Sender: poll the post's CQE — re-post on an error, announce and
     /// complete on success.
-    pub(super) fn rput_advance_send(&mut self, id: ReqId) {
-        let st = self.sends.get_mut(&id).expect("send state missing");
-        let SendPhase::Rput(r) = &mut st.phase else {
-            return;
-        };
+    pub(super) fn rput_advance_send(
+        &mut self,
+        id: ReqId,
+        st: &SendState,
+        mut r: RputSend,
+    ) -> SendPhase {
         if !r.rdma.poll() {
-            return;
+            return SendPhase::Rput(r);
         }
         let kind = r.wr.place.kind();
         let n = kind.names();
         if r.rdma.is_error() {
             // (A failed descriptor fetch surfaces as an error CQE too.)
-            if r.attempts > self.cfg.retry.max_retries {
+            if r.attempts > MAX_RETRIES {
                 let e = MpiError::RetriesExhausted {
                     op: n.rdma,
                     peer: st.dst,
                     attempts: r.attempts,
                 };
-                return self.fail_send(id, e);
+                return self.fail_send(SendPhase::Rput(r), e);
             }
             r.attempts += 1;
             note(&self.counters, &self.trace, n.retry_rdma);
             r.rdma = r.wr.post(&self.nic, st.dst, st.total);
-            return;
+            return SendPhase::Rput(r);
         }
         let lane = match kind {
             RputKind::Direct => self.scheme.wire_label(st.dst),
@@ -425,28 +386,29 @@ impl Engine {
         }
         self.reg_cache.release(r.buf_id());
         if self.faulty {
-            self.completed_sends
+            self.replay
+                .sends
                 .insert(id, SendRecord::Rput { dst: st.dst });
         }
-        st.phase = SendPhase::Done;
+        SendPhase::Done
     }
 
     /// Receiver watchdog (faulty fabrics only): the CTS or the FIN was
     /// lost — re-offer our buffer; a completed sender re-FINs.
-    pub(super) fn rput_watchdog(&mut self, id: ReqId) {
-        let Some(RecvPhase::WaitRput(w)) = self.recvs.get_mut(&id).map(|st| &mut st.phase) else {
-            return;
+    pub(super) fn rput_watchdog(&mut self, id: ReqId, mut w: RputRecv) -> RecvPhase {
+        let Some(t) = &mut w.timer else {
+            return RecvPhase::Rput(w);
         };
-        let Some(t) = &mut w.timer else { return };
         let (n, peer) = (w.place.kind().names(), w.rts.env.src);
-        match t.fire(&self.cfg.retry, n.cts, peer) {
+        match t.fire(n.cts, peer) {
             Ok(false) => {}
             Ok(true) => {
                 note(&self.counters, &self.trace, n.retry_cts);
                 self.nic.send_ctrl(peer, w.cts(id));
             }
-            Err(e) => self.fail_recv(id, e),
+            Err(e) => return self.fail_recv(RecvPhase::Rput(w), e),
         }
+        RecvPhase::Rput(w)
     }
 }
 
@@ -469,9 +431,9 @@ pub(super) struct RegCache {
 }
 
 impl RegCache {
-    pub(super) fn new(cap: usize) -> Self {
+    pub(super) fn new() -> Self {
         RegCache {
-            cap,
+            cap: REG_CACHE_ENTRIES,
             tick: 0,
             entries: HashMap::new(),
         }
@@ -527,9 +489,56 @@ impl RegCache {
             e.in_use = e.in_use.saturating_sub(1);
         }
     }
+}
 
-    /// Number of live (registered) entries.
-    pub(super) fn len(&self) -> usize {
-        self.entries.len()
+#[cfg(test)]
+mod tests {
+    use ib_sim::{Fabric, NetModel};
+
+    use super::*;
+
+    #[test]
+    fn reg_cache_is_bounded_and_evicts_lru() {
+        // A 2-entry cache: a third idle buffer evicts the least recently
+        // used idle entry and deregisters it; entries backing a transfer
+        // are never evicted, so the cache overflows instead.
+        let nic = Fabric::new(1, NetModel::qdr()).nic(0);
+        let counters = CallCounters::new();
+        let trace = ProtoTrace::new(&sim_trace::Recorder::off(), "rank0");
+        let mut cache = RegCache {
+            cap: 2,
+            ..RegCache::new()
+        };
+        let bufs: Vec<HostBuf> = (0..3).map(|_| HostBuf::alloc(4096)).collect();
+        let mut use_once = |b: &HostBuf| {
+            let key = cache.acquire(&nic, &counters, &trace, b);
+            cache.release(b.id());
+            key.expect("no pin limit on a reliable fabric")
+        };
+        let a = use_once(&bufs[0]);
+        use_once(&bufs[1]);
+        assert_eq!(use_once(&bufs[0]), a, "a cached buffer keeps its key");
+        use_once(&bufs[2]); // evicts bufs[1], the least recently used
+        assert_eq!(counters.get("reg_cache.miss"), 3);
+        assert_eq!(counters.get("reg_cache.hit"), 1);
+        assert_eq!(counters.get("reg_cache.evict"), 1);
+        let cached = |c: &RegCache, b: &HostBuf| c.entries.contains_key(&b.id());
+        assert!(cached(&cache, &bufs[0]) && cached(&cache, &bufs[2]));
+        assert!(
+            !cached(&cache, &bufs[1]),
+            "the LRU entry was not the victim"
+        );
+        assert_eq!(
+            nic.pinned_bytes(),
+            2 * 4096,
+            "the victim was not deregistered"
+        );
+        // Three buffers held at once: the third finds no idle entry to
+        // evict and overflows the cache instead.
+        for b in &bufs {
+            cache.acquire(&nic, &counters, &trace, b).unwrap();
+        }
+        assert_eq!(cache.entries.len(), 3);
+        assert_eq!(counters.get("reg_cache.evict"), 2);
     }
 }

@@ -16,10 +16,12 @@ use std::collections::{BTreeMap, VecDeque};
 use ib_sim::{MrKey, Nic};
 use sim_core::{san, CallCounters, Completion, SimTime};
 
-use super::reliability::{violation, RetryTimer};
-use super::{note, Engine, ProtoTrace, RecvPhase, RecvStatus, SendPhase, SendRecord, Vbuf};
+use super::reliability::{violation, RetryTimer, SendRecord, MAX_RETRIES};
+use super::{note, Engine, ProtoTrace, RecvPhase, RecvState, SendPhase, SendState, Vbuf};
 use crate::invariants;
-use crate::proto::{ChunkPolicy, MpiError, MpiPacket, ReqId, Rts, SeededBug, SlotDesc};
+use crate::proto::{
+    ChunkPolicy, Credit, Cts, Fin, MpiError, MpiPacket, ReqId, Rts, SeededBug, SlotDesc,
+};
 use crate::tuner::TuneKey;
 
 struct SlotState {
@@ -65,25 +67,25 @@ pub(super) struct StagedSend {
 }
 
 /// Bytes of chunk `c` of a `total`-byte message cut into `chunk_size`s.
-fn chunk_len(chunk_size: usize, total: usize, c: usize) -> usize {
+pub(super) fn chunk_len(chunk_size: usize, total: usize, c: usize) -> usize {
     chunk_size.min(total - c * chunk_size)
 }
 
-fn fin(recv_req: ReqId, chunk_idx: usize, slot: usize, bytes: usize) -> Box<MpiPacket> {
-    Box::new(MpiPacket::Fin {
+pub(super) fn fin(recv_req: ReqId, chunk_idx: usize, slot: usize, bytes: usize) -> Box<MpiPacket> {
+    Box::new(MpiPacket::Fin(Fin {
         recv_req,
         chunk_idx,
         slot,
         bytes,
-    })
+    }))
 }
 
 fn credit(send_req: ReqId, slot: usize, chunk_idx: usize) -> Box<MpiPacket> {
-    Box::new(MpiPacket::Credit {
+    Box::new(MpiPacket::Credit(Credit {
         send_req,
         slot,
         chunk_idx,
-    })
+    }))
 }
 
 /// RDMA-write one staged chunk into its granted slot — the first write and
@@ -114,7 +116,7 @@ impl StagedSend {
     /// Re-announce every busy slot — what a stall or a nack asks for. A
     /// dup FIN for an already-credited chunk makes the receiver re-credit,
     /// so this recovers lost FINs and lost credits alike.
-    fn refin(&self, nic: &Nic, counters: &CallCounters, trace: &ProtoTrace) {
+    pub(super) fn refin(&self, nic: &Nic, counters: &CallCounters, trace: &ProtoTrace) {
         for (slot, c) in self.announced() {
             note(counters, trace, "retry.fin");
             let len = chunk_len(self.chunk_size, self.total, c);
@@ -124,13 +126,13 @@ impl StagedSend {
 }
 
 pub(super) struct StagedRecv {
-    pub(super) src: usize,
-    pub(super) peer_send_req: ReqId,
+    /// The RTS this receive matched: the peer, its send request and the
+    /// message size.
+    pub(super) rts: Rts,
     /// Chunk size of this transfer (chosen per transfer by the receiver;
     /// travels to the sender in the CTS).
     chunk_size: usize,
     nchunks: usize,
-    total: usize,
     /// When the CTS window was granted — the tuner's latency clock. The
     /// clock starts at the *grant*, not the RTS match, so CTS deferral
     /// under recv-pool back-pressure is not charged to the chunk size.
@@ -166,12 +168,12 @@ impl StagedRecv {
             key: v.key,
             len: v.buf.len(),
         });
-        Box::new(MpiPacket::Cts {
-            send_req: self.peer_send_req,
+        Box::new(MpiPacket::Cts(Cts {
+            send_req: self.rts.send_req,
             recv_req,
             chunk_size: self.chunk_size,
             slots: slots.collect(),
-        })
+        }))
     }
 }
 
@@ -181,9 +183,13 @@ impl Engine {
     /// Set up the staged path for a matched RTS: choose the chunk size,
     /// begin the sink and grant (or defer) the CTS window. Also the landing
     /// point of the rput-to-staged fallback.
-    pub(super) fn start_staged_recv(&mut self, recv_id: ReqId, rts: &Rts) {
-        let (env, total, send_req) = (rts.env, rts.total, rts.send_req);
-        let st = self.recvs.get_mut(&recv_id).expect("recv state missing");
+    pub(super) fn start_staged_recv(
+        &mut self,
+        recv_id: ReqId,
+        st: &mut RecvState,
+        rts: Rts,
+    ) -> RecvPhase {
+        let total = rts.total;
         // The receiver picks the chunk size (it sizes the granted slots);
         // the sender learns it from the CTS.
         let (chunk_size, tune_key) = match self.cfg.policy {
@@ -198,32 +204,28 @@ impl Engine {
         }
         let nchunks = total.div_ceil(chunk_size).max(1);
         st.sink.begin(chunk_size, total);
-        st.phase = RecvPhase::Staged(
-            StagedRecv {
-                src: env.src,
-                peer_send_req: send_req,
-                chunk_size,
-                nchunks,
-                total,
-                started: sim_core::now(),
-                tune_key,
-                cts_sent: false,
-                deferred: false,
-                slots: Vec::new(),
-                arrived: BTreeMap::new(),
-                absorbing: VecDeque::new(),
-                next_chunk: 0,
-                next_credit: 0,
-                timer: None,
-            },
-            env,
-        );
+        let mut sr = Box::new(StagedRecv {
+            rts,
+            chunk_size,
+            nchunks,
+            started: sim_core::now(),
+            tune_key,
+            cts_sent: false,
+            deferred: false,
+            slots: Vec::new(),
+            arrived: BTreeMap::new(),
+            absorbing: VecDeque::new(),
+            next_chunk: 0,
+            next_credit: 0,
+            timer: None,
+        });
         san::proto_set(
-            &invariants::xfer_scope(&self.prefix, env.src, send_req),
+            &invariants::xfer_scope(&self.prefix, rts.env.src, rts.send_req),
             "nchunks",
             nchunks as i64,
         );
-        self.try_grant_cts(recv_id);
+        self.try_grant_cts(recv_id, &mut sr);
+        RecvPhase::Staged(sr)
     }
 
     /// Vbufs just returned to the pool: grant any matched staged receive
@@ -239,22 +241,24 @@ impl Engine {
             .recvs
             .iter()
             .filter_map(|(&id, st)| match &st.phase {
-                RecvPhase::Staged(sr, _) if !sr.cts_sent => Some(id),
+                RecvPhase::Staged(sr) if !sr.cts_sent => Some(id),
                 _ => None,
             })
             .collect();
         for id in deferred {
-            self.try_grant_cts(id);
+            self.step_recv(id, |e, _, phase| match phase {
+                RecvPhase::Staged(mut sr) => {
+                    e.try_grant_cts(id, &mut sr);
+                    RecvPhase::Staged(sr)
+                }
+                phase => phase,
+            });
         }
     }
 
     /// Send the deferred/initial CTS for a staged receive once at least one
     /// pool vbuf is available.
-    fn try_grant_cts(&mut self, recv_id: ReqId) {
-        let st = self.recvs.get_mut(&recv_id).expect("recv state missing");
-        let RecvPhase::Staged(sr, _) = &mut st.phase else {
-            return;
-        };
+    fn try_grant_cts(&mut self, recv_id: ReqId, sr: &mut StagedRecv) {
         if sr.cts_sent {
             return;
         }
@@ -280,57 +284,28 @@ impl Engine {
         // The tuner's latency window opens at the grant: deferral time
         // waiting for pool vbufs says nothing about the chunk size.
         sr.started = sim_core::now();
-        if self.faulty {
-            sr.timer = Some(RetryTimer::new(&self.cfg.retry));
-        }
+        sr.timer = self.retry_timer();
         self.trace.proto.instant_now("cts");
-        self.nic.send_ctrl(sr.src, sr.cts(recv_id));
+        self.nic.send_ctrl(sr.rts.env.src, sr.cts(recv_id));
     }
 
     /// A duplicate RTS arrived for a receive whose window is granted: the
     /// CTS was evidently lost — re-send it from the live state. (A CTS
     /// still deferred on pool back-pressure will go out with fresh slots.)
-    pub(super) fn staged_resend_cts(&mut self, recv_id: ReqId) {
-        if let Some(RecvPhase::Staged(sr, _)) = self.recvs.get(&recv_id).map(|st| &st.phase) {
-            if sr.cts_sent {
-                note(&self.counters, &self.trace, "retry.cts");
-                self.nic.send_ctrl(sr.src, sr.cts(recv_id));
-            }
+    pub(super) fn staged_resend_cts(&self, recv_id: ReqId, sr: &StagedRecv) {
+        if sr.cts_sent {
+            note(&self.counters, &self.trace, "retry.cts");
+            self.nic.send_ctrl(sr.rts.env.src, sr.cts(recv_id));
         }
     }
 
     // --- packets -----------------------------------------------------------------
 
     /// Sender: a window was granted — start the chunk pipeline.
-    pub(super) fn staged_on_cts(
-        &mut self,
-        send_req: ReqId,
-        recv_req: ReqId,
-        chunk_size: usize,
-        slots: Vec<SlotDesc>,
-    ) {
-        let Some(st) = self.sends.get_mut(&send_req) else {
-            return self.stale(
-                "dup.cts",
-                format_args!(
-                    "CTS for unknown send request #{send_req} (never posted or already reaped)"
-                ),
-            );
-        };
-        if !matches!(st.phase, SendPhase::WaitCts { .. }) {
-            // (Faulty: the original CTS made it after all; this is the
-            // re-sent copy racing behind it.)
-            return self.stale(
-                "dup.cts",
-                format_args!(
-                    "CTS for send request #{send_req} that is not awaiting CTS \
-                     (duplicate or out-of-order CTS)"
-                ),
-            );
-        }
+    pub(super) fn staged_on_cts(&mut self, st: &mut SendState, cts: Cts) -> SendPhase {
         // Armed before `begin`, which may cost virtual time (a GPU source
         // enqueues every chunk's pack there).
-        let timer = self.faulty.then(|| RetryTimer::new(&self.cfg.retry));
+        let (timer, chunk_size) = (self.retry_timer(), cts.chunk_size);
         st.source.begin(chunk_size);
         let slot = |desc| SlotState {
             desc,
@@ -338,58 +313,30 @@ impl Engine {
             occupant: None,
             fin_sent: false,
         };
-        st.phase = SendPhase::Staged(StagedSend {
+        SendPhase::Staged(StagedSend {
             dst: st.dst,
-            peer_recv_req: recv_req,
+            peer_recv_req: cts.recv_req,
             total: st.total,
             chunk_size,
             nchunks: st.total.div_ceil(chunk_size).max(1),
-            slots: slots.into_iter().map(slot).collect(),
+            slots: cts.slots.into_iter().map(slot).collect(),
             next_request: 0,
             next_send: 0,
             local: VecDeque::new(),
             inflight: Vec::new(),
             timer,
-        });
+        })
     }
 
     /// Re-send a credit the sender is evidently still missing.
-    fn recredit(&self, peer: usize, send_req: ReqId, slot: usize, chunk_idx: usize) {
+    pub(super) fn recredit(&self, peer: usize, send_req: ReqId, slot: usize, chunk_idx: usize) {
         note(&self.counters, &self.trace, "retry.credit");
         self.nic.send_ctrl(peer, credit(send_req, slot, chunk_idx));
     }
 
-    /// Receiver: chunk `chunk_idx` has been written into `slot`.
-    pub(super) fn staged_on_fin(
-        &mut self,
-        recv_req: ReqId,
-        chunk_idx: usize,
-        slot: usize,
-        bytes: usize,
-    ) {
-        let Some(RecvPhase::Staged(sr, _)) = self.recvs.get_mut(&recv_req).map(|st| &mut st.phase)
-        else {
-            if self.recvs.contains_key(&recv_req) {
-                self.stale(
-                    "dup.fin",
-                    format_args!(
-                        "FIN for receive request #{recv_req} that is not in the staged \
-                         rendezvous phase (protocol state machine violation)"
-                    ),
-                );
-            } else {
-                self.stale(
-                    "dup.fin",
-                    format_args!("FIN for unknown receive request #{recv_req}"),
-                );
-            }
-            // The receive finished (reaped or not): the sender is chasing
-            // a lost credit — re-credit from the record.
-            if let Some(&(peer, send_req)) = self.completed_recvs.get(&recv_req) {
-                self.recredit(peer, send_req, slot, chunk_idx);
-            }
-            return;
-        };
+    /// Receiver: a chunk has been written into its slot.
+    pub(super) fn staged_on_fin(&mut self, sr: &mut StagedRecv, fin: Fin) {
+        let (chunk_idx, slot) = (fin.chunk_idx, fin.slot);
         if slot >= sr.slots.len() {
             violation(format_args!(
                 "FIN names slot {slot} but only {} slot(s) were granted",
@@ -401,15 +348,14 @@ impl Engine {
             note(&self.counters, &self.trace, "dup.fin");
             if chunk_idx < sr.next_credit {
                 // ...and already credited, so the credit was lost.
-                let (peer, send_req) = (sr.src, sr.peer_send_req);
-                self.recredit(peer, send_req, slot, chunk_idx);
+                self.recredit(sr.rts.env.src, sr.rts.send_req, slot, chunk_idx);
             }
             return;
         }
         match sr.arrived.entry(chunk_idx) {
             Entry::Occupied(_) => note(&self.counters, &self.trace, "dup.fin"),
             Entry::Vacant(v) => {
-                v.insert((slot, bytes));
+                v.insert((slot, fin.bytes));
                 if let Some(t) = &mut sr.timer {
                     t.feed();
                 }
@@ -417,15 +363,9 @@ impl Engine {
         }
     }
 
-    /// Sender: the receiver has absorbed `chunk_idx` out of `slot`.
-    pub(super) fn staged_on_credit(&mut self, send_req: ReqId, slot: usize, chunk_idx: usize) {
-        // A send completes once its last RDMA write is on the wire;
-        // credits for the tail chunks may still be in flight when the
-        // request is reaped. They gate nothing anymore: drop.
-        let Some(SendPhase::Staged(ss)) = self.sends.get_mut(&send_req).map(|st| &mut st.phase)
-        else {
-            return;
-        };
+    /// Sender: the receiver has absorbed a chunk out of its slot.
+    pub(super) fn staged_on_credit(&mut self, send_req: ReqId, ss: &mut StagedSend, c: Credit) {
+        let (slot, chunk_idx) = (c.slot, c.chunk_idx);
         if slot >= ss.slots.len() {
             violation(format_args!(
                 "credit names slot {slot} but only {} slot(s) were granted",
@@ -458,51 +398,28 @@ impl Engine {
         }
     }
 
-    /// Sender: the receiver is missing FINs from `next_needed` on. For a
-    /// live staged send, re-announce every busy slot. For a completed one,
-    /// reconstruct the FINs of the final window from the record (the
-    /// receiver's slots still hold exactly those chunks — overwriting a
-    /// slot requires its occupant's credit).
-    pub(super) fn staged_on_fin_nack(&mut self, send_req: ReqId, next_needed: usize) {
-        if let Some(SendPhase::Staged(ss)) = self.sends.get(&send_req).map(|st| &st.phase) {
-            ss.refin(&self.nic, &self.counters, &self.trace);
-        } else if let Some(&SendRecord::Staged {
-            dst,
-            peer_recv_req,
-            chunk_size,
-            nchunks,
-            nslots,
-            total,
-        }) = self.completed_sends.get(&send_req)
-        {
-            for c in next_needed..(next_needed + nslots).min(nchunks) {
-                note(&self.counters, &self.trace, "retry.fin");
-                let len = chunk_len(chunk_size, total, c);
-                self.nic
-                    .send_ctrl(dst, fin(peer_recv_req, c, c % nslots, len));
-            }
-        }
-    }
-
     // --- progress ------------------------------------------------------------------
 
     /// Sender: drive the chunk pipeline one pass — stage and write what the
     /// window allows, reap finished writes, watch for a stall, complete.
-    pub(super) fn staged_advance_send(&mut self, id: ReqId) {
-        self.issue_chunks(id);
-        if let Err(e) = self.reap_chunks(id) {
-            self.fail_send(id, e);
+    pub(super) fn staged_advance_send(
+        &mut self,
+        id: ReqId,
+        st: &mut SendState,
+        mut ss: StagedSend,
+    ) -> SendPhase {
+        self.issue_chunks(id, st, &mut ss);
+        match self.reap_chunks(id, &mut ss) {
+            Ok(false) => SendPhase::Staged(ss),
+            Ok(true) => SendPhase::Done,
+            Err(e) => self.fail_send(SendPhase::Staged(ss), e),
         }
     }
 
     /// Request staging of upcoming chunks while vbufs and window room are
     /// available, drive the staging, and RDMA-write ready chunks, in
     /// order, into free slots.
-    fn issue_chunks(&mut self, id: ReqId) {
-        let st = self.sends.get_mut(&id).expect("send state missing");
-        let SendPhase::Staged(ss) = &mut st.phase else {
-            return;
-        };
+    fn issue_chunks(&mut self, id: ReqId, st: &mut SendState, ss: &mut StagedSend) {
         while ss.next_request < ss.nchunks && ss.local.len() + ss.inflight.len() < ss.slots.len() {
             let Some(vbuf) = self.send_pool.pop() else {
                 break;
@@ -523,7 +440,12 @@ impl Engine {
             let (_, vbuf) = ss.local.pop_front().unwrap();
             let len = chunk_len(ss.chunk_size, ss.total, i);
             let s = &mut ss.slots[slot];
-            assert!(len <= s.desc.len, "chunk larger than the granted vbuf slot");
+            if len > s.desc.len {
+                violation(format_args!(
+                    "chunk {i} of {len} bytes is larger than its granted {}-byte vbuf slot",
+                    s.desc.len
+                ));
+            }
             s.free = false;
             s.occupant = Some(i);
             let comp = write_chunk(&self.nic, ss.dst, s.desc.key, &vbuf, len);
@@ -552,13 +474,9 @@ impl Engine {
 
     /// Reap finished RDMA writes — on success announce (if deferred) and
     /// return the vbuf, on an error CQE re-issue the write from the
-    /// still-held vbuf — then run the stall watchdog and complete the send
-    /// once its last write is on the wire.
-    fn reap_chunks(&mut self, id: ReqId) -> Result<(), MpiError> {
-        let st = self.sends.get_mut(&id).expect("send state missing");
-        let SendPhase::Staged(ss) = &mut st.phase else {
-            return Ok(());
-        };
+    /// still-held vbuf — then run the stall watchdog. `Ok(true)` once the
+    /// send's last write is on the wire: the send is complete.
+    fn reap_chunks(&mut self, id: ReqId, ss: &mut StagedSend) -> Result<bool, MpiError> {
         let mut i = 0;
         while i < ss.inflight.len() {
             let c = &mut ss.inflight[i];
@@ -567,7 +485,7 @@ impl Engine {
                 continue;
             }
             if c.comp.is_error() {
-                if c.attempts > self.cfg.retry.max_retries {
+                if c.attempts > MAX_RETRIES {
                     return Err(MpiError::RetriesExhausted {
                         op: "chunk_rdma",
                         peer: ss.dst,
@@ -613,37 +531,36 @@ impl Engine {
                 // Stalled on local staging or an in-flight write —
                 // nothing on the wire to chase.
                 t.feed();
-            } else if t.fire(&self.cfg.retry, "fin", ss.dst)? {
+            } else if t.fire("fin", ss.dst)? {
                 ss.refin(&self.nic, &self.counters, &self.trace);
             }
         }
-        if ss.next_send == ss.nchunks && ss.inflight.is_empty() {
-            if self.faulty {
-                let rec = SendRecord::Staged {
-                    dst: ss.dst,
-                    peer_recv_req: ss.peer_recv_req,
-                    chunk_size: ss.chunk_size,
-                    nchunks: ss.nchunks,
-                    nslots: ss.slots.len(),
-                    total: ss.total,
-                };
-                self.completed_sends.insert(id, rec);
-            }
-            st.phase = SendPhase::Done;
+        let complete = ss.next_send == ss.nchunks && ss.inflight.is_empty();
+        if complete && self.faulty {
+            let rec = SendRecord::Staged {
+                dst: ss.dst,
+                peer_recv_req: ss.peer_recv_req,
+                chunk_size: ss.chunk_size,
+                nchunks: ss.nchunks,
+                nslots: ss.slots.len(),
+                total: ss.total,
+            };
+            self.replay.sends.insert(id, rec);
         }
-        Ok(())
+        Ok(complete)
     }
 
     /// Receiver: feed arrived chunks to the sink in order, credit what it
     /// has absorbed, complete after the last chunk; otherwise watch for
     /// missing FINs.
-    pub(super) fn staged_advance_recv(&mut self, id: ReqId) {
-        self.try_grant_cts(id);
-        let st = self.recvs.get_mut(&id).expect("recv state missing");
-        let RecvPhase::Staged(sr, env) = &mut st.phase else {
-            return;
-        };
-        let (peer, send_req) = (sr.src, sr.peer_send_req);
+    pub(super) fn staged_advance_recv(
+        &mut self,
+        id: ReqId,
+        st: &mut RecvState,
+        mut sr: Box<StagedRecv>,
+    ) -> RecvPhase {
+        self.try_grant_cts(id, &mut sr);
+        let (peer, send_req) = (sr.rts.env.src, sr.rts.send_req);
         let scope = || invariants::xfer_scope(&self.prefix, peer, send_req);
         while let Some((&chunk, &(slot, bytes))) = sr.arrived.first_key_value() {
             if chunk != sr.next_chunk {
@@ -687,25 +604,20 @@ impl Engine {
                 san::pool_put(self.recv_pool_id);
             }
             self.recv_pool.append(&mut sr.slots);
-            st.phase = RecvPhase::Done(RecvStatus {
-                src: env.src,
-                tag: env.tag,
-                bytes: sr.total,
-            });
             san::proto_set(&scope(), "done", 1);
-            self.retire_rts(peer, send_req);
             if self.faulty {
-                self.completed_recvs.insert(id, (peer, send_req));
+                self.replay.recvs.insert(id, (peer, send_req));
             }
-            return self.grant_deferred_cts();
+            let done = self.complete_recv(&sr.rts);
+            self.grant_deferred_cts();
+            return done;
         }
         // FIN watchdog (armed at the CTS grant): nack the first missing
         // chunk so the sender re-announces its window.
-        if !sr.cts_sent {
-            return;
-        }
-        let Some(t) = &mut sr.timer else { return };
-        match t.fire(&self.cfg.retry, "fin_nack", peer) {
+        let Some(t) = &mut sr.timer else {
+            return RecvPhase::Staged(sr);
+        };
+        match t.fire("fin_nack", peer) {
             Ok(false) => {}
             Ok(true) => {
                 note(&self.counters, &self.trace, "retry.fin_nack");
@@ -715,7 +627,8 @@ impl Engine {
                 };
                 self.nic.send_ctrl(peer, Box::new(nack));
             }
-            Err(e) => self.fail_recv(id, e),
+            Err(e) => return self.fail_recv(RecvPhase::Staged(sr), e),
         }
+        RecvPhase::Staged(sr)
     }
 }

@@ -65,9 +65,7 @@ pub use pack::CpuModel;
 pub use plan::{Canonical, Plan, PlanCacheStats, WireDescriptor};
 #[doc(hidden)]
 pub use proto::SeededBug;
-pub use proto::{
-    packet_kind, ChunkPolicy, CollAlgo, CollConfig, ConfigError, MpiConfig, MpiError, RetryConfig,
-};
+pub use proto::{packet_kind, ChunkPolicy, CollAlgo, CollConfig, ConfigError, MpiConfig, MpiError};
 pub use scheme::{DataScheme, SchemeSel};
 pub use staging::{BufferStager, RecvSink, SendSource};
 pub use world::{MpiWorld, Outcome, Seat, WakeTraceSink};

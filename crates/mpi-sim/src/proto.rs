@@ -99,47 +99,72 @@ impl RputPlace {
     }
 }
 
-/// Everything that travels between ranks.
+/// Clear To Send, staged path: a window of vbuf slots.
+pub(crate) struct Cts {
+    pub send_req: ReqId,
+    pub recv_req: ReqId,
+    pub chunk_size: usize,
+    pub slots: Vec<SlotDesc>,
+}
+
+/// Clear To Send, rput path: the receiver's registered user buffer and
+/// where in it the `total` message bytes go.
+pub(crate) struct CtsRput {
+    pub send_req: ReqId,
+    pub recv_req: ReqId,
+    pub key: MrKey,
+    pub total: usize,
+    pub place: RputPlace,
+}
+
+/// Staged path: chunk `chunk_idx` has been RDMA-written into `slot`.
+pub(crate) struct Fin {
+    pub recv_req: ReqId,
+    pub chunk_idx: usize,
+    pub slot: usize,
+    pub bytes: usize,
+}
+
+/// Staged path: the receiver has absorbed the chunk in `slot`; the sender
+/// may write the next chunk into it. `chunk_idx` sequences the credit: it
+/// names the chunk being credited, so a duplicate (the slot already freed,
+/// or occupied by a different chunk) is detectable and ignored instead of
+/// corrupting flow control.
+pub(crate) struct Credit {
+    pub send_req: ReqId,
+    pub slot: usize,
+    pub chunk_idx: usize,
+}
+
+/// Device path: the sender's packed bytes sit at `ptr` on the shared GPU
+/// (`ready` is the pack completion — the receiver's unpack stream waits on
+/// it, the simulated analogue of a CUDA IPC event). The receiver scatters
+/// straight from there.
+pub(crate) struct FinDev {
+    pub recv_req: ReqId,
+    pub ptr: gpu_sim::DevPtr,
+    pub total: usize,
+    pub ready: sim_core::Completion,
+}
+
+/// Everything that travels between ranks. Every kind after the RTS names
+/// the one request it is for at its destination: a `send_req` or a
+/// `recv_req`.
 pub(crate) enum MpiPacket {
     /// Small message: envelope + packed payload.
     Eager { env: Envelope, data: Vec<u8> },
     /// Request To Send (rendezvous start).
     Rts(Rts),
-    /// Clear To Send, staged path: a window of vbuf slots.
-    Cts {
-        send_req: ReqId,
-        recv_req: ReqId,
-        chunk_size: usize,
-        slots: Vec<SlotDesc>,
-    },
-    /// Clear To Send, rput path: the receiver's registered user buffer and
-    /// where in it the `total` message bytes go.
-    CtsRput {
-        send_req: ReqId,
-        recv_req: ReqId,
-        key: MrKey,
-        total: usize,
-        place: RputPlace,
-    },
-    /// Staged path: chunk `chunk_idx` has been RDMA-written into `slot`.
-    Fin {
-        recv_req: ReqId,
-        chunk_idx: usize,
-        slot: usize,
-        bytes: usize,
-    },
+    /// Clear To Send, staged path.
+    Cts(Cts),
+    /// Clear To Send, rput path.
+    CtsRput(CtsRput),
+    /// Staged path: one chunk is in its slot.
+    Fin(Fin),
     /// Rput path: the single RDMA post has completed.
     FinRput { kind: RputKind, recv_req: ReqId },
-    /// Staged path: the receiver has absorbed the chunk in `slot`; the
-    /// sender may write the next chunk into it. `chunk_idx` sequences the
-    /// credit: it names the chunk being credited, so a duplicate (the slot
-    /// already freed, or occupied by a different chunk) is detectable and
-    /// ignored instead of corrupting flow control.
-    Credit {
-        send_req: ReqId,
-        slot: usize,
-        chunk_idx: usize,
-    },
+    /// Staged path: one slot is free again.
+    Credit(Credit),
     /// Staged path, fault recovery: the receiver has not seen a FIN for
     /// `next_needed` within its retry window — the sender must re-announce
     /// (and, for lost data, re-write) everything from that chunk on.
@@ -153,16 +178,8 @@ pub(crate) enum MpiPacket {
     /// host staging entirely; the sender should pack into a device tbuf
     /// (D2D) and announce it.
     CtsDev { send_req: ReqId, recv_req: ReqId },
-    /// Device path: the sender's packed bytes sit at `ptr` on the shared
-    /// GPU (`ready` is the pack completion — the receiver's unpack stream
-    /// waits on it, the simulated analogue of a CUDA IPC event). The
-    /// receiver scatters straight from there.
-    FinDev {
-        recv_req: ReqId,
-        ptr: gpu_sim::DevPtr,
-        total: usize,
-        ready: sim_core::Completion,
-    },
+    /// Device path: the packed tbuf is ready on the shared GPU.
+    FinDev(FinDev),
     /// Device path: the receiver is done reading the sender's device tbuf;
     /// the sender may reuse or free it.
     CreditDev { send_req: ReqId },
@@ -180,20 +197,20 @@ pub fn packet_kind(payload: &(dyn std::any::Any + Send)) -> Option<&'static str>
     Some(match p {
         MpiPacket::Eager { .. } => "Eager",
         MpiPacket::Rts(_) => "Rts",
-        MpiPacket::Cts { .. } => "Cts",
-        MpiPacket::CtsRput { place, .. } => match place.kind() {
+        MpiPacket::Cts(_) => "Cts",
+        MpiPacket::CtsRput(c) => match c.place.kind() {
             Direct => "CtsDirect",
             Offload => "CtsOffload",
         },
-        MpiPacket::Fin { .. } => "Fin",
+        MpiPacket::Fin(_) => "Fin",
         MpiPacket::FinRput { kind: Direct, .. } => "FinDirect",
         MpiPacket::FinRput { kind: Offload, .. } => "FinOffload",
-        MpiPacket::Credit { .. } => "Credit",
+        MpiPacket::Credit(_) => "Credit",
         MpiPacket::FinNack { .. } => "FinNack",
         MpiPacket::RputAbort { kind: Direct, .. } => "DirectAbort",
         MpiPacket::RputAbort { kind: Offload, .. } => "OffloadAbort",
         MpiPacket::CtsDev { .. } => "CtsDev",
-        MpiPacket::FinDev { .. } => "FinDev",
+        MpiPacket::FinDev(_) => "FinDev",
         MpiPacket::CreditDev { .. } => "CreditDev",
     })
 }
@@ -253,38 +270,13 @@ impl Default for CollConfig {
     }
 }
 
-/// Retry policy for rendezvous control traffic and failed RDMA chunks.
-/// Only consulted when the fabric injects faults — on a reliable fabric no
-/// timers are armed and the protocol runs exactly as if retries didn't
-/// exist.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub struct RetryConfig {
-    /// Initial retransmit timeout, ns. Doubles on every retry (exponential
-    /// backoff).
-    pub timeout_ns: u64,
-    /// Retries per operation before the request fails with
-    /// [`MpiError::RetriesExhausted`].
-    pub max_retries: u32,
-}
-
-impl Default for RetryConfig {
-    fn default() -> Self {
-        RetryConfig {
-            // ~4x the rendezvous control round trip on the QDR model: late
-            // enough to avoid spurious retransmits, early enough that a
-            // lost RTS costs well under a millisecond.
-            timeout_ns: 200_000,
-            max_retries: 12,
-        }
-    }
-}
-
 /// A typed MPI-level failure, surfaced through
 /// [`Comm::wait_result`](crate::Comm::wait_result) instead of a panic.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum MpiError {
-    /// An operation gave up after exhausting its retry budget (see
-    /// [`RetryConfig`]); the peer is unreachable or persistently dropping.
+    /// An operation gave up after exhausting its retry budget (12
+    /// retransmissions, backing off from 200 µs); the peer is unreachable
+    /// or persistently dropping.
     RetriesExhausted {
         /// Which protocol step gave up (e.g. `"rts"`, `"fin_nack"`).
         op: &'static str,
@@ -339,12 +331,6 @@ pub enum ConfigError {
         /// Configured pool size.
         pool_vbufs: usize,
     },
-    /// `reg_cache_entries == 0`.
-    ZeroRegCache,
-    /// `retry.timeout_ns == 0`.
-    ZeroRetryTimeout,
-    /// `retry.max_retries == 0`.
-    ZeroRetryBudget,
     /// `ppn == 0`.
     ZeroPpn,
     /// `eager_limit` above [`SHM_EAGER_LIMIT`]: a co-located peer would get
@@ -394,21 +380,6 @@ impl std::fmt::Display for ConfigError {
                 "pool_vbufs ({pool_vbufs}) must be >= 2 — the pool is split into send and \
                  receive halves (pool_vbufs/2 each side), and either half being empty deadlocks \
                  every staged transfer on that side"
-            ),
-            ConfigError::ZeroRegCache => write!(
-                f,
-                "reg_cache_entries must be >= 1 (a rendezvous transfer needs its own \
-                 registration live while in flight)"
-            ),
-            ConfigError::ZeroRetryTimeout => write!(
-                f,
-                "retry.timeout_ns must be nonzero (a zero timeout retransmits forever \
-                 in zero virtual time)"
-            ),
-            ConfigError::ZeroRetryBudget => write!(
-                f,
-                "retry.max_retries must be >= 1 (a zero budget fails every rendezvous \
-                 on the first lost packet)"
             ),
             ConfigError::ZeroPpn => {
                 write!(f, "ppn must be >= 1 (every rank lives on some node)")
@@ -480,12 +451,6 @@ pub struct MpiConfig {
     pub window_slots: usize,
     /// Total vbufs in each rank's pool.
     pub pool_vbufs: usize,
-    /// Retry policy under fault injection (unused on a reliable fabric).
-    pub retry: RetryConfig,
-    /// Capacity of the per-rank registration cache for rendezvous user
-    /// buffers. The least-recently-used entry is evicted (and deregistered)
-    /// when a new buffer would exceed this.
-    pub reg_cache_entries: usize,
     /// At most one deliberately planted bug (tests of the checkers only).
     #[doc(hidden)]
     pub seeded_bug: Option<SeededBug>,
@@ -510,8 +475,6 @@ impl Default for MpiConfig {
             policy: ChunkPolicy::Adaptive,
             window_slots: 8,
             pool_vbufs: 64,
-            retry: RetryConfig::default(),
-            reg_cache_entries: 1024,
             seeded_bug: None,
             ppn: 1,
             coll: CollConfig::default(),
@@ -553,15 +516,6 @@ impl MpiConfig {
             return Err(ConfigError::PoolTooSmall {
                 pool_vbufs: self.pool_vbufs,
             });
-        }
-        if self.reg_cache_entries < 1 {
-            return Err(ConfigError::ZeroRegCache);
-        }
-        if self.retry.timeout_ns == 0 {
-            return Err(ConfigError::ZeroRetryTimeout);
-        }
-        if self.retry.max_retries < 1 {
-            return Err(ConfigError::ZeroRetryBudget);
         }
         if self.ppn == 0 {
             return Err(ConfigError::ZeroPpn);
@@ -659,42 +613,6 @@ mod tests {
         MpiConfig {
             window_slots: 1,
             pool_vbufs: 1,
-            ..Default::default()
-        }
-        .validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "reg_cache_entries must be >= 1")]
-    fn zero_reg_cache_is_rejected() {
-        MpiConfig {
-            reg_cache_entries: 0,
-            ..Default::default()
-        }
-        .validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "retry.timeout_ns must be nonzero")]
-    fn zero_retry_timeout_is_rejected() {
-        MpiConfig {
-            retry: RetryConfig {
-                timeout_ns: 0,
-                max_retries: 4,
-            },
-            ..Default::default()
-        }
-        .validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "retry.max_retries must be >= 1")]
-    fn zero_retry_budget_is_rejected() {
-        MpiConfig {
-            retry: RetryConfig {
-                timeout_ns: 1000,
-                max_retries: 0,
-            },
             ..Default::default()
         }
         .validate();

@@ -333,25 +333,28 @@ pub fn hier_fanin_3rank() -> Scenario {
     }
 }
 
-/// Two ranks, one NIC-offloaded rendezvous transfer of the staged-path
-/// vector (RTS advertising the gather descriptor → CTS-offload carrying
-/// the receiver's key and scatter descriptor → one scatter/gather RDMA
-/// post → FIN-offload). Every control packet crosses the wire, so the
-/// checker may drop or delay each of them; the retry machinery (RTS
-/// retransmit, CTS-offload watchdog, FIN re-announce from the completed-
-/// send record) must deliver the strided payload bit-exactly under every
-/// explored schedule.
+/// NIC-offloaded rendezvous transfers of the staged-path vector into rank
+/// 1 from every other rank of an `n`-rank world (RTS advertising the
+/// gather descriptor → CTS-offload carrying the receiver's key and scatter
+/// descriptor → one scatter/gather RDMA post → FIN-offload). Every control
+/// packet crosses the wire, so the checker may drop or delay each of them;
+/// the retry machinery (RTS retransmit, CTS-offload watchdog, FIN
+/// re-announce from the completed-send record) must deliver the strided
+/// payload bit-exactly under every explored schedule. With two senders,
+/// rank 1's receives wait in the rput phase together, so a stale
+/// CTS-offload or FIN-offload of one transfer arrives while the other's
+/// receive is live: the engine must judge it against the request it names.
 ///
 /// Not part of [`protocol_scenarios`] — the committed `modelcheck.json`
 /// baseline predates the offload scheme and must stay bit-identical;
-/// `tests/schemes.rs` explores this one directly.
-pub fn offload_2rank() -> Scenario {
+/// `tests/schemes.rs` explores these directly.
+fn offload(name: &'static str, n: usize) -> Scenario {
     Scenario {
-        name: "offload-2rank",
+        name,
         budget: Budget::default_bounds(),
-        run: Box::new(|schedule, rec| {
+        run: Box::new(move |schedule, rec| {
             let checker = CheckScheduler::new(schedule.clone());
-            let world = MpiWorld::new(2)
+            let world = MpiWorld::new(n)
                 .with_config(MpiConfig {
                     scheme: SchemeSel::Force(DataScheme::NicOffload),
                     ..MpiConfig::default()
@@ -360,21 +363,33 @@ pub fn offload_2rank() -> Scenario {
                 .with_sanitizer(SanitizerMode::Collect)
                 .with_recorder(rec.clone())
                 .with_scheduler(checker.clone());
-            let out = world.try_run(|comm| {
+            let out = world.try_run(move |comm| {
                 let t = staged_dtype();
-                if comm.rank() == 0 {
+                if comm.rank() != 1 {
                     let buf = HostBuf::from_vec((0..(1 << 18)).map(|i| (i % 249) as u8).collect());
-                    comm.send(buf.base(), 1, &t, 1, 3);
-                } else {
-                    let buf = HostBuf::alloc(1 << 18);
-                    let st = comm.recv(buf.base(), 1, &t, 0, 3);
-                    assert_eq!(st.bytes, 64 << 10);
-                    verify_staged_rows(&buf);
+                    return comm.send(buf.base(), 1, &t, 1, 3);
                 }
+                let bufs: Vec<HostBuf> = (1..n).map(|_| HostBuf::alloc(1 << 18)).collect();
+                let peers = (0..n).filter(|&r| r != 1);
+                let reqs = (peers.zip(&bufs)).map(|(r, b)| comm.irecv(b.base(), 1, &t, r, 3u32));
+                for st in comm.waitall(reqs.collect()) {
+                    assert_eq!(st.expect("a receive status").bytes, 64 << 10);
+                }
+                bufs.iter().for_each(verify_staged_rows);
             });
             verdict(out, &checker)
         }),
     }
+}
+
+/// One offloaded transfer, rank 0 → rank 1.
+pub fn offload_2rank() -> Scenario {
+    offload("offload-2rank", 2)
+}
+
+/// Two offloaded transfers at once, ranks 0 and 2 → rank 1.
+pub fn offload_3rank() -> Scenario {
+    offload("offload-3rank", 3)
 }
 
 /// The four protocol scenarios that must pass exhaustively, in the order
@@ -407,6 +422,6 @@ pub fn by_name(name: &str) -> Option<Scenario> {
         .into_iter()
         .chain(bug_scenarios())
         .chain(std::iter::once(hier_fanin_3rank()))
-        .chain(std::iter::once(offload_2rank()))
+        .chain([offload_2rank(), offload_3rank()])
         .find(|s| s.name == name)
 }

@@ -11,7 +11,7 @@
 //! counters may differ from a fault-free run.
 
 use gpu_nc_repro::ib_sim::FaultSpec;
-use gpu_nc_repro::mpi_sim::{CollAlgo, Datatype, MpiConfig, MpiWorld, ReduceOp, RetryConfig};
+use gpu_nc_repro::mpi_sim::{CollAlgo, Datatype, MpiConfig, MpiWorld, ReduceOp};
 use hostmem::{bytes_to_scalars, scalars_to_bytes, HostBuf};
 use sim_core::{instrument, SimTime};
 
@@ -288,15 +288,9 @@ fn collective_virtual_times_are_pinned() {
 #[test]
 fn exhausted_retries_surface_from_a_collective() {
     for algo in [CollAlgo::Naive, CollAlgo::Flat, CollAlgo::Hier] {
-        // Total control-packet loss with a tiny retry budget: the root's
-        // rendezvous RTS can never be answered.
-        let mut cfg = MpiConfig {
-            retry: RetryConfig {
-                timeout_ns: 10_000,
-                max_retries: 3,
-            },
-            ..MpiConfig::default()
-        };
+        // Total control-packet loss: the root's rendezvous RTS can never be
+        // answered, and its retry budget runs out.
+        let mut cfg = MpiConfig::default();
         cfg.coll.algo = algo;
         let spec = FaultSpec {
             ctrl_drop: 1.0,

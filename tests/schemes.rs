@@ -99,23 +99,27 @@ fn desc_fetch_faults_retry_and_deliver_intact() {
 fn offload_rendezvous_passes_exhaustively() {
     // Model-check the offload rendezvous control plane: every drop/delay
     // schedule of CTS-offload / FIN-offload must recover and deliver the
-    // strided payload intact.
+    // strided payload intact — for one transfer, and for two into one
+    // receiver, where a stale packet of one meets the other's live request.
     silence_expected_panics();
-    let v = explore(&scenarios::offload_2rank());
-    assert!(
-        !v.stats.truncated,
-        "offload rendezvous exploration hit the schedule cap — not exhaustive"
-    );
-    if let Some(c) = &v.counterexample {
-        panic!(
-            "offload rendezvous violated under schedule {} (from {}): {}",
-            c.schedule, c.original, c.message
+    for scenario in [scenarios::offload_2rank(), scenarios::offload_3rank()] {
+        let v = explore(&scenario);
+        let name = v.scenario;
+        assert!(
+            !v.stats.truncated,
+            "{name}: exploration hit the schedule cap — not exhaustive"
+        );
+        if let Some(c) = &v.counterexample {
+            panic!(
+                "{name} violated under schedule {} (from {}): {}",
+                c.schedule, c.original, c.message
+            );
+        }
+        assert!(
+            v.stats.schedules > 1,
+            "{name}: the offload rendezvous must expose retry branches to explore"
         );
     }
-    assert!(
-        v.stats.schedules > 1,
-        "the offload rendezvous must expose retry branches to explore"
-    );
 }
 
 #[test]
