@@ -517,15 +517,13 @@ impl Gpu {
                     }
                 }
             }
-            (Loc::Host(hp), Loc::Device(dp)) => hp.buf().with_slice(|host| {
-                let src = &host[hp.offset()..][..sext];
+            (Loc::Host(hp), Loc::Device(dp)) => hp.buf().with_range(hp.offset(), sext, |src| {
                 let mut mem = device(dp, dext);
                 let dst = &mut mem.arena[dp.offset..][..dext];
                 copy_rows(dst, p.dpitch, src, p.spitch, w);
             }),
-            (Loc::Device(sp), Loc::Host(hp)) => hp.buf().with_slice(|host| {
+            (Loc::Device(sp), Loc::Host(hp)) => hp.buf().with_range(hp.offset(), dext, |dst| {
                 let mem = device(sp, sext);
-                let dst = &mut host[hp.offset()..][..dext];
                 copy_rows(dst, p.dpitch, &mem.arena[sp.offset..][..sext], p.spitch, w);
             }),
             (Loc::Host(_), Loc::Host(_)) => {

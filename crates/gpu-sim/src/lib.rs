@@ -360,6 +360,50 @@ mod tests {
     }
 
     #[test]
+    fn host_copies_store_only_their_extent() {
+        const KIB: usize = 1 << 10;
+        let gpu = Gpu::new(0, CostModel::tesla_c2050(), 1 << 16);
+        let dev = gpu.malloc(16 * KIB);
+        gpu.write_bytes(dev, &[5u8; 16 * KIB]);
+        // `height` rows of `width` bytes, packed at the source.
+        let copy = |dst, dpitch, src, width, height| {
+            gpu.copy_2d_untimed(&Copy2d {
+                dst,
+                dpitch,
+                src,
+                spitch: width,
+                width,
+                height,
+            })
+        };
+
+        // A D2H of 4 KiB into offset 0 of a 1 MiB buffer stores 4 KiB.
+        let host = HostBuf::alloc(1 << 20);
+        let dst = Loc::Host(host.base());
+        copy(dst, 4 * KIB, Loc::Device(dev), 4 * KIB, 1);
+        assert_eq!(host.stored(), 4 * KIB);
+        assert_eq!(host.read(0, 4 * KIB), vec![5u8; 4 * KIB]);
+
+        // An H2D from a range never written copies zeros and stores no
+        // further than the range's end.
+        let unwritten = HostBuf::alloc(1 << 20);
+        let src = Loc::Host(unwritten.ptr(64 * KIB));
+        copy(Loc::Device(dev), 4 * KIB, src, 4 * KIB, 1);
+        assert_eq!(gpu.read_bytes(dev, 4 * KIB), vec![0u8; 4 * KIB]);
+        assert_eq!(gpu.read_bytes(dev.add(4 * KIB), 4), [5u8; 4]);
+        let stored = unwritten.stored();
+        assert!(stored <= 68 * KIB, "{stored}");
+
+        // A pitched D2H grows the prefix to its last row's end.
+        let rows = HostBuf::alloc(1 << 20);
+        let src = Loc::Device(dev.add(8 * KIB));
+        copy(Loc::Host(rows.ptr(100)), KIB, src, 16, 4);
+        assert_eq!(rows.stored(), 100 + 3 * KIB + 16);
+        let last_row = rows.read(100 + 3 * KIB, 17);
+        assert_eq!(last_row, [&[5u8; 16][..], &[0]].concat());
+    }
+
+    #[test]
     fn empty_and_out_of_bounds_pitched_copies() {
         let gpu = Gpu::new(0, CostModel::tesla_c2050(), 1 << 16);
         let (a, b) = (gpu.malloc(256), gpu.malloc(256));

@@ -21,27 +21,52 @@ use sim_core::lock::Mutex;
 
 static NEXT_ID: AtomicU64 = AtomicU64::new(1);
 
-/// Zero-filled backing storage that materializes on first write.
+/// The written prefix of a zero-filled buffer: bytes `[0, vec.len())` are
+/// stored, everything past them reads as zero without being stored.
 ///
 /// MPI-style workloads register large pools of bounce buffers at init and
-/// touch only a few of them; at 1k+ simulated ranks the eager `vec![0; len]`
-/// per buffer dominated wall-clock (tens of GB faulted, zeroed and unmapped
-/// per run). Reads of an unmaterialized buffer see zeros without
-/// allocating; the vector exists only once something is written.
+/// touch only a few of them, each only as far as the chunks staged through
+/// it; at 1k+ simulated ranks an eager `vec![0; len]` per buffer dominated
+/// wall-clock (tens of GB faulted, zeroed and unmapped per run), and backing
+/// a whole 256 KiB vbuf on its first 64 KiB chunk held 70 % of `coll_256`'s
+/// heap. A write extends the prefix to its end; the capacity grows
+/// geometrically but never past the buffer's length.
 struct Storage {
-    len: usize,
-    vec: Option<Vec<u8>>,
+    vec: Vec<u8>,
 }
 
 impl Storage {
-    fn materialize(&mut self) -> &mut Vec<u8> {
-        let len = self.len;
-        self.vec.get_or_insert_with(|| vec![0u8; len])
+    /// Copy `[offset, offset + out.len())` into `out`; the part past the
+    /// prefix (all of it, if `offset` is) reads as zeros.
+    fn read(&self, offset: usize, out: &mut [u8]) {
+        match self.vec.get(offset..offset + out.len()) {
+            Some(held) => out.copy_from_slice(held),
+            None => {
+                let held = self.vec.get(offset..).unwrap_or_default();
+                out[..held.len()].copy_from_slice(held);
+                out[held.len()..].fill(0);
+            }
+        }
+    }
+
+    /// The prefix, extended with zeros to at least `end` (at most `len`, the
+    /// buffer's length).
+    fn extend_to(&mut self, end: usize, len: usize) -> &mut [u8] {
+        let v = &mut self.vec;
+        if end > v.len() {
+            if end > v.capacity() {
+                let cap = end.max(2 * v.capacity()).min(len);
+                v.reserve_exact(cap - v.len());
+            }
+            v.resize(end, 0);
+        }
+        v
     }
 }
 
 struct Inner {
     id: u64,
+    len: usize,
     data: Mutex<Storage>,
     pinned: AtomicBool,
 }
@@ -59,29 +84,25 @@ impl fmt::Debug for HostBuf {
 }
 
 impl HostBuf {
-    /// Allocate a zero-filled buffer of `len` bytes. The backing memory is
-    /// not touched until the first write (see [`Storage`]), so large pools
-    /// of rarely-used staging buffers cost nothing but address-space
-    /// bookkeeping.
+    /// Allocate a zero-filled buffer of `len` bytes. Memory is held only
+    /// for the prefix written so far (see [`Storage`]), so large pools of
+    /// rarely- or partly-used staging buffers cost what is written through
+    /// them.
     pub fn alloc(len: usize) -> Self {
-        HostBuf {
-            inner: Arc::new(Inner {
-                id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
-                data: Mutex::new(Storage { len, vec: None }),
-                pinned: AtomicBool::new(false),
-            }),
-        }
+        Self::with_storage(len, Vec::new())
     }
 
     /// Wrap an existing byte vector.
     pub fn from_vec(v: Vec<u8>) -> Self {
+        Self::with_storage(v.len(), v)
+    }
+
+    fn with_storage(len: usize, vec: Vec<u8>) -> Self {
         HostBuf {
             inner: Arc::new(Inner {
                 id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
-                data: Mutex::new(Storage {
-                    len: v.len(),
-                    vec: Some(v),
-                }),
+                len,
+                data: Mutex::new(Storage { vec }),
                 pinned: AtomicBool::new(false),
             }),
         }
@@ -94,13 +115,13 @@ impl HostBuf {
 
     /// Length in bytes.
     pub fn len(&self) -> usize {
-        self.inner.data.lock().len
+        self.inner.len
     }
 
-    /// Whether the backing vector has been materialized by a write (for
-    /// diagnostics and the laziness regression test).
-    pub fn is_materialized(&self) -> bool {
-        self.inner.data.lock().vec.is_some()
+    /// Bytes actually held: the length of the written prefix (for
+    /// diagnostics and the memory regression tests).
+    pub fn stored(&self) -> usize {
+        self.inner.data.lock().vec.len()
     }
 
     /// True for zero-length buffers.
@@ -136,25 +157,23 @@ impl HostBuf {
         self.ptr(0)
     }
 
+    /// The end of `[offset, offset + n)`, which must lie inside the buffer
+    /// (checked arithmetic: refused in release builds too).
+    fn end(&self, what: &str, offset: usize, n: usize) -> usize {
+        let len = self.inner.len;
+        offset
+            .checked_add(n)
+            .filter(|&e| e <= len)
+            .unwrap_or_else(|| {
+                panic!("HostBuf::{what}: range {offset}..+{n} out of bounds (len {len})")
+            })
+    }
+
     /// Copy `out.len()` bytes starting at `offset` into `out`.
     pub fn read_into(&self, offset: usize, out: &mut [u8]) {
         sim_core::san::on_host_access(self.inner.id, offset, out.len(), false);
-        let data = self.inner.data.lock();
-        let end = offset
-            .checked_add(out.len())
-            .filter(|&e| e <= data.len)
-            .unwrap_or_else(|| {
-                panic!(
-                    "HostBuf::read_into: range {offset}..+{} out of bounds (len {})",
-                    out.len(),
-                    data.len
-                )
-            });
-        match &data.vec {
-            Some(v) => out.copy_from_slice(&v[offset..end]),
-            // Never written: still all zeros, no need to materialize.
-            None => out.fill(0),
-        }
+        self.end("read_into", offset, out.len());
+        self.inner.data.lock().read(offset, out);
     }
 
     /// Read `len` bytes starting at `offset`.
@@ -167,18 +186,8 @@ impl HostBuf {
     /// Write `src` starting at `offset`.
     pub fn write(&self, offset: usize, src: &[u8]) {
         sim_core::san::on_host_access(self.inner.id, offset, src.len(), true);
-        let mut data = self.inner.data.lock();
-        let end = offset
-            .checked_add(src.len())
-            .filter(|&e| e <= data.len)
-            .unwrap_or_else(|| {
-                panic!(
-                    "HostBuf::write: range {offset}..+{} out of bounds (len {})",
-                    src.len(),
-                    data.len
-                )
-            });
-        data.materialize()[offset..end].copy_from_slice(src);
+        let end = self.end("write", offset, src.len());
+        self.inner.data.lock().extend_to(end, self.inner.len)[offset..end].copy_from_slice(src);
     }
 
     /// Gather `height` rows of `width` bytes whose starts are `pitch` bytes
@@ -209,22 +218,16 @@ impl HostBuf {
                 sim_core::san::on_host_access(self.inner.id, offset + r * pitch, width, false);
             }
         }
-        let data = self.inner.data.lock();
         let last_end = offset + (height - 1) * pitch + width;
         assert!(
-            last_end <= data.len,
+            last_end <= self.inner.len,
             "HostBuf::read_strided: {height} rows of {width}B at pitch {pitch} from {offset} \
              exceed buffer (len {})",
-            data.len
+            self.inner.len
         );
-        match &data.vec {
-            Some(v) => {
-                for (r, row) in out.chunks_exact_mut(width).enumerate() {
-                    let s = offset + r * pitch;
-                    row.copy_from_slice(&v[s..s + width]);
-                }
-            }
-            None => out.fill(0),
+        let data = self.inner.data.lock();
+        for (r, row) in out.chunks_exact_mut(width).enumerate() {
+            data.read(offset + r * pitch, row);
         }
     }
 
@@ -253,44 +256,56 @@ impl HostBuf {
                 sim_core::san::on_host_access(self.inner.id, offset + r * pitch, width, true);
             }
         }
-        let mut data = self.inner.data.lock();
         let last_end = offset + (height - 1) * pitch + width;
         assert!(
-            last_end <= data.len,
+            last_end <= self.inner.len,
             "HostBuf::write_strided: {height} rows of {width}B at pitch {pitch} from {offset} \
              exceed buffer (len {})",
-            data.len
+            self.inner.len
         );
-        let v = data.materialize();
+        let mut data = self.inner.data.lock();
+        let v = data.extend_to(last_end, self.inner.len);
         for (r, row) in src.chunks_exact(width).enumerate() {
             let s = offset + r * pitch;
             v[s..s + width].copy_from_slice(row);
         }
     }
 
-    /// Run `f` over the raw storage (single lock acquisition; used by bulk
-    /// operations like strided copies). Conservatively counts as a write of
-    /// the whole buffer for the sanitizer.
+    /// Run `f` over bytes `[offset, offset + len)` under a single lock
+    /// acquisition (used by bulk operations like the GPU's copies). Counts
+    /// as a write of that range for the sanitizer, and stores the prefix up
+    /// to its end; the rest of the buffer is not touched.
+    pub fn with_range<R>(&self, offset: usize, len: usize, f: impl FnOnce(&mut [u8]) -> R) -> R {
+        sim_core::san::on_host_access(self.inner.id, offset, len, true);
+        let end = self.end("with_range", offset, len);
+        f(&mut self.inner.data.lock().extend_to(end, self.inner.len)[offset..end])
+    }
+
+    /// [`HostBuf::with_range`] over the whole buffer.
     pub fn with_slice<R>(&self, f: impl FnOnce(&mut [u8]) -> R) -> R {
-        sim_core::san::on_host_access(self.inner.id, 0, self.len(), true);
-        f(self.inner.data.lock().materialize())
+        self.with_range(0, self.len(), f)
     }
 
     /// Byte-for-byte copy between host buffers (may be the same buffer as
     /// long as the ranges do not overlap).
     pub fn copy(src: &HostPtr, dst: &HostPtr, len: usize) {
         if Arc::ptr_eq(&src.buf.inner, &dst.buf.inner) {
-            let mut data = src.buf.inner.data.lock();
+            let buf = &src.buf;
             let (s, d, l) = (src.offset, dst.offset, len);
-            assert!(
-                s + l <= data.len && d + l <= data.len,
-                "HostBuf::copy: out of bounds"
-            );
+            buf.end("copy", s, l);
+            let end = buf.end("copy", d, l);
             assert!(
                 s + l <= d || d + l <= s || l == 0,
                 "HostBuf::copy: overlapping ranges within one buffer"
             );
-            data.materialize().copy_within(s..s + l, d);
+            let mut data = buf.inner.data.lock();
+            let v = data.extend_to(end, buf.inner.len);
+            // The source's bytes past the prefix are zeros.
+            let held = v.len().saturating_sub(s).min(l);
+            if held > 0 {
+                v.copy_within(s..s + held, d);
+            }
+            v[d + held..end].fill(0);
         } else {
             let tmp = src.buf.read(src.offset, len);
             dst.buf.write(dst.offset, &tmp);
@@ -407,19 +422,103 @@ mod tests {
         assert!(HostBuf::alloc(0).is_empty());
     }
 
+    fn capacity(b: &HostBuf) -> usize {
+        b.inner.data.lock().vec.capacity()
+    }
+
     #[test]
     fn alloc_is_lazy_until_first_write() {
         let b = HostBuf::alloc(1 << 20);
-        assert!(!b.is_materialized(), "fresh buffer must not allocate");
+        assert_eq!(b.stored(), 0, "fresh buffer must not allocate");
         assert_eq!(b.read(1 << 19, 4), vec![0u8; 4]);
         let mut out = vec![0xffu8; 8];
         b.read_strided(0, 16, 4, 2, &mut out);
         assert_eq!(out, vec![0u8; 8]);
-        assert!(!b.is_materialized(), "reads see zeros without allocating");
+        assert_eq!(capacity(&b), 0, "reads see zeros without allocating");
         b.write(7, &[1]);
-        assert!(b.is_materialized());
+        assert_eq!(b.stored(), 8);
         assert_eq!(b.read(6, 3), vec![0, 1, 0]);
-        assert!(HostBuf::from_vec(vec![1, 2]).is_materialized());
+        assert_eq!(HostBuf::from_vec(vec![1, 2]).stored(), 2);
+    }
+
+    #[test]
+    fn a_buffer_stores_only_its_written_prefix() {
+        const KIB: usize = 1 << 10;
+        let b = HostBuf::alloc(256 * KIB);
+        b.write(0, &[7u8; 64 * KIB]);
+        assert_eq!(b.stored(), 64 * KIB, "one 64 KiB chunk into a 256 KiB vbuf");
+        assert_eq!(capacity(&b), 64 * KIB);
+        // Every kind of write extends the prefix to its own end, no further.
+        b.write_strided(64 * KIB, 4 * KIB, KIB, 3, &[1u8; 3 * KIB]);
+        assert_eq!(b.stored(), 64 * KIB + 9 * KIB);
+        b.with_range(80 * KIB, KIB, |s| s.fill(2));
+        assert_eq!(b.stored(), 81 * KIB);
+        HostBuf::copy(&b.ptr(0), &b.ptr(100 * KIB), KIB);
+        assert_eq!(b.stored(), 101 * KIB);
+        assert_eq!(b.read(100 * KIB, KIB), vec![7u8; KIB]);
+        // Reads past the prefix store nothing.
+        assert_eq!(b.read(200 * KIB, KIB), vec![0u8; KIB]);
+        assert_eq!(b.stored(), 101 * KIB);
+        // Growth is geometric, capped at the buffer's length.
+        let mut grown = Vec::new();
+        for end in (1..=256).map(|k| k * KIB) {
+            b.write(end - 1, &[3]);
+            assert_eq!(b.stored(), end.max(101 * KIB));
+            let cap = capacity(&b);
+            assert!(cap <= b.len(), "capacity {cap} past len");
+            if grown.last() != Some(&cap) {
+                grown.push(cap);
+            }
+        }
+        assert_eq!(grown, [128 * KIB, 256 * KIB]);
+        // A one-byte buffer written once holds one byte.
+        let tiny = HostBuf::alloc(1);
+        tiny.write(0, &[1]);
+        assert_eq!(capacity(&tiny), 1);
+    }
+
+    #[test]
+    fn reads_past_the_prefix_are_zeros() {
+        let b = HostBuf::alloc(64);
+        b.write(0, &[9u8; 10]);
+        // Straddling the prefix end, and starting past it.
+        assert_eq!(b.read(8, 4), vec![9, 9, 0, 0]);
+        assert_eq!(b.read(10, 4), vec![0u8; 4]);
+        assert_eq!(b.read(40, 24), vec![0u8; 24]);
+        // Rows held, straddling, and wholly past the prefix, in one gather.
+        let mut out = vec![0xffu8; 12];
+        b.read_strided(6, 5, 3, 4, &mut out);
+        assert_eq!(out, [9, 9, 9, 0, 0, 0, 0, 0, 0, 0, 0, 0]);
+        let mut out = vec![0xffu8; 6];
+        b.read_strided(9, 10, 2, 3, &mut out);
+        assert_eq!(out, [9, 0, 0, 0, 0, 0]);
+        // A same-buffer copy from past the prefix writes zeros.
+        b.write(0, &[5u8; 4]);
+        HostBuf::copy(&b.ptr(8), &b.ptr(0), 4);
+        assert_eq!(b.read(0, 4), vec![9, 9, 0, 0]);
+        HostBuf::copy(&b.ptr(30), &b.ptr(0), 4);
+        assert_eq!(b.read(0, 4), vec![0u8; 4]);
+        assert_eq!(b.stored(), 10, "nothing here wrote past byte 10");
+    }
+
+    #[test]
+    fn with_range_refuses_extents_outside_the_buffer() {
+        let b = HostBuf::alloc(16);
+        let refused = |offset: usize, len: usize| {
+            let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                b.with_range(offset, len, |_| ())
+            }));
+            let msg = *r.expect_err("must refuse").downcast::<String>().unwrap();
+            assert!(msg.contains("out of bounds"), "{msg}");
+        };
+        refused(8, 9);
+        refused(17, 0);
+        // Would wrap to a short, in-bounds range without checked arithmetic.
+        refused(8, usize::MAX - 4);
+        assert_eq!(b.stored(), 0, "a refused range stores nothing");
+        assert_eq!(b.with_range(8, 8, |s| s.len()), 8);
+        assert_eq!(b.with_range(16, 0, |s| s.len()), 0);
+        assert_eq!(b.stored(), 16);
     }
 
     #[test]

@@ -28,12 +28,14 @@ cargo build --release
 echo "==> cargo test (workspace)"
 cargo test --workspace -q
 
-echo "==> cargo test --release -p ib-sim -p gpu-sim -p sim-core, and the host and device footprint checks (overflow checks are off: bounds must hold by checked arithmetic)"
+echo "==> cargo test --release -p ib-sim -p gpu-sim -p sim-core -p hostmem, and the host and device footprint checks (overflow checks are off: bounds must hold by checked arithmetic)"
 # The fabric's bounds checks, the device's pitched extents and SIM_STACK_KB's
-# size each once wrapped in release and panicked in debug, and sim-core holds
-# the unsafe context switch, whose default stack differs by profile (1024 KiB
-# debug, 256 KiB release); the workspace tests above run in debug only.
-cargo test --release -q -p ib-sim -p gpu-sim -p sim-core
+# size each once wrapped in release and panicked in debug, a host range must
+# be refused before the stored prefix is extended to its end, and sim-core
+# holds the unsafe context switch, whose default stack differs by profile
+# (1024 KiB debug, 256 KiB release); the workspace tests above run in debug
+# only.
+cargo test --release -q -p ib-sim -p gpu-sim -p sim-core -p hostmem
 # A post whose datatype footprint overflows wrapped to a small message in
 # release and passed the host bounds check; it must be refused there too,
 # and so must the same post from a device buffer, which has no host extent
@@ -68,22 +70,29 @@ echo "==> perfbench smoke (benchmark/ compiles against the workspace; unit tests
 # benchmark pipeline.
 benchmark/smoke.sh > /dev/null
 
-echo "==> perfbench RSS vs reps (a finished world must be freed)"
+echo "==> perfbench RSS vs reps (a finished world is freed, host memory is paid per byte written)"
 # peak_rss_mb must not depend on how many reps a run makes: the driver
-# measures for a fixed --seconds window, so a leak per rep turns any
-# speed-up into more reps and reads as a memory regression (PR 16 was
-# refused for exactly that: jobmix_1024 leaked ~3.3 MB per rep, 87 MB at
-# 3 reps against ~107 MB at 9).
+# measures for a fixed --seconds window, so memory that grows with the rep
+# count turns any speed-up into more reps and reads as a memory regression.
+# jobmix_1024 catches a leaked world (a world once leaked ~3.3 MB per rep:
+# 87 MB at 3 reps against ~107 MB at 9). coll_256 catches
+# buffers backed beyond what was written: the allocator hands a later rep's
+# pool the pages an earlier rep touched (284 MB at 1 rep against 346 MB at
+# 3 while every 256 KiB vbuf was fully backed).
 rss() {
     cargo run --release --offline -q --manifest-path benchmark/Cargo.toml -- \
-        --workload jobmix_1024 --reps "$1" --trace 0 \
+        --workload "$1" --reps "$2" --trace 0 \
         | tail -n 1 | sed 's/.*"peak_rss_mb":{"value":\([0-9.]*\).*/\1/'
 }
-awk -v a="$(rss 3)" -v b="$(rss 9)" 'BEGIN {
-    d = (b - a) / a; if (d < 0) d = -d
-    printf "    peak_rss_mb: %s at 3 reps, %s at 9\n", a, b
-    exit !(a > 0 && d <= 0.05)
-}' || { echo "jobmix_1024 peak_rss_mb depends on the rep count"; exit 1; }
+same_rss() {
+    awk -v w="$1" -v r="$2" -v s="$3" -v a="$(rss "$1" "$2")" -v b="$(rss "$1" "$3")" 'BEGIN {
+        d = (b - a) / a; if (d < 0) d = -d
+        printf "    %s peak_rss_mb: %s at %s reps, %s at %s\n", w, a, r, b, s
+        exit !(a > 0 && d <= 0.05)
+    }' || { echo "$1 peak_rss_mb depends on the rep count"; exit 1; }
+}
+same_rss jobmix_1024 3 9
+same_rss coll_256 1 3
 
 echo "==> results/ untouched"
 # Nothing above may write into results/: an experiment writes only where
