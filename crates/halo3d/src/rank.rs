@@ -272,29 +272,30 @@ impl<'a, T: Real> Halo3dRank<'a, T> {
         self.env
             .gpu
             .launch_kernel("jacobi7", cost, &self.stream, move |g| {
-                let src = g.read_bytes(cur, cells * T::SIZE);
-                let mut dst = src.clone();
-                let vals: Vec<f64> = src
+                // Decoded once; the interior is then written over the read
+                // bytes, whose halo is already the output's.
+                let mut bytes = g.read_bytes(cur, cells * T::SIZE);
+                let vals: Vec<f64> = bytes
                     .chunks_exact(T::SIZE)
                     .map(|c| T::read_le(c).to_f64())
                     .collect();
-                let at = |i: usize, j: usize, k: usize| vals[idx(dims, i, j, k)];
+                let (plane, row) = (dims.1 * dims.2, dims.2);
                 for i in 1..=ni {
                     for j in 1..=nj {
-                        for k in 1..=nk {
-                            let faces = at(i - 1, j, k)
-                                + at(i + 1, j, k)
-                                + at(i, j - 1, k)
-                                + at(i, j + 1, k)
-                                + at(i, j, k - 1)
-                                + at(i, j, k + 1);
-                            let v = W_CENTER * at(i, j, k) + W_FACE * faces;
-                            let o = idx(dims, i, j, k) * T::SIZE;
-                            T::from_f64(v).write_le(&mut dst[o..o + T::SIZE]);
+                        let base = idx(dims, i, j, 0);
+                        for c in base + 1..=base + nk {
+                            let faces = vals[c - plane]
+                                + vals[c + plane]
+                                + vals[c - row]
+                                + vals[c + row]
+                                + vals[c - 1]
+                                + vals[c + 1];
+                            let v = W_CENTER * vals[c] + W_FACE * faces;
+                            T::from_f64(v).write_le(&mut bytes[c * T::SIZE..][..T::SIZE]);
                         }
                     }
                 }
-                g.write_bytes(next, &dst);
+                g.write_bytes(next, &bytes);
             })
             .wait();
         std::mem::swap(&mut self.cur, &mut self.next);

@@ -17,7 +17,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use sim_core::lock::Mutex;
+use sim_core::lock::{Mutex, MutexGuard};
 
 static NEXT_ID: AtomicU64 = AtomicU64::new(1);
 
@@ -169,6 +169,39 @@ impl HostBuf {
             })
     }
 
+    /// The end of `height` rows of `width` bytes whose starts are `pitch`
+    /// apart (first row at `offset`), which must lie inside the buffer
+    /// (checked arithmetic: a span that wraps is refused in release builds
+    /// too). Each row is then reported to the sanitizer, as a read or a
+    /// `write`. `height` must be nonzero.
+    fn rows(
+        &self,
+        what: &str,
+        write: bool,
+        offset: usize,
+        pitch: usize,
+        width: usize,
+        height: usize,
+    ) -> usize {
+        let len = self.inner.len;
+        let end = (height - 1)
+            .checked_mul(pitch)
+            .and_then(|gaps| gaps.checked_add(width)?.checked_add(offset))
+            .filter(|&e| e <= len)
+            .unwrap_or_else(|| {
+                panic!(
+                    "HostBuf::{what}: {height} rows of {width}B at pitch {pitch} from {offset} \
+                     exceed buffer (len {len})"
+                )
+            });
+        if sim_core::san::enabled() {
+            for r in 0..height {
+                sim_core::san::on_host_access(self.inner.id, offset + r * pitch, width, write);
+            }
+        }
+        end
+    }
+
     /// Copy `out.len()` bytes starting at `offset` into `out`.
     pub fn read_into(&self, offset: usize, out: &mut [u8]) {
         sim_core::san::on_host_access(self.inner.id, offset, out.len(), false);
@@ -213,18 +246,7 @@ impl HostBuf {
         if width == 0 || height == 0 {
             return;
         }
-        if sim_core::san::enabled() {
-            for r in 0..height {
-                sim_core::san::on_host_access(self.inner.id, offset + r * pitch, width, false);
-            }
-        }
-        let last_end = offset + (height - 1) * pitch + width;
-        assert!(
-            last_end <= self.inner.len,
-            "HostBuf::read_strided: {height} rows of {width}B at pitch {pitch} from {offset} \
-             exceed buffer (len {})",
-            self.inner.len
-        );
+        self.rows("read_strided", false, offset, pitch, width, height);
         let data = self.inner.data.lock();
         for (r, row) in out.chunks_exact_mut(width).enumerate() {
             data.read(offset + r * pitch, row);
@@ -251,18 +273,7 @@ impl HostBuf {
         if width == 0 || height == 0 {
             return;
         }
-        if sim_core::san::enabled() {
-            for r in 0..height {
-                sim_core::san::on_host_access(self.inner.id, offset + r * pitch, width, true);
-            }
-        }
-        let last_end = offset + (height - 1) * pitch + width;
-        assert!(
-            last_end <= self.inner.len,
-            "HostBuf::write_strided: {height} rows of {width}B at pitch {pitch} from {offset} \
-             exceed buffer (len {})",
-            self.inner.len
-        );
+        let last_end = self.rows("write_strided", true, offset, pitch, width, height);
         let mut data = self.inner.data.lock();
         let v = data.extend_to(last_end, self.inner.len);
         for (r, row) in src.chunks_exact(width).enumerate() {
@@ -287,28 +298,83 @@ impl HostBuf {
     }
 
     /// Byte-for-byte copy between host buffers (may be the same buffer as
-    /// long as the ranges do not overlap).
+    /// long as the ranges do not overlap): [`Copier::copy_rows`] with one
+    /// row.
     pub fn copy(src: &HostPtr, dst: &HostPtr, len: usize) {
-        if Arc::ptr_eq(&src.buf.inner, &dst.buf.inner) {
-            let buf = &src.buf;
-            let (s, d, l) = (src.offset, dst.offset, len);
-            buf.end("copy", s, l);
-            let end = buf.end("copy", d, l);
-            assert!(
-                s + l <= d || d + l <= s || l == 0,
-                "HostBuf::copy: overlapping ranges within one buffer"
-            );
-            let mut data = buf.inner.data.lock();
-            let v = data.extend_to(end, buf.inner.len);
-            // The source's bytes past the prefix are zeros.
-            let held = v.len().saturating_sub(s).min(l);
-            if held > 0 {
-                v.copy_within(s..s + held, d);
-            }
-            v[d + held..end].fill(0);
+        Self::with_copier(&src.buf, &dst.buf, |c| {
+            c.copy_rows(src.offset, len, dst.offset, len, len, 1)
+        });
+    }
+
+    /// Run `f` with `src` and `dst` locked for a batch of pitched copies
+    /// from one into the other: one lock per buffer, taken in id order (one
+    /// lock if they are the same buffer), however many blocks `f` moves.
+    /// `f` must neither touch either buffer any other way nor yield to
+    /// another simulated process: the locks are held until it returns.
+    pub fn with_copier<R>(src: &HostBuf, dst: &HostBuf, f: impl FnOnce(&mut Copier) -> R) -> R {
+        // A tuple's elements are evaluated, so locked, left to right.
+        let (from, to) = if Arc::ptr_eq(&src.inner, &dst.inner) {
+            (None, dst.inner.data.lock())
+        } else if src.id() < dst.id() {
+            (Some(src.inner.data.lock()), dst.inner.data.lock())
         } else {
-            let tmp = src.buf.read(src.offset, len);
-            dst.buf.write(dst.offset, &tmp);
+            let (to, from) = (dst.inner.data.lock(), src.inner.data.lock());
+            (Some(from), to)
+        };
+        f(&mut Copier { src, dst, from, to })
+    }
+}
+
+/// Two buffers' storage, locked for a batch of copies from the first into
+/// the second ([`HostBuf::with_copier`]): the host twin of the GPU's pitched
+/// copy, moving bytes straight from one buffer's storage into the other's.
+pub struct Copier<'a> {
+    src: &'a HostBuf,
+    dst: &'a HostBuf,
+    /// `None` when source and destination are the same buffer.
+    from: Option<MutexGuard<'a, Storage>>,
+    to: MutexGuard<'a, Storage>,
+}
+
+impl Copier<'_> {
+    /// Copy `height` rows of `width` bytes from source offset `s0` (row
+    /// starts `spitch` apart) to destination offset `d0` (row starts
+    /// `dpitch` apart). Both extents are bounds-checked in checked
+    /// arithmetic; within one buffer they (first to last byte) must be
+    /// disjoint. Source rows past the stored prefix read as zeros, and the
+    /// destination stores up to its last row's end. Each row is reported to
+    /// the sanitizer, as [`HostBuf::read_strided`]/[`HostBuf::write_strided`]
+    /// do. Zero `width` or `height` is a no-op.
+    pub fn copy_rows(
+        &mut self,
+        s0: usize,
+        spitch: usize,
+        d0: usize,
+        dpitch: usize,
+        width: usize,
+        height: usize,
+    ) {
+        if width == 0 || height == 0 {
+            return;
+        }
+        let s_end = self.src.rows("copy_rows", false, s0, spitch, width, height);
+        let d_end = self.dst.rows("copy_rows", true, d0, dpitch, width, height);
+        assert!(
+            self.from.is_some() || s_end <= d0 || d_end <= s0,
+            "HostBuf::copy_rows: overlapping extents {s0}..{s_end} and {d0}..{d_end} \
+             within one buffer"
+        );
+        let rows = (0..height).map(|r| (s0 + r * spitch, d0 + r * dpitch));
+        let v = self.to.extend_to(d_end, self.dst.len());
+        match &self.from {
+            Some(from) => rows.for_each(|(s, d)| from.read(s, &mut v[d..d + width])),
+            // Within one buffer the source's bytes past the prefix are zeros.
+            None => rows.for_each(|(s, d)| {
+                let s = s.min(v.len());
+                let held = (v.len() - s).min(width);
+                v.copy_within(s..s + held, d);
+                v[d + held..d + width].fill(0);
+            }),
         }
     }
 }
@@ -374,9 +440,11 @@ macro_rules! impl_scalar {
     ($($t:ty),*) => {$(
         impl Scalar for $t {
             const SIZE: usize = std::mem::size_of::<$t>();
+            #[inline]
             fn write_le(self, out: &mut [u8]) {
                 out.copy_from_slice(&self.to_le_bytes());
             }
+            #[inline]
             fn read_le(inp: &[u8]) -> Self {
                 <$t>::from_le_bytes(inp.try_into().expect("Scalar::read_le: wrong length"))
             }
@@ -612,6 +680,99 @@ mod tests {
     fn strided_write_oob_panics() {
         let b = HostBuf::alloc(16);
         b.write_strided(4, 8, 2, 3, &[0u8; 6]);
+    }
+
+    /// One pitched copy, as a batch of one.
+    fn copy_rows(src: &HostPtr, spitch: usize, dst: &HostPtr, dpitch: usize, w: usize, h: usize) {
+        let (s0, d0) = (src.offset(), dst.offset());
+        HostBuf::with_copier(src.buf(), dst.buf(), |c| {
+            c.copy_rows(s0, spitch, d0, dpitch, w, h)
+        });
+    }
+
+    #[test]
+    fn strided_extents_that_wrap_are_refused() {
+        // Three rows half the address space apart: the last row's end wraps
+        // to a small, in-bounds number without checked arithmetic.
+        let pitch = usize::MAX / 2;
+        let b = HostBuf::alloc(64);
+        let refused = |f: &dyn Fn()| {
+            let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
+            let msg = *r.expect_err("must refuse").downcast::<String>().unwrap();
+            assert!(msg.contains("exceed buffer"), "{msg}");
+        };
+        refused(&|| b.read_strided(0, pitch, 4, 3, &mut [0u8; 12]));
+        refused(&|| b.write_strided(0, pitch, 4, 3, &[1u8; 12]));
+        let other = HostBuf::alloc(64);
+        refused(&|| copy_rows(&b.base(), pitch, &other.base(), 4, 4, 3));
+        refused(&|| copy_rows(&other.base(), 4, &b.base(), pitch, 4, 3));
+        assert_eq!((b.stored(), other.stored()), (0, 0), "nothing was stored");
+    }
+
+    #[test]
+    fn copy_rows_moves_pitched_blocks_between_buffers() {
+        let a = HostBuf::from_vec((0u8..32).collect());
+        let b = HostBuf::alloc(64);
+        // 3 rows of 2 bytes, 8 apart in `a`, packed 2 apart in `b` from 4;
+        // then back out of `b` at pitch 16 into a fresh buffer.
+        copy_rows(&a.ptr(1), 8, &b.ptr(4), 2, 2, 3);
+        assert_eq!(b.read(0, 12), [0, 0, 0, 0, 1, 2, 9, 10, 17, 18, 0, 0]);
+        assert_eq!(
+            b.stored(),
+            10,
+            "the destination stores to its last row's end"
+        );
+        // Either buffer may have the lower id: the lock order is by id.
+        let c = HostBuf::alloc(64);
+        copy_rows(&b.ptr(4), 2, &c.ptr(0), 16, 2, 3);
+        copy_rows(&c.ptr(0), 16, &a.ptr(0), 2, 2, 3);
+        assert_eq!(a.read(0, 6), [1, 2, 9, 10, 17, 18]);
+        assert_eq!(c.read(32, 2), [17, 18]);
+        // One batch, many blocks, one lock of each buffer.
+        HostBuf::with_copier(&c, &b, |cp| {
+            cp.copy_rows(0, 16, 20, 4, 2, 3);
+            cp.copy_rows(33, 0, 30, 0, 1, 1);
+        });
+        assert_eq!(b.read(20, 11), [1, 2, 0, 0, 9, 10, 0, 0, 17, 18, 18]);
+    }
+
+    #[test]
+    fn copy_rows_reads_zeros_past_the_source_prefix() {
+        let a = HostBuf::alloc(64);
+        a.write(0, &[9u8; 10]);
+        // Rows held, straddling the prefix end, and wholly past it.
+        let b = HostBuf::from_vec(vec![0xff; 16]);
+        copy_rows(&a.ptr(8), 5, &b.base(), 3, 3, 4);
+        assert_eq!(b.read(0, 12), [9, 9, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]);
+        assert_eq!(a.stored(), 10, "reading the source stores nothing");
+        // Within one buffer the same rule holds.
+        copy_rows(&a.ptr(8), 20, &a.ptr(40), 4, 4, 2);
+        assert_eq!(a.read(40, 8), [9, 9, 0, 0, 0, 0, 0, 0]);
+        assert_eq!(a.stored(), 48);
+    }
+
+    #[test]
+    fn copy_rows_within_one_buffer_needs_disjoint_extents() {
+        let a = HostBuf::from_vec((0u8..32).collect());
+        // Rows {0,1} {4,5} {8,9} land at 16.. packed: extents 0..10, 16..22.
+        copy_rows(&a.ptr(0), 4, &a.ptr(16), 2, 2, 3);
+        assert_eq!(a.read(16, 6), [0, 1, 4, 5, 8, 9]);
+        // Interleaved rows move no byte twice, but their extents overlap.
+        let r = std::panic::catch_unwind(|| copy_rows(&a.ptr(0), 4, &a.ptr(2), 4, 2, 3));
+        let msg = *r.expect_err("must refuse").downcast::<String>().unwrap();
+        assert!(msg.contains("overlapping"), "{msg}");
+        assert_eq!(a.read(0, 12), (0u8..12).collect::<Vec<_>>(), "refused");
+    }
+
+    #[test]
+    fn copy_rows_of_zero_width_or_height_is_a_no_op() {
+        let a = HostBuf::alloc(8);
+        let b = HostBuf::alloc(8);
+        // Shapes that would be out of bounds, or overlap, if they moved a byte.
+        copy_rows(&a.ptr(8), 100, &b.ptr(8), 100, 0, 5);
+        copy_rows(&a.ptr(8), 100, &b.ptr(8), 100, 5, 0);
+        copy_rows(&a.ptr(0), 1, &a.ptr(0), 1, 4, 0);
+        assert_eq!((a.stored(), b.stored()), (0, 0));
     }
 
     #[test]

@@ -17,6 +17,16 @@
 //! that do. The copy itself runs under `san::suppress`: it is the
 //! simulator moving bytes, not a modeled CPU access.
 //!
+//! **The copy is buffer to buffer.** Each write moves bytes from the source
+//! buffer's storage straight into the region's ([`hostmem::Copier`]), with
+//! no staging vector, under one lock of each. The scatter/gather form walks
+//! the gather and scatter lists in lockstep (`SgWalk`): when both walks sit
+//! at a block start and their runs' block widths agree, the blocks both
+//! runs still have move as one pitched copy; otherwise the shorter
+//! remainder of the two current blocks moves as one row. Entries that move
+//! no byte are skipped. What is placed is what gathering the whole message
+//! and then scattering it would place.
+//!
 //! **Where the fault roll sits.** After the post overhead (the sleep yields,
 //! so the draw order across ranks depends on it) and before the MR lookup: a
 //! failed post occupies the engine and the wire like a retry-exhausted
@@ -81,6 +91,54 @@ impl SgEntry {
                 .checked_mul(self.stride)?
                 .checked_add(self.len)?
                 .checked_add(self.offset),
+        }
+    }
+}
+
+/// A position in a scatter/gather list: entry, block within it, byte within
+/// that block. Entries that move no byte are skipped.
+#[derive(Default)]
+struct SgWalk<'a> {
+    list: &'a [SgEntry],
+    entry: usize,
+    row: usize,
+    off: usize,
+}
+
+impl<'a> SgWalk<'a> {
+    fn new(list: &'a [SgEntry]) -> Self {
+        SgWalk {
+            list,
+            ..Default::default()
+        }
+    }
+
+    /// The current entry, past any that move no byte; `None` once the list
+    /// is walked.
+    fn entry(&mut self) -> Option<SgEntry> {
+        while self.list.get(self.entry).is_some_and(|e| e.bytes() == 0) {
+            self.entry += 1;
+        }
+        self.list.get(self.entry).copied()
+    }
+
+    /// Offset of the current byte in the entry's buffer.
+    fn at(&self) -> usize {
+        let e = self.list[self.entry];
+        e.offset + self.row * e.stride + self.off
+    }
+
+    /// Step past `rows` rows of `width` bytes: whole blocks when `rows > 1`.
+    fn advance(&mut self, width: usize, rows: usize) {
+        let e = self.list[self.entry];
+        self.off += width;
+        if self.off == e.len {
+            self.off = 0;
+            self.row += rows;
+        }
+        if self.row == e.count {
+            self.row = 0;
+            self.entry += 1;
         }
     }
 }
@@ -169,7 +227,7 @@ impl Nic {
             writes: vec![host_range(&mr_buf, dst_offset, len)],
             ..Default::default()
         };
-        let copy = || mr_buf.write(dst_offset, &src.read(len));
+        let copy = || HostBuf::copy(src, &mr_buf.ptr(dst_offset), len);
         self.place(route, span, len, SimDur::ZERO, decl, copy)
             .completion()
     }
@@ -309,19 +367,23 @@ impl Nic {
             ..Default::default()
         };
         let busy = self.place(Route::Hca, "offload", total, extra, decl, || {
-            let mut data = Vec::with_capacity(total);
-            for e in gather {
-                for b in 0..e.count {
-                    data.extend_from_slice(&from.read(e.offset + b * e.stride, e.len));
+            HostBuf::with_copier(from, &mr_buf, |c| {
+                let (mut g, mut s) = (SgWalk::new(gather), SgWalk::new(scatter));
+                while let (Some(ge), Some(se)) = (g.entry(), s.entry()) {
+                    // Rows both runs still have move as one pitched block
+                    // when both walks sit at a row start and the widths
+                    // agree; otherwise the shorter remainder of the two rows
+                    // moves.
+                    let width = (ge.len - g.off).min(se.len - s.off);
+                    let rows = match (g.off, s.off) {
+                        (0, 0) if ge.len == se.len => (ge.count - g.row).min(se.count - s.row),
+                        _ => 1,
+                    };
+                    c.copy_rows(g.at(), ge.stride, s.at(), se.stride, width, rows);
+                    g.advance(width, rows);
+                    s.advance(width, rows);
                 }
-            }
-            let mut off = 0;
-            for e in scatter {
-                for b in 0..e.count {
-                    mr_buf.write(e.offset + b * e.stride, &data[off..off + e.len]);
-                    off += e.len;
-                }
-            }
+            })
         });
         let node = self.my_node();
         node.bill(self.job_state(), "offload.bytes", total as u64);
@@ -667,6 +729,131 @@ mod tests {
                 assert_eq!(d2.read(8, 4), vec![16, 17, 18, 19]);
             });
         }
+        sim.run();
+    }
+
+    /// The former SG copy, kept as the oracle: gather every block into one
+    /// staging vector, then scatter it block by block.
+    fn gather_then_scatter(src: &[u8], dst: &mut [u8], gather: &[SgEntry], scatter: &[SgEntry]) {
+        let mut packed = Vec::new();
+        for e in gather {
+            for b in 0..e.count {
+                let at = e.offset + b * e.stride;
+                packed.extend_from_slice(&src[at..at + e.len]);
+            }
+        }
+        let mut off = 0;
+        for e in scatter {
+            for b in 0..e.count {
+                let at = e.offset + b * e.stride;
+                dst[at..at + e.len].copy_from_slice(&packed[off..off + e.len]);
+                off += e.len;
+            }
+        }
+    }
+
+    /// A list of runs laid one after another, moving `total` bytes when
+    /// given one, with block widths drawn from `widths` and an empty entry
+    /// (no blocks, or blocks of no bytes) now and then.
+    fn draw_list(
+        rng: &mut xorshift::XorShift64,
+        widths: &[usize],
+        total: Option<usize>,
+    ) -> Vec<SgEntry> {
+        let (mut list, mut at, mut left) = (Vec::new(), rng.gen_range(0, 16), total.unwrap_or(0));
+        let entries = rng.gen_range(1, 5);
+        while total.map_or(list.len() < entries, |_| left > 0) {
+            let e = if rng.gen_range(0, 6) == 0 {
+                let (len, count) = [(0, 3), (7, 0)][rng.gen_range(0, 2)];
+                SgEntry {
+                    offset: at,
+                    len,
+                    stride: 64,
+                    count,
+                }
+            } else {
+                let len = widths[rng.gen_range(0, widths.len())];
+                let count = rng.gen_range(1, 7);
+                let count = total.map_or(count, |_| count.min(left / len));
+                let (len, count) = if count == 0 { (left, 1) } else { (len, count) };
+                let stride = len + rng.gen_range(0, 3) * rng.gen_range(1, 24);
+                SgEntry {
+                    offset: at,
+                    len,
+                    stride,
+                    count,
+                }
+            };
+            at += e.span() + rng.gen_range(0, 32);
+            left = left.saturating_sub(e.bytes());
+            list.push(e);
+        }
+        list
+    }
+
+    /// `gather`'s runs laid out again with other strides, each split in two
+    /// at a random block: blocks of equal width then meet as pitched copies
+    /// whose runs end at different rows.
+    fn relaid(rng: &mut xorshift::XorShift64, gather: &[SgEntry]) -> Vec<SgEntry> {
+        let (mut list, mut at) = (Vec::new(), rng.gen_range(0, 16));
+        for e in gather {
+            let split = rng.gen_range(0, e.count + 1);
+            for count in [split, e.count - split] {
+                let stride = e.len + rng.gen_range(0, 9);
+                let run = SgEntry {
+                    offset: at,
+                    len: e.len,
+                    stride,
+                    count,
+                };
+                at += run.span() + rng.gen_range(0, 8);
+                list.push(run);
+            }
+        }
+        list
+    }
+
+    #[test]
+    fn sg_write_matches_gather_then_scatter() {
+        let mut rng = xorshift::XorShift64::new(0x5C47);
+        let draws: Vec<_> = (0..64)
+            .map(|_| {
+                let gather = draw_list(&mut rng, &[1, 5, 8, 24, 40], None);
+                let total = gather.iter().map(SgEntry::bytes).sum();
+                let scatter = match rng.gen_bool() {
+                    // Mostly unequal widths: rows split across blocks.
+                    true => draw_list(&mut rng, &[3, 8, 24, 33], Some(total)),
+                    false => relaid(&mut rng, &gather),
+                };
+                (gather, scatter)
+            })
+            .collect();
+        const LEN: usize = 1 << 16;
+        let mut src = vec![0u8; LEN];
+        rng.fill_bytes(&mut src);
+        let mut want = vec![0u8; LEN];
+        rng.fill_bytes(&mut want);
+        let moved: usize = draws.iter().flat_map(|(g, _)| g).map(SgEntry::bytes).sum();
+        assert!(moved > 2000, "the draws move bytes: {moved}");
+
+        let sim = Sim::new();
+        let fabric = Fabric::new(2, NetModel::qdr());
+        let target = HostBuf::from_vec(want.clone());
+        let key = fabric.nic(1).register(&target);
+        let (nic, from) = (fabric.nic(0), HostBuf::from_vec(src.clone()));
+        sim.spawn("writer", move || {
+            nic.register(&from);
+            // Checked after every post: a later draw overwrites earlier ones.
+            for (i, (gather, scatter)) in draws.iter().enumerate() {
+                nic.rdma_write_sg(1, key, &from.base(), gather, scatter)
+                    .wait();
+                gather_then_scatter(&src, &mut want, gather, scatter);
+                assert!(
+                    target.read(0, LEN) == want,
+                    "draw {i}: {gather:?} -> {scatter:?}"
+                );
+            }
+        });
         sim.run();
     }
 }

@@ -641,12 +641,12 @@ pub(super) fn alltoallv(cx: &mut Coll, h: &Hierarchy, send: &Blocks, recv: &Bloc
                 if let (0, Some(src)) = (i, s_host) {
                     let mut off = cur;
                     for &j in grp.iter().filter(|&&j| sb[j] > 0) {
-                        buf.write(off, &src.add(send.displs[j]).read(sb[j]));
+                        HostBuf::copy(&src.add(send.displs[j]), &buf.ptr(off), sb[j]);
                         off += sb[j];
                     }
                 } else {
                     let src = a_scratch[i].as_ref().expect("fan-in stream present");
-                    buf.write(cur, &src.read(section_off(i, y), span));
+                    HostBuf::copy(&src.ptr(section_off(i, y)), &buf.ptr(cur), span);
                 }
                 cur += span;
             }

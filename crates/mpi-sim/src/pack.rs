@@ -149,6 +149,18 @@ impl PackCursor {
             });
     }
 
+    /// Pack the next `len` bytes of the stream straight into host memory
+    /// at `dst`, one pitched block per step under one lock of each buffer.
+    /// Panics if fewer bytes remain.
+    pub fn pack_into_host(&mut self, dst: &HostPtr, len: usize) {
+        let (user, d0) = (self.0.base.buf().clone(), dst.offset());
+        HostBuf::with_copier(&user, dst.buf(), |c| {
+            self.0.step(len, |_, at, pitch, width, rows, range| {
+                c.copy_rows(at, pitch, d0 + range.start, width, width, rows)
+            })
+        });
+    }
+
     /// Pack the entire remaining stream.
     pub fn pack_all(&mut self) -> Vec<u8> {
         let mut out = vec![0u8; self.0.plan.total() - self.0.done];
@@ -185,6 +197,18 @@ impl UnpackCursor {
             .step(data.len(), |buf, at, pitch, width, rows, range| {
                 buf.write_strided(at, pitch, width, rows, &data[range])
             });
+    }
+
+    /// Scatter the next `len` bytes of the packed stream straight out of
+    /// host memory at `src`, one pitched block per step under one lock of
+    /// each buffer. Panics if that exceeds the layout's remaining capacity.
+    pub fn unpack_from_host(&mut self, src: &HostPtr, len: usize) {
+        let (user, s0) = (self.0.base.buf().clone(), src.offset());
+        HostBuf::with_copier(src.buf(), &user, |c| {
+            self.0.step(len, |_, at, pitch, width, rows, range| {
+                c.copy_rows(s0 + range.start, width, at, pitch, width, rows)
+            })
+        });
     }
 }
 
@@ -324,22 +348,39 @@ mod tests {
             for chunks in [vec![18], vec![4, 4, 4, 6], vec![1, 16, 1], vec![7, 11]] {
                 let mut p = PackCursor::new(src.base(), s.clone());
                 let mut got = Vec::new();
-                for c in chunks {
+                for &c in &chunks {
                     let mut tmp = vec![0u8; c];
                     p.pack_into(&mut tmp);
                     got.extend_from_slice(&tmp);
                 }
                 assert_eq!(got, expect);
                 assert!(p.finished());
+                // The same cuts, packed straight into a vbuf (at 3, so the
+                // vbuf-side extents are not the chunk's own).
+                let vbuf = HostBuf::alloc(24);
+                let mut p = PackCursor::new(src.base(), s.clone());
+                let mut at = 3;
+                for &c in &chunks {
+                    p.pack_into_host(&vbuf.ptr(at), c);
+                    at += c;
+                }
+                assert_eq!(vbuf.read(3, 18), expect);
 
-                let dst = HostBuf::alloc(64);
-                let mut u = UnpackCursor::new(dst.base(), s.clone());
-                u.unpack_from(&got[..5]);
-                u.unpack_from(&got[5..]);
-                assert!(u.finished());
-                for seg in &s {
-                    let o = seg.offset as usize;
-                    assert_eq!(dst.read(o, seg.len), src.read(o, seg.len));
+                for direct in [false, true] {
+                    let dst = HostBuf::alloc(64);
+                    let mut u = UnpackCursor::new(dst.base(), s.clone());
+                    if direct {
+                        u.unpack_from_host(&vbuf.ptr(3), 5);
+                        u.unpack_from_host(&vbuf.ptr(8), 13);
+                    } else {
+                        u.unpack_from(&got[..5]);
+                        u.unpack_from(&got[5..]);
+                    }
+                    assert!(u.finished());
+                    for seg in &s {
+                        let o = seg.offset as usize;
+                        assert_eq!(dst.read(o, seg.len), src.read(o, seg.len));
+                    }
                 }
             }
         }

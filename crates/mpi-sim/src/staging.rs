@@ -144,9 +144,7 @@ impl SendSource for HostSendSource {
         // CPU pack happens synchronously in the progress engine, costing
         // pack time.
         sim_core::sleep(self.cpu.pack_time(len, self.segs_for(len)));
-        let mut tmp = vec![0u8; len];
-        self.cursor.pack_into(&mut tmp);
-        dst.write(&tmp);
+        self.cursor.pack_into_host(&dst, len);
         self.ready_upto = idx + 1;
     }
 
@@ -222,8 +220,7 @@ impl RecvSink for HostRecvSink {
     fn chunk_arrived(&mut self, idx: usize, src: HostPtr, len: usize) {
         assert_eq!(idx, self.absorbed_upto, "host sink: out-of-order chunk");
         sim_core::sleep(self.cpu.pack_time(len, self.segs_for(len)));
-        let data = src.read(len);
-        self.cursor.unpack_from(&data);
+        self.cursor.unpack_from_host(&src, len);
         self.absorbed_upto = idx + 1;
         self.consumed += len;
     }

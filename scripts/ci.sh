@@ -28,19 +28,20 @@ cargo build --release
 echo "==> cargo test (workspace)"
 cargo test --workspace -q
 
-echo "==> cargo test --release -p ib-sim -p gpu-sim -p sim-core -p hostmem, and the host and device footprint checks (overflow checks are off: bounds must hold by checked arithmetic)"
-# The fabric's bounds checks, the device's pitched extents and SIM_STACK_KB's
-# size each once wrapped in release and panicked in debug, a host range must
-# be refused before the stored prefix is extended to its end, and sim-core
-# holds the unsafe context switch, whose default stack differs by profile
-# (1024 KiB debug, 256 KiB release); the workspace tests above run in debug
-# only.
-cargo test --release -q -p ib-sim -p gpu-sim -p sim-core -p hostmem
+echo "==> cargo test --release -p ib-sim -p gpu-sim -p sim-core -p hostmem -p mpi-sim, and the device footprint check (overflow checks are off: bounds must hold by checked arithmetic)"
+# The fabric's bounds checks, the device's pitched extents, the host's
+# strided extents and SIM_STACK_KB's size each once wrapped in release and
+# panicked in debug, a host range must be refused before the stored prefix
+# is extended to its end, the pack cursors compute the vbuf-side extents of
+# their pitched copies, and sim-core holds the unsafe context switch, whose
+# default stack differs by profile (1024 KiB debug, 256 KiB release); the
+# workspace tests above run in debug only.
+cargo test --release -q -p ib-sim -p gpu-sim -p sim-core -p hostmem -p mpi-sim
 # A post whose datatype footprint overflows wrapped to a small message in
-# release and passed the host bounds check; it must be refused there too,
-# and so must the same post from a device buffer, which has no host extent
-# to check.
-cargo test --release -q -p mpi-sim an_overflowing_footprint_is_refused_in_every_profile
+# release and passed the host bounds check (mpi-sim's
+# an_overflowing_footprint_is_refused_in_every_profile, run above); the same
+# post from a device buffer, which has no host extent to check, must be
+# refused there too.
 cargo test --release -q -p mv2-gpu-nc an_overflowing_device_footprint_is_refused_in_every_profile
 
 echo "==> experiments (release): smoke plans + the committed grids too slow for a debug build"
