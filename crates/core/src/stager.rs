@@ -12,10 +12,10 @@
 //! copy into `tbuf` (the staging vbuf is creditable as soon as that
 //! finishes) followed by a strided device unpack into the user buffer.
 //!
-//! Both are chunk bookkeeping and two streams around one [`DeviceHalf`]:
-//! the device side of a message — the user buffer, its layout plan, the
-//! tbuf, and the one gather and the one scatter every path (chunked, eager,
-//! device rendezvous) goes through.
+//! Both are chunk bookkeeping around one [`DeviceHalf`]: the device side of
+//! a message — the user buffer, its layout plan, the tbuf, the message's two
+//! streams, and the one gather and the one scatter every path (chunked,
+//! eager, device rendezvous) goes through.
 //!
 //! Contiguous device buffers skip the tbuf entirely — they still get the
 //! chunked PCIe/RDMA pipeline (the paper's "8x1 grid" case, which benefits
@@ -51,8 +51,9 @@ struct StageLanes {
 }
 
 /// The device side of one message, either direction: where the user's bytes
-/// are, how they are laid out, and the contiguous device image (`tbuf`) they
-/// are packed into or scattered from.
+/// are, how they are laid out, the contiguous device image (`tbuf`) they are
+/// packed into or scattered from, and the two streams the message's
+/// pipeline runs on. The streams live and die with the message.
 struct DeviceHalf {
     gpu: Gpu,
     pool: Arc<TbufPool>,
@@ -65,6 +66,10 @@ struct DeviceHalf {
     contiguous: Option<DevPtr>,
     tbuf: Option<Tbuf>,
     lanes: StageLanes,
+    /// Carries the gather (a send's pack) or the scatter (a receive's unpack).
+    layout: Stream,
+    /// Carries the PCIe copies: a send's D2H, a receive's H2D.
+    pcie: Stream,
 }
 
 impl DeviceHalf {
@@ -82,22 +87,17 @@ impl DeviceHalf {
         }
     }
 
-    /// Pack bytes `[off, off + len)` of the message into the tbuf on `stream`.
-    fn gather(&mut self, stream: &Stream, off: usize, len: usize) -> Completion {
+    /// Pack bytes `[off, off + len)` of the message into the tbuf.
+    fn gather(&mut self, off: usize, len: usize) -> Completion {
         let dst = self.tbuf(self.total).add(off);
         let pieces = self.plan.pieces(off, len);
-        enqueue_gather(&self.gpu, stream, self.user, &pieces, dst)
+        enqueue_gather(&self.gpu, &self.layout, self.user, &pieces, dst)
     }
 
     /// Scatter packed bytes `[off, off + len)`, sitting at `src`, into the
-    /// user buffer on `stream`, no earlier than `after`.
-    fn scatter(
-        &self,
-        stream: &Stream,
-        (off, len): (usize, usize),
-        src: DevPtr,
-        after: &Completion,
-    ) -> Completion {
+    /// user buffer, no earlier than `after`.
+    fn scatter(&self, (off, len): (usize, usize), src: DevPtr, after: &Completion) -> Completion {
+        let stream = &self.layout;
         stream.wait_event(after);
         match self.contiguous {
             Some(cptr) => self.gpu.memcpy_async(cptr.add(off), src, len, stream),
@@ -144,8 +144,6 @@ fn next_done<'a>(comps: impl Iterator<Item = &'a Option<Completion>>) -> Option<
 /// Sender half of the GPU pipeline (plugs into the rendezvous engine).
 pub struct GpuSendSource {
     half: DeviceHalf,
-    pack_stream: Stream,
-    d2h_stream: Stream,
     chunk_size: usize,
     packs: Vec<Completion>,
     d2h: Vec<Option<Completion>>,
@@ -155,11 +153,12 @@ impl GpuSendSource {
     /// One contiguous D2H of packed bytes `[off, off + len)` into `dst`, no
     /// earlier than the pack that produces them.
     fn d2h(&self, dst: HostPtr, off: usize, len: usize, pack: Option<&Completion>) -> Completion {
+        let half = &self.half;
         if let Some(pack) = pack {
-            self.d2h_stream.wait_event(pack);
+            half.pcie.wait_event(pack);
         }
-        let (gpu, src) = (&self.half.gpu, self.half.packed(off));
-        gpu.memcpy_async(Loc::Host(dst), src, len, &self.d2h_stream)
+        let src = half.packed(off);
+        half.gpu.memcpy_async(Loc::Host(dst), src, len, &half.pcie)
     }
 }
 
@@ -182,7 +181,7 @@ impl SendSource for GpuSendSource {
         for i in 0..nchunks {
             let off = i * chunk_size;
             let len = chunk_size.min(total - off);
-            let comp = self.half.gather(&self.pack_stream, off, len);
+            let comp = self.half.gather(off, len);
             self.half.lanes.pack.comp_span("pack", Some(i), &comp);
             self.packs.push(comp);
         }
@@ -214,7 +213,7 @@ impl SendSource for GpuSendSource {
         if let Some(cptr) = self.half.contiguous {
             return Some((cptr, Completion::ready()));
         }
-        let comp = self.half.gather(&self.pack_stream, 0, self.half.total);
+        let comp = self.half.gather(0, self.half.total);
         self.half.lanes.pack.comp_span("pack", None, &comp);
         Some((self.half.packed(0), comp))
     }
@@ -226,7 +225,7 @@ impl SendSource for GpuSendSource {
             return Vec::new();
         }
         let packing = self.half.contiguous.is_none();
-        let pack = packing.then(|| self.half.gather(&self.pack_stream, 0, total));
+        let pack = packing.then(|| self.half.gather(0, total));
         self.d2h(host.base(), 0, total, pack.as_ref()).wait();
         host.read(0, total)
     }
@@ -235,8 +234,6 @@ impl SendSource for GpuSendSource {
 /// Receiver half of the GPU pipeline.
 pub struct GpuRecvSink {
     half: DeviceHalf,
-    h2d_stream: Stream,
-    unpack_stream: Stream,
     chunk_size: usize,
     nchunks: usize,
     arrived: usize,
@@ -256,14 +253,12 @@ impl GpuRecvSink {
         chunk: Option<usize>,
     ) -> (Completion, Option<Completion>) {
         let (half, at) = (&self.half, self.half.packed(off));
-        let h2d = half
-            .gpu
-            .memcpy_async(at, Loc::Host(src), len, &self.h2d_stream);
+        let h2d = half.gpu.memcpy_async(at, Loc::Host(src), len, &half.pcie);
         if chunk.is_some() {
             half.lanes.h2d.comp_span("h2d", chunk, &h2d);
         }
         let packed = half.contiguous.is_none();
-        let unpack = packed.then(|| half.scatter(&self.unpack_stream, (off, len), at, &h2d));
+        let unpack = packed.then(|| half.scatter((off, len), at, &h2d));
         if let (Some(_), Some(up)) = (chunk, &unpack) {
             half.lanes.unpack.comp_span("unpack", chunk, up);
         }
@@ -328,9 +323,7 @@ impl RecvSink for GpuRecvSink {
         // One whole-message device-side absorb, its reads ordered after the
         // sender's pack (CUDA IPC event); the engine completes the receive
         // on this completion.
-        let comp = self
-            .half
-            .scatter(&self.unpack_stream, (0, total), src, ready);
+        let comp = self.half.scatter((0, total), src, ready);
         self.half.lanes.unpack.comp_span("unpack", None, &comp);
         self.single(Some(comp.clone()));
         Some(comp)
@@ -378,10 +371,11 @@ impl GpuStager {
         GpuStager { gpu, pool, lanes }
     }
 
-    /// The device side of a message in `buf`, with the two streams its
-    /// pipeline runs on (created in the order the halves name them: stream
-    /// indices are sanitizer queue ids). `None` for a host buffer.
-    fn half(&self, buf: &Loc, count: usize, dtype: &Datatype) -> Option<(DeviceHalf, [Stream; 2])> {
+    /// The device side of a message in `buf` — a send's when `send` — with
+    /// two new streams, created in pipeline order (a send packs, then copies
+    /// out; a receive copies in, then unpacks) so that their sanitizer queue
+    /// numbers follow the stages. `None` for a host buffer.
+    fn half(&self, buf: &Loc, count: usize, dtype: &Datatype, send: bool) -> Option<DeviceHalf> {
         let Loc::Device(user) = *buf else { return None };
         assert_eq!(
             user.gpu_id(),
@@ -393,7 +387,13 @@ impl GpuStager {
             Canonical::Contig { offset, .. } => Some(user.add_signed(offset)),
             _ => None,
         };
-        let half = DeviceHalf {
+        let [first, second] = [(); 2].map(|()| self.gpu.create_stream());
+        let (layout, pcie) = if send {
+            (first, second)
+        } else {
+            (second, first)
+        };
+        Some(DeviceHalf {
             gpu: self.gpu.clone(),
             pool: Arc::clone(&self.pool),
             user,
@@ -402,19 +402,16 @@ impl GpuStager {
             plan,
             tbuf: None,
             lanes: self.lanes.clone(),
-        };
-        let streams = [(); 2].map(|()| self.gpu.create_stream());
-        Some((half, streams))
+            layout,
+            pcie,
+        })
     }
 }
 
 impl BufferStager for GpuStager {
     fn source(&self, buf: &Loc, count: usize, dtype: &Datatype) -> Option<Box<dyn SendSource>> {
-        let (half, [pack_stream, d2h_stream]) = self.half(buf, count, dtype)?;
         Some(Box::new(GpuSendSource {
-            half,
-            pack_stream,
-            d2h_stream,
+            half: self.half(buf, count, dtype, true)?,
             chunk_size: 0,
             packs: Vec::new(),
             d2h: Vec::new(),
@@ -422,11 +419,8 @@ impl BufferStager for GpuStager {
     }
 
     fn sink(&self, buf: &Loc, count: usize, dtype: &Datatype) -> Option<Box<dyn RecvSink>> {
-        let (half, [h2d_stream, unpack_stream]) = self.half(buf, count, dtype)?;
         Some(Box::new(GpuRecvSink {
-            half,
-            h2d_stream,
-            unpack_stream,
+            half: self.half(buf, count, dtype, false)?,
             chunk_size: 0,
             nchunks: 0,
             arrived: 0,

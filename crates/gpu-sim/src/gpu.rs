@@ -20,12 +20,15 @@
 //!   an operation is ready when its stream's previous op has finished,
 //!   starts when its engine is free as well, and holds both until it ends.
 //!   The engine's wait tally is therefore pure contention — other streams
-//!   or, on a shared device, other jobs ([`Gpu::engines`]).
+//!   or, on a shared device, other jobs ([`Gpu::engines`]). The device
+//!   keeps the engines and the blocking calls' queue; a [`Stream`] keeps its
+//!   own horizon, so dropping the handle frees it.
 //! * **Sync vs async.** Synchronous calls (`cudaMemcpy`, `cudaMemcpy2D`)
 //!   block the calling process until the engine finishes. Asynchronous calls
 //!   cost [`CostModel::async_submit_ns`] of CPU time and return immediately.
 //!   Either way the operation goes through the one body, `Gpu::run`.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use hostmem::{HostPtr, Scalar};
@@ -222,32 +225,31 @@ struct Op<'a> {
     kind: &'static str,
     reads: Option<san::MemRange>,
     writes: Option<san::MemRange>,
-    /// `None` is a blocking call: stream 0, no submit cost, and the caller
+    /// `None` is a blocking call: queue 0, no submit cost, and the caller
     /// gets the operation back finished.
     stream: Option<&'a Stream>,
     engine: usize,
     dur: SimDur,
 }
 
-/// A stream: a horizon plus, for the sanitizer, the event ops it was told to
-/// order after (from `wait_event`), drained into its next operation's
-/// predecessors.
+/// A stream's queue: a horizon plus, for the sanitizer, the event ops it
+/// was told to order after (from `wait_event`), drained into its next
+/// operation's predecessors.
 #[derive(Default)]
 struct StreamState {
     horizon: Horizon,
     pending: Vec<san::OpId>,
 }
 
-struct Sched {
-    engines: [Horizon; ENGINES],
-    streams: Vec<StreamState>,
-}
-
 struct GpuInner {
     id: u32,
     cost: CostModel,
     mem: Mutex<DeviceMem>,
-    sched: Mutex<Sched>,
+    engines: Mutex<[Horizon; ENGINES]>,
+    /// Queue 0: the blocking calls'.
+    blocking: Mutex<StreamState>,
+    /// The next stream's sanitizer queue number (0 is `blocking`'s).
+    next_queue: AtomicU64,
     counters: CallCounters,
     /// Sanitizer queue domain for this device (unique per instance).
     san_domain: u64,
@@ -263,33 +265,31 @@ pub struct Gpu {
 
 /// An ordered operation queue on a [`Gpu`] (a CUDA stream). Operations on
 /// one stream serialize; operations on different streams overlap subject to
-/// engine availability.
-#[derive(Clone)]
+/// engine availability. The stream owns its queue: dropping it frees the
+/// queue, and what it enqueued still completes on its engines.
 pub struct Stream {
     gpu: Gpu,
-    idx: usize,
+    /// Sanitizer queue number: the stream's creation number on its device.
+    queue: u64,
+    state: Mutex<StreamState>,
 }
 
 impl Gpu {
     /// Create a device with `mem_bytes` of device memory.
     pub fn new(id: u32, cost: CostModel, mem_bytes: usize) -> Self {
-        let gpu = Gpu {
+        Gpu {
             inner: Arc::new(GpuInner {
                 id,
                 cost,
                 mem: Mutex::new(DeviceMem::new(mem_bytes)),
-                sched: Mutex::new(Sched {
-                    engines: [Horizon::default(); ENGINES],
-                    streams: Vec::new(),
-                }),
+                engines: Mutex::new([Horizon::default(); ENGINES]),
+                blocking: Mutex::default(),
+                next_queue: AtomicU64::new(1),
                 counters: CallCounters::new(),
                 san_domain: san::new_queue_domain(),
                 trace: OnceLock::new(),
             }),
-        };
-        // Stream 0: used by the synchronous copy API.
-        gpu.create_stream();
-        gpu
+        }
     }
 
     /// A Tesla C2050-like device: calibrated cost model, 3 GB of memory.
@@ -317,7 +317,7 @@ impl Gpu {
     /// the busy engine beyond their stream dependency: on a device shared by
     /// several jobs, the contention a tenant actually felt.
     pub fn engines(&self) -> [Horizon; ENGINES] {
-        self.inner.sched.lock().engines
+        *self.inner.engines.lock()
     }
 
     /// Attach a trace recorder (once): every scheduled operation emits a busy
@@ -385,22 +385,23 @@ impl Gpu {
 
     /// Create a new stream.
     pub fn create_stream(&self) -> Stream {
-        let mut sched = self.inner.sched.lock();
-        sched.streams.push(StreamState::default());
         Stream {
             gpu: self.clone(),
-            idx: sched.streams.len() - 1,
+            queue: self.inner.next_queue.fetch_add(1, Ordering::Relaxed),
+            state: Mutex::default(),
         }
     }
 
-    /// Block until every engine and stream is idle (`cudaDeviceSynchronize`).
+    /// Block until every engine and queue 0 are idle
+    /// (`cudaDeviceSynchronize`). No stream need be asked: a stream's
+    /// horizon passes every engine's only through a trailing `wait_event`,
+    /// which orders work not yet enqueued.
     pub fn synchronize(&self) {
         self.inner.counters.record("cudaDeviceSynchronize");
         let t = {
-            let sched = self.inner.sched.lock();
-            let streams = sched.streams.iter().map(|s| &s.horizon);
-            let idle = sched.engines.iter().chain(streams).map(Horizon::free).max();
-            idle.expect("a device has engines")
+            let queue0 = self.inner.blocking.lock().horizon.free();
+            let engines = self.inner.engines.lock();
+            engines.iter().map(Horizon::free).fold(queue0, SimTime::max)
         };
         if sim_core::now() < t {
             sim_core::sleep_until(t);
@@ -437,18 +438,22 @@ impl Gpu {
             sim_core::sleep(SimDur::from_nanos(inner.cost.async_submit_ns));
         }
         move_bytes();
-        let idx = op.stream.map_or(0, |s| s.idx);
+        let (state, queue) = match op.stream {
+            Some(s) => (&s.state, s.queue),
+            None => (&inner.blocking, 0),
+        };
         let now = sim_core::now();
         let (start, end, san_op) = {
-            let Sched { engines, streams } = &mut *inner.sched.lock();
-            let (engine, stream) = (&mut engines[op.engine], &mut streams[idx]);
+            // Every path locks a stream before the engines.
+            let stream = &mut *state.lock();
+            let engine = &mut inner.engines.lock()[op.engine];
             let san_op = if san::enabled() {
                 let mut preds: Vec<_> = stream.horizon.last().into_iter().collect();
                 preds.append(&mut stream.pending);
                 preds.extend(engine.last());
                 san::begin_op(san::OpDesc {
                     kind: op.kind,
-                    queue: (inner.san_domain, idx as u64),
+                    queue: (inner.san_domain, queue),
                     preds,
                     reads: op.reads.into_iter().collect(),
                     writes: op.writes.into_iter().collect(),
@@ -707,7 +712,7 @@ impl Gpu {
 impl Stream {
     /// When everything enqueued so far has finished.
     fn end(&self) -> SimTime {
-        self.gpu.inner.sched.lock().streams[self.idx].horizon.free()
+        self.state.lock().horizon.free()
     }
 
     /// `cudaStreamQuery`: true if every operation enqueued so far has
@@ -717,7 +722,7 @@ impl Stream {
         sim_core::sleep(SimDur::from_nanos(self.gpu.inner.cost.query_ns));
         let done = self.end() <= sim_core::now();
         if done {
-            san::acquire_queue(self.gpu.inner.san_domain, Some(self.idx as u64));
+            san::acquire_queue(self.gpu.inner.san_domain, Some(self.queue));
         }
         done
     }
@@ -729,7 +734,7 @@ impl Stream {
         if sim_core::now() < end {
             sim_core::sleep_until(end);
         }
-        san::acquire_queue(self.gpu.inner.san_domain, Some(self.idx as u64));
+        san::acquire_queue(self.gpu.inner.san_domain, Some(self.queue));
     }
 
     /// `cudaStreamWaitEvent`: future work on this stream starts no earlier
@@ -739,7 +744,7 @@ impl Stream {
         let at = event
             .done_at()
             .expect("Stream::wait_event requires an event with an assigned finish time");
-        let stream = &mut self.gpu.inner.sched.lock().streams[self.idx];
+        let stream = &mut *self.state.lock();
         stream.horizon.not_before(at);
         stream.pending.extend(event.attached_ops());
     }

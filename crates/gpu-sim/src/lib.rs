@@ -226,6 +226,42 @@ mod tests {
     }
 
     #[test]
+    fn a_dropped_stream_still_completes_and_holds_its_engine() {
+        in_sim(|| {
+            let gpu = Gpu::tesla_c2050(0);
+            let dev = gpu.malloc(1 << 20);
+            let h = HostBuf::alloc(1 << 20);
+            let h2d = || gpu.engines()[CopyDir::H2D as usize];
+            let (first, second) = (gpu.create_stream(), gpu.create_stream());
+            let in_flight = gpu.memcpy_async(dev, h.base(), 1 << 20, &first);
+            drop(first);
+            assert_eq!(Some(h2d().free()), in_flight.done_at());
+            assert!(!in_flight.poll());
+            // The surviving stream and one created afterwards each queue
+            // behind what holds the engine.
+            let third = gpu.create_stream();
+            let mut last = None;
+            for s in [&second, &third] {
+                let free = h2d().free();
+                let c = gpu.memcpy_async(dev, h.base(), 64 << 10, s);
+                assert_eq!(c.started_at(), Some(now().max(free)));
+                last = c.done_at();
+            }
+            assert_eq!(h2d().ops(), 3);
+            assert!(!second.query());
+            second.synchronize();
+            assert!(in_flight.poll() && second.query() && !third.query());
+            gpu.synchronize();
+            assert_eq!(Some(now()), last);
+            assert!(third.query());
+            // An idle engine: a new stream's first op starts at once.
+            let fourth = gpu.create_stream();
+            let c = gpu.memcpy_async(dev, h.base(), 64 << 10, &fourth);
+            assert_eq!(c.started_at(), Some(now()));
+        });
+    }
+
+    #[test]
     fn kernel_launch_runs_work_and_takes_time() {
         in_sim(|| {
             let gpu = Gpu::tesla_c2050(0);

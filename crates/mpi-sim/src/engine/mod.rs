@@ -949,7 +949,7 @@ impl Engine {
     }
 
     /// Scan the unexpected queue for a message matching `(src, tag)` on
-    /// the world context; returns its envelope info without consuming it.
+    /// context `ctx`; returns its envelope info without consuming it.
     pub fn probe_unexpected(&self, src: SrcSel, tag: TagSel, ctx: u16) -> Option<RecvStatus> {
         self.unexpected.iter().find_map(|u| {
             let env = u.env();

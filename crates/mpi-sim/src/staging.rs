@@ -240,7 +240,7 @@ impl RecvSink for HostRecvSink {
     fn unpack_eager(&mut self, data: &[u8]) {
         self.check_fits(data.len());
         self.expected = data.len();
-        sim_core::sleep(self.cpu.pack_time(data.len(), self.segments));
+        sim_core::sleep(self.cpu.pack_time(data.len(), self.segs_for(data.len())));
         self.cursor.unpack_from(data);
         self.consumed = data.len();
     }
@@ -329,6 +329,26 @@ mod tests {
             assert!(sink.finished());
             assert_eq!(dst.read(0, 40), src.read(0, 40));
         });
+    }
+
+    #[test]
+    fn an_eager_receive_pays_only_for_the_rows_it_writes() {
+        // 8 floats, one per row, into a vector layout of 8 rows and one of
+        // 1024: the receiver unpacks 8 rows either way.
+        let receive_ns = |rows: usize| {
+            let dt = Datatype::vector(rows, 1, 2, &Datatype::float());
+            dt.commit();
+            let sim = Sim::new();
+            sim.spawn("t", move || {
+                let dst = HostBuf::alloc(rows * 8);
+                let mut sink = HostRecvSink::new(dst.base(), 1, &dt, CpuModel::westmere());
+                sink.unpack_eager(&[7u8; 32]);
+                assert!(sink.finished());
+                assert_eq!(dst.read(56, 4), [7u8; 4]);
+            });
+            sim.run().as_nanos()
+        };
+        assert_eq!(receive_ns(1024), receive_ns(8));
     }
 
     #[test]
