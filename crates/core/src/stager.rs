@@ -15,7 +15,9 @@
 //! Both are chunk bookkeeping around one [`DeviceHalf`]: the device side of
 //! a message — the user buffer, its layout plan, the tbuf, the message's two
 //! streams, and the one gather and the one scatter every path (chunked,
-//! eager, device rendezvous) goes through.
+//! device rendezvous) goes through. An eager message is the chunked path's
+//! one-chunk case, its chunk staged in the payload itself; an empty one
+//! costs the device nothing.
 //!
 //! Contiguous device buffers skip the tbuf entirely — they still get the
 //! chunked PCIe/RDMA pipeline (the paper's "8x1 grid" case, which benefits
@@ -23,15 +25,16 @@
 //!
 //! **When the tbuf is taken is behaviour, not style.** A pool miss is a
 //! `cudaMalloc`: it sleeps `malloc_ns` and decides device addresses. So a
-//! send takes its tbuf at its first pack, a chunked receive at `begin` (for
-//! the bytes actually coming, not the layout's capacity), both hold it
-//! until they are dropped, and an eager receive puts it back before it
-//! returns — the next message of the rank finds it in the pool.
+//! send takes its tbuf at its first pack, a receive at `begin` (for the
+//! bytes actually coming, not the layout's capacity), and both hold it
+//! until they are dropped. The engine drops an eager receive's sink at
+//! delivery, so the next message of the rank finds the tbuf in the pool; a
+//! rendezvous receive keeps its sink until it is reaped.
 
 use std::sync::Arc;
 
 use gpu_sim::{DevPtr, Gpu, Loc, Stream};
-use hostmem::{HostBuf, HostPtr};
+use hostmem::HostPtr;
 use mpi_sim::staging::{BufferStager, RecvSink, SendSource};
 use mpi_sim::{Canonical, Datatype, Plan};
 use sim_core::{Completion, SimTime};
@@ -117,17 +120,13 @@ impl DeviceHalf {
             self.total
         );
     }
-
-    fn release(&mut self) {
-        if let Some(t) = self.tbuf.take() {
-            self.pool.put(t);
-        }
-    }
 }
 
 impl Drop for DeviceHalf {
     fn drop(&mut self) {
-        self.release();
+        if let Some(t) = self.tbuf.take() {
+            self.pool.put(t);
+        }
     }
 }
 
@@ -149,19 +148,6 @@ pub struct GpuSendSource {
     d2h: Vec<Option<Completion>>,
 }
 
-impl GpuSendSource {
-    /// One contiguous D2H of packed bytes `[off, off + len)` into `dst`, no
-    /// earlier than the pack that produces them.
-    fn d2h(&self, dst: HostPtr, off: usize, len: usize, pack: Option<&Completion>) -> Completion {
-        let half = &self.half;
-        if let Some(pack) = pack {
-            half.pcie.wait_event(pack);
-        }
-        let src = half.packed(off);
-        half.gpu.memcpy_async(Loc::Host(dst), src, len, &half.pcie)
-    }
-}
-
 impl SendSource for GpuSendSource {
     fn total_bytes(&self) -> usize {
         self.half.total
@@ -172,8 +158,10 @@ impl SendSource for GpuSendSource {
         self.chunk_size = chunk_size;
         let nchunks = total.div_ceil(chunk_size).max(1);
         self.d2h = vec![None; nchunks];
-        if self.half.contiguous.is_some() {
-            return; // no packing needed; D2H reads the user buffer directly
+        if self.half.contiguous.is_some() || total == 0 {
+            // No packing: D2H reads a contiguous user buffer directly, and
+            // an empty message moves nothing.
+            return;
         }
         // Enqueue every chunk's pack up front (the paper's async 2D-copy
         // loop): the device packs ahead while earlier chunks drain to the
@@ -188,8 +176,20 @@ impl SendSource for GpuSendSource {
     }
 
     fn request_chunk(&mut self, idx: usize, dst: HostPtr, len: usize) {
-        let comp = self.d2h(dst, idx * self.chunk_size, len, self.packs.get(idx));
-        self.half.lanes.d2h.comp_span("d2h", Some(idx), &comp);
+        let half = &self.half;
+        if len == 0 {
+            // An empty eager message: no device operation, as none moves.
+            self.d2h[idx] = Some(Completion::ready());
+            return;
+        }
+        // One contiguous D2H of the chunk's packed bytes, no earlier than the
+        // pack that produces them.
+        if let Some(pack) = self.packs.get(idx) {
+            half.pcie.wait_event(pack);
+        }
+        let src = half.packed(idx * self.chunk_size);
+        let comp = half.gpu.memcpy_async(Loc::Host(dst), src, len, &half.pcie);
+        half.lanes.d2h.comp_span("d2h", Some(idx), &comp);
         self.d2h[idx] = Some(comp);
     }
 
@@ -217,18 +217,6 @@ impl SendSource for GpuSendSource {
         self.half.lanes.pack.comp_span("pack", None, &comp);
         Some((self.half.packed(0), comp))
     }
-
-    fn pack_eager(&mut self) -> Vec<u8> {
-        let total = self.half.total;
-        let host = HostBuf::alloc(total);
-        if total == 0 {
-            return Vec::new();
-        }
-        let packing = self.half.contiguous.is_none();
-        let pack = packing.then(|| self.half.gather(0, total));
-        self.d2h(host.base(), 0, total, pack.as_ref()).wait();
-        host.read(0, total)
-    }
 }
 
 /// Receiver half of the GPU pipeline.
@@ -239,38 +227,6 @@ pub struct GpuRecvSink {
     arrived: usize,
     h2d: Vec<Option<Completion>>,
     unpack: Vec<Option<Completion>>,
-}
-
-impl GpuRecvSink {
-    /// H2D of packed bytes `[off, off + len)` from `src` to where they sit
-    /// on the device, then — unless that already is the user buffer — the
-    /// unpack after it (stream-wait dependency). A pipelined `chunk` leaves
-    /// its stage spans, in issue order; an eager message (`None`) leaves none.
-    fn h2d_unpack(
-        &self,
-        src: HostPtr,
-        (off, len): (usize, usize),
-        chunk: Option<usize>,
-    ) -> (Completion, Option<Completion>) {
-        let (half, at) = (&self.half, self.half.packed(off));
-        let h2d = half.gpu.memcpy_async(at, Loc::Host(src), len, &half.pcie);
-        if chunk.is_some() {
-            half.lanes.h2d.comp_span("h2d", chunk, &h2d);
-        }
-        let packed = half.contiguous.is_none();
-        let unpack = packed.then(|| half.scatter((off, len), at, &h2d));
-        if let (Some(_), Some(up)) = (chunk, &unpack) {
-            half.lanes.unpack.comp_span("unpack", chunk, up);
-        }
-        (h2d, unpack)
-    }
-
-    /// The whole message in one step: the chunk bookkeeping collapses to a
-    /// single entry, finished when `unpack` is.
-    fn single(&mut self, unpack: Option<Completion>) {
-        (self.nchunks, self.arrived) = (1, 1);
-        (self.h2d, self.unpack) = (vec![None], vec![unpack]);
-    }
 }
 
 impl RecvSink for GpuRecvSink {
@@ -290,9 +246,25 @@ impl RecvSink for GpuRecvSink {
     }
 
     fn chunk_arrived(&mut self, idx: usize, src: HostPtr, len: usize) {
-        let (h2d, unpack) = self.h2d_unpack(src, (idx * self.chunk_size, len), Some(idx));
-        (self.h2d[idx], self.unpack[idx]) = (Some(h2d), unpack);
         self.arrived += 1;
+        if len == 0 {
+            // An empty eager message: no device operation, as none moves.
+            self.h2d[idx] = Some(Completion::ready());
+            return;
+        }
+        // H2D to where the chunk's packed bytes sit on the device, then —
+        // unless that already is the user buffer — the unpack after it
+        // (stream-wait dependency), each leaving its stage span.
+        let (half, off) = (&self.half, idx * self.chunk_size);
+        let at = half.packed(off);
+        let h2d = half.gpu.memcpy_async(at, Loc::Host(src), len, &half.pcie);
+        half.lanes.h2d.comp_span("h2d", Some(idx), &h2d);
+        if half.contiguous.is_none() {
+            let unpack = half.scatter((off, len), at, &h2d);
+            half.lanes.unpack.comp_span("unpack", Some(idx), &unpack);
+            self.unpack[idx] = Some(unpack);
+        }
+        self.h2d[idx] = Some(h2d);
     }
 
     fn chunk_absorbed(&self, idx: usize) -> bool {
@@ -325,23 +297,10 @@ impl RecvSink for GpuRecvSink {
         // on this completion.
         let comp = self.half.scatter((0, total), src, ready);
         self.half.lanes.unpack.comp_span("unpack", None, &comp);
-        self.single(Some(comp.clone()));
+        // The chunk bookkeeping collapses to one entry, finished with it.
+        (self.nchunks, self.arrived) = (1, 1);
+        (self.h2d, self.unpack) = (vec![None], vec![Some(comp.clone())]);
         Some(comp)
-    }
-
-    fn unpack_eager(&mut self, data: &[u8]) {
-        self.half.check_fits(data.len());
-        self.single(None);
-        if data.is_empty() {
-            return;
-        }
-        let host = HostBuf::from_vec(data.to_vec());
-        if self.half.contiguous.is_none() {
-            self.half.tbuf(data.len());
-        }
-        let (h2d, unpack) = self.h2d_unpack(host.base(), (0, data.len()), None);
-        unpack.unwrap_or(h2d).wait();
-        self.half.release();
     }
 }
 
@@ -437,8 +396,9 @@ mod tests {
     #[test]
     fn a_truncated_device_receive_dies_at_the_one_check() {
         // The engine refuses a truncating match before a sink sees it; a
-        // sink handed one anyway must still refuse — chunked, eager and
-        // device rendezvous alike — before it touches the device.
+        // sink handed one anyway must still refuse — chunked (an eager
+        // message too: its one chunk) and device rendezvous alike — before
+        // it touches the device.
         let gpu = Gpu::tesla_c2050(0);
         let stager = GpuStager::with_scope(gpu.clone(), "rank0", &Recorder::off());
         let dt = Datatype::vector(16, 4, 8, &Datatype::float());
@@ -450,9 +410,8 @@ mod tests {
         assert_eq!(sink.total_bytes(), capacity);
         let too_long = vec![0u8; capacity + 1];
         type Path = fn(&mut dyn RecvSink, DevPtr, &[u8]);
-        let paths: [(&str, Path); 3] = [
+        let paths: [(&str, Path); 2] = [
             ("chunked", |sink, _, data| sink.begin(64, data.len())),
-            ("eager", |sink, _, data| sink.unpack_eager(data)),
             ("device", |sink, src, data| {
                 sink.absorb_device(src, data.len(), &Completion::ready());
             }),

@@ -81,7 +81,7 @@ impl Engine {
             ));
         }
         let comp = st
-            .sink
+            .sink()
             .absorb_device(fin.ptr, fin.total, &fin.ready)
             .expect("device FIN for a sink without device support");
         RecvPhase::Dev(DevRecv::Absorb { comp, rts })

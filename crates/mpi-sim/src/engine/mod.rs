@@ -234,7 +234,9 @@ struct RecvState {
     tag_sel: TagSel,
     ctx: u16,
     capacity: usize,
-    sink: Box<dyn RecvSink>,
+    /// Held until the receive is reaped, except by an eager receive: its
+    /// sink goes at delivery, and with it a device sink's tbuf and streams.
+    sink: Option<Box<dyn RecvSink>>,
     /// What the receive buffer offers a rendezvous.
     offer: Offer,
     /// Shape of the receive layout (the autotuner keys on its bucket).
@@ -242,8 +244,17 @@ struct RecvState {
     phase: RecvPhase,
 }
 
+impl RecvState {
+    /// The sink of a receive not delivered eagerly.
+    fn sink(&mut self) -> &mut dyn RecvSink {
+        self.sink
+            .as_deref_mut()
+            .expect("an eager receive holds no sink")
+    }
+}
+
 enum Unexpected {
-    Eager { env: Envelope, data: Vec<u8> },
+    Eager { env: Envelope, data: HostBuf },
     Rts(Rts),
 }
 
@@ -252,6 +263,14 @@ impl Unexpected {
         match self {
             Unexpected::Eager { env, .. } | Unexpected::Rts(Rts { env, .. }) => env,
         }
+    }
+}
+
+/// Sleep until `done` holds, waking at each instant `next` names: how an
+/// eager message waits out its one chunk, on either side.
+fn settle(done: impl Fn() -> bool, next: impl Fn() -> Option<SimTime>) {
+    while !done() {
+        sim_core::sleep_until(next().expect("a pending chunk with no finish time"));
     }
 }
 
@@ -521,7 +540,11 @@ impl Engine {
             phase: SendPhase::Done,
         };
         if st.total <= self.scheme.send_eager_limit(dst) {
-            let (env, data) = (st.env, st.source.pack_eager());
+            // Chunk 0 of a one-chunk transfer, staged in the payload itself.
+            let (env, data, source) = (st.env, HostBuf::alloc(st.total), &mut st.source);
+            source.begin(st.total.max(1));
+            source.request_chunk(0, data.base(), st.total);
+            settle(|| source.chunk_ready(0), || source.next_event());
             let wire = data.len() + 64;
             self.nic
                 .send(dst, wire, Box::new(MpiPacket::Eager { env, data }));
@@ -571,7 +594,7 @@ impl Engine {
                 tag_sel: tag,
                 ctx,
                 capacity: sink.total_bytes(),
-                sink,
+                sink: Some(sink),
                 offer: offer.expect("a receive is never refused"),
                 shape,
                 phase: RecvPhase::Unmatched,
@@ -600,7 +623,7 @@ impl Engine {
         Some(self.posted.remove(pos))
     }
 
-    fn on_eager(&mut self, src: usize, env: Envelope, data: Vec<u8>) {
+    fn on_eager(&mut self, src: usize, env: Envelope, data: HostBuf) {
         let limit = self.scheme.eager_limit(src);
         if data.len() > limit {
             san::report_protocol(format!(
@@ -615,16 +638,23 @@ impl Engine {
         }
     }
 
-    fn deliver_eager(&mut self, recv_id: ReqId, env: Envelope, data: Vec<u8>) {
+    fn deliver_eager(&mut self, recv_id: ReqId, env: Envelope, data: HostBuf) {
         let st = self.recvs.get_mut(&recv_id).expect("recv state missing");
-        if data.len() > st.capacity {
-            truncated(data.len(), st.capacity);
+        let bytes = data.len();
+        if bytes > st.capacity {
+            truncated(bytes, st.capacity);
         }
-        st.sink.unpack_eager(&data);
+        // Chunk 0 of a one-chunk transfer, unpacked straight from the
+        // payload; the sink is dropped here, not at reap, so a device sink's
+        // tbuf is back in the pool for the rank's next message.
+        let mut sink = st.sink.take().expect("an eager receive delivered twice");
+        sink.begin(bytes.max(1), bytes);
+        sink.chunk_arrived(0, data.base(), bytes);
+        settle(|| sink.finished(), || sink.next_event());
         st.phase = RecvPhase::Done(RecvStatus {
             src: env.src,
             tag: env.tag,
-            bytes: data.len(),
+            bytes,
         });
     }
 
@@ -999,7 +1029,7 @@ impl Engine {
             }
         }
         for r in self.recvs.values() {
-            consider(r.sink.next_event());
+            consider(r.sink.as_ref().and_then(|s| s.next_event()));
             match &r.phase {
                 RecvPhase::Rput(w) => consider(deadline(&w.timer)),
                 RecvPhase::Dev(DevRecv::Absorb { comp, .. }) => consider(comp.done_at()),

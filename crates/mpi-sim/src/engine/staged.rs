@@ -203,7 +203,7 @@ impl Engine {
             self.trace.chunk_size.gauge_now(chunk_size as i64);
         }
         let nchunks = total.div_ceil(chunk_size).max(1);
-        st.sink.begin(chunk_size, total);
+        st.sink().begin(chunk_size, total);
         let mut sr = Box::new(StagedRecv {
             rts,
             chunk_size,
@@ -567,7 +567,7 @@ impl Engine {
                 break; // hole: a FIN is still missing (or in flight)
             }
             sr.arrived.pop_first();
-            st.sink
+            st.sink()
                 .chunk_arrived(chunk, sr.slots[slot].buf.base(), bytes);
             sr.absorbing.push_back((chunk, slot));
             sr.next_chunk += 1;
@@ -582,7 +582,7 @@ impl Engine {
         }
         // Credit slots whose data the sink has absorbed.
         while let Some(&(chunk, slot)) = sr.absorbing.front() {
-            if !st.sink.chunk_absorbed(chunk) {
+            if !st.sink().chunk_absorbed(chunk) {
                 break;
             }
             sr.absorbing.pop_front();
@@ -590,7 +590,7 @@ impl Engine {
             self.nic.send_ctrl(peer, credit(send_req, slot, chunk));
             san::proto_event(&scope(), "credits_sent", 1);
         }
-        if sr.next_chunk == sr.nchunks && st.sink.finished() {
+        if sr.next_chunk == sr.nchunks && st.sink().finished() {
             // Report the end-to-end latency so the adaptive policy can
             // steer the next transfer of this (size, layout) class.
             if let Some(key) = sr.tune_key {

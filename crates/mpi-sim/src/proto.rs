@@ -18,6 +18,7 @@
 //!   (unpack) / CREDIT. This is the path the paper's GPU pipeline plugs
 //!   into.
 
+use hostmem::HostBuf;
 use ib_sim::{MrKey, SgEntry};
 
 use crate::scheme::{SchemeSel, SHM_EAGER_LIMIT};
@@ -151,8 +152,9 @@ pub(crate) struct FinDev {
 /// the one request it is for at its destination: a `send_req` or a
 /// `recv_req`.
 pub(crate) enum MpiPacket {
-    /// Small message: envelope + packed payload.
-    Eager { env: Envelope, data: Vec<u8> },
+    /// Small message: envelope + packed payload, the one buffer the
+    /// sender packed into and the receiver unpacks from.
+    Eager { env: Envelope, data: HostBuf },
     /// Request To Send (rendezvous start).
     Rts(Rts),
     /// Clear To Send, staged path.

@@ -1,15 +1,18 @@
 //! Staging abstraction: how message bytes get between the user buffer and
 //! the registered host staging buffers the wire protocol operates on.
 //!
-//! The rendezvous engine is generic over [`SendSource`] / [`RecvSink`].
-//! This crate ships the host implementations (CPU pack/unpack); the
-//! `mv2-gpu-nc` crate plugs in device implementations (GPU-offloaded pack +
-//! PCIe pipeline) through the [`BufferStager`] extension point — the same
-//! layering as MVAPICH2's datatype/staging hooks.
+//! The engine is generic over [`SendSource`] / [`RecvSink`] and moves every
+//! message through them chunk by chunk: a staged rendezvous in chunks of
+//! the negotiated size, an eager message as chunk 0 of a one-chunk transfer
+//! whose staging buffer is the payload itself. This crate ships the host
+//! implementations (CPU pack/unpack); the `mv2-gpu-nc` crate plugs in
+//! device implementations (GPU-offloaded pack + PCIe pipeline) through the
+//! [`BufferStager`] extension point — the same layering as MVAPICH2's
+//! datatype/staging hooks.
 
 use gpu_sim::Loc;
 use hostmem::HostPtr;
-use sim_core::SimTime;
+use sim_core::{SimDur, SimTime};
 
 use crate::datatype::Datatype;
 use crate::pack::{CpuModel, PackCursor, UnpackCursor};
@@ -19,18 +22,18 @@ use crate::pack::{CpuModel, PackCursor, UnpackCursor};
 pub trait SendSource: Send {
     /// Total packed bytes.
     fn total_bytes(&self) -> usize;
-    /// Called once with the negotiated chunk size before any chunk request.
+    /// Called once with the negotiated chunk size before any chunk request
+    /// (an eager message: the whole message, at least 1).
     fn begin(&mut self, chunk_size: usize);
     /// Make packed bytes `[idx*chunk_size, +len)` available in `dst`.
-    /// Requests arrive in increasing `idx` order.
+    /// Requests arrive in increasing `idx` order. A zero-length chunk (an
+    /// empty eager message) costs no device operation.
     fn request_chunk(&mut self, idx: usize, dst: HostPtr, len: usize);
     /// True once the requested chunk is fully present in its `dst`.
     fn chunk_ready(&self, idx: usize) -> bool;
     /// Earliest future instant at which [`chunk_ready`](Self::chunk_ready)
     /// could change (None if only external events can change it).
     fn next_event(&self) -> Option<SimTime>;
-    /// Pack the whole message at once (eager path).
-    fn pack_eager(&mut self) -> Vec<u8>;
     /// If this source is device memory: the GPU it lives on. Host sources
     /// return `None`, which disables the device rendezvous path.
     fn device_gpu(&self) -> Option<u32> {
@@ -52,9 +55,12 @@ pub trait RecvSink: Send {
     fn total_bytes(&self) -> usize;
     /// Called once with the negotiated chunk size and the *actual*
     /// incoming byte count (which may be smaller than
-    /// [`total_bytes`](Self::total_bytes), the buffer's capacity).
+    /// [`total_bytes`](Self::total_bytes), the buffer's capacity). Panics
+    /// on a count above the capacity: the engine refuses a truncating match
+    /// first, so this is the layout's own guard.
     fn begin(&mut self, chunk_size: usize, actual_total: usize);
-    /// Packed bytes `[idx*chunk_size, +len)` have landed in `src`.
+    /// Packed bytes `[idx*chunk_size, +len)` have landed in `src`. A
+    /// zero-length chunk (an empty eager message) costs no device operation.
     fn chunk_arrived(&mut self, idx: usize, src: HostPtr, len: usize);
     /// True once the staging buffer of chunk `idx` may be reused.
     fn chunk_absorbed(&self, idx: usize) -> bool;
@@ -63,8 +69,6 @@ pub trait RecvSink: Send {
     /// Earliest future instant at which [`chunk_absorbed`](Self::chunk_absorbed)
     /// or [`finished`](Self::finished) could change.
     fn next_event(&self) -> Option<SimTime>;
-    /// Unpack a whole eager payload at once.
-    fn unpack_eager(&mut self, data: &[u8]);
     /// If this sink is device memory: the GPU it lives on. Host sinks
     /// return `None`, which disables the device rendezvous path.
     fn device_gpu(&self) -> Option<u32> {
@@ -98,6 +102,16 @@ pub trait BufferStager: Send + Sync {
 // Host implementations.
 // ---------------------------------------------------------------------------
 
+/// CPU time to pack or unpack `bytes` of a `total`-byte layout of `rows`
+/// rows: the bytes' share of the rows pays the per-row cost.
+fn pack_cost(cpu: &CpuModel, rows: usize, total: usize, bytes: usize) -> SimDur {
+    let touched = match total {
+        0 => 0,
+        _ => (rows * bytes).div_ceil(total),
+    };
+    cpu.pack_time(bytes, touched)
+}
+
 /// CPU pack source for host buffers.
 pub struct HostSendSource {
     cursor: PackCursor,
@@ -119,14 +133,6 @@ impl HostSendSource {
             ready_upto: 0,
         }
     }
-
-    fn segs_for(&self, bytes: usize) -> usize {
-        // Approximate share of segments touched by a chunk of `bytes`.
-        if self.total == 0 {
-            return 0;
-        }
-        (self.segments * bytes).div_ceil(self.total)
-    }
 }
 
 impl SendSource for HostSendSource {
@@ -142,8 +148,8 @@ impl SendSource for HostSendSource {
             "host source: out-of-order chunk request"
         );
         // CPU pack happens synchronously in the progress engine, costing
-        // pack time.
-        sim_core::sleep(self.cpu.pack_time(len, self.segs_for(len)));
+        // pack time (a zero-length chunk still yields).
+        sim_core::sleep(pack_cost(&self.cpu, self.segments, self.total, len));
         self.cursor.pack_into_host(&dst, len);
         self.ready_upto = idx + 1;
     }
@@ -154,11 +160,6 @@ impl SendSource for HostSendSource {
 
     fn next_event(&self) -> Option<SimTime> {
         None
-    }
-
-    fn pack_eager(&mut self) -> Vec<u8> {
-        sim_core::sleep(self.cpu.pack_time(self.total, self.segments));
-        self.cursor.pack_all()
     }
 }
 
@@ -188,23 +189,6 @@ impl HostRecvSink {
             expected: total,
         }
     }
-
-    fn segs_for(&self, bytes: usize) -> usize {
-        if self.total == 0 {
-            return 0;
-        }
-        (self.segments * bytes).div_ceil(self.total)
-    }
-
-    /// The engine refuses a truncating match first; this is the layout's
-    /// own guard against unpacking past the user buffer.
-    fn check_fits(&self, bytes: usize) {
-        assert!(
-            bytes <= self.total,
-            "message truncated: {bytes} bytes into a {}-byte layout",
-            self.total
-        );
-    }
 }
 
 impl RecvSink for HostRecvSink {
@@ -213,13 +197,19 @@ impl RecvSink for HostRecvSink {
     }
 
     fn begin(&mut self, _chunk_size: usize, actual_total: usize) {
-        self.check_fits(actual_total);
+        // The engine refuses a truncating match first; this is the layout's
+        // own guard against unpacking past the user buffer.
+        assert!(
+            actual_total <= self.total,
+            "message truncated: {actual_total} bytes into a {}-byte layout",
+            self.total
+        );
         self.expected = actual_total;
     }
 
     fn chunk_arrived(&mut self, idx: usize, src: HostPtr, len: usize) {
         assert_eq!(idx, self.absorbed_upto, "host sink: out-of-order chunk");
-        sim_core::sleep(self.cpu.pack_time(len, self.segs_for(len)));
+        sim_core::sleep(pack_cost(&self.cpu, self.segments, self.total, len));
         self.cursor.unpack_from_host(&src, len);
         self.absorbed_upto = idx + 1;
         self.consumed += len;
@@ -235,14 +225,6 @@ impl RecvSink for HostRecvSink {
 
     fn next_event(&self) -> Option<SimTime> {
         None
-    }
-
-    fn unpack_eager(&mut self, data: &[u8]) {
-        self.check_fits(data.len());
-        self.expected = data.len();
-        sim_core::sleep(self.cpu.pack_time(data.len(), self.segs_for(data.len())));
-        self.cursor.unpack_from(data);
-        self.consumed = data.len();
     }
 }
 
@@ -264,12 +246,10 @@ mod tests {
             let dt = Datatype::vector(8, 1, 3, &Datatype::float());
             dt.commit();
             let buf = HostBuf::from_vec((0..8 * 3 * 4).map(|i| (i % 256) as u8).collect());
-            let cpu = CpuModel::westmere();
-            let mut whole = HostSendSource::new(buf.base(), 1, &dt, cpu.clone());
-            let expect = whole.pack_eager();
+            let expect = dt.pack(&buf.base(), 1);
             assert_eq!(expect.len(), 32);
 
-            let mut chunked = HostSendSource::new(buf.base(), 1, &dt, cpu);
+            let mut chunked = HostSendSource::new(buf.base(), 1, &dt, CpuModel::westmere());
             chunked.begin(12);
             let stage = HostBuf::alloc(64);
             let mut got = Vec::new();
@@ -288,11 +268,10 @@ mod tests {
             let dt = Datatype::vector(4, 2, 4, &Datatype::float());
             dt.commit();
             let src_buf = HostBuf::from_vec((0..64).map(|i| i as u8).collect());
-            let cpu = CpuModel::westmere();
-            let packed = HostSendSource::new(src_buf.base(), 1, &dt, cpu.clone()).pack_eager();
+            let packed = dt.pack(&src_buf.base(), 1);
 
             let dst_buf = HostBuf::alloc(64);
-            let mut sink = HostRecvSink::new(dst_buf.base(), 1, &dt, cpu);
+            let mut sink = HostRecvSink::new(dst_buf.base(), 1, &dt, CpuModel::westmere());
             sink.begin(10, 32);
             let stage = HostBuf::alloc(16);
             let mut off = 0;
@@ -317,15 +296,20 @@ mod tests {
 
     #[test]
     fn eager_round_trip() {
+        // An eager message is a one-chunk transfer through one payload.
         in_sim(|| {
             let dt = Datatype::contiguous(10, &Datatype::int());
             dt.commit();
             let src = HostBuf::from_vec((0..40).map(|i| i as u8).collect());
-            let dst = HostBuf::alloc(40);
+            let (dst, payload) = (HostBuf::alloc(40), HostBuf::alloc(40));
             let cpu = CpuModel::westmere();
-            let data = HostSendSource::new(src.base(), 1, &dt, cpu.clone()).pack_eager();
+            let mut source = HostSendSource::new(src.base(), 1, &dt, cpu.clone());
+            source.begin(40);
+            source.request_chunk(0, payload.base(), 40);
+            assert!(source.chunk_ready(0));
             let mut sink = HostRecvSink::new(dst.base(), 1, &dt, cpu);
-            sink.unpack_eager(&data);
+            sink.begin(40, 40);
+            sink.chunk_arrived(0, payload.base(), 40);
             assert!(sink.finished());
             assert_eq!(dst.read(0, 40), src.read(0, 40));
         });
@@ -341,8 +325,10 @@ mod tests {
             let sim = Sim::new();
             sim.spawn("t", move || {
                 let dst = HostBuf::alloc(rows * 8);
+                let payload = HostBuf::from_vec(vec![7u8; 32]);
                 let mut sink = HostRecvSink::new(dst.base(), 1, &dt, CpuModel::westmere());
-                sink.unpack_eager(&[7u8; 32]);
+                sink.begin(32, 32);
+                sink.chunk_arrived(0, payload.base(), 32);
                 assert!(sink.finished());
                 assert_eq!(dst.read(56, 4), [7u8; 4]);
             });
@@ -356,9 +342,11 @@ mod tests {
         in_sim(|| {
             let dt = Datatype::contiguous(1 << 18, &Datatype::float());
             dt.commit();
-            let buf = HostBuf::alloc(1 << 20);
+            let (buf, payload) = (HostBuf::alloc(1 << 20), HostBuf::alloc(1 << 20));
             let t0 = sim_core::now();
-            let _ = HostSendSource::new(buf.base(), 1, &dt, CpuModel::westmere()).pack_eager();
+            let mut source = HostSendSource::new(buf.base(), 1, &dt, CpuModel::westmere());
+            source.begin(1 << 20);
+            source.request_chunk(0, payload.base(), 1 << 20);
             assert!(sim_core::now() > t0, "packing 1 MiB must take CPU time");
         });
     }

@@ -71,6 +71,30 @@ echo "==> perfbench smoke (benchmark/ compiles against the workspace; unit tests
 # benchmark pipeline.
 benchmark/smoke.sh > /dev/null
 
+echo "==> perfbench smoke pins (virt_ms, virt_op_p50_us, virt_op_p99_us of every workload at --smoke --seed 1)"
+# The virtual cells are a pure function of the tree, so any difference is a
+# behaviour change. A receive that held its device sink (tbuf and two
+# streams) until reap, making the rank's next message miss the tbuf pool and
+# pay a cudaMalloc, passed every tier-1 ledger; this smoke caught it
+# (halo3d_1024 virt_ms 1.03501 -> 1.33501). A deliberate change re-pins its
+# rows and says why in CHANGES.md.
+virt() {
+    cargo run --release --offline -q --manifest-path benchmark/Cargo.toml -- \
+        --workload "$1" --smoke --seed 1 --trace 0 < /dev/null | tail -n 1 |
+        sed 's/.*"virt_ms":{"value":\([0-9.]*\).*"virt_op_p50_us":{"value":\([0-9.]*\).*"virt_op_p99_us":{"value":\([0-9.]*\).*/\1 \2 \3/'
+}
+while read -r workload pinned; do
+    got=$(virt "$workload")
+    echo "    $workload: $got"
+    [[ $got == "$pinned" ]] || { echo "$workload moved: pinned $pinned, got $got"; exit 1; }
+done <<'PINS'
+vec_pingpong 36.795891 136.265 2746.229
+halo3d_1024 1.03501 390.483 711.805
+coll_256 0.95817 289.585 671.247
+jobmix_1024 26.173504 1868.485 3136.348
+scheme_zoo 2.606417 27.499 79.695
+PINS
+
 echo "==> perfbench RSS vs reps (a finished world is freed, host memory is paid per byte written)"
 # peak_rss_mb must not depend on how many reps a run makes: the driver
 # measures for a fixed --seconds window, so memory that grows with the rep

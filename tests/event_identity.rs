@@ -446,3 +446,67 @@ fn wake_traces_are_pinned() {
         "wake traces moved; if on purpose, PINNED_WAKES becomes\n&[\n{rows}]"
     );
 }
+
+/// Eager device messages, as virtual nanoseconds: a halo3d run's wall
+/// (every face is one eager message) and the end of a 2-rank device
+/// ping-pong, 3 round trips of `n` floats, strided or contiguous, at a
+/// placement of `ppn` ranks per node. `(case, ns)`, measured before the
+/// eager path became the rendezvous's one-chunk case.
+const PINNED_EAGER_NS: &[(&str, u64)] = &[
+    ("halo3d 2x2x2 local 16^3 3 iters", 702_198),
+    ("pingpong n=0 strided ppn 1", 1_326_220),
+    ("pingpong n=0 contiguous ppn 1", 1_326_220),
+    ("pingpong n=0 strided ppn 2", 1_318_996),
+    ("pingpong n=4 strided ppn 1", 1_752_682),
+    ("pingpong n=4 contiguous ppn 1", 1_440_286),
+];
+
+/// A device ping-pong of `n` floats (`vector(n, 1, 2, float)` when
+/// `strided`, else `contiguous(n, float)`): the job's virtual end, in ns.
+fn pingpong_ns(n: usize, strided: bool, ppn: usize) -> u64 {
+    let end = GpuCluster::new(2).ppn(ppn).run(move |env| {
+        let float = Datatype::float();
+        let dt = match strided {
+            true => Datatype::vector(n, 1, 2, &float),
+            false => Datatype::contiguous(n, &float),
+        };
+        dt.commit();
+        let dev = env.gpu.malloc(8 * n.max(1));
+        let (me, peer) = (env.comm.rank(), 1 - env.comm.rank());
+        for lap in 0..3 {
+            if me == 0 {
+                env.comm.send(dev, 1, &dt, peer, lap);
+                env.comm.recv(dev, 1, &dt, peer, lap);
+            } else {
+                env.comm.recv(dev, 1, &dt, peer, lap);
+                env.comm.send(dev, 1, &dt, peer, lap);
+            }
+        }
+        env.gpu.free(dev);
+    });
+    end.as_nanos()
+}
+
+/// An eager device message keeps its timing: its receive hands the tbuf
+/// back at delivery (the next message finds it in the pool instead of
+/// paying a `cudaMalloc`), and a zero-byte message costs the device
+/// nothing. No ledger above sends one, so this table pins both.
+#[test]
+fn eager_device_timings_are_pinned() {
+    use halo3d::{run_halo3d, Halo3dParams, Variant};
+    let p = Halo3dParams {
+        grid: (2, 2, 2),
+        local: (16, 16, 16),
+        iters: 3,
+    };
+    let halo = run_halo3d::<f32>(p, Variant::Mv2, false).wall.as_nanos();
+    let got = [
+        ("halo3d 2x2x2 local 16^3 3 iters", halo),
+        ("pingpong n=0 strided ppn 1", pingpong_ns(0, true, 1)),
+        ("pingpong n=0 contiguous ppn 1", pingpong_ns(0, false, 1)),
+        ("pingpong n=0 strided ppn 2", pingpong_ns(0, true, 2)),
+        ("pingpong n=4 strided ppn 1", pingpong_ns(4, true, 1)),
+        ("pingpong n=4 contiguous ppn 1", pingpong_ns(4, false, 1)),
+    ];
+    assert_eq!(got[..], *PINNED_EAGER_NS, "eager device timings moved");
+}
