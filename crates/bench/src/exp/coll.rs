@@ -209,11 +209,23 @@ pub fn coll_sweep(args: &Args) -> Doc {
                     "hier {coll} must route intra-node traffic over shm at ppn={ppn}"
                 );
             }
+            // The leaders' reduce-scatter + allgather carries 2·(p−1)/p of
+            // the vector on its critical path where a binomial reduce +
+            // bcast carries 2·log₂p of it. A leader tree runs within 1.5 %
+            // of flat, so this margin fails if one comes back.
+            let arp = &cells[&("allreduce", n, ppn, "hier")];
+            let arf = &cells[&("allreduce", n, ppn, "flat")];
+            assert!(
+                arp.time_ms <= 0.95 * arf.time_ms,
+                "hier allreduce ({:.3} ms) must take at most 0.95x the flat path's \
+                 time ({:.3} ms) at {n} ranks ppn={ppn}",
+                arp.time_ms,
+                arf.time_ms
+            );
             // The leader funnel shifts traffic from the wire to the shm
             // channel: HCA bytes must drop as ppn grows, in step with the
             // shm bytes picked up.
             let ar1 = &cells[&("allreduce", n, 1, "hier")];
-            let arp = &cells[&("allreduce", n, ppn, "hier")];
             assert!(
                 arp.hca_tx_bytes < ar1.hca_tx_bytes && arp.shm_bytes > ar1.shm_bytes,
                 "hier allreduce at {n} ranks must shed HCA bytes ({} -> {}) onto \

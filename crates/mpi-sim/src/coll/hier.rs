@@ -14,9 +14,9 @@
 //!   partial reduction), so the HCA sees one stream per node pair.
 //!
 //! Reductions additionally **pipeline**: the payload is cut into
-//! [`PIPELINE_CHUNK`] segments, and while segment `s` crosses the leader
-//! tree, segment `s+1` is still fanning in over shm — pack, combine and
-//! wire time overlap instead of adding up.
+//! [`PIPELINE_CHUNK`] segments, and while segment `s` crosses the wire
+//! among the leaders, segment `s+1` is still fanning in over shm — pack,
+//! combine and wire time overlap instead of adding up.
 //!
 //! All intra-node aggregation happens in packed-byte form (the wire
 //! representation), so member buffers may be host or device, contiguous
@@ -338,12 +338,13 @@ pub(super) fn reduce(
 /// Hierarchical pipelined allreduce. The payload is cut into
 /// [`PIPELINE_CHUNK`] segments; per segment: members send their slice to
 /// the node leader over shm (typed, straight out of the user buffer), the
-/// leader folds all local slices, the leaders reduce-then-broadcast the
-/// segment over the binomial wire tree, and the leader fans the reduced
-/// slice back out over shm into each member's `recvbuf` slice. Segment
-/// `s+1`'s fan-in receives are posted before segment `s` is combined, and
-/// fan-in/fan-out traffic is windowed by `MAX_INFLIGHT` segments, so shm,
-/// combine and wire time overlap across segments.
+/// leader folds all local slices, the leaders allreduce the segment over
+/// the wire by reduce-scatter + allgather ([`Coll::allreduce_over`]), and
+/// the leader fans the reduced slice back out over shm into each member's
+/// `recvbuf` slice. Segment `s+1`'s fan-in receives are posted before
+/// segment `s` is combined, and fan-in/fan-out traffic is windowed by
+/// `MAX_INFLIGHT` segments, so shm, combine and wire time overlap across
+/// segments.
 pub(super) fn allreduce(
     cx: &mut Coll,
     h: &Hierarchy,
@@ -370,8 +371,8 @@ pub(super) fn allreduce(
     const T_STAGE_OUT: u32 = 2;
     let t_fanin = |s: usize| 1024 + (s % 1024) as u32;
     let t_fanout = |s: usize| 2048 + (s % 1024) as u32;
-    let t_tree = |s: usize| 4096 + (s % 1024) as u32;
-    let t_tree_bc = |s: usize| 8192 + (s % 1024) as u32;
+    let t_rs = |s: usize| 4096 + (s % 1024) as u32;
+    let t_ag = |s: usize| 8192 + (s % 1024) as u32;
 
     if me != leader {
         // Members stream slices to the leader and receive reduced slices
@@ -396,7 +397,6 @@ pub(super) fn allreduce(
     // in packed bytes.
     let mut acc = cx.stage(sendbuf, count, dtype, T_STAGE_IN);
     let leaders = h.leaders();
-    let tree = Tree::binomial(&leaders, leaders[0], me);
 
     // Two banks of per-member segment scratch: bank s%2 holds segment s's
     // fan-in, and segment s+1's receives are posted before segment s is
@@ -431,10 +431,9 @@ pub(super) fn allreduce(
             fold.combine(seg, &buf.read(0, sb));
         }
 
-        // Inter-node reduce + broadcast of this segment over the leader
-        // tree while later segments are still fanning in.
-        cx.reduce_over(&tree, seg, fold, t_tree(s));
-        cx.bcast_bytes_over(&tree, seg, t_tree_bc(s));
+        // Allreduce this segment among the leaders while later segments
+        // are still fanning in.
+        cx.allreduce_over(&leaders, seg, fold, t_rs(s), t_ag(s));
 
         // Fan the reduced segment back out over shm; the engine's send
         // state keeps the wire buffer alive until delivery.

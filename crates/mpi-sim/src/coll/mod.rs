@@ -486,15 +486,6 @@ impl<'a> Coll<'a> {
         }
     }
 
-    /// Broadcast packed host bytes down `tree`: `data` holds the payload on
-    /// the root and is overwritten with it everywhere else.
-    pub(crate) fn bcast_bytes_over(&mut self, tree: &Tree, data: &mut [u8], t: u32) {
-        let wire = HostBuf::from_vec(data.to_vec());
-        let byte = self.byte.clone();
-        self.bcast_over(tree, &Loc::Host(wire.base()), data.len(), &byte, t);
-        wire.read_into(0, data);
-    }
-
     /// Reduce packed host bytes up `tree`: every member contributes `acc`;
     /// on the root, `acc` holds the folded result on return.
     pub(crate) fn reduce_over(&mut self, tree: &Tree, acc: &mut [u8], fold: Fold, t: u32) {
@@ -503,6 +494,135 @@ impl<'a> Coll<'a> {
             let out = HostBuf::from_vec(acc.to_vec());
             let id = self.send_bytes(&out, 0, acc.len(), parent, t);
             self.wait(vec![id]);
+        }
+    }
+
+    /// Allreduce packed host bytes among `members` (group ranks, the caller
+    /// one of them): every member contributes `acc` and holds the folded
+    /// result on return, bit-identical on every member. Rabenseifner's
+    /// algorithm (Thakur, Rabenseifner & Gropp, IJHPCA 2005): a
+    /// reduce-scatter by recursive halving at tag offset `t_rs`, then an
+    /// allgather by recursive doubling at `t_ag`. A binomial reduce + bcast
+    /// moves as many bytes, 2(p−1)·n, but its critical path carries
+    /// 2·log₂p·n of them; here it carries 2·(p−1)/p·n. Each block is
+    /// combined on exactly one member and copied from there.
+    ///
+    /// When p is not a power of two, the first `2·rem` members pair up, as
+    /// MPICH does: the even one hands its vector to the odd one before the
+    /// exchange and takes the result back after it. The vector splits into
+    /// blocks on element boundaries; a block may be empty, and an empty
+    /// transfer is not posted. Every step moves disjoint spans through one
+    /// buffer, so a call allocates, and registers, one buffer however many
+    /// steps it takes.
+    pub(crate) fn allreduce_over(
+        &mut self,
+        members: &[usize],
+        acc: &mut [u8],
+        fold: Fold,
+        t_rs: u32,
+        t_ag: u32,
+    ) {
+        let p = members.len();
+        let i = members
+            .iter()
+            .position(|&m| m == self.rank())
+            .expect("an allreduce's caller is one of its members");
+        let n = acc.len();
+        if p == 1 || n == 0 {
+            return;
+        }
+        let pof2 = 1 << p.ilog2();
+        let rem = p - pof2;
+        let member = |v: usize| members[if v < rem { 2 * v + 1 } else { v + rem }];
+        let wire = HostBuf::alloc(n);
+        let all = (0, n);
+        let none = (0, 0);
+
+        // Fold in: an even member of the first 2·rem hands its vector over
+        // and waits for the result.
+        if i < 2 * rem && i % 2 == 0 {
+            wire.write(0, acc);
+            self.swap(&wire, members[i + 1], all, none, t_rs);
+            self.swap(&wire, members[i + 1], none, all, t_ag);
+            wire.read_into(0, acc);
+            return;
+        }
+        if i < 2 * rem {
+            self.swap(&wire, members[i - 1], none, all, t_rs);
+            fold.combine(acc, &wire.read(0, n));
+        }
+        let v = if i < 2 * rem { i / 2 } else { i - rem };
+
+        // Block b of pof2 starts at element b·q + min(b, r): the first r
+        // blocks hold one element more.
+        let psz = fold.dtype.size();
+        let (q, r) = ((n / psz) / pof2, (n / psz) % pof2);
+        let at = |b: usize| psz * (b * q + b.min(r));
+        let span = |(lo, hi): (usize, usize)| (at(lo), at(hi) - at(lo));
+
+        // Reduce-scatter: halve the owned block range each step, keeping the
+        // half on this side of the partner and folding the partner's copy
+        // of it in.
+        let (mut lo, mut hi) = (0, pof2);
+        let mut mask = 1;
+        while mask < pof2 {
+            let mid = (lo + hi) / 2;
+            let (keep, give) = if v & mask == 0 {
+                ((lo, mid), (mid, hi))
+            } else {
+                ((mid, hi), (lo, mid))
+            };
+            let ((ko, kl), (go, gl)) = (span(keep), span(give));
+            wire.write(go, &acc[go..go + gl]);
+            self.swap(&wire, member(v ^ mask), (go, gl), (ko, kl), t_rs);
+            fold.combine(&mut acc[ko..ko + kl], &wire.read(ko, kl));
+            (lo, hi) = keep;
+            mask <<= 1;
+        }
+
+        // Allgather: the same pairs in reverse order, each doubling the
+        // owned range, entirely inside `wire`.
+        let (off, len) = span((lo, hi));
+        wire.write(off, &acc[off..off + len]);
+        while mask > 1 {
+            mask >>= 1;
+            let size = hi - lo;
+            let get = if v & mask == 0 {
+                (hi, hi + size)
+            } else {
+                (lo - size, lo)
+            };
+            self.swap(&wire, member(v ^ mask), span((lo, hi)), span(get), t_ag);
+            (lo, hi) = (lo.min(get.0), hi.max(get.1));
+        }
+
+        // Fold out.
+        if i < 2 * rem {
+            self.swap(&wire, members[i - 1], all, none, t_ag);
+        }
+        wire.read_into(0, acc);
+    }
+
+    /// Send the span `give` (byte offset, length) of `wire` to `peer` and
+    /// receive the span `get` of it from `peer`; an empty span is not
+    /// posted.
+    fn swap(
+        &mut self,
+        wire: &HostBuf,
+        peer: usize,
+        give: (usize, usize),
+        get: (usize, usize),
+        t: u32,
+    ) {
+        let mut ids = Vec::new();
+        if get.1 > 0 {
+            ids.push(self.recv_bytes(wire, get.0, get.1, peer, t));
+        }
+        if give.1 > 0 {
+            ids.push(self.send_bytes(wire, give.0, give.1, peer, t));
+        }
+        if !ids.is_empty() {
+            self.wait(ids);
         }
     }
 }
@@ -875,10 +995,12 @@ impl Comm {
     }
 
     /// `MPI_Allreduce` for primitive datatypes, host and device buffers.
-    /// The hierarchical path pipelines per 64 KiB segment: pack → shm
-    /// fan-in and combine at the node leader → one reduced stream per node
-    /// over the wire (leader binomial tree) → shm fan-out, so a segment's
-    /// wire time overlaps the next segment's pack and combine.
+    /// Binomial reduce to rank 0 + binomial bcast on the flat path. The
+    /// hierarchical path pipelines per 64 KiB segment: pack → shm fan-in
+    /// and combine at the node leader → the leaders allreduce the segment
+    /// over the wire by reduce-scatter + allgather
+    /// ([`Coll::allreduce_over`]) → shm fan-out, so a segment's wire time
+    /// overlaps the next segment's pack and combine.
     pub fn allreduce(
         &self,
         sendbuf: impl Into<Loc>,

@@ -550,6 +550,139 @@ fn hier_and_naive_reach_identical_values_but_hier_sheds_hca_bytes() {
     );
 }
 
+// --- Coll::allreduce_over ------------------------------------------------
+
+/// Every fold-in shape up to 9 members, and a power of two past them.
+const OVER_MEMBERS: [usize; 10] = [1, 2, 3, 4, 5, 6, 7, 8, 9, 16];
+
+/// Element counts for `p` members: none, one, fewer than members, blocks of
+/// uneven length, one full pipeline segment of `psz`-byte elements.
+fn over_counts(p: usize, psz: usize) -> [usize; 5] {
+    [0, 1, p - 1, 3 * p + 1, PIPELINE_CHUNK / psz]
+}
+
+/// Every rank of a `p`-rank world runs `allreduce_over` among all `p`
+/// (listed in descending order, so member index and group rank differ) once
+/// per case, contributing `data(rank, case)`; returns each rank's results.
+fn over_world<F>(
+    p: usize,
+    dtype: fn() -> Datatype,
+    cases: Vec<ReduceOp>,
+    data: F,
+) -> Vec<Vec<Vec<u8>>>
+where
+    F: Fn(usize, usize) -> Vec<u8> + Send + Sync + 'static,
+{
+    let (_, ranks, _) = MpiWorld::new(p)
+        .try_run(move |comm| {
+            let dt = dtype();
+            dt.commit();
+            let members: Vec<usize> = (0..p).rev().collect();
+            let run = |(c, &op): (usize, &ReduceOp)| {
+                let mut acc = data(comm.rank(), c);
+                let mut cx = comm.enter("MPI_Allreduce");
+                cx.allreduce_over(&members, &mut acc, Fold { op, dtype: &dt }, 1, 2);
+                acc
+            };
+            cases.iter().enumerate().map(run).collect::<Vec<_>>()
+        })
+        .unwrap();
+    ranks
+}
+
+/// Order-dependent f32 sums: the folded bits must still be the same on
+/// every member, and close to the serial sum.
+#[test]
+fn allreduce_over_gives_every_member_the_same_bits() {
+    let term = |rank: usize, k: usize| {
+        ((rank * 7919 + k * 104_729) % 1000) as f32 * 1e-3 + 0.1 / (rank + 1) as f32
+    };
+    for p in OVER_MEMBERS {
+        let counts = over_counts(p, 4);
+        let data = move |rank: usize, c: usize| {
+            let vals: Vec<f32> = (0..counts[c]).map(|k| term(rank, k)).collect();
+            scalars_to_bytes(&vals)
+        };
+        let ranks = over_world(p, Datatype::float, vec![ReduceOp::Sum; counts.len()], data);
+        for (c, &count) in counts.iter().enumerate() {
+            let got = &ranks[0][c];
+            for (r, mine) in ranks.iter().enumerate() {
+                assert_eq!(
+                    &mine[c], got,
+                    "p={p} count={count}: rank {r} differs from rank 0"
+                );
+            }
+            for (k, g) in bytes_to_scalars::<f32>(got).into_iter().enumerate() {
+                let want: f64 = (0..p).map(|r| term(r, k) as f64).sum();
+                assert!(
+                    (g as f64 - want).abs() <= 1e-5 * want,
+                    "p={p} count={count} element {k}: {g} vs {want}"
+                );
+            }
+        }
+    }
+}
+
+/// Integer-valued data folds exactly in any order, so every member must
+/// hold the serial fold, for each operator and element width.
+#[test]
+fn allreduce_over_equals_the_serial_fold() {
+    const OPS: [ReduceOp; 3] = [ReduceOp::Sum, ReduceOp::Max, ReduceOp::Prod];
+    // Small non-negative values: a 16-member sum stays below 256, and only
+    // ranks 0-2 contribute factors other than 1 to a product.
+    fn value(op: ReduceOp, rank: usize, k: usize) -> u64 {
+        match op {
+            ReduceOp::Prod if rank >= 3 => 1,
+            ReduceOp::Prod => 1 + ((rank + k) % 3) as u64,
+            _ => ((rank * 5 + k * 3) % 7) as u64,
+        }
+    }
+    fn encode(psz: usize, v: u64) -> Vec<u8> {
+        match psz {
+            8 => (v as f64).to_le_bytes().to_vec(),
+            4 => (v as i32).to_le_bytes().to_vec(),
+            _ => vec![v as u8],
+        }
+    }
+    let dtypes: [(fn() -> Datatype, usize); 3] = [
+        (Datatype::double, 8),
+        (Datatype::int, 4),
+        (Datatype::byte, 1),
+    ];
+    for (dtype, psz) in dtypes {
+        for p in OVER_MEMBERS {
+            let counts = over_counts(p, psz);
+            let cases: Vec<(ReduceOp, usize)> = OPS
+                .iter()
+                .flat_map(|&op| counts.iter().map(move |&n| (op, n)))
+                .collect();
+            let shared = cases.clone();
+            let data = move |rank: usize, c: usize| {
+                let (op, n) = shared[c];
+                (0..n)
+                    .flat_map(|k| encode(psz, value(op, rank, k)))
+                    .collect()
+            };
+            let ranks = over_world(p, dtype, cases.iter().map(|c| c.0).collect(), data);
+            for (c, &(op, n)) in cases.iter().enumerate() {
+                let want: Vec<u8> = (0..n)
+                    .flat_map(|k| {
+                        let mut vals = (0..p).map(|r| value(op, r, k));
+                        let first = vals.next().expect("at least one member");
+                        encode(psz, vals.fold(first, |a, b| op.fold(a, b)))
+                    })
+                    .collect();
+                for (r, mine) in ranks.iter().enumerate() {
+                    assert!(
+                        mine[c] == want,
+                        "{op:?} over {p} members, {n} x {psz} B: rank {r} is not the serial fold"
+                    );
+                }
+            }
+        }
+    }
+}
+
 // --- Fold::combine strictness --------------------------------------------
 
 #[test]

@@ -238,7 +238,10 @@ const PINNED_DIGEST: u64 = 17274530444186148282;
 
 /// `(family, ppn, faulty, end of the campaign in virtual ns)`, captured at
 /// the commit before `coll/` was rewritten in the `Coll`/`Blocks`/`Tree`
-/// vocabulary. No other committed number pins the virtual time of bcast,
+/// vocabulary; the two `Hier` ppn-4 rows were re-captured when the node
+/// leaders' allreduce became a reduce-scatter + allgather (its extra wire
+/// messages also draw more of the shared fault stream, so the faulty row
+/// rises). No other committed number pins the virtual time of bcast,
 /// gather, scatter, allgatherv or rooted reduce. To re-capture on purpose,
 /// run this test: its failure message is the new table.
 const PINNED_END_NS: [(CollAlgo, usize, bool, u64); 12] = [
@@ -252,8 +255,8 @@ const PINNED_END_NS: [(CollAlgo, usize, bool, u64); 12] = [
     (CollAlgo::Flat, 4, true, 5612586),
     (CollAlgo::Hier, 1, false, 2053590),
     (CollAlgo::Hier, 1, true, 5601220),
-    (CollAlgo::Hier, 4, false, 2276715),
-    (CollAlgo::Hier, 4, true, 3050140),
+    (CollAlgo::Hier, 4, false, 2219435),
+    (CollAlgo::Hier, 4, true, 3436429),
 ];
 
 #[test]

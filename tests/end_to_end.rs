@@ -3,10 +3,12 @@
 //! end.
 
 use gpu_nc_repro::halo3d::{self, run_halo3d_on, Halo3dParams};
-use gpu_nc_repro::mpi_sim::{Datatype, MpiConfig};
+use gpu_nc_repro::ib_sim::Topology;
+use gpu_nc_repro::mpi_sim::{CollAlgo, Datatype, MpiConfig, ReduceOp};
 use gpu_nc_repro::mv2_gpu_nc::baselines::{fill_vector, verify_vector, VectorXfer};
 use gpu_nc_repro::mv2_gpu_nc::GpuCluster;
 use gpu_nc_repro::stencil2d::{run_stencil, RunOptions, StencilParams, Variant};
+use hostmem::{bytes_to_scalars, scalars_to_bytes, HostBuf};
 use sim_core::SanitizerMode;
 
 #[test]
@@ -294,4 +296,47 @@ fn halo3d_under_sanitizer_is_clean_at_ppn_2() {
         san.is_empty(),
         "sanitizer reports on the intra-node paths: {san:#?}"
     );
+}
+
+#[test]
+fn hier_allreduce_on_uneven_placements() {
+    // Device-buffer allreduce on 3 and on 5 nodes with mixed ppn: the
+    // leader count is not a power of two, so the leaders' reduce-scatter +
+    // allgather folds some of them in and out. Two segments and a ragged
+    // third, integer-valued so every rank must hold the serial sum exactly;
+    // the sanitizer must find nothing on the shared exchange buffer.
+    let term = |rank: usize, k: usize| ((rank * 13 + k * 7) % 17) as f32 - 8.0;
+    for map in [vec![0, 0, 0, 1, 2, 2], vec![0, 1, 1, 1, 2, 3, 3, 4, 0]] {
+        let n = map.len();
+        let mut cfg = MpiConfig::default();
+        cfg.coll.algo = CollAlgo::Hier;
+        let count = 2 * (64 << 10) / 4 + 37;
+        let out = GpuCluster::new(n)
+            .topology(Topology::from_map(map.clone()))
+            .mpi_config(cfg)
+            .sanitizer(SanitizerMode::Collect)
+            .try_run(move |env| {
+                let f32t = Datatype::float();
+                f32t.commit();
+                let bytes = count * 4;
+                let vals: Vec<f32> = (0..count).map(|k| term(env.comm.rank(), k)).collect();
+                let host = HostBuf::from_vec(scalars_to_bytes(&vals));
+                let (send, recv) = (env.gpu.malloc(bytes), env.gpu.malloc(bytes));
+                env.gpu.memcpy(send, host.base(), bytes);
+                env.comm.allreduce(send, recv, count, &f32t, ReduceOp::Sum);
+                env.gpu.memcpy(host.base(), recv, bytes);
+                bytes_to_scalars::<f32>(&host.read(0, bytes))
+            });
+        assert!(out.end.is_ok(), "{map:?}: {:?}", out.end);
+        assert!(out.reports.is_empty(), "{map:?}: {:#?}", out.reports);
+        let want: Vec<f32> = (0..count)
+            .map(|k| (0..n).map(|r| term(r, k)).sum())
+            .collect();
+        for (r, got) in out.ranks.iter().enumerate() {
+            assert!(
+                got == &want,
+                "{map:?}: rank {r} differs from the serial sum"
+            );
+        }
+    }
 }
