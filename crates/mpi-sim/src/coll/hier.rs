@@ -456,14 +456,17 @@ pub(super) fn allreduce(
 ///   leader (16·P bytes), so the leader can size every aggregate without
 ///   global communication;
 /// * **A (fan-in)** — every rank sends its leader one hindexed message
-///   gathering all its blocks destined for *remote nodes* straight out of
-///   `sendbuf`; intra-node blocks are exchanged pairwise over shm directly
-///   between members, never touching the leader;
+///   gathering all its blocks straight out of `sendbuf`, for every rank in
+///   node order (its own node and itself included);
 /// * **B/C (wire)** — leaders exchange per-node aggregates pairwise: one
-///   wire message per node pair instead of ppn² rank pairs;
-/// * **D (fan-out)** — the leader re-slices each inbound aggregate per
-///   member and ships each member its blocks, which land at their
-///   displacements via one hindexed receive.
+///   wire message per node pair instead of ppn² rank pairs. The leader
+///   assembles its own node's aggregate like a remote one and keeps it;
+/// * **D (fan-out)** — the leader slices every node's aggregate per member
+///   and ships each member its blocks, which land at their displacements
+///   via one hindexed receive.
+///
+/// A member thus posts two data messages whatever the ppn: a device buffer
+/// pays one pack and one unpack, not one per co-located peer.
 pub(super) fn alltoallv(cx: &mut Coll, h: &Hierarchy, send: &Blocks, recv: &Blocks) {
     let me = cx.rank();
     let size = cx.size();
@@ -480,7 +483,6 @@ pub(super) fn alltoallv(cx: &mut Coll, h: &Hierarchy, send: &Blocks, recv: &Bloc
     let is_leader = mi == 0;
     const T_META: u32 = 1;
     const T_WIRE: u32 = 2;
-    const T_INTRA: u32 = 3;
     const T_FANIN: u32 = 4096;
     const T_FANOUT: u32 = 8192;
 
@@ -524,26 +526,17 @@ pub(super) fn alltoallv(cx: &mut Coll, h: &Hierarchy, send: &Blocks, recv: &Bloc
     let r_host = recv.host().filter(|_| is_leader);
 
     // --- Fan-in layout: each member ships its leader ONE message — an
-    // hindexed gather of every remote-destined block in `sendbuf`, ordered
-    // by destination node (ascending), then by destination rank in that
-    // node's group order. One message per member (instead of one per
-    // member x node) keeps the leader's per-message protocol cost from
-    // swamping the aggregation win; the leader re-slices the streams into
-    // per-destination wire aggregates with local copies.
-    let remote_nodes: Vec<usize> = (0..nn).filter(|&y| y != h.my_node).collect();
-    let remote_ranks = || {
-        let ranks = remote_nodes.iter();
-        ranks.flat_map(move |&y| h.groups[y].iter().copied())
-    };
-    // member i's fan-in stream length, and its section offset for node y.
-    let stream_len = |i: usize| -> usize { remote_ranks().map(|j| member_sb[i][j]).sum() };
+    // hindexed gather of every block in `sendbuf`, ordered by destination
+    // node (ascending), then by destination rank in that node's group
+    // order. One message per member (instead of one per member x node, or
+    // one per co-located peer) keeps the per-message protocol and device
+    // copy costs from swamping the aggregation win; the leader re-slices
+    // the streams into per-node aggregates with local copies.
+    let ranks = || h.groups.iter().flatten().copied();
+    // member i's section offset for node y in its fan-in stream.
     let section_off = |i: usize, y: usize| -> usize {
-        remote_nodes
-            .iter()
-            .take_while(|&&y2| y2 != y)
-            .flat_map(|&y2| h.groups[y2].iter())
-            .map(|&j| member_sb[i][j])
-            .sum()
+        let before = h.groups[..y].iter().flatten();
+        before.map(|&j| member_sb[i][j]).sum()
     };
 
     // --- Phase A receives (leader): one stream per local member. The
@@ -556,7 +549,7 @@ pub(super) fn alltoallv(cx: &mut Coll, h: &Hierarchy, send: &Blocks, recv: &Bloc
             if i == 0 && s_host.is_some() {
                 continue;
             }
-            let total = stream_len(i);
+            let total = member_sb[i].iter().sum();
             let buf = HostBuf::alloc(total);
             a_ids.push(cx.recv_bytes(&buf, 0, total, m, T_FANIN));
             a_scratch[i] = Some(buf);
@@ -567,43 +560,20 @@ pub(super) fn alltoallv(cx: &mut Coll, h: &Hierarchy, send: &Blocks, recv: &Bloc
     // spliced directly during assembly below).
     let mut a_send = Vec::new();
     if s_host.is_none() {
-        let (loc, n, dt) = send.view(remote_ranks());
+        let (loc, n, dt) = send.view(ranks());
         a_send.push(cx.send(loc, n, &dt, leader, T_FANIN));
     }
 
     // --- Phase D receive (every rank), posted before anything blocks: ONE
-    // hindexed message from my leader scattering every remote-sourced
-    // block to its displacement, ordered by source node (ascending), then
-    // by source rank in group order. The leader's own share is spliced
-    // directly when the receive side is host-primitive.
+    // hindexed message from my leader scattering every block to its
+    // displacement, ordered by source node (ascending), then by source
+    // rank in group order. The leader's own share is spliced directly when
+    // the receive side is host-primitive.
     let mut d_ids = Vec::new();
     if r_host.is_none() {
-        let (loc, n, dt) = recv.view(remote_ranks());
+        let (loc, n, dt) = recv.view(ranks());
         d_ids.push(cx.recv(loc, n, &dt, leader, T_FANOUT));
     }
-
-    // --- Intra-node blocks: pairwise over shm, leader not involved. The
-    // self-pair is a plain copy when both sides are host-primitive (a
-    // self-send would ride the HCA loopback path).
-    let own_pair = send.host().zip(recv.host());
-    let mut i_win = ReqWindow::default();
-    for r in 0..nl {
-        let sp = my_group[(mi + r) % nl];
-        let rp = my_group[(mi + nl - r) % nl];
-        if let (0, Some((src, dst))) = (r, own_pair) {
-            if sb[me] > 0 {
-                let own = src.add(send.displs[me]).read(sb[me]);
-                dst.add(recv.displs[me]).write(&own);
-            }
-            continue;
-        }
-        let (loc, n, dt) = recv.view([rp]);
-        let rid = cx.recv(loc, n, &dt, rp, T_INTRA);
-        let (loc, n, dt) = send.view([sp]);
-        let sid = cx.send(loc, n, &dt, sp, T_INTRA);
-        i_win.push(cx, vec![rid, sid]);
-    }
-    i_win.drain(cx);
 
     if is_leader {
         // --- Phase C receives, posted before any waiting so peer leaders'
@@ -612,7 +582,7 @@ pub(super) fn alltoallv(cx: &mut Coll, h: &Hierarchy, send: &Blocks, recv: &Bloc
         // serialize the leaders against each other).
         let mut in_agg: Vec<Option<HostBuf>> = (0..nn).map(|_| None).collect();
         let mut c_ids = Vec::new();
-        for &x in &remote_nodes {
+        for x in (0..nn).filter(|&x| x != h.my_node) {
             let total: usize = h.groups[x]
                 .iter()
                 .map(|&s| (0..nl).map(|i| member_rb[i][s]).sum::<usize>())
@@ -624,13 +594,12 @@ pub(super) fn alltoallv(cx: &mut Coll, h: &Hierarchy, send: &Blocks, recv: &Bloc
 
         cx.wait(a_ids);
 
-        // --- Assemble per-destination wire aggregates: span per local
+        // --- Assemble per-node aggregates, this node's too: span per local
         // member (group order), each span that member's blocks for Y's
         // members in group order — copied out of the fan-in streams (or
         // straight out of sendbuf for the leader's own span).
         let mut out_agg: Vec<Option<HostBuf>> = (0..nn).map(|_| None).collect();
-        for &y in &remote_nodes {
-            let grp = &h.groups[y];
+        for (y, grp) in h.groups.iter().enumerate() {
             let spans: Vec<usize> = (0..nl)
                 .map(|i| grp.iter().map(|&j| member_sb[i][j]).sum())
                 .collect();
@@ -651,9 +620,10 @@ pub(super) fn alltoallv(cx: &mut Coll, h: &Hierarchy, send: &Blocks, recv: &Bloc
             }
             out_agg[y] = Some(buf);
         }
+        in_agg[h.my_node] = out_agg[h.my_node].take();
 
-        // --- Phase B sends: one aggregate per destination node, in
-        // shifted order so no two leaders hammer the same target.
+        // --- Phase B sends: one aggregate per remote node, in shifted
+        // order so no two leaders hammer the same target.
         let mut b_win = ReqWindow::default();
         for r in 1..nn {
             let y = (h.my_node + r) % nn;
@@ -665,7 +635,7 @@ pub(super) fn alltoallv(cx: &mut Coll, h: &Hierarchy, send: &Blocks, recv: &Bloc
         cx.wait(c_ids);
 
         // --- Phase D sends: ONE message per local member, concatenating
-        // its blocks from every inbound aggregate in source-node order —
+        // its blocks from every node's aggregate in source-node order —
         // the exact stream its hindexed receive scatters to its
         // displacements. Aggregate layout (fixed by the sender's phase
         // A/assembly): spans per source member in X's group order; within
@@ -676,10 +646,10 @@ pub(super) fn alltoallv(cx: &mut Coll, h: &Hierarchy, send: &Blocks, recv: &Bloc
         for di in 0..nl {
             let splice = r_host.filter(|_| di == 0);
             let mut payload: Vec<u8> = Vec::new();
-            for &x in &remote_nodes {
-                let buf = in_agg[x].as_ref().expect("phase C filled this aggregate");
+            for (grp, buf) in h.groups.iter().zip(&in_agg) {
+                let buf = buf.as_ref().expect("every node's aggregate is here");
                 let mut base = 0usize;
-                for &s in &h.groups[x] {
+                for &s in grp {
                     let within: usize = (0..di).map(|i| member_rb[i][s]).sum();
                     let len = member_rb[di][s];
                     if len > 0 {

@@ -1049,13 +1049,22 @@ impl Engine {
     /// The one blocking loop: progress, ask `ready`, and park until
     /// something can have changed. Every blocking MPI call is this loop
     /// with its own question.
+    ///
+    /// A pass advances virtual time itself (device submits, host copies),
+    /// so an event can mature during it after the step that would consume
+    /// it; [`next_event`](Engine::next_event) names only future instants
+    /// and would miss it. The loop parks only after a pass that left the
+    /// clock where it found it.
     pub fn block_until<T>(&mut self, mut ready: impl FnMut(&mut Engine) -> Option<T>) -> T {
         loop {
+            let start = sim_core::now();
             self.progress();
             if let Some(v) = ready(self) {
                 return v;
             }
-            self.idle_block();
+            if sim_core::now() == start {
+                self.idle_block();
+            }
         }
     }
 }
