@@ -112,10 +112,10 @@ pub(super) fn reduce(
     root: usize,
 ) {
     let tree = tree(cx, root);
-    let mut acc = cx.stage(sendbuf, count, fold.dtype, 0);
+    let mut acc = cx.stage(sendbuf, count, fold.dtype);
     cx.reduce_over(&tree, &mut acc, fold, 1);
     if cx.rank() == root {
-        cx.deliver(&acc, recvbuf, count, fold.dtype, 2);
+        cx.deliver(&acc, recvbuf, count, fold.dtype);
     }
 }
 
@@ -151,12 +151,12 @@ pub(super) fn naive_reduce(
         cx.wait(vec![id]);
         return;
     }
-    let mut acc = cx.stage(sendbuf, count, fold.dtype, 1);
+    let mut acc = cx.stage(sendbuf, count, fold.dtype);
     let scratch = HostBuf::alloc(bytes);
     for src in (0..cx.size()).filter(|&src| src != root) {
         let id = cx.recv_bytes(&scratch, 0, bytes, src, 0);
         cx.wait(vec![id]);
         fold.combine(&mut acc, &scratch.read(0, bytes));
     }
-    cx.deliver(&acc, recvbuf, count, fold.dtype, 2);
+    cx.deliver(&acc, recvbuf, count, fold.dtype);
 }

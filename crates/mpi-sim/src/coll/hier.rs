@@ -314,8 +314,6 @@ pub(super) fn reduce(
     let me = cx.rank();
     const T_FANIN: u32 = 1;
     const T_TREE: u32 = 2;
-    const T_STAGE: u32 = 3;
-    const T_OUT: u32 = 4;
     let reps = h.reps(root);
     let my_rep = reps[h.my_node];
 
@@ -325,13 +323,13 @@ pub(super) fn reduce(
         return;
     }
 
-    let mut acc = cx.stage(sendbuf, count, fold.dtype, T_STAGE);
+    let mut acc = cx.stage(sendbuf, count, fold.dtype);
     let members = h.my_group().iter().copied().filter(|&g| g != me);
     cx.fold_from(members, &mut acc, fold, T_FANIN);
     let tree = Tree::binomial(&reps, root, me);
     cx.reduce_over(&tree, &mut acc, fold, T_TREE);
     if me == root {
-        cx.deliver(&acc, recvbuf, count, fold.dtype, T_OUT);
+        cx.deliver(&acc, recvbuf, count, fold.dtype);
     }
 }
 
@@ -367,8 +365,6 @@ pub(super) fn allreduce(
         let off = s * PIPELINE_CHUNK;
         (off, PIPELINE_CHUNK.min(bytes - off))
     };
-    const T_STAGE_IN: u32 = 1;
-    const T_STAGE_OUT: u32 = 2;
     let t_fanin = |s: usize| 1024 + (s % 1024) as u32;
     let t_fanout = |s: usize| 2048 + (s % 1024) as u32;
     let t_rs = |s: usize| 4096 + (s % 1024) as u32;
@@ -395,7 +391,7 @@ pub(super) fn allreduce(
 
     // Leader. Stage my whole contribution once; the pipeline then works
     // in packed bytes.
-    let mut acc = cx.stage(sendbuf, count, dtype, T_STAGE_IN);
+    let mut acc = cx.stage(sendbuf, count, dtype);
     let leaders = h.leaders();
 
     // Two banks of per-member segment scratch: bank s%2 holds segment s's
@@ -447,7 +443,7 @@ pub(super) fn allreduce(
         }
     }
     fanout.drain(cx);
-    cx.deliver(&acc, recvbuf, count, dtype, T_STAGE_OUT);
+    cx.deliver(&acc, recvbuf, count, dtype);
 }
 
 /// Hierarchical alltoallv. Four phases, all windowed:
@@ -455,15 +451,16 @@ pub(super) fn allreduce(
 /// * **metadata** — members ship their per-peer byte counts to the node
 ///   leader (16·P bytes), so the leader can size every aggregate without
 ///   global communication;
-/// * **A (fan-in)** — every rank sends its leader one hindexed message
+/// * **A (fan-in)** — every member sends its leader one hindexed message
 ///   gathering all its blocks straight out of `sendbuf`, for every rank in
-///   node order (its own node and itself included);
+///   node order (its own node and itself included); the leader stages its
+///   own such stream in place;
 /// * **B/C (wire)** — leaders exchange per-node aggregates pairwise: one
 ///   wire message per node pair instead of ppn² rank pairs. The leader
 ///   assembles its own node's aggregate like a remote one and keeps it;
 /// * **D (fan-out)** — the leader slices every node's aggregate per member
 ///   and ships each member its blocks, which land at their displacements
-///   via one hindexed receive.
+///   via one hindexed receive; its own it delivers in place.
 ///
 /// A member thus posts two data messages whatever the ppn: a device buffer
 /// pays one pack and one unpack, not one per co-located peer.
@@ -518,10 +515,9 @@ pub(super) fn alltoallv(cx: &mut Coll, h: &Hierarchy, send: &Blocks, recv: &Bloc
         }
     }
 
-    // Host-primitive buffers let the leader splice its own blocks into the
-    // aggregates with plain copies; a loopback self-send would bill this
-    // node-local bookkeeping to the HCA (see `ib_sim::Nic::route`). Device or
-    // derived buffers still take the self-send so the pack pipeline runs.
+    // The leader's own stream is no message: host-primitive buffers are
+    // spliced into the aggregates with plain copies, anything else is
+    // staged in place (`Coll::stage`/`deliver`).
     let s_host = send.host().filter(|_| is_leader);
     let r_host = recv.host().filter(|_| is_leader);
 
@@ -539,16 +535,11 @@ pub(super) fn alltoallv(cx: &mut Coll, h: &Hierarchy, send: &Blocks, recv: &Bloc
         before.map(|&j| member_sb[i][j]).sum()
     };
 
-    // --- Phase A receives (leader): one stream per local member. The
-    // leader's own stream is spliced locally when the send side is
-    // host-primitive, and loops back through the pack pipeline otherwise.
+    // --- Phase A receives (leader): one stream per other local member.
     let mut a_ids: Vec<ReqId> = Vec::new();
     let mut a_scratch: Vec<Option<HostBuf>> = (0..nl).map(|_| None).collect();
     if is_leader {
-        for (i, &m) in my_group.iter().enumerate() {
-            if i == 0 && s_host.is_some() {
-                continue;
-            }
+        for (i, &m) in my_group.iter().enumerate().skip(1) {
             let total = member_sb[i].iter().sum();
             let buf = HostBuf::alloc(total);
             a_ids.push(cx.recv_bytes(&buf, 0, total, m, T_FANIN));
@@ -556,10 +547,9 @@ pub(super) fn alltoallv(cx: &mut Coll, h: &Hierarchy, send: &Blocks, recv: &Bloc
         }
     }
 
-    // --- Phase A send (every rank; the leader's is a self-message unless
-    // spliced directly during assembly below).
+    // --- Phase A send (every member).
     let mut a_send = Vec::new();
-    if s_host.is_none() {
+    if !is_leader {
         let (loc, n, dt) = send.view(ranks());
         a_send.push(cx.send(loc, n, &dt, leader, T_FANIN));
     }
@@ -567,10 +557,9 @@ pub(super) fn alltoallv(cx: &mut Coll, h: &Hierarchy, send: &Blocks, recv: &Bloc
     // --- Phase D receive (every rank), posted before anything blocks: ONE
     // hindexed message from my leader scattering every block to its
     // displacement, ordered by source node (ascending), then by source
-    // rank in group order. The leader's own share is spliced directly when
-    // the receive side is host-primitive.
+    // rank in group order. The leader delivers its own share in place.
     let mut d_ids = Vec::new();
-    if r_host.is_none() {
+    if !is_leader {
         let (loc, n, dt) = recv.view(ranks());
         d_ids.push(cx.recv(loc, n, &dt, leader, T_FANOUT));
     }
@@ -592,6 +581,11 @@ pub(super) fn alltoallv(cx: &mut Coll, h: &Hierarchy, send: &Blocks, recv: &Bloc
             in_agg[x] = Some(buf);
         }
 
+        // The leader's own fan-in stream, unless spliced during assembly.
+        if s_host.is_none() {
+            let (loc, n, dt) = send.view(ranks());
+            a_scratch[0] = Some(HostBuf::from_vec(cx.stage(&loc, n, &dt)));
+        }
         cx.wait(a_ids);
 
         // --- Assemble per-node aggregates, this node's too: span per local
@@ -641,8 +635,10 @@ pub(super) fn alltoallv(cx: &mut Coll, h: &Hierarchy, send: &Blocks, recv: &Bloc
         // A/assembly): spans per source member in X's group order; within
         // a span, blocks for my node's members in group order, block
         // (s -> d) being `member_rb[d][s]` bytes (the byte-total contract
-        // makes the sender's counts and ours agree).
+        // makes the sender's counts and ours agree). The leader's own
+        // stream is delivered in place once the members' are posted.
         let mut d_win = ReqWindow::default();
+        let mut own = Vec::new();
         for di in 0..nl {
             let splice = r_host.filter(|_| di == 0);
             let mut payload: Vec<u8> = Vec::new();
@@ -662,12 +658,17 @@ pub(super) fn alltoallv(cx: &mut Coll, h: &Hierarchy, send: &Blocks, recv: &Bloc
                     base += (0..nl).map(|i| member_rb[i][s]).sum::<usize>();
                 }
             }
-            if splice.is_some() {
+            if di == 0 {
+                own = payload;
                 continue;
             }
             let out = HostBuf::from_vec(payload);
             let id = cx.send_bytes(&out, 0, out.len(), my_group[di], T_FANOUT);
             d_win.push(cx, vec![id]);
+        }
+        if r_host.is_none() {
+            let (loc, n, dt) = recv.view(ranks());
+            cx.deliver(&own, &loc, n, &dt);
         }
         b_win.drain(cx);
         d_win.drain(cx);

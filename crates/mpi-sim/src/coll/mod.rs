@@ -32,9 +32,10 @@
 //! that fails there fails the collective under its MPI name.
 //!
 //! All data movement goes through the normal staging machinery, so every
-//! collective (including the reductions, via loopback staging) works on
-//! **device buffers too** — GPU-aware collectives, the natural extension
-//! of the paper's design (and where MVAPICH2 went next).
+//! collective works on **device buffers too** — GPU-aware collectives, the
+//! natural extension of the paper's design (and where MVAPICH2 went next).
+//! A rank's own contribution to a reduction (and a node leader's own
+//! alltoallv stream) is packed and unpacked in place, not sent to itself.
 
 mod flat;
 mod hier;
@@ -162,14 +163,11 @@ impl Fold<'_> {
 
 /// The host pointer behind `(loc, dtype)` when it can be copied with plain
 /// host reads and writes — host memory and a primitive datatype. Everything
-/// else (device buffers, derived datatypes) must round-trip through the
-/// engine's pack pipeline.
+/// else (device buffers, derived datatypes) goes through the buffer's own
+/// pack or unpack, as [`Coll::stage`] and [`Coll::deliver`] run it.
 ///
 /// Node-leader algorithms use this to splice the leader's *own* blocks
-/// into an aggregate without a loopback self-send: self-sends ride the HCA
-/// loopback path (see `ib_sim::Nic::route`), so leaving them in would bill the
-/// leader's node-local bookkeeping to the wire and distort the byte
-/// accounting the hierarchy exists to improve.
+/// straight into an aggregate, without even a packed copy.
 fn host_direct<'a>(loc: &'a Loc, dtype: &Datatype) -> Option<&'a HostPtr> {
     match loc {
         Loc::Host(p) if dtype.primitive_name().is_some() => Some(p),
@@ -401,44 +399,44 @@ impl<'a> Coll<'a> {
     }
 
     /// The packed host bytes of `(buf, count, dtype)`. A contiguous host
-    /// buffer is read directly; anything else (device memory, derived
-    /// layouts) is staged through a loopback self-message, which runs the
-    /// real pack-to-host pipeline — GPU reductions pay the same staging
-    /// cost the paper's point-to-point path does.
-    pub(crate) fn stage(&mut self, buf: &Loc, count: usize, dtype: &Datatype, t: u32) -> Vec<u8> {
+    /// buffer is read directly. Anything else (device memory, derived
+    /// layouts) is packed in place by the buffer's own [`SendSource`] as
+    /// one chunk: the pipeline's pack and D2H stages, and no message — a
+    /// rank's own data never reaches the HCA. The engine keeps progressing
+    /// meanwhile.
+    ///
+    /// [`SendSource`]: crate::staging::SendSource
+    pub(crate) fn stage(&mut self, buf: &Loc, count: usize, dtype: &Datatype) -> Vec<u8> {
         let bytes = count * dtype.size();
         if let Some(p) = host_direct(buf, dtype) {
             return p.read(bytes);
         }
-        let me = self.rank();
+        let mut source = self.eng.make_source(buf, count, dtype);
         let scratch = HostBuf::alloc(bytes);
-        let s = self.send(buf.clone(), count, dtype, me, t);
-        let r = self.recv_bytes(&scratch, 0, bytes, me, t);
-        self.wait(vec![s, r]);
+        source.begin(bytes.max(1));
+        source.request_chunk(0, scratch.base(), bytes);
+        let ready = |_: &mut Engine| source.chunk_ready(0).then_some(());
+        self.eng.block_until_or(|| source.next_event(), ready);
         scratch.read(0, bytes)
     }
 
     /// Deliver packed host bytes into `(buf, count, dtype)` — the inverse
     /// of [`stage`](Coll::stage): direct write for contiguous host
-    /// buffers, loopback repack (host staging → device scatter) for
-    /// everything else.
-    pub(crate) fn deliver(
-        &mut self,
-        data: &[u8],
-        buf: &Loc,
-        count: usize,
-        dtype: &Datatype,
-        t: u32,
-    ) {
+    /// buffers, else one chunk through the buffer's own [`RecvSink`] (the
+    /// H2D and unpack stages), in place.
+    ///
+    /// [`RecvSink`]: crate::staging::RecvSink
+    pub(crate) fn deliver(&mut self, data: &[u8], buf: &Loc, count: usize, dtype: &Datatype) {
         if let Some(p) = host_direct(buf, dtype) {
             p.write(data);
             return;
         }
-        let me = self.rank();
+        let mut sink = self.eng.make_sink(buf, count, dtype);
         let scratch = HostBuf::from_vec(data.to_vec());
-        let s = self.send_bytes(&scratch, 0, data.len(), me, t);
-        let r = self.recv(buf.clone(), count, dtype, me, t);
-        self.wait(vec![s, r]);
+        sink.begin(data.len().max(1), data.len());
+        sink.chunk_arrived(0, scratch.base(), data.len());
+        let ready = |_: &mut Engine| sink.finished().then_some(());
+        self.eng.block_until_or(|| sink.next_event(), ready);
     }
 
     /// Fold one packed contribution from every rank in `sources`, in order,
@@ -964,9 +962,9 @@ impl Comm {
 
     /// `MPI_Reduce` for primitive datatypes: elementwise `op` into
     /// `recvbuf` on `root` (only read there). Host **and device** buffers:
-    /// device contributions are packed to host staging through the
-    /// loopback pipeline, folded on the host, and the result repacked to
-    /// the device. Binomial tree with double-buffered child receives on
+    /// a device contribution is copied to host staging in place (its D2H,
+    /// no message), folded on the host, and the result copied back to the
+    /// device. Binomial tree with double-buffered child receives on
     /// the flat path; shm fan-in to node leaders + a leader tree on the
     /// hierarchical one. Under [`CollAlgo::Naive`](crate::CollAlgo) the
     /// root drains all P−1 contributions serially through one scratch

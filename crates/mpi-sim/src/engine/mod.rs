@@ -452,7 +452,16 @@ impl Engine {
         sim_core::sleep(SimDur::from_nanos(self.cpu.mpi_call_ns));
     }
 
-    fn make_source(&self, buf: &Loc, count: usize, dt: &Datatype) -> Box<dyn SendSource> {
+    /// The packed byte stream of `(buf, count, dt)`, through the stager for
+    /// the buffers it handles (device memory), else a CPU pack. Refuses a
+    /// footprint that does not fit its buffer.
+    pub(crate) fn make_source(
+        &self,
+        buf: &Loc,
+        count: usize,
+        dt: &Datatype,
+    ) -> Box<dyn SendSource> {
+        Self::check_bounds(buf, count, dt);
         let staged = self.stager.as_ref().and_then(|s| s.source(buf, count, dt));
         match (staged, buf) {
             (Some(src), _) => src,
@@ -466,7 +475,10 @@ impl Engine {
         }
     }
 
-    fn make_sink(&self, buf: &Loc, count: usize, dt: &Datatype) -> Box<dyn RecvSink> {
+    /// [`make_source`](Engine::make_source)'s mirror: where a packed byte
+    /// stream lands in `(buf, count, dt)`.
+    pub(crate) fn make_sink(&self, buf: &Loc, count: usize, dt: &Datatype) -> Box<dyn RecvSink> {
+        Self::check_bounds(buf, count, dt);
         let staged = self.stager.as_ref().and_then(|s| s.sink(buf, count, dt));
         match (staged, buf) {
             (Some(sink), _) => sink,
@@ -523,7 +535,6 @@ impl Engine {
         // Every MPI call gives the progress engine a chance to run (as in
         // any real single-threaded MPI library).
         self.progress();
-        Self::check_bounds(&buf, count, dt);
         let source = self.make_source(&buf, count, dt);
         let id = self.alloc_req();
         let mut st = SendState {
@@ -581,7 +592,6 @@ impl Engine {
     ) -> ReqId {
         self.mpi_call_cost();
         self.progress();
-        Self::check_bounds(&buf, count, dt);
         let sink = self.make_sink(&buf, count, dt);
         // Cheap after the sink pulled the plan into the cache.
         let shape = Canonical::of(&dt.plan(count));
@@ -1040,12 +1050,6 @@ impl Engine {
         best
     }
 
-    /// Block (in virtual time) until a packet arrives or the next known
-    /// event instant passes.
-    fn idle_block(&self) {
-        self.nic.mailbox().wait_nonempty_until(self.next_event());
-    }
-
     /// The one blocking loop: progress, ask `ready`, and park until
     /// something can have changed. Every blocking MPI call is this loop
     /// with its own question.
@@ -1055,7 +1059,19 @@ impl Engine {
     /// it; [`next_event`](Engine::next_event) names only future instants
     /// and would miss it. The loop parks only after a pass that left the
     /// clock where it found it.
-    pub fn block_until<T>(&mut self, mut ready: impl FnMut(&mut Engine) -> Option<T>) -> T {
+    pub fn block_until<T>(&mut self, ready: impl FnMut(&mut Engine) -> Option<T>) -> T {
+        self.block_until_or(|| None, ready)
+    }
+
+    /// [`block_until`](Engine::block_until) for a caller that also drives
+    /// work outside the engine (a collective's in-place stage): parking
+    /// ends at a packet or at the earlier of the engine's next event and
+    /// `local`'s.
+    pub(crate) fn block_until_or<T>(
+        &mut self,
+        local: impl Fn() -> Option<SimTime>,
+        mut ready: impl FnMut(&mut Engine) -> Option<T>,
+    ) -> T {
         loop {
             let start = sim_core::now();
             self.progress();
@@ -1063,7 +1079,8 @@ impl Engine {
                 return v;
             }
             if sim_core::now() == start {
-                self.idle_block();
+                let next = self.next_event().into_iter().chain(local()).min();
+                self.nic.mailbox().wait_nonempty_until(next);
             }
         }
     }

@@ -10,6 +10,7 @@ use gpu_nc_repro::mv2_gpu_nc::GpuCluster;
 use gpu_nc_repro::stencil2d::{run_stencil, RunOptions, StencilParams, Variant};
 use hostmem::{bytes_to_scalars, scalars_to_bytes, HostBuf};
 use sim_core::SanitizerMode;
+use sim_trace::Recorder;
 
 #[test]
 fn eight_rank_ring_of_device_vectors() {
@@ -298,6 +299,148 @@ fn halo3d_under_sanitizer_is_clean_at_ppn_2() {
     );
 }
 
+/// Element `k` of `rank`'s reduction operand: small integers, so every
+/// partial sum is exact and any fold order gives the serial sum.
+fn term(rank: usize, k: usize) -> f32 {
+    ((rank * 13 + k * 7) % 17) as f32 - 8.0
+}
+
+/// HCA tx bytes of every node in the run `rec` traced.
+fn hca_tx_bytes(rec: &Recorder) -> u64 {
+    let m = rec.metrics();
+    let hca = m
+        .iter()
+        .filter(|(k, _)| k.starts_with("node") && k.ends_with(".hca.tx_bytes"));
+    hca.map(|(_, v)| v).sum()
+}
+
+/// What one message of `len` payload bytes between two nodes costs the HCA
+/// under the default configuration: up to the eager limit, the payload and
+/// its 64-byte envelope; beyond it (a contiguous host buffer on both
+/// sides, a direct R-PUT), the payload and three control packets — RTS,
+/// CTS and FIN.
+fn wire_bytes(len: usize) -> u64 {
+    let ctrl = gpu_nc_repro::ib_sim::NetModel::qdr().ctrl_bytes;
+    let extra = if len <= MpiConfig::default().eager_limit {
+        64
+    } else {
+        3 * ctrl
+    };
+    (len + extra) as u64
+}
+
+/// One reduction of `count` device floats on `topo`, under `algo` and the
+/// collecting sanitizer: `allreduce` when `root` is `None`, else `reduce`
+/// to `root`. Every rank that holds a result must hold the serial sum
+/// exactly. Returns the run's HCA tx bytes.
+fn reduction_checked(topo: Topology, algo: CollAlgo, count: usize, root: Option<usize>) -> u64 {
+    let n = topo.num_ranks();
+    let mut cfg = MpiConfig::default();
+    cfg.coll.algo = algo;
+    let rec = Recorder::new();
+    let out = GpuCluster::new(n)
+        .topology(topo)
+        .mpi_config(cfg)
+        .recorder(rec.clone())
+        .sanitizer(SanitizerMode::Collect)
+        .try_run(move |env| {
+            let f32t = Datatype::float();
+            f32t.commit();
+            let bytes = count * 4;
+            let vals: Vec<f32> = (0..count).map(|k| term(env.comm.rank(), k)).collect();
+            let host = HostBuf::from_vec(scalars_to_bytes(&vals));
+            let (send, recv) = (env.gpu.malloc(bytes), env.gpu.malloc(bytes));
+            env.gpu.memcpy(send, host.base(), bytes);
+            match root {
+                None => env.comm.allreduce(send, recv, count, &f32t, ReduceOp::Sum),
+                Some(r) => env.comm.reduce(send, recv, count, &f32t, ReduceOp::Sum, r),
+            }
+            env.gpu.memcpy(host.base(), recv, bytes);
+            bytes_to_scalars::<f32>(&host.read(0, bytes))
+        });
+    let what = format!("{algo:?} count {count} root {root:?}");
+    assert!(out.end.is_ok(), "{what}: {:?}", out.end);
+    assert!(out.reports.is_empty(), "{what}: {:#?}", out.reports);
+    let want: Vec<f32> = (0..count)
+        .map(|k| (0..n).map(|r| term(r, k)).sum())
+        .collect();
+    for (r, got) in out.ranks.iter().enumerate() {
+        if root.is_none_or(|root| root == r) {
+            assert!(got == &want, "{what}: rank {r} differs from the serial sum");
+        }
+    }
+    hca_tx_bytes(&rec)
+}
+
+#[test]
+fn a_ranks_own_reduction_data_never_reaches_the_hca() {
+    // One node, four ranks, flat algorithms: every message between two
+    // ranks rides shm. A message from a rank to itself would ride the HCA
+    // loopback; staging a device contribution to the host and the result
+    // back must not be one.
+    for root in [None, Some(2)] {
+        let hca = reduction_checked(Topology::uniform(1, 4), CollAlgo::Flat, 3000, root);
+        assert_eq!(hca, 0, "root {root:?}: a rank's own data crossed the HCA");
+    }
+}
+
+#[test]
+fn hier_hca_traffic_is_the_leaders_messages_exactly() {
+    // Two nodes of four ranks: only the two leaders cross the wire, so the
+    // HCA carries their messages and nothing else.
+    //
+    // Allreduce: per 64 KiB segment the leaders swap halves twice — the
+    // reduce-scatter, then the allgather. Block 0 holds the odd element.
+    let count = 2 * (64 << 10) / 4 + 37;
+    let mut want = 0;
+    for off in (0..count).step_by((64 << 10) / 4) {
+        let n = ((64 << 10) / 4).min(count - off);
+        want += 2 * (wire_bytes((n - n / 2) * 4) + wire_bytes(n / 2 * 4));
+    }
+    let hca = reduction_checked(Topology::uniform(2, 4), CollAlgo::Hier, count, None);
+    assert_eq!(hca, want, "hier device allreduce");
+
+    // Alltoallv of strided device tiles: one aggregate per leader — every
+    // block its node's ranks send the other node's — after a barrier whose
+    // dissemination rounds cross the wire as empty eager messages.
+    let (n, ppn, rows) = (8, 4, 3);
+    let node = |r: usize| r / ppn;
+    let agg = |x: usize| -> usize {
+        let pairs = (0..n).flat_map(|s| (0..n).map(move |d| (s, d)));
+        let out = pairs.filter(|&(s, d)| node(s) == x && node(d) != x);
+        out.map(|(s, d)| ragged(s, d) * rows * 4).sum()
+    };
+    let crossing = |k: usize| (0..n).filter(|&r| node(r) != node((r + k) % n)).count() as u64;
+    let barrier: u64 = [1, 2, 4].iter().map(|&k| crossing(k) * wire_bytes(0)).sum();
+    let (_, hca) = a2a_checked(
+        Topology::uniform(2, ppn),
+        CollAlgo::Hier,
+        (true, true),
+        rows,
+        ragged,
+    );
+    assert_eq!(
+        hca,
+        barrier + wire_bytes(agg(0)) + wire_bytes(agg(1)),
+        "hier strided device alltoallv"
+    );
+}
+
+#[test]
+fn device_reductions_stage_in_place_at_any_count() {
+    // No element, one, and 1 000 003 floats: not a multiple of any chunk,
+    // and larger than the largest pipeline block and any pooled device
+    // buffer — staged in place as one chunk all the same. Rank 3 is no
+    // node leader, so a hierarchical reduce delivers on a member.
+    for algo in [CollAlgo::Flat, CollAlgo::Hier] {
+        for count in [0, 1, 1_000_003] {
+            for root in [None, Some(3)] {
+                reduction_checked(Topology::uniform(2, 2), algo, count, root);
+            }
+        }
+    }
+}
+
 #[test]
 fn hier_allreduce_on_uneven_placements() {
     // Device-buffer allreduce on 3 and on 5 nodes with mixed ppn: the
@@ -305,7 +448,6 @@ fn hier_allreduce_on_uneven_placements() {
     // allgather folds some of them in and out. Two segments and a ragged
     // third, integer-valued so every rank must hold the serial sum exactly;
     // the sanitizer must find nothing on the shared exchange buffer.
-    let term = |rank: usize, k: usize| ((rank * 13 + k * 7) % 17) as f32 - 8.0;
     for map in [vec![0, 0, 0, 1, 2, 2], vec![0, 1, 1, 1, 2, 3, 3, 4, 0]] {
         let n = map.len();
         let mut cfg = MpiConfig::default();
@@ -386,15 +528,16 @@ fn a2a_value(src: usize, dst: usize, k: usize) -> i32 {
 /// and into device memory when `dev.1`. Blocks are one int apart and the
 /// receive buffer starts as -1, so every hole must come back untouched.
 /// Checks every rank's receive buffer against the serial reference and
-/// returns the slowest rank's time in the call.
+/// returns the slowest rank's time in the call and the run's HCA tx bytes.
 fn a2a_checked(
     topo: Topology,
     algo: CollAlgo,
     dev: (bool, bool),
     rows: usize,
     cnt: impl Fn(usize, usize) -> usize + Copy + Send + Sync + 'static,
-) -> sim_core::SimDur {
+) -> (sim_core::SimDur, u64) {
     let n = topo.num_ranks();
+    let rec = Recorder::new();
     let mut cfg = MpiConfig::default();
     cfg.coll.algo = algo;
     // Ints from the tile start, and from one tile to the next.
@@ -425,6 +568,7 @@ fn a2a_checked(
     let out = GpuCluster::new(n)
         .topology(topo)
         .mpi_config(cfg)
+        .recorder(rec.clone())
         .sanitizer(SanitizerMode::Collect)
         .try_run(move |env| {
             let me = env.comm.rank();
@@ -492,7 +636,8 @@ fn a2a_checked(
             "{algo:?} {dev:?}: rank {r} differs from the serial reference"
         );
     }
-    out.ranks.iter().map(|&(_, t)| t).max().unwrap()
+    let slowest = out.ranks.iter().map(|&(_, t)| t).max().unwrap();
+    (slowest, hca_tx_bytes(&rec))
 }
 
 /// Ragged, nonzero per-pair tile counts.
@@ -505,12 +650,20 @@ fn hier_alltoallv_on_uneven_placements() {
     // Mixed ppn, a node of one rank (its rank is its own leader with no
     // members), and an interleaved map whose node groups are not runs of
     // consecutive ranks; host and device buffers, contiguous and strided.
+    // A leader packs and unpacks its own strided stream in place, on the
+    // CPU for host buffers.
     let maps = [
         vec![0, 0, 0, 1, 2, 2, 2, 2],
         vec![0, 1, 0, 2, 2, 0, 3, 2, 3, 2],
     ];
+    let cases = [
+        ((false, false), 1),
+        ((false, false), 3),
+        ((true, true), 1),
+        ((true, true), 3),
+    ];
     for map in maps {
-        for (dev, rows) in [((false, false), 1), ((true, true), 1), ((true, true), 3)] {
+        for (dev, rows) in cases {
             a2a_checked(
                 Topology::from_map(map.clone()),
                 CollAlgo::Hier,
@@ -571,7 +724,8 @@ fn hier_alltoallv_of_small_device_tiles_beats_flat() {
     // blocks through the leader measures hier/flat = 0.13 here; the
     // pairwise intra-node exchange measured 0.39. The bound sits halfway.
     let time = |algo| {
-        a2a_checked(Topology::uniform(4, 4), algo, (true, true), 32, |_, _| 1).as_nanos() as f64
+        let (took, _) = a2a_checked(Topology::uniform(4, 4), algo, (true, true), 32, |_, _| 1);
+        took.as_nanos() as f64
     };
     let (hier, flat) = (time(CollAlgo::Hier), time(CollAlgo::Flat));
     assert!(
