@@ -10,12 +10,21 @@
 //! fat nodes (ppn ≥ 4), where the hierarchical path fans in/out over the
 //! shm channel and puts one aggregated message per node pair on the wire.
 //!
-//! `--smoke` runs the 64-rank column only, with the same guards.
+//! Each cell also reports `call_us`, the slowest rank's virtual time inside
+//! the call, stamped after the barrier that starts it. A second table runs
+//! the allreduce on device buffers (64 ranks, ppn 4, 64 KiB and 1 MiB): the
+//! hierarchical fan-out lands each segment once in the leader's recvbuf and
+//! the co-located members copy it device to device.
+//!
+//! `--smoke` runs the 64-rank column and the 64 KiB device rows, with the
+//! same guards.
 
 use std::collections::BTreeMap;
 
+use gpu_sim::Loc;
 use hostmem::{bytes_to_scalars, scalars_to_bytes, HostBuf};
-use mpi_sim::{CollAlgo, Comm, Datatype, MpiConfig, MpiWorld, ReduceOp};
+use mpi_sim::{CollAlgo, Comm, Datatype, MpiConfig, ReduceOp};
+use mv2_gpu_nc::{GpuCluster, GpuRankEnv};
 use sim_core::ExecMode;
 use sim_trace::Recorder;
 
@@ -32,25 +41,50 @@ const ALGOS: [(CollAlgo, &str); 3] = [
 /// Allreduce payload: 16 Ki f32 (64 KiB), several pipeline chunks.
 const AR_COUNT: usize = 16 << 10;
 
+/// Device allreduce payloads: one pipeline segment, and sixteen.
+const DEV_BYTES: [usize; 2] = [64 << 10, 1 << 20];
+
 /// Integer-valued contribution, exact in f32 for any fold order.
 fn ar_term(rank: usize, k: usize) -> f32 {
     ((rank * 13 + k * 7) % 17) as f32 - 8.0
 }
 
-fn allreduce(comm: Comm) {
-    let me = comm.rank();
+/// Virtual ns `call` takes on this rank, from the end of a barrier.
+fn timed(comm: &Comm, call: impl FnOnce()) -> u64 {
+    comm.barrier();
+    let t0 = sim_core::now();
+    call();
+    (sim_core::now() - t0).as_nanos()
+}
+
+/// `count` f32 summed in host memory, or on the node's GPU when `device`.
+fn allreduce(env: &GpuRankEnv, count: usize, device: bool) -> u64 {
+    let (comm, gpu, me) = (&env.comm, &env.gpu, env.comm.rank());
     let f32t = Datatype::float();
     f32t.commit();
-    let vals: Vec<f32> = (0..AR_COUNT).map(|k| ar_term(me, k)).collect();
-    let send = HostBuf::from_vec(scalars_to_bytes(&vals));
-    let recv = HostBuf::alloc(AR_COUNT * 4);
-    comm.barrier();
-    comm.allreduce(send.base(), recv.base(), AR_COUNT, &f32t, ReduceOp::Sum);
-    let got = bytes_to_scalars::<f32>(&recv.read(0, AR_COUNT * 4));
+    let vals: Vec<f32> = (0..count).map(|k| ar_term(me, k)).collect();
+    let vals = scalars_to_bytes(&vals);
+    let (send, recv): (Loc, Loc) = if device {
+        let (send, recv) = (gpu.malloc(count * 4), gpu.malloc(count * 4));
+        gpu.write_bytes(send, &vals);
+        (send.into(), recv.into())
+    } else {
+        let recv = HostBuf::alloc(count * 4);
+        (HostBuf::from_vec(vals).base().into(), recv.base().into())
+    };
+    let ns = timed(comm, || {
+        comm.allreduce(send, recv.clone(), count, &f32t, ReduceOp::Sum)
+    });
+    let got = match recv {
+        Loc::Host(p) => p.read(count * 4),
+        Loc::Device(d) => gpu.read_bytes(d, count * 4),
+    };
+    let got = bytes_to_scalars::<f32>(&got);
     for (k, g) in got.iter().enumerate().step_by(997) {
         let want: f32 = (0..comm.size()).map(|r| ar_term(r, k)).sum();
         assert_eq!(*g, want, "allreduce element {k} on rank {me}");
     }
+    ns
 }
 
 /// Ragged per-pair element count (f32), same on both sides of the pair.
@@ -69,7 +103,8 @@ fn a2a_cnt(src: usize, dst: usize) -> usize {
 const A2A_MIN: usize = 4;
 const A2A_MAX: usize = A2A_MIN + 10 * 2;
 
-fn alltoallv(comm: Comm) {
+fn alltoallv(env: &GpuRankEnv) -> u64 {
+    let comm = &env.comm;
     let (me, n) = (comm.rank(), comm.size());
     let f32t = Datatype::float();
     f32t.commit();
@@ -89,17 +124,18 @@ fn alltoallv(comm: Comm) {
     let vals: Vec<f32> = (0..stot / 4).map(|k| ar_term(me, k)).collect();
     let send = HostBuf::from_vec(scalars_to_bytes(&vals));
     let recv = HostBuf::alloc(rtot);
-    comm.barrier();
-    comm.alltoallv(
-        send.base(),
-        &scounts,
-        &sdispls,
-        &f32t,
-        recv.base(),
-        &rcounts,
-        &rdispls,
-        &f32t,
-    );
+    let ns = timed(comm, || {
+        comm.alltoallv(
+            send.base(),
+            &scounts,
+            &sdispls,
+            &f32t,
+            recv.base(),
+            &rcounts,
+            &rdispls,
+            &f32t,
+        )
+    });
     // Spot-check: the block from peer j is j's send stream at my
     // send-offset within j's buffer.
     for j in (0..n).step_by((n / 7).max(1)) {
@@ -108,34 +144,42 @@ fn alltoallv(comm: Comm) {
         let want: Vec<f32> = (0..rcounts[j]).map(|k| ar_term(j, j_off + k)).collect();
         assert_eq!(got, want, "alltoallv block from {j} on rank {me}");
     }
+    ns
 }
 
-/// A collective's per-rank body.
-type Body = fn(Comm);
+/// A collective's per-rank body: the call's virtual ns on this rank.
+type Body = fn(&GpuRankEnv) -> u64;
 
 /// One cell of the sweep: what the guards compare.
 struct Cell {
     time_ms: f64,
+    call_us: f64,
     hca_tx_bytes: u64,
     shm_bytes: u64,
 }
 
-/// Run `body` on `n` ranks, `ppn` per node, under `algo`.
-fn run_cell(n: usize, ppn: usize, algo: CollAlgo, body: Body) -> Cell {
+/// Run `body` on `n` ranks, `ppn` per node and one GPU per node, under
+/// `algo`.
+fn run_cell<F>(n: usize, ppn: usize, algo: CollAlgo, body: F) -> Cell
+where
+    F: Fn(&GpuRankEnv) -> u64 + Send + Sync + 'static,
+{
     let rec = Recorder::new();
     let mut cfg = MpiConfig {
         ppn,
         ..MpiConfig::default()
     };
     cfg.coll.algo = algo;
-    let wall = MpiWorld::new(n)
-        .with_config(cfg)
-        .with_exec(ExecMode::Event)
-        .with_recorder(rec.clone())
-        .run(body);
+    let (end, calls, _) = GpuCluster::new(n)
+        .mpi_config(cfg)
+        .exec(ExecMode::Event)
+        .recorder(rec.clone())
+        .try_run(body)
+        .unwrap();
     let (hca_tx_bytes, shm_bytes) = fabric_bytes(&rec, n / ppn);
     Cell {
-        time_ms: wall.as_nanos() as f64 / 1e6,
+        time_ms: end.as_nanos() as f64 / 1e6,
+        call_us: *calls.iter().max().expect("a world has ranks") as f64 / 1e3,
         hca_tx_bytes,
         shm_bytes,
     }
@@ -150,8 +194,12 @@ pub fn coll_sweep(args: &Args) -> Doc {
         col("time_ms", "time (ms)", Fmt::Fixed(3)),
         col("hca_tx_bytes", "HCA tx", Fmt::Plain),
         col("shm_bytes", "shm bytes", Fmt::Plain),
+        col("call_us", "call (us)", Fmt::Fixed(3)),
     ];
-    const COLLS: [(&str, Body); 2] = [("allreduce", allreduce), ("alltoallv", alltoallv)];
+    const COLLS: [(&str, Body); 2] = [
+        ("allreduce", |env| allreduce(env, AR_COUNT, false)),
+        ("alltoallv", alltoallv),
+    ];
     let rank_counts: &[usize] = if args.smoke { &[64] } else { &[64, 128, 256] };
     let ppns = [1usize, 4, 8];
 
@@ -170,6 +218,7 @@ pub fn coll_sweep(args: &Args) -> Doc {
                         &c.time_ms,
                         &c.hca_tx_bytes,
                         &c.shm_bytes,
+                        &c.call_us,
                     ]);
                     cells.insert((coll, n, ppn, algo_name), c);
                 }
@@ -251,6 +300,39 @@ pub fn coll_sweep(args: &Args) -> Doc {
         );
     }
 
+    // Device buffers, flat and hier, four ranks sharing each node's GPU:
+    // the allreduce at one pipeline segment and at sixteen.
+    let mut dev = Table::new(COLS);
+    let (n, ppn) = (64, 4);
+    for &bytes in &DEV_BYTES[..if args.smoke { 1 } else { 2 }] {
+        let coll = format!("allreduce_dev_{}KiB", bytes >> 10);
+        let [flat, hier] = [&ALGOS[1], &ALGOS[2]].map(|&(algo, algo_name)| {
+            let c = run_cell(n, ppn, algo, move |env| allreduce(env, bytes / 4, true));
+            dev.row(&[
+                &coll,
+                &n,
+                &ppn,
+                &algo_name,
+                &c.time_ms,
+                &c.hca_tx_bytes,
+                &c.shm_bytes,
+                &c.call_us,
+            ]);
+            c
+        });
+        // The members' slices cross shm to the leader; the result reaches
+        // them on the GPU, so shm carries the fan-in and control packets.
+        let fanin = (n / ppn * (ppn - 1) * bytes) as u64;
+        assert!(
+            hier.call_us < flat.call_us && hier.shm_bytes < 2 * fanin,
+            "hier {coll} ({:.3} us, {} shm bytes) must beat the flat path ({:.3} us) \
+             and move less than twice its {fanin}-byte fan-in over shm",
+            hier.call_us,
+            hier.shm_bytes,
+            flat.call_us
+        );
+    }
+
     let mut doc = Doc::new();
     doc.field(
         "workload",
@@ -262,5 +344,7 @@ pub fn coll_sweep(args: &Args) -> Doc {
     .field("smoke", args.smoke);
     doc.say("collective sweep: hier vs flat vs naive control\n");
     doc.table("data", &t);
+    doc.say("device-buffer allreduce\n");
+    doc.table("device", &dev);
     doc
 }

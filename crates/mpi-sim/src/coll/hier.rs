@@ -21,7 +21,10 @@
 //! All intra-node aggregation happens in packed-byte form (the wire
 //! representation), so member buffers may be host or device, contiguous
 //! or a derived GPU datatype: the pack/unpack cost is paid once at the
-//! edges by the normal staging machinery.
+//! edges by the normal staging machinery. The one exception is a result
+//! every member of a node holds identically — the allreduce's: the leader
+//! lands it once in its own `recvbuf` and fans it out from there, so
+//! members on the leader's GPU copy it device to device.
 
 use std::collections::HashMap;
 
@@ -70,14 +73,13 @@ impl Hierarchy {
 
     /// Whether the two-level shape buys anything: at least two nodes (else
     /// there is no wire to economize) and at least one node hosting two or
-    /// more members (else leaders-only == flat).
+    /// more members (else leaders-only == flat). Past [`MAX_NODES`] the
+    /// node-indexed phase tags would leave the collective's tag window, so
+    /// such a communicator is served flat: the flat algorithms index their
+    /// tags by round, modulo the window.
     pub(crate) fn beneficial(&self) -> bool {
-        assert!(
-            self.groups.len() <= MAX_NODES,
-            "hierarchical collectives support at most {MAX_NODES} nodes ({} in this communicator)",
-            self.groups.len()
-        );
-        self.groups.len() >= 2 && self.groups.iter().any(|g| g.len() >= 2)
+        let nodes = self.groups.len();
+        (2..=MAX_NODES).contains(&nodes) && self.groups.iter().any(|g| g.len() >= 2)
     }
 
     fn leaders(&self) -> Vec<usize> {
@@ -338,11 +340,14 @@ pub(super) fn reduce(
 /// the node leader over shm (typed, straight out of the user buffer), the
 /// leader folds all local slices, the leaders allreduce the segment over
 /// the wire by reduce-scatter + allgather ([`Coll::allreduce_over`]), and
-/// the leader fans the reduced slice back out over shm into each member's
-/// `recvbuf` slice. Segment `s+1`'s fan-in receives are posted before
-/// segment `s` is combined, and fan-in/fan-out traffic is windowed by
-/// `MAX_INFLIGHT` segments, so shm, combine and wire time overlap across
-/// segments.
+/// the leader delivers the reduced segment into its own `recvbuf` slice
+/// and sends it from there, typed, into each member's. On a shared GPU
+/// that send is the engine's device-to-device scheme: one D2D per member,
+/// no H2D and no shm payload. A segment within the eager limit goes as the
+/// packed host bytes instead. Segment `s+1`'s fan-in receives are posted
+/// before segment `s` is combined, and fan-in/fan-out traffic is windowed
+/// by `MAX_INFLIGHT` segments, so shm, combine and wire time overlap
+/// across segments.
 pub(super) fn allreduce(
     cx: &mut Coll,
     h: &Hierarchy,
@@ -431,19 +436,29 @@ pub(super) fn allreduce(
         // are still fanning in.
         cx.allreduce_over(&leaders, seg, fold, t_rs(s), t_ag(s));
 
-        // Fan the reduced segment back out over shm; the engine's send
-        // state keeps the wire buffer alive until delivery.
-        if !members.is_empty() {
+        // Land the reduced segment once, in my own recvbuf, and fan it out
+        // from there: typed, so a member on my GPU copies it device to
+        // device. A segment the engine would send eagerly goes as the host
+        // bytes I hold — the eager path copies through host memory anyway.
+        let (eager, typed): (Vec<usize>, Vec<usize>) =
+            members.iter().partition(|&&m| sb <= cx.eager_limit(m));
+        let mut ids = Vec::new();
+        if !eager.is_empty() {
             let out = HostBuf::from_vec(seg.to_vec());
-            let ids = members
-                .iter()
-                .map(|&m| cx.send_bytes(&out, 0, sb, m, t_fanout(s)))
-                .collect();
+            for &m in &eager {
+                ids.push(cx.send_bytes(&out, 0, sb, m, t_fanout(s)));
+            }
+        }
+        let (dst, n) = (recvbuf.add(off), sb / psz);
+        cx.deliver(seg, &dst, n, dtype);
+        for &m in &typed {
+            ids.push(cx.send(dst.clone(), n, dtype, m, t_fanout(s)));
+        }
+        if !ids.is_empty() {
             fanout.push(cx, ids);
         }
     }
     fanout.drain(cx);
-    cx.deliver(&acc, recvbuf, count, dtype);
 }
 
 /// Hierarchical alltoallv. Four phases, all windowed:
@@ -675,4 +690,22 @@ pub(super) fn alltoallv(cx: &mut Coll, h: &Hierarchy, send: &Blocks, recv: &Bloc
     }
     cx.wait(a_send);
     cx.wait(d_ids);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `nodes` nodes, the first of them shared by two ranks.
+    fn one_shared_node(nodes: usize) -> Hierarchy {
+        let mut groups = vec![vec![0, 1]];
+        groups.extend((2..=nodes).map(|g| vec![g]));
+        Hierarchy { groups, my_node: 0 }
+    }
+
+    #[test]
+    fn a_world_past_max_nodes_is_served_flat() {
+        assert!(one_shared_node(MAX_NODES).beneficial());
+        assert!(!one_shared_node(MAX_NODES + 1).beneficial());
+    }
 }

@@ -330,6 +330,12 @@ impl<'a> Coll<'a> {
         self.comm.size()
     }
 
+    /// The size up to which a send to group rank `to` travels eagerly, as
+    /// packed host bytes.
+    pub(crate) fn eager_limit(&self, to: usize) -> usize {
+        self.eng.send_eager_limit(self.comm.world_rank_of(to))
+    }
+
     /// Post a send of `(buf, count, dtype)` to group rank `to`.
     pub(crate) fn send(
         &mut self,
@@ -510,8 +516,8 @@ impl<'a> Coll<'a> {
     /// exchange and takes the result back after it. The vector splits into
     /// blocks on element boundaries; a block may be empty, and an empty
     /// transfer is not posted. Every step moves disjoint spans through one
-    /// buffer, so a call allocates, and registers, one buffer however many
-    /// steps it takes.
+    /// buffer, the engine's [`coll_wire`](Engine::coll_wire), so repeated
+    /// calls register it once however many steps they take.
     pub(crate) fn allreduce_over(
         &mut self,
         members: &[usize],
@@ -532,7 +538,7 @@ impl<'a> Coll<'a> {
         let pof2 = 1 << p.ilog2();
         let rem = p - pof2;
         let member = |v: usize| members[if v < rem { 2 * v + 1 } else { v + rem }];
-        let wire = HostBuf::alloc(n);
+        let wire = self.eng.coll_wire(n);
         let all = (0, n);
         let none = (0, 0);
 
@@ -997,8 +1003,10 @@ impl Comm {
     /// hierarchical path pipelines per 64 KiB segment: pack → shm fan-in
     /// and combine at the node leader → the leaders allreduce the segment
     /// over the wire by reduce-scatter + allgather
-    /// ([`Coll::allreduce_over`]) → shm fan-out, so a segment's wire time
-    /// overlaps the next segment's pack and combine.
+    /// ([`Coll::allreduce_over`]) → the leader lands it in its own
+    /// `recvbuf` and fans it out from there (device to device for members
+    /// on its GPU), so a segment's wire time overlaps the next segment's
+    /// pack and combine.
     pub fn allreduce(
         &self,
         sendbuf: impl Into<Loc>,

@@ -339,6 +339,9 @@ pub(crate) struct Engine {
     next_ctx: u16,
     /// Bounded registration cache for rendezvous user buffers.
     reg_cache: RegCache,
+    /// The exchange buffer of the collectives' `allreduce_over`, kept
+    /// across calls so repeated allreduces hit `reg_cache`.
+    coll_wire: Option<HostBuf>,
     /// Online block-size search (drives `ChunkPolicy::Adaptive`).
     tuner: ChunkTuner,
     /// What the stale-packet rule answers retransmits from.
@@ -423,6 +426,7 @@ impl Engine {
             seeded_bug_fired: false,
             next_ctx: 2,
             reg_cache: RegCache::new(),
+            coll_wire: None,
             tuner,
             replay: Replay::default(),
             trace,
@@ -446,6 +450,21 @@ impl Engine {
         let id = self.next_req;
         self.next_req += 1;
         id
+    }
+
+    /// The eager threshold of a send toward `peer`: the size up to which
+    /// its payload travels as packed host bytes.
+    pub(crate) fn send_eager_limit(&self, peer: usize) -> usize {
+        self.scheme.send_eager_limit(peer)
+    }
+
+    /// The collectives' exchange buffer, at least `len` bytes: the same
+    /// buffer on every call until a larger one is needed.
+    pub(crate) fn coll_wire(&mut self, len: usize) -> HostBuf {
+        match &self.coll_wire {
+            Some(buf) if buf.len() >= len => buf.clone(),
+            _ => self.coll_wire.insert(HostBuf::alloc(len)).clone(),
+        }
     }
 
     fn mpi_call_cost(&self) {

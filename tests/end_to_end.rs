@@ -483,6 +483,208 @@ fn hier_allreduce_on_uneven_placements() {
     }
 }
 
+/// A reduction's element type: values are small integers, so every fold
+/// is exact in each of them and the serial reference is one `i64` fold.
+#[derive(Clone, Copy, Debug)]
+enum Elem {
+    F32,
+    F64,
+    I32,
+}
+
+impl Elem {
+    fn dtype(self) -> Datatype {
+        let dt = match self {
+            Elem::F32 => Datatype::float(),
+            Elem::F64 => Datatype::double(),
+            Elem::I32 => Datatype::int(),
+        };
+        dt.commit();
+        dt
+    }
+
+    fn pack(self, vals: &[i64]) -> Vec<u8> {
+        match self {
+            Elem::F32 => scalars_to_bytes(&vals.iter().map(|&v| v as f32).collect::<Vec<_>>()),
+            Elem::F64 => scalars_to_bytes(&vals.iter().map(|&v| v as f64).collect::<Vec<_>>()),
+            Elem::I32 => scalars_to_bytes(&vals.iter().map(|&v| v as i32).collect::<Vec<_>>()),
+        }
+    }
+}
+
+/// Element `k` of `rank`'s operand under `op`: a product stays within
+/// ±2^ranks, anything else within ±8 per rank.
+fn operand(op: ReduceOp, rank: usize, k: usize) -> i64 {
+    match op {
+        ReduceOp::Prod => [1, -1, 2][(rank * 5 + k) % 3],
+        _ => term(rank, k) as i64,
+    }
+}
+
+/// Whether rank `r`'s buffers live on its node's GPU.
+type OnDevice = fn(usize) -> bool;
+
+/// `calls` hierarchical allreduces of `count` elements of `elem` under `op`
+/// on the placement `map` (rank → node), rank `r`'s buffers on its node's
+/// GPU when `device(r)`, under the collecting sanitizer and traced into
+/// `rec`. Every rank must hold the serial fold after every call, bit for
+/// bit. Returns each rank's `reg_cache.miss` count after every call.
+#[allow(clippy::too_many_arguments)]
+fn hier_allreduce_checked(
+    map: Vec<usize>,
+    elem: Elem,
+    op: ReduceOp,
+    count: usize,
+    device: OnDevice,
+    calls: usize,
+    rec: &Recorder,
+) -> Vec<Vec<u64>> {
+    let n = map.len();
+    let mut cfg = MpiConfig::default();
+    cfg.coll.algo = CollAlgo::Hier;
+    let what = format!("{map:?} {elem:?} {op:?} count {count}");
+    let want = {
+        let fold = |a: i64, b: i64| match op {
+            ReduceOp::Sum => a + b,
+            ReduceOp::Prod => a * b,
+            ReduceOp::Max => a.max(b),
+            ReduceOp::Min => a.min(b),
+        };
+        let vals: Vec<i64> = (0..count)
+            .map(|k| (1..n).fold(operand(op, 0, k), |a, r| fold(a, operand(op, r, k))))
+            .collect();
+        elem.pack(&vals)
+    };
+    let out = GpuCluster::new(n)
+        .topology(Topology::from_map(map.clone()))
+        .mpi_config(cfg)
+        .recorder(rec.clone())
+        .sanitizer(SanitizerMode::Collect)
+        .try_run(move |env| {
+            let me = env.comm.rank();
+            let dt = elem.dtype();
+            let mine: Vec<i64> = (0..count).map(|k| operand(op, me, k)).collect();
+            let (mine, bytes) = (elem.pack(&mine), count * dt.size());
+            let miss = format!("rank{me}.reg_cache.miss");
+            (0..calls)
+                .map(|_| {
+                    let got = if device(me) {
+                        let (send, recv) = (env.gpu.malloc(bytes), env.gpu.malloc(bytes));
+                        env.gpu.write_bytes(send, &mine);
+                        env.comm.allreduce(send, recv, count, &dt, op);
+                        env.gpu.read_bytes(recv, bytes)
+                    } else {
+                        let (send, recv) = (HostBuf::from_vec(mine.clone()), HostBuf::alloc(bytes));
+                        env.comm.allreduce(send.base(), recv.base(), count, &dt, op);
+                        recv.read(0, bytes)
+                    };
+                    let misses = env.recorder.metrics().get(&miss).copied().unwrap_or(0);
+                    (got, misses)
+                })
+                .collect::<Vec<_>>()
+        });
+    assert!(out.end.is_ok(), "{what}: {:?}", out.end);
+    assert!(out.reports.is_empty(), "{what}: {:#?}", out.reports);
+    let ranks = out.ranks.into_iter().enumerate();
+    ranks
+        .map(|(r, per_call)| {
+            let misses = per_call.into_iter().map(|(got, misses)| {
+                assert!(got == want, "{what}: rank {r} differs from the serial fold");
+                misses
+            });
+            misses.collect()
+        })
+        .collect()
+}
+
+#[test]
+fn hier_allreduce_fans_out_at_every_size_placement_and_residency() {
+    let (all, none): (OnDevice, OnDevice) = (|_| true, |_| false);
+    let (leaders, members): (OnDevice, OnDevice) = (|r| r % 4 == 0, |r| r % 4 != 0);
+    let two_by_four = || vec![0, 0, 0, 0, 1, 1, 1, 1];
+    let sum = (Elem::F32, ReduceOp::Sum);
+    let mut cases = vec![
+        // 8192 f32 is the shm eager limit exactly: the leader fans out the
+        // host bytes it holds. One more element, and three segments with a
+        // ragged 28 928-byte tail, fan out from the leader's recvbuf.
+        (two_by_four(), sum, 8192, all),
+        (two_by_four(), sum, 8193, all),
+        (two_by_four(), sum, 40_000, all),
+        // A one-rank node next to a three-rank one.
+        (vec![0, 1, 1, 1], sum, 40_000, all),
+        // Leaders on device with members on host, the reverse, all host.
+        (two_by_four(), sum, 40_000, leaders),
+        (two_by_four(), sum, 40_000, members),
+        (two_by_four(), sum, 40_000, none),
+    ];
+    for elem in [Elem::F64, Elem::I32] {
+        for op in [ReduceOp::Max, ReduceOp::Prod] {
+            cases.push((two_by_four(), (elem, op), 20_000, all));
+        }
+    }
+    for (map, (elem, op), count, device) in cases {
+        hier_allreduce_checked(map, elem, op, count, device, 1, &Recorder::off());
+    }
+}
+
+#[test]
+fn hier_allreduce_lands_the_result_once_per_node_gpu() {
+    // Two nodes of four ranks, two 64 KiB device allreduces: one segment
+    // each. Per call and node, the members' slices cross shm to the leader
+    // (3 x 64 KiB) and nothing else does: the result reaches the node's
+    // GPU by one H2D into the leader's recvbuf, and each member copies it
+    // device to device.
+    let (count, calls) = ((64 << 10) / 4, 2u64);
+    let rec = Recorder::new();
+    let misses = hier_allreduce_checked(
+        vec![0, 0, 0, 0, 1, 1, 1, 1],
+        Elem::F32,
+        ReduceOp::Sum,
+        count,
+        |_| true,
+        calls as usize,
+        &rec,
+    );
+    let ctrl = gpu_nc_repro::ib_sim::NetModel::qdr().ctrl_bytes as u64;
+    let spans = sim_trace::analysis::spans(&rec);
+    let count_spans = |scope: &str, lane: &str, name: Option<&str>| {
+        let on = spans
+            .iter()
+            .filter(|s| s.scope == scope && s.lane_name == lane);
+        on.filter(|s| name.is_none_or(|n| s.name == n)).count() as u64
+    };
+    let m = rec.metrics();
+    for node in 0..2 {
+        let scope = format!("node{node}");
+        let shm = m[&format!("{scope}.shm.bytes")];
+        let payload = shm - ctrl * count_spans(&scope, "shm", Some("ctrl"));
+        assert_eq!(
+            payload,
+            calls * 3 * (64 << 10),
+            "node {node}: shm payload bytes"
+        );
+        let gpu = format!("gpu{node}");
+        assert_eq!(
+            count_spans(&gpu, "h2d", None),
+            calls,
+            "node {node}: result H2Ds"
+        );
+        assert_eq!(
+            count_spans(&gpu, "d2d", None),
+            calls * 3,
+            "node {node}: D2D copies"
+        );
+    }
+    // The leaders' exchange buffer is registered on the first call only.
+    for leader in [0, 4] {
+        let m = &misses[leader];
+        assert_eq!(
+            m[1], m[0],
+            "rank {leader}: the second call missed the registration cache"
+        );
+    }
+}
+
 #[test]
 fn a_wake_that_matures_during_a_progress_pass_is_not_lost() {
     // A progress pass advances virtual time itself (device submit sleeps,
