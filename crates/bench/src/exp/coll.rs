@@ -271,6 +271,25 @@ pub fn coll_sweep(args: &Args) -> Doc {
                 arp.time_ms,
                 arf.time_ms
             );
+            // The same comparisons on the call alone, without the world's
+            // start-up floor: hier allreduce measures 0.41–0.64x flat's call
+            // time, and hier alltoallv at most 0.948x (64 ranks, ppn 8).
+            assert!(
+                arp.call_us <= 0.70 * arf.call_us,
+                "hier allreduce ({:.3} us) must take at most 0.70x the flat path's \
+                 call time ({:.3} us) at {n} ranks ppn={ppn}",
+                arp.call_us,
+                arf.call_us
+            );
+            let a2p = &cells[&("alltoallv", n, ppn, "hier")];
+            let a2f = &cells[&("alltoallv", n, ppn, "flat")];
+            assert!(
+                a2p.call_us < a2f.call_us,
+                "hier alltoallv ({:.3} us) must beat the flat path's call time \
+                 ({:.3} us) at {n} ranks ppn={ppn}",
+                a2p.call_us,
+                a2f.call_us
+            );
             // The leader funnel shifts traffic from the wire to the shm
             // channel: HCA bytes must drop as ppn grows, in step with the
             // shm bytes picked up.

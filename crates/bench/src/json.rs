@@ -4,6 +4,8 @@
 
 use std::fmt;
 
+use sim_trace::json::Escaped;
+
 /// A JSON value.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Json {
@@ -55,20 +57,7 @@ impl Json {
                 }
             }
             Json::Num(_) => write!(f, "null"),
-            Json::Str(s) => {
-                f.write_str("\"")?;
-                for c in s.chars() {
-                    match c {
-                        '"' => f.write_str("\\\"")?,
-                        '\\' => f.write_str("\\\\")?,
-                        '\n' => f.write_str("\\n")?,
-                        '\t' => f.write_str("\\t")?,
-                        c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-                        c => write!(f, "{c}")?,
-                    }
-                }
-                f.write_str("\"")
-            }
+            Json::Str(s) => write!(f, "\"{}\"", Escaped(s)),
             Json::Arr(v) if v.is_empty() => f.write_str("[]"),
             Json::Arr(v) => {
                 f.write_str("[\n")?;
@@ -83,7 +72,7 @@ impl Json {
             Json::Obj(kv) => {
                 f.write_str("{\n")?;
                 for (i, (k, v)) in kv.iter().enumerate() {
-                    write!(f, "{pad}\"{k}\": ")?;
+                    write!(f, "{pad}\"{}\": ", Escaped(k))?;
                     v.fmt_indented(f, depth + 1)?;
                     f.write_str(if i + 1 < kv.len() { ",\n" } else { "\n" })?;
                 }
@@ -180,5 +169,13 @@ mod tests {
     fn json_escapes_strings() {
         let j = Json::Str("a\"b\\c\nd".to_string());
         assert_eq!(j.to_string(), r#""a\"b\\c\nd""#);
+    }
+
+    #[test]
+    fn a_hostile_key_round_trips_through_the_parser() {
+        let key = "a\"b\\c\nd\u{1}";
+        let text = obj(&[(key, &1usize)]).to_string();
+        let doc = sim_trace::json::parse(&text).unwrap_or_else(|e| panic!("{e}: {text}"));
+        assert_eq!(doc.get(key).and_then(|v| v.as_f64()), Some(1.0));
     }
 }

@@ -25,6 +25,11 @@
 //! every member of a node holds identically — the allreduce's: the leader
 //! lands it once in its own `recvbuf` and fans it out from there, so
 //! members on the leader's GPU copy it device to device.
+//!
+//! In the reductions and the alltoallv, the leader's own contribution is a
+//! member's that never travels: it is staged in place ([`Coll::stage`],
+//! [`Coll::stage_blocks`]) where a member's would be sent, and its share
+//! of the result delivered in place where a member's would be received.
 
 use std::collections::HashMap;
 
@@ -252,22 +257,20 @@ pub(super) fn allgatherv(
     }
 
     if me == leader {
-        // Node aggregate sizes, and the local aggregate's member layout.
-        let nb: Vec<usize> = h
+        // Every node's aggregate (its members' blocks in group order); my
+        // node's fills from the fan-in, the others from the ring.
+        let aggs: Vec<HostBuf> = h
             .groups
             .iter()
-            .map(|grp| grp.iter().map(|&g| recv.bytes(g)).sum())
+            .map(|grp| HostBuf::alloc(grp.iter().map(|&g| recv.bytes(g)).sum()))
             .collect();
-        let mut aggs: Vec<Option<HostBuf>> = (0..nn).map(|_| None).collect();
-        let mine = HostBuf::alloc(nb[h.my_node]);
         let mut off = 0;
         let mut gids = Vec::new();
         for &g in my_group {
-            gids.push(cx.recv_bytes(&mine, off, recv.bytes(g), g, T_IN));
+            gids.push(cx.recv_bytes(&aggs[h.my_node], off, recv.bytes(g), g, T_IN));
             off += recv.bytes(g);
         }
         cx.wait(gids);
-        aggs[h.my_node] = Some(mine);
 
         // Ring over node aggregates among the leaders.
         let li = h.my_node;
@@ -277,12 +280,9 @@ pub(super) fn allgatherv(
             let sx = (li + nn - step) % nn;
             let rx = (li + nn - step - 1) % nn;
             let t = T_RING + step as u32;
-            let inbuf = HostBuf::alloc(nb[rx]);
-            let rid = cx.recv_bytes(&inbuf, 0, nb[rx], left, t);
-            let send_from = aggs[sx].as_ref().expect("ring block already arrived");
-            let sid = cx.send_bytes(send_from, 0, nb[sx], right, t);
+            let rid = cx.recv_bytes(&aggs[rx], 0, aggs[rx].len(), left, t);
+            let sid = cx.send_bytes(&aggs[sx], 0, aggs[sx].len(), right, t);
             cx.wait(vec![rid, sid]);
-            aggs[rx] = Some(inbuf);
         }
 
         // Fan every node's aggregate out to each co-located member (self
@@ -290,8 +290,7 @@ pub(super) fn allgatherv(
         let mut win = ReqWindow::default();
         for &d in my_group {
             for (x, agg) in aggs.iter().enumerate() {
-                let agg = agg.as_ref().expect("ring delivered every aggregate");
-                let id = cx.send_bytes(agg, 0, nb[x], d, T_OUT + x as u32);
+                let id = cx.send_bytes(agg, 0, agg.len(), d, T_OUT + x as u32);
                 win.push(cx, vec![id]);
             }
         }
@@ -464,232 +463,166 @@ pub(super) fn allreduce(
 /// Hierarchical alltoallv. Four phases, all windowed:
 ///
 /// * **metadata** — members ship their per-peer byte counts to the node
-///   leader (16·P bytes), so the leader can size every aggregate without
-///   global communication;
+///   leader (16·P bytes), which keeps one send-bytes and one receive-bytes
+///   row per local member: the one place the aggregates' layout is decided;
 /// * **A (fan-in)** — every member sends its leader one hindexed message
 ///   gathering all its blocks straight out of `sendbuf`, for every rank in
-///   node order (its own node and itself included); the leader stages its
-///   own such stream in place;
-/// * **B/C (wire)** — leaders exchange per-node aggregates pairwise: one
-///   wire message per node pair instead of ppn² rank pairs. The leader
-///   assembles its own node's aggregate like a remote one and keeps it;
-/// * **D (fan-out)** — the leader slices every node's aggregate per member
-///   and ships each member its blocks, which land at their displacements
-///   via one hindexed receive; its own it delivers in place.
+///   node order (its own node and itself included);
+/// * **B/C (wire)** — the leader cuts the fan-in streams into per-node
+///   aggregates in one pass, and leaders exchange them pairwise: one wire
+///   message per node pair instead of ppn² rank pairs. The leader keeps its
+///   own node's aggregate;
+/// * **D (fan-out)** — the leader deals every node's aggregate into
+///   per-member payloads in one pass and ships each member its payload,
+///   which lands at its displacements via one hindexed receive.
 ///
-/// A member thus posts two data messages whatever the ppn: a device buffer
-/// pays one pack and one unpack, not one per co-located peer.
+/// The leader's own stream and payload are a member's that never travel:
+/// [`Coll::stage_blocks`] and [`Coll::deliver_blocks`]. A member thus posts
+/// two data messages whatever the ppn: a device buffer pays one pack and one
+/// unpack, not one per co-located peer.
 pub(super) fn alltoallv(cx: &mut Coll, h: &Hierarchy, send: &Blocks, recv: &Blocks) {
-    let me = cx.rank();
     let size = cx.size();
-    let sb: Vec<usize> = (0..size).map(|j| send.bytes(j)).collect();
-    let rb: Vec<usize> = (0..size).map(|j| recv.bytes(j)).collect();
-    let nn = h.groups.len();
-    let my_group = h.my_group();
-    let nl = my_group.len();
-    let mi = my_group
-        .iter()
-        .position(|&g| g == me)
-        .expect("calling rank is in its own node group");
+    let (nn, my_group) = (h.groups.len(), h.my_group());
     let leader = my_group[0];
-    let is_leader = mi == 0;
     const T_META: u32 = 1;
     const T_WIRE: u32 = 2;
     const T_FANIN: u32 = 4096;
     const T_FANOUT: u32 = 8192;
+    // A fan-in stream holds blocks for, and a payload blocks from, every
+    // rank in node order, then group order.
+    let ranks = || h.groups.iter().flatten().copied();
+    let sb: Vec<usize> = (0..size).map(|j| send.bytes(j)).collect();
+    let rb: Vec<usize> = (0..size).map(|j| recv.bytes(j)).collect();
 
-    // --- Metadata: the leader learns every local member's per-peer send
-    // and receive byte counts (its own it knows locally). Serialized as
-    // u64 LE: scounts-bytes then rcounts-bytes.
-    let mut member_sb: Vec<Vec<usize>> = vec![Vec::new(); nl];
-    let mut member_rb: Vec<Vec<usize>> = vec![Vec::new(); nl];
-    member_sb[mi] = sb.clone();
-    member_rb[mi] = rb.clone();
-    if !is_leader {
-        let mut ser = Vec::with_capacity(16 * size);
-        for v in sb.iter().chain(rb.iter()) {
-            ser.extend_from_slice(&(*v as u64).to_le_bytes());
-        }
-        let mbuf = HostBuf::from_vec(ser);
-        let id = cx.send_bytes(&mbuf, 0, 16 * size, leader, T_META);
+    if cx.rank() != leader {
+        // Send and receive byte counts as u64 LE, then one stream out and
+        // one payload in. Each view's datatype is dropped once posted: held
+        // across the waits, every member's cached layout plans would be
+        // resident at once.
+        let ser = sb.iter().chain(&rb).flat_map(|&v| (v as u64).to_le_bytes());
+        let meta = HostBuf::from_vec(ser.collect());
+        let id = cx.send_bytes(&meta, 0, 16 * size, leader, T_META);
         cx.wait(vec![id]);
-    } else if nl > 1 {
-        let bufs: Vec<HostBuf> = (1..nl).map(|_| HostBuf::alloc(16 * size)).collect();
-        let metas = bufs.iter().zip(&my_group[1..]);
-        let ids = metas
+        let a = {
+            let (loc, n, dt) = send.view(ranks());
+            cx.send(loc, n, &dt, leader, T_FANIN)
+        };
+        let d = {
+            let (loc, n, dt) = recv.view(ranks());
+            cx.recv(loc, n, &dt, leader, T_FANOUT)
+        };
+        cx.wait(vec![a]);
+        cx.wait(vec![d]);
+        return;
+    }
+
+    // --- Metadata: row i is member i's (the leader's own first) bytes to
+    // and from every rank.
+    let members = &my_group[1..];
+    let metas: Vec<HostBuf> = members.iter().map(|_| HostBuf::alloc(16 * size)).collect();
+    if !members.is_empty() {
+        let posts = metas.iter().zip(members);
+        let ids = posts
             .map(|(buf, &m)| cx.recv_bytes(buf, 0, 16 * size, m, T_META))
             .collect();
         cx.wait(ids);
-        let word = |raw: &[u8], j: usize| {
-            u64::from_le_bytes(raw[8 * j..8 * j + 8].try_into().unwrap()) as usize
+    }
+    let (mut sbytes, mut rbytes) = (vec![sb], vec![rb]);
+    for buf in &metas {
+        let raw = buf.read(0, 16 * size);
+        let word = |j: usize| {
+            let bytes = raw[8 * j..8 * j + 8].try_into();
+            u64::from_le_bytes(bytes.expect("a count is 8 bytes"))
         };
-        for (i, buf) in bufs.iter().enumerate() {
-            let raw = buf.read(0, 16 * size);
-            member_sb[i + 1] = (0..size).map(|j| word(&raw, j)).collect();
-            member_rb[i + 1] = (0..size).map(|j| word(&raw, size + j)).collect();
-        }
+        sbytes.push((0..size).map(|j| word(j) as usize).collect());
+        rbytes.push((size..2 * size).map(|j| word(j) as usize).collect());
     }
 
-    // The leader's own stream is no message: host-primitive buffers are
-    // spliced into the aggregates with plain copies, anything else is
-    // staged in place (`Coll::stage`/`deliver`).
-    let s_host = send.host().filter(|_| is_leader);
-    let r_host = recv.host().filter(|_| is_leader);
-
-    // --- Fan-in layout: each member ships its leader ONE message — an
-    // hindexed gather of every block in `sendbuf`, ordered by destination
-    // node (ascending), then by destination rank in that node's group
-    // order. One message per member (instead of one per member x node, or
-    // one per co-located peer) keeps the per-message protocol and device
-    // copy costs from swamping the aggregation win; the leader re-slices
-    // the streams into per-node aggregates with local copies.
-    let ranks = || h.groups.iter().flatten().copied();
-    // member i's section offset for node y in its fan-in stream.
-    let section_off = |i: usize, y: usize| -> usize {
-        let before = h.groups[..y].iter().flatten();
-        before.map(|&j| member_sb[i][j]).sum()
-    };
-
-    // --- Phase A receives (leader): one stream per other local member.
-    let mut a_ids: Vec<ReqId> = Vec::new();
-    let mut a_scratch: Vec<Option<HostBuf>> = (0..nl).map(|_| None).collect();
-    if is_leader {
-        for (i, &m) in my_group.iter().enumerate().skip(1) {
-            let total = member_sb[i].iter().sum();
-            let buf = HostBuf::alloc(total);
-            a_ids.push(cx.recv_bytes(&buf, 0, total, m, T_FANIN));
-            a_scratch[i] = Some(buf);
-        }
+    // --- Phase A receives: one stream per member.
+    let mut streams = Vec::new();
+    let mut a_ids = Vec::new();
+    for (row, &m) in sbytes[1..].iter().zip(members) {
+        let buf = HostBuf::alloc(row.iter().sum());
+        a_ids.push(cx.recv_bytes(&buf, 0, buf.len(), m, T_FANIN));
+        streams.push(buf);
     }
 
-    // --- Phase A send (every member).
-    let mut a_send = Vec::new();
-    if !is_leader {
-        let (loc, n, dt) = send.view(ranks());
-        a_send.push(cx.send(loc, n, &dt, leader, T_FANIN));
-    }
+    // --- Phase C receives, posted before any waiting so peer leaders'
+    // aggregates stream in while this node's fan-in is still draining (an
+    // unposted receive would park inbound transfers at RTS and serialize
+    // the leaders against each other). Node X's aggregate holds, per
+    // member s of X in group order, s's blocks for my node's members in
+    // group order, block (s -> d) being `rbytes[d][s]` bytes (the
+    // byte-total contract makes the sender's counts and ours agree).
+    let from = |s: usize| -> usize { rbytes.iter().map(|row| row[s]).sum() };
+    let mut aggs: Vec<HostBuf> = h
+        .groups
+        .iter()
+        .map(|grp| HostBuf::alloc(grp.iter().map(|&s| from(s)).sum()))
+        .collect();
+    let remote = (0..nn).filter(|&x| x != h.my_node);
+    let c_ids = remote
+        .map(|x| cx.recv_bytes(&aggs[x], 0, aggs[x].len(), h.groups[x][0], T_WIRE))
+        .collect();
+    streams.insert(0, HostBuf::from_vec(cx.stage_blocks(send, ranks())));
+    cx.wait(a_ids);
 
-    // --- Phase D receive (every rank), posted before anything blocks: ONE
-    // hindexed message from my leader scattering every block to its
-    // displacement, ordered by source node (ascending), then by source
-    // rank in group order. The leader delivers its own share in place.
-    let mut d_ids = Vec::new();
-    if !is_leader {
-        let (loc, n, dt) = recv.view(ranks());
-        d_ids.push(cx.recv(loc, n, &dt, leader, T_FANOUT));
-    }
-
-    if is_leader {
-        // --- Phase C receives, posted before any waiting so peer leaders'
-        // aggregates stream in while this node's fan-in is still draining
-        // (an unposted receive would park inbound transfers at RTS and
-        // serialize the leaders against each other).
-        let mut in_agg: Vec<Option<HostBuf>> = (0..nn).map(|_| None).collect();
-        let mut c_ids = Vec::new();
-        for x in (0..nn).filter(|&x| x != h.my_node) {
-            let total: usize = h.groups[x]
-                .iter()
-                .map(|&s| (0..nl).map(|i| member_rb[i][s]).sum::<usize>())
-                .sum();
-            let buf = HostBuf::alloc(total);
-            c_ids.push(cx.recv_bytes(&buf, 0, total, h.groups[x][0], T_WIRE));
-            in_agg[x] = Some(buf);
-        }
-
-        // The leader's own fan-in stream, unless spliced during assembly.
-        if s_host.is_none() {
-            let (loc, n, dt) = send.view(ranks());
-            a_scratch[0] = Some(HostBuf::from_vec(cx.stage(&loc, n, &dt)));
-        }
-        cx.wait(a_ids);
-
-        // --- Assemble per-node aggregates, this node's too: span per local
-        // member (group order), each span that member's blocks for Y's
-        // members in group order — copied out of the fan-in streams (or
-        // straight out of sendbuf for the leader's own span).
-        let mut out_agg: Vec<Option<HostBuf>> = (0..nn).map(|_| None).collect();
-        for (y, grp) in h.groups.iter().enumerate() {
-            let spans: Vec<usize> = (0..nl)
-                .map(|i| grp.iter().map(|&j| member_sb[i][j]).sum())
-                .collect();
-            let buf = HostBuf::alloc(spans.iter().sum());
-            let mut cur = 0usize;
-            for (i, &span) in spans.iter().enumerate() {
-                if let (0, Some(src)) = (i, s_host) {
-                    let mut off = cur;
-                    for &j in grp.iter().filter(|&&j| sb[j] > 0) {
-                        HostBuf::copy(&src.add(send.displs[j]), &buf.ptr(off), sb[j]);
-                        off += sb[j];
-                    }
-                } else {
-                    let src = a_scratch[i].as_ref().expect("fan-in stream present");
-                    HostBuf::copy(&src.ptr(section_off(i, y)), &buf.ptr(cur), span);
-                }
-                cur += span;
+    // --- Assemble every node's aggregate in one pass: node Y's holds,
+    // per local member in group order, that member's blocks for Y's
+    // members — the next section of its stream.
+    let mut at = vec![0; my_group.len()];
+    let out: Vec<HostBuf> = h
+        .groups
+        .iter()
+        .map(|grp| {
+            let spans = sbytes.iter().map(|row| grp.iter().map(|&j| row[j]).sum());
+            let spans: Vec<usize> = spans.collect();
+            let agg = HostBuf::alloc(spans.iter().sum());
+            let mut off = 0;
+            for ((stream, at), span) in streams.iter().zip(&mut at).zip(spans) {
+                HostBuf::copy(&stream.ptr(*at), &agg.ptr(off), span);
+                (*at, off) = (*at + span, off + span);
             }
-            out_agg[y] = Some(buf);
-        }
-        in_agg[h.my_node] = out_agg[h.my_node].take();
+            agg
+        })
+        .collect();
+    aggs[h.my_node] = out[h.my_node].clone();
 
-        // --- Phase B sends: one aggregate per remote node, in shifted
-        // order so no two leaders hammer the same target.
-        let mut b_win = ReqWindow::default();
-        for r in 1..nn {
-            let y = (h.my_node + r) % nn;
-            let buf = out_agg[y].as_ref().expect("assembled above");
-            let id = cx.send_bytes(buf, 0, buf.len(), h.groups[y][0], T_WIRE);
-            b_win.push(cx, vec![id]);
-        }
-
-        cx.wait(c_ids);
-
-        // --- Phase D sends: ONE message per local member, concatenating
-        // its blocks from every node's aggregate in source-node order —
-        // the exact stream its hindexed receive scatters to its
-        // displacements. Aggregate layout (fixed by the sender's phase
-        // A/assembly): spans per source member in X's group order; within
-        // a span, blocks for my node's members in group order, block
-        // (s -> d) being `member_rb[d][s]` bytes (the byte-total contract
-        // makes the sender's counts and ours agree). The leader's own
-        // stream is delivered in place once the members' are posted.
-        let mut d_win = ReqWindow::default();
-        let mut own = Vec::new();
-        for di in 0..nl {
-            let splice = r_host.filter(|_| di == 0);
-            let mut payload: Vec<u8> = Vec::new();
-            for (grp, buf) in h.groups.iter().zip(&in_agg) {
-                let buf = buf.as_ref().expect("every node's aggregate is here");
-                let mut base = 0usize;
-                for &s in grp {
-                    let within: usize = (0..di).map(|i| member_rb[i][s]).sum();
-                    let len = member_rb[di][s];
-                    if len > 0 {
-                        let bytes = buf.read(base + within, len);
-                        match splice {
-                            Some(dst) => dst.add(recv.displs[s]).write(&bytes),
-                            None => payload.extend_from_slice(&bytes),
-                        }
-                    }
-                    base += (0..nl).map(|i| member_rb[i][s]).sum::<usize>();
-                }
-            }
-            if di == 0 {
-                own = payload;
-                continue;
-            }
-            let out = HostBuf::from_vec(payload);
-            let id = cx.send_bytes(&out, 0, out.len(), my_group[di], T_FANOUT);
-            d_win.push(cx, vec![id]);
-        }
-        if r_host.is_none() {
-            let (loc, n, dt) = recv.view(ranks());
-            cx.deliver(&own, &loc, n, &dt);
-        }
-        b_win.drain(cx);
-        d_win.drain(cx);
+    // --- Phase B sends: one aggregate per remote node, in shifted order so
+    // no two leaders hammer the same target.
+    let mut b_win = ReqWindow::default();
+    for r in 1..nn {
+        let y = (h.my_node + r) % nn;
+        let id = cx.send_bytes(&out[y], 0, out[y].len(), h.groups[y][0], T_WIRE);
+        b_win.push(cx, vec![id]);
     }
-    cx.wait(a_send);
-    cx.wait(d_ids);
+    cx.wait(c_ids);
+
+    // --- Phase D: deal every node's aggregate into per-member payloads in
+    // one pass, then ship each member ONE message — the exact stream its
+    // hindexed receive scatters to its displacements.
+    let mut payloads = vec![Vec::new(); my_group.len()];
+    for (grp, agg) in h.groups.iter().zip(aggs) {
+        let raw = agg.read(0, agg.len());
+        let mut off = 0;
+        for &s in grp {
+            for (payload, row) in payloads.iter_mut().zip(&rbytes) {
+                payload.extend_from_slice(&raw[off..off + row[s]]);
+                off += row[s];
+            }
+        }
+    }
+    let mut payloads = payloads.into_iter();
+    let own = payloads.next().expect("the leader's own payload");
+    let mut d_win = ReqWindow::default();
+    for (payload, &m) in payloads.zip(members) {
+        let buf = HostBuf::from_vec(payload);
+        let id = cx.send_bytes(&buf, 0, buf.len(), m, T_FANOUT);
+        d_win.push(cx, vec![id]);
+    }
+    cx.deliver_blocks(&own, recv, ranks());
+    b_win.drain(cx);
+    d_win.drain(cx);
 }
 
 #[cfg(test)]

@@ -165,9 +165,6 @@ impl Fold<'_> {
 /// host reads and writes — host memory and a primitive datatype. Everything
 /// else (device buffers, derived datatypes) goes through the buffer's own
 /// pack or unpack, as [`Coll::stage`] and [`Coll::deliver`] run it.
-///
-/// Node-leader algorithms use this to splice the leader's *own* blocks
-/// straight into an aggregate, without even a packed copy.
 fn host_direct<'a>(loc: &'a Loc, dtype: &Datatype) -> Option<&'a HostPtr> {
     match loc {
         Loc::Host(p) if dtype.primitive_name().is_some() => Some(p),
@@ -242,12 +239,6 @@ impl<'a> Blocks<'a> {
         let dt = Datatype::hindexed(&blocks, self.dtype);
         dt.commit();
         (self.buf.clone(), 1, dt)
-    }
-
-    /// The buffer as plain host memory, when [`host_direct`] allows; peer
-    /// `j`'s block is then `bytes(j)` bytes at `host.add(displs[j])`.
-    pub(crate) fn host(&self) -> Option<&HostPtr> {
-        host_direct(self.buf, self.dtype)
     }
 }
 
@@ -443,6 +434,45 @@ impl<'a> Coll<'a> {
         sink.chunk_arrived(0, scratch.base(), data.len());
         let ready = |_: &mut Engine| sink.finished().then_some(());
         self.eng.block_until_or(|| sink.next_event(), ready);
+    }
+
+    /// The packed bytes of the listed peers' blocks, in order: what the
+    /// [`Blocks::view`] of them would send, without a message. Plain host
+    /// copies when the buffer is host-primitive ([`host_direct`]), else
+    /// [`stage`](Coll::stage) of the view.
+    pub(crate) fn stage_blocks(
+        &mut self,
+        b: &Blocks,
+        peers: impl Iterator<Item = usize>,
+    ) -> Vec<u8> {
+        if let Some(p) = host_direct(b.buf, b.dtype) {
+            let blocks = peers.filter(|&j| b.counts[j] > 0);
+            return blocks
+                .flat_map(|j| p.add(b.displs[j]).read(b.bytes(j)))
+                .collect();
+        }
+        let (loc, n, dt) = b.view(peers);
+        self.stage(&loc, n, &dt)
+    }
+
+    /// The inverse of [`stage_blocks`](Coll::stage_blocks): `data` is the
+    /// listed peers' blocks, packed in order.
+    pub(crate) fn deliver_blocks(
+        &mut self,
+        data: &[u8],
+        b: &Blocks,
+        peers: impl Iterator<Item = usize>,
+    ) {
+        if let Some(p) = host_direct(b.buf, b.dtype) {
+            let mut at = 0;
+            for j in peers.filter(|&j| b.counts[j] > 0) {
+                p.add(b.displs[j]).write(&data[at..at + b.bytes(j)]);
+                at += b.bytes(j);
+            }
+            return;
+        }
+        let (loc, n, dt) = b.view(peers);
+        self.deliver(data, &loc, n, &dt);
     }
 
     /// Fold one packed contribution from every rank in `sources`, in order,

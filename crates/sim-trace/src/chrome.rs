@@ -6,25 +6,8 @@
 //! complete events (`ph: "X"`, microsecond `ts`/`dur`), instants as `ph:
 //! "i"` (thread scope) and gauges as counter events (`ph: "C"`).
 
-use std::fmt::Write as _;
-
+use crate::json::Escaped;
 use crate::recorder::{EventKind, Recorder};
-
-fn escape(s: &str, out: &mut String) {
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-}
 
 /// Render every retained event as a Chrome `trace_event` JSON document.
 pub fn chrome_trace(rec: &Recorder) -> String {
@@ -60,8 +43,7 @@ pub fn chrome_trace(rec: &Recorder) -> String {
         out.push_str(&line);
     };
     for (i, scope) in scopes.iter().enumerate() {
-        let mut name = String::new();
-        escape(scope, &mut name);
+        let name = Escaped(scope);
         push(
             format!(
                 "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{},\"tid\":0,\
@@ -73,8 +55,7 @@ pub fn chrome_trace(rec: &Recorder) -> String {
         );
     }
     for (id, meta) in lanes.iter().enumerate() {
-        let mut name = String::new();
-        escape(&meta.name, &mut name);
+        let name = Escaped(&meta.name);
         push(
             format!(
                 "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{},\"tid\":{},\
@@ -96,8 +77,7 @@ pub fn chrome_trace(rec: &Recorder) -> String {
                 start,
                 end,
             } => {
-                let mut n = String::new();
-                escape(name, &mut n);
+                let n = Escaped(name);
                 let args = match chunk {
                     Some(c) => format!("{{\"chunk\":{c}}}"),
                     None => "{}".to_string(),
@@ -110,8 +90,7 @@ pub fn chrome_trace(rec: &Recorder) -> String {
                 )
             }
             EventKind::Instant { name, at } => {
-                let mut n = String::new();
-                escape(name, &mut n);
+                let n = Escaped(name);
                 format!(
                     "{{\"name\":\"{n}\",\"cat\":\"{cat}\",\"ph\":\"i\",\"s\":\"t\",\
                      \"ts\":{},\"pid\":{pid},\"tid\":{tid}}}",
@@ -119,8 +98,7 @@ pub fn chrome_trace(rec: &Recorder) -> String {
                 )
             }
             EventKind::Gauge { at, value } => {
-                let mut n = String::new();
-                escape(&lanes[id].name, &mut n);
+                let n = Escaped(&lanes[id].name);
                 format!(
                     "{{\"name\":\"{n}\",\"cat\":\"{cat}\",\"ph\":\"C\",\
                      \"ts\":{},\"pid\":{pid},\"args\":{{\"value\":{value}}}}}",

@@ -1,10 +1,35 @@
-//! A minimal JSON parser (the workspace is offline — no serde).
+//! A minimal JSON parser (the workspace is offline — no serde), and the
+//! string escaper every JSON writer in the workspace shares ([`Escaped`]).
 //!
 //! Used to validate exported Chrome traces and to read checked-in benchmark
 //! references (e.g. `results/BENCH_pipeline.json`) in regression tests.
 //! Accepts strict JSON; numbers parse via `str::parse::<f64>`, which is
 //! correctly rounded, so values printed with Rust's shortest-round-trip
 //! float formatting compare bit-exactly after a parse round trip.
+
+use std::fmt;
+
+/// `s` as the body of a JSON string literal (the quotes not included):
+/// `"`, `\` and control characters escaped. The one escaper for every
+/// JSON this workspace writes.
+pub struct Escaped<'a>(pub &'a str);
+
+impl fmt::Display for Escaped<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        for c in self.0.chars() {
+            match c {
+                '"' => f.write_str("\\\"")?,
+                '\\' => f.write_str("\\\\")?,
+                '\n' => f.write_str("\\n")?,
+                '\r' => f.write_str("\\r")?,
+                '\t' => f.write_str("\\t")?,
+                c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
+                c => write!(f, "{c}")?,
+            }
+        }
+        Ok(())
+    }
+}
 
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]

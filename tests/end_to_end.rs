@@ -847,6 +847,55 @@ fn ragged(src: usize, dst: usize) -> usize {
     1 + (src * 5 + dst * 3) % 7
 }
 
+/// `(case, slowest rank's ns inside the call, HCA tx bytes)` for every
+/// hierarchical alltoallv the three tests below run, captured before the
+/// alltoallv was rewritten around the leader's per-member byte-count rows.
+/// `scripts/ci.sh`'s `coll_256` smoke pin is the only other number that
+/// watches the timing of a device or derived-type alltoallv. To re-capture
+/// on purpose, run the three tests: each failure message is its rows of
+/// the new table.
+const PINNED_A2A: &[(&str, u64, u64)] = &[
+    ("uneven map 0 (false, false) rows 1", 7349, 2000),
+    ("uneven map 0 (false, false) rows 3", 9076, 3184),
+    ("uneven map 0 (true, true) rows 1", 143644, 2000),
+    ("uneven map 0 (true, true) rows 3", 144712, 3184),
+    ("uneven map 1 (false, false) rows 1", 8601, 3872),
+    ("uneven map 1 (false, false) rows 3", 10609, 6112),
+    ("uneven map 1 (true, true) rows 1", 143167, 3872),
+    ("uneven map 1 (true, true) rows 3", 144610, 6112),
+    ("sparse (false, false) rows 1", 7242, 1896),
+    ("sparse (true, true) rows 1", 181337, 1896),
+    ("sparse (true, true) rows 2", 181718, 2384),
+    ("mixed (false, true)", 106789, 3872),
+    ("mixed (true, false)", 105664, 3872),
+];
+
+/// [`a2a_checked`] under `CollAlgo::Hier`, as a row of [`PINNED_A2A`].
+fn a2a_row(
+    case: String,
+    map: &[usize],
+    dev: (bool, bool),
+    rows: usize,
+    cnt: impl Fn(usize, usize) -> usize + Copy + Send + Sync + 'static,
+) -> (String, u64, u64) {
+    let topo = Topology::from_map(map.to_vec());
+    let (took, hca) = a2a_checked(topo, CollAlgo::Hier, dev, rows, cnt);
+    (case, took.as_nanos(), hca)
+}
+
+fn assert_a2a_pinned(got: &[(String, u64, u64)]) {
+    let pinned = |case: &str| PINNED_A2A.iter().find(|p| p.0 == case);
+    let table: String = got
+        .iter()
+        .map(|(case, ns, hca)| format!("    (\"{case}\", {ns}, {hca}),\n"))
+        .collect();
+    assert!(
+        got.iter()
+            .all(|(case, ns, hca)| pinned(case) == Some(&(case.as_str(), *ns, *hca))),
+        "a hier alltoallv's virtual time or HCA bytes moved; its rows are now\n{table}"
+    );
+}
+
 #[test]
 fn hier_alltoallv_on_uneven_placements() {
     // Mixed ppn, a node of one rank (its rank is its own leader with no
@@ -864,17 +913,14 @@ fn hier_alltoallv_on_uneven_placements() {
         ((true, true), 1),
         ((true, true), 3),
     ];
-    for map in maps {
+    let mut got = Vec::new();
+    for (m, map) in maps.iter().enumerate() {
         for (dev, rows) in cases {
-            a2a_checked(
-                Topology::from_map(map.clone()),
-                CollAlgo::Hier,
-                dev,
-                rows,
-                ragged,
-            );
+            let case = format!("uneven map {m} {dev:?} rows {rows}");
+            got.push(a2a_row(case, map, dev, rows, ragged));
         }
     }
+    assert_a2a_pinned(&got);
 }
 
 #[test]
@@ -890,32 +936,28 @@ fn hier_alltoallv_with_empty_intra_node_and_self_blocks() {
             ragged(s, d)
         }
     };
-    for (dev, rows) in [((false, false), 1), ((true, true), 1), ((true, true), 2)] {
-        a2a_checked(
-            Topology::from_map(map.to_vec()),
-            CollAlgo::Hier,
-            dev,
-            rows,
-            sparse,
-        );
-    }
+    let got: Vec<_> = [((false, false), 1), ((true, true), 1), ((true, true), 2)]
+        .into_iter()
+        .map(|(dev, rows)| {
+            let case = format!("sparse {dev:?} rows {rows}");
+            a2a_row(case, &map, dev, rows, sparse)
+        })
+        .collect();
+    assert_a2a_pinned(&got);
 }
 
 #[test]
 fn hier_alltoallv_across_residencies() {
     // Host ints on one side and device memory on the other, both ways: a
-    // leader splices its own node's blocks out of (or into) the host side
-    // and loops the device side through the pack pipeline.
-    let map = vec![0, 1, 0, 2, 2, 0, 3, 2, 3, 2];
-    for dev in [(false, true), (true, false)] {
-        a2a_checked(
-            Topology::from_map(map.clone()),
-            CollAlgo::Hier,
-            dev,
-            1,
-            ragged,
-        );
-    }
+    // leader gathers its own node's blocks out of (or scatters them into)
+    // the host side with plain copies and runs the device side through the
+    // pack pipeline.
+    let map = [0, 1, 0, 2, 2, 0, 3, 2, 3, 2];
+    let got: Vec<_> = [(false, true), (true, false)]
+        .into_iter()
+        .map(|dev| a2a_row(format!("mixed {dev:?}"), &map, dev, 1, ragged))
+        .collect();
+    assert_a2a_pinned(&got);
 }
 
 #[test]
