@@ -16,6 +16,12 @@
 //! hierarchical fan-out lands each segment once in the leader's recvbuf and
 //! the co-located members copy it device to device.
 //!
+//! A third table, `world_floor_us`, is the floor under every cell's
+//! `time_ms`: per rank count and ppn, the end of a world whose ranks only
+//! start up, and of one that also runs a barrier. Start-up is MPI_Init's
+//! one registration of the vbuf pool, and the guard holds it there to the
+//! nanosecond.
+//!
 //! `--smoke` runs the 64-rank column and the 64 KiB device rows, with the
 //! same guards.
 
@@ -23,6 +29,7 @@ use std::collections::BTreeMap;
 
 use gpu_sim::Loc;
 use hostmem::{bytes_to_scalars, scalars_to_bytes, HostBuf};
+use ib_sim::NetModel;
 use mpi_sim::{CollAlgo, Comm, Datatype, MpiConfig, ReduceOp};
 use mv2_gpu_nc::{GpuCluster, GpuRankEnv};
 use sim_core::ExecMode;
@@ -319,6 +326,37 @@ pub fn coll_sweep(args: &Args) -> Doc {
         );
     }
 
+    // The world floor: an empty world ends when MPI_Init has registered
+    // the vbuf pool, one region of `pool_vbufs` slots of `max_chunk()`.
+    let mut floor = Table::new(&[
+        col("ranks", "ranks", Fmt::Plain),
+        col("ppn", "ppn", Fmt::Plain),
+        col("empty_us", "empty (us)", Fmt::Fixed(3)),
+        col("barrier_us", "barrier (us)", Fmt::Fixed(3)),
+    ]);
+    let cfg = MpiConfig::default();
+    let init_ns = NetModel::qdr()
+        .reg_time(cfg.pool_vbufs * cfg.max_chunk())
+        .as_nanos();
+    let end_ns = |c: Cell| (c.time_ms * 1e6).round() as u64;
+    for &n in rank_counts {
+        for ppn in ppns {
+            // Start-up alone, then start-up and one barrier.
+            let empty = end_ns(run_cell(n, ppn, CollAlgo::Flat, |_| 0));
+            let barrier = end_ns(run_cell(n, ppn, CollAlgo::Flat, |env| {
+                env.comm.barrier();
+                0
+            }));
+            assert!(
+                empty == init_ns && barrier > empty,
+                "an empty {n}-rank world at ppn={ppn} must end at the vbuf pool's one \
+                 registration ({init_ns} ns), and a barrier-only one after it: \
+                 {empty} and {barrier} ns"
+            );
+            floor.row(&[&n, &ppn, &(empty as f64 / 1e3), &(barrier as f64 / 1e3)]);
+        }
+    }
+
     // Device buffers, flat and hier, four ranks sharing each node's GPU:
     // the allreduce at one pipeline segment and at sixteen.
     let mut dev = Table::new(COLS);
@@ -365,5 +403,7 @@ pub fn coll_sweep(args: &Args) -> Doc {
     doc.table("data", &t);
     doc.say("device-buffer allreduce\n");
     doc.table("device", &dev);
+    doc.say("world floor: start-up alone, then one barrier\n");
+    doc.table("world_floor_us", &floor);
     doc
 }

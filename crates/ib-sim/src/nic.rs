@@ -308,7 +308,8 @@ impl Nic {
         }
     }
 
-    /// Register `buf` for remote access (pins it). Costs registration time.
+    /// Register `buf` for remote access (pins it). Costs registration time:
+    /// the one-buffer case of [`register_region`](Nic::register_region).
     ///
     /// Infallible: internal pools registered at startup must not fail even
     /// under a fault-injected pin limit (MVAPICH2 registers its vbuf pools
@@ -316,16 +317,30 @@ impl Nic {
     /// [`try_register`](Nic::try_register)). The bytes still count against
     /// the node's pinned footprint.
     pub fn register(&self, buf: &HostBuf) -> MrKey {
+        self.register_region(std::slice::from_ref(buf))[0]
+    }
+
+    /// Register `bufs` as one region, as MVAPICH2 registers its vbuf pool
+    /// at `MPI_Init`: one registration time for their summed length, then
+    /// each buffer is pinned and gets its own key (in slice order), so
+    /// remote access, accounting and [`deregister`](Nic::deregister) stay
+    /// per buffer. Infallible, like [`register`](Nic::register).
+    pub fn register_region(&self, bufs: &[HostBuf]) -> Vec<MrKey> {
         if sim_core::in_sim() {
-            sim_core::sleep(self.fabric.inner.model.reg_time(buf.len()));
+            let len = bufs.iter().map(HostBuf::len).sum();
+            sim_core::sleep(self.fabric.inner.model.reg_time(len));
         }
-        buf.pin();
         let mut node = self.my_node();
-        let key = MrKey(self.fabric.inner.next_key.fetch_add(1, Ordering::Relaxed));
-        node.pinned_bytes += buf.len();
-        let (buf, job) = (buf.clone(), self.job);
-        node.mrs.insert(key, Mr { buf, job });
-        key
+        bufs.iter()
+            .map(|buf| {
+                buf.pin();
+                let key = MrKey(self.fabric.inner.next_key.fetch_add(1, Ordering::Relaxed));
+                node.pinned_bytes += buf.len();
+                let (buf, job) = (buf.clone(), self.job);
+                node.mrs.insert(key, Mr { buf, job });
+                key
+            })
+            .collect()
     }
 
     /// Fallible registration for user buffers: refused with [`RegError`]
@@ -604,6 +619,35 @@ mod tests {
             assert!(buf.is_pinned());
         });
         sim.run();
+    }
+
+    #[test]
+    fn a_region_is_registered_once_and_keyed_per_buffer() {
+        let fabric = Fabric::new(2, NetModel::qdr());
+        crate::tests::in_sim(move || {
+            let (owner, writer) = (fabric.nic(1), fabric.nic(0));
+            let lens = [4096, 10_000, 64];
+            let total: usize = lens.iter().sum();
+            let bufs: Vec<HostBuf> = lens.iter().map(|&len| HostBuf::alloc(len)).collect();
+            let t0 = now();
+            let keys = owner.register_region(&bufs);
+            // One registration time for the summed length, not one per buffer.
+            assert_eq!(now() - t0, NetModel::qdr().reg_time(total));
+            assert_eq!(owner.pinned_bytes(), total);
+            assert!(bufs.iter().all(HostBuf::is_pinned));
+            // Each key reaches its own buffer, up to that buffer's last byte.
+            let src = HostBuf::from_vec((1..=64).collect());
+            writer.register(&src);
+            for (buf, &key) in bufs.iter().zip(&keys) {
+                writer
+                    .rdma_write(1, key, buf.len() - 64, &src.base(), 64)
+                    .wait();
+                assert_eq!(buf.read(buf.len() - 64, 64), src.read(0, 64));
+            }
+            // Deregistering one key releases that buffer's bytes only.
+            owner.deregister(keys[1]);
+            assert_eq!(owner.pinned_bytes(), total - lens[1]);
+        });
     }
 
     #[test]

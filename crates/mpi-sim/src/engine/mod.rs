@@ -368,22 +368,24 @@ impl Engine {
         rec: &sim_trace::Recorder,
     ) -> Engine {
         cfg.validate();
-        // Pre-allocate and register the vbuf pools (done once at MPI_Init).
-        // Slots are sized to the largest chunk any policy may pick, so the
-        // adaptive tuner can grow the block without reallocating. The pools
-        // use the infallible register: like MVAPICH2's vbuf pool at
-        // MPI_Init, they are exempt from the (fault-injected) pin limit.
-        let mk_pool = |n: usize| -> Vec<Vbuf> {
-            (0..n)
-                .map(|_| {
-                    let buf = HostBuf::alloc(cfg.max_chunk());
-                    let key = nic.register(&buf);
-                    Vbuf { buf, key }
-                })
-                .collect()
-        };
-        let send_pool = mk_pool(cfg.pool_vbufs / 2);
-        let recv_pool = mk_pool(cfg.pool_vbufs - cfg.pool_vbufs / 2);
+        // Pre-allocate the vbuf pools and register them as one region (done
+        // once at MPI_Init, as MVAPICH2 does): one registration time for
+        // the pool, one key per vbuf. Slots are sized to the largest chunk
+        // any policy may pick, so the adaptive tuner can grow the block
+        // without reallocating. Each vbuf stays its own `HostBuf`, which
+        // backs only the prefix written, so an idle slot costs no pages.
+        // The pools use the infallible register: like MVAPICH2's vbuf pool
+        // at MPI_Init, they are exempt from the (fault-injected) pin limit.
+        let bufs: Vec<HostBuf> = (0..cfg.pool_vbufs)
+            .map(|_| HostBuf::alloc(cfg.max_chunk()))
+            .collect();
+        let keys = nic.register_region(&bufs);
+        let mut send_pool: Vec<Vbuf> = bufs
+            .into_iter()
+            .zip(keys)
+            .map(|(buf, key)| Vbuf { buf, key })
+            .collect();
+        let recv_pool = send_pool.split_off(cfg.pool_vbufs / 2);
         // Scope everything the engine names after the job: on a dedicated
         // fabric the prefix is empty and these are the classic
         // `rank{r}.*` names; tenants of a shared fabric get

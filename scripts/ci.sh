@@ -91,7 +91,7 @@ done <<'PINS'
 vec_pingpong 36.795891 136.265 2746.229
 halo3d_1024 1.03501 390.483 711.805
 coll_256 0.311538 151.296 157.698
-jobmix_1024 26.173504 1868.505 3136.348
+jobmix_1024 25.543504 1238.505 2506.348
 scheme_zoo 2.606417 27.499 79.695
 PINS
 

@@ -39,6 +39,15 @@ fn eight_rank_ring_of_device_vectors() {
 }
 
 #[test]
+fn an_empty_world_ends_at_one_registration_of_the_vbuf_pool() {
+    // MPI_Init registers every rank's 64 vbufs of 256 KiB as one region:
+    // reg_time(16 MiB) = 10 µs + 4096 pages × 150 ns, where registering
+    // them one by one took 64 × reg_time(256 KiB) = 1 254 400 ns.
+    let end = GpuCluster::new(2).run(|_| {});
+    assert_eq!(end.as_nanos(), 624_400);
+}
+
+#[test]
 fn stencil_all_grids_def_equals_mv2() {
     for (py, px) in [(1, 4), (4, 1), (2, 2)] {
         let p = StencilParams {

@@ -398,19 +398,21 @@ fn wake_digest(trace: &[WakeEvent]) -> (usize, u64, u64) {
 
 /// The committed grant order: `(script, grants, FNV of (at, pid), FNV of
 /// (seq, at, pid))`. `None` where the script's seq stream is not pinned.
-/// Captured at PR 21's tree; see `.claude/skills/verify/SKILL.md` for the
-/// re-capture recipe.
+/// Re-captured when MPI_Init began registering the vbuf pool as one region:
+/// each rank sleeps once instead of 64 times, so 63 fewer grants per rank.
+/// To re-capture: empty the table, run this test and paste the table its
+/// failure message prints over the constant.
 const PINNED_WAKES: &[(&str, usize, u64, Option<u64>)] = &[
     (
         "world 4 ranks ppn 2",
-        401,
-        0xc8ad96efa8a449b6,
-        Some(0x4b595df2be72a8d2),
+        149,
+        0x413fdca44b41fc47,
+        Some(0x55ea5ba2343fe459),
     ),
     (
         "cluster 2 ranks staged vector",
-        395,
-        0xcc4ae5ccd1f2c93,
+        269,
+        0x3d8629da4e9bddcf,
         None,
     ),
 ];
@@ -451,14 +453,16 @@ fn wake_traces_are_pinned() {
 /// (every face is one eager message) and the end of a 2-rank device
 /// ping-pong, 3 round trips of `n` floats, strided or contiguous, at a
 /// placement of `ppn` ranks per node. `(case, ns)`, measured before the
-/// eager path became the rendezvous's one-chunk case.
+/// eager path became the rendezvous's one-chunk case. The ping-pong rows
+/// fell 630 µs each when MPI_Init began registering the vbuf pool as one
+/// region; the halo3d wall is timed inside the ranks and did not move.
 const PINNED_EAGER_NS: &[(&str, u64)] = &[
     ("halo3d 2x2x2 local 16^3 3 iters", 702_198),
-    ("pingpong n=0 strided ppn 1", 1_326_220),
-    ("pingpong n=0 contiguous ppn 1", 1_326_220),
-    ("pingpong n=0 strided ppn 2", 1_318_996),
-    ("pingpong n=4 strided ppn 1", 1_752_682),
-    ("pingpong n=4 contiguous ppn 1", 1_440_286),
+    ("pingpong n=0 strided ppn 1", 696_220),
+    ("pingpong n=0 contiguous ppn 1", 696_220),
+    ("pingpong n=0 strided ppn 2", 688_996),
+    ("pingpong n=4 strided ppn 1", 1_122_682),
+    ("pingpong n=4 contiguous ppn 1", 810_286),
 ];
 
 /// A device ping-pong of `n` floats (`vector(n, 1, 2, float)` when
