@@ -368,6 +368,36 @@ impl GpuStager {
 }
 
 impl BufferStager for GpuStager {
+    fn gpu(&self) -> Option<u32> {
+        Some(self.gpu.id())
+    }
+
+    fn copy_to_host(
+        &self,
+        src: DevPtr,
+        dst: &HostPtr,
+        len: usize,
+        after: &Completion,
+    ) -> Option<Completion> {
+        let room = dst.buf().len().checked_sub(dst.offset());
+        assert!(
+            room.is_some_and(|room| len <= room),
+            "device-to-host copy of {len} bytes at offset {} exceeds host buffer of {} bytes",
+            dst.offset(),
+            dst.buf().len()
+        );
+        // The receive's copy, on a stream of its own that lives as long as
+        // the enqueue: its reads ordered after the sender's pack (CUDA IPC
+        // event), its span on the receiver's d2h lane.
+        let stream = self.gpu.create_stream();
+        stream.wait_event(after);
+        let comp = self
+            .gpu
+            .memcpy_async(Loc::Host(dst.clone()), src, len, &stream);
+        self.lanes.d2h.comp_span("d2h", None, &comp);
+        Some(comp)
+    }
+
     fn source(&self, buf: &Loc, count: usize, dtype: &Datatype) -> Option<Box<dyn SendSource>> {
         Some(Box::new(GpuSendSource {
             half: self.half(buf, count, dtype, true)?,
@@ -392,6 +422,7 @@ impl BufferStager for GpuStager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hostmem::HostBuf;
 
     #[test]
     fn a_truncated_device_receive_dies_at_the_one_check() {
@@ -428,5 +459,28 @@ mod tests {
             assert!(msg.contains(&want), "{path}: {msg}");
         }
         assert_eq!(gpu.live_allocs(), 1, "a refused receive took a tbuf");
+    }
+
+    #[test]
+    fn a_device_to_host_copy_past_the_host_buffer_is_refused() {
+        // A host receive absorbing a co-located device sender by one D2H:
+        // a length past the host buffer, or one whose end would wrap, is
+        // refused before the copy is enqueued, in every build profile.
+        let gpu = Gpu::tesla_c2050(0);
+        let stager = GpuStager::with_scope(gpu.clone(), "rank0", &Recorder::off());
+        let (dev, host) = (gpu.malloc(128), HostBuf::alloc(64));
+        gpu.write_bytes(dev, &[0xAB; 128]);
+        for (off, len) in [(0, 65), (8, 57), (8, usize::MAX - 4)] {
+            let dst = host.ptr(off);
+            let call = || {
+                stager.copy_to_host(dev, &dst, len, &Completion::ready());
+            };
+            let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(call))
+                .expect_err("an overlong copy must be refused");
+            let msg = died.downcast::<String>().expect("a message");
+            let want = format!("copy of {len} bytes at offset {off} exceeds host buffer of 64");
+            assert!(msg.contains(&want), "({off}, {len}): {msg}");
+        }
+        assert_eq!(host.read(0, 64), vec![0; 64], "a refused copy moved bytes");
     }
 }

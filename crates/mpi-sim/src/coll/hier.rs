@@ -21,17 +21,19 @@
 //! All intra-node aggregation happens in packed-byte form (the wire
 //! representation), so member buffers may be host or device, contiguous
 //! or a derived GPU datatype: the pack/unpack cost is paid once at the
-//! edges by the normal staging machinery. The one exception is a result
-//! every member of a node holds identically — the allreduce's: the leader
-//! lands it once in its own `recvbuf` and fans it out from there, so
-//! members on the leader's GPU copy it device to device.
+//! edges by the normal staging machinery. A member's device buffer on the
+//! leader's GPU reaches the leader's packed bytes without the shm channel:
+//! the engine's device rendezvous serves a contiguous host receive too, by
+//! one D2H the leader issues from the member's buffer. The one exception
+//! to packed form is a result every member of a node holds identically —
+//! the allreduce's: the leader lands it once in its own `recvbuf` and fans
+//! it out from there, so members on the leader's GPU copy it device to
+//! device.
 //!
 //! In the reductions and the alltoallv, the leader's own contribution is a
 //! member's that never travels: it is staged in place ([`Coll::stage`],
 //! [`Coll::stage_blocks`]) where a member's would be sent, and its share
 //! of the result delivered in place where a member's would be received.
-
-use std::collections::HashMap;
 
 use gpu_sim::Loc;
 use hostmem::HostBuf;
@@ -59,12 +61,17 @@ pub(crate) struct Hierarchy {
 
 impl Hierarchy {
     pub(crate) fn build(c: &Comm, eng: &Engine) -> Hierarchy {
-        let mut idx_of_node: HashMap<usize, usize> = HashMap::new();
+        // Node ids are dense, so the group of node `n` is found at
+        // `idx_of_node[n]`, grown as higher ids are seen.
+        let mut idx_of_node: Vec<Option<usize>> = Vec::new();
         let mut groups: Vec<Vec<usize>> = Vec::new();
         let mut my_node = 0;
         for g in 0..c.size() {
             let node = eng.node_of(c.world_rank_of(g));
-            let idx = *idx_of_node.entry(node).or_insert_with(|| {
+            if node >= idx_of_node.len() {
+                idx_of_node.resize(node + 1, None);
+            }
+            let idx = *idx_of_node[node].get_or_insert_with(|| {
                 groups.push(Vec::new());
                 groups.len() - 1
             });
@@ -336,17 +343,18 @@ pub(super) fn reduce(
 
 /// Hierarchical pipelined allreduce. The payload is cut into
 /// [`PIPELINE_CHUNK`] segments; per segment: members send their slice to
-/// the node leader over shm (typed, straight out of the user buffer), the
-/// leader folds all local slices, the leaders allreduce the segment over
-/// the wire by reduce-scatter + allgather ([`Coll::allreduce_over`]), and
-/// the leader delivers the reduced segment into its own `recvbuf` slice
-/// and sends it from there, typed, into each member's. On a shared GPU
-/// that send is the engine's device-to-device scheme: one D2D per member,
-/// no H2D and no shm payload. A segment within the eager limit goes as the
-/// packed host bytes instead. Segment `s+1`'s fan-in receives are posted
-/// before segment `s` is combined, and fan-in/fan-out traffic is windowed
-/// by `MAX_INFLIGHT` segments, so shm, combine and wire time overlap
-/// across segments.
+/// the node leader (typed, straight out of the user buffer), the leader
+/// folds all local slices, the leaders allreduce the segment over the wire
+/// by reduce-scatter + allgather ([`Coll::allreduce_over`]), and the leader
+/// delivers the reduced segment into its own `recvbuf` slice and sends it
+/// from there, typed, into each member's. On a shared GPU both directions
+/// are the engine's device rendezvous: a member's slice lands in the
+/// leader's fan-in bank by one D2H the leader issues, and the result
+/// reaches each member by one D2D — no H2D and no shm payload either way.
+/// A segment within the eager limit crosses shm as packed host bytes
+/// instead. Segment `s+1`'s fan-in receives are posted before segment `s`
+/// is combined, and fan-in/fan-out traffic is windowed by `MAX_INFLIGHT`
+/// segments, so fan-in, combine and wire time overlap across segments.
 pub(super) fn allreduce(
     cx: &mut Coll,
     h: &Hierarchy,

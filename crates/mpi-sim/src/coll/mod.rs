@@ -1001,8 +1001,8 @@ impl Comm {
     /// a device contribution is copied to host staging in place (its D2H,
     /// no message), folded on the host, and the result copied back to the
     /// device. Binomial tree with double-buffered child receives on
-    /// the flat path; shm fan-in to node leaders + a leader tree on the
-    /// hierarchical one. Under [`CollAlgo::Naive`](crate::CollAlgo) the
+    /// the flat path; a fan-in to node leaders (over shm, or one D2H per
+    /// member on the leader's GPU) + a leader tree on the hierarchical one. Under [`CollAlgo::Naive`](crate::CollAlgo) the
     /// root drains all P−1 contributions serially through one scratch
     /// buffer (the benchmark control).
     pub fn reduce(
@@ -1030,13 +1030,13 @@ impl Comm {
 
     /// `MPI_Allreduce` for primitive datatypes, host and device buffers.
     /// Binomial reduce to rank 0 + binomial bcast on the flat path. The
-    /// hierarchical path pipelines per 64 KiB segment: pack → shm fan-in
-    /// and combine at the node leader → the leaders allreduce the segment
-    /// over the wire by reduce-scatter + allgather
-    /// ([`Coll::allreduce_over`]) → the leader lands it in its own
-    /// `recvbuf` and fans it out from there (device to device for members
-    /// on its GPU), so a segment's wire time overlaps the next segment's
-    /// pack and combine.
+    /// hierarchical path pipelines per 64 KiB segment: fan-in (over shm,
+    /// or one D2H per member on the leader's GPU) and combine at the node
+    /// leader → the leaders allreduce the segment over the wire by
+    /// reduce-scatter + allgather ([`Coll::allreduce_over`]) → the leader
+    /// lands it in its own `recvbuf` and fans it out from there (device to
+    /// device for members on its GPU), so a segment's wire time overlaps
+    /// the next segment's fan-in and combine.
     pub fn allreduce(
         &self,
         sendbuf: impl Into<Loc>,

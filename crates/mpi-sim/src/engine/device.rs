@@ -1,12 +1,14 @@
-//! The device rendezvous (D2D): both buffers live on the *same physical
-//! GPU* — the ranks share a node and its device. The sender packs into a
-//! device tbuf and the receiver scatters straight from it: no host
-//! staging, no vbufs, no HCA.
+//! The device rendezvous (D2D): the send buffer lives on the *physical GPU*
+//! of a co-located receiver — the ranks share a node and its device. The
+//! sender packs into a device tbuf (or announces its contiguous buffer) and
+//! the receiver copies straight from it: a scatter into a device buffer,
+//! or one D2H into a contiguous host buffer. No host staging, no vbufs, no
+//! shm payload, no HCA.
 //!
-//! RTS (advertising the sender's GPU) → CTS-dev → FIN-dev naming the packed tbuf
-//! → scatter → CREDIT-dev freeing it. All control travels the intra-node
-//! shm channel, which never drops or reorders, so this unit has no retry
-//! timers and a stale device packet is a hard violation even on
+//! RTS (advertising the sender's GPU) → CTS-dev → FIN-dev naming the packed
+//! tbuf → scatter or D2H → CREDIT-dev freeing it. All control travels the
+//! intra-node shm channel, which never drops or reorders, so this unit has
+//! no retry timers and a stale device packet is a hard violation even on
 //! fault-injecting fabrics.
 
 use sim_core::{san, Completion};
@@ -27,8 +29,8 @@ pub(super) enum DevRecv {
     /// CTS-dev sent, waiting for the sender's FIN-dev naming its packed
     /// device tbuf.
     Wait(Rts),
-    /// Scattering from the sender's tbuf on the shared GPU; the credit goes
-    /// out when the unpack completion lands.
+    /// Copying from the sender's tbuf on the shared GPU; the credit goes
+    /// out when the copy's completion lands.
     Absorb { comp: Completion, rts: Rts },
 }
 
@@ -71,8 +73,8 @@ impl Engine {
         SendPhase::Dev(DevSend { pack })
     }
 
-    /// Receiver: the packed bytes sit on the shared GPU — start scattering
-    /// from there, ordered after the pack.
+    /// Receiver: the packed bytes sit on the shared GPU — start copying
+    /// from there into the receive, ordered after the pack.
     pub(super) fn dev_on_fin(&mut self, st: &mut RecvState, rts: Rts, fin: FinDev) -> RecvPhase {
         if fin.total != rts.total {
             violation(format_args!(
@@ -80,10 +82,17 @@ impl Engine {
                 fin.total, rts.total
             ));
         }
-        let comp = st
-            .sink()
-            .absorb_device(fin.ptr, fin.total, &fin.ready)
-            .expect("device FIN for a sink without device support");
+        let comp = match st.sink().absorb_device(fin.ptr, fin.total, &fin.ready) {
+            Some(comp) => comp,
+            // A contiguous host receive on the sender's GPU: one D2H
+            // straight into it.
+            None => {
+                let to = st.offer.direct.as_ref().zip(self.stager.as_ref());
+                let d2h =
+                    to.and_then(|(dst, s)| s.copy_to_host(fin.ptr, dst, fin.total, &fin.ready));
+                d2h.expect("device FIN for a receive without device support")
+            }
+        };
         RecvPhase::Dev(DevRecv::Absorb { comp, rts })
     }
 
@@ -93,7 +102,7 @@ impl Engine {
         SendPhase::Done
     }
 
-    /// Receiver: once the scatter from the shared GPU has finished, credit
+    /// Receiver: once the copy from the shared GPU has finished, credit
     /// the sender's tbuf and complete.
     pub(super) fn dev_advance_recv(&mut self, comp: Completion, rts: Rts) -> RecvPhase {
         if !comp.poll() {

@@ -616,7 +616,8 @@ impl Engine {
         let sink = self.make_sink(&buf, count, dt);
         // Cheap after the sink pulled the plan into the cache.
         let shape = Canonical::of(&dt.plan(count));
-        let offer = self.scheme.offer(&buf, count, dt, None, sink.device_gpu());
+        let gpu = sink.device_gpu().or_else(|| self.stager.as_ref()?.gpu());
+        let offer = self.scheme.offer(&buf, count, dt, None, gpu);
         let id = self.alloc_req();
         self.recvs.insert(
             id,

@@ -16,8 +16,11 @@
 //! and `SchemeSelector::resolve` weighs it against the receive's. Selection
 //! order under [`SchemeSel::Auto`], most to least specialized:
 //!
-//! 1. **DeviceD2D** — both sides resident on one shared GPU: stay on the
-//!    device.
+//! 1. **DeviceD2D** — a device sender on a co-located rank's GPU, shared
+//!    by the receive: a device buffer on it, or a contiguous host buffer
+//!    of a rank that drives it. The sender's bytes stay on the device until
+//!    the receiver's one copy: a scatter (device receive) or a D2H (host
+//!    receive), never through host staging or the shm channel.
 //! 2. **Direct** — both sides contiguous host memory: one R-PUT.
 //! 3. **NicOffload** — an HCA-routed peer, both sides host-resident with
 //!    layouts that lower to bounded scatter/gather descriptors (see
@@ -27,7 +30,7 @@
 //!    [`ib_sim::Nic::rdma_write_sg`] charges) cost less than the CPU pack and
 //!    unpack they save ([`CpuModel::pack_time`], what the host staging
 //!    charges) for the bytes actually coming. Off by default
-//!    (`Auto { offload: false }` keeps the classic decision bit-identical).
+//!    (`Auto { offload: false }` lowers no descriptor).
 //! 4. **Staged** — everything else: the paper's 5-stage pipeline.
 //!
 //! Eager sends (including the co-located peers' wider shm window) are a
@@ -61,8 +64,10 @@ pub enum DataScheme {
     /// Contiguous-to-contiguous R-PUT: one RDMA write into the receiver's
     /// registered user buffer.
     Direct,
-    /// Co-located ranks sharing one GPU: pack into a device tbuf, peer
-    /// unpacks straight from it — bytes never leave the device.
+    /// Co-located ranks sharing one GPU: the sender packs into a device
+    /// tbuf (a contiguous buffer is announced as it is), and the receiver
+    /// copies straight from it — scattering into a device buffer, or by one
+    /// D2H into a contiguous host buffer. No host staging, no shm payload.
     DeviceD2D,
     /// The NIC walks a scatter/gather wire descriptor on both sides: no
     /// CPU pack/unpack, one post, per-entry descriptor-fetch cost (see
@@ -75,8 +80,10 @@ pub enum DataScheme {
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum SchemeSel {
     /// Pick per message: device → direct → offload (if `offload` is set and
-    /// the walk pays) → staged. `Auto { offload: false }` — the default —
-    /// reproduces the classic decision bit for bit.
+    /// the walk pays) → staged. `Auto { offload: false }` is the default;
+    /// it differs from the classic decision in one case only: a co-located
+    /// device sender into a contiguous host receive on its GPU takes the
+    /// device path (one D2H), where the classic one staged it over shm.
     Auto {
         /// Allow the NIC-offload scheme to compete. Off by default.
         offload: bool,
@@ -105,7 +112,9 @@ pub(crate) struct Offer {
     /// The host buffer and its layout as a wire descriptor within the HCA's
     /// budget — only when the selection lets offload compete.
     pub wire: Option<(HostPtr, WireDescriptor)>,
-    /// The GPU the buffer lives on.
+    /// The GPU the buffer lives on, or — for a contiguous host buffer on a
+    /// rank with a GPU — the GPU a co-located device sender's bytes can be
+    /// copied from straight into it.
     pub gpu: Option<u32>,
 }
 
@@ -172,12 +181,13 @@ impl SchemeSelector {
         }
     }
 
-    /// What `count` elements of `dt` at `buf`, resident on `gpu`, offer a
-    /// rendezvous: a send toward `peer`, or a receive (`None`: its peer is
-    /// known only at the match). The default selection lowers no
-    /// descriptor. A send forcing offload toward an HCA-routed peer on a
-    /// layout no descriptor can express is refused here, before any wire
-    /// traffic.
+    /// What `count` elements of `dt` at `buf`, resident on `gpu` (a host
+    /// buffer: on a rank driving `gpu`), offer a rendezvous: a send toward
+    /// `peer`, or a receive (`None`: its peer is known only at the match).
+    /// A host buffer offers its GPU only when it is contiguous. The default
+    /// selection lowers no descriptor. A send forcing offload toward an
+    /// HCA-routed peer on a layout no descriptor can express is refused
+    /// here, before any wire traffic.
     pub(crate) fn offer(
         &self,
         buf: &Loc,
@@ -207,6 +217,9 @@ impl SchemeSelector {
         let competes = forced || self.sel == (SchemeSel::Auto { offload: true });
         let wire = competes.then(|| WireDescriptor::lower(&plan, OFFLOAD_ENTRY_BUDGET));
         let wire = wire.flatten().map(|d| (p.clone(), d));
+        // A contiguous host buffer on a rank with a GPU can take a device
+        // sender's bytes by one D2H from that GPU.
+        let gpu = gpu.filter(|_| direct.is_some());
         Ok(Offer { direct, wire, gpu })
     }
 
@@ -333,8 +346,8 @@ mod tests {
 
     #[test]
     fn auto_resolution_order() {
-        // A 1 MiB contiguous receive offers every scheme (a host buffer
-        // claiming a GPU stands in for a device one).
+        // A 1 MiB contiguous host receive on a rank with a GPU offers every
+        // scheme.
         let (s, n) = (selector(SchemeSel::Auto { offload: true }), 1 << 20);
         let bytes = Datatype::byte();
         bytes.commit();
@@ -356,6 +369,19 @@ mod tests {
             DataScheme::Staged,
             "the shm engine walks no descriptor"
         );
+        // A strided host receive offers no GPU: a co-located device sender
+        // into it is staged.
+        let (dt, len) = layout(1, n);
+        let strided = Loc::Host(HostBuf::alloc(len).base());
+        let strided = s.offer(&strided, 1, &dt, None, Some(0)).unwrap();
+        assert_eq!(strided.gpu, None);
+        let device = |src| Rts {
+            direct: false,
+            wire: None,
+            ..rts(src, n, &recv)
+        };
+        assert_eq!(s.resolve(&device(1), &recv), DataScheme::DeviceD2D);
+        assert_eq!(s.resolve(&device(1), &strided), DataScheme::Staged);
         // Offload disabled (the default): no descriptor is even lowered.
         let s = selector(SchemeSel::default());
         let (rts, recv) = host_pair(&s, 2, 1, 64 << 10);

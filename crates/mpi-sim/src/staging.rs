@@ -70,14 +70,17 @@ pub trait RecvSink: Send {
     /// or [`finished`](Self::finished) could change.
     fn next_event(&self) -> Option<SimTime>;
     /// If this sink is device memory: the GPU it lives on. Host sinks
-    /// return `None`, which disables the device rendezvous path.
+    /// return `None`; a contiguous host receive is offered the device
+    /// rendezvous through the rank's [`BufferStager::gpu`] instead.
     fn device_gpu(&self) -> Option<u32> {
         None
     }
     /// Device path: scatter `total` packed bytes that sit at `src` on the
     /// shared GPU into the user buffer, ordering the reads after `ready`
     /// (the sender's pack completion). Returns the unpack completion, or
-    /// `None` if unsupported (host sinks).
+    /// `None` for a host sink: a contiguous host receive absorbs the same
+    /// bytes by one D2H through [`BufferStager::copy_to_host`], and any
+    /// other host receive is never offered the device path.
     fn absorb_device(
         &mut self,
         src: gpu_sim::DevPtr,
@@ -96,6 +99,27 @@ pub trait BufferStager: Send + Sync {
     fn source(&self, buf: &Loc, count: usize, dtype: &Datatype) -> Option<Box<dyn SendSource>>;
     /// Build a receive sink for `buf` if this stager handles it.
     fn sink(&self, buf: &Loc, count: usize, dtype: &Datatype) -> Option<Box<dyn RecvSink>>;
+    /// The GPU this stager's rank drives, if any: a contiguous host receive
+    /// on it is offered the device path, which
+    /// [`copy_to_host`](Self::copy_to_host) serves.
+    fn gpu(&self) -> Option<u32> {
+        None
+    }
+    /// Device path into host memory: copy `len` bytes at `src` on
+    /// [`gpu`](Self::gpu) to `dst` by one D2H, ordered after `after` (the
+    /// sender's pack completion). Refuses a `len` that reaches past `dst`'s
+    /// buffer before a byte moves. Returns the copy's completion, or `None`
+    /// without a GPU.
+    fn copy_to_host(
+        &self,
+        src: gpu_sim::DevPtr,
+        dst: &HostPtr,
+        len: usize,
+        after: &sim_core::Completion,
+    ) -> Option<sim_core::Completion> {
+        let _ = (src, dst, len, after);
+        None
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ cargo build --release
 echo "==> cargo test (workspace)"
 cargo test --workspace -q
 
-echo "==> cargo test --release -p ib-sim -p gpu-sim -p sim-core -p hostmem -p mpi-sim, and the device footprint check (overflow checks are off: bounds must hold by checked arithmetic)"
+echo "==> cargo test --release -p ib-sim -p gpu-sim -p sim-core -p hostmem -p mpi-sim, the device footprint and D2H extent checks (overflow checks are off: bounds must hold by checked arithmetic)"
 # The fabric's bounds checks, the device's pitched extents, the host's
 # strided extents and SIM_STACK_KB's size each once wrapped in release and
 # panicked in debug, a host range must be refused before the stored prefix
@@ -41,8 +41,11 @@ cargo test --release -q -p ib-sim -p gpu-sim -p sim-core -p hostmem -p mpi-sim
 # release and passed the host bounds check (mpi-sim's
 # an_overflowing_footprint_is_refused_in_every_profile, run above); the same
 # post from a device buffer, which has no host extent to check, must be
-# refused there too.
-cargo test --release -q -p mv2-gpu-nc an_overflowing_device_footprint_is_refused_in_every_profile
+# refused there too. A host receive absorbing a co-located device sender
+# by one D2H checks the copy's host extent itself: a length whose end
+# wraps must be refused in release as well.
+cargo test --release -q -p mv2-gpu-nc -- an_overflowing_device_footprint_is_refused_in_every_profile \
+    a_device_to_host_copy_past_the_host_buffer_is_refused
 
 echo "==> experiments (release): smoke plans + the committed grids too slow for a debug build"
 # Every experiment's guards run on every invocation. `cargo test` above has

@@ -4,7 +4,7 @@
 
 use gpu_nc_repro::halo3d::{self, run_halo3d_on, Halo3dParams};
 use gpu_nc_repro::ib_sim::Topology;
-use gpu_nc_repro::mpi_sim::{CollAlgo, Datatype, MpiConfig, ReduceOp};
+use gpu_nc_repro::mpi_sim::{CollAlgo, DataScheme, Datatype, MpiConfig, ReduceOp, SchemeSel};
 use gpu_nc_repro::mv2_gpu_nc::baselines::{fill_vector, verify_vector, VectorXfer};
 use gpu_nc_repro::mv2_gpu_nc::GpuCluster;
 use gpu_nc_repro::stencil2d::{run_stencil, RunOptions, StencilParams, Variant};
@@ -639,10 +639,10 @@ fn hier_allreduce_fans_out_at_every_size_placement_and_residency() {
 #[test]
 fn hier_allreduce_lands_the_result_once_per_node_gpu() {
     // Two nodes of four ranks, two 64 KiB device allreduces: one segment
-    // each. Per call and node, the members' slices cross shm to the leader
-    // (3 x 64 KiB) and nothing else does: the result reaches the node's
-    // GPU by one H2D into the leader's recvbuf, and each member copies it
-    // device to device.
+    // each. Per call and node, no payload crosses shm: the leader copies
+    // its own slice and each member's D2H off the node's GPU (1 + 3 D2Hs),
+    // the result reaches the GPU by one H2D into the leader's recvbuf, and
+    // each member copies it device to device.
     let (count, calls) = ((64 << 10) / 4, 2u64);
     let rec = Recorder::new();
     let misses = hier_allreduce_checked(
@@ -667,12 +667,13 @@ fn hier_allreduce_lands_the_result_once_per_node_gpu() {
         let scope = format!("node{node}");
         let shm = m[&format!("{scope}.shm.bytes")];
         let payload = shm - ctrl * count_spans(&scope, "shm", Some("ctrl"));
-        assert_eq!(
-            payload,
-            calls * 3 * (64 << 10),
-            "node {node}: shm payload bytes"
-        );
+        assert_eq!(payload, 0, "node {node}: shm payload bytes");
         let gpu = format!("gpu{node}");
+        assert_eq!(
+            count_spans(&gpu, "d2h", None),
+            calls * 4,
+            "node {node}: contribution D2Hs"
+        );
         assert_eq!(
             count_spans(&gpu, "h2d", None),
             calls,
@@ -694,6 +695,143 @@ fn hier_allreduce_lands_the_result_once_per_node_gpu() {
     }
 }
 
+/// Where one message's bytes went: its path (the receiver's `cts*` proto
+/// instant: `_dev`, `_direct`, or empty for staged), the payload bytes that
+/// crossed shm and the HCA (control packets excluded) and the `d2h` spans
+/// on the receiver's lane.
+#[derive(Debug, PartialEq)]
+struct Moved {
+    path: String,
+    shm: u64,
+    hca: u64,
+    recv_d2h: usize,
+}
+
+/// Rank 1 sends `n` bytes to rank 0 at `ppn` ranks per node, under the
+/// collecting sanitizer: from GPU memory when `dev_src`, else from host
+/// memory, contiguous or every other byte (`strided_src`), into a host
+/// receive that is contiguous or every other byte (`strided_recv`). The
+/// sender rewrites its buffer as soon as its wait returns. The receive
+/// must hold the serial bytes.
+fn host_receive(
+    ppn: usize,
+    n: usize,
+    (dev_src, strided_src): (bool, bool),
+    strided_recv: bool,
+) -> Moved {
+    let rec = Recorder::new();
+    let out = GpuCluster::new(2)
+        .ppn(ppn)
+        .recorder(rec.clone())
+        .sanitizer(SanitizerMode::Collect)
+        .try_run(move |env| {
+            let layout = |strided: bool| {
+                let t = if strided {
+                    Datatype::vector(n, 1, 2, &Datatype::byte())
+                } else {
+                    Datatype::contiguous(n, &Datatype::byte())
+                };
+                t.commit();
+                (t, if strided { 2 * n - 1 } else { n })
+            };
+            let byte = |i: usize| (i % 251) as u8 ^ 0x5A;
+            if env.comm.rank() == 1 {
+                let (t, ext) = layout(strided_src);
+                let data: Vec<u8> = (0..ext).map(byte).collect();
+                if dev_src {
+                    let dev = env.gpu.malloc(ext);
+                    env.gpu.write_bytes(dev, &data);
+                    env.comm.send(dev, 1, &t, 0, 3);
+                    env.gpu.memset(dev, 0xEE, ext);
+                } else {
+                    let host = HostBuf::from_vec(data);
+                    env.comm.send(host.base(), 1, &t, 0, 3);
+                    host.write(0, &vec![0xEE; ext]);
+                }
+                return true;
+            }
+            let (t, ext) = layout(strided_recv);
+            let host = HostBuf::alloc(ext);
+            env.comm.recv(host.base(), 1, &t, 1, 3);
+            let stride = |strided| if strided { 2 } else { 1 };
+            let mut want = vec![0u8; ext];
+            for k in 0..n {
+                want[k * stride(strided_recv)] = byte(k * stride(strided_src));
+            }
+            host.read(0, ext) == want
+        });
+    let what =
+        format!("ppn {ppn}, {n} B, source {dev_src:?}/{strided_src:?}, recv {strided_recv:?}");
+    assert!(out.end.is_ok(), "{what}: {:?}", out.end);
+    assert!(out.reports.is_empty(), "{what}: {:#?}", out.reports);
+    assert_eq!(out.ranks, vec![true, true], "{what}: bytes differ");
+    let ctrl = gpu_nc_repro::ib_sim::NetModel::qdr().ctrl_bytes as u64;
+    let spans = sim_trace::analysis::spans(&rec);
+    let count = |scope: &str, lane: &str, name: Option<&str>| {
+        let on = spans
+            .iter()
+            .filter(|s| s.scope == scope && s.lane_name == lane);
+        on.filter(|s| name.is_none_or(|n| s.name == n)).count()
+    };
+    let m = rec.metrics();
+    let nodes = 2 / ppn;
+    let payload = |key: &str, lane: &str| -> u64 {
+        let node = |k: usize| {
+            let scope = format!("node{k}");
+            let bytes = m.get(&format!("{scope}.{key}")).copied().unwrap_or(0);
+            bytes - ctrl * count(&scope, lane, Some("ctrl")) as u64
+        };
+        (0..nodes).map(node).sum()
+    };
+    let proto = rec.lane("rank0", "proto", sim_trace::LaneKind::Proto).id();
+    let path = rec.events().into_iter().find_map(|e| match e.kind {
+        sim_trace::EventKind::Instant { name, .. } if e.lane == proto => name.strip_prefix("cts"),
+        _ => None,
+    });
+    Moved {
+        path: path.expect("a rendezvous").to_string(),
+        shm: payload("shm.bytes", "shm"),
+        hca: payload("hca.tx_bytes", "hca_tx"),
+        recv_d2h: count("rank0", "d2h", None),
+    }
+}
+
+#[test]
+fn a_colocated_device_sender_is_copied_straight_into_a_host_receive() {
+    // Two ranks on one GPU: a device message into a contiguous host
+    // receive is one D2H the receiver issues from the sender's buffer (or
+    // from the tbuf a strided one is packed into). No payload crosses shm.
+    for n in [32_769, 64 << 10, 1 << 20] {
+        for strided in [false, true] {
+            let got = host_receive(2, n, (true, strided), false);
+            let want = Moved {
+                path: "_dev".into(),
+                shm: 0,
+                hca: 0,
+                recv_d2h: 1,
+            };
+            assert_eq!(got, want, "{n} B, strided source {strided}");
+        }
+        // Controls: a strided host receive is staged over shm, the same
+        // pair across two nodes is staged over the HCA, and a host pair is
+        // one R-PUT over shm.
+        let staged = |shm, hca| Moved {
+            path: String::new(),
+            shm,
+            hca,
+            recv_d2h: 0,
+        };
+        let n64 = n as u64;
+        assert_eq!(host_receive(2, n, (true, false), true), staged(n64, 0));
+        assert_eq!(host_receive(1, n, (true, false), false), staged(0, n64));
+        let direct = Moved {
+            path: "_direct".into(),
+            ..staged(n64, 0)
+        };
+        assert_eq!(host_receive(2, n, (false, false), false), direct);
+    }
+}
+
 #[test]
 fn a_wake_that_matures_during_a_progress_pass_is_not_lost() {
     // A progress pass advances virtual time itself (device submit sleeps,
@@ -702,29 +840,47 @@ fn a_wake_that_matures_during_a_progress_pass_is_not_lost() {
     // instants. Rank 0's device self-send has such a chunk while a
     // co-located device sender streams into it: `waitall` must run another
     // pass instead of parking with nothing to wake it. Sizes from just
-    // over one 32 KiB chunk to just over two, on one node, hit it.
-    for n in [32_769, 40_000, 65_537] {
-        let out = GpuCluster::new(2).ppn(2).try_run(move |env| {
-            let byte = Datatype::byte();
-            byte.commit();
-            let me = env.comm.rank();
-            let fill = |r: usize| (0..n).map(|i| (i % 251 + r) as u8).collect::<Vec<u8>>();
-            let dev = env.gpu.malloc(n);
-            env.gpu.write_bytes(dev, &fill(me));
-            if me == 1 {
-                env.comm.wait(env.comm.isend(dev, n, &byte, 0, 5));
-                return true;
-            }
-            let (peer, own) = (HostBuf::alloc(n), HostBuf::alloc(n));
-            env.comm.waitall(vec![
-                env.comm.irecv(peer.base(), n, &byte, 1, 5),
-                env.comm.irecv(own.base(), n, &byte, 0, 6),
-                env.comm.isend(dev, n, &byte, 0, 6),
-            ]);
-            peer.read(0, n) == fill(1) && own.read(0, n) == fill(0)
-        });
-        assert!(out.end.is_ok(), "N = {n}: {:?}", out.end);
-        assert_eq!(out.ranks, vec![true, true], "N = {n}: bytes differ");
+    // over one 32 KiB chunk to just over two, on one node, hit it. That
+    // stream is the staged pipeline's, which the default selection no
+    // longer takes for a device sender into a contiguous host receive on
+    // its GPU (one D2H instead): forcing it keeps the guarded path.
+    let schemes = [SchemeSel::default(), SchemeSel::Force(DataScheme::Staged)];
+    let runs = schemes.map(|sel| [32_769, 40_000, 65_537].map(|n| (sel, n)));
+    for (sel, n) in runs.into_iter().flatten() {
+        // The configuration first: `mpi_config` replaces the whole of it,
+        // ranks per node included.
+        let cfg = MpiConfig {
+            scheme: sel,
+            ..MpiConfig::default()
+        };
+        let out = GpuCluster::new(2)
+            .mpi_config(cfg)
+            .ppn(2)
+            .try_run(move |env| {
+                let byte = Datatype::byte();
+                byte.commit();
+                let me = env.comm.rank();
+                let fill = |r: usize| (0..n).map(|i| (i % 251 + r) as u8).collect::<Vec<u8>>();
+                let dev = env.gpu.malloc(n);
+                env.gpu.write_bytes(dev, &fill(me));
+                if me == 1 {
+                    env.comm.wait(env.comm.isend(dev, n, &byte, 0, 5));
+                    return true;
+                }
+                let (peer, own) = (HostBuf::alloc(n), HostBuf::alloc(n));
+                env.comm.waitall(vec![
+                    env.comm.irecv(peer.base(), n, &byte, 1, 5),
+                    env.comm.irecv(own.base(), n, &byte, 0, 6),
+                    env.comm.isend(dev, n, &byte, 0, 6),
+                ]);
+                peer.read(0, n) == fill(1) && own.read(0, n) == fill(0)
+            });
+        assert!(out.end.is_ok(), "{sel:?}, N = {n}: {:?}", out.end);
+        assert_eq!(
+            out.ranks,
+            vec![true, true],
+            "{sel:?}, N = {n}: bytes differ"
+        );
     }
 }
 
