@@ -282,7 +282,7 @@ pub fn coll_sweep(args: &Args) -> Doc {
             );
             // The same comparisons on the call alone, without the world's
             // start-up floor: hier allreduce measures 0.41–0.64x flat's call
-            // time, and hier alltoallv at most 0.948x (64 ranks, ppn 8).
+            // time, and hier alltoallv at most 0.62x (64 ranks, ppn 8).
             assert!(
                 arp.call_us <= 0.70 * arf.call_us,
                 "hier allreduce ({:.3} us) must take at most 0.70x the flat path's \

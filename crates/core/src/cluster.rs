@@ -120,7 +120,8 @@ impl GpuCluster {
         self.on_world(|w| w.with_block_size(bytes))
     }
 
-    /// Override the MPI configuration.
+    /// Override the MPI configuration; see [`MpiWorld::with_config`] (a
+    /// `ppn` or block size set before must be what `cfg` carries).
     pub fn mpi_config(self, cfg: MpiConfig) -> Self {
         self.on_world(|w| w.with_config(cfg))
     }

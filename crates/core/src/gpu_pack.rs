@@ -126,10 +126,11 @@ fn enqueue_strided(
     };
     gpu.launch_kernel(name, cost, stream, |g| {
         let mut coff = contig;
-        for run in pieces {
-            g.copy_2d_untimed(&params(run, coff));
+        g.copy_2d_untimed_d2d(pieces.iter().map(|run| {
+            let p = params(run, coff);
             coff = coff.add(run.bytes());
-        }
+            p
+        }));
     })
 }
 

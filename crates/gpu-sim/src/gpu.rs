@@ -486,7 +486,7 @@ impl Gpu {
     /// Overlapping source and destination rows are undefined, as on the
     /// device.
     fn move_rows(&self, p: &Copy2d, sext: usize, dext: usize) {
-        let (w, h) = (p.width, p.height);
+        let w = p.width;
         if sext == 0 {
             return;
         }
@@ -501,26 +501,8 @@ impl Gpu {
             mem
         };
         match (&p.src, &p.dst) {
-            (Loc::Device(sp), Loc::Device(dp)) => {
-                self.check_owned(*dp);
-                let mut mem = device(sp, sext);
-                mem.check_access(dp.offset, dext);
-                let (s0, d0) = (sp.offset, dp.offset);
-                let arena = &mut mem.arena[..];
-                if s0 + sext <= d0 {
-                    let (lo, hi) = arena.split_at_mut(d0);
-                    copy_rows(&mut hi[..dext], p.dpitch, &lo[s0..s0 + sext], p.spitch, w);
-                } else if d0 + dext <= s0 {
-                    let (lo, hi) = arena.split_at_mut(s0);
-                    copy_rows(&mut lo[d0..d0 + dext], p.dpitch, &hi[..sext], p.spitch, w);
-                } else {
-                    // Interleaved extents (rows of one allocation): no
-                    // disjoint borrow exists, so row by row in place.
-                    for r in 0..h {
-                        let s = s0 + r * p.spitch;
-                        arena.copy_within(s..s + w, d0 + r * p.dpitch);
-                    }
-                }
+            (Loc::Device(_), Loc::Device(_)) => {
+                self.device_rows(&mut self.inner.mem.lock(), p, sext, dext)
             }
             (Loc::Host(hp), Loc::Device(dp)) => hp.buf().with_range(hp.offset(), sext, |src| {
                 let mut mem = device(dp, dext);
@@ -533,6 +515,38 @@ impl Gpu {
             }),
             (Loc::Host(_), Loc::Host(_)) => {
                 panic!("Copy2d: host-to-host copies do not involve the GPU")
+            }
+        }
+    }
+
+    /// [`move_rows`](Gpu::move_rows) of a device-to-device copy, under the
+    /// caller's lock of the device memory.
+    fn device_rows(&self, mem: &mut DeviceMem, p: &Copy2d, sext: usize, dext: usize) {
+        let (Loc::Device(sp), Loc::Device(dp)) = (&p.src, &p.dst) else {
+            panic!("Copy2d: not a device-to-device copy")
+        };
+        let (w, h) = (p.width, p.height);
+        if sext == 0 {
+            return;
+        }
+        self.check_owned(*sp);
+        self.check_owned(*dp);
+        mem.check_access(sp.offset, sext);
+        mem.check_access(dp.offset, dext);
+        let (s0, d0) = (sp.offset, dp.offset);
+        let arena = &mut mem.arena[..];
+        if s0 + sext <= d0 {
+            let (lo, hi) = arena.split_at_mut(d0);
+            copy_rows(&mut hi[..dext], p.dpitch, &lo[s0..s0 + sext], p.spitch, w);
+        } else if d0 + dext <= s0 {
+            let (lo, hi) = arena.split_at_mut(s0);
+            copy_rows(&mut lo[d0..d0 + dext], p.dpitch, &hi[..sext], p.spitch, w);
+        } else {
+            // Interleaved extents (rows of one allocation): no disjoint
+            // borrow exists, so row by row in place.
+            for r in 0..h {
+                let s = s0 + r * p.spitch;
+                arena.copy_within(s..s + w, d0 + r * p.dpitch);
             }
         }
     }
@@ -700,6 +714,18 @@ impl Gpu {
     pub fn copy_2d_untimed(&self, p: &Copy2d) {
         let (sext, dext) = p.extents();
         self.move_rows(p, sext, dext);
+    }
+
+    /// [`copy_2d_untimed`](Gpu::copy_2d_untimed) of a batch of
+    /// device-to-device copies (a gather or scatter kernel's body), under
+    /// one lock of the device memory. Each copy is validated as if alone.
+    pub fn copy_2d_untimed_d2d(&self, ps: impl IntoIterator<Item = Copy2d>) {
+        let _san = san::suppress();
+        let mut mem = self.inner.mem.lock();
+        for p in ps {
+            let (sext, dext) = p.extents();
+            self.device_rows(&mut mem, &p, sext, dext);
+        }
     }
 
     /// Run `f` with mutable access to the raw device arena (kernel bodies).

@@ -174,14 +174,19 @@ impl Nic {
         &self.fabric.inner.mailboxes[self.job_state().base + self.endpoint]
     }
 
-    /// The CPU cost of posting one operation on `route`. Sleeping yields:
-    /// `now` and the interleaving with other ranks depend on it.
-    pub(crate) fn post_overhead(&self, route: Route) {
+    /// The CPU cost of posting one operation on `route`, ns.
+    pub fn post_overhead_ns(&self, route: Route) -> u64 {
         let inner = &self.fabric.inner;
-        sim_core::sleep(SimDur::from_nanos(match route {
+        match route {
             Route::Hca => inner.model.post_overhead_ns,
             Route::Shm => inner.shm.post_overhead_ns,
-        }));
+        }
+    }
+
+    /// Charge [`post_overhead_ns`](Nic::post_overhead_ns). Sleeping yields:
+    /// `now` and the interleaving with other ranks depend on it.
+    pub(crate) fn post_overhead(&self, route: Route) {
+        sim_core::sleep(SimDur::from_nanos(self.post_overhead_ns(route)));
     }
 
     /// Reliable two-sided send: delivers a [`Packet`] into `dst`'s mailbox.

@@ -11,7 +11,11 @@
 //!   channel automatically, so they cost shm bandwidth, not HCA bandwidth.
 //! * **inter-node** — only node leaders talk across the wire, carrying
 //!   each node's *aggregate* (concatenated blocks, or the node-combined
-//!   partial reduction), so the HCA sees one stream per node pair.
+//!   partial reduction), so the HCA sees one stream per node pair. The
+//!   alltoallv splits its wire phase over several *leads* per node, as many
+//!   as [`LeadPrice`] says pay for their extra shm exchanges: each lead
+//!   serves a run of the other nodes, so the node pairs' aggregates leave
+//!   from K CPUs instead of queuing on one.
 //!
 //! Reductions additionally **pipeline**: the payload is cut into
 //! [`PIPELINE_CHUNK`] segments, and while segment `s` crosses the wire
@@ -30,18 +34,24 @@
 //! it out from there, so members on the leader's GPU copy it device to
 //! device.
 //!
-//! In the reductions and the alltoallv, the leader's own contribution is a
-//! member's that never travels: it is staged in place ([`Coll::stage`],
-//! [`Coll::stage_blocks`]) where a member's would be sent, and its share
-//! of the result delivered in place where a member's would be received.
+//! In the reductions and the alltoallv, the leader's (a lead's) own
+//! contribution is a member's that never travels: it is staged in place
+//! ([`Coll::stage`], [`Coll::stage_blocks`]) where a member's would be
+//! sent, and its share of the result delivered in place where a member's
+//! would be received.
 
 use gpu_sim::Loc;
 use hostmem::HostBuf;
+
+use std::ops::Range;
+
+use ib_sim::Route;
 
 use super::{Blocks, Coll, Fold, ReqWindow, Tree, PIPELINE_CHUNK};
 use crate::comm::Comm;
 use crate::datatype::Datatype;
 use crate::engine::Engine;
+use crate::pack::CpuModel;
 use crate::proto::ReqId;
 
 /// Upper bound on participating nodes: phase tags are node-indexed with a
@@ -54,9 +64,44 @@ pub(crate) const MAX_NODES: usize = 2048;
 /// derives the identical structure without communication — it depends
 /// only on the shared topology and group). `groups[x]` lists node `x`'s
 /// members in ascending group-rank order; `groups[x][0]` is the leader.
+/// The alltoallv's wire phase runs on node `x`'s first `leads[x]` members
+/// ([`LeadPrice`]).
 pub(crate) struct Hierarchy {
     groups: Vec<Vec<usize>>,
     my_node: usize,
+    leads: Vec<usize>,
+}
+
+/// What a node pays for how many leads share the alltoallv's wire phase,
+/// in the engine's fixed CPU charges: `wire` is one eager exchange over the
+/// HCA, `intra` the three extra eager exchanges over shm (metadata, section
+/// and piece) that one more lead costs every rank of the node. An exchange
+/// is a message each way, each paying the send call, the post and the
+/// receiver's packet handling; the byte-proportional copies are the same
+/// whatever the split, so they do not enter the price.
+struct LeadPrice {
+    wire: u64,
+    intra: u64,
+}
+
+impl LeadPrice {
+    fn new(cpu: &CpuModel, hca_post_ns: u64, shm_post_ns: u64) -> Self {
+        let exchange = |post: u64| 2 * (cpu.mpi_call_ns + post + cpu.handle_pkt_ns);
+        LeadPrice {
+            wire: exchange(hca_post_ns),
+            intra: 3 * exchange(shm_post_ns),
+        }
+    }
+
+    /// The number of leads, at most `ranks`, that minimizes the busiest
+    /// lead's ⌈(nn−1)/K⌉ wire exchanges plus the (K−1) extra leads' price;
+    /// the fewest on a tie.
+    fn leads(&self, nn: usize, ranks: usize) -> usize {
+        let cost = |k: usize| (nn - 1).div_ceil(k) as u64 * self.wire + (k - 1) as u64 * self.intra;
+        (1..=ranks)
+            .min_by_key(|&k| cost(k))
+            .expect("a node has a rank")
+    }
 }
 
 impl Hierarchy {
@@ -80,7 +125,15 @@ impl Hierarchy {
                 my_node = idx;
             }
         }
-        Hierarchy { groups, my_node }
+        let post = |route| eng.nic.post_overhead_ns(route);
+        let price = LeadPrice::new(eng.cpu(), post(Route::Hca), post(Route::Shm));
+        let nn = groups.len();
+        let leads = groups.iter().map(|g| price.leads(nn, g.len())).collect();
+        Hierarchy {
+            groups,
+            my_node,
+            leads,
+        }
     }
 
     /// Whether the two-level shape buys anything: at least two nodes (else
@@ -101,6 +154,18 @@ impl Hierarchy {
     /// The calling rank's node, leader first.
     fn my_group(&self) -> &[usize] {
         &self.groups[self.my_node]
+    }
+
+    /// Which of node `x`'s leads serves node `y` in the alltoallv: lead `i`
+    /// serves the nodes with `y·K/nn == i`, a run of ⌈nn/K⌉ or ⌊nn/K⌋ nodes
+    /// in node order, `x` itself included in one of them.
+    fn lead_for(&self, x: usize, y: usize) -> usize {
+        y * self.leads[x] / self.groups.len()
+    }
+
+    /// Node `y`'s lead for node `x`: the wire partner of `x`'s lead for `y`.
+    fn partner(&self, x: usize, y: usize) -> usize {
+        self.groups[y][self.lead_for(y, x)]
     }
 
     /// One representative per node for a collective rooted at `root`: the
@@ -468,169 +533,238 @@ pub(super) fn allreduce(
     fanout.drain(cx);
 }
 
-/// Hierarchical alltoallv. Four phases, all windowed:
+/// Hierarchical alltoallv over `K` leads per node ([`LeadPrice`]). Each lead
+/// of node X serves a run of nodes ([`Hierarchy::lead_for`]) and swaps with
+/// each remote one, over the wire, the aggregate of every block X's ranks
+/// send its ranks: one wire message per node pair instead of ppn² rank
+/// pairs, spread over K CPUs. Around it, three phases over shm:
 ///
-/// * **metadata** — members ship their per-peer byte counts to the node
-///   leader (16·P bytes), which keeps one send-bytes and one receive-bytes
-///   row per local member: the one place the aggregates' layout is decided;
-/// * **A (fan-in)** — every member sends its leader one hindexed message
-///   gathering all its blocks straight out of `sendbuf`, for every rank in
-///   node order (its own node and itself included);
-/// * **B/C (wire)** — the leader cuts the fan-in streams into per-node
-///   aggregates in one pass, and leaders exchange them pairwise: one wire
-///   message per node pair instead of ppn² rank pairs. The leader keeps its
-///   own node's aggregate;
-/// * **D (fan-out)** — the leader deals every node's aggregate into
-///   per-member payloads in one pass and ships each member its payload,
-///   which lands at its displacements via one hindexed receive.
+/// * **metadata** — every rank sends each other lead its send and receive
+///   byte counts for the ranks that lead serves. A lead keeps one row of
+///   each per local rank: the one place its aggregates' layout is decided;
+/// * **fan-in** — every rank sends each other lead its *section*: the run
+///   of its stream (its blocks for every rank in node order, then group
+///   order) that the lead serves. A lead cuts the sections into its nodes'
+///   aggregates in one pass, one cursor per section, and swaps them;
+/// * **fan-out** — a lead deals every aggregate it holds into one *piece*
+///   per local rank in one pass and ships each rank its piece: the run of
+///   its payload that the lead serves.
 ///
-/// The leader's own stream and payload are a member's that never travel:
-/// [`Coll::stage_blocks`] and [`Coll::deliver_blocks`]. A member thus posts
-/// two data messages whatever the ppn: a device buffer pays one pack and one
-/// unpack, not one per co-located peer.
+/// With one lead, its members send their stream and receive their payload
+/// typed, as one hindexed message each: a device buffer pays one pack and
+/// one unpack. With more, every rank stages its stream in place once
+/// ([`Coll::stage_blocks`]) while its metadata is in flight, receives its
+/// pieces into one host payload and delivers that once
+/// ([`Coll::deliver_blocks`]). A lead's own section and piece never travel.
 pub(super) fn alltoallv(cx: &mut Coll, h: &Hierarchy, send: &Blocks, recv: &Blocks) {
-    let size = cx.size();
-    let (nn, my_group) = (h.groups.len(), h.my_group());
-    let leader = my_group[0];
+    let (me, nn, x) = (cx.rank(), h.groups.len(), h.my_node);
+    let (grp, k) = (h.my_group(), h.leads[x]);
     const T_META: u32 = 1;
     const T_WIRE: u32 = 2;
     const T_FANIN: u32 = 4096;
     const T_FANOUT: u32 = 8192;
-    // A fan-in stream holds blocks for, and a payload blocks from, every
-    // rank in node order, then group order.
-    let ranks = || h.groups.iter().flatten().copied();
-    let sb: Vec<usize> = (0..size).map(|j| send.bytes(j)).collect();
-    let rb: Vec<usize> = (0..size).map(|j| recv.bytes(j)).collect();
+    let ranks = |nodes: Range<usize>| h.groups[nodes].iter().flatten().copied();
+    // Lead i's run: the nodes y with `h.lead_for(x, y) == i`.
+    let owned = |i: usize| (i * nn).div_ceil(k)..((i + 1) * nn).div_ceil(k);
+    let sb_of = |nodes: Range<usize>| ranks(nodes).map(|j| send.bytes(j)).sum::<usize>();
+    let rb_of = |nodes: Range<usize>| ranks(nodes).map(|j| recv.bytes(j)).sum::<usize>();
+    let lead = grp[..k].iter().position(|&l| l == me);
+    let other_leads = || {
+        grp[..k]
+            .iter()
+            .copied()
+            .enumerate()
+            .filter(|&(_, l)| l != me)
+    };
+    let bytes_of = |b: &Blocks, i: usize| ranks(owned(i)).map(|j| b.bytes(j)).collect::<Vec<_>>();
 
-    if cx.rank() != leader {
-        // Send and receive byte counts as u64 LE, then one stream out and
-        // one payload in. Each view's datatype is dropped once posted: held
-        // across the waits, every member's cached layout plans would be
-        // resident at once.
-        let ser = sb.iter().chain(&rb).flat_map(|&v| (v as u64).to_le_bytes());
-        let meta = HostBuf::from_vec(ser.collect());
-        let id = cx.send_bytes(&meta, 0, 16 * size, leader, T_META);
-        cx.wait(vec![id]);
+    // --- Metadata, as u64 LE: my send, then receive, bytes of lead i's ranks.
+    let mut meta = Vec::new();
+    for (i, l) in other_leads() {
+        let words = bytes_of(send, i).into_iter().chain(bytes_of(recv, i));
+        let buf = HostBuf::from_vec(words.flat_map(|v| (v as u64).to_le_bytes()).collect());
+        meta.push(cx.send_bytes(&buf, 0, buf.len(), l, T_META));
+    }
+    let peers: Vec<usize> = match lead {
+        Some(_) => grp.iter().copied().filter(|&g| g != me).collect(),
+        None => Vec::new(),
+    };
+    let words = lead.map_or(0, |i| 2 * ranks(owned(i)).count());
+    let metas: Vec<HostBuf> = peers.iter().map(|_| HostBuf::alloc(8 * words)).collect();
+    for (buf, &m) in metas.iter().zip(&peers) {
+        meta.push(cx.recv_bytes(buf, 0, buf.len(), m, T_META));
+    }
+    // Every rank of a node with several leads stages its stream while the
+    // metadata travels; a single leader stages once its receives are
+    // posted, below.
+    let staged = (k > 1).then(|| cx.stage_blocks(send, ranks(0..nn)));
+    if !meta.is_empty() {
+        cx.wait(meta);
+    }
+
+    if lead.is_none() && k == 1 {
+        // One stream out and one payload in. Each view's datatype is dropped
+        // once posted: held across the waits, every member's cached layout
+        // plans would be resident at once.
         let a = {
-            let (loc, n, dt) = send.view(ranks());
-            cx.send(loc, n, &dt, leader, T_FANIN)
+            let (loc, n, dt) = send.view(ranks(0..nn));
+            cx.send(loc, n, &dt, grp[0], T_FANIN)
         };
         let d = {
-            let (loc, n, dt) = recv.view(ranks());
-            cx.recv(loc, n, &dt, leader, T_FANOUT)
+            let (loc, n, dt) = recv.view(ranks(0..nn));
+            cx.recv(loc, n, &dt, grp[0], T_FANOUT)
         };
         cx.wait(vec![a]);
         cx.wait(vec![d]);
         return;
     }
 
-    // --- Metadata: row i is member i's (the leader's own first) bytes to
-    // and from every rank.
-    let members = &my_group[1..];
-    let metas: Vec<HostBuf> = members.iter().map(|_| HostBuf::alloc(16 * size)).collect();
-    if !members.is_empty() {
-        let posts = metas.iter().zip(members);
-        let ids = posts
-            .map(|(buf, &m)| cx.recv_bytes(buf, 0, 16 * size, m, T_META))
-            .collect();
-        cx.wait(ids);
-    }
-    let (mut sbytes, mut rbytes) = (vec![sb], vec![rb]);
-    for buf in &metas {
-        let raw = buf.read(0, 16 * size);
-        let word = |j: usize| {
-            let bytes = raw[8 * j..8 * j + 8].try_into();
-            u64::from_le_bytes(bytes.expect("a count is 8 bytes"))
-        };
-        sbytes.push((0..size).map(|j| word(j) as usize).collect());
-        rbytes.push((size..2 * size).map(|j| word(j) as usize).collect());
+    // --- Pieces from the other leads land at their runs of my payload.
+    let payload = HostBuf::alloc(rb_of(0..nn));
+    let mut pieces = Vec::new();
+    for (i, l) in other_leads() {
+        let (at, len) = (rb_of(0..owned(i).start), rb_of(owned(i)));
+        pieces.push(cx.recv_bytes(&payload, at, len, l, T_FANOUT));
     }
 
-    // --- Phase A receives: one stream per member.
-    let mut streams = Vec::new();
-    let mut a_ids = Vec::new();
-    for (row, &m) in sbytes[1..].iter().zip(members) {
-        let buf = HostBuf::alloc(row.iter().sum());
-        a_ids.push(cx.recv_bytes(&buf, 0, buf.len(), m, T_FANIN));
-        streams.push(buf);
+    // --- A lead's rows, sections and wire receives, posted before any
+    // waiting so peer leads' aggregates stream in while the fan-in drains
+    // (an unposted receive would park inbound transfers at RTS and
+    // serialize the leads against each other). Row `(sb, rb)` of a local
+    // rank holds its bytes to and from every rank I serve; the aggregate
+    // of my node for node y holds, per rank s of y in group order, s's
+    // blocks for my node's ranks in group order.
+    let mine = lead.map_or(0..0, owned);
+    let mut base = vec![0];
+    for y in mine.clone() {
+        base.push(base[base.len() - 1] + h.groups[y].len());
     }
-
-    // --- Phase C receives, posted before any waiting so peer leaders'
-    // aggregates stream in while this node's fan-in is still draining (an
-    // unposted receive would park inbound transfers at RTS and serialize
-    // the leaders against each other). Node X's aggregate holds, per
-    // member s of X in group order, s's blocks for my node's members in
-    // group order, block (s -> d) being `rbytes[d][s]` bytes (the
-    // byte-total contract makes the sender's counts and ours agree).
-    let from = |s: usize| -> usize { rbytes.iter().map(|row| row[s]).sum() };
-    let mut aggs: Vec<HostBuf> = h
-        .groups
+    let at = |y: usize| base[y - mine.start]..base[y - mine.start + 1];
+    let mut rows: Vec<(Vec<usize>, Vec<usize>)> = metas
         .iter()
-        .map(|grp| HostBuf::alloc(grp.iter().map(|&s| from(s)).sum()))
-        .collect();
-    let remote = (0..nn).filter(|&x| x != h.my_node);
-    let c_ids = remote
-        .map(|x| cx.recv_bytes(&aggs[x], 0, aggs[x].len(), h.groups[x][0], T_WIRE))
-        .collect();
-    streams.insert(0, HostBuf::from_vec(cx.stage_blocks(send, ranks())));
-    cx.wait(a_ids);
-
-    // --- Assemble every node's aggregate in one pass: node Y's holds,
-    // per local member in group order, that member's blocks for Y's
-    // members — the next section of its stream.
-    let mut at = vec![0; my_group.len()];
-    let out: Vec<HostBuf> = h
-        .groups
-        .iter()
-        .map(|grp| {
-            let spans = sbytes.iter().map(|row| grp.iter().map(|&j| row[j]).sum());
-            let spans: Vec<usize> = spans.collect();
-            let agg = HostBuf::alloc(spans.iter().sum());
-            let mut off = 0;
-            for ((stream, at), span) in streams.iter().zip(&mut at).zip(spans) {
-                HostBuf::copy(&stream.ptr(*at), &agg.ptr(off), span);
-                (*at, off) = (*at + span, off + span);
-            }
-            agg
+        .map(|buf| {
+            let raw = buf.read(0, 8 * words);
+            let word = |j: usize| {
+                let bytes = raw[8 * j..8 * j + 8].try_into();
+                u64::from_le_bytes(bytes.expect("a count is 8 bytes")) as usize
+            };
+            let half = words / 2;
+            (
+                (0..half).map(word).collect(),
+                (half..words).map(word).collect(),
+            )
         })
         .collect();
-    aggs[h.my_node] = out[h.my_node].clone();
-
-    // --- Phase B sends: one aggregate per remote node, in shifted order so
-    // no two leaders hammer the same target.
-    let mut b_win = ReqWindow::default();
-    for r in 1..nn {
-        let y = (h.my_node + r) % nn;
-        let id = cx.send_bytes(&out[y], 0, out[y].len(), h.groups[y][0], T_WIRE);
-        b_win.push(cx, vec![id]);
+    drop(metas);
+    let mut sec_ids = Vec::new();
+    let sections: Vec<HostBuf> = rows
+        .iter()
+        .zip(&peers)
+        .map(|((sb, _), &m)| {
+            let buf = HostBuf::alloc(sb.iter().sum());
+            sec_ids.push(cx.recv_bytes(&buf, 0, buf.len(), m, T_FANIN));
+            buf
+        })
+        .collect();
+    if let Some(i) = lead {
+        rows.insert(i, (bytes_of(send, i), bytes_of(recv, i)));
     }
-    cx.wait(c_ids);
+    let from = |y: usize| -> usize {
+        rows.iter()
+            .map(|(_, rb)| rb[at(y)].iter().sum::<usize>())
+            .sum()
+    };
+    let mut aggs: Vec<HostBuf> = mine.clone().map(|y| HostBuf::alloc(from(y))).collect();
+    let mut wire_ids = Vec::new();
+    for (y, agg) in mine.clone().zip(&aggs).filter(|&(y, _)| y != x) {
+        wire_ids.push(cx.recv_bytes(agg, 0, agg.len(), h.partner(x, y), T_WIRE));
+    }
 
-    // --- Phase D: deal every node's aggregate into per-member payloads in
-    // one pass, then ship each member ONE message — the exact stream its
-    // hindexed receive scatters to its displacements.
-    let mut payloads = vec![Vec::new(); my_group.len()];
-    for (grp, agg) in h.groups.iter().zip(aggs) {
-        let raw = agg.read(0, agg.len());
-        let mut off = 0;
-        for &s in grp {
-            for (payload, row) in payloads.iter_mut().zip(&rbytes) {
-                payload.extend_from_slice(&raw[off..off + row[s]]);
-                off += row[s];
+    // --- My sections to the other leads, out of my stream staged in place.
+    let stream = staged.unwrap_or_else(|| cx.stage_blocks(send, ranks(0..nn)));
+    let mut outs = Vec::new();
+    for (i, l) in other_leads() {
+        let (at, len) = (sb_of(0..owned(i).start), sb_of(owned(i)));
+        outs.push(cx.send_bytes(&stream, at, len, l, T_FANIN));
+    }
+
+    let (mut wire, mut fanout) = (ReqWindow::default(), ReqWindow::default());
+    if let Some(i) = lead {
+        cx.wait(sec_ids);
+        // Assemble my nodes' aggregates in one pass: node y's holds, per
+        // local rank in group order, that rank's blocks for y's ranks — the
+        // next run of its section.
+        let mut cursors: Vec<(&HostBuf, usize)> = sections.iter().map(|s| (s, 0)).collect();
+        cursors.insert(i, (&stream, sb_of(0..mine.start)));
+        let out: Vec<HostBuf> = mine
+            .clone()
+            .map(|y| {
+                let spans = rows.iter().map(|(sb, _)| sb[at(y)].iter().sum());
+                let spans: Vec<usize> = spans.collect();
+                let mut agg = vec![0; spans.iter().sum()];
+                let mut off = 0;
+                for ((src, at), span) in cursors.iter_mut().zip(spans) {
+                    src.read_into(*at, &mut agg[off..off + span]);
+                    (*at, off) = (*at + span, off + span);
+                }
+                HostBuf::from_vec(agg)
+            })
+            .collect();
+        drop(cursors);
+        drop((sections, stream));
+
+        // One aggregate per remote node I serve, my run rotated by my node
+        // so that the leads serving one run do not all hammer its first
+        // node; my own node's aggregate I keep.
+        for r in 0..mine.len() {
+            let y = mine.start + (x + r) % mine.len();
+            if y != x {
+                let agg = &out[y - mine.start];
+                let id = cx.send_bytes(agg, 0, agg.len(), h.partner(x, y), T_WIRE);
+                wire.push(cx, vec![id]);
             }
         }
+        if mine.contains(&x) {
+            aggs[x - mine.start] = out[x - mine.start].clone();
+        }
+        drop(out);
+        cx.wait(wire_ids);
+
+        // Deal every aggregate into per-rank pieces in one pass, then ship
+        // each rank ONE message; mine lands in my payload.
+        let sizes = rows.iter().map(|(_, rb)| rb.iter().sum());
+        let mut deal: Vec<Vec<u8>> = sizes.map(Vec::with_capacity).collect();
+        for (y, agg) in mine.clone().zip(aggs) {
+            let raw = agg.read(0, agg.len());
+            let mut off = 0;
+            for t in at(y) {
+                for (piece, (_, rb)) in deal.iter_mut().zip(&rows) {
+                    piece.extend_from_slice(&raw[off..off + rb[t]]);
+                    off += rb[t];
+                }
+            }
+        }
+        for (piece, &d) in deal.into_iter().zip(grp) {
+            if d == me {
+                payload.write(rb_of(0..mine.start), &piece);
+            } else {
+                let buf = HostBuf::from_vec(piece);
+                let id = cx.send_bytes(&buf, 0, buf.len(), d, T_FANOUT);
+                fanout.push(cx, vec![id]);
+            }
+        }
+    } else {
+        drop(stream);
     }
-    let mut payloads = payloads.into_iter();
-    let own = payloads.next().expect("the leader's own payload");
-    let mut d_win = ReqWindow::default();
-    for (payload, &m) in payloads.zip(members) {
-        let buf = HostBuf::from_vec(payload);
-        let id = cx.send_bytes(&buf, 0, buf.len(), m, T_FANOUT);
-        d_win.push(cx, vec![id]);
+    if !pieces.is_empty() {
+        cx.wait(pieces);
     }
-    cx.deliver_blocks(&own, recv, ranks());
-    b_win.drain(cx);
-    d_win.drain(cx);
+    cx.deliver_blocks(&payload, recv, ranks(0..nn));
+    wire.drain(cx);
+    fanout.drain(cx);
+    if !outs.is_empty() {
+        cx.wait(outs);
+    }
 }
 
 #[cfg(test)]
@@ -641,12 +775,72 @@ mod tests {
     fn one_shared_node(nodes: usize) -> Hierarchy {
         let mut groups = vec![vec![0, 1]];
         groups.extend((2..=nodes).map(|g| vec![g]));
-        Hierarchy { groups, my_node: 0 }
+        let leads = vec![1; nodes];
+        Hierarchy {
+            groups,
+            my_node: 0,
+            leads,
+        }
     }
 
     #[test]
     fn a_world_past_max_nodes_is_served_flat() {
         assert!(one_shared_node(MAX_NODES).beneficial());
         assert!(!one_shared_node(MAX_NODES + 1).beneficial());
+    }
+
+    #[test]
+    fn the_lead_count_is_priced_on_the_calibrated_models() {
+        use ib_sim::{NetModel, ShmModel};
+        let (hca, shm) = (NetModel::qdr(), ShmModel::westmere());
+        let price = LeadPrice::new(
+            &CpuModel::westmere(),
+            hca.post_overhead_ns,
+            shm.post_overhead_ns,
+        );
+        assert_eq!((price.wire, price.intra), (1300, 2700));
+        let nodes = [2, 4, 6, 8, 16, 64];
+        let table = |ranks: usize| nodes.map(|nn| price.leads(nn, ranks));
+        assert_eq!(table(4), [1, 1, 1, 2, 3, 4], "4 ranks per node");
+        assert_eq!(table(8), [1, 1, 1, 2, 3, 5], "8 ranks per node");
+        // A node of fewer ranks than the price asks for leads on all of them.
+        assert_eq!(price.leads(64, 2), 2);
+        assert_eq!(price.leads(64, 1), 1);
+    }
+
+    #[test]
+    fn leads_serve_runs_of_nodes_and_pair_up() {
+        // 16 nodes of 4, 2 and 1 ranks: 3, 2 and 1 leads.
+        let mut groups: Vec<Vec<usize>> = Vec::new();
+        for x in 0..16 {
+            let first = groups.iter().map(Vec::len).sum::<usize>();
+            groups.push((first..first + [4, 2, 1][x % 3]).collect());
+        }
+        let price = LeadPrice::new(&CpuModel::westmere(), 300, 100);
+        let leads = groups.iter().map(|g| price.leads(16, g.len())).collect();
+        let h = Hierarchy {
+            groups,
+            my_node: 0,
+            leads,
+        };
+        assert_eq!(h.leads[..3], [3, 2, 1]);
+        for x in 0..16 {
+            let k = h.leads[x];
+            let lead: Vec<usize> = (0..16).map(|y| h.lead_for(x, y)).collect();
+            assert!(lead.windows(2).all(|w| w[0] <= w[1]), "node {x}: {lead:?}");
+            for i in 0..k {
+                let run = lead.iter().filter(|&&l| l == i).count();
+                assert!(
+                    run == 16 / k || run == 16usize.div_ceil(k),
+                    "node {x} lead {i}: {run}"
+                );
+            }
+            for y in (0..16).filter(|&y| y != x) {
+                // x's lead for y swaps with y's lead for x.
+                let mine = h.groups[x][lead[y]];
+                assert_eq!(h.partner(y, x), mine);
+                assert!(h.groups[y][..h.leads[y]].contains(&h.partner(x, y)));
+            }
+        }
     }
 }

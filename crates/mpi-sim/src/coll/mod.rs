@@ -405,16 +405,25 @@ impl<'a> Coll<'a> {
     /// [`SendSource`]: crate::staging::SendSource
     pub(crate) fn stage(&mut self, buf: &Loc, count: usize, dtype: &Datatype) -> Vec<u8> {
         let bytes = count * dtype.size();
-        if let Some(p) = host_direct(buf, dtype) {
-            return p.read(bytes);
+        match host_direct(buf, dtype) {
+            Some(p) => p.read(bytes),
+            None => self.pack(buf, count, dtype).read(0, bytes),
         }
+    }
+
+    /// [`stage`](Coll::stage)'s one chunk through the buffer's own
+    /// [`SendSource`], into a fresh host buffer.
+    ///
+    /// [`SendSource`]: crate::staging::SendSource
+    fn pack(&mut self, buf: &Loc, count: usize, dtype: &Datatype) -> HostBuf {
+        let bytes = count * dtype.size();
         let mut source = self.eng.make_source(buf, count, dtype);
         let scratch = HostBuf::alloc(bytes);
         source.begin(bytes.max(1));
         source.request_chunk(0, scratch.base(), bytes);
         let ready = |_: &mut Engine| source.chunk_ready(0).then_some(());
         self.eng.block_until_or(|| source.next_event(), ready);
-        scratch.read(0, bytes)
+        scratch
     }
 
     /// Deliver packed host bytes into `(buf, count, dtype)` — the inverse
@@ -424,14 +433,20 @@ impl<'a> Coll<'a> {
     ///
     /// [`RecvSink`]: crate::staging::RecvSink
     pub(crate) fn deliver(&mut self, data: &[u8], buf: &Loc, count: usize, dtype: &Datatype) {
-        if let Some(p) = host_direct(buf, dtype) {
-            p.write(data);
-            return;
+        match host_direct(buf, dtype) {
+            Some(p) => p.write(data),
+            None => self.unpack(&HostBuf::from_vec(data.to_vec()), buf, count, dtype),
         }
+    }
+
+    /// [`deliver`](Coll::deliver)'s one chunk through the buffer's own
+    /// [`RecvSink`], out of all of `data`.
+    ///
+    /// [`RecvSink`]: crate::staging::RecvSink
+    fn unpack(&mut self, data: &HostBuf, buf: &Loc, count: usize, dtype: &Datatype) {
         let mut sink = self.eng.make_sink(buf, count, dtype);
-        let scratch = HostBuf::from_vec(data.to_vec());
         sink.begin(data.len().max(1), data.len());
-        sink.chunk_arrived(0, scratch.base(), data.len());
+        sink.chunk_arrived(0, data.base(), data.len());
         let ready = |_: &mut Engine| sink.finished().then_some(());
         self.eng.block_until_or(|| sink.next_event(), ready);
     }
@@ -444,35 +459,34 @@ impl<'a> Coll<'a> {
         &mut self,
         b: &Blocks,
         peers: impl Iterator<Item = usize>,
-    ) -> Vec<u8> {
+    ) -> HostBuf {
         if let Some(p) = host_direct(b.buf, b.dtype) {
             let blocks = peers.filter(|&j| b.counts[j] > 0);
-            return blocks
-                .flat_map(|j| p.add(b.displs[j]).read(b.bytes(j)))
-                .collect();
+            let bytes = blocks.flat_map(|j| p.add(b.displs[j]).read(b.bytes(j)));
+            return HostBuf::from_vec(bytes.collect());
         }
         let (loc, n, dt) = b.view(peers);
-        self.stage(&loc, n, &dt)
+        self.pack(&loc, n, &dt)
     }
 
-    /// The inverse of [`stage_blocks`](Coll::stage_blocks): `data` is the
+    /// The inverse of [`stage_blocks`](Coll::stage_blocks): `data` holds the
     /// listed peers' blocks, packed in order.
     pub(crate) fn deliver_blocks(
         &mut self,
-        data: &[u8],
+        data: &HostBuf,
         b: &Blocks,
         peers: impl Iterator<Item = usize>,
     ) {
         if let Some(p) = host_direct(b.buf, b.dtype) {
             let mut at = 0;
             for j in peers.filter(|&j| b.counts[j] > 0) {
-                p.add(b.displs[j]).write(&data[at..at + b.bytes(j)]);
+                HostBuf::copy(&data.ptr(at), &p.add(b.displs[j]), b.bytes(j));
                 at += b.bytes(j);
             }
             return;
         }
         let (loc, n, dt) = b.view(peers);
-        self.deliver(data, &loc, n, &dt);
+        self.unpack(data, &loc, n, &dt);
     }
 
     /// Fold one packed contribution from every rank in `sources`, in order,

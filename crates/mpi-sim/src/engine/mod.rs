@@ -469,6 +469,11 @@ impl Engine {
         }
     }
 
+    /// The host CPU cost model this engine charges.
+    pub(crate) fn cpu(&self) -> &CpuModel {
+        &self.cpu
+    }
+
     fn mpi_call_cost(&self) {
         sim_core::sleep(SimDur::from_nanos(self.cpu.mpi_call_ns));
     }
@@ -860,12 +865,31 @@ impl Engine {
                 .expect("non-MPI packet in MPI mailbox");
             self.handle_packet(src, *payload);
         }
-        // Advance sends, then receives, each in id order.
-        let send_ids: Vec<ReqId> = self.sends.keys().copied().collect();
+        // Advance sends, then receives, each in id order. Only a request
+        // with something to drive is visited: a pass neither creates
+        // requests nor wakes a finished or unmatched one (matching happens
+        // in the drain above and in `irecv`), so the ids skipped here are
+        // the ones `advance_*` would skip.
+        let send_ids: Vec<ReqId> = self
+            .sends
+            .iter()
+            .filter(|(_, st)| !matches!(st.phase, SendPhase::Done | SendPhase::Failed(_)))
+            .map(|(&id, _)| id)
+            .collect();
         for id in send_ids {
             self.advance_send(id);
         }
-        let recv_ids: Vec<ReqId> = self.recvs.keys().copied().collect();
+        let recv_ids: Vec<ReqId> = self
+            .recvs
+            .iter()
+            .filter(|(_, st)| {
+                !matches!(
+                    st.phase,
+                    RecvPhase::Unmatched | RecvPhase::Done(_) | RecvPhase::Failed(_)
+                )
+            })
+            .map(|(&id, _)| id)
+            .collect();
         for id in recv_ids {
             self.advance_recv(id);
         }

@@ -81,6 +81,10 @@ pub struct MpiWorld {
     n: usize,
     topo: Option<Topology>,
     cfg: MpiConfig,
+    /// Whether `with_ppn` / `with_block_size` set `cfg`'s placement or
+    /// block size: `with_config` may not silently replace either.
+    ppn_set: bool,
+    block_set: bool,
     sanitizer: SanitizerMode,
     faults: Option<FaultSpec>,
     recorder: Recorder,
@@ -97,6 +101,8 @@ impl MpiWorld {
             n,
             topo: None,
             cfg: MpiConfig::default(),
+            ppn_set: false,
+            block_set: false,
             sanitizer: SanitizerMode::Off,
             faults: None,
             recorder: Recorder::off(),
@@ -128,6 +134,7 @@ impl MpiWorld {
     /// world size; checked at job launch.
     pub fn with_ppn(mut self, ppn: usize) -> Self {
         self.cfg.ppn = ppn;
+        self.ppn_set = true;
         self
     }
 
@@ -149,8 +156,26 @@ impl MpiWorld {
         self
     }
 
-    /// Override the MPI configuration.
+    /// Override the MPI configuration. A `ppn` or block size set before by
+    /// [`with_ppn`](MpiWorld::with_ppn) or
+    /// [`with_block_size`](MpiWorld::with_block_size) is part of it: `cfg`
+    /// must carry the same value, else this panics naming both (set it in
+    /// `cfg`, or call the setter after this).
     pub fn with_config(mut self, cfg: MpiConfig) -> Self {
+        let (old, new) = (&self.cfg, &cfg);
+        assert!(
+            !self.ppn_set || new.ppn == old.ppn,
+            "with_config would replace ppn {} (set by with_ppn) with {}",
+            old.ppn,
+            new.ppn
+        );
+        let fixed = |c: &MpiConfig| (c.chunk_size, c.policy.clone());
+        assert!(
+            !self.block_set || fixed(new) == fixed(old),
+            "with_config would replace block size {:?} (set by with_block_size) with {:?}",
+            fixed(old),
+            fixed(new)
+        );
         self.cfg = cfg;
         self
     }
@@ -162,6 +187,7 @@ impl MpiWorld {
     pub fn with_block_size(mut self, bytes: usize) -> Self {
         self.cfg.chunk_size = bytes;
         self.cfg.policy = ChunkPolicy::Fixed;
+        self.block_set = true;
         self
     }
 
@@ -786,6 +812,63 @@ mod tests {
     #[should_panic(expected = "must evenly divide the world size")]
     fn indivisible_ppn_is_rejected_at_launch() {
         MpiWorld::new(3).with_ppn(2).run(|_| {});
+    }
+
+    #[test]
+    fn a_config_keeps_an_explicit_ppn_and_block_size_or_says_which() {
+        // Ranks 0 and 1 share a node exactly when the placement is ppn 2.
+        let shared = |w: MpiWorld| -> bool {
+            let (_, ranks, _) = w
+                .try_run(|comm| comm.engine().lock().nic.colocated(1))
+                .unwrap();
+            ranks[0]
+        };
+        let two = MpiConfig {
+            ppn: 2,
+            ..MpiConfig::default()
+        };
+        let blocked = MpiConfig {
+            chunk_size: 16 << 10,
+            policy: ChunkPolicy::Fixed,
+            ..MpiConfig::default()
+        };
+        // A setter after the config, and a config that agrees, both hold.
+        assert!(shared(
+            MpiWorld::new(4)
+                .with_config(MpiConfig::default())
+                .with_ppn(2)
+        ));
+        assert!(shared(MpiWorld::new(4).with_ppn(2).with_config(two)));
+        MpiWorld::new(2)
+            .with_block_size(16 << 10)
+            .with_config(blocked);
+        // A config that disagrees names both values.
+        let refused = |f: fn() -> MpiWorld| {
+            let Err(err) = std::panic::catch_unwind(f) else {
+                panic!("with_config must refuse a different value")
+            };
+            err.downcast::<String>()
+                .expect("a formatted message")
+                .to_string()
+        };
+        let ppn = refused(|| {
+            MpiWorld::new(4)
+                .with_ppn(2)
+                .with_config(MpiConfig::default())
+        });
+        assert!(
+            ppn.contains("replace ppn 2 (set by with_ppn) with 1"),
+            "{ppn}"
+        );
+        let block = refused(|| {
+            MpiWorld::new(2)
+                .with_block_size(4096)
+                .with_config(MpiConfig::default())
+        });
+        assert!(
+            block.contains("replace block size (4096, Fixed)"),
+            "{block}"
+        );
     }
 
     #[test]

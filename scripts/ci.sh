@@ -93,7 +93,7 @@ while read -r workload pinned; do
 done <<'PINS'
 vec_pingpong 36.795891 136.265 2746.229
 halo3d_1024 1.03501 390.483 711.805
-coll_256 0.311538 151.296 157.698
+coll_256 0.300943 140.617 154.938
 jobmix_1024 25.543504 1238.505 2506.348
 scheme_zoo 2.606417 27.499 79.695
 PINS

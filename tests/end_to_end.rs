@@ -3,8 +3,12 @@
 //! end.
 
 use gpu_nc_repro::halo3d::{self, run_halo3d_on, Halo3dParams};
-use gpu_nc_repro::ib_sim::Topology;
-use gpu_nc_repro::mpi_sim::{CollAlgo, DataScheme, Datatype, MpiConfig, ReduceOp, SchemeSel};
+use std::sync::{Arc, Mutex};
+
+use gpu_nc_repro::ib_sim::{CtrlAction, CtrlPoint, DeliveryScheduler, FifoScheduler, Topology};
+use gpu_nc_repro::mpi_sim::{
+    packet_kind, CollAlgo, DataScheme, Datatype, MpiConfig, ReduceOp, SchemeSel,
+};
 use gpu_nc_repro::mv2_gpu_nc::baselines::{fill_vector, verify_vector, VectorXfer};
 use gpu_nc_repro::mv2_gpu_nc::GpuCluster;
 use gpu_nc_repro::stencil2d::{run_stencil, RunOptions, StencilParams, Variant};
@@ -903,6 +907,18 @@ fn a2a_checked(
     rows: usize,
     cnt: impl Fn(usize, usize) -> usize + Copy + Send + Sync + 'static,
 ) -> (sim_core::SimDur, u64) {
+    a2a_observed(topo, algo, dev, rows, cnt, Arc::new(FifoScheduler))
+}
+
+/// [`a2a_checked`] with `sched` shown every control packet.
+fn a2a_observed(
+    topo: Topology,
+    algo: CollAlgo,
+    dev: (bool, bool),
+    rows: usize,
+    cnt: impl Fn(usize, usize) -> usize + Copy + Send + Sync + 'static,
+    sched: Arc<dyn DeliveryScheduler>,
+) -> (sim_core::SimDur, u64) {
     let n = topo.num_ranks();
     let rec = Recorder::new();
     let mut cfg = MpiConfig::default();
@@ -937,6 +953,7 @@ fn a2a_checked(
         .mpi_config(cfg)
         .recorder(rec.clone())
         .sanitizer(SanitizerMode::Collect)
+        .scheduler(sched)
         .try_run(move |env| {
             let me = env.comm.rank();
             let int = Datatype::int();
@@ -1141,4 +1158,65 @@ fn hier_alltoallv_of_small_device_tiles_beats_flat() {
         hier <= 0.26 * flat,
         "hier alltoallv took {hier} ns, flat {flat} ns: more than 0.26x"
     );
+}
+
+/// Counts, per sending rank, the rendezvous sends that cross the wire: one
+/// RTS each.
+#[derive(Default)]
+struct WireSends(Mutex<Vec<usize>>);
+
+impl DeliveryScheduler for WireSends {
+    fn on_ctrl(&self, p: &CtrlPoint<'_>) -> CtrlAction {
+        if !p.shm && packet_kind(p.payload) == Some("Rts") {
+            let mut sends = self.0.lock().unwrap();
+            if sends.len() <= p.src {
+                sends.resize(p.src + 1, 0);
+            }
+            sends[p.src] += 1;
+        }
+        CtrlAction::Deliver
+    }
+}
+
+#[test]
+fn hier_alltoallv_splits_the_wire_over_priced_leads() {
+    // 16 nodes of 4, 2 and 1 ranks, placed round-robin: at 16 nodes they
+    // price to 3, 2 and 1 leads, so every pairing of lead counts meets on
+    // the wire. Every pair's block is past the eager limit, so each
+    // aggregate a lead sends over the HCA announces itself with one RTS.
+    let sizes: Vec<usize> = (0..16).map(|x| [4, 2, 1][x % 3]).collect();
+    let leads = |x: usize| [3, 2, 1][x % 3];
+    let map: Vec<usize> = (0..4)
+        .flat_map(|round| (0..16).filter(move |&x| round < [4, 2, 1][x % 3]))
+        .collect();
+    let nn = sizes.len();
+    for (dev, rows) in [
+        ((false, false), 1),
+        ((false, false), 3),
+        ((true, true), 1),
+        ((true, true), 3),
+    ] {
+        let sends = Arc::new(WireSends::default());
+        let big = move |s: usize, d: usize| 8192 / (4 * rows) + ragged(s, d);
+        let topo = Topology::from_map(map.clone());
+        a2a_observed(topo, CollAlgo::Hier, dev, rows, big, sends.clone());
+        let mut sends = sends.0.lock().unwrap().clone();
+        sends.resize(map.len(), 0);
+        for x in 0..nn {
+            let ranks: Vec<usize> = (0..map.len()).filter(|&r| map[r] == x).collect();
+            // Lead i serves the run of nodes y with y·K/nn == i, its own
+            // node too: at most ⌈nn/K⌉ aggregates over the wire.
+            let k = leads(x);
+            let served = |i: usize| (0..nn).filter(|&y| y != x && y * k / nn == i).count();
+            let what = format!("{dev:?} rows {rows}, node {x} of {} ranks", ranks.len());
+            for (i, &r) in ranks.iter().enumerate() {
+                let want = if i < k { served(i) } else { 0 };
+                assert!(want <= nn.div_ceil(k), "{what}: lead {i} serves {want}");
+                assert_eq!(sends[r], want, "{what}: rank {r}, local rank {i}");
+            }
+        }
+    }
+    // Eager aggregates of ragged strided device tiles on the same world.
+    let topo = Topology::from_map(map.clone());
+    a2a_checked(topo, CollAlgo::Hier, (true, true), 3, ragged);
 }
