@@ -7,12 +7,14 @@
 //! settled iteration) plus host wall-clock, and the process-wide plan-cache
 //! counters for a halo3d run. It fails loudly if Adaptive regresses more
 //! than 10% behind Fixed on any staged size, or if the halo3d plan-cache
-//! hit rate drops below 90% — so every run guards both optimizations.
+//! hit rate drops below 90% — so every run guards both optimizations. Both
+//! arms pin the paper's pack + copy (`SchemeSel::Force(Staged)`), so a
+//! one-chunk message does not price its PCIe crossing here.
 
 use std::time::Instant;
 
 use halo3d::{run_halo3d, Halo3dParams, Variant};
-use mpi_sim::MpiConfig;
+use mpi_sim::{DataScheme, MpiConfig, SchemeSel};
 use mv2_gpu_nc::GpuCluster;
 
 use crate::doc::{col, paper_sizes, Col, Doc, Fmt, Table};
@@ -47,8 +49,12 @@ pub fn pipeline_bench(args: &Args) -> Doc {
             let ns = vector_laps(GpuCluster::new(2).mpi_config(cfg), total, iters);
             (ns, wall.elapsed().as_secs_f64() * 1e3)
         };
-        let (f, f_wall) = timed(fixed_cfg());
-        let (a, a_wall) = timed(MpiConfig::default());
+        let paper = |cfg| MpiConfig {
+            scheme: SchemeSel::Force(DataScheme::Staged),
+            ..cfg
+        };
+        let (f, f_wall) = timed(paper(fixed_cfg()));
+        let (a, a_wall) = timed(paper(MpiConfig::default()));
         let us = |ns: Option<&u64>| *ns.expect("no lap ran") as f64 / 1e3;
         let staged = total > MpiConfig::default().eager_limit;
         let (fixed_best, adaptive_best) = (us(f.iter().min()), us(a.iter().min()));

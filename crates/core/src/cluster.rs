@@ -48,7 +48,8 @@ impl GpuRankEnv {
         } = seat;
         let gpu = node_gpus[nic.physical_node()].clone();
         let scope = format!("{}rank{rank}", nic.scope_prefix());
-        let stager = Arc::new(GpuStager::with_scope(gpu.clone(), &scope, &recorder));
+        let stager = GpuStager::with_scope(gpu.clone(), &scope, &recorder, cfg.scheme);
+        let stager = Arc::new(stager);
         GpuRankEnv {
             comm: Comm::create_traced(nic, rank, size, cfg, Some(stager), &recorder),
             gpu,

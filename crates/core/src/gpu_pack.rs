@@ -18,10 +18,20 @@
 //!   (indexed/struct types and two-level shapes — beyond what the paper
 //!   evaluated, but what its production descendants do), charged by bytes
 //!   and rows and executed as one in-arena pitched copy per run.
+//!
+//! Packing is how the paper crosses PCIe. Its §I-A prices three ways to
+//! move a strided device buffer to the host — (a) one pitched copy strided
+//! on both sides, (b) one pitched copy into contiguous host memory, (c) a
+//! device pack, then one contiguous copy — and always takes (c), because
+//! its vectors have thousands of narrow rows. A one-chunk message of a few
+//! wide rows is the other way round: [`Crossing::of`] prices (b) and (c)
+//! with the device's own closed forms, [`pitched_run`] picks by that price
+//! and [`enqueue_pitched`] enqueues (b).
 
-use gpu_sim::{Copy2d, DevPtr, Gpu, Loc, Stream};
+use gpu_sim::{Copy2d, CopyDir, CostModel, DevPtr, Gpu, Loc, Shape2D, Stream};
+use hostmem::HostPtr;
 use mpi_sim::flat::{push_run, Run};
-use sim_core::Completion;
+use sim_core::{Completion, SimDur};
 
 /// Enqueue the device ops that pack `pieces` of the user buffer at `user`
 /// into contiguous device memory at `dst`. Returns the completion of the
@@ -67,6 +77,77 @@ fn peel(pieces: &[Run]) -> Option<(Run, Run, Run)> {
     }
 }
 
+/// The copy between the rows of `run` in the user buffer at `user` and the
+/// same bytes packed at `packed`: into `packed` when `gather`, out of it
+/// otherwise.
+fn run_copy(user: DevPtr, run: &Run, packed: Loc, gather: bool) -> Copy2d {
+    let strided = Loc::Device(user.add_signed(run.offset));
+    let ((dst, dpitch), (src, spitch)) = if gather {
+        ((packed, run.len), (strided, run.stride))
+    } else {
+        ((strided, run.stride), (packed, run.len))
+    };
+    Copy2d {
+        dst,
+        dpitch,
+        src,
+        spitch,
+        width: run.len,
+        height: run.count,
+    }
+}
+
+/// The PCIe crossing of one strided run, priced both ways by the device's
+/// closed forms: what [`enqueue_pitched`] charges against what
+/// [`enqueue_gather`]/[`enqueue_scatter`] plus one contiguous copy charge.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub struct Crossing {
+    /// One pitched copy between the user's rows and the contiguous host
+    /// bytes (§I-A option (b)).
+    pub pitched: SimDur,
+    /// The device pack or unpack of the run — one strided device-internal
+    /// copy — plus one contiguous copy across PCIe (option (c)).
+    pub packed: SimDur,
+}
+
+impl Crossing {
+    /// The crossing of `run` (rows `stride` apart) to the host when
+    /// `gather` (D2H), from it otherwise (H2D).
+    pub fn of(model: &CostModel, gather: bool, run: &Run) -> Crossing {
+        let dir = if gather { CopyDir::D2H } else { CopyDir::H2D };
+        let (width, height) = (run.len as u64, run.count as u64);
+        let rows = |dir| model.copy2d(dir, Shape2D::OneStrided, width, height);
+        Crossing {
+            pitched: rows(dir),
+            packed: rows(CopyDir::D2D) + model.copy1d(dir, width * height),
+        }
+    }
+}
+
+/// The run a one-chunk message whose packed bytes are `pieces` crosses
+/// PCIe as, in one pitched copy: `Some` when they are one strided run and
+/// [`Crossing::of`] prices that copy below pack + copy; `gather` as there.
+pub fn pitched_run(model: &CostModel, gather: bool, pieces: &[Run]) -> Option<Run> {
+    let [run] = *pieces else { return None };
+    let strided = run.count >= 2 && run.stride != run.len;
+    let c = Crossing::of(model, gather, &run);
+    (strided && c.pitched < c.packed).then_some(run)
+}
+
+/// Enqueue one pitched copy between `run` of the user buffer at `user` and
+/// the contiguous host bytes at `host`: a D2H when `gather`, an H2D
+/// otherwise.
+pub fn enqueue_pitched(
+    gpu: &Gpu,
+    stream: &Stream,
+    user: DevPtr,
+    run: &Run,
+    host: HostPtr,
+    gather: bool,
+) -> Completion {
+    gpu.memcpy_2d_async(run_copy(user, run, Loc::Host(host), gather), stream)
+}
+
 fn enqueue_strided(
     gpu: &Gpu,
     stream: &Stream,
@@ -79,22 +160,7 @@ fn enqueue_strided(
     let total: usize = pieces.iter().map(Run::bytes).sum();
 
     // The rows of `run` in the user buffer <-> packed at `cbase`.
-    let params = |run: &Run, cbase: DevPtr| {
-        let (strided, packed) = (Loc::Device(user.add_signed(run.offset)), Loc::Device(cbase));
-        let ((dst, dpitch), (src, spitch)) = if gather {
-            ((packed, run.len), (strided, run.stride))
-        } else {
-            ((strided, run.stride), (packed, run.len))
-        };
-        Copy2d {
-            dst,
-            dpitch,
-            src,
-            spitch,
-            width: run.len,
-            height: run.count,
-        }
-    };
+    let params = |run: &Run, cbase: DevPtr| run_copy(user, run, Loc::Device(cbase), gather);
     // One row (or unmerged back-to-back rows) is a plain copy, any other
     // run one 2-D copy.
     let copy = |run: &Run, cbase: DevPtr| {
@@ -200,6 +266,53 @@ mod tests {
             3,
         );
         assert_eq!(peel(planes.runs()), None);
+    }
+
+    #[test]
+    fn a_few_rows_cross_pitched_and_the_paper_vectors_stay_packed() {
+        let model = CostModel::tesla_c2050();
+        let vector = |len, count| Run {
+            offset: 0,
+            len,
+            stride: 2 * len,
+            count,
+        };
+        // The pitched copy's per-row cost outgrows the pack's fixed cost at
+        // these row counts: send (D2H) and receive (H2D), 4- and 64-byte
+        // rows. Past them the difference only grows.
+        let last_pitched = |gather, len| {
+            (2..)
+                .take_while(|&n| pitched_run(&model, gather, &[vector(len, n)]).is_some())
+                .last()
+        };
+        assert_eq!(
+            [last_pitched(true, 4), last_pitched(false, 4)],
+            [Some(62), Some(286)]
+        );
+        assert_eq!(
+            [last_pitched(true, 64), last_pitched(false, 64)],
+            [Some(62), Some(303)]
+        );
+        // The shapes the paper measures stay packed both ways: a 4 KiB
+        // vector of floats and anything longer.
+        for (gather, n) in [(true, 1024), (false, 1024), (true, 4096), (false, 4096)] {
+            let c = Crossing::of(&model, gather, &vector(4, n));
+            assert!(c.packed < c.pitched, "{n} rows, gather {gather}: {c:?}");
+            assert_eq!(pitched_run(&model, gather, &[vector(4, n)]), None);
+        }
+        // Only one strided run is priced: a single row, back-to-back rows
+        // and two runs keep what `enqueue_gather` does with them.
+        let contiguous = Run {
+            stride: 4,
+            ..vector(4, 16)
+        };
+        for pieces in [
+            vec![vector(64, 1)],
+            vec![contiguous],
+            vec![vector(64, 4), vector(64, 4)],
+        ] {
+            assert_eq!(pitched_run(&model, true, &pieces), None, "{pieces:?}");
+        }
     }
 
     #[test]

@@ -23,11 +23,20 @@
 //! chunked PCIe/RDMA pipeline (the paper's "8x1 grid" case, which benefits
 //! from pipelining alone).
 //!
+//! A one-chunk message (every eager one, and a rendezvous that fits one
+//! chunk) prices its PCIe crossing under [`SchemeSel::Auto`]: when its
+//! packed bytes — a receive's, the bytes actually coming — are one strided
+//! run that [`pitched_run`] prices below pack + copy, it crosses in one
+//! pitched copy between the user buffer and the host payload, with no tbuf
+//! and no pack or unpack. A forced scheme keeps the paper's pack + copy,
+//! and a longer transfer keeps the pipeline: its stages overlap, so a
+//! serial sum would misprice it.
+//!
 //! **When the tbuf is taken is behaviour, not style.** A pool miss is a
 //! `cudaMalloc`: it sleeps `malloc_ns` and decides device addresses. So a
 //! send takes its tbuf at its first pack, a receive at `begin` (for the
-//! bytes actually coming, not the layout's capacity), and both hold it
-//! until they are dropped. The engine drops an eager receive's sink at
+//! bytes actually coming, not the layout's capacity) unless it crosses
+//! pitched, and both hold it until they are dropped. The engine drops an eager receive's sink at
 //! delivery, so the next message of the rank finds the tbuf in the pool; a
 //! rendezvous receive keeps its sink until it is reaped.
 
@@ -35,12 +44,13 @@ use std::sync::Arc;
 
 use gpu_sim::{DevPtr, Gpu, Loc, Stream};
 use hostmem::HostPtr;
+use mpi_sim::flat::Run;
 use mpi_sim::staging::{BufferStager, RecvSink, SendSource};
-use mpi_sim::{Canonical, Datatype, Plan};
+use mpi_sim::{Canonical, Datatype, Plan, SchemeSel};
 use sim_core::{Completion, SimTime};
 use sim_trace::{Lane, LaneKind, Recorder};
 
-use crate::gpu_pack::{enqueue_gather, enqueue_scatter};
+use crate::gpu_pack::{enqueue_gather, enqueue_pitched, enqueue_scatter, pitched_run};
 use crate::pools::{Tbuf, TbufPool};
 
 /// The per-rank pipeline stage lanes (Figure 3's four GPU-side stages; the
@@ -67,6 +77,11 @@ struct DeviceHalf {
     /// Where the message starts when the layout is one contiguous run of the
     /// user buffer (such buffers skip the tbuf).
     contiguous: Option<DevPtr>,
+    /// Whether a one-chunk message prices its PCIe crossing.
+    priced: bool,
+    /// The user's rows a one-chunk message crosses PCIe as, in one pitched
+    /// copy, when that priced cheaper than pack + copy.
+    pitched: Option<Run>,
     tbuf: Option<Tbuf>,
     lanes: StageLanes,
     /// Carries the gather (a send's pack) or the scatter (a receive's unpack).
@@ -88,6 +103,17 @@ impl DeviceHalf {
             Some(cptr) => cptr.add(off),
             None => self.tbuf.as_ref().expect("begin not called").ptr.add(off),
         }
+    }
+
+    /// Whether the message, `len` packed bytes in `nchunks` chunks, crosses
+    /// PCIe in one pitched copy — to the host when `gather` — rather than
+    /// by pack + copy; decided once, at `begin`.
+    fn cross_pitched(&mut self, nchunks: usize, len: usize, gather: bool) -> bool {
+        if self.priced && nchunks == 1 && self.contiguous.is_none() && len > 0 {
+            let pieces = self.plan.pieces(0, len);
+            self.pitched = pitched_run(self.gpu.cost_model(), gather, &pieces);
+        }
+        self.pitched.is_some()
     }
 
     /// Pack bytes `[off, off + len)` of the message into the tbuf.
@@ -158,9 +184,12 @@ impl SendSource for GpuSendSource {
         self.chunk_size = chunk_size;
         let nchunks = total.div_ceil(chunk_size).max(1);
         self.d2h = vec![None; nchunks];
-        if self.half.contiguous.is_some() || total == 0 {
-            // No packing: D2H reads a contiguous user buffer directly, and
-            // an empty message moves nothing.
+        if self.half.contiguous.is_some()
+            || total == 0
+            || self.half.cross_pitched(nchunks, total, true)
+        {
+            // No packing: D2H reads a contiguous user buffer, or the user's
+            // rows, directly, and an empty message moves nothing.
             return;
         }
         // Enqueue every chunk's pack up front (the paper's async 2D-copy
@@ -182,13 +211,18 @@ impl SendSource for GpuSendSource {
             self.d2h[idx] = Some(Completion::ready());
             return;
         }
-        // One contiguous D2H of the chunk's packed bytes, no earlier than the
-        // pack that produces them.
-        if let Some(pack) = self.packs.get(idx) {
-            half.pcie.wait_event(pack);
-        }
-        let src = half.packed(idx * self.chunk_size);
-        let comp = half.gpu.memcpy_async(Loc::Host(dst), src, len, &half.pcie);
+        let comp = if let Some(run) = &half.pitched {
+            // The user's rows straight into the payload, in one pitched D2H.
+            enqueue_pitched(&half.gpu, &half.pcie, half.user, run, dst, true)
+        } else {
+            // One contiguous D2H of the chunk's packed bytes, no earlier
+            // than the pack that produces them.
+            if let Some(pack) = self.packs.get(idx) {
+                half.pcie.wait_event(pack);
+            }
+            let src = half.packed(idx * self.chunk_size);
+            half.gpu.memcpy_async(Loc::Host(dst), src, len, &half.pcie)
+        };
         half.lanes.d2h.comp_span("d2h", Some(idx), &comp);
         self.d2h[idx] = Some(comp);
     }
@@ -240,7 +274,8 @@ impl RecvSink for GpuRecvSink {
         self.nchunks = actual_total.div_ceil(chunk_size).max(1);
         self.h2d = vec![None; self.nchunks];
         self.unpack = vec![None; self.nchunks];
-        if self.half.contiguous.is_none() && actual_total > 0 {
+        let pitched = self.half.cross_pitched(self.nchunks, actual_total, false);
+        if self.half.contiguous.is_none() && actual_total > 0 && !pitched {
             self.half.tbuf(actual_total);
         }
     }
@@ -252,10 +287,18 @@ impl RecvSink for GpuRecvSink {
             self.h2d[idx] = Some(Completion::ready());
             return;
         }
+        let half = &self.half;
+        if let Some(run) = &half.pitched {
+            // The payload straight into the user's rows, in one pitched H2D.
+            let h2d = enqueue_pitched(&half.gpu, &half.pcie, half.user, run, src, false);
+            half.lanes.h2d.comp_span("h2d", Some(idx), &h2d);
+            self.h2d[idx] = Some(h2d);
+            return;
+        }
         // H2D to where the chunk's packed bytes sit on the device, then —
         // unless that already is the user buffer — the unpack after it
         // (stream-wait dependency), each leaving its stage span.
-        let (half, off) = (&self.half, idx * self.chunk_size);
+        let off = idx * self.chunk_size;
         let at = half.packed(off);
         let h2d = half.gpu.memcpy_async(at, Loc::Host(src), len, &half.pcie);
         half.lanes.h2d.comp_span("h2d", Some(idx), &h2d);
@@ -310,14 +353,18 @@ pub struct GpuStager {
     gpu: Gpu,
     pool: Arc<TbufPool>,
     lanes: StageLanes,
+    /// Whether one-chunk messages price their PCIe crossing.
+    priced: bool,
 }
 
 impl GpuStager {
     /// A stager for `gpu`, recording stage spans into `rec` (pass
     /// [`Recorder::off`] for an untraced stager) on the lanes of `scope` —
     /// `rank3`, or `job2.rank0` so each tenant of a shared fabric keeps its
-    /// stage spans in its own namespace.
-    pub fn with_scope(gpu: Gpu, scope: &str, rec: &Recorder) -> Self {
+    /// stage spans in its own namespace. Under `scheme`'s
+    /// [`SchemeSel::Auto`] a one-chunk message prices its PCIe crossing; a
+    /// forced scheme keeps the paper's pack + copy.
+    pub fn with_scope(gpu: Gpu, scope: &str, rec: &Recorder, scheme: SchemeSel) -> Self {
         let pool = Arc::new(TbufPool::new(gpu.clone()));
         // Registered in pipeline order; the Chrome export numbers threads by it.
         let lane = |name| rec.lane(scope, name, LaneKind::Stage);
@@ -327,7 +374,13 @@ impl GpuStager {
             h2d: lane("h2d"),
             unpack: lane("unpack"),
         };
-        GpuStager { gpu, pool, lanes }
+        let priced = matches!(scheme, SchemeSel::Auto { .. });
+        GpuStager {
+            gpu,
+            pool,
+            lanes,
+            priced,
+        }
     }
 
     /// The device side of a message in `buf` — a send's when `send` — with
@@ -359,6 +412,8 @@ impl GpuStager {
             total: plan.total(),
             contiguous,
             plan,
+            priced: self.priced,
+            pitched: None,
             tbuf: None,
             lanes: self.lanes.clone(),
             layout,
@@ -431,7 +486,8 @@ mod tests {
         // message too: its one chunk) and device rendezvous alike — before
         // it touches the device.
         let gpu = Gpu::tesla_c2050(0);
-        let stager = GpuStager::with_scope(gpu.clone(), "rank0", &Recorder::off());
+        let stager =
+            GpuStager::with_scope(gpu.clone(), "rank0", &Recorder::off(), SchemeSel::default());
         let dt = Datatype::vector(16, 4, 8, &Datatype::float());
         dt.commit();
         let (capacity, dev) = (16 * 4 * 4, gpu.malloc(16 * 8 * 4));
@@ -467,7 +523,8 @@ mod tests {
         // a length past the host buffer, or one whose end would wrap, is
         // refused before the copy is enqueued, in every build profile.
         let gpu = Gpu::tesla_c2050(0);
-        let stager = GpuStager::with_scope(gpu.clone(), "rank0", &Recorder::off());
+        let stager =
+            GpuStager::with_scope(gpu.clone(), "rank0", &Recorder::off(), SchemeSel::default());
         let (dev, host) = (gpu.malloc(128), HostBuf::alloc(64));
         gpu.write_bytes(dev, &[0xAB; 128]);
         for (off, len) in [(0, 65), (8, 57), (8, usize::MAX - 4)] {

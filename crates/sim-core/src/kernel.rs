@@ -737,7 +737,14 @@ impl Kernel {
 
 /// Current virtual time.
 pub fn now() -> SimTime {
-    with_ctx(|c| c.kernel.state.lock().now)
+    // Read through the borrowed context: reading the clock cannot yield,
+    // so it needs no clone of the kernel handle (see `with_ctx`).
+    CTX.with(|c| {
+        c.borrow()
+            .as_ref()
+            .map(|ctx| ctx.kernel.state.lock().now)
+            .expect("this sim-core operation must be called from inside a simulation process")
+    })
 }
 
 /// A [`ProcHandle`] for the calling process.

@@ -92,9 +92,9 @@ while read -r workload pinned; do
     [[ $got == "$pinned" ]] || { echo "$workload moved: pinned $pinned, got $got"; exit 1; }
 done <<'PINS'
 vec_pingpong 36.795891 136.265 2746.229
-halo3d_1024 1.03501 390.483 711.805
+halo3d_1024 0.578236 243.449 363.353
 coll_256 0.300943 140.617 154.938
-jobmix_1024 25.543504 1238.505 2506.348
+jobmix_1024 25.421192 1078.642 2479.889
 scheme_zoo 2.606417 27.499 79.695
 PINS
 

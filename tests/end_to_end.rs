@@ -836,6 +836,143 @@ fn a_colocated_device_sender_is_copied_straight_into_a_host_receive() {
     }
 }
 
+/// What one side of a device message asked its GPU for: pitched copies
+/// (`cudaMemcpy2DAsync`), contiguous copies (`cudaMemcpyAsync`),
+/// `cudaMalloc`s, and operations on the device-internal (pack) engine.
+#[derive(Debug, PartialEq)]
+struct Calls {
+    copy2d: u64,
+    copy1d: u64,
+    malloc: u64,
+    d2d: u64,
+}
+
+/// One device message of `rows` rows of `width` bytes, `2 * width` apart,
+/// from rank 1 to rank 0 on two nodes under `scheme` and a fixed `block`,
+/// with the collecting sanitizer. The receive must hold the serial bytes
+/// and leave the gaps between its rows alone. Returns the sender's and the
+/// receiver's [`Calls`] for the message alone.
+fn device_crossing(rows: usize, width: usize, scheme: SchemeSel, block: usize) -> [Calls; 2] {
+    let cfg = MpiConfig {
+        scheme,
+        ..MpiConfig::default()
+    };
+    let out = GpuCluster::new(2)
+        .mpi_config(cfg)
+        .block_size(block)
+        .sanitizer(SanitizerMode::Collect)
+        .try_run(move |env| {
+            let t = Datatype::vector(rows, width, 2 * width as isize, &Datatype::byte());
+            t.commit();
+            let extent = (2 * rows - 1) * width;
+            let pattern: Vec<u8> = (0..extent).map(|i| (i % 253) as u8 ^ 0x3C).collect();
+            let dev = env.gpu.malloc(extent);
+            let sender = env.comm.rank() == 1;
+            env.gpu.write_bytes(
+                dev,
+                &if sender {
+                    pattern.clone()
+                } else {
+                    vec![0xEE; extent]
+                },
+            );
+            let names = ["cudaMemcpy2DAsync", "cudaMemcpyAsync", "cudaMalloc"];
+            let tally = || {
+                let [copy2d, copy1d, malloc] = names.map(|n| env.gpu.counters().get(n));
+                let d2d = env.gpu.engines()[2].ops();
+                Calls {
+                    copy2d,
+                    copy1d,
+                    malloc,
+                    d2d,
+                }
+            };
+            let before = tally();
+            if sender {
+                env.comm.send(dev, 1, &t, 0, 5);
+            } else {
+                env.comm.recv(dev, 1, &t, 1, 5);
+                let want: Vec<u8> = (0..extent)
+                    .map(|i| {
+                        if (i / width).is_multiple_of(2) {
+                            pattern[i]
+                        } else {
+                            0xEE
+                        }
+                    })
+                    .collect();
+                assert!(env.gpu.read_bytes(dev, extent) == want, "bytes differ");
+            }
+            let after = tally();
+            Calls {
+                copy2d: after.copy2d - before.copy2d,
+                copy1d: after.copy1d - before.copy1d,
+                malloc: after.malloc - before.malloc,
+                d2d: after.d2d - before.d2d,
+            }
+        });
+    let what = format!("{rows} rows of {width} B under {scheme:?}, block {block}");
+    assert!(out.end.is_ok(), "{what}: {:?}", out.end);
+    assert!(out.reports.is_empty(), "{what}: {:#?}", out.reports);
+    let [receiver, sender]: [Calls; 2] = out.ranks.try_into().expect("two ranks");
+    [sender, receiver]
+}
+
+/// One pitched copy per side: no pack, no tbuf.
+const PITCHED: Calls = Calls {
+    copy2d: 1,
+    copy1d: 0,
+    malloc: 0,
+    d2d: 0,
+};
+
+/// `chunks` chunks of the paper's pipeline: one 2-D pack or unpack and one
+/// contiguous PCIe copy each, around one tbuf.
+const fn packed(chunks: u64) -> Calls {
+    Calls {
+        copy2d: chunks,
+        copy1d: chunks,
+        malloc: 1,
+        d2d: chunks,
+    }
+}
+
+#[test]
+fn a_few_wide_rows_cross_pcie_in_one_pitched_copy() {
+    // A halo i-face, 16 rows of 64 B, is eager: the default prices its
+    // crossing and each side moves it in one pitched copy; the paper's
+    // pinned scheme packs it as before.
+    let (face, block) = ((16, 64), 64 << 10);
+    let staged = SchemeSel::Force(DataScheme::Staged);
+    let auto = SchemeSel::default();
+    assert_eq!(
+        device_crossing(face.0, face.1, auto, block),
+        [PITCHED, PITCHED]
+    );
+    assert_eq!(
+        device_crossing(face.0, face.1, staged, block),
+        [packed(1), packed(1)]
+    );
+}
+
+#[test]
+fn the_paper_vector_and_a_pipelined_transfer_stay_packed() {
+    let (auto, block) = (SchemeSel::default(), 64 << 10);
+    // A 4 KiB vector of 4-byte rows (1 024 rows, eager) prices pack + copy
+    // below one pitched copy of its rows.
+    assert_eq!(
+        device_crossing(1024, 4, auto, block),
+        [packed(1), packed(1)]
+    );
+    // 16 rows of 4 KiB: one chunk crosses pitched; twice the rows in two
+    // chunks keep the pipeline, whose stages overlap.
+    assert_eq!(device_crossing(16, 4096, auto, block), [PITCHED, PITCHED]);
+    assert_eq!(
+        device_crossing(32, 4096, auto, block),
+        [packed(2), packed(2)]
+    );
+}
+
 #[test]
 fn a_wake_that_matures_during_a_progress_pass_is_not_lost() {
     // A progress pass advances virtual time itself (device submit sleeps,

@@ -456,12 +456,15 @@ fn wake_traces_are_pinned() {
 /// eager path became the rendezvous's one-chunk case. The ping-pong rows
 /// fell 630 µs each when MPI_Init began registering the vbuf pool as one
 /// region; the halo3d wall is timed inside the ranks and did not move.
+/// The halo3d wall and the strided n=4 ping-pong fell when a one-chunk
+/// message began pricing its PCIe crossing: their few-row messages now
+/// cross in one pitched copy a side, without a pack or unpack.
 const PINNED_EAGER_NS: &[(&str, u64)] = &[
-    ("halo3d 2x2x2 local 16^3 3 iters", 702_198),
+    ("halo3d 2x2x2 local 16^3 3 iters", 419_730),
     ("pingpong n=0 strided ppn 1", 696_220),
     ("pingpong n=0 contiguous ppn 1", 696_220),
     ("pingpong n=0 strided ppn 2", 688_996),
-    ("pingpong n=4 strided ppn 1", 1_122_682),
+    ("pingpong n=4 strided ppn 1", 818_206),
     ("pingpong n=4 contiguous ppn 1", 810_286),
 ];
 

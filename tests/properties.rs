@@ -17,12 +17,12 @@ use gpu_nc_repro::mpi_sim::{
     Canonical, ChunkPolicy, CollAlgo, Comm, ConfigError, DataScheme, Datatype, FaultSpec,
     MpiConfig, MpiError, MpiWorld, Outcome, Plan, SchemeSel, SubarrayOrder, WireDescriptor,
 };
-use gpu_nc_repro::mv2_gpu_nc::gpu_pack::enqueue_gather;
+use gpu_nc_repro::mv2_gpu_nc::gpu_pack::{enqueue_gather, pitched_run};
 use gpu_nc_repro::mv2_gpu_nc::GpuCluster;
 use gpu_sim::{Copy2d, CostModel, DevPtr, Gpu, Loc, Stream};
 use hostmem::HostBuf;
 use sim_core::{Completion, ExecMode, SanitizerMode, Sim, SimTime};
-use sim_trace::{chrome_trace, EventKind, LaneKind, Recorder};
+use sim_trace::{analysis, chrome_trace, EventKind, LaneKind, Recorder};
 use xorshift::XorShift64;
 
 /// A random, commit-able datatype tree plus the count to send. Kept small
@@ -968,8 +968,11 @@ fn canonical_shape_is_the_run_list() {
 // that took the same path — `Auto` against the `Force` it resolved to, every
 // forced scheme that fell back against the rest. The path is the receiver's
 // first `cts*` proto instant (staged, direct, offload or dev), eager or
-// shm_eager without one, or the sender's typed rejection. A failure shrinks
-// greedily and panics with the minimal draw as a `named_rows()` entry.
+// shm_eager without one, or the sender's typed rejection; on the GPU, runs
+// of one path are twins only if both packed and unpacked alike, since
+// `Auto` may cross PCIe pitched where a forced scheme packs (and must
+// deliver the same bytes). A failure shrinks greedily and panics with the
+// minimal draw as a `named_rows()` entry.
 
 /// Seed of the generated draws.
 const SEED: u64 = 0x5EED_0025;
@@ -1128,7 +1131,9 @@ fn draws() -> Vec<Draw> {
 /// budget met exactly (128 + 128 groups, at exactly [`LARGE`]) and
 /// missed by one group a side; and `offload_sweep`'s `strided2d` at 16 KiB,
 /// whose 64 + 64 descriptor fetches cost more than packing and unpacking
-/// its 256 rows on the CPU. A failure prints its replay row for here.
+/// its 256 rows on the CPU; and a halo i-face on the GPU (16 rows of 64 B),
+/// which `Auto` moves in one pitched copy a side. A failure prints its
+/// replay row for here.
 #[allow(unused_imports)]
 fn named_rows() -> Vec<(String, Draw)> {
     use {CollAlgo::*, DtSpec::*, ExecMode::*};
@@ -1147,10 +1152,20 @@ fn named_rows() -> Vec<(String, Draw)> {
         )
     };
     let planes = Hvector(64, 1, 768, Box::new(Vector(4, 16, 32, Box::new(Float))));
+    let face = Draw(
+        TypeSpec {
+            dt: Vector(16, 16, 48, Box::new(Float)),
+            count: 1,
+        },
+        true,
+        World(1, Event, None, None),
+        None,
+    );
     let rows = [
         ("256 entries", column(128)),
         ("258 entries", column(129)),
         ("a walk that costs more than the pack", host(planes, 1)),
+        ("a halo face crosses PCIe pitched", face),
     ];
     rows.map(|(name, d)| (name.into(), d)).into()
 }
@@ -1303,9 +1318,10 @@ fn rank(d: &Draw, sides: &[Side; 2], coming: bool, comm: &Comm, gpu: Option<&Gpu
 type Got = (Option<MpiError>, Vec<u8>);
 
 /// What one run left behind: the ranks' returns, the receiver's first
-/// `cts*` proto instant, and what two runs of one path must agree on besides
-/// `end` — every counter of the run and its Chrome trace.
-type Ran = (Outcome<Got>, Option<&'static str>, Events);
+/// `cts*` proto instant, what two runs of one path must agree on besides
+/// `end` — every counter of the run and its Chrome trace — and whether the
+/// device packed and unpacked (any `pack`, any `unpack` stage span).
+type Ran = (Outcome<Got>, Option<&'static str>, Events, [bool; 2]);
 
 /// Every counter of a run, and its Chrome trace.
 type Events = (BTreeMap<String, u64>, String);
@@ -1344,7 +1360,10 @@ fn run(d: &Draw, sel: SchemeSel, sides: &[Side; 2], coming: bool) -> Ran {
         EventKind::Instant { name, .. } if e.lane == proto => name.strip_prefix("cts"),
         _ => None,
     });
-    (out, cts, (rec.metrics(), chrome_trace(&rec)))
+    let spans = analysis::spans(&rec);
+    let stage = |lane: &str| spans.iter().any(|s| s.lane_name == lane);
+    let packed = [stage("pack"), stage("unpack")];
+    (out, cts, (rec.metrics(), chrome_trace(&rec)), packed)
 }
 
 /// Run `d` under each of its schemes and check every run; runs that took
@@ -1390,6 +1409,13 @@ fn check(d: &Draw, cells: &Mutex<BTreeMap<String, usize>>) -> Result<(), String>
     // serves it first.
     let walks = considered && groups <= Some(128);
     let contig = matches!(shape, Canonical::Contig { .. });
+    // An eager device message is one chunk: `Auto` moves it in one pitched
+    // copy a side where the device's cost model prices that below pack +
+    // copy, and packs it otherwise, as every forced scheme does.
+    let pieces = Plan::from_segments(rows.clone()).pieces(0, bytes(rows));
+    let model = CostModel::tesla_c2050();
+    let device = *gpu && !contig && !rows.is_empty();
+    let pitched = [true, false].map(|g| pitched_run(&model, g, &pieces).is_some());
     let (entry_ns, cpu) = (NetModel::qdr().offload_entry_ns, CpuModel::westmere());
     let walk_ns = 2 * groups.unwrap_or(0) as u64 * entry_ns;
     let pays = walk_ns < 2 * cpu.pack_time(bytes(rows), rows.len()).as_nanos();
@@ -1435,9 +1461,20 @@ fn check(d: &Draw, cells: &Mutex<BTreeMap<String, usize>>) -> Result<(), String>
         if near && hca > 0 {
             return fail(format!("{hca} bytes went through the HCA"));
         }
+        let priced = matches!(sel, SchemeSel::Auto { .. });
+        if device && ["eager", "shm_eager"].contains(&path) {
+            let want = pitched.map(|p| !(priced && p));
+            if ran.3 != want {
+                return fail(format!(
+                    "packed/unpacked {:?}; the price says {want:?}",
+                    ran.3
+                ));
+            }
+        }
         // Same path, same events: `Auto` and the `Force` it resolved to, and
-        // every forced scheme that fell back.
-        if let Some((_, first, twin)) = seen.iter().find(|(p, ..)| *p == path && !rejected) {
+        // every forced scheme that fell back — where they crossed PCIe alike.
+        let twin = |(p, _, twin): &&(&str, SchemeSel, Ran)| *p == path && twin.3 == ran.3;
+        if let Some((_, first, twin)) = seen.iter().find(twin).filter(|_| !rejected) {
             if (&twin.0.end, &twin.2) != (&out.end, &ran.2) {
                 let ends = (&twin.0.end, &out.end);
                 return fail(format!("took {path} as {first:?} did; ends {ends:?}"));
@@ -1448,6 +1485,13 @@ fn check(d: &Draw, cells: &Mutex<BTreeMap<String, usize>>) -> Result<(), String>
             return fail(format!("took {path}; the offload policy says otherwise"));
         }
         hit(true, &format!("{path} under {mode}"));
+        hit(
+            device && ran.3 != [true; 2],
+            "a device pair crosses PCIe pitched",
+        );
+        if sel == SchemeSel::Force(DataScheme::Staged) && *gpu && out.ranks != seen[0].2 .0.ranks {
+            return fail("delivered other bytes than Auto".into());
+        }
         hit(near && !rows.is_empty(), "co-located pair, no HCA bytes");
         hit(considered && (sel == nic || sel == SCHEMES[1]), entries);
         let auto = [
@@ -1497,7 +1541,8 @@ fn generated_draws_hold_and_reach_every_cell() {
         offload on, <= 256 entries|offload on, > 256 entries|Auto walks a walkable layout|\
         Auto declines a walkable layout|zero-count type|zero-size type|\
         negative-stride hvector|negative-displacement hindexed|negative-lb resized|\
-        rejected under Force|co-located pair, no HCA bytes|alltoallv under Flat|\
+        rejected under Force|co-located pair, no HCA bytes|a device pair crosses PCIe pitched|\
+        alltoallv under Flat|\
         alltoallv under Hier|ppn 1|ppn 2|Event|Threads|faults: false|faults: true";
     let missing = |c: &&str| !cells.contains_key(*c);
     let empty: Vec<&str> = want.split('|').filter(missing).collect();
