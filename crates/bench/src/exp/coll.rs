@@ -5,8 +5,10 @@
 //! Every cell runs the identical communication pattern and checks the
 //! identical result; only `MpiConfig::coll.algo` and the placement change.
 //! The naive family is the seed implementation kept as the control: a
-//! root-funnel reduce + binomial bcast for allreduce, and a loop posting
-//! 2·P requests per rank for alltoallv. The interesting comparison is on
+//! root-funnel reduce + binomial bcast for allreduce. `Comm::alltoallv` has
+//! no naive variant: under `CollAlgo::Naive` it runs the flat pairwise
+//! exchange, so the naive alltoallv cells equal the flat ones. The
+//! interesting comparison is on
 //! fat nodes (ppn ≥ 4), where the hierarchical path fans in/out over the
 //! shm channel and puts one aggregated message per node pair on the wire.
 //!

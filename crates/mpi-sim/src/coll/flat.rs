@@ -9,8 +9,8 @@
 //!   communicator has no co-located members, and the baseline the
 //!   hierarchical path must beat.
 //! * the **naive** algorithms — the original p2p loops (alltoall posting
-//!   2·P requests at once, reduce draining P−1 sources serially through
-//!   one scratch buffer). Kept verbatim as the `coll_sweep` control.
+//!   2·(P−1) requests at once, reduce draining P−1 sources serially
+//!   through one scratch buffer). Kept as the `coll_sweep` control.
 
 use gpu_sim::Loc;
 use hostmem::HostBuf;
@@ -31,35 +31,39 @@ pub(super) fn bcast(cx: &mut Coll, buf: &Loc, count: usize, dtype: &Datatype, ro
     cx.bcast_over(&tree, buf, count, dtype, t);
 }
 
-/// Linear gather: every rank sends its block to the root (the root's own
-/// block travels as a self-message).
+/// Linear gather: every other rank sends its block to the root, which
+/// copies its own in place.
 pub(super) fn gather(cx: &mut Coll, sendbuf: &Loc, recv: &Blocks, root: usize) {
     let me = cx.rank();
-    let mut ids = vec![cx.send(sendbuf.clone(), recv.counts[me], recv.dtype, root, 0)];
-    if me == root {
-        for i in 0..cx.size() {
-            ids.push(cx.recv(recv.block(i), recv.counts[i], recv.dtype, i, 0));
-        }
+    if me != root {
+        let id = cx.send(sendbuf.clone(), recv.counts[me], recv.dtype, root, 0);
+        return cx.wait(vec![id]);
     }
+    let peers = (0..cx.size()).filter(|&i| i != me);
+    let ids = peers.map(|i| cx.recv(recv.block(i), recv.counts[i], recv.dtype, i, 0));
+    let ids = ids.collect();
+    cx.copy_own((sendbuf.clone(), recv.counts[me], recv.dtype), recv.at(me));
     cx.wait(ids);
 }
 
-/// Linear scatter: the root ships block `i` to rank `i`.
+/// Linear scatter: the root ships block `i` to every other rank `i` and
+/// copies its own in place.
 pub(super) fn scatter(cx: &mut Coll, send: &Blocks, recvbuf: &Loc, root: usize) {
     let me = cx.rank();
-    let mut ids = vec![cx.recv(recvbuf.clone(), send.counts[me], send.dtype, root, 0)];
-    if me == root {
-        for i in 0..cx.size() {
-            ids.push(cx.send(send.block(i), send.counts[i], send.dtype, i, 0));
-        }
+    if me != root {
+        let id = cx.recv(recvbuf.clone(), send.counts[me], send.dtype, root, 0);
+        return cx.wait(vec![id]);
     }
+    let peers = (0..cx.size()).filter(|&i| i != me);
+    let ids = peers.map(|i| cx.send(send.block(i), send.counts[i], send.dtype, i, 0));
+    let ids = ids.collect();
+    cx.copy_own(send.at(me), (recvbuf.clone(), send.counts[me], send.dtype));
     cx.wait(ids);
 }
 
 /// Ring allgatherv: each rank forwards one block per step to its right
 /// neighbour, so every link carries exactly one block at a time and no
-/// rank is a funnel. The own block enters `recvbuf` through a loopback
-/// self-message (device-capable).
+/// rank is a funnel. The own block is copied into `recvbuf` in place.
 pub(super) fn allgatherv(
     cx: &mut Coll,
     sendbuf: &Loc,
@@ -68,9 +72,7 @@ pub(super) fn allgatherv(
     recv: &Blocks,
 ) {
     let (me, n) = (cx.rank(), cx.size());
-    let s = cx.send(sendbuf.clone(), scount, sdtype, me, 0);
-    let r = cx.recv(recv.block(me), recv.counts[me], recv.dtype, me, 0);
-    cx.wait(vec![s, r]);
+    cx.copy_own((sendbuf.clone(), scount, sdtype), recv.at(me));
     let (right, left) = ((me + 1) % n, (me + n - 1) % n);
     for step in 0..n - 1 {
         let sb = (me + n - step) % n;
@@ -85,11 +87,12 @@ pub(super) fn allgatherv(
 /// Pairwise alltoallv: at step `r` every rank sends to `(me + r) % P` and
 /// receives from `(me − r) % P` — each link carries one exchange per step
 /// — with at most [`MAX_INFLIGHT`](super::MAX_INFLIGHT) steps outstanding.
-/// Step 0 is the loopback self-exchange, so device buffers work unchanged.
+/// The own block is copied in place first, so the steps start at 1.
 pub(super) fn alltoallv(cx: &mut Coll, send: &Blocks, recv: &Blocks) {
     let (me, n) = (cx.rank(), cx.size());
+    cx.copy_own(send.at(me), recv.at(me));
     let mut win = ReqWindow::default();
-    for r in 0..n {
+    for r in 1..n {
         let sp = (me + r) % n;
         let rp = (me + n - r) % n;
         let t = (r % 8192) as u32;
@@ -119,18 +122,19 @@ pub(super) fn reduce(
     }
 }
 
-/// The seed alltoall: every transfer posted nonblocking at once — 2·P
-/// requests per rank, P² in flight fabric-wide. Kept as the `coll_sweep`
-/// control.
+/// The seed alltoall: every transfer posted nonblocking at once — 2·(P−1)
+/// requests per rank, P² in flight fabric-wide — and the own block copied
+/// in place meanwhile. Kept as the `coll_sweep` control.
 pub(super) fn naive_alltoall(cx: &mut Coll, send: &Blocks, recv: &Blocks) {
-    let size = cx.size();
+    let (me, size) = (cx.rank(), cx.size());
     let mut ids = Vec::with_capacity(2 * size);
-    for peer in 0..size {
+    for peer in (0..size).filter(|&p| p != me) {
         ids.push(cx.recv(recv.block(peer), recv.counts[peer], recv.dtype, peer, 0));
     }
-    for peer in 0..size {
+    for peer in (0..size).filter(|&p| p != me) {
         ids.push(cx.send(send.block(peer), send.counts[peer], send.dtype, peer, 0));
     }
+    cx.copy_own(send.at(me), recv.at(me));
     cx.wait(ids);
 }
 

@@ -34,7 +34,7 @@
 //! it out from there, so members on the leader's GPU copy it device to
 //! device.
 //!
-//! In the reductions and the alltoallv, the leader's (a lead's) own
+//! In every collective, a representative's, leader's or lead's own
 //! contribution is a member's that never travels: it is staged in place
 //! ([`Coll::stage`], [`Coll::stage_blocks`]) where a member's would be
 //! sent, and its share of the result delivered in place where a member's
@@ -204,29 +204,26 @@ pub(super) fn bcast(
 /// representative over shm; each remote representative forwards one
 /// concatenated aggregate to the root, which receives it with an hindexed
 /// datatype placing every block straight at its `recvbuf` offset — one
-/// wire message per remote node, no intermediate copy at the root.
+/// wire message per remote node, no intermediate copy at the root. A
+/// representative's own block is copied in place.
 pub(super) fn gather(cx: &mut Coll, h: &Hierarchy, sendbuf: &Loc, recv: &Blocks, root: usize) {
     let me = cx.rank();
     let reps = h.reps(root);
     let my_rep = reps[h.my_node];
     const T_BLOCK: u32 = 1;
     const T_AGG: u32 = 2;
+    let mine = (sendbuf.clone(), recv.counts[me], recv.dtype);
 
-    // Every rank ships its block to its node's representative (a
-    // self-message for the representative itself).
-    let mut ids = vec![cx.send(
-        sendbuf.clone(),
-        recv.counts[me],
-        recv.dtype,
-        my_rep,
-        T_BLOCK,
-    )];
-
+    if me != my_rep {
+        let id = cx.send(mine.0, mine.1, mine.2, my_rep, T_BLOCK);
+        return cx.wait(vec![id]);
+    }
+    let mut ids = Vec::new();
     if me == root {
         for (grp, &rep) in h.groups.iter().zip(&reps) {
             if rep == root {
                 // Blocks from my own node arrive individually, typed.
-                for &g in grp {
+                for &g in grp.iter().filter(|&&g| g != me) {
                     ids.push(cx.recv(recv.block(g), recv.counts[g], recv.dtype, g, T_BLOCK));
                 }
             } else {
@@ -236,44 +233,48 @@ pub(super) fn gather(cx: &mut Coll, h: &Hierarchy, sendbuf: &Loc, recv: &Blocks,
                 ids.push(cx.recv(loc, n, &dt, rep, T_AGG));
             }
         }
-    } else if me == my_rep {
-        // Aggregate local blocks (packed, member order) and forward once.
-        let (grp, bytes) = (h.my_group(), recv.bytes(me));
-        let scratch = HostBuf::alloc(grp.len() * bytes);
-        for (i, &g) in grp.iter().enumerate() {
+        cx.copy_own(mine, recv.at(me));
+        return cx.wait(ids);
+    }
+    // Aggregate local blocks (packed, member order), mine staged into my
+    // slot, and forward once.
+    let (grp, bytes) = (h.my_group(), recv.bytes(me));
+    let scratch = HostBuf::alloc(grp.len() * bytes);
+    for (i, &g) in grp.iter().enumerate() {
+        if g != me {
             ids.push(cx.recv_bytes(&scratch, i * bytes, bytes, g, T_BLOCK));
+        } else {
+            scratch.write(i * bytes, &cx.stage(&mine.0, mine.1, mine.2));
         }
-        cx.wait(std::mem::take(&mut ids));
-        ids.push(cx.send_bytes(&scratch, 0, grp.len() * bytes, root, T_AGG));
     }
     cx.wait(ids);
+    let id = cx.send_bytes(&scratch, 0, grp.len() * bytes, root, T_AGG);
+    cx.wait(vec![id]);
 }
 
 /// Hierarchical scatter — the mirror of [`gather`]: the root sends each
 /// remote node one hindexed aggregate (gathered straight out of
-/// `sendbuf`), whose representative splits it over shm.
+/// `sendbuf`), whose representative splits it over shm. A representative's
+/// own block is copied in place.
 pub(super) fn scatter(cx: &mut Coll, h: &Hierarchy, send: &Blocks, recvbuf: &Loc, root: usize) {
     let me = cx.rank();
     let reps = h.reps(root);
     let my_rep = reps[h.my_node];
     const T_BLOCK: u32 = 1;
     const T_AGG: u32 = 2;
+    let mine = (recvbuf.clone(), send.counts[me], send.dtype);
 
     // My block arrives typed from whoever distributes it to me: the root
     // itself on the root's node, my representative elsewhere.
-    let my_recv = cx.recv(
-        recvbuf.clone(),
-        send.counts[me],
-        send.dtype,
-        my_rep,
-        T_BLOCK,
-    );
-
+    if me != my_rep {
+        let id = cx.recv(mine.0, mine.1, mine.2, my_rep, T_BLOCK);
+        return cx.wait(vec![id]);
+    }
     let mut win = ReqWindow::default();
     if me == root {
         for (grp, &rep) in h.groups.iter().zip(&reps) {
             if rep == root {
-                for &g in grp {
+                for &g in grp.iter().filter(|&&g| g != me) {
                     let id = cx.send(send.block(g), send.counts[g], send.dtype, g, T_BLOCK);
                     win.push(cx, vec![id]);
                 }
@@ -283,25 +284,31 @@ pub(super) fn scatter(cx: &mut Coll, h: &Hierarchy, send: &Blocks, recvbuf: &Loc
                 win.push(cx, vec![id]);
             }
         }
-    } else if me == my_rep {
-        let (grp, bytes) = (h.my_group(), send.bytes(me));
-        let scratch = HostBuf::alloc(grp.len() * bytes);
-        let agg = cx.recv_bytes(&scratch, 0, grp.len() * bytes, root, T_AGG);
-        cx.wait(vec![agg]);
-        for (i, &g) in grp.iter().enumerate() {
+        cx.copy_own(send.at(me), mine);
+        return win.drain(cx);
+    }
+    let (grp, bytes) = (h.my_group(), send.bytes(me));
+    let scratch = HostBuf::alloc(grp.len() * bytes);
+    let agg = cx.recv_bytes(&scratch, 0, grp.len() * bytes, root, T_AGG);
+    cx.wait(vec![agg]);
+    for (i, &g) in grp.iter().enumerate() {
+        if g != me {
             let id = cx.send_bytes(&scratch, i * bytes, bytes, g, T_BLOCK);
             win.push(cx, vec![id]);
+        } else {
+            cx.deliver(&scratch.read(i * bytes, bytes), &mine.0, mine.1, mine.2);
         }
     }
     win.drain(cx);
-    cx.wait(vec![my_recv]);
 }
 
 /// Hierarchical allgatherv: members ship their block to the node leader
 /// over shm; leaders run a ring over *node aggregates* (each wire step
 /// carries one node's concatenated blocks); the leader then fans every
-/// node's aggregate out to each co-located member, which receives it with
-/// an hindexed view placing the blocks at their displacements.
+/// node's aggregate out to each other co-located member, which receives it
+/// with an hindexed view placing the blocks at their displacements. The
+/// leader stages its own block into its node's aggregate and delivers
+/// every aggregate into its own `recvbuf` in place.
 pub(super) fn allgatherv(
     cx: &mut Coll,
     h: &Hierarchy,
@@ -318,57 +325,61 @@ pub(super) fn allgatherv(
     const T_RING: u32 = 4096; // + ring step
     const T_OUT: u32 = 8192; // + source node index
 
-    // Phase 1: ship my block to my node leader (self-message if I am it).
-    let mut final_ids = vec![cx.send(sendbuf.clone(), scount, sdtype, leader, T_IN)];
-
-    // Post the fan-out receives up front: one hindexed message per node,
-    // scattering that node's blocks to their displacements.
-    for (x, grp) in h.groups.iter().enumerate() {
-        let (loc, n, dt) = recv.view(grp.iter().copied());
-        final_ids.push(cx.recv(loc, n, &dt, leader, T_OUT + x as u32));
+    if me != leader {
+        // Ship my block to my node leader, and post the fan-out receives:
+        // one hindexed message per node, scattering that node's blocks to
+        // their displacements.
+        let mut ids = vec![cx.send(sendbuf.clone(), scount, sdtype, leader, T_IN)];
+        for (x, grp) in h.groups.iter().enumerate() {
+            let (loc, n, dt) = recv.view(grp.iter().copied());
+            ids.push(cx.recv(loc, n, &dt, leader, T_OUT + x as u32));
+        }
+        return cx.wait(ids);
     }
 
-    if me == leader {
-        // Every node's aggregate (its members' blocks in group order); my
-        // node's fills from the fan-in, the others from the ring.
-        let aggs: Vec<HostBuf> = h
-            .groups
-            .iter()
-            .map(|grp| HostBuf::alloc(grp.iter().map(|&g| recv.bytes(g)).sum()))
-            .collect();
-        let mut off = 0;
-        let mut gids = Vec::new();
-        for &g in my_group {
-            gids.push(cx.recv_bytes(&aggs[h.my_node], off, recv.bytes(g), g, T_IN));
-            off += recv.bytes(g);
-        }
-        cx.wait(gids);
-
-        // Ring over node aggregates among the leaders.
-        let li = h.my_node;
-        let right = h.groups[(li + 1) % nn][0];
-        let left = h.groups[(li + nn - 1) % nn][0];
-        for step in 0..nn - 1 {
-            let sx = (li + nn - step) % nn;
-            let rx = (li + nn - step - 1) % nn;
-            let t = T_RING + step as u32;
-            let rid = cx.recv_bytes(&aggs[rx], 0, aggs[rx].len(), left, t);
-            let sid = cx.send_bytes(&aggs[sx], 0, aggs[sx].len(), right, t);
-            cx.wait(vec![rid, sid]);
-        }
-
-        // Fan every node's aggregate out to each co-located member (self
-        // included), bounded in flight.
-        let mut win = ReqWindow::default();
-        for &d in my_group {
-            for (x, agg) in aggs.iter().enumerate() {
-                let id = cx.send_bytes(agg, 0, agg.len(), d, T_OUT + x as u32);
-                win.push(cx, vec![id]);
-            }
-        }
-        win.drain(cx);
+    // Every node's aggregate (its members' blocks in group order); my
+    // node's fills from the fan-in and my own block, the others from the
+    // ring.
+    let aggs: Vec<HostBuf> = h
+        .groups
+        .iter()
+        .map(|grp| HostBuf::alloc(grp.iter().map(|&g| recv.bytes(g)).sum()))
+        .collect();
+    let mut off = recv.bytes(me);
+    let mut gids = Vec::new();
+    for &g in &my_group[1..] {
+        gids.push(cx.recv_bytes(&aggs[h.my_node], off, recv.bytes(g), g, T_IN));
+        off += recv.bytes(g);
     }
-    cx.wait(final_ids);
+    aggs[h.my_node].write(0, &cx.stage(sendbuf, scount, sdtype));
+    cx.wait(gids);
+
+    // Ring over node aggregates among the leaders.
+    let li = h.my_node;
+    let right = h.groups[(li + 1) % nn][0];
+    let left = h.groups[(li + nn - 1) % nn][0];
+    for step in 0..nn - 1 {
+        let sx = (li + nn - step) % nn;
+        let rx = (li + nn - step - 1) % nn;
+        let t = T_RING + step as u32;
+        let rid = cx.recv_bytes(&aggs[rx], 0, aggs[rx].len(), left, t);
+        let sid = cx.send_bytes(&aggs[sx], 0, aggs[sx].len(), right, t);
+        cx.wait(vec![rid, sid]);
+    }
+
+    // Fan every node's aggregate out to each other co-located member,
+    // bounded in flight, and land them all in my own recvbuf.
+    let mut win = ReqWindow::default();
+    for &d in &my_group[1..] {
+        for (x, agg) in aggs.iter().enumerate() {
+            let id = cx.send_bytes(agg, 0, agg.len(), d, T_OUT + x as u32);
+            win.push(cx, vec![id]);
+        }
+    }
+    for (grp, agg) in h.groups.iter().zip(&aggs) {
+        cx.deliver_blocks(agg, recv, grp.iter().copied());
+    }
+    win.drain(cx);
 }
 
 /// Hierarchical reduce: members send their typed contribution to their

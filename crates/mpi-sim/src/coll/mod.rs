@@ -34,8 +34,8 @@
 //! All data movement goes through the normal staging machinery, so every
 //! collective works on **device buffers too** — GPU-aware collectives, the
 //! natural extension of the paper's design (and where MVAPICH2 went next).
-//! A rank's own contribution to a reduction (and a node leader's own
-//! alltoallv stream) is packed and unpacked in place, not sent to itself.
+//! A rank's own data is packed and unpacked in place, never sent to itself:
+//! [`Coll::send`] and [`Coll::recv`] refuse the caller as the peer.
 
 mod flat;
 mod hier;
@@ -222,6 +222,11 @@ impl<'a> Blocks<'a> {
         self.buf.add(self.displs[j])
     }
 
+    /// Peer `j`'s block as `(buf, count, dtype)`.
+    pub(crate) fn at(&self, j: usize) -> (Loc, usize, &'a Datatype) {
+        (self.block(j), self.counts[j], self.dtype)
+    }
+
     /// One message covering the listed peers' blocks in the order given: an
     /// `hindexed` view of the non-empty ones over the whole buffer, or a
     /// zero-byte message when there are none.
@@ -327,7 +332,8 @@ impl<'a> Coll<'a> {
         self.eng.send_eager_limit(self.comm.world_rank_of(to))
     }
 
-    /// Post a send of `(buf, count, dtype)` to group rank `to`.
+    /// Post a send of `(buf, count, dtype)` to group rank `to`, never the
+    /// caller: a rank's own data is copied in place ([`copy_own`](Coll::copy_own)).
     pub(crate) fn send(
         &mut self,
         buf: Loc,
@@ -336,12 +342,14 @@ impl<'a> Coll<'a> {
         to: usize,
         t: u32,
     ) -> ReqId {
+        assert_ne!(to, self.rank(), "{}: a self-send", self.name);
         let dst = self.comm.world_rank_of(to);
         let ctx = self.comm.coll_ctx();
         self.eng.isend(buf, count, dtype, dst, self.tag + t, ctx)
     }
 
-    /// Post a receive into `(buf, count, dtype)` from group rank `from`.
+    /// Post a receive into `(buf, count, dtype)` from group rank `from`,
+    /// never the caller.
     pub(crate) fn recv(
         &mut self,
         buf: Loc,
@@ -350,6 +358,7 @@ impl<'a> Coll<'a> {
         from: usize,
         t: u32,
     ) -> ReqId {
+        assert_ne!(from, self.rank(), "{}: a self-receive", self.name);
         let src = SrcSel(Some(self.comm.world_rank_of(from)));
         let ctx = self.comm.coll_ctx();
         self.eng
@@ -437,6 +446,14 @@ impl<'a> Coll<'a> {
             Some(p) => p.write(data),
             None => self.unpack(&HostBuf::from_vec(data.to_vec()), buf, count, dtype),
         }
+    }
+
+    /// Copy a rank's own block from `src` into `dst`, each `(buf, count,
+    /// dtype)`: [`stage`](Coll::stage) then [`deliver`](Coll::deliver), so
+    /// plain host copies, or the two buffers' own pack and unpack.
+    pub(crate) fn copy_own(&mut self, src: (Loc, usize, &Datatype), dst: (Loc, usize, &Datatype)) {
+        let data = self.stage(&src.0, src.1, src.2);
+        self.deliver(&data, &dst.0, dst.1, dst.2);
     }
 
     /// [`deliver`](Coll::deliver)'s one chunk through the buffer's own
@@ -827,10 +844,9 @@ impl Comm {
     /// `MPI_Gather`: every rank's `(sendbuf, count, dtype)` lands in
     /// `recvbuf` at rank `root`, block `i` at byte offset
     /// `i * count * extent`. `recvbuf` is only read on the root. Works on
-    /// host and device buffers (a rank's own block travels as a
-    /// self-message through the same machinery). The hierarchical path
-    /// aggregates each node's blocks at its leader so only one message
-    /// per node crosses the wire.
+    /// host and device buffers (the root copies its own block in place).
+    /// The hierarchical path aggregates each node's blocks at its leader
+    /// so only one message per node crosses the wire.
     pub fn gather(
         &self,
         sendbuf: impl Into<Loc>,

@@ -94,7 +94,7 @@ done <<'PINS'
 vec_pingpong 36.795891 136.265 2746.229
 halo3d_1024 0.578236 243.449 363.353
 coll_256 0.300943 140.617 154.938
-jobmix_1024 25.421192 1078.642 2479.889
+jobmix_1024 25.361822 1054.208 2479.889
 scheme_zoo 2.606417 27.499 79.695
 PINS
 

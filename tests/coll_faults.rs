@@ -244,23 +244,26 @@ const PINNED_DIGEST: u64 = 17274530444186148282;
 /// rises), and again when the hierarchical alltoallv began routing
 /// intra-node blocks through the leader (this campaign's ~10 KiB host
 /// blocks now cross shm twice, so both rows rise). Every row fell 630 µs
-/// when MPI_Init began registering the vbuf pool as one region. No other
-/// committed number pins the virtual time of bcast, gather, scatter,
-/// allgatherv or rooted reduce. To re-capture on purpose, run this test: its failure
-/// message is the new table.
+/// when MPI_Init began registering the vbuf pool as one region. Every
+/// clean row fell 29–64 µs when a rank stopped sending its own block to
+/// itself in gather, scatter, allgatherv and alltoall(v) (no HCA loopback
+/// message); the faulty rows draw the shared fault stream differently
+/// since. No other committed number pins the virtual time of bcast,
+/// gather, scatter, allgatherv or rooted reduce. To re-capture on purpose,
+/// run this test: its failure message is the new table.
 const PINNED_END_NS: [(CollAlgo, usize, bool, u64); 12] = [
-    (CollAlgo::Naive, 1, false, 1659500),
-    (CollAlgo::Naive, 1, true, 4327080),
-    (CollAlgo::Naive, 4, false, 1678181),
-    (CollAlgo::Naive, 4, true, 2861434),
-    (CollAlgo::Flat, 1, false, 1423590),
-    (CollAlgo::Flat, 1, true, 4971220),
-    (CollAlgo::Flat, 4, false, 1495519),
-    (CollAlgo::Flat, 4, true, 4982586),
-    (CollAlgo::Hier, 1, false, 1423590),
-    (CollAlgo::Hier, 1, true, 4971220),
-    (CollAlgo::Hier, 4, false, 1637089),
-    (CollAlgo::Hier, 4, true, 2852283),
+    (CollAlgo::Naive, 1, false, 1620980),
+    (CollAlgo::Naive, 1, true, 5346810),
+    (CollAlgo::Naive, 4, false, 1638276),
+    (CollAlgo::Naive, 4, true, 3186312),
+    (CollAlgo::Flat, 1, false, 1385160),
+    (CollAlgo::Flat, 1, true, 4259880),
+    (CollAlgo::Flat, 4, false, 1431263),
+    (CollAlgo::Flat, 4, true, 3860957),
+    (CollAlgo::Hier, 1, false, 1385160),
+    (CollAlgo::Hier, 1, true, 4259880),
+    (CollAlgo::Hier, 4, false, 1608336),
+    (CollAlgo::Hier, 4, true, 2157571),
 ];
 
 #[test]

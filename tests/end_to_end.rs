@@ -397,6 +397,117 @@ fn a_ranks_own_reduction_data_never_reaches_the_hca() {
     }
 }
 
+/// Every collective a rank can call, by its MPI name less `MPI_`.
+const COLLECTIVES: [&str; 10] = [
+    "barrier",
+    "bcast",
+    "gather",
+    "scatter",
+    "allgather",
+    "allgatherv",
+    "alltoall",
+    "alltoallv",
+    "reduce",
+    "allreduce",
+];
+
+/// One `coll` of 1 KiB int blocks on one node of four ranks under `algo`,
+/// every buffer on the device or every one on the host, rooted at rank 2.
+/// Every rank must hold what MPI says it receives. Returns the run's HCA tx
+/// bytes.
+fn one_node_collective(coll: &'static str, algo: CollAlgo, device: bool) -> u64 {
+    const P: usize = 4;
+    const N: usize = 256;
+    const ROOT: usize = 2;
+    let mut cfg = MpiConfig::default();
+    cfg.coll.algo = algo;
+    let rec = Recorder::new();
+    let out = GpuCluster::new(P)
+        .topology(Topology::uniform(1, P))
+        .mpi_config(cfg)
+        .recorder(rec.clone())
+        .try_run(move |env| {
+            let (me, int) = (env.comm.rank(), Datatype::int());
+            int.commit();
+            // Block `d` of rank `s`'s send buffer is meant for rank `d`.
+            let val = |s: usize, d: usize, k: usize| (1000 * s + 300 * d + k) as i32;
+            let all: Vec<i32> = (0..P * N).map(|i| val(me, i / N, i % N)).collect();
+            let buf = |v: &[i32]| -> gpu_sim::Loc {
+                let bytes = scalars_to_bytes(v);
+                if device {
+                    let d = env.gpu.malloc(bytes.len());
+                    env.gpu.write_bytes(d, &bytes);
+                    d.into()
+                } else {
+                    HostBuf::from_vec(bytes).base().into()
+                }
+            };
+            let (send, recv) = (buf(&all), buf(&vec![-1; P * N]));
+            let (counts, displs) = ([N; P], [0, N * 4, 2 * N * 4, 3 * N * 4]);
+            let c = &env.comm;
+            let (s, r) = (send.clone(), recv.clone());
+            match coll {
+                "barrier" => c.barrier(),
+                "bcast" => c.bcast(s, P * N, &int, ROOT),
+                "gather" => c.gather(s, r, N, &int, ROOT),
+                "scatter" => c.scatter(s, r, N, &int, ROOT),
+                "allgather" => c.allgather(s, r, N, &int),
+                "allgatherv" => c.allgatherv(s, N, &int, r, &counts, &displs, &int),
+                "alltoall" => c.alltoall(s, r, N, &int),
+                "alltoallv" => c.alltoallv(s, &counts, &displs, &int, r, &counts, &displs, &int),
+                "reduce" => c.reduce(s, r, N, &int, ReduceOp::Sum, ROOT),
+                "allreduce" => c.allreduce(s, r, N, &int, ReduceOp::Sum),
+                other => panic!("no collective {other}"),
+            }
+            let read = |l: &gpu_sim::Loc| -> Vec<i32> {
+                bytes_to_scalars(&match l {
+                    gpu_sim::Loc::Device(d) => env.gpu.read_bytes(*d, P * N * 4),
+                    gpu_sim::Loc::Host(h) => h.read(P * N * 4),
+                })
+            };
+            let sum = |k: usize| (0..P).map(|s| val(s, 0, k)).sum::<i32>();
+            let want: Vec<Option<i32>> = (0..P * N)
+                .map(|i| {
+                    let (b, k) = (i / N, i % N);
+                    match coll {
+                        "bcast" => Some(val(ROOT, b, k)),
+                        "gather" if me == ROOT => Some(val(b, 0, k)),
+                        "allgather" | "allgatherv" => Some(val(b, 0, k)),
+                        "scatter" if b == 0 => Some(val(ROOT, me, k)),
+                        "alltoall" | "alltoallv" => Some(val(b, me, k)),
+                        "reduce" if me == ROOT && b == 0 => Some(sum(k)),
+                        "allreduce" if b == 0 => Some(sum(k)),
+                        _ => None,
+                    }
+                })
+                .collect();
+            let got = read(if coll == "bcast" { &send } else { &recv });
+            want.iter().zip(got).all(|(w, g)| w.is_none_or(|w| w == g))
+        });
+    let what = format!("{coll} {algo:?} device {device}");
+    assert!(out.end.is_ok(), "{what}: {:?}", out.end);
+    for (r, ok) in out.ranks.iter().enumerate() {
+        assert!(ok, "{what}: rank {r} holds the wrong blocks");
+    }
+    hca_tx_bytes(&rec)
+}
+
+#[test]
+fn no_collective_sends_to_itself() {
+    // One node: every message between two ranks rides shm, and one from a
+    // rank to itself would ride the HCA loopback. A rank's own block is
+    // copied in place, so the HCA carries nothing. On one node `Hier` is
+    // served flat.
+    for coll in COLLECTIVES {
+        for algo in [CollAlgo::Naive, CollAlgo::Flat, CollAlgo::Hier] {
+            for device in [false, true] {
+                let hca = one_node_collective(coll, algo, device);
+                assert_eq!(hca, 0, "{coll} {algo:?} device {device}: HCA tx bytes");
+            }
+        }
+    }
+}
+
 #[test]
 fn hier_hca_traffic_is_the_leaders_messages_exactly() {
     // Two nodes of four ranks: only the two leaders cross the wire, so the

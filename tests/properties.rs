@@ -1073,17 +1073,24 @@ fn recv_spec(rng: &mut XorShift64, depth: usize) -> DtSpec {
 /// zero, eager, shm-eager, staged, or at or above [`LARGE`]. Most
 /// are `recv_spec` trees, the rest the regular shapes the fast paths serve:
 /// a resized column (`count` of them interleave as `count` descriptor
-/// groups), one long vector sent once, or a leaf resized apart.
+/// groups), one long vector sent once, or a leaf resized apart. An eager
+/// draw may also be at most 62 wide rows sent once: one strided run, which
+/// a device side under `Auto` crosses PCIe in one pitched copy.
 fn sized(rng: &mut XorShift64, regime: usize) -> TypeSpec {
     let lo = [0, 1, 8 << 10, 32 << 10, LARGE][regime];
     let hi = [1, 8 << 10, 32 << 10, LARGE, 256 << 10][regime];
     loop {
         let (target, bl, f) = (rng.gen_range(lo, hi), rng.gen_range(1, 4), DtSpec::Float);
         let (rows, stride) = (rng.gen_range(2, 512), rng.gen_range(100, 400));
-        let dt = match rng.gen_range(0, 8) {
+        let few = rows % 61 + 2;
+        let dt = match rng.gen_range(0, 8 + 2 * usize::from(regime == 1)) {
             0 => DtSpec::Resized(0, 4, Box::new(DtSpec::Vector(rows, 1, stride, Box::new(f)))),
             1 => DtSpec::Vector((target / (4 * bl)).max(1), bl, 2 * bl, Box::new(f)),
             2 => DtSpec::Resized(-4, 4 * (bl + 1) as isize, Box::new(leaf(rng))),
+            8 | 9 => {
+                let w = (target / (4 * few)).max(1);
+                DtSpec::Vector(few, w, w + bl, Box::new(f))
+            }
             _ => recv_spec(rng, 3),
         };
         let one = bytes(&dt.expanded(1));
@@ -1524,15 +1531,32 @@ fn generated_draws_hold_and_reach_every_cell() {
     assert_eq!(format!("{:?}", draws()), format!("{:?}", draws()));
     let mut rows = named_rows();
     rows.extend((0..).zip(draws()).map(|(i, d)| (format!("draw {i}"), d)));
-    let cells = &Mutex::new(BTreeMap::new());
+    // The named rows' cells and the generated draws' apart, so the table
+    // shows what the generator reaches on its own.
+    let (named, drawn) = (&Mutex::new(BTreeMap::new()), &Mutex::new(BTreeMap::new()));
     // Two halves at once: every run is a world of its own.
     std::thread::scope(|s| {
         for half in rows.chunks(rows.len().div_ceil(2)) {
-            s.spawn(move || half.iter().for_each(|(n, d)| hold(n, d.clone(), cells)));
+            s.spawn(move || {
+                for (n, d) in half {
+                    hold(
+                        n,
+                        d.clone(),
+                        [named, drawn][usize::from(n.starts_with("draw "))],
+                    );
+                }
+            });
         }
     });
-    let cells = cells.lock().unwrap();
+    let (mut cells, drawn) = (named.lock().unwrap().clone(), drawn.lock().unwrap());
+    for (cell, n) in drawn.iter() {
+        *cells.entry(cell.clone()).or_default() += n;
+    }
     println!("cases per cell: {cells:#?}");
+    let pitched = "a device pair crosses PCIe pitched";
+    let generated = drawn.get(pitched).copied().unwrap_or(0);
+    println!("of them generated, {pitched}: {generated}");
+    assert!(generated > 0, "no generated draw reached \"{pitched}\"");
     let want = "Contig on the host|Contig on the GPU|Strided1D on the host|Strided1D on the GPU|\
         Strided2D on the host|Strided2D on the GPU|Irregular on the host|Irregular on the GPU|\
         eager under Auto|eager under Force|shm_eager under Auto|shm_eager under Force|\
